@@ -23,8 +23,8 @@ cold/warm jobs-per-second of the simulation service round-trip, or the
 shed-and-retry jobs-per-second of the overloaded service —
 dropped by more than ``--max-regression`` (default 30%).  Baselines are only
 written from a clean git tree (``--allow-dirty`` overrides, marking the
-recorded revision) and every entry records which scoreboard backend measured
-it, so the recorded ``git_rev`` always describes the measured code.  Absolute instrs/sec depend on the host, so every export also
+recorded revision), so the recorded ``git_rev`` always describes the
+measured code.  Absolute instrs/sec depend on the host, so every export also
 records a *calibration score* (ops/sec of a fixed pure-Python workload) and
 the regression gate compares throughput **normalized by that score**: a
 slower CI runner lowers both numbers together and only genuine simulator
@@ -203,14 +203,13 @@ def measure_stats_finalize(repeats: int) -> list[dict]:
     Builds one synthetic dispatch log (4 threads × 3 jobs, mixed
     scalar/vector rows) plus the three unit interval buffers, and times a
     full finalize-style reduction: every per-run/per-thread/per-job counter
-    plus the figure-4 state sweep.  The entry's ``model`` field records
-    which reduction path ran (``numpy`` or ``fallback``), so the regression
-    gate only ever compares like against like.
+    plus the figure-4 state sweep.  The entry's ``model`` names the
+    reduction (``python``: the strided pure-Python pass), so baselines that
+    recorded another reduction are reported as ungated, not compared.
     """
     from repro.core.eventlog import (
         DispatchLog,
         FlatIntervalRecorder,
-        numpy_enabled,
         reduce_dispatch_log,
     )
     from repro.core.statistics import (
@@ -263,7 +262,7 @@ def measure_stats_finalize(repeats: int) -> list[dict]:
     return [
         {
             "benchmark": "stats_finalize",
-            "model": "numpy" if numpy_enabled() else "fallback",
+            "model": "python",
             "workload": f"rows@{STATS_FINALIZE_ROWS}",
             "instructions": STATS_FINALIZE_ROWS,
             "seconds": round(seconds, 6),
@@ -284,11 +283,9 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     scoreboard, performing per dispatched instruction exactly what the
     dispatch layer does: one ``earliest_dispatch`` probe, a ``chain_start``
     for vector consumers, a ``record_read`` per source and a
-    ``record_write`` for the destination.  The entry's ``model`` field
-    records which backend ran (``columnar`` or ``object``), so the
-    regression gate only ever compares like against like.
+    ``record_write`` for the destination.
     """
-    from repro.core.scoreboard import create_scoreboard, scoreboard_backend_name
+    from repro.core.scoreboard import ColumnarScoreboard
     from repro.isa.builder import (
         scalar_load,
         scalar_op,
@@ -316,7 +313,7 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     dispatches = rounds * len(mix)
 
     def spin() -> None:
-        board = create_scoreboard()
+        board = ColumnarScoreboard()
         now = 0
         for _ in range(rounds):
             for instruction in mix:
@@ -341,7 +338,7 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     return [
         {
             "benchmark": "scoreboard_hazard",
-            "model": scoreboard_backend_name(),
+            "model": "columnar",
             "workload": f"mix@{dispatches}",
             "instructions": dispatches,
             "seconds": round(seconds, 6),
@@ -683,8 +680,6 @@ def check_batch_scaling(entries: list[dict]) -> list[str]:
 
 def collect(repeats: int, *, dirty: bool = False) -> dict:
     """Run the full throughput suite and assemble the export document."""
-    from repro.core.scoreboard import scoreboard_backend_name
-
     entries = (
         measure_single_runs(repeats)
         + measure_stats_finalize(repeats)
@@ -694,12 +689,6 @@ def collect(repeats: int, *, dirty: bool = False) -> dict:
         + measure_obs_overhead(repeats)
         + measure_batch_scaling(repeats)
     )
-    # every entry records which scoreboard path produced it, so a baseline
-    # measured with the object fallback can never silently gate (or excuse)
-    # the columnar numbers
-    backend = scoreboard_backend_name()
-    for entry in entries:
-        entry.setdefault("scoreboard", backend)
     return {
         "schema_version": 1,
         "git_rev": _git_rev() + ("-dirty" if dirty else ""),
@@ -754,24 +743,6 @@ def check_regression(current: dict, baseline: dict, max_regression: float) -> li
             # silent pass — otherwise key drift turns the gate into a no-op
             print(
                 f"warning: no baseline entry for {_entry_key(entry)}; not gated",
-                file=sys.stderr,
-            )
-            continue
-        current_backend = entry.get("scoreboard")
-        baseline_backend = reference.get("scoreboard")
-        if (
-            current_backend is not None
-            and baseline_backend is not None
-            and current_backend != baseline_backend
-        ):
-            # measured on different scoreboard backends (e.g. the forced
-            # object-fallback leg against a columnar baseline): a throughput
-            # gap there is the backends' difference, not a regression.
-            # Baselines predating the flag are still gated (old == slower
-            # object-era numbers, so the comparison only errs lenient).
-            print(
-                f"note: skipping {_entry_key(entry)} — baseline measured on "
-                f"the {baseline_backend} scoreboard, current on {current_backend}",
                 file=sys.stderr,
             )
             continue

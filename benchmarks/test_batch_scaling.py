@@ -6,28 +6,17 @@ machine at two memory latencies) is executed with ``jobs=1``, ``jobs=2`` and
 ``jobs=4`` over the persistent worker pool, and the recorded wall-clock times
 show how much of the fan-out the current host turns into a speedup.
 
-Two things are *asserted*, host-normalized through
-:func:`export_bench.check_batch_scaling`:
-
-* correctness — every parallel run must be result-for-result identical to the
-  serial one;
-* the scaling gate — on a host with 4+ usable CPUs ``jobs=4`` must be at
-  least as fast as ``jobs=1``; on smaller hosts the pool is capped and every
-  parallel row must still stay above the dispatch-overhead floor.  The gate
-  times its own rounds (interleaved across jobs levels, see
-  :func:`export_bench.time_batch_levels`) so host drift between rows cannot
-  masquerade as a scaling regression.
+Every parallel run is *asserted* result-for-result identical to the serial
+one.  The wall-clock scaling gate (host-normalized through
+:func:`export_bench.check_batch_scaling`) is not a tier-1 assertion: it runs
+in ``export_bench.py``'s ``main()``, which the ``benchmark-smoke`` CI job
+invokes; this module keeps unit coverage of the gate predicate itself.
 """
 
 from __future__ import annotations
 
 import pytest
-from export_bench import (
-    BATCH_JOBS,
-    batch_scaling_requests,
-    check_batch_scaling,
-    time_batch_levels,
-)
+from export_bench import batch_scaling_requests, check_batch_scaling
 
 from repro.api import SimulationRequest, run_batch, usable_cpus
 
@@ -59,23 +48,6 @@ def test_batch_scaling(benchmark, requests, serial_cycles, jobs):
     benchmark.extra_info["cpus"] = usable_cpus()
     benchmark.extra_info["requests"] = len(requests)
     assert [result.cycles for result in results] == serial_cycles
-
-
-def test_batch_scaling_gate(requests):
-    """The hard gate: parallel rows may not regress against the serial row."""
-    run_batch(requests, jobs=max(BATCH_JOBS))  # warm the pool outside timing
-    timings = time_batch_levels(requests, repeats=3)
-    instructions = 1_000_000  # any fixed numerator: the gate compares ratios
-    entries = [
-        {
-            "benchmark": "batch_scaling",
-            "jobs": jobs,
-            "cpus": usable_cpus(),
-            "instrs_per_sec": instructions / seconds,
-        }
-        for jobs, seconds in timings.items()
-    ]
-    assert check_batch_scaling(entries) == []
 
 
 class TestCheckBatchScaling:

@@ -19,12 +19,9 @@ as one *batch*:
   whose (configuration, workload, mode) content hash was simulated before;
 * shipped requests are **chunked** by an instruction-count estimate, so tiny
   simulations share one worker round trip instead of paying per-job IPC;
-* results travel back **out of band**: workers encode them as raw-bytes
-  frames (:meth:`~repro.core.results.SimulationResult.to_frame`) — via a
-  ``multiprocessing.shared_memory`` block above ``REPRO_SHM_MIN_BYTES`` —
-  and the parent adopts the flat buffers zero-copy.  ``REPRO_PICKLE_RESULTS=1``
-  selects the classic whole-result pickle path instead (byte-identical to an
-  in-process run, which is what ledger/store consumers hash).
+* results travel back as the canonical result pickle
+  (:func:`_result_to_bytes`), the same bytes an in-process run stores, so
+  byte-stores record pooled and serial results identically.
 
 ``jobs`` is an upper bound: the effective worker count is additionally
 capped by the CPUs this process may run on, so over-subscribing a small host
@@ -38,13 +35,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
-import weakref
 from collections.abc import Iterable, Sequence
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
 
 from repro.api.cache import RunCache, request_key
 from repro.api.machine import BUILTIN_MODEL_NAMES, Machine
@@ -52,22 +45,12 @@ from repro.api.pool import WorkerPool, get_shared_pool, usable_cpus
 from repro.core.config import MachineConfig
 from repro.core.results import SimulationResult
 from repro.core.suppliers import Job
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.faults import inject_slow_execute, inject_worker_crash
 from repro.trace.records import TraceSet
 from repro.workloads.program import Program
 
 __all__ = ["BatchRunner", "SimulationRequest", "run_batch"]
-
-#: Force whole-result pickles instead of out-of-band frames (set in the
-#: parent; the pool respawns its workers when it changes).
-PICKLE_RESULTS_ENV = "REPRO_PICKLE_RESULTS"
-
-#: Result frames at or above this many bytes ship through a
-#: ``multiprocessing.shared_memory`` block instead of the executor's result
-#: queue (override with the env var of the same name).
-SHM_MIN_BYTES_ENV = "REPRO_SHM_MIN_BYTES"
-DEFAULT_SHM_MIN_BYTES = 256 * 1024
 
 #: Instruction estimate for workloads that cannot be sized cheaply.
 DEFAULT_INSTRUCTION_ESTIMATE = 10_000
@@ -352,162 +335,37 @@ def _plan_chunks(
     return [chunk for chunk in chunks if chunk]
 
 
-# --------------------------------------------------------------------------- #
-# out-of-band result shipping (worker side encodes, parent side decodes)
-# --------------------------------------------------------------------------- #
-def _shm_min_bytes() -> int:
-    value = os.environ.get(SHM_MIN_BYTES_ENV)
-    if value:
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    return DEFAULT_SHM_MIN_BYTES
-
-
-_shm_patch_lock = threading.Lock()
-
-
-@contextmanager
-def _tracker_silenced():
-    """Keep the multiprocessing resource tracker out of result-block bookkeeping.
-
-    Ownership of result blocks is explicit — the worker creates, the parent
-    unlinks when the adopted result dies — so neither side may let the
-    resource tracker unlink (or double-account) the block behind our back.
-    Before 3.13 there is no ``track=False`` (and *attaching* registers too);
-    briefly no-op'ing ``register``/``unregister`` keeps the tracker entirely
-    out of the loop on both sides, for creation, attach and unlink alike.
-    """
-    with _shm_patch_lock:
-        register, unregister = resource_tracker.register, resource_tracker.unregister
-        resource_tracker.register = lambda name, rtype: None
-        resource_tracker.unregister = lambda name, rtype: None
-        try:
-            yield
-        finally:
-            resource_tracker.register = register
-            resource_tracker.unregister = unregister
-
-
-def _shm_open_untracked(**kwargs):
-    """Create or attach a shared-memory block without tracker registration."""
-    with _tracker_silenced():
-        return shared_memory.SharedMemory(**kwargs)
-
-
-def _frame_to_shm(frame: bytes) -> tuple[str, int] | None:
-    """Write ``frame`` into a fresh shared-memory block; ``None`` if that fails."""
-    try:
-        block = _shm_open_untracked(create=True, size=len(frame))
-    except OSError:  # pragma: no cover - /dev/shm unavailable or full
-        return None
-    block.buf[: len(frame)] = frame
-    name = block.name
-    block.close()
-    return name, len(frame)
-
-
-def _encode_result(result: SimulationResult, want_bytes: bool) -> tuple:
-    """Encode one result for the trip back to the parent (worker side).
-
-    Returns one of three tagged tuples: ``("P", pickle)`` — the canonical
-    whole-result pickle (requested by the parent for byte-stores, forced by
-    ``REPRO_PICKLE_RESULTS=1``, or the fallback for non-flat recorders);
-    ``("F", frame)`` — a raw-bytes result frame; ``("S", name, size)`` — the
-    name of a shared-memory block holding the frame, used for large frames.
-    """
-    if want_bytes or os.environ.get(PICKLE_RESULTS_ENV):
-        return ("P", _result_to_bytes(result))
-    frame = result.to_frame()
-    if frame is None:
-        return ("P", _result_to_bytes(result))
-    if len(frame) >= _shm_min_bytes():
-        shipped = _frame_to_shm(frame)
-        if shipped is not None:
-            return ("S", *shipped)
-    return ("F", frame)
-
-
-def _release_shm(block) -> None:
-    """Finalizer for adopted shared-memory results: close and unlink.
-
-    The finalizer fires while the dying result's recorders (and their views
-    into the block) are still being torn down, so ``close`` routinely sees
-    exported buffers.  In that case the mapping is reclaimed when the last
-    view dies — we just disarm the handle so its ``__del__`` stays quiet —
-    and the block is unlinked either way.
-    """
-    try:
-        block.close()
-    except BufferError:
-        block._buf = None
-        block._mmap = None  # the views keep the mapping alive until they die
-    try:
-        with _tracker_silenced():
-            block.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-
-
-def _decode_result(encoded: tuple) -> tuple[SimulationResult, bytes | None]:
-    """Decode a worker's tagged result (parent side).
-
-    Returns ``(result, payload)`` where ``payload`` is the canonical pickle
-    when the worker shipped one (so byte-stores can record it unchanged) and
-    ``None`` for out-of-band frames.
-    """
-    tag = encoded[0]
-    if tag == "P":
-        payload = encoded[1]
-        return pickle.loads(payload), payload
-    if tag == "F":
-        return SimulationResult.from_frame(encoded[1]), None
-    if tag == "S":
-        name, size = encoded[1], encoded[2]
-        block = _shm_open_untracked(name=name)
-        result = SimulationResult.from_frame(block.buf[:size])
-        # The result's recorders view directly into the block; keep it mapped
-        # until the result is garbage, then unlink it.
-        weakref.finalize(result, _release_shm, block)
-        return result, None
-    raise SimulationError(f"unknown result encoding tag {tag!r}")
-
-
-def _execute_chunk(payloads: list[bytes], want_bytes: bool) -> tuple[int, list]:
+def _execute_chunk(payloads: list[bytes]) -> tuple[int, list[bytes]]:
     """Worker-process entry point: run a chunk of pre-pickled requests.
 
-    Returns ``(worker_pid, encoded_results)`` with the results in chunk
-    order.  The ``worker_crash`` fault hooks only this pool entry point —
-    never the in-process fallback — so a crash-looping fault plan still lets
-    the local retry complete the batch.
+    Returns ``(worker_pid, result_payloads)`` with the canonical result
+    pickles in chunk order.  The ``worker_crash`` fault hooks only this pool
+    entry point — never the in-process fallback — so a crash-looping fault
+    plan still lets the local retry complete the batch.
     """
     inject_worker_crash()
-    encoded = []
-    for payload in payloads:
-        inject_slow_execute()
-        encoded.append(_encode_result(_execute_request(pickle.loads(payload)), want_bytes))
-    return os.getpid(), encoded
+    return os.getpid(), [
+        _execute_request_to_bytes(pickle.loads(payload)) for payload in payloads
+    ]
 
 
 def _run_chunks_on_pool(
     pool: WorkerPool,
     chunks: list[list[int]],
     payloads: dict[int, bytes],
-    want_bytes: bool,
-) -> tuple[dict[int, tuple], list[int]]:
+) -> tuple[dict[int, bytes], list[int]]:
     """Run every chunk on the pool, riding out one worker-crash respawn.
 
-    Returns ``(encoded_by_index, failed_indexes)``.  A ``BrokenProcessPool``
-    fails every chunk in flight; the pool is respawned and the failed chunks
-    retried once.  Indexes whose chunks failed twice (a crash-looping fault
-    plan) are handed back for in-process execution.
+    Returns ``(result_payload_by_index, failed_indexes)``.  A
+    ``BrokenProcessPool`` fails every chunk in flight; the pool is respawned
+    and the failed chunks retried once.  Indexes whose chunks failed twice (a
+    crash-looping fault plan) are handed back for in-process execution.
     """
-    encoded: dict[int, tuple] = {}
+    shipped: dict[int, bytes] = {}
     remaining = chunks
     for attempt in range(2):
         futures = [
-            (chunk, pool.submit(_execute_chunk, [payloads[i] for i in chunk], want_bytes))
+            (chunk, pool.submit(_execute_chunk, [payloads[i] for i in chunk]))
             for chunk in remaining
         ]
         failed: list[list[int]] = []
@@ -517,14 +375,13 @@ def _run_chunks_on_pool(
             except BrokenProcessPool:
                 failed.append(chunk)
             else:
-                for index, item in zip(chunk, items):
-                    encoded[index] = item
+                shipped.update(zip(chunk, items))
         remaining = failed
         if not remaining:
             break
         if attempt == 0:
             pool.respawn_broken()
-    return encoded, [index for chunk in remaining for index in chunk]
+    return shipped, [index for chunk in remaining for index in chunk]
 
 
 def run_batch(
@@ -604,14 +461,10 @@ def run_batch(
         local = [index for index in pending if payloads[index] is None]
         if shippable:
             chunks = _plan_chunks(shippable, requests, worker_pool.workers)
-            encoded, crashed = _run_chunks_on_pool(
-                worker_pool, chunks, payloads, want_bytes
-            )
-            for index, item in encoded.items():
-                result, payload = _decode_result(item)
-                results[index] = result
-                if payload is not None:
-                    payload_bytes[index] = payload
+            shipped, crashed = _run_chunks_on_pool(worker_pool, chunks, payloads)
+            for index, payload in shipped.items():
+                results[index] = pickle.loads(payload)
+            payload_bytes.update(shipped)
             local.extend(crashed)  # crash-looping plan: finish in-process
             local.sort()
     for index in local:

@@ -10,17 +10,17 @@ curve.  :class:`WorkerPool` keeps the worker processes warm across calls:
   ``run_batch``, ``execute_sweep`` and every :class:`~repro.service.core.
   SimulationService`, so the spawn cost is paid once per interpreter, not
   once per batch;
-* workers run a **warm-up initializer** on spawn (imports the engine and the
-  numpy reduction path, touches the expansion-interning table) so the first
-  real job does not pay cold-import latency; under the ``fork`` start method
-  workers additionally inherit the parent's already-interned expansions;
-* the pool watches an **environment fingerprint** (the fault-plan variable
-  and the stats/scoreboard/result-shipping mode switches).  Long-lived
-  workers would otherwise keep running with the environment they were forked
-  with; when the fingerprint changes the pool swaps in a fresh executor at
-  the next submission and lets the old one drain, so e.g. a freshly
-  installed :class:`~repro.faults.plan.FaultPlan` is guaranteed to be loaded
-  by the workers that execute the next batch;
+* workers run a **warm-up initializer** on spawn (imports the engine and
+  touches the expansion-interning table) so the first real job does not pay
+  cold-import latency; under the ``fork`` start method workers additionally
+  inherit the parent's already-interned expansions;
+* the pool watches an **environment fingerprint** (the fault-plan and
+  engine-profiling variables).  Long-lived workers would otherwise keep
+  running with the environment they were forked with; when the fingerprint
+  changes the pool swaps in a fresh executor at the next submission and
+  lets the old one drain, so e.g. a freshly installed
+  :class:`~repro.faults.plan.FaultPlan` is guaranteed to be loaded by the
+  workers that execute the next batch;
 * a worker crash (``BrokenProcessPool``) is recovered with
   :meth:`WorkerPool.respawn_broken` — consumers retry their submission on
   the rebuilt executor instead of losing the pool for the rest of the
@@ -41,17 +41,10 @@ from repro.obs.metrics import Counter
 __all__ = ["WorkerPool", "get_shared_pool", "shutdown_shared_pool", "usable_cpus"]
 
 #: Environment variables workers must agree with the parent about.  A change
-#: to any of them (a fault plan installed or cleared, a stats/scoreboard
-#: fallback toggled, the result-shipping override flipped) forces the pool to
-#: replace its warm workers before the next submission runs.
-ENV_FINGERPRINT_VARS = (
-    "REPRO_FAULT_PLAN",
-    "REPRO_PURE_PYTHON_STATS",
-    "REPRO_OBJECT_SCOREBOARD",
-    "REPRO_PICKLE_RESULTS",
-    "REPRO_SHM_MIN_BYTES",
-    "REPRO_PROFILE",
-)
+#: to either (a fault plan installed or cleared, engine profiling toggled)
+#: forces the pool to replace its warm workers before the next submission
+#: runs.
+ENV_FINGERPRINT_VARS = ("REPRO_FAULT_PLAN", "REPRO_PROFILE")
 
 
 def usable_cpus() -> int:
@@ -69,16 +62,14 @@ def _env_fingerprint() -> tuple:
 def _warm_worker() -> None:
     """Run in every fresh worker: pre-pay imports the first job would pay.
 
-    Importing :mod:`repro.api.batch` pulls in the engine, the ISA and the
-    workload builders; :mod:`repro.core.eventlog` resolves the numpy gate so
-    the first reduction does not trigger the numpy import inside a timed
-    region.  Touching :func:`~repro.workloads.program.expansion_intern_info`
-    initializes the interning table (under ``fork`` it already holds the
-    parent's expansions, so re-simulating a workload the parent expanded is
-    an intern hit, not a re-emission).
+    Importing :mod:`repro.api.batch` pulls in the engine, the statistics
+    reduction, the ISA and the workload builders.  Touching
+    :func:`~repro.workloads.program.expansion_intern_info` initializes the
+    interning table (under ``fork`` it already holds the parent's expansions,
+    so re-simulating a workload the parent expanded is an intern hit, not a
+    re-emission).
     """
     import repro.api.batch  # noqa: F401
-    import repro.core.eventlog  # noqa: F401
     from repro.workloads.program import expansion_intern_info
 
     expansion_intern_info()

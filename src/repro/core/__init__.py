@@ -9,7 +9,6 @@ from repro.core.eventlog import (
     DISPATCH_FIELDS,
     DispatchLog,
     FlatIntervalRecorder,
-    numpy_enabled,
     reduce_dispatch_log,
 )
 from repro.core.functional_units import FunctionalUnit, VectorUnitPool
@@ -25,15 +24,7 @@ from repro.core.scheduler import (
     create_scheduler,
     scheduler_names,
 )
-from repro.core.scoreboard import (
-    ColumnarScoreboard,
-    RegisterState,
-    Scoreboard,
-    columnar_scoreboard_enabled,
-    create_scoreboard,
-    scoreboard_backend_name,
-    set_columnar_scoreboard_enabled,
-)
+from repro.core.scoreboard import ColumnarScoreboard
 from repro.core.statistics import (
     FU_STATE_NAMES,
     IntervalRecorder,
@@ -72,10 +63,8 @@ __all__ = [
     "MachineConfig",
     "MultithreadedSimulator",
     "ReferenceSimulator",
-    "RegisterState",
     "RepeatingSupplier",
     "RoundRobinScheduler",
-    "Scoreboard",
     "SimulationEngine",
     "SimulationResult",
     "SimulationStats",
@@ -85,15 +74,10 @@ __all__ = [
     "UnfairBlockingScheduler",
     "VectorUnitPool",
     "as_job",
-    "columnar_scoreboard_enabled",
     "create_scheduler",
-    "create_scoreboard",
     "fu_state_breakdown",
     "ideal_execution_time",
-    "numpy_enabled",
     "reduce_dispatch_log",
     "scheduler_names",
-    "scoreboard_backend_name",
-    "set_columnar_scoreboard_enabled",
     "simulate_program",
 ]

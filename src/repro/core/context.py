@@ -1,17 +1,18 @@
 """Hardware contexts: the per-thread architectural state of the machine.
 
 Each hardware context owns a full copy of the architectural registers (A, S
-and V files — modeled by its private :class:`~repro.core.scoreboard.Scoreboard`),
-its own fetch stream, and per-thread statistics.  The functional units, the
-decode unit and the memory port are *shared* and live in the simulation
-engine, exactly as in the proposed architecture (section 3).
+and V files — modeled by its private
+:class:`~repro.core.scoreboard.ColumnarScoreboard`), its own fetch stream,
+and per-thread statistics.  The functional units, the decode unit and the
+memory port are *shared* and live in the simulation engine, exactly as in the
+proposed architecture (section 3).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.core.scoreboard import create_scoreboard
+from repro.core.scoreboard import ColumnarScoreboard
 from repro.core.statistics import JobRecord, ThreadStats
 from repro.core.suppliers import Job, JobSupplier
 from repro.isa.instruction import Instruction
@@ -33,9 +34,7 @@ class HardwareContext:
     ) -> None:
         self.thread_id = thread_id
         self.supplier = supplier
-        # Columnar hazard tables by default; the object fallback when the
-        # backend switch (REPRO_OBJECT_SCOREBOARD / runtime toggle) says so.
-        self.scoreboard = create_scoreboard(
+        self.scoreboard = ColumnarScoreboard(
             model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
         )
         self.stats = ThreadStats(thread_id=thread_id)

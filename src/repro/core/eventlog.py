@@ -18,16 +18,17 @@ This module replaces it with a *columnar event log*:
   instruction counts, busy intervals, the figure-4 state breakdown) is
   computed in a single reduction at ``SimulationEngine._finalize``.
 
-The reductions are vectorized with numpy when it is importable and fall back
-to tight pure-Python loops otherwise (the fallback keeps the PyPy path open
-and is exercised by CI).  Both paths produce bit-identical integers; the
-equivalence suite asserts them against the frozen seed oracle.
+The reductions are dependency-free: column totals are sums over strided
+slices of the flat buffer and per-thread/per-job counts come from one
+``collections.Counter`` pass, so the per-row work stays in C-level loops.
+The equivalence suite asserts every reduced integer against the frozen seed
+oracle.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
+from collections import Counter
 
 from repro.errors import SimulationError
 
@@ -35,52 +36,12 @@ __all__ = [
     "DISPATCH_FIELDS",
     "DispatchLog",
     "FlatIntervalRecorder",
-    "active_numpy",
     "merge_interval_pairs",
-    "numpy_enabled",
     "reduce_dispatch_log",
-    "set_numpy_enabled",
 ]
 
 # --------------------------------------------------------------------------- #
-# numpy gating
-# --------------------------------------------------------------------------- #
-try:  # pragma: no cover - exercised through both CI matrix legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-#: The numpy module used by the vectorized reductions, or ``None`` when the
-#: pure-Python fallback is active.  ``REPRO_PURE_PYTHON_STATS=1`` forces the
-#: fallback even when numpy is importable (the CI matrix runs one leg with
-#: it); tests flip it at runtime through :func:`set_numpy_enabled`.
-_active_numpy = None if os.environ.get("REPRO_PURE_PYTHON_STATS") else _numpy
-
-
-def numpy_enabled() -> bool:
-    """Whether the vectorized (numpy) reduction path is active."""
-    return _active_numpy is not None
-
-
-def active_numpy():
-    """The numpy module when the vectorized path is active, else ``None``."""
-    return _active_numpy
-
-
-def set_numpy_enabled(enabled: bool) -> bool:
-    """Switch the reduction path at runtime; returns the previous setting.
-
-    Enabling is a no-op when numpy is not importable.  Used by the test suite
-    to exercise the pure-Python fallback; production code never calls it.
-    """
-    global _active_numpy
-    previous = _active_numpy is not None
-    _active_numpy = (_numpy if enabled else None)
-    return previous
-
-
-# --------------------------------------------------------------------------- #
-# the per-dispatch counter matrix
+# the per-dispatch counter rows
 # --------------------------------------------------------------------------- #
 #: Column names of one dispatch row, in storage order.
 DISPATCH_FIELDS: tuple[str, ...] = (
@@ -100,8 +61,8 @@ class DispatchLog:
 
     The hot path never calls a method on this class: the dispatch layer
     hoists ``log.values.extend`` once and appends :data:`ROW_WIDTH` integers
-    per dispatched instruction.  Everything else (row iteration, the numpy
-    matrix view, reduction) happens once per run.
+    per dispatched instruction.  Everything else (row iteration, reduction)
+    happens once per run.
     """
 
     __slots__ = ("values",)
@@ -124,21 +85,6 @@ class DispatchLog:
             for index in range(0, len(values), ROW_WIDTH)
         ]
 
-    def matrix(self):
-        """The log as an ``(n, ROW_WIDTH)`` numpy int64 matrix, or ``None``.
-
-        Returns ``None`` when the numpy path is disabled.  The matrix is a
-        zero-copy view of the underlying buffer — do not append while holding
-        it.
-        """
-        if _active_numpy is None:
-            return None
-        if not self.values:
-            return _active_numpy.empty((0, ROW_WIDTH), dtype=_active_numpy.int64)
-        return _active_numpy.frombuffer(self.values, dtype=_active_numpy.int64).reshape(
-            -1, ROW_WIDTH
-        )
-
     # -- pickling: ship the raw buffer, not 6n Python ints ---------------- #
     def __getstate__(self) -> bytes:
         return self.values.tobytes()
@@ -146,20 +92,6 @@ class DispatchLog:
     def __setstate__(self, state: bytes) -> None:
         self.values = array("q")
         self.values.frombytes(state)
-
-    # -- raw-buffer export/import (out-of-band result shipping) ------------ #
-    def export_rows(self) -> bytes:
-        """The whole log as raw little-endian int64 bytes (one flat buffer)."""
-        return self.values.tobytes()
-
-    @classmethod
-    def from_rows(cls, buffer) -> "DispatchLog":
-        """Rebuild a log from :meth:`export_rows` output (bytes-like)."""
-        if memoryview(buffer).nbytes % (8 * ROW_WIDTH):
-            raise SimulationError("dispatch-log buffer is not whole int64 rows")
-        log = cls()
-        log.values.frombytes(buffer)
-        return log
 
 
 def reduce_dispatch_log(log: DispatchLog, stats) -> None:
@@ -170,117 +102,64 @@ def reduce_dispatch_log(log: DispatchLog, stats) -> None:
     keep observable *between* cycles (global/per-thread ``instructions`` for
     stop conditions, schedulers and instruction limits) stay live during the
     run; this reduction overwrites them with the identical reduced values.
+
+    Rows of a thread absent from ``stats.threads`` count only globally, and
+    rows recorded before the thread fetched its first job (ordinal ``-1``)
+    never land in a job count.
     """
-    matrix = log.matrix()
-    if matrix is not None:
-        _reduce_numpy(matrix, stats)
-    else:
-        _reduce_python(log.values, stats)
-
-
-def _reduce_numpy(matrix, stats) -> None:
-    np = _active_numpy
-    total_rows = int(matrix.shape[0])
-    stats.instructions = total_rows
-    stats.decode_busy_cycles = total_rows
-    if total_rows:
-        sums = matrix[:, 2:].sum(axis=0, dtype=np.int64)
-        vector_instructions = int(sums[0])
-        stats.vector_instructions = vector_instructions
-        stats.scalar_instructions = total_rows - vector_instructions
-        stats.vector_operations = int(sums[1])
-        stats.vector_arithmetic_operations = int(sums[2])
-        stats.memory_transactions = int(sums[3])
-    else:
-        stats.vector_instructions = 0
-        stats.scalar_instructions = 0
-        stats.vector_operations = 0
-        stats.vector_arithmetic_operations = 0
-        stats.memory_transactions = 0
-    for thread in stats.threads:
-        if total_rows:
-            mask = matrix[:, 0] == thread.thread_id
-            rows = matrix[mask]
-        else:
-            rows = matrix
-        thread_rows = int(rows.shape[0])
-        thread.instructions = thread_rows
-        if thread_rows:
-            sums = rows[:, 2:].sum(axis=0, dtype=np.int64)
-            thread.vector_instructions = int(sums[0])
-            thread.scalar_instructions = thread_rows - thread.vector_instructions
-            thread.vector_operations = int(sums[1])
-            thread.memory_transactions = int(sums[3])
-            if thread.jobs:
-                # drop rows recorded before any job was fetched (ordinal -1),
-                # matching the fallback path
-                ordinals = rows[:, 1]
-                counts = np.bincount(
-                    ordinals[ordinals >= 0], minlength=len(thread.jobs)
-                )
-                for ordinal, record in enumerate(thread.jobs):
-                    record.instructions = int(counts[ordinal])
-        else:
-            thread.vector_instructions = 0
-            thread.scalar_instructions = 0
-            thread.vector_operations = 0
-            thread.memory_transactions = 0
-            for record in thread.jobs:
-                record.instructions = 0
-
-
-def _reduce_python(values: array, stats) -> None:
+    values = log.values
     total_rows = len(values) // ROW_WIDTH
+    is_vector = values[2::ROW_WIDTH]
+    elements = values[3::ROW_WIDTH]
+    memtx = values[5::ROW_WIDTH]
+    vector_instructions = sum(is_vector)
+    vector_operations = sum(elements)
+    memory_transactions = sum(memtx)
     stats.instructions = total_rows
     stats.decode_busy_cycles = total_rows
-    threads = {thread.thread_id: thread for thread in stats.threads}
-    per_thread = {
-        # rows, vector rows, vector elements, memory transactions, job counts
-        thread_id: [0, 0, 0, 0, {}]
-        for thread_id in threads
-    }
-    vector_instructions = 0
-    vector_operations = 0
-    vector_arithmetic = 0
-    memory_transactions = 0
-    index = 0
-    end = len(values)
-    while index < end:
-        thread_id = values[index]
-        job_ordinal = values[index + 1]
-        is_vector = values[index + 2]
-        elements = values[index + 3]
-        memtx = values[index + 5]
-        vector_instructions += is_vector
-        vector_operations += elements
-        vector_arithmetic += values[index + 4]
-        memory_transactions += memtx
-        index += ROW_WIDTH
-        # rows for threads absent from stats.threads only count globally,
-        # matching the numpy path's per-thread masking
-        bucket = per_thread.get(thread_id)
-        if bucket is None:
-            continue
-        bucket[0] += 1
-        bucket[1] += is_vector
-        bucket[2] += elements
-        bucket[3] += memtx
-        jobs = bucket[4]
-        jobs[job_ordinal] = jobs.get(job_ordinal, 0) + 1
     stats.vector_instructions = vector_instructions
     stats.scalar_instructions = total_rows - vector_instructions
     stats.vector_operations = vector_operations
-    stats.vector_arithmetic_operations = vector_arithmetic
+    stats.vector_arithmetic_operations = sum(values[4::ROW_WIDTH])
     stats.memory_transactions = memory_transactions
-    for thread_id, thread in threads.items():
-        rows, vector_rows, elements, memtx, job_counts = per_thread[thread_id]
-        thread.instructions = rows
-        thread.vector_instructions = vector_rows
-        thread.scalar_instructions = rows - vector_rows
-        thread.vector_operations = elements
-        thread.memory_transactions = memtx
+
+    threads = stats.threads
+    thread_ids = values[0::ROW_WIDTH]
+    ordinals = values[1::ROW_WIDTH]
+    if len(threads) == 1 and thread_ids.count(threads[0].thread_id) == total_rows:
+        # single context: the thread totals are the run totals
+        thread = threads[0]
+        thread.instructions = total_rows
+        thread.vector_instructions = vector_instructions
+        thread.scalar_instructions = total_rows - vector_instructions
+        thread.vector_operations = vector_operations
+        thread.memory_transactions = memory_transactions
+        job_counts = Counter(ordinals)
         for ordinal, record in enumerate(thread.jobs):
-            record.instructions = job_counts.get(ordinal, 0)
+            record.instructions = job_counts[ordinal]
+        return
+
+    # rows, vector rows, vector elements, memory transactions, job counts
+    per_thread = {thread.thread_id: [0, 0, 0, 0, Counter()] for thread in threads}
+    grouped = Counter(zip(thread_ids, ordinals, is_vector, elements, memtx))
+    for (thread_id, ordinal, vector, operations, transactions), count in grouped.items():
+        bucket = per_thread.get(thread_id)
+        if bucket is None:
+            continue
+        bucket[0] += count
+        bucket[1] += vector * count
+        bucket[2] += operations * count
+        bucket[3] += transactions * count
+        bucket[4][ordinal] += count
+    for thread in threads:
+        rows, vectors, operations, transactions, job_counts = per_thread[thread.thread_id]
+        thread.instructions = rows
+        thread.vector_instructions = vectors
+        thread.scalar_instructions = rows - vectors
+        thread.vector_operations = operations
+        thread.memory_transactions = transactions
+        for ordinal, record in enumerate(thread.jobs):
+            record.instructions = job_counts[ordinal]
 
 
 # --------------------------------------------------------------------------- #
@@ -292,33 +171,10 @@ def merge_interval_pairs(
     """Merge interleaved ``(start, end)`` pairs into sorted disjoint intervals.
 
     Equivalent to :meth:`repro.core.statistics.IntervalRecorder.merged` but
-    operating on a flat buffer; vectorized when numpy is active.
+    operating on a flat buffer.
     """
     if not pairs:
         return []
-    np = _active_numpy
-    if np is not None:
-        flat = np.frombuffer(pairs, dtype=np.int64)
-        starts = flat[0::2]
-        ends = flat[1::2]
-        if horizon is not None:
-            ends = np.minimum(ends, horizon)
-        keep = ends > starts
-        if not keep.all():
-            starts = starts[keep]
-            ends = ends[keep]
-        if starts.size == 0:
-            return []
-        order = np.argsort(starts, kind="stable")
-        starts = starts[order]
-        ends = np.maximum.accumulate(ends[order])
-        boundaries = np.flatnonzero(starts[1:] > ends[:-1]) + 1
-        first = np.concatenate(([0], boundaries))
-        last = np.concatenate((boundaries - 1, [starts.size - 1]))
-        return [
-            (int(start), int(end))
-            for start, end in zip(starts[first], ends[last])
-        ]
     clipped: list[tuple[int, int]] = []
     for index in range(0, len(pairs), 2):
         start = pairs[index]
@@ -344,11 +200,11 @@ class FlatIntervalRecorder:
     """Busy intervals of one functional unit as a flat ``(start, end)`` buffer.
 
     Drop-in replacement for the object-per-interval
-    :class:`~repro.core.statistics.IntervalRecorder` (which remains as the
-    pure-Python fallback recorder and the seed oracle's data structure): same
-    ``record`` / ``intervals`` / ``merged`` / ``busy_cycles`` / ``reset``
-    surface, same validation, same merge semantics.  ``merged`` results are
-    memoized per horizon and invalidated by ``record``/``reset``.
+    :class:`~repro.core.statistics.IntervalRecorder` (the seed oracle's data
+    structure): same ``record`` / ``intervals`` / ``merged`` /
+    ``busy_cycles`` / ``reset`` surface, same validation, same merge
+    semantics.  ``merged`` results are memoized per horizon and invalidated by
+    ``record``/``reset``.
     """
 
     __slots__ = ("name", "_pairs", "_merged_cache")
@@ -361,11 +217,7 @@ class FlatIntervalRecorder:
     def record(self, start: int, end: int) -> None:
         """Record one busy interval; zero-length intervals are ignored."""
         if end > start:
-            try:
-                self._pairs.extend((start, end))
-            except AttributeError:  # adopted readonly buffer: copy-on-write
-                self._materialize()
-                self._pairs.extend((start, end))
+            self._pairs.extend((start, end))
             if self._merged_cache:
                 self._merged_cache = {}
         elif end < start:
@@ -376,19 +228,9 @@ class FlatIntervalRecorder:
     def extend_pairs(self, other: "FlatIntervalRecorder") -> None:
         """Append every interval of ``other`` (used to combine LD units)."""
         if len(other._pairs):
-            try:
-                self._pairs.extend(other._pairs)
-            except AttributeError:  # adopted readonly buffer: copy-on-write
-                self._materialize()
-                self._pairs.extend(other._pairs)
+            self._pairs.extend(other._pairs)
             if self._merged_cache:
                 self._merged_cache = {}
-
-    def _materialize(self) -> None:
-        """Replace an adopted readonly buffer with a private mutable array."""
-        pairs = array("q")
-        pairs.frombytes(self._pairs.tobytes())
-        self._pairs = pairs
 
     @property
     def intervals(self) -> list[tuple[int, int]]:
@@ -418,41 +260,6 @@ class FlatIntervalRecorder:
     def reset(self) -> None:
         """Drop all recorded intervals."""
         self._pairs = array("q")
-        self._merged_cache = {}
-
-    # -- raw-buffer export/import (out-of-band result shipping) ------------ #
-    def export_pairs(self) -> bytes:
-        """The recorded pairs as raw little-endian int64 bytes."""
-        return self._pairs.tobytes()
-
-    def detach_pairs(self):
-        """Take the flat buffer out, leaving the recorder empty.
-
-        Used by the frame codec to pickle a result's object graph *without*
-        its big interval buffers; pair with :meth:`restore_pairs`.
-        """
-        pairs, self._pairs = self._pairs, array("q")
-        self._merged_cache = {}
-        return pairs
-
-    def restore_pairs(self, pairs) -> None:
-        """Put a buffer taken by :meth:`detach_pairs` back."""
-        self._pairs = pairs
-        self._merged_cache = {}
-
-    def adopt_pairs(self, buffer) -> None:
-        """Adopt ``(start, end)`` int64 pairs from a bytes-like buffer, zero-copy.
-
-        The recorder holds a ``memoryview`` into ``buffer`` — no per-element
-        deserialization, no copy.  The first mutation (``record`` /
-        ``extend_pairs``) transparently copies into a private array.
-        """
-        view = memoryview(buffer)
-        if view.nbytes % 16:
-            raise SimulationError(
-                f"unit {self.name}: interval buffer is not whole (start, end) int64 pairs"
-            )
-        self._pairs = view.cast("q")
         self._merged_cache = {}
 
     def drop_merge_memo(self) -> None:

@@ -1,44 +1,13 @@
-"""Simulation result containers (and their out-of-band wire format).
-
-Besides the :class:`SimulationResult` dataclass itself, this module defines
-the *result frame*: a compact raw-bytes encoding used to ship results out of
-worker processes without deep-pickling their large flat buffers.  A frame is
-
-.. code-block:: text
-
-    RRF1 | version u16 | nbuffers u16 | meta_len u64 | buffer lengths u64[n]
-         | meta pickle (padded to 8 bytes) | raw int64 buffers...
-
-where ``meta`` is the result pickled with its three interval buffers
-detached (so it stays small) and the buffers are the recorders' raw
-``(start, end)`` int64 pairs.  :meth:`SimulationResult.from_frame` adopts
-the buffers zero-copy — the reconstructed recorders hold memoryviews into
-the received frame (or the shared-memory block it lives in) instead of
-re-materializing every pair.
-"""
+"""Simulation result containers."""
 
 from __future__ import annotations
 
-import pickle
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import MachineConfig
-from repro.core.eventlog import FlatIntervalRecorder
 from repro.core.statistics import FU_STATE_NAMES, JobRecord, SimulationStats
-from repro.errors import SimulationError
 
-__all__ = ["FRAME_MAGIC", "SimulationResult"]
-
-#: Magic prefix of a result frame ("Repro Result Frame", layout version 1).
-FRAME_MAGIC = b"RRF1"
-
-_FRAME_HEADER = struct.Struct("<4sHHQ")
-_FRAME_VERSION = 1
-
-
-def _pad8(length: int) -> int:
-    return (-length) % 8
+__all__ = ["SimulationResult"]
 
 
 @dataclass
@@ -153,76 +122,6 @@ class SimulationResult:
                 table["instructions"].append(record.instructions)
                 table["completed"].append(record.completed)
         return table
-
-    # -- out-of-band result shipping -------------------------------------- #
-    def _frame_recorders(self) -> tuple | None:
-        recorders = (
-            self.stats.fu2_intervals,
-            self.stats.fu1_intervals,
-            self.stats.ld_intervals,
-        )
-        if all(isinstance(recorder, FlatIntervalRecorder) for recorder in recorders):
-            return recorders
-        return None  # object-recorder results (seed oracle) ship as pickles
-
-    def to_frame(self) -> bytes | None:
-        """Encode this result as one raw-bytes frame, or ``None`` if it cannot.
-
-        The interval buffers are detached while the rest of the object graph
-        is pickled, so the meta pickle stays small and the buffers travel as
-        raw bytes a consumer can adopt without deserializing.  Results whose
-        recorders are not flat-buffer recorders return ``None`` (callers fall
-        back to whole-result pickles).
-        """
-        recorders = self._frame_recorders()
-        if recorders is None:
-            return None
-        detached = [recorder.detach_pairs() for recorder in recorders]
-        try:
-            meta = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            for recorder, pairs in zip(recorders, detached):
-                recorder.restore_pairs(pairs)
-        buffers = [pairs.tobytes() for pairs in detached]
-        parts = [
-            _FRAME_HEADER.pack(FRAME_MAGIC, _FRAME_VERSION, len(buffers), len(meta)),
-            struct.pack(f"<{len(buffers)}Q", *(len(buffer) for buffer in buffers)),
-            meta,
-            bytes(_pad8(len(meta))),
-        ]
-        parts.extend(buffers)
-        return b"".join(parts)
-
-    @classmethod
-    def from_frame(cls, buffer) -> "SimulationResult":
-        """Decode a :meth:`to_frame` frame, adopting its buffers zero-copy.
-
-        ``buffer`` may be ``bytes`` or a ``memoryview`` (e.g. over a
-        shared-memory block); the reconstructed recorders keep views into it,
-        so the caller must keep the backing storage alive as long as the
-        result is.
-        """
-        view = memoryview(buffer)
-        try:
-            magic, version, nbuffers, meta_len = _FRAME_HEADER.unpack_from(view, 0)
-        except struct.error as error:
-            raise SimulationError(f"truncated result frame: {error}") from None
-        if magic != FRAME_MAGIC or version != _FRAME_VERSION:
-            raise SimulationError(
-                f"not a result frame (magic {magic!r}, version {version})"
-            )
-        offset = _FRAME_HEADER.size
-        lengths = struct.unpack_from(f"<{nbuffers}Q", view, offset)
-        offset += 8 * nbuffers
-        result = pickle.loads(view[offset : offset + meta_len])
-        offset += meta_len + _pad8(meta_len)
-        recorders = result._frame_recorders()
-        if recorders is None or len(recorders) != nbuffers:
-            raise SimulationError("result frame meta does not carry flat recorders")
-        for recorder, length in zip(recorders, lengths):
-            recorder.adopt_pairs(view[offset : offset + length])
-            offset += length
-        return result
 
     def summary(self) -> dict[str, float]:
         """A compact dictionary of the headline metrics."""

@@ -17,29 +17,18 @@ compiler schedules code to avoid these conflicts; the scoreboard checks them
 anyway and stalls dispatch when a port is oversubscribed, which penalizes
 register allocations the real compiler would not produce.
 
-Two interchangeable implementations share this contract:
-
-* :class:`ColumnarScoreboard` (the default) keeps every hazard quantity in a
-  flat int list indexed by the dense ``Register.key`` — ``earliest_dispatch``
-  / ``chain_start`` / ``record_read`` / ``record_write`` are array reads plus
-  int compares, with no dict lookups and no per-source allocation;
-* :class:`Scoreboard` is the original object-graph implementation
-  (``RegisterState`` per register, ``_BankPorts`` per bank), kept as the
-  fallback and as the structure the frozen seed oracle mirrors.
-
-``REPRO_OBJECT_SCOREBOARD=1`` forces the object implementation (one CI leg
-runs the tier-1 suite that way, mirroring the no-numpy statistics leg);
-tests flip the backend at runtime with :func:`set_columnar_scoreboard_enabled`.
-Both implementations assume the engine's monotonic clock: ``now`` never
-decreases across successive calls on one scoreboard.  The property suite in
-``tests/test_core_scoreboard_columnar.py`` asserts call-by-call agreement and
-the golden-trace corpus guards whole-run dispatch sequences on both backends.
+:class:`ColumnarScoreboard` keeps every hazard quantity in a flat int list
+indexed by the dense ``Register.key`` — ``earliest_dispatch`` /
+``chain_start`` / ``record_read`` / ``record_write`` are array reads plus int
+compares, with no dict lookups and no per-source allocation.  It assumes the
+engine's monotonic clock: ``now`` never decreases across successive calls on
+one scoreboard.  The property suite in
+``tests/test_core_scoreboard_columnar.py`` asserts call-by-call agreement
+with the frozen seed oracle's object-graph scoreboard, and the golden-trace
+corpus guards whole-run dispatch sequences.
 """
 
 from __future__ import annotations
-
-import os
-from dataclasses import dataclass
 
 from repro.isa.instruction import Instruction
 from repro.isa.registers import (
@@ -47,194 +36,13 @@ from repro.isa.registers import (
     READ_PORTS_PER_BANK,
     TOTAL_REGISTER_KEYS,
     Register,
-    RegisterClass,
 )
 
-__all__ = [
-    "ColumnarScoreboard",
-    "RegisterState",
-    "Scoreboard",
-    "columnar_scoreboard_enabled",
-    "create_scoreboard",
-    "scoreboard_backend_name",
-    "set_columnar_scoreboard_enabled",
-]
+__all__ = ["ColumnarScoreboard"]
 
 
-@dataclass
-class RegisterState:
-    """Hazard-tracking state of one architectural register."""
-
-    ready_at: int = 0
-    first_element_at: int = 0
-    chainable: bool = True
-    write_busy_until: int = 0
-    read_busy_until: int = 0
-
-
-class _BankPorts:
-    """Read/write port bookkeeping of one vector register bank."""
-
-    __slots__ = ("read_ends", "write_end")
-
-    def __init__(self) -> None:
-        self.read_ends: list[int] = []
-        self.write_end: int = 0
-
-    def earliest_read_slot(self, now: int) -> int:
-        """Earliest cycle at which a new reader can get one of the two ports."""
-        active = [end for end in self.read_ends if end > now]
-        if len(active) < READ_PORTS_PER_BANK:
-            return now
-        return sorted(active)[-READ_PORTS_PER_BANK]
-
-    def earliest_write_slot(self, now: int) -> int:
-        """Earliest cycle at which the single write port is free."""
-        return max(now, self.write_end)
-
-    def add_reader(self, end: int, now: int) -> None:
-        self.read_ends = [e for e in self.read_ends if e > now]
-        self.read_ends.append(end)
-
-    def add_writer(self, end: int) -> None:
-        self.write_end = max(self.write_end, end)
-
-
-class Scoreboard:
-    """Object-graph register-hazard and bank-port tracking (fallback path).
-
-    The scoreboard carries a monotonically increasing :attr:`version` bumped
-    by every mutation (register read/write records, resets).  The dispatch
-    layer uses it to cache ``earliest_issue`` results per context head: as
-    long as the version is unchanged, every hazard constraint is a constant
-    and the cached ready time stays exact.
-    """
-
-    def __init__(self, *, model_bank_ports: bool = True, allow_chaining: bool = True) -> None:
-        # Keyed by the dense integer `Register.key` (hashing a small int is
-        # far cheaper than hashing the register's field tuple).
-        self._registers: dict[int, RegisterState] = {}
-        self._banks = [_BankPorts() for _ in range(NUM_VECTOR_BANKS)]
-        self._model_bank_ports = model_bank_ports
-        self._allow_chaining = allow_chaining
-        #: Mutation counter consumed by the dispatch-layer ready-time cache.
-        self.version = 0
-
-    # ------------------------------------------------------------------ #
-    def state(self, register: Register) -> RegisterState:
-        """The (lazily created) hazard state of one register."""
-        key = register.key
-        state = self._registers.get(key)
-        if state is None:
-            state = RegisterState()
-            self._registers[key] = state
-        return state
-
-    def reset(self) -> None:
-        """Clear all hazard state (used when a context starts a new program)."""
-        self._registers.clear()
-        self._banks = [_BankPorts() for _ in range(NUM_VECTOR_BANKS)]
-        self.version += 1
-
-    # ------------------------------------------------------------------ #
-    # dispatch-time constraint computation
-    # ------------------------------------------------------------------ #
-    def earliest_dispatch(self, instruction: Instruction, now: int) -> int:
-        """Earliest cycle at which register hazards allow dispatching.
-
-        Chainable vector sources impose no dispatch-time constraint (flexible
-        chaining: the dependent may issue at any time and its element timing
-        is resolved by the execution model); all other sources require the
-        producer to have completed.  The destination requires previous writers
-        and readers to have finished (no renaming).
-        """
-        earliest = now
-        registers = self._registers
-        for source in instruction.srcs:
-            state = registers.get(source.key)
-            if state is None:
-                continue
-            if state.chainable and source.cls is RegisterClass.VECTOR:
-                continue
-            ready_at = state.ready_at
-            if ready_at > earliest:
-                earliest = ready_at
-        dest = instruction.dest
-        if dest is not None:
-            state = registers.get(dest.key)
-            if state is not None:
-                busy_until = state.write_busy_until
-                if state.read_busy_until > busy_until:
-                    busy_until = state.read_busy_until
-                if busy_until > earliest:
-                    earliest = busy_until
-        if self._model_bank_ports:
-            banks = self._banks
-            for source in instruction.vector_sources():
-                slot = banks[source.bank].earliest_read_slot(now)
-                if slot > earliest:
-                    earliest = slot
-            if dest is not None and dest.is_vector:
-                slot = banks[dest.bank].earliest_write_slot(now)
-                if slot > earliest:
-                    earliest = slot
-        return earliest
-
-    # ------------------------------------------------------------------ #
-    # element-availability helpers used by the execution timing model
-    # ------------------------------------------------------------------ #
-    def chain_start(self, instruction: Instruction, candidate_start: int) -> int:
-        """First cycle at which the instruction can consume its first element.
-
-        For chainable in-flight vector sources this is the producer's
-        first-element time; completed or scalar sources impose no extra delay
-        (their full value is already available by dispatch time).
-        """
-        start = candidate_start
-        registers = self._registers
-        for source in instruction.vector_sources():
-            state = registers.get(source.key)
-            if state is None:
-                continue
-            if state.chainable and state.ready_at > candidate_start:
-                start = max(start, state.first_element_at)
-        return start
-
-    # ------------------------------------------------------------------ #
-    # post-dispatch bookkeeping
-    # ------------------------------------------------------------------ #
-    def record_read(self, register: Register, now: int, read_end: int) -> None:
-        """Mark a register as being read by an in-flight instruction."""
-        self.version += 1
-        state = self.state(register)
-        state.read_busy_until = max(state.read_busy_until, read_end)
-        if self._model_bank_ports and register.is_vector:
-            self._banks[register.bank].add_reader(read_end, now)
-
-    def record_write(
-        self,
-        register: Register,
-        *,
-        first_element_at: int,
-        ready_at: int,
-        chainable: bool,
-    ) -> None:
-        """Mark a register as being produced by an in-flight instruction."""
-        self.version += 1
-        state = self.state(register)
-        state.first_element_at = first_element_at
-        state.ready_at = ready_at
-        state.chainable = chainable and self._allow_chaining
-        state.write_busy_until = ready_at
-        if self._model_bank_ports and register.is_vector:
-            self._banks[register.bank].add_writer(ready_at)
-
-
-# --------------------------------------------------------------------------- #
-# the columnar implementation
-# --------------------------------------------------------------------------- #
 class _ColumnarRegisterView:
-    """Read-only :class:`RegisterState`-shaped view over the hazard columns."""
+    """Read-only view of one register's hazard columns."""
 
     __slots__ = ("_board", "_key")
 
@@ -274,19 +82,17 @@ class _ColumnarRegisterView:
 class ColumnarScoreboard:
     """Columnar hazard tables: flat int lists indexed by ``Register.key``.
 
-    Same observable behaviour as :class:`Scoreboard` under the engine's
-    monotonic clock, with every per-register quantity stored in a dense
-    column (``ready_at`` / ``first_element_at`` / ``chainable`` /
-    ``write_busy_until`` / ``read_busy_until``) and the bank ports as flat
-    slot arrays:
+    Every per-register quantity is stored in a dense column (``ready_at`` /
+    ``first_element_at`` / ``chainable`` / ``write_busy_until`` /
+    ``read_busy_until``) and the bank ports as flat slot arrays:
 
     * ``_bank_read_slots`` keeps, per bank, the ``READ_PORTS_PER_BANK``
       largest read-end times sorted ascending.  With in-order dispatch and a
       non-decreasing ``now``, the earliest cycle a new reader can claim a
       port is exactly ``max(now, smallest kept slot)``: an end time evicted
       from the slots is dominated by ``READ_PORTS_PER_BANK`` larger ones and
-      can never become the port-limiting reader afterwards.  This replaces
-      the fallback's prune-filter-sort of a Python list per probe;
+      can never become the port-limiting reader afterwards, so a probe is
+      one array read instead of a prune-filter-sort of a read-end list;
     * ``_bank_write_end`` is the single write port's busy horizon per bank.
 
     The hazard checks consume the instruction's precomputed dense plan
@@ -441,42 +247,3 @@ class ColumnarScoreboard:
     def __setstate__(self, state: tuple) -> None:
         for slot, value in zip(self.__slots__, state):
             setattr(self, slot, value)
-
-
-# --------------------------------------------------------------------------- #
-# backend selection
-# --------------------------------------------------------------------------- #
-#: ``REPRO_OBJECT_SCOREBOARD=1`` forces the object-graph fallback scoreboard
-#: (one CI matrix leg runs the tier-1 suite that way); tests flip it at
-#: runtime through :func:`set_columnar_scoreboard_enabled`.
-_columnar_enabled = not os.environ.get("REPRO_OBJECT_SCOREBOARD")
-
-
-def columnar_scoreboard_enabled() -> bool:
-    """Whether new scoreboards use the columnar hazard tables."""
-    return _columnar_enabled
-
-
-def set_columnar_scoreboard_enabled(enabled: bool) -> bool:
-    """Switch the scoreboard backend at runtime; returns the previous setting.
-
-    Only affects scoreboards created afterwards.  Used by the test suite to
-    exercise the object fallback; production code never calls it.
-    """
-    global _columnar_enabled
-    previous = _columnar_enabled
-    _columnar_enabled = bool(enabled)
-    return previous
-
-
-def scoreboard_backend_name() -> str:
-    """Name of the active backend (``columnar`` or ``object``)."""
-    return "columnar" if _columnar_enabled else "object"
-
-
-def create_scoreboard(
-    *, model_bank_ports: bool = True, allow_chaining: bool = True
-) -> "ColumnarScoreboard | Scoreboard":
-    """Create a scoreboard on the active backend (hardware contexts use this)."""
-    cls = ColumnarScoreboard if _columnar_enabled else Scoreboard
-    return cls(model_bank_ports=model_bank_ports, allow_chaining=allow_chaining)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.eventlog import FlatIntervalRecorder, active_numpy
+from repro.core.eventlog import FlatIntervalRecorder
 from repro.errors import SimulationError
 
 __all__ = [
@@ -61,8 +61,8 @@ def state_name(fu2_busy: bool, fu1_busy: bool, ld_busy: bool) -> str:
 class IntervalRecorder:
     """Records busy intervals ``[start, end)`` of one functional unit.
 
-    This is the object-per-interval fallback recorder (and the data structure
-    of the frozen seed oracle); the optimized engine records into the
+    This is the object-per-interval recorder (the data structure of the
+    frozen seed oracle); the optimized engine records into the
     flat-array :class:`~repro.core.eventlog.FlatIntervalRecorder`, which
     mirrors this surface exactly.  ``merged`` results are memoized per
     horizon and invalidated by ``record``/``reset``, so ``busy_cycles`` and
@@ -135,27 +135,15 @@ def fu_state_breakdown(
 ) -> dict[str, int]:
     """Split ``total_cycles`` into the eight ``(FU2, FU1, LD)`` states of figure 4.
 
-    Accepts either recorder flavour (object-per-interval fallback or the
-    flat-array recorder of the columnar pipeline).  The endpoint sweep is
-    vectorized when numpy is active; both paths produce identical integers.
+    Accepts either recorder flavour (the seed oracle's object-per-interval
+    recorder or the flat-array recorder of the columnar pipeline).  The
+    endpoint sweep walks the merged intervals of the three units once.
     """
     if total_cycles <= 0:
         return {name: 0 for name in FU_STATE_NAMES}
-    merged_by_bit = (
-        (4, fu2.merged(total_cycles)),
-        (2, fu1.merged(total_cycles)),
-        (1, ld.merged(total_cycles)),
-    )
-    np = active_numpy()
-    if np is not None:
-        return _breakdown_sweep_numpy(np, merged_by_bit, total_cycles)
-    return _breakdown_sweep_python(merged_by_bit, total_cycles)
-
-
-def _breakdown_sweep_python(merged_by_bit, total_cycles: int) -> dict[str, int]:
     events: list[tuple[int, int, int]] = []  # (cycle, unit_bit, +1/-1)
-    for bit, merged in merged_by_bit:
-        for start, end in merged:
+    for bit, recorder in ((4, fu2), (2, fu1), (1, ld)):
+        for start, end in recorder.merged(total_cycles):
             events.append((start, bit, 1))
             events.append((end, bit, -1))
     breakdown = {name: 0 for name in FU_STATE_NAMES}
@@ -178,40 +166,6 @@ def _breakdown_sweep_python(merged_by_bit, total_cycles: int) -> dict[str, int]:
     if previous_cycle < total_cycles:
         breakdown[FU_STATE_NAMES[max(busy_bits, 0)]] += total_cycles - previous_cycle
     return breakdown
-
-
-def _breakdown_sweep_numpy(np, merged_by_bit, total_cycles: int) -> dict[str, int]:
-    cycles_parts = []
-    deltas_parts = []
-    for bit, merged in merged_by_bit:
-        if not merged:
-            continue
-        pairs = np.asarray(merged, dtype=np.int64)
-        count = pairs.shape[0]
-        cycles_parts.append(pairs[:, 0])
-        deltas_parts.append(np.full(count, bit, dtype=np.int64))
-        cycles_parts.append(pairs[:, 1])
-        deltas_parts.append(np.full(count, -bit, dtype=np.int64))
-    counts = np.zeros(8, dtype=np.int64)
-    if not cycles_parts:
-        counts[0] = total_cycles
-    else:
-        cycles = np.concatenate(cycles_parts)
-        deltas = np.concatenate(deltas_parts)
-        order = np.argsort(cycles, kind="stable")
-        cycles = cycles[order]
-        # busy-bit mask in effect after each event; the state of the segment
-        # between two adjacent distinct event cycles is the mask after the
-        # last event of the earlier cycle (merged inputs keep it in 0..7)
-        prefix = np.cumsum(deltas[order])
-        unique, first_index, group_sizes = np.unique(
-            cycles, return_index=True, return_counts=True
-        )
-        bits = prefix[first_index + group_sizes - 1]
-        counts[0] += int(unique[0])  # idle before the first event
-        lengths = np.diff(np.append(unique, total_cycles))
-        np.add.at(counts, bits, lengths)
-    return {name: int(counts[index]) for index, name in enumerate(FU_STATE_NAMES)}
 
 
 @dataclass

@@ -7,8 +7,8 @@ mandatory ``+Inf`` bucket and ``_sum`` / ``_count`` samples.
 
 :func:`parse_exposition` is the deliberately small pure-python reader used
 by the test-suite round-trips and ``benchmarks/obs_smoke.py`` — it
-understands exactly what the renderer emits (plus the bare legacy alias
-lines), nothing more.
+understands exactly what the renderer emits (plus the bare ``/metrics``
+gauge and rate lines), nothing more.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def parse_exposition(text: str) -> dict[str, dict]:
 
     ``samples`` is a list of ``(sample_name, labels_dict, value)`` tuples;
     bare lines with no preceding ``# TYPE`` are grouped under their own
-    name with type ``"untyped"`` (the legacy alias block parses this way).
+    name with type ``"untyped"`` (the flat ``/metrics`` gauges parse this way).
     """
     families: dict[str, dict] = {}
 

@@ -23,8 +23,8 @@ dependencies**.  Endpoints:
                           coalescing, load shedding, crash recovery, store
                           occupancy, queue depth)
 ``GET /metrics``          Prometheus exposition: ``# HELP``/``# TYPE``'d
-                          counter and latency-histogram families, plus the
-                          legacy flat ``repro_*`` lines as aliases
+                          counter and latency-histogram families, plus flat
+                          ``repro_*`` gauges and rates
 ``GET /healthz``          liveness probe
 ========================  ==================================================
 
@@ -72,34 +72,18 @@ def render_metrics(stats: dict) -> str:
     * the obs metric families (``stats["metrics"]``, when present) with
       ``# HELP`` / ``# TYPE`` headers, sorted by family name — counters,
       gauges and cumulative-bucket latency histograms;
-    * the flat legacy ``repro_*`` lines the endpoint has always served.
-      The counter names among them are **deprecated aliases** of the
-      ``repro_service_*`` families above, retained for one release so
-      existing scrape configs keep working; derived rates
-      (``store_hit_rate``, ``coalesce_rate``) stay precomputed so a
-      dashboard needs no query-side arithmetic.
+    * flat ``repro_*`` lines for the point-in-time gauges (queue depth,
+      running jobs, store occupancy) and the derived rates
+      (``store_hit_rate``, ``coalesce_rate``), precomputed so a dashboard
+      needs no query-side arithmetic.  Counters live only in the
+      ``repro_service_*`` / ``repro_store_*`` families above.
     """
     submitted = stats.get("submitted", 0)
     lines: list[str] = []
     families = stats.get("metrics")
     if isinstance(families, dict):
         lines.extend(render_families(families))
-    lines.append(
-        "# legacy flat lines; counter names below are deprecated aliases of"
-        " the repro_service_* families (retained for one release)"
-    )
     lines += [
-        f"repro_submitted_total {submitted}",
-        f"repro_executed_total {stats.get('executed', 0)}",
-        f"repro_coalesced_total {stats.get('coalesced', 0)}",
-        f"repro_store_hits_total {stats.get('store_hits', 0)}",
-        f"repro_failed_total {stats.get('failed', 0)}",
-        f"repro_rejected_total {stats.get('rejected', 0)}",
-        f"repro_retried_total {stats.get('retried', 0)}",
-        f"repro_worker_crashes_total {stats.get('worker_crashes', 0)}",
-        f"repro_failover_local_total {stats.get('failover_local', 0)}",
-        f"repro_timeouts_total {stats.get('timeouts', 0)}",
-        f"repro_cancelled_total {stats.get('cancelled', 0)}",
         f"repro_queued_bytes {stats.get('queued_bytes', 0)}",
         f"repro_queue_pending {stats.get('pending', 0)}",
         f"repro_jobs_running {stats.get('running', 0)}",
@@ -116,8 +100,6 @@ def render_metrics(stats: dict) -> str:
             f"repro_store_entries {store.get('entries', 0)}",
             f"repro_store_bytes {store.get('bytes', 0)}",
             f"repro_store_max_bytes {store.get('max_bytes', 0)}",
-            f"repro_store_evictions_total {store.get('evictions', 0)}",
-            f"repro_store_quarantined_total {store.get('quarantined', 0)}",
             f"repro_store_quarantine_bytes {store.get('quarantine_bytes', 0)}",
         ]
     return "\n".join(lines) + "\n"

@@ -6,8 +6,7 @@ vector_arithmetic_operations, memory_transactions]`` per dynamic instruction,
 in dispatch order.  The committed JSON files under ``tests/golden/`` were
 generated **from the frozen seed oracle** (``tests/seed_engine.SeedEngine``)
 by ``tests/golden/generate.py``; ``tests/test_golden_traces.py`` replays every
-case through the optimized engine (on both scoreboard backends) and asserts
-byte-identical rows.
+case through the optimized engine and asserts byte-identical rows.
 
 End-of-run statistics equivalence can mask compensating mid-run divergences
 (two dispatch reorderings that happen to sum to the same counters); a

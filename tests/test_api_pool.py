@@ -1,4 +1,4 @@
-"""Tests for the persistent worker pool and out-of-band result shipping.
+"""Tests for the persistent worker pool and pooled result shipping.
 
 Everything here forces the pooled execution path with an explicit
 :class:`WorkerPool` — the CI container often grants a single CPU, where
@@ -17,13 +17,9 @@ from repro.api import RunCache, SimulationRequest, WorkerPool, run_batch, usable
 from repro.api.batch import (
     CHUNKS_PER_WORKER,
     DEFAULT_INSTRUCTION_ESTIMATE,
-    DEFAULT_SHM_MIN_BYTES,
-    _decode_result,
     _estimate_instructions,
     _plan_chunks,
-    _shm_min_bytes,
 )
-from repro.errors import SimulationError
 from repro.api.pool import get_shared_pool, shutdown_shared_pool
 from repro.core import Job
 from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
@@ -105,9 +101,9 @@ class TestWorkerPool:
     def test_env_fingerprint_change_respawns(self, pool, monkeypatch):
         pool.submit(os.getpid).result()
         assert pool.spawned == 1
-        # flip relative to whatever a CI leg may have preset
-        current = os.environ.get("REPRO_SHM_MIN_BYTES")
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "4096" if current != "4096" else "8192")
+        # flip relative to whatever the environment may have preset
+        current = os.environ.get("REPRO_PROFILE")
+        monkeypatch.setenv("REPRO_PROFILE", "1" if current != "1" else "")
         pool.submit(os.getpid).result()
         assert pool.spawned == 2
         # unchanged fingerprint: no further respawn
@@ -177,18 +173,7 @@ class TestResultShipping:
             assert left.counters() == right.counters()
             assert left.job_table() == right.job_table()
 
-    def test_frame_path_matches_serial(self, pool):
-        requests = _requests()
-        self._assert_equivalent(self._serial(requests), run_batch(requests, pool=pool))
-
-    def test_shared_memory_path_matches_serial(self, pool, monkeypatch):
-        # force even tiny frames through a shared-memory block
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")
-        requests = _requests()
-        self._assert_equivalent(self._serial(requests), run_batch(requests, pool=pool))
-
-    def test_pickle_path_matches_serial(self, pool, monkeypatch):
-        monkeypatch.setenv("REPRO_PICKLE_RESULTS", "1")
+    def test_pickle_path_matches_serial(self, pool):
         requests = _requests()
         self._assert_equivalent(self._serial(requests), run_batch(requests, pool=pool))
 
@@ -200,18 +185,6 @@ class TestResultShipping:
         assert set(local_cache.blobs) == set(pooled_cache.blobs)
         for key, blob in local_cache.blobs.items():
             assert pooled_cache.blobs[key] == blob
-
-    def test_unknown_encoding_tag_rejected(self):
-        with pytest.raises(SimulationError, match="encoding tag"):
-            _decode_result(("X", b""))
-
-    def test_shm_threshold_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_MIN_BYTES", raising=False)
-        assert _shm_min_bytes() == DEFAULT_SHM_MIN_BYTES
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "123")
-        assert _shm_min_bytes() == 123
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "not-a-number")
-        assert _shm_min_bytes() == DEFAULT_SHM_MIN_BYTES
 
     def test_run_cache_hits_after_pooled_batch(self, pool):
         cache = RunCache()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -59,6 +61,13 @@ class TestSimulationResult:
 class TestPackageSurface:
     def test_version(self):
         assert repro.__version__ == "1.8.0"
+
+    def test_packaging_reads_the_package_version(self):
+        """``pyproject.toml`` holds no second copy of the version to drift."""
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in text
+        assert 'attr = "repro.__version__"' in text
+        assert 'version = "' not in text  # no literal version string
 
     def test_top_level_exports(self):
         for name in (

@@ -1,111 +1,89 @@
 """Unit tests for the register scoreboard: hazards, chaining, bank ports.
 
-Every case runs against both interchangeable implementations — the columnar
-hazard tables (default) and the object-graph fallback — through the
-``scoreboard`` fixture, so a behavioural drift between the two backends fails
-here before it reaches the equivalence or golden-trace suites.
+Each case pins one section-3 hazard rule on :class:`ColumnarScoreboard` with
+hand-computed cycle numbers; ``tests/test_core_scoreboard_columnar.py``
+checks random call sequences against the seed oracle's scoreboard.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 
-import pytest
-
-from repro.core.scoreboard import (
-    ColumnarScoreboard,
-    Scoreboard,
-    columnar_scoreboard_enabled,
-    create_scoreboard,
-    scoreboard_backend_name,
-    set_columnar_scoreboard_enabled,
-)
+from repro.core.context import HardwareContext
+from repro.core.scoreboard import ColumnarScoreboard
+from repro.core.suppliers import JobQueueSupplier
 from repro.isa.builder import vadd, vload, vstore
 from repro.isa.opcodes import Opcode
 from repro.isa.instruction import Instruction
 from repro.isa.registers import A, S, V
 
-BACKENDS = {"columnar": ColumnarScoreboard, "object": Scoreboard}
-
-
-@pytest.fixture(params=sorted(BACKENDS))
-def make_scoreboard(request):
-    """Factory building a scoreboard of the parametrized backend."""
-    cls = BACKENDS[request.param]
-
-    def build(**kwargs):
-        return cls(**kwargs)
-
-    return build
-
 
 class TestDataHazards:
-    def test_fresh_registers_impose_no_constraints(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_fresh_registers_impose_no_constraints(self):
+        scoreboard = ColumnarScoreboard()
         instruction = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.earliest_dispatch(instruction, now=5) == 5
 
-    def test_non_chainable_source_blocks_dispatch(self, make_scoreboard):
+    def test_non_chainable_source_blocks_dispatch(self):
         """Loads are not chainable: consumers wait for the full load (section 3)."""
-        scoreboard = make_scoreboard()
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(V(0), first_element_at=60, ready_at=150, chainable=False)
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.earliest_dispatch(consumer, now=10) == 150
 
-    def test_chainable_source_does_not_block_dispatch(self, make_scoreboard):
+    def test_chainable_source_does_not_block_dispatch(self):
         """FU-produced results allow fully flexible chaining (section 3)."""
-        scoreboard = make_scoreboard()
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(V(0), first_element_at=60, ready_at=150, chainable=True)
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.earliest_dispatch(consumer, now=10) == 10
 
-    def test_scalar_source_always_waits_for_completion(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_scalar_source_always_waits_for_completion(self):
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(S(1), first_element_at=40, ready_at=40, chainable=True)
         consumer = Instruction(Opcode.ADD_S, dest=S(2), srcs=(S(1),))
         assert scoreboard.earliest_dispatch(consumer, now=0) == 40
 
-    def test_waw_hazard(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_waw_hazard(self):
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(V(2), first_element_at=30, ready_at=90, chainable=True)
         writer = vload(V(2), vl=64, address=0)
         assert scoreboard.earliest_dispatch(writer, now=0) == 90
 
-    def test_war_hazard(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_war_hazard(self):
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_read(V(2), now=0, read_end=75)
         writer = vload(V(2), vl=64, address=0)
         assert scoreboard.earliest_dispatch(writer, now=0) == 75
 
-    def test_chain_start_uses_first_element_times(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_chain_start_uses_first_element_times(self):
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(V(0), first_element_at=42, ready_at=170, chainable=True)
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.chain_start(consumer, candidate_start=10) == 42
         assert scoreboard.chain_start(consumer, candidate_start=60) == 60
 
-    def test_chain_start_ignores_completed_producers(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_chain_start_ignores_completed_producers(self):
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(V(0), first_element_at=5, ready_at=9, chainable=True)
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.chain_start(consumer, candidate_start=20) == 20
 
-    def test_reset_clears_state(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_reset_clears_state(self):
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(V(0), first_element_at=60, ready_at=150, chainable=False)
         scoreboard.reset()
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.earliest_dispatch(consumer, now=0) == 0
 
-    def test_chaining_can_be_disabled(self, make_scoreboard):
-        scoreboard = make_scoreboard(allow_chaining=False)
+    def test_chaining_can_be_disabled(self):
+        scoreboard = ColumnarScoreboard(allow_chaining=False)
         scoreboard.record_write(V(0), first_element_at=60, ready_at=150, chainable=True)
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.earliest_dispatch(consumer, now=10) == 150
 
-    def test_state_view_tracks_mutations(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_state_view_tracks_mutations(self):
+        scoreboard = ColumnarScoreboard()
         scoreboard.record_write(V(3), first_element_at=12, ready_at=80, chainable=True)
         scoreboard.record_read(A(1), now=0, read_end=7)
         vector_state = scoreboard.state(V(3))
@@ -115,8 +93,8 @@ class TestDataHazards:
         assert vector_state.write_busy_until == 80
         assert scoreboard.state(A(1)).read_busy_until == 7
 
-    def test_version_counts_every_mutation(self, make_scoreboard):
-        scoreboard = make_scoreboard()
+    def test_version_counts_every_mutation(self):
+        scoreboard = ColumnarScoreboard()
         before = scoreboard.version
         scoreboard.record_read(S(0), now=0, read_end=1)
         scoreboard.record_write(S(0), first_element_at=4, ready_at=4, chainable=True)
@@ -125,66 +103,51 @@ class TestDataHazards:
 
 
 class TestBankPorts:
-    def test_write_port_conflict_within_bank(self, make_scoreboard):
+    def test_write_port_conflict_within_bank(self):
         """V0 and V1 share a bank with a single write port (section 3)."""
-        scoreboard = make_scoreboard(model_bank_ports=True)
+        scoreboard = ColumnarScoreboard(model_bank_ports=True)
         scoreboard.record_write(V(0), first_element_at=10, ready_at=100, chainable=False)
         writer_same_bank = vload(V(1), vl=64, address=0)
         writer_other_bank = vload(V(2), vl=64, address=0)
         assert scoreboard.earliest_dispatch(writer_same_bank, now=0) >= 100
         assert scoreboard.earliest_dispatch(writer_other_bank, now=0) == 0
 
-    def test_two_read_ports_per_bank(self, make_scoreboard):
-        scoreboard = make_scoreboard(model_bank_ports=True)
+    def test_two_read_ports_per_bank(self):
+        scoreboard = ColumnarScoreboard(model_bank_ports=True)
         scoreboard.record_read(V(0), now=0, read_end=80)
         scoreboard.record_read(V(1), now=0, read_end=90)
         # third concurrent reader of bank 0 must wait for a port
         reader = vstore(V(0), A(0), vl=64, address=0)
         assert scoreboard.earliest_dispatch(reader, now=0) >= 80
 
-    def test_read_port_frees_when_a_reader_finishes(self, make_scoreboard):
-        scoreboard = make_scoreboard(model_bank_ports=True)
+    def test_read_port_frees_when_a_reader_finishes(self):
+        scoreboard = ColumnarScoreboard(model_bank_ports=True)
         scoreboard.record_read(V(0), now=0, read_end=80)
         scoreboard.record_read(V(1), now=0, read_end=90)
         reader = vstore(V(0), A(0), vl=64, address=0)
         # at cycle 85 only the reader ending at 90 is active: a port is free
         assert scoreboard.earliest_dispatch(reader, now=85) == 85
 
-    def test_bank_ports_can_be_disabled(self, make_scoreboard):
-        scoreboard = make_scoreboard(model_bank_ports=False)
+    def test_bank_ports_can_be_disabled(self):
+        scoreboard = ColumnarScoreboard(model_bank_ports=False)
         scoreboard.record_write(V(0), first_element_at=10, ready_at=100, chainable=False)
         writer_same_bank = vload(V(1), vl=64, address=0)
         assert scoreboard.earliest_dispatch(writer_same_bank, now=0) == 0
 
-    def test_different_banks_never_conflict(self, make_scoreboard):
-        scoreboard = make_scoreboard(model_bank_ports=True)
+    def test_different_banks_never_conflict(self):
+        scoreboard = ColumnarScoreboard(model_bank_ports=True)
         scoreboard.record_write(V(0), first_element_at=10, ready_at=100, chainable=False)
         scoreboard.record_write(V(2), first_element_at=10, ready_at=100, chainable=False)
         writer = vload(V(4), vl=64, address=0)
         assert scoreboard.earliest_dispatch(writer, now=0) == 0
 
 
-class TestBackendSelection:
-    def test_default_backend_follows_the_env_switch(self):
-        # columnar unless the object-scoreboard CI leg forces the fallback
-        forced_object = bool(os.environ.get("REPRO_OBJECT_SCOREBOARD"))
-        assert columnar_scoreboard_enabled() == (not forced_object)
-        expected_name = "object" if forced_object else "columnar"
-        expected_cls = Scoreboard if forced_object else ColumnarScoreboard
-        assert scoreboard_backend_name() == expected_name
-        assert isinstance(create_scoreboard(), expected_cls)
-
-    def test_runtime_switch_selects_the_object_fallback(self):
-        previous = set_columnar_scoreboard_enabled(False)
-        try:
-            assert scoreboard_backend_name() == "object"
-            assert isinstance(create_scoreboard(), Scoreboard)
-        finally:
-            set_columnar_scoreboard_enabled(previous)
-        assert columnar_scoreboard_enabled() == previous
-
-    def test_factory_forwards_model_settings(self):
-        scoreboard = create_scoreboard(model_bank_ports=False, allow_chaining=False)
+class TestConstruction:
+    def test_context_forwards_model_settings(self):
+        context = HardwareContext(
+            0, JobQueueSupplier([]), model_bank_ports=False, allow_chaining=False
+        )
+        scoreboard = context.scoreboard
         scoreboard.record_write(V(0), first_element_at=10, ready_at=100, chainable=True)
         consumer = vadd(V(2), V(0), V(1), vl=64)
         # chaining disabled: the (would-be chainable) producer blocks dispatch

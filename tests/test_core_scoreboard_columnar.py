@@ -1,14 +1,15 @@
-"""Property tests: columnar vs. object scoreboard call-by-call agreement.
+"""Property tests: columnar scoreboard vs. the seed oracle, call by call.
 
-The columnar hazard tables replace the object scoreboard's per-register dict
-and per-bank read-end lists with flat int columns and top-K port slots.  The
-compression is only valid under the engine's contract — ``now`` never
-decreases across successive calls on one scoreboard — so this suite drives
-both implementations through identical random *monotonic* sequences of
-``record_read`` / ``record_write`` / ``reset`` operations interleaved with
-``earliest_dispatch`` / ``chain_start`` probes, and asserts that every probe
-result and every per-register state column agree, across both
-``model_bank_ports`` and ``allow_chaining`` settings.
+The columnar hazard tables replace the seed oracle's per-register dict and
+per-bank read-end lists (:class:`tests.seed_engine.SeedScoreboard`, an
+object-graph scoreboard with the same interface) with flat int columns and
+top-K port slots.  The compression is only valid under the engine's contract
+— ``now`` never decreases across successive calls on one scoreboard — so this
+suite drives both implementations through identical random *monotonic*
+sequences of ``record_read`` / ``record_write`` / ``reset`` operations
+interleaved with ``earliest_dispatch`` / ``chain_start`` probes, and asserts
+that every probe result and every per-register state column agree, across
+both ``model_bank_ports`` and ``allow_chaining`` settings.
 
 The sequences deliberately oversample the corners where the two data layouts
 could diverge: many readers piling onto one bank (port-slot eviction), reads
@@ -21,7 +22,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scoreboard import ColumnarScoreboard, Scoreboard
+from repro.core.scoreboard import ColumnarScoreboard
 from repro.isa.builder import (
     scalar_load,
     scalar_op,
@@ -34,7 +35,19 @@ from repro.isa.builder import (
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import A, S, V, all_registers
 
+from tests.seed_engine import SeedScoreboard
+
 ALL_REGISTERS = all_registers()
+
+
+class ResettableSeedScoreboard(SeedScoreboard):
+    """The seed scoreboard plus ``reset``: the state of a freshly built board."""
+
+    def reset(self) -> None:
+        self.__init__(
+            model_bank_ports=self._model_bank_ports,
+            allow_chaining=self._allow_chaining,
+        )
 
 # Small register pools bias the sequences towards aliasing and same-bank
 # traffic; the full pool keeps every dense key reachable.
@@ -135,7 +148,7 @@ def apply_sequence(boards, ops):
 
 
 def assert_same_state(columnar, fallback):
-    """Every register's hazard columns agree between the two backends."""
+    """Every register's hazard columns agree with the seed scoreboard's."""
     for register in ALL_REGISTERS:
         flat = columnar.state(register)
         obj = fallback.state(register)
@@ -157,14 +170,13 @@ class TestColumnarAgreesWithObjectScoreboard:
         columnar = ColumnarScoreboard(
             model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
         )
-        fallback = Scoreboard(
+        fallback = ResettableSeedScoreboard(
             model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
         )
         for op, (flat_result, object_result) in apply_sequence(
             (columnar, fallback), ops
         ):
             assert flat_result == object_result, op
-        assert columnar.version == fallback.version
         assert_same_state(columnar, fallback)
 
     @settings(max_examples=60, deadline=None)
@@ -181,9 +193,9 @@ class TestColumnarAgreesWithObjectScoreboard:
         probe_gap=st.integers(min_value=0, max_value=50),
     )
     def test_port_slot_eviction_matches_prune_and_sort(self, reads, probe_gap):
-        """Many readers on one bank: top-K slots vs. the fallback's full list."""
+        """Many readers on one bank: top-K slots vs. the seed's full list."""
         columnar = ColumnarScoreboard()
-        fallback = Scoreboard()
+        fallback = SeedScoreboard()
         now = 0
         reader = vstore(V(0), A(0), vl=16, address=0)
         for index, advance, duration in reads:
@@ -207,7 +219,7 @@ class TestColumnarAgreesWithObjectScoreboard:
     ):
         """Probes landing exactly on ``ready_at`` boundaries stay identical."""
         columnar = ColumnarScoreboard(allow_chaining=allow_chaining)
-        fallback = Scoreboard(allow_chaining=allow_chaining)
+        fallback = SeedScoreboard(allow_chaining=allow_chaining)
         for board in (columnar, fallback):
             board.record_write(
                 V(0), first_element_at=10, ready_at=10 + ready_delta, chainable=chainable

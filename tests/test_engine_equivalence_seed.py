@@ -134,7 +134,7 @@ def assert_cycle_identical(fast: SimulationResult, seed: SimulationResult) -> No
     assert fast.memory_port_occupancy == seed.memory_port_occupancy
     assert fast.vopc == seed.vopc
     # the figure-4 state breakdown must survive the columnar reduction
-    # (flat-array recorders + vectorized sweep vs the seed's object path)
+    # (flat-array recorders vs the seed's object-per-interval recorders)
     assert fast.fu_state_breakdown() == seed.fu_state_breakdown()
 
 
@@ -315,130 +315,6 @@ class TestCrayStyleEquivalence:
             num_contexts, 50, num_memory_ports=ports,
             issue_width=min(issue_width, num_contexts),
         )
-
-        def make_suppliers() -> list[JobSupplier]:
-            return [SingleJobSupplier(job) for job in jobs]
-
-        fast, seed = run_both(config, make_suppliers)
-        assert_cycle_identical(fast, seed)
-
-
-# --------------------------------------------------------------------------- #
-# the pure-Python (no-numpy) reduction fallback, against the same oracle
-# --------------------------------------------------------------------------- #
-class TestFallbackReductionEquivalence:
-    """One equivalence case per machine model with numpy disabled.
-
-    The columnar pipeline must produce byte-identical statistics through the
-    pure-Python fallback reduction too (the PyPy / no-numpy path); CI runs
-    the whole suite once with ``REPRO_PURE_PYTHON_STATS=1`` for full
-    coverage and this class guards the fallback in the default matrix legs.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _force_fallback(self):
-        from repro.core.eventlog import set_numpy_enabled
-
-        previous = set_numpy_enabled(False)
-        try:
-            yield
-        finally:
-            set_numpy_enabled(previous)
-
-    def test_reference_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:1], 64)
-        config = MachineConfig.reference(50)
-        fast, seed = run_both(config, lambda: [SingleJobSupplier(jobs[0])])
-        assert_cycle_identical(fast, seed)
-
-    def test_multithreaded_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:2], 32)
-        config = MachineConfig.multithreaded(2, 50)
-
-        def make_suppliers() -> list[JobSupplier]:
-            return [SingleJobSupplier(jobs[0]), RepeatingSupplier(jobs[1])]
-
-        fast, seed = run_both(
-            config, make_suppliers, stop_when_completed_on_context0=True
-        )
-        assert_cycle_identical(fast, seed)
-
-    def test_dual_scalar_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:2], 16)
-        config = MachineConfig.dual_scalar_fujitsu(50)
-
-        def make_suppliers() -> list[JobSupplier]:
-            queue = JobQueueSupplier(jobs)
-            return [queue, queue]
-
-        fast, seed = run_both(config, make_suppliers)
-        assert_cycle_identical(fast, seed)
-
-    def test_cray_style_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:4], 32)
-        config = MachineConfig.cray_style(4, 50, num_memory_ports=3, issue_width=2)
-
-        def make_suppliers() -> list[JobSupplier]:
-            return [SingleJobSupplier(job) for job in jobs]
-
-        fast, seed = run_both(config, make_suppliers)
-        assert_cycle_identical(fast, seed)
-
-
-# --------------------------------------------------------------------------- #
-# the object-scoreboard fallback, against the same oracle
-# --------------------------------------------------------------------------- #
-class TestObjectScoreboardFallbackEquivalence:
-    """One equivalence case per machine model with the object scoreboard forced.
-
-    The columnar hazard tables are the default; the object-graph scoreboard
-    remains selectable (``REPRO_OBJECT_SCOREBOARD=1``, one CI matrix leg runs
-    the whole tier-1 suite that way).  This class guards the fallback inside
-    the default matrix legs, mirroring the no-numpy reduction class above.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _force_object_scoreboard(self):
-        from repro.core.scoreboard import set_columnar_scoreboard_enabled
-
-        previous = set_columnar_scoreboard_enabled(False)
-        try:
-            yield
-        finally:
-            set_columnar_scoreboard_enabled(previous)
-
-    def test_reference_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:1], 64)
-        config = MachineConfig.reference(50)
-        fast, seed = run_both(config, lambda: [SingleJobSupplier(jobs[0])])
-        assert_cycle_identical(fast, seed)
-
-    def test_multithreaded_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:2], 32)
-        config = MachineConfig.multithreaded(2, 50)
-
-        def make_suppliers() -> list[JobSupplier]:
-            return [SingleJobSupplier(jobs[0]), RepeatingSupplier(jobs[1])]
-
-        fast, seed = run_both(
-            config, make_suppliers, stop_when_completed_on_context0=True
-        )
-        assert_cycle_identical(fast, seed)
-
-    def test_dual_scalar_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:2], 16)
-        config = MachineConfig.dual_scalar_fujitsu(50)
-
-        def make_suppliers() -> list[JobSupplier]:
-            queue = JobQueueSupplier(jobs)
-            return [queue, queue]
-
-        fast, seed = run_both(config, make_suppliers)
-        assert_cycle_identical(fast, seed)
-
-    def test_cray_style_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:4], 32)
-        config = MachineConfig.cray_style(4, 50, num_memory_ports=3, issue_width=2)
 
         def make_suppliers() -> list[JobSupplier]:
             return [SingleJobSupplier(job) for job in jobs]

@@ -1,16 +1,23 @@
 """Unit and property tests for the columnar event-log statistics pipeline.
 
 Covers the flat-array recording structures (:class:`DispatchLog`,
-:class:`FlatIntervalRecorder`), the one-shot reductions that turn them into
-``SimulationStats``/``ThreadStats``/``JobRecord`` values, and the equality of
-the numpy and pure-Python reduction paths — including a hypothesis round-trip
-property: random event logs reduce to exactly the same statistics through
-both paths, and match a straightforward per-row reference accounting.
+:class:`FlatIntervalRecorder`) and the one-shot reductions that turn them into
+``SimulationStats``/``ThreadStats``/``JobRecord`` values.  Hypothesis
+round-trip properties check the strided reduction against a naive per-row
+loop and against a straightforward per-kind reference accounting, on
+single-context logs (the reduction's fast path) and multi-context logs (its
+grouped path), including rows recorded before any job was fetched (ordinal
+``-1``) and rows for threads missing from ``stats.threads``.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +28,7 @@ from repro.core.eventlog import (
     DispatchLog,
     FlatIntervalRecorder,
     merge_interval_pairs,
-    numpy_enabled,
     reduce_dispatch_log,
-    set_numpy_enabled,
 )
 from repro.core.statistics import (
     FU_STATE_NAMES,
@@ -38,35 +43,18 @@ from repro.memory.bus import Bus
 from repro.memory.request import AccessKind, MemoryRequest
 from repro.memory.system import MemorySystem
 
-
-@pytest.fixture
-def fallback_mode():
-    """Force the pure-Python reduction path for the duration of one test."""
-    previous = set_numpy_enabled(False)
-    try:
-        yield
-    finally:
-        set_numpy_enabled(previous)
-
-
-def both_paths(compute):
-    """Evaluate ``compute()`` under the numpy and fallback paths."""
-    with_numpy = compute()
-    previous = set_numpy_enabled(False)
-    try:
-        without_numpy = compute()
-    finally:
-        set_numpy_enabled(previous)
-    return with_numpy, without_numpy
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 # --------------------------------------------------------------------------- #
 # dispatch-log reduction
 # --------------------------------------------------------------------------- #
-#: One synthetic dispatch row: (thread, job ordinal, vector?, vl).
+#: One synthetic dispatch row: (thread, job ordinal, kind, vl).  Thread 4 is
+#: never in ``stats.threads``; ordinal -1 is a row recorded before the
+#: thread fetched its first job.
 row_strategy = st.tuples(
-    st.integers(min_value=0, max_value=3),  # thread_id
-    st.integers(min_value=0, max_value=2),  # job_ordinal
+    st.integers(min_value=0, max_value=4),  # thread_id
+    st.integers(min_value=-1, max_value=2),  # job_ordinal
     st.sampled_from(["scalar", "scalar_mem", "varith", "vmem"]),
     st.integers(min_value=1, max_value=128),  # vl when vector
 )
@@ -96,6 +84,38 @@ def build_log(rows, num_threads: int = 4, jobs_per_thread: int = 3):
     return log, SimulationStats(threads=threads)
 
 
+def naive_reduction(log: DispatchLog, stats: SimulationStats) -> None:
+    """The reduction as a plain loop over :meth:`DispatchLog.rows`."""
+    rows = log.rows()
+    stats.instructions = stats.decode_busy_cycles = len(rows)
+    stats.vector_instructions = sum(row[2] for row in rows)
+    stats.scalar_instructions = len(rows) - stats.vector_instructions
+    stats.vector_operations = sum(row[3] for row in rows)
+    stats.vector_arithmetic_operations = sum(row[4] for row in rows)
+    stats.memory_transactions = sum(row[5] for row in rows)
+    for thread in stats.threads:
+        own = [row for row in rows if row[0] == thread.thread_id]
+        thread.instructions = len(own)
+        thread.vector_instructions = sum(row[2] for row in own)
+        thread.scalar_instructions = len(own) - thread.vector_instructions
+        thread.vector_operations = sum(row[3] for row in own)
+        thread.memory_transactions = sum(row[5] for row in own)
+        jobs = Counter(row[1] for row in own)
+        for ordinal, record in enumerate(thread.jobs):
+            record.instructions = jobs[ordinal]
+
+
+def blank_thread(jobs_per_thread: int) -> dict:
+    return {
+        "instructions": 0,
+        "scalar_instructions": 0,
+        "vector_instructions": 0,
+        "vector_operations": 0,
+        "memory_transactions": 0,
+        "jobs": [0] * jobs_per_thread,
+    }
+
+
 def reference_accounting(rows, num_threads: int = 4, jobs_per_thread: int = 3):
     """Per-row object mutation, exactly as the pre-columnar engine did it."""
     stats = {
@@ -108,22 +128,16 @@ def reference_accounting(rows, num_threads: int = 4, jobs_per_thread: int = 3):
         "decode_busy_cycles": 0,
     }
     threads = {
-        thread_id: {
-            "instructions": 0,
-            "scalar_instructions": 0,
-            "vector_instructions": 0,
-            "vector_operations": 0,
-            "memory_transactions": 0,
-            "jobs": [0] * jobs_per_thread,
-        }
-        for thread_id in range(num_threads)
+        thread_id: blank_thread(jobs_per_thread) for thread_id in range(num_threads)
     }
     for thread_id, job_ordinal, kind, vl in rows:
         stats["instructions"] += 1
         stats["decode_busy_cycles"] += 1
-        thread = threads[thread_id]
+        # rows of unknown threads count only globally
+        thread = threads.get(thread_id) or blank_thread(jobs_per_thread)
         thread["instructions"] += 1
-        thread["jobs"][job_ordinal] += 1
+        if job_ordinal >= 0:  # pre-job rows land in no job record
+            thread["jobs"][job_ordinal] += 1
         if kind in ("varith", "vmem"):
             stats["vector_instructions"] += 1
             stats["vector_operations"] += vl
@@ -162,6 +176,15 @@ def snapshot(stats: SimulationStats):
     )
 
 
+def reduce_both(rows, num_threads: int):
+    """Snapshots of the reduction and of the naive row loop on one log."""
+    log, stats = build_log(rows, num_threads)
+    reduce_dispatch_log(log, stats)
+    naive_log, naive_stats = build_log(rows, num_threads)
+    naive_reduction(naive_log, naive_stats)
+    return snapshot(stats), snapshot(naive_stats)
+
+
 class TestDispatchLogReduction:
     def test_row_shape(self):
         log, stats = build_log([(0, 0, "varith", 8), (1, 1, "scalar", 1)])
@@ -177,19 +200,22 @@ class TestDispatchLogReduction:
         assert stats.vector_instructions == 0
         assert all(thread.instructions == 0 for thread in stats.threads)
 
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(row_strategy, min_size=0, max_size=120))
-    def test_roundtrip_matches_reference_accounting_on_both_paths(self, rows):
-        expected_stats, expected_threads = reference_accounting(rows)
-
-        def reduce_once():
-            log, stats = build_log(rows)
-            reduce_dispatch_log(log, stats)
-            return snapshot(stats)
-
-        via_numpy, via_fallback = both_paths(reduce_once)
-        assert via_numpy == via_fallback
-        counters, threads = via_numpy
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(row_strategy, min_size=0, max_size=120),
+        num_threads=st.sampled_from([1, 4]),
+    )
+    def test_roundtrip_matches_reference_accounting_on_both_paths(
+        self, rows, num_threads
+    ):
+        """Single- and multi-context logs reduce like the naive row loop."""
+        if num_threads == 1:
+            # mostly thread-0 logs, so the single-context fast path fires
+            rows = [(0, *row[1:]) if row[0] < 4 else row for row in rows]
+        reduced, naive = reduce_both(rows, num_threads)
+        assert reduced == naive
+        expected_stats, expected_threads = reference_accounting(rows, num_threads)
+        counters, threads = reduced
         for key, value in expected_stats.items():
             assert counters[key] == value, key
         for (
@@ -210,30 +236,26 @@ class TestDispatchLogReduction:
             assert list(job_counts) == expected["jobs"]
 
     def test_paths_agree_outside_the_engine_happy_path(self):
-        """Unknown threads and pre-job rows reduce identically on both paths.
+        """Unknown threads and pre-job rows reduce like the naive row loop.
 
         Rows whose thread is absent from ``stats.threads`` count only
         globally; rows recorded before any job was fetched (ordinal -1)
-        never land in a job count.
+        never land in a job count.  Checked on a one-thread log, where the
+        unknown row forces the grouped path, and on a clean one-thread log,
+        which takes the single-context fast path.
         """
-
-        def reduce_once():
-            log = DispatchLog()
-            log.values.extend((1, 0, 1, 8, 8, 0))   # thread 1 unknown
-            log.values.extend((0, -1, 0, 0, 0, 1))  # pre-job row
-            thread = ThreadStats(thread_id=0)
-            thread.jobs = [JobRecord(program="j", thread_id=0, start_cycle=0)]
-            stats = SimulationStats(threads=[thread])
-            reduce_dispatch_log(log, stats)
-            return snapshot(stats)
-
-        with_numpy, without_numpy = both_paths(reduce_once)
-        assert with_numpy == without_numpy
-        counters, threads = with_numpy
+        rows = [(1, 0, "varith", 8), (0, -1, "scalar_mem", 1)]
+        reduced, naive = reduce_both(rows, num_threads=1)
+        assert reduced == naive
+        counters, threads = reduced
         assert counters["instructions"] == 2
         assert counters["vector_operations"] == 8
         assert threads[0][1] == 1  # only the known thread's row counted
-        assert threads[0][-1] == (0,)  # the pre-job row hit no job record
+        assert threads[0][-1] == (0, 0, 0)  # the pre-job row hit no job record
+        clean = [(0, -1, "scalar", 1), (0, 0, "vmem", 4), (0, 2, "varith", 2)]
+        reduced, naive = reduce_both(clean, num_threads=1)
+        assert reduced == naive
+        assert reduced[1][0][-1] == (1, 0, 1)
 
     def test_pickle_roundtrip_is_compact_bytes(self):
         log, _ = build_log([(0, 0, "varith", 16)] * 100)
@@ -300,9 +322,15 @@ class TestFlatIntervalRecorder:
             flat.record(start, start + length)
             legacy.record(start, start + length)
 
-        with_numpy, without_numpy = both_paths(lambda: flat.merged(horizon))
-        assert with_numpy == without_numpy == legacy.merged(horizon)
-        assert flat.busy_cycles(horizon) == legacy.busy_cycles(horizon)
+        assert flat.merged(horizon) == legacy.merged(horizon)
+        # the merge against a per-cycle busy set
+        busy = {
+            cycle
+            for start, length in spans
+            for cycle in range(start, start + length)
+            if horizon is None or cycle < horizon
+        }
+        assert flat.busy_cycles(horizon) == legacy.busy_cycles(horizon) == len(busy)
 
     def test_merge_interval_pairs_empty(self):
         from array import array
@@ -311,7 +339,7 @@ class TestFlatIntervalRecorder:
 
 
 # --------------------------------------------------------------------------- #
-# the figure-4 sweep: numpy vs pure-Python
+# the figure-4 sweep against a per-cycle state count
 # --------------------------------------------------------------------------- #
 class TestBreakdownPaths:
     @settings(max_examples=60, deadline=None)
@@ -326,21 +354,24 @@ class TestBreakdownPaths:
         total=st.integers(min_value=1, max_value=500),
     )
     def test_sweep_identical_across_paths(self, data, total):
-        def breakdown_once():
-            recorders = [
-                FlatIntervalRecorder("FU2"),
-                FlatIntervalRecorder("FU1"),
-                FlatIntervalRecorder("LD"),
+        recorders = [
+            FlatIntervalRecorder("FU2"),
+            FlatIntervalRecorder("FU1"),
+            FlatIntervalRecorder("LD"),
+        ]
+        busy = [set(), set(), set()]
+        for unit, start, length in data:
+            recorders[unit].record(start, start + length)
+            busy[unit].update(range(start, start + length))
+        breakdown = fu_state_breakdown(*recorders, total)
+        per_cycle = Counter(
+            FU_STATE_NAMES[
+                4 * (cycle in busy[0]) + 2 * (cycle in busy[1]) + (cycle in busy[2])
             ]
-            for unit, start, length in data:
-                recorders[unit].record(start, start + length)
-            return fu_state_breakdown(*recorders, total)
-
-        with_numpy, without_numpy = both_paths(breakdown_once)
-        assert with_numpy == without_numpy
-        assert sum(with_numpy.values()) == total
-        assert all(value >= 0 for value in with_numpy.values())
-        assert list(with_numpy) == list(FU_STATE_NAMES)
+            for cycle in range(total)
+        )
+        assert breakdown == {name: per_cycle[name] for name in FU_STATE_NAMES}
+        assert list(breakdown) == list(FU_STATE_NAMES)
 
 
 # --------------------------------------------------------------------------- #
@@ -391,16 +422,18 @@ class TestMemoryLayerColumnar:
 
 
 # --------------------------------------------------------------------------- #
-# environment plumbing
+# dependency footprint
 # --------------------------------------------------------------------------- #
-class TestNumpyGate:
-    def test_toggle_roundtrip(self):
-        initial = numpy_enabled()
-        previous = set_numpy_enabled(False)
-        assert previous == initial
-        assert not numpy_enabled()
-        set_numpy_enabled(previous)
-        assert numpy_enabled() == initial
-
-    def test_fallback_fixture(self, fallback_mode):
-        assert not numpy_enabled()
+class TestDependencyFree:
+    def test_cli_import_does_not_load_numpy(self):
+        """The whole pipeline, CLI included, runs on the standard library."""
+        env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        answer = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert answer.stdout.strip() == "False"

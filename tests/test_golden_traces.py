@@ -4,17 +4,14 @@ The statistics-level equivalence suite proves end-of-run totals match the
 seed oracle; this suite catches *mid-run* divergence that totals can mask.
 Each committed JSON under ``tests/golden/`` holds the per-dispatch rows of
 one deterministic run generated from the frozen seed oracle; replaying the
-same case through the optimized engine — on the columnar scoreboard and on
-the object fallback — must reproduce every row byte-identically: same
-dispatch cycle, thread, pc, opcode, vector length, completion cycle and
-per-dispatch counters, in the same order.
+same case through the optimized engine must reproduce every row
+byte-identically: same dispatch cycle, thread, pc, opcode, vector length,
+completion cycle and per-dispatch counters, in the same order.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.core.scoreboard import set_columnar_scoreboard_enabled
 
 from tests.golden_corpus import (
     CASES,
@@ -25,16 +22,6 @@ from tests.golden_corpus import (
 )
 
 CASE_NAMES = sorted(CASES)
-
-
-@pytest.fixture(params=["columnar", "object"])
-def scoreboard_backend(request):
-    """Run every replay on both scoreboard backends."""
-    previous = set_columnar_scoreboard_enabled(request.param == "columnar")
-    try:
-        yield request.param
-    finally:
-        set_columnar_scoreboard_enabled(previous)
 
 
 def _assert_rows_identical(case: str, golden_rows: list, replay_rows: list) -> None:
@@ -64,7 +51,7 @@ class TestGoldenTraceCorpus:
         )
 
     @pytest.mark.parametrize("case", CASE_NAMES)
-    def test_replay_matches_golden_trace(self, case, scoreboard_backend):
+    def test_replay_matches_golden_trace(self, case):
         document = load_golden(case)
         assert document["fields"] == list(TRACE_FIELDS), (
             f"{case}: golden file schema drift — regenerate the corpus"

@@ -191,7 +191,7 @@ class TestMerge:
 
 
 class TestServiceScrape:
-    def test_live_scrape_parses_and_keeps_legacy_aliases(self):
+    def test_live_scrape_parses_without_legacy_aliases(self):
         import urllib.request
 
         from repro.service import ServiceServer, SimulationService
@@ -206,6 +206,6 @@ class TestServiceScrape:
         parsed = parse_exposition(text)
         assert parsed["repro_service_submitted_total"]["type"] == "counter"
         assert parsed["repro_queue_wait_seconds"]["type"] == "histogram"
-        # deprecated flat aliases stay scrapeable for one release
-        assert "repro_submitted_total" in parsed
+        # the flat counter aliases are gone; gauges and rates remain
+        assert "repro_submitted_total" not in parsed
         assert "repro_store_hit_rate" in parsed

@@ -282,7 +282,7 @@ class TestMetricsEndpoint:
         )
         text = client.metrics()
         lines = dict(line.split(" ", 1) for line in text.strip().splitlines())
-        assert int(lines["repro_submitted_total"]) >= 1
+        assert int(lines["repro_service_submitted_total"]) >= 1
         assert "repro_store_hit_rate" in lines
         assert "repro_coalesce_rate" in lines
         assert "repro_queue_pending" in lines
@@ -291,8 +291,8 @@ class TestMetricsEndpoint:
     def test_rates_derived_from_counters(self, client):
         text = client.metrics()
         lines = dict(line.split(" ", 1) for line in text.strip().splitlines())
-        submitted = int(lines["repro_submitted_total"])
-        hits = int(lines["repro_store_hits_total"])
+        submitted = int(lines["repro_service_submitted_total"])
+        hits = int(lines["repro_service_store_hits_total"])
         assert float(lines["repro_store_hit_rate"]) == pytest.approx(
             hits / submitted, rel=1e-6
         )
@@ -304,6 +304,8 @@ class TestMetricsEndpoint:
         assert "repro_store_hit_rate 0" in text
         assert "repro_paused 1" in text
         assert "repro_store_entries" not in text
+        # counters are served only by the typed repro_service_* families
+        assert "repro_submitted_total" not in text
 
 
 class TestClientRetries:
@@ -433,7 +435,7 @@ class TestOverloadHTTP:
         server, overload_client = saturated
         with pytest.raises(ServiceError):
             overload_client.submit("reference", {"benchmark": "swm256", "scale": SCALE})
-        assert "repro_rejected_total 1" in overload_client.metrics()
+        assert "repro_service_rejected_total 1" in overload_client.metrics()
 
 
 class TestCancelHTTP:

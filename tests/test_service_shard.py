@@ -278,7 +278,7 @@ class TestShardedClient:
         client = ServiceClient(urls, timeout=2.0, retries=0)
         assert client.healthz()["status"] == "ok"
         text = client.metrics()
-        assert "repro_submitted_total" in text
+        assert "repro_service_submitted_total" in text
         degraded = ServiceClient([urls[0], _dead_url()], timeout=0.5, retries=0)
         health = degraded.healthz()
         assert health["status"] == "degraded"
@@ -344,7 +344,7 @@ class TestRouterServer:
             assert stats["shard_count"] == 2
             assert stats["submitted"] == 1
             assert [entry["ok"] for entry in stats["shards"]] == [True, True]
-            assert "repro_submitted_total 1" in client.metrics()
+            assert "repro_service_submitted_total 1" in client.metrics()
 
     def test_unknown_and_malformed_routed_ids_404(self, two_shards):
         _servers, urls = two_shards
