@@ -19,9 +19,12 @@ as one *batch*:
   whose (configuration, workload, mode) content hash was simulated before;
 * shipped requests are **chunked** by an instruction-count estimate, so tiny
   simulations share one worker round trip instead of paying per-job IPC;
-* results travel back as the canonical result pickle
-  (:func:`_result_to_bytes`), the same bytes an in-process run stores, so
-  byte-stores record pooled and serial results identically.
+* every request settles as the canonical result pickle
+  (:func:`_result_to_bytes`) or the exception it raised, whether it ran in a
+  worker or in-process, so caches, stores and sweep ledgers record pooled
+  and serial results byte-identically.  :func:`_settle_batch` is that
+  byte-level core; :func:`run_batch` unpickles its payloads and the sweep
+  executor (:mod:`repro.sweep.executor`) maps them onto point outcomes.
 
 ``jobs`` is an upper bound: the effective worker count is additionally
 capped by the CPUs this process may run on, so over-subscribing a small host
@@ -35,7 +38,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -236,28 +240,19 @@ def _execute_request_to_bytes(request: SimulationRequest) -> bytes:
     return _result_to_bytes(_execute_request(request))
 
 
-def _execute_pickled_to_bytes(payload: bytes) -> bytes:
-    """Worker-process entry point returning the pickled result (see above).
-
-    The ``worker_crash`` fault hooks only this entry point — the process-pool
-    path — never the in-process thread path, so a crash-looping fault plan
-    still lets the service's thread failover complete the job.
-    """
-    inject_worker_crash()
-    return _execute_request_to_bytes(pickle.loads(payload))
-
-
 def _execute_pickled_traced(
     payload: bytes, trace_id: str | None
 ) -> tuple[bytes, dict]:
-    """Pool entry point that echoes the trace id back with the payload.
+    """Service pool entry point that echoes the trace id back with the payload.
 
     The echo (plus the worker's pid) is the ``execute`` span's proof that
-    the trace id crossed the process boundary.  The canonical execution
-    path — fault hooks included — is :func:`_execute_pickled_to_bytes`,
-    wrapped unchanged.
+    the trace id crossed the process boundary.  The ``worker_crash`` fault
+    hooks only this and :func:`_execute_chunk` — the process-pool paths —
+    never the in-process thread path, so a crash-looping fault plan still
+    lets the service's thread failover complete the job.
     """
-    data = _execute_pickled_to_bytes(payload)
+    inject_worker_crash()
+    data = _execute_request_to_bytes(pickle.loads(payload))
     return data, {"trace_id": trace_id, "worker_pid": os.getpid()}
 
 
@@ -335,53 +330,137 @@ def _plan_chunks(
     return [chunk for chunk in chunks if chunk]
 
 
-def _execute_chunk(payloads: list[bytes]) -> tuple[int, list[bytes]]:
+def _try_execute(request: SimulationRequest) -> bytes | Exception:
+    """The request's canonical result pickle, or the exception it raised."""
+    try:
+        return _execute_request_to_bytes(request)
+    except Exception as error:
+        return error
+
+
+def _execute_chunk(payloads: list[bytes]) -> tuple[int, list[bytes | Exception]]:
     """Worker-process entry point: run a chunk of pre-pickled requests.
 
-    Returns ``(worker_pid, result_payloads)`` with the canonical result
-    pickles in chunk order.  The ``worker_crash`` fault hooks only this pool
-    entry point — never the in-process fallback — so a crash-looping fault
-    plan still lets the local retry complete the batch.
+    Returns ``(worker_pid, outcomes)`` in chunk order, each outcome the
+    canonical result pickle or the exception its request raised, so one
+    failing request never fails its chunk-mates.  The ``worker_crash`` fault
+    hooks only the pool entry points — never the in-process fallback — so a
+    crash-looping fault plan still lets the local retry complete the batch.
     """
     inject_worker_crash()
-    return os.getpid(), [
-        _execute_request_to_bytes(pickle.loads(payload)) for payload in payloads
-    ]
+    return os.getpid(), [_try_execute(pickle.loads(payload)) for payload in payloads]
 
 
 def _run_chunks_on_pool(
     pool: WorkerPool,
     chunks: list[list[int]],
     payloads: dict[int, bytes],
-) -> tuple[dict[int, bytes], list[int]]:
+    finish: Callable[[int, bytes | Exception], None],
+) -> list[int]:
     """Run every chunk on the pool, riding out one worker-crash respawn.
 
-    Returns ``(result_payload_by_index, failed_indexes)``.  A
-    ``BrokenProcessPool`` fails every chunk in flight; the pool is respawned
-    and the failed chunks retried once.  Indexes whose chunks failed twice (a
-    crash-looping fault plan) are handed back for in-process execution.
+    ``finish(index, outcome)`` fires for each request as its chunk completes.
+    A ``BrokenProcessPool`` fails every chunk in flight; the pool is
+    respawned and the failed chunks retried once.  Returns the indexes whose
+    chunks failed twice (a crash-looping fault plan), for in-process
+    execution.
     """
-    shipped: dict[int, bytes] = {}
     remaining = chunks
     for attempt in range(2):
-        futures = [
-            (chunk, pool.submit(_execute_chunk, [payloads[i] for i in chunk]))
+        futures = {
+            pool.submit(_execute_chunk, [payloads[i] for i in chunk]): chunk
             for chunk in remaining
-        ]
-        failed: list[list[int]] = []
-        for chunk, future in futures:
+        }
+        remaining = []
+        for future in as_completed(futures):
+            chunk = futures[future]
             try:
-                _, items = future.result()
+                _, outcomes = future.result()
             except BrokenProcessPool:
-                failed.append(chunk)
-            else:
-                shipped.update(zip(chunk, items))
-        remaining = failed
+                remaining.append(chunk)
+                continue
+            except Exception as error:  # the chunk's outcomes could not cross back
+                outcomes = [error] * len(chunk)
+            for index, outcome in zip(chunk, outcomes):
+                finish(index, outcome)
         if not remaining:
-            break
+            return []
         if attempt == 0:
             pool.respawn_broken()
-    return shipped, [index for chunk in remaining for index in chunk]
+    return [index for chunk in remaining for index in chunk]
+
+
+#: ``settle(index, outcome, served_from)``: request *index* finished with
+#: ``outcome`` (payload bytes or exception), served from ``"executed"``,
+#: ``"store"`` or ``"deduplicated"``.
+Settle = Callable[[int, bytes | Exception, str], None]
+
+
+def _settle_batch(
+    requests: Sequence[SimulationRequest],
+    *,
+    jobs: int,
+    cache: RunCache | None,
+    pool: WorkerPool | None,
+    settle: Settle,
+) -> None:
+    """The byte-level batch core behind :func:`run_batch` and local sweeps.
+
+    Settles every request exactly once, as soon as its outcome is known.  A
+    request whose key cannot be computed (an unknown model, a bad option)
+    settles as failed; a cache hit settles with the stored bytes; a request
+    whose content key an earlier request of the batch already holds settles
+    ``"deduplicated"`` with its primary's outcome.  The remaining primaries
+    execute — pooled per the ``run_batch`` rules, else in-process — and
+    their fresh payloads go to ``cache.put_bytes`` before they settle.
+    """
+    keys: dict[int, tuple] = {}
+    primary_for_key: dict[tuple, int] = {}
+    followers: dict[int, list[int]] = {}
+    for index, request in enumerate(requests):
+        try:
+            key = request.cache_key()
+        except Exception as error:
+            settle(index, error, "executed")
+            continue
+        if cache is not None:
+            payload = cache.get_bytes(key)
+            if payload is not None:
+                settle(index, payload, "store")
+                continue
+        primary = primary_for_key.setdefault(key, index)
+        if primary == index:
+            keys[index] = key
+        else:
+            followers.setdefault(primary, []).append(index)
+    pending = list(keys)
+
+    def finish(index: int, outcome: bytes | Exception) -> None:
+        if cache is not None and isinstance(outcome, bytes):
+            cache.put_bytes(keys[index], outcome)
+        settle(index, outcome, "executed")
+        for follower in followers.get(index, ()):
+            settle(follower, outcome, "deduplicated")
+
+    # Pick the execution vehicle.  An explicit pool is used as given;
+    # otherwise `jobs` is capped by the CPUs we may run on, and the
+    # process-wide shared pool keeps its workers warm across batches.
+    worker_pool = pool
+    if worker_pool is None and jobs > 1 and len(pending) > 1:
+        workers = min(jobs, usable_cpus())
+        if workers > 1:
+            worker_pool = get_shared_pool(workers)
+    local = pending
+    if worker_pool is not None and pending:
+        payloads = {index: _ship_payload(requests[index]) for index in pending}
+        shippable = [index for index in pending if payloads[index] is not None]
+        local = [index for index in pending if payloads[index] is None]
+        if shippable:
+            chunks = _plan_chunks(shippable, requests, worker_pool.workers)
+            # a crash-looping plan hands its chunks back: finish in-process
+            local += _run_chunks_on_pool(worker_pool, chunks, payloads, finish)
+    for index in local:
+        finish(index, _try_execute(requests[index]))
 
 
 def run_batch(
@@ -404,88 +483,27 @@ def run_batch(
     Results are deterministic: entry *i* of the returned list always belongs
     to request *i*, duplicate requests (same content key) simulate once per
     batch, and a parallel batch produces exactly the same results as a
-    serial one.
+    serial one.  If any request fails, the first failure in request order is
+    re-raised once the whole batch has settled.
     """
     requests = list(requests)
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
-    results: list[SimulationResult | None] = [None] * len(requests)
-    want_bytes = cache is not None and hasattr(cache, "put_bytes")
-    get_bytes = getattr(cache, "get_bytes", None) if want_bytes else None
-
-    # Resolve cache hits and within-batch duplicates first: every request is
-    # content-keyed, and only one representative per key executes.  A lone
-    # cacheless request has nothing to deduplicate against, so it skips the
-    # (machine construction + workload hash) key entirely.
+    # A lone cacheless request has nothing to deduplicate against, so it
+    # skips the (machine construction + workload hash) key and the payload
+    # round trip entirely.
     if cache is None and len(requests) == 1:
-        results[0] = _execute_request(requests[0])
-        return results  # type: ignore[return-value]
-    pending: list[int] = []
-    keys: list[tuple] = []
-    primary_for_key: dict[tuple, int] = {}
-    duplicates: list[int] = []
-    for index, request in enumerate(requests):
-        key = request.cache_key()
-        keys.append(key)
-        if cache is not None:
-            if get_bytes is not None:
-                blob = get_bytes(key)
-                hit = None if blob is None else pickle.loads(blob)
-            else:
-                hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                continue
-        if key in primary_for_key:
-            duplicates.append(index)
-        else:
-            primary_for_key[key] = index
-            pending.append(index)
+        return [_execute_request(requests[0])]
+    outcomes: list[bytes | Exception] = [b""] * len(requests)
 
-    # Pick the execution vehicle for the misses.  An explicit pool is used
-    # as given; otherwise `jobs` is capped by the CPUs we may run on, and the
-    # process-wide shared pool keeps its workers warm across batches.
-    worker_pool: WorkerPool | None = None
-    if pool is not None and pending:
-        worker_pool = pool
-    elif jobs > 1 and len(pending) > 1:
-        workers = min(jobs, usable_cpus())
-        if workers > 1:
-            worker_pool = get_shared_pool(workers)
+    def settle(index: int, outcome: bytes | Exception, served_from: str) -> None:
+        outcomes[index] = outcome
 
-    local: list[int] = list(pending)
-    payload_bytes: dict[int, bytes] = {}
-    if worker_pool is not None:
-        payloads = {index: _ship_payload(requests[index]) for index in pending}
-        shippable = [index for index in pending if payloads[index] is not None]
-        local = [index for index in pending if payloads[index] is None]
-        if shippable:
-            chunks = _plan_chunks(shippable, requests, worker_pool.workers)
-            shipped, crashed = _run_chunks_on_pool(worker_pool, chunks, payloads)
-            for index, payload in shipped.items():
-                results[index] = pickle.loads(payload)
-            payload_bytes.update(shipped)
-            local.extend(crashed)  # crash-looping plan: finish in-process
-            local.sort()
-    for index in local:
-        if want_bytes:
-            payload_bytes[index] = _execute_request_to_bytes(requests[index])
-            results[index] = pickle.loads(payload_bytes[index])
-        else:
-            results[index] = _execute_request(requests[index])
-
-    # Record the fresh results, then materialize within-batch duplicates as
-    # independent copies of their primary.
-    if cache is not None:
-        for index in pending:
-            if want_bytes:
-                cache.put_bytes(keys[index], payload_bytes[index])
-            else:
-                cache.put(keys[index], results[index])
-    for index in duplicates:
-        primary = results[primary_for_key[keys[index]]]
-        results[index] = pickle.loads(_result_to_bytes(primary))
-    return results  # type: ignore[return-value]
+    _settle_batch(requests, jobs=jobs, cache=cache, pool=pool, settle=settle)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [pickle.loads(payload) for payload in outcomes]
 
 
 @dataclass

@@ -10,9 +10,10 @@ configuration, the dynamic instruction streams of its workloads and the
 execution mode, so two structurally identical requests share one simulation
 even when they were built from distinct Python objects.
 
-Cached results are stored pickled and a fresh copy is returned on every hit,
-so callers can freely mutate what they get back (results carry mutable
-statistics) without corrupting the cache.
+Cached results are stored as their canonical pickles (the same bytes a
+:class:`~repro.service.store.ResultStore` keeps) and a fresh copy is
+returned on every object hit, so callers can freely mutate what they get
+back (results carry mutable statistics) without corrupting the cache.
 """
 
 from __future__ import annotations
@@ -121,8 +122,12 @@ class RunCache:
         self.misses = 0
 
     # ------------------------------------------------------------------ #
-    def get(self, key: tuple) -> SimulationResult | None:
-        """A fresh copy of the cached result, or ``None`` on a miss."""
+    def get_bytes(self, key: tuple) -> bytes | None:
+        """The stored result pickle for ``key``, or ``None`` on a miss.
+
+        Returns exactly the bytes :meth:`put_bytes` stored, so a warm sweep's
+        ledger hashes equal the cold run's.
+        """
         with self._lock:
             payload = self._entries.get(key)
             if payload is None:
@@ -130,22 +135,27 @@ class RunCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
+            return payload
+
+    def get(self, key: tuple) -> SimulationResult | None:
+        """A fresh copy of the cached result, or ``None`` on a miss."""
+        payload = self.get_bytes(key)
+        if payload is None:
+            return None
         return pickle.loads(payload)
 
-    def put(self, key: tuple, result: SimulationResult) -> None:
-        """Store one simulation result (a pickled snapshot, not the object).
-
-        Results serialize compactly: the statistics containers are columnar
-        (flat integer buffers shipped as raw bytes), not per-event object
-        graphs.
-        """
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    def put_bytes(self, key: tuple, payload: bytes) -> None:
+        """Store one already-pickled result under ``key``."""
         with self._lock:
             self._entries[key] = payload
             self._entries.move_to_end(key)
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
+
+    def put(self, key: tuple, result: SimulationResult) -> None:
+        """Pickle and store one simulation result (a snapshot, not the object)."""
+        self.put_bytes(key, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

@@ -4,9 +4,11 @@ Each helper is a no-op (one global read, one ``None`` check) unless a
 :class:`~repro.faults.plan.FaultPlan` is active in the process, so the hooks
 cost effectively nothing on production paths.  The sites:
 
-* :func:`inject_worker_crash` — :func:`repro.api.batch._execute_pickled_to_bytes`
-  (the process-pool worker entry point; never the in-process thread path, so
-  a crash-looping plan still lets the service's thread failover complete);
+* :func:`inject_worker_crash` — the process-pool worker entry points
+  :func:`repro.api.batch._execute_chunk` (batches and local sweeps) and
+  :func:`repro.api.batch._execute_pickled_traced` (the service); never the
+  in-process paths, so a crash-looping plan still lets the in-process
+  fallback and the service's thread failover complete;
 * :func:`inject_slow_execute` — :func:`repro.api.batch._execute_request_to_bytes`
   (both execution paths);
 * :func:`inject_store_corrupt` — the :class:`~repro.service.store.ResultStore`

@@ -2,10 +2,11 @@
 
 Two fan-out paths, one result shape:
 
-* **local** — points run through the :mod:`repro.api.batch` machinery (the
-  same pickled-payload worker shipping ``run_batch`` uses), over the
-  process-wide shared :class:`~repro.api.pool.WorkerPool` (``jobs=N``,
-  capped by the host's usable CPUs) and an optional cache/store;
+* **local** — points run through ``run_batch``'s byte-level core
+  (:func:`repro.api.batch._settle_batch`): content-keyed, deduplicated,
+  served from an optional cache/store, LPT-chunked over the process-wide
+  shared :class:`~repro.api.pool.WorkerPool` (``jobs=N``, capped by the
+  host's usable CPUs) and written back as canonical payload bytes;
 * **service** — points are submitted to a running :mod:`repro.service`
   endpoint via :class:`~repro.service.client.ServiceClient`, which brings the
   durable store, request coalescing and the persistent worker pool along for
@@ -25,16 +26,9 @@ from __future__ import annotations
 import pickle
 import time
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.api.batch import (
-    _execute_pickled_to_bytes,
-    _execute_request_to_bytes,
-    _ship_payload,
-)
-from repro.api.pool import get_shared_pool, usable_cpus
+from repro.api.batch import _settle_batch
 from repro.core.results import SimulationResult
 from repro.errors import SweepError
 from repro.obs.metrics import MetricsRegistry
@@ -119,18 +113,16 @@ class SweepRun:
         return counts
 
 
-def _outcome_from_error(point: SweepPoint, error: BaseException, elapsed: float) -> PointOutcome:
+def _outcome_from_error(
+    point: SweepPoint, error: BaseException, elapsed: float, served_from: str = "executed"
+) -> PointOutcome:
     return PointOutcome(
         point=point,
         status="failed",
-        served_from="executed",
+        served_from=served_from,
         error=f"{type(error).__name__}: {error}",
         elapsed=elapsed,
     )
-
-
-def _pickle_result(result: SimulationResult) -> bytes:
-    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # --------------------------------------------------------------------------- #
@@ -143,141 +135,30 @@ def _execute_local(
     cache,
     emit: Callable[[PointOutcome], None],
 ) -> None:
-    # group points by content key so identical requests (repetitions whose
-    # seed feeds nothing, overlapping perturbations) execute exactly once
-    primaries: list[SweepPoint] = []
-    primary_for_key: dict[tuple, SweepPoint] = {}
-    followers: dict[str, list[SweepPoint]] = {}
-    keys: dict[str, tuple | None] = {}
-    for point in compiled.points:
-        try:
-            # resolves the machine (registry name + options), so a point with
-            # an unknown model or a bad option fails alone, right here
-            key = point.request.cache_key()
-        except Exception as error:
-            emit(_outcome_from_error(point, error, 0.0))
-            continue
-        keys[point.point_id] = key
-        if key in primary_for_key:
-            followers.setdefault(primary_for_key[key].point_id, []).append(point)
-        else:
-            primary_for_key[key] = point
-            primaries.append(point)
+    # run_batch's byte-level core keys, deduplicates, serves hits, executes
+    # and writes back; each settlement maps onto one point outcome
+    points = compiled.points
+    started = time.perf_counter()
 
-    def settle(point: SweepPoint, outcome: PointOutcome) -> None:
-        emit(outcome)
-        for follower in followers.get(point.point_id, ()):  # share the payload bytes
+    def settle(index: int, outcome: bytes | Exception, served_from: str) -> None:
+        point = points[index]
+        elapsed = 0.0 if served_from == "deduplicated" else time.perf_counter() - started
+        if isinstance(outcome, Exception):
+            emit(_outcome_from_error(point, outcome, elapsed, served_from))
+        else:
             emit(
                 PointOutcome(
-                    point=follower,
-                    status=outcome.status,
-                    served_from="deduplicated",
-                    payload=outcome.payload,
-                    error=outcome.error,
-                    elapsed=0.0,
+                    point=point,
+                    status="done",
+                    served_from=served_from,
+                    payload=outcome,
+                    elapsed=elapsed,
                 )
             )
 
-    # serve store/cache hits first (and record which points still need work)
-    pending: list[SweepPoint] = []
-    for point in primaries:
-        key = keys[point.point_id]
-        payload = None
-        if cache is not None:
-            started = time.perf_counter()
-            if hasattr(cache, "get_bytes"):
-                payload = cache.get_bytes(key)
-            else:
-                hit = cache.get(key)
-                payload = None if hit is None else _pickle_result(hit)
-            if payload is not None:
-                settle(
-                    point,
-                    PointOutcome(
-                        point=point,
-                        status="done",
-                        served_from="store",
-                        payload=payload,
-                        elapsed=time.perf_counter() - started,
-                    ),
-                )
-                continue
-        pending.append(point)
-
-    def record(point: SweepPoint, payload: bytes, elapsed: float) -> None:
-        if cache is not None:
-            key = keys[point.point_id]
-            if hasattr(cache, "put_bytes"):
-                cache.put_bytes(key, payload)
-            else:
-                cache.put(key, pickle.loads(payload))
-        settle(
-            point,
-            PointOutcome(
-                point=point,
-                status="done",
-                served_from="executed",
-                payload=payload,
-                elapsed=elapsed,
-            ),
-        )
-
-    local: list[SweepPoint] = []
-    workers = min(jobs, usable_cpus())
-    if workers > 1 and len(pending) > 1:
-        payloads = {point.point_id: _ship_payload(point.request) for point in pending}
-        shippable = [point for point in pending if payloads[point.point_id] is not None]
-        local = [point for point in pending if payloads[point.point_id] is None]
-        if len(shippable) > 1:
-            pool = get_shared_pool(workers)
-            started = time.perf_counter()
-            # workers return the result pre-pickled: payload bytes stay
-            # canonical (identical to a serial in-process run), so ledger
-            # hashes do not depend on the --jobs setting
-            futures = {
-                pool.submit(_execute_pickled_to_bytes, payloads[point.point_id]): point
-                for point in shippable
-            }
-            retried: set[str] = set()
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    point = futures[future]
-                    elapsed = time.perf_counter() - started
-                    error = future.exception()
-                    if isinstance(error, BrokenProcessPool):
-                        # a worker died under the point: respawn the pool and
-                        # retry once, then finish in-process (the crash fault
-                        # only hooks the pool entry point, so the local pass
-                        # completes even under a crash-looping plan)
-                        if point.point_id not in retried:
-                            retried.add(point.point_id)
-                            pool.respawn_broken()
-                            retry = pool.submit(
-                                _execute_pickled_to_bytes, payloads[point.point_id]
-                            )
-                            futures[retry] = point
-                            remaining = set(remaining) | {retry}
-                        else:
-                            local.append(point)
-                    elif error is not None:
-                        settle(point, _outcome_from_error(point, error, elapsed))
-                    else:
-                        record(point, future.result(), elapsed)
-        else:
-            local = pending
-    else:
-        local = pending
-
-    for point in local:
-        started = time.perf_counter()
-        try:
-            payload = _execute_request_to_bytes(point.request)
-        except Exception as error:
-            settle(point, _outcome_from_error(point, error, time.perf_counter() - started))
-        else:
-            record(point, payload, time.perf_counter() - started)
+    _settle_batch(
+        [point.request for point in points], jobs=jobs, cache=cache, pool=None, settle=settle
+    )
 
 
 # --------------------------------------------------------------------------- #

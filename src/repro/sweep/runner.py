@@ -33,11 +33,7 @@ class SweepOutput:
 
     @property
     def failed(self) -> int:
-        return run_counts(self.run)["failed"]
-
-
-def run_counts(run: SweepRun) -> dict[str, int]:
-    return run.counts()
+        return self.run.counts()["failed"]
 
 
 def run_sweep(

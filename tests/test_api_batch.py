@@ -13,6 +13,7 @@ from repro.api import (
     fingerprint_workload,
     run_batch,
 )
+from repro.api.batch import _execute_request_to_bytes
 from repro.core import Job, MachineConfig
 from repro.errors import ConfigurationError
 
@@ -110,6 +111,14 @@ class TestRunBatch:
         assert results[1].cycles == singles[1].cycles
         assert results[2].num_contexts == 2
 
+    def test_unknown_model_raises_configuration_error(self):
+        requests = [
+            SimulationRequest.single("no-such-model", WORKLOADS["triad"]),
+            _request("reference", "scalar", 1, "single"),
+        ]
+        with pytest.raises(ConfigurationError, match="no-such-model"):
+            run_batch(requests)
+
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             run_batch([_request("reference", "triad", 1, "single")], jobs=0)
@@ -194,6 +203,16 @@ class TestRunCache:
         other = make_vector_loop_program("triad_prog", kernel="triad", vl=16, iterations=4)
         assert fingerprint_workload(WORKLOADS["triad"]) == fingerprint_workload(twin)
         assert fingerprint_workload(WORKLOADS["triad"]) != fingerprint_workload(other)
+
+    def test_cold_batch_stores_canonical_bytes(self):
+        cache = RunCache()
+        requests = [
+            _request("reference", "triad", 1, "single"),
+            _request("multithreaded-2", "daxpy", 50, "group"),
+        ]
+        run_batch(requests, cache=cache)
+        for request in requests:
+            assert cache.get_bytes(request.cache_key()) == _execute_request_to_bytes(request)
 
     def test_lru_eviction_respects_max_entries(self):
         cache = RunCache(max_entries=2)

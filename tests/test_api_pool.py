@@ -9,11 +9,10 @@ the machinery under test unexercised.
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
-from repro.api import RunCache, SimulationRequest, WorkerPool, run_batch, usable_cpus
+from repro.api import RunCache, SimulationRequest, WorkerPool, batch, run_batch, usable_cpus
 from repro.api.batch import (
     CHUNKS_PER_WORKER,
     DEFAULT_INSTRUCTION_ESTIMATE,
@@ -68,14 +67,6 @@ class _BytesCache:
 
     def put_bytes(self, key: tuple, payload: bytes) -> None:
         self.blobs[key] = payload
-
-    # run_batch probes the object protocol too
-    def get(self, key: tuple):
-        payload = self.blobs.get(key)
-        return None if payload is None else pickle.loads(payload)
-
-    def put(self, key: tuple, result) -> None:  # pragma: no cover - unused
-        raise AssertionError("byte-capable caches must receive bytes")
 
 
 class TestWorkerPool:
@@ -216,6 +207,61 @@ class TestCrashRecovery:
         serial_cycles = [r.cycles for r in run_batch(requests, jobs=1)]
         pooled = run_batch(requests, pool=pool)
         assert [r.cycles for r in pooled] == serial_cycles
+
+
+def _failing_on_boom(execute):
+    def wrapped(request: SimulationRequest):
+        if request.tag == "boom":
+            raise ValueError(f"boom in pid {os.getpid()}")
+        return execute(request)
+
+    return wrapped
+
+
+class TestFailureIsolation:
+    @pytest.fixture()
+    def failing_pool(self, monkeypatch):
+        # patched before the pool's first submission, so its forked workers
+        # inherit the failing executor; one worker with one chunk per worker
+        # puts every request of a batch into the same chunk
+        monkeypatch.setattr(batch, "_execute_request", _failing_on_boom(batch._execute_request))
+        monkeypatch.setattr(batch, "CHUNKS_PER_WORKER", 1)
+        instance = WorkerPool(1)
+        yield instance
+        instance.shutdown()
+
+    def _requests(self):
+        requests = _requests(latencies=(1,))
+        boom = SimulationRequest.single(
+            "reference", WORKLOADS["scalar"], memory_latency=7, tag="boom"
+        )
+        return requests[:1] + [boom] + requests[1:]
+
+    def test_failing_request_spares_its_chunk_mates(self, failing_pool):
+        requests = self._requests()
+        settled = {}
+        batch._settle_batch(
+            requests,
+            jobs=1,
+            cache=None,
+            pool=failing_pool,
+            settle=lambda index, outcome, served: settled.__setitem__(index, (outcome, served)),
+        )
+        assert sorted(settled) == list(range(len(requests)))
+        error, served = settled[1]
+        assert isinstance(error, ValueError) and served == "executed"
+        assert f"pid {os.getpid()}" not in str(error)  # it raised inside the worker
+        for index in (0, 2, 3):
+            payload, served = settled[index]
+            assert served == "executed"
+            assert payload == batch._execute_request_to_bytes(requests[index])
+
+    def test_run_batch_reraises_the_original_type(self, failing_pool):
+        requests = self._requests()
+        with pytest.raises(ValueError, match="boom"):
+            run_batch(requests, pool=failing_pool)
+        with pytest.raises(ValueError, match="boom"):
+            run_batch(requests, jobs=1)
 
 
 class TestChunkPlanning:

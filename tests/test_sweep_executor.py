@@ -6,7 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.api.cache import RunCache
+from repro.api.pool import get_shared_pool, shutdown_shared_pool
 from repro.errors import SweepError
+from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
 from repro.service import ResultStore
 from repro.sweep import (
     Repetitions,
@@ -140,6 +142,51 @@ class TestCaching:
         cold = execute_sweep(compiled_sweep(), cache=cache)
         warm = execute_sweep(compiled_sweep(), cache=cache)
         assert warm.counts()["store"] == 2
-        assert [o.result().cycles for o in warm.outcomes] == [
-            o.result().cycles for o in cold.outcomes
+        # the cache keeps the canonical bytes, so the warm ledger is the cold one
+        assert [o.payload for o in warm.outcomes] == [o.payload for o in cold.outcomes]
+        assert [o.result_sha256() for o in warm.outcomes] == [
+            o.result_sha256() for o in cold.outcomes
         ]
+
+
+class TestCrashLadder:
+    """The pooled chunk path under injected worker crashes.
+
+    ``usable_cpus`` is pinned to 2 so ``jobs=2`` takes the shared pool even
+    on a one-CPU host, where the CPU cap would otherwise run serially.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _pooled(self, monkeypatch):
+        monkeypatch.setattr("repro.api.batch.usable_cpus", lambda: 2)
+        shutdown_shared_pool()
+        clear_fault_plan()
+        yield
+        clear_fault_plan()
+        shutdown_shared_pool()
+
+    def _sweep(self):
+        return compiled_sweep(
+            axes=(
+                SweepAxis(name="workload", values=("tomcatv", "swm256")),
+                SweepAxis(name="memory_latency", values=(1, 50)),
+            )
+        )
+
+    def test_single_crash_is_ridden_out(self, tmp_path):
+        serial = execute_sweep(self._sweep())
+        # a shared state_dir caps the budget at ONE crash: the retry on the
+        # respawned pool must succeed
+        set_fault_plan(FaultPlan([FaultSpec("worker_crash", count=1)], state_dir=tmp_path))
+        pooled = execute_sweep(self._sweep(), jobs=2)
+        assert pooled.counts() == {"points": 4, "failed": 0, "executed": 4}
+        assert [o.payload for o in pooled.outcomes] == [o.payload for o in serial.outcomes]
+        assert get_shared_pool().spawned >= 2  # the crash cost one executor
+
+    def test_crash_looping_plan_finishes_in_process(self):
+        serial = execute_sweep(self._sweep())
+        # without a state_dir every fresh worker crashes its first chunk
+        set_fault_plan(FaultPlan([FaultSpec("worker_crash", count=1_000_000)]))
+        pooled = execute_sweep(self._sweep(), jobs=2)
+        assert pooled.counts() == {"points": 4, "failed": 0, "executed": 4}
+        assert [o.payload for o in pooled.outcomes] == [o.payload for o in serial.outcomes]
