@@ -43,10 +43,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api import SimulationRequest, run_batch, usable_cpus
+from repro.api import Machine, SimulationRequest, run_batch, usable_cpus
 from repro.core.config import MachineConfig
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator
 from repro.workloads import build_benchmark, build_suite
 
 #: Benchmark-analogue programs used for the single-run throughput rows.
@@ -158,7 +156,7 @@ def measure_single_runs(repeats: int) -> list[dict]:
         instructions = program.dynamic_instruction_count
 
         def run_reference() -> None:
-            ReferenceSimulator(MachineConfig.reference(50)).run(program)
+            Machine.from_config(MachineConfig.reference(50)).run(program)
 
         seconds = _time_run(run_reference, repeats)
         entries.append(
@@ -173,11 +171,11 @@ def measure_single_runs(repeats: int) -> list[dict]:
         )
     # the multithreaded group row of test_simulator_throughput
     programs = [build_benchmark(name, scale=GROUP_SCALE) for name in ("swm256", "tomcatv")]
-    simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-    dispatched = simulator.run_group(programs).instructions
+    machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+    dispatched = machine.run_group(programs).instructions
 
     def run_group() -> None:
-        MultithreadedSimulator(MachineConfig.multithreaded(2, 50)).run_group(programs)
+        Machine.from_config(MachineConfig.multithreaded(2, 50)).run_group(programs)
 
     seconds = _time_run(run_group, repeats)
     entries.append(
@@ -549,7 +547,7 @@ def measure_obs_overhead(repeats: int) -> list[dict]:
 
     def run_profiled() -> None:
         with force_profiling(True):
-            ReferenceSimulator(MachineConfig.reference(50)).run(program)
+            Machine.from_config(MachineConfig.reference(50)).run(program)
 
     profiled_seconds = _time_run(run_profiled, repeats)
     entries.append(

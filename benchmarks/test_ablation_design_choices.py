@@ -11,9 +11,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator
 from repro.core.scheduler import scheduler_names
 from repro.workloads import build_suite
 
@@ -31,8 +30,8 @@ def test_ablation_chaining(benchmark, programs):
     """Chaining ablation: how much slower is the reference machine without chaining?"""
 
     def run_both():
-        chained = ReferenceSimulator(MachineConfig.reference(50))
-        unchained = ReferenceSimulator(replace(MachineConfig.reference(50), allow_chaining=False))
+        chained = Machine.from_config(MachineConfig.reference(50))
+        unchained = Machine.from_config(replace(MachineConfig.reference(50), allow_chaining=False))
         with_chaining = sum(chained.run(program).cycles for program in programs)
         without_chaining = sum(unchained.run(program).cycles for program in programs)
         return with_chaining, without_chaining
@@ -48,8 +47,8 @@ def test_ablation_bank_ports(benchmark, programs):
     """Bank-port ablation: cost of the 2-read/1-write port limit per register bank."""
 
     def run_both():
-        modeled = ReferenceSimulator(MachineConfig.reference(50))
-        unlimited = ReferenceSimulator(replace(MachineConfig.reference(50), model_bank_ports=False))
+        modeled = Machine.from_config(MachineConfig.reference(50))
+        unlimited = Machine.from_config(replace(MachineConfig.reference(50), model_bank_ports=False))
         with_ports = sum(modeled.run(program).cycles for program in programs)
         without_ports = sum(unlimited.run(program).cycles for program in programs)
         return with_ports, without_ports
@@ -67,7 +66,7 @@ def test_ablation_scheduling_policy(benchmark, programs):
         results = {}
         for policy in scheduler_names():
             config = MachineConfig.multithreaded(3, 50, scheduler=policy)
-            results[policy] = MultithreadedSimulator(config).run_job_queue(programs)
+            results[policy] = Machine.from_config(config).run_queue(programs)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

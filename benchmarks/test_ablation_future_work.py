@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.multithreaded import MultithreadedSimulator
 from repro.workloads import build_suite
 
 SCALE = 0.1
@@ -33,7 +33,7 @@ def test_ablation_memory_ports(benchmark, programs):
         results = {}
         for ports in (1, 2, 3):
             config = replace(MachineConfig.multithreaded(4, 50), num_memory_ports=ports)
-            results[ports] = MultithreadedSimulator(config).run_job_queue(programs)
+            results[ports] = Machine.from_config(config).run_queue(programs)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -53,7 +53,7 @@ def test_ablation_issue_width(benchmark, programs):
         results = {}
         for width in (1, 2):
             config = MachineConfig.cray_style(4, 50, num_memory_ports=3, issue_width=width)
-            results[width] = MultithreadedSimulator(config).run_job_queue(programs)
+            results[width] = Machine.from_config(config).run_queue(programs)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

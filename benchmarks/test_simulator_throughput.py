@@ -7,23 +7,22 @@ as the main practical constraint of a cycle-level Python model).
 
 from __future__ import annotations
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.reference import ReferenceSimulator
-from repro.core.multithreaded import MultithreadedSimulator
 from repro.workloads import build_benchmark
 
 
 def test_reference_simulator_throughput(benchmark):
     program = build_benchmark("hydro2d", scale=0.3)
-    simulator = ReferenceSimulator(MachineConfig.reference(50))
+    machine = Machine.from_config(MachineConfig.reference(50))
 
-    result = benchmark(simulator.run, program)
+    result = benchmark(machine.run, program)
     assert result.instructions == program.dynamic_instruction_count
 
 
 def test_multithreaded_simulator_throughput(benchmark):
     programs = [build_benchmark(name, scale=0.2) for name in ("swm256", "tomcatv")]
-    simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
+    machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
 
-    result = benchmark(simulator.run_group, programs)
+    result = benchmark(machine.run_group, programs)
     assert result.memory_port_occupancy > 0.5

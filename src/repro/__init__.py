@@ -55,15 +55,11 @@ from repro.api import (
     usable_cpus,
 )
 from repro.core import (
-    DualScalarSimulator,
     IdealMachineModel,
     Job,
     LatencyTable,
     MachineConfig,
-    MultithreadedSimulator,
-    ReferenceSimulator,
     SimulationResult,
-    simulate_program,
 )
 from repro.errors import (
     AssemblyError,
@@ -98,7 +94,6 @@ __all__ = [
     "AssemblyError",
     "BatchRunner",
     "ConfigurationError",
-    "DualScalarSimulator",
     "ExperimentContext",
     "ExperimentError",
     "ExperimentSettings",
@@ -108,8 +103,6 @@ __all__ = [
     "LatencyTable",
     "Machine",
     "MachineConfig",
-    "MultithreadedSimulator",
-    "ReferenceSimulator",
     "ReproError",
     "ResultStore",
     "RunCache",
@@ -135,6 +128,5 @@ __all__ = [
     "register_model",
     "run_batch",
     "run_sweep",
-    "simulate_program",
     "usable_cpus",
 ]

@@ -1,4 +1,4 @@
-"""Unified simulation API: the :class:`Machine` facade, model registry,
+"""Unified simulation API: the :class:`Machine` surface, model registry,
 batched parallel execution and run caching.
 
 This package is the single entry point for running simulations::
@@ -23,7 +23,7 @@ from repro.api.cache import (
     fingerprint_workload,
     request_key,
 )
-from repro.api.machine import Machine, MachineBackend
+from repro.api.machine import Machine
 from repro.api.pool import (
     WorkerPool,
     get_shared_pool,
@@ -42,7 +42,6 @@ from repro.api.registry import (
 __all__ = [
     "BatchRunner",
     "Machine",
-    "MachineBackend",
     "ModelEntry",
     "RunCache",
     "SimulationRequest",

@@ -26,8 +26,8 @@ from collections import OrderedDict
 from collections.abc import Iterable
 
 from repro.core.config import MachineConfig
-from repro.core.reference import as_job
 from repro.core.results import SimulationResult
+from repro.core.suppliers import as_job
 from repro.core.suppliers import Job
 from repro.trace.records import TraceSet
 from repro.workloads.program import Program

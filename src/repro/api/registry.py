@@ -4,8 +4,8 @@ Every machine model of the paper (and any user-defined variant) is published
 here under a short name; :meth:`repro.api.machine.Machine.named` resolves a
 name through this registry.  A *factory* is a callable accepting keyword
 options (``memory_latency=70``, ``scheduler="roundrobin"``, ...) and returning
-a backend object implementing the uniform ``run`` / ``run_group`` /
-``run_queue`` surface (see :mod:`repro.api.machine`).
+a :class:`~repro.api.machine.Machine`, which answers the uniform ``run`` /
+``run_group`` / ``run_queue`` calls.
 
 Registering a new machine variant is one call::
 
@@ -38,7 +38,7 @@ __all__ = [
     "unregister_model",
 ]
 
-#: A machine-model factory: keyword options in, backend (or Machine) out.
+#: A machine-model factory: keyword options in, :class:`Machine` out.
 ModelFactory = Callable[..., object]
 
 

@@ -1,9 +1,8 @@
-"""Core cycle-level simulators: the paper's primary contribution."""
+"""The core cycle-level simulation engine: the paper's primary contribution."""
 
 from repro.core.config import LatencyTable, MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.dispatch import DispatchModel, DispatchOutcome
-from repro.core.dual_scalar import DualScalarSimulator
 from repro.core.engine import SimulationEngine
 from repro.core.eventlog import (
     DISPATCH_FIELDS,
@@ -13,8 +12,6 @@ from repro.core.eventlog import (
 )
 from repro.core.functional_units import FunctionalUnit, VectorUnitPool
 from repro.core.ideal import IdealMachineModel, ideal_execution_time
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator, as_job, simulate_program
 from repro.core.results import SimulationResult
 from repro.core.scheduler import (
     LeastServiceScheduler,
@@ -39,6 +36,7 @@ from repro.core.suppliers import (
     JobSupplier,
     RepeatingSupplier,
     SingleJobSupplier,
+    as_job,
 )
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "DispatchLog",
     "DispatchModel",
     "DispatchOutcome",
-    "DualScalarSimulator",
     "FU_STATE_NAMES",
     "FlatIntervalRecorder",
     "FunctionalUnit",
@@ -61,8 +58,6 @@ __all__ = [
     "LatencyTable",
     "LeastServiceScheduler",
     "MachineConfig",
-    "MultithreadedSimulator",
-    "ReferenceSimulator",
     "RepeatingSupplier",
     "RoundRobinScheduler",
     "SimulationEngine",
@@ -79,5 +74,4 @@ __all__ = [
     "ideal_execution_time",
     "reduce_dispatch_log",
     "scheduler_names",
-    "simulate_program",
 ]

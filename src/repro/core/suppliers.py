@@ -30,6 +30,7 @@ __all__ = [
     "JobSupplier",
     "RepeatingSupplier",
     "SingleJobSupplier",
+    "as_job",
 ]
 
 
@@ -104,6 +105,19 @@ class Job:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Job({self.name!r})"
+
+
+def as_job(workload: Job | Program | TraceSet) -> Job:
+    """Normalize the accepted workload types into a :class:`Job`."""
+    if isinstance(workload, Job):
+        return workload
+    if isinstance(workload, Program):
+        return Job.from_program(workload)
+    if isinstance(workload, TraceSet):
+        return Job.from_trace(workload)
+    raise TypeError(
+        f"expected a Job, Program or TraceSet, got {type(workload).__name__}"
+    )
 
 
 class JobSupplier:

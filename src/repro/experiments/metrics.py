@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.machine import Machine
 from repro.core.results import SimulationResult
 from repro.core.suppliers import Job
 from repro.errors import ExperimentError
@@ -34,23 +35,20 @@ class ReferenceBank:
     companion runs).  Full runs are cached; partial runs are computed on
     demand (they are comparatively rare and cheap).
 
-    The simulator may be anything with the reference run signature
-    ``run(workload, *, instruction_limit=None) -> SimulationResult`` — a
-    :class:`~repro.core.reference.ReferenceSimulator` or a reference-model
-    :class:`~repro.api.machine.Machine` (whose run cache then also serves the
-    bank's runs).
+    The machine is a reference-model :class:`~repro.api.machine.Machine`
+    (whose run cache then also serves the bank's runs).
     """
 
-    def __init__(self, jobs: dict[str, Job], simulator) -> None:
+    def __init__(self, jobs: dict[str, Job], machine: Machine) -> None:
         self._jobs = dict(jobs)
-        self._simulator = simulator
+        self._machine = machine
         self._full_results: dict[str, SimulationResult] = {}
         self._partial_cache: dict[tuple[str, int], int] = {}
 
     @property
-    def simulator(self):
-        """The reference-machine simulator used for all runs of this bank."""
-        return self._simulator
+    def machine(self) -> Machine:
+        """The reference machine used for all runs of this bank."""
+        return self._machine
 
     def job(self, program: str) -> Job:
         """The job registered under ``program``."""
@@ -62,7 +60,7 @@ class ReferenceBank:
     def full_result(self, program: str) -> SimulationResult:
         """Full reference-machine run of one program (cached)."""
         if program not in self._full_results:
-            self._full_results[program] = self._simulator.run(self.job(program))
+            self._full_results[program] = self._machine.run(self.job(program))
         return self._full_results[program]
 
     def full_cycles(self, program: str) -> int:
@@ -75,7 +73,7 @@ class ReferenceBank:
             return 0
         key = (program, instructions)
         if key not in self._partial_cache:
-            result = self._simulator.run(self.job(program), instruction_limit=instructions)
+            result = self._machine.run(self.job(program), instruction_limit=instructions)
             self._partial_cache[key] = result.cycles
         return self._partial_cache[key]
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MachineConfig, MultithreadedSimulator, ReferenceSimulator
+from repro.api import Machine
+from repro.core import MachineConfig
 from repro.workloads import build_benchmark, build_suite
 from repro.workloads.kernels import get_kernel
 from repro.workloads.program import AddressSpace, Program, ScalarLoopNest, VectorLoopNest
@@ -51,15 +52,15 @@ def small_dyfesm():
 
 
 @pytest.fixture()
-def reference_simulator():
-    """A reference-architecture simulator at the default 50-cycle latency."""
-    return ReferenceSimulator(MachineConfig.reference(50))
+def reference_machine():
+    """A reference-architecture machine at the default 50-cycle latency."""
+    return Machine.from_config(MachineConfig.reference(50))
 
 
 @pytest.fixture()
-def multithreaded_simulator_2():
-    """A 2-context multithreaded simulator at the default 50-cycle latency."""
-    return MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
+def multithreaded_machine_2():
+    """A 2-context multithreaded machine at the default 50-cycle latency."""
+    return Machine.from_config(MachineConfig.multithreaded(2, 50))
 
 
 def make_vector_loop_program(

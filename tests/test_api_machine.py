@@ -1,4 +1,4 @@
-"""Tests for the unified Machine facade and the machine-model registry."""
+"""Tests for the unified Machine surface and the machine-model registry."""
 
 from __future__ import annotations
 
@@ -16,14 +16,7 @@ from repro.api import (
     resolve_model,
     unregister_model,
 )
-from repro.core import (
-    DualScalarSimulator,
-    Job,
-    MachineConfig,
-    MultithreadedSimulator,
-    ReferenceSimulator,
-    SimulationResult,
-)
+from repro.core import Job, MachineConfig, SimulationResult
 from repro.core.ideal import ideal_execution_time
 from repro.errors import ConfigurationError, SimulationError
 from repro.trace.dixie import trace_program
@@ -174,7 +167,7 @@ class TestRegistry:
         try:
             machine = Machine.named("test-fast-memory")
             result = machine.run(triad_program)
-            expected = ReferenceSimulator(MachineConfig.reference(1)).run(triad_program)
+            expected = Machine.from_config(MachineConfig.reference(1)).run(triad_program)
             assert_same_result(result, expected)
         finally:
             unregister_model("test-fast-memory")
@@ -209,25 +202,11 @@ class TestRegistry:
 
 
 class TestReferenceEquivalence:
-    def test_run_matches_legacy_simulator(self, triad_program):
-        legacy = ReferenceSimulator(MachineConfig.reference(50)).run(triad_program)
-        facade = Machine.named("reference", memory_latency=50).run(triad_program)
-        assert_same_result(facade, legacy)
-
-    def test_instruction_limit_matches_legacy(self, triad_program):
-        legacy = ReferenceSimulator(MachineConfig.reference(50)).run(
-            triad_program, instruction_limit=40
-        )
-        facade = Machine.named("reference", memory_latency=50).run(
-            triad_program, instruction_limit=40
-        )
-        assert_same_result(facade, legacy)
-
     def test_from_config_selects_reference_backend(self, triad_program):
         config = MachineConfig.reference(20)
-        legacy = ReferenceSimulator(config).run(triad_program)
+        named = Machine.named("reference", memory_latency=20).run(triad_program)
         facade = Machine.from_config(config).run(triad_program)
-        assert_same_result(facade, legacy)
+        assert_same_result(facade, named)
 
     def test_workload_types_are_interchangeable(self, triad_program):
         machine = Machine.named("reference", memory_latency=50)
@@ -239,30 +218,6 @@ class TestReferenceEquivalence:
 
 
 class TestMultithreadedEquivalence:
-    def test_run_group_matches_legacy(self, triad_program, scalar_program):
-        config = MachineConfig.multithreaded(2, 50)
-        legacy = MultithreadedSimulator(config).run_group([triad_program, scalar_program])
-        facade = Machine.named("multithreaded-2", memory_latency=50).run_group(
-            [triad_program, scalar_program]
-        )
-        assert_same_result(facade, legacy)
-
-    def test_run_queue_matches_legacy(self, triad_program, scalar_program):
-        config = MachineConfig.multithreaded(2, 50)
-        legacy = MultithreadedSimulator(config).run_job_queue(
-            [triad_program, scalar_program, triad_program]
-        )
-        facade = Machine.from_config(config).run_queue(
-            [triad_program, scalar_program, triad_program]
-        )
-        assert_same_result(facade, legacy)
-
-    def test_run_single_matches_legacy(self, triad_program):
-        config = MachineConfig.multithreaded(3, 50)
-        legacy = MultithreadedSimulator(config).run_single(triad_program)
-        facade = Machine.from_config(config).run(triad_program)
-        assert_same_result(facade, legacy)
-
     def test_parametric_model_name(self, triad_program):
         facade = Machine.named("multithreaded", num_contexts=3)
         assert facade.config.num_contexts == 3
@@ -270,24 +225,6 @@ class TestMultithreadedEquivalence:
 
 
 class TestDualScalarEquivalence:
-    def test_run_group_matches_legacy(self, triad_program, scalar_program):
-        legacy = DualScalarSimulator(MachineConfig.dual_scalar_fujitsu(50)).run_group(
-            [triad_program, scalar_program]
-        )
-        facade = Machine.named("dual-scalar", memory_latency=50).run_group(
-            [triad_program, scalar_program]
-        )
-        assert_same_result(facade, legacy)
-
-    def test_run_queue_matches_legacy(self, triad_program, scalar_program):
-        legacy = DualScalarSimulator(MachineConfig.dual_scalar_fujitsu(50)).run_job_queue(
-            [triad_program, scalar_program]
-        )
-        facade = Machine.named("dual-scalar", memory_latency=50).run_queue(
-            [triad_program, scalar_program]
-        )
-        assert_same_result(facade, legacy)
-
     def test_from_config_selects_dual_scalar_backend(self, triad_program):
         config = MachineConfig.dual_scalar_fujitsu(50)
         machine = Machine.from_config(config)

@@ -4,35 +4,30 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.dual_scalar import DualScalarSimulator
-from repro.core.multithreaded import MultithreadedSimulator
 from repro.errors import SimulationError
 
 
-class TestDualScalarSimulator:
-    def test_requires_dual_scalar_config(self):
-        with pytest.raises(SimulationError):
-            DualScalarSimulator(MachineConfig.multithreaded(2))
-
+class TestDualScalarMachine:
     def test_group_requires_two_programs(self, triad_program):
-        simulator = DualScalarSimulator()
+        machine = Machine.named("dual-scalar")
         with pytest.raises(SimulationError):
-            simulator.run_group([triad_program])
+            machine.run_group([triad_program])
 
     def test_empty_job_queue_rejected(self):
         with pytest.raises(SimulationError):
-            DualScalarSimulator().run_job_queue([])
+            Machine.named("dual-scalar").run_queue([])
 
     def test_group_run_completes_thread_zero(self, triad_program, scalar_program):
-        result = DualScalarSimulator(MachineConfig.dual_scalar_fujitsu(50)).run_group(
+        result = Machine.from_config(MachineConfig.dual_scalar_fujitsu(50)).run_group(
             [triad_program, scalar_program]
         )
         assert result.stats.thread(0).completed_programs == 1
 
     def test_job_queue_completes_all_jobs(self, tiny_suite):
         programs = [tiny_suite[name] for name in ("flo52", "dyfesm", "swm256")]
-        result = DualScalarSimulator(MachineConfig.dual_scalar_fujitsu(50)).run_job_queue(
+        result = Machine.from_config(MachineConfig.dual_scalar_fujitsu(50)).run_queue(
             programs
         )
         assert len(result.completed_jobs()) == 3
@@ -40,10 +35,10 @@ class TestDualScalarSimulator:
     def test_dual_scalar_beats_multithreading_at_low_latency(self, tiny_suite):
         """At low latency two scalar units give the Fujitsu machine a small edge (section 9)."""
         programs = [tiny_suite[name] for name in ("trfd", "dyfesm", "tomcatv", "nasa7")]
-        fujitsu = DualScalarSimulator(MachineConfig.dual_scalar_fujitsu(1)).run_job_queue(
+        fujitsu = Machine.from_config(MachineConfig.dual_scalar_fujitsu(1)).run_queue(
             programs
         )
-        threaded = MultithreadedSimulator(MachineConfig.multithreaded(2, 1)).run_job_queue(
+        threaded = Machine.from_config(MachineConfig.multithreaded(2, 1)).run_queue(
             programs
         )
         assert fujitsu.cycles <= threaded.cycles
@@ -53,11 +48,11 @@ class TestDualScalarSimulator:
         programs = [tiny_suite[name] for name in ("trfd", "dyfesm", "tomcatv", "nasa7")]
         gaps = {}
         for latency in (1, 100):
-            fujitsu = DualScalarSimulator(
+            fujitsu = Machine.from_config(
                 MachineConfig.dual_scalar_fujitsu(latency)
-            ).run_job_queue(programs)
-            threaded = MultithreadedSimulator(
+            ).run_queue(programs)
+            threaded = Machine.from_config(
                 MachineConfig.multithreaded(2, latency)
-            ).run_job_queue(programs)
+            ).run_queue(programs)
             gaps[latency] = (threaded.cycles - fujitsu.cycles) / threaded.cycles
         assert gaps[100] <= gaps[1] + 0.01

@@ -7,10 +7,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
 from repro.core.functional_units import VectorUnitPool
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.request import AccessKind, MemoryRequest
 from repro.memory.system import MemorySystem
@@ -80,12 +79,12 @@ class TestMultiPortMachine:
     def test_three_ports_speed_up_the_multiprogrammed_machine(self, suite):
         """A Cray-like 3-port memory system relieves the single-port bottleneck."""
         programs = [suite[name] for name in ("swm256", "hydro2d", "arc2d", "flo52")]
-        one_port = MultithreadedSimulator(MachineConfig.multithreaded(4, 50)).run_job_queue(
+        one_port = Machine.from_config(MachineConfig.multithreaded(4, 50)).run_queue(
             programs
         )
-        three_ports = MultithreadedSimulator(
+        three_ports = Machine.from_config(
             replace(MachineConfig.multithreaded(4, 50), num_memory_ports=3)
-        ).run_job_queue(programs)
+        ).run_queue(programs)
         assert three_ports.cycles < one_port.cycles
         # with the port bottleneck gone, per-port occupancy drops well below 1
         assert three_ports.memory_port_occupancy < one_port.memory_port_occupancy
@@ -93,8 +92,8 @@ class TestMultiPortMachine:
     def test_single_thread_gains_little_from_extra_ports(self, suite):
         """One in-order thread cannot exploit extra ports (that is the paper's point)."""
         program = suite["swm256"]
-        one = ReferenceSimulator(MachineConfig.reference(50)).run(program)
-        three = ReferenceSimulator(
+        one = Machine.from_config(MachineConfig.reference(50)).run(program)
+        three = Machine.from_config(
             replace(MachineConfig.reference(50), num_memory_ports=3)
         ).run(program)
         assert three.cycles <= one.cycles
@@ -111,11 +110,11 @@ class TestMultiIssue:
         that makes the paper's single shared decode unit sufficient.
         """
         programs = [suite[name] for name in ("tomcatv", "dyfesm", "tomcatv", "dyfesm")]
-        narrow = MultithreadedSimulator(MachineConfig.multithreaded(4, 50)).run_job_queue(
+        narrow = Machine.from_config(MachineConfig.multithreaded(4, 50)).run_queue(
             programs
         )
         wide_config = replace(MachineConfig.multithreaded(4, 50), issue_width=2)
-        wide = MultithreadedSimulator(wide_config).run_job_queue(programs)
+        wide = Machine.from_config(wide_config).run_queue(programs)
         assert wide.instructions == narrow.instructions
         assert wide.cycles < narrow.cycles
         assert wide.cycles > 0.85 * narrow.cycles  # the improvement stays modest
@@ -123,12 +122,12 @@ class TestMultiIssue:
     def test_cray_style_machine_beats_the_single_port_machine(self, suite):
         """Section 10: the 3-port, dual-issue extension outperforms the 1-port machine."""
         programs = [suite[name] for name in ("swm256", "hydro2d", "arc2d", "flo52")]
-        one_port = MultithreadedSimulator(MachineConfig.multithreaded(4, 50)).run_job_queue(
+        one_port = Machine.from_config(MachineConfig.multithreaded(4, 50)).run_queue(
             programs
         )
-        cray = MultithreadedSimulator(
+        cray = Machine.from_config(
             MachineConfig.cray_style(4, 50, num_memory_ports=3, issue_width=2)
-        ).run_job_queue(programs)
+        ).run_queue(programs)
         assert cray.cycles < one_port.cycles
         assert cray.instructions == one_port.instructions
 
@@ -136,7 +135,7 @@ class TestMultiIssue:
         """Each thread still issues at most one instruction per cycle."""
         program = suite["swm256"]
         wide_config = replace(MachineConfig.multithreaded(2, 50), issue_width=2)
-        result = MultithreadedSimulator(wide_config).run_single(program)
+        result = Machine.from_config(wide_config).run(program)
         assert result.stats.instructions_per_cycle <= 1.0 + 1e-9
 
 
@@ -144,16 +143,16 @@ class TestChainingAblation:
     def test_disabling_chaining_slows_the_machine(self, suite):
         """Chaining is one of the three effects the paper credits for vector efficiency."""
         program = suite["swm256"]
-        chained = ReferenceSimulator(MachineConfig.reference(50)).run(program)
-        unchained = ReferenceSimulator(
+        chained = Machine.from_config(MachineConfig.reference(50)).run(program)
+        unchained = Machine.from_config(
             replace(MachineConfig.reference(50), allow_chaining=False)
         ).run(program)
         assert unchained.cycles > chained.cycles
 
     def test_chaining_ablation_preserves_work(self, suite):
         program = suite["flo52"]
-        chained = ReferenceSimulator(MachineConfig.reference(50)).run(program)
-        unchained = ReferenceSimulator(
+        chained = Machine.from_config(MachineConfig.reference(50)).run(program)
+        unchained = Machine.from_config(
             replace(MachineConfig.reference(50), allow_chaining=False)
         ).run(program)
         assert chained.instructions == unchained.instructions

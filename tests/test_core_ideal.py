@@ -6,9 +6,9 @@ import math
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
 from repro.core.ideal import IdealMachineModel, ideal_execution_time
-from repro.core.reference import ReferenceSimulator
 from repro.workloads.stats import ProgramStats, measure_program
 
 
@@ -62,7 +62,7 @@ class TestIdealMachineModel:
         """No simulated machine can beat the dependence-free bound."""
         bound = ideal_execution_time([small_swm256])
         for latency in (1, 50):
-            result = ReferenceSimulator(MachineConfig.reference(latency)).run(small_swm256)
+            result = Machine.from_config(MachineConfig.reference(latency)).run(small_swm256)
             assert result.cycles >= bound
 
     def test_ideal_helper_matches_model(self, triad_program):

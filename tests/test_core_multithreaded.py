@@ -1,67 +1,62 @@
-"""Tests for the multithreaded vector architecture simulator."""
+"""Tests for the multithreaded vector architecture (multi-context :class:`Machine`)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 
 
 class TestRunGroup:
     def test_group_size_must_match_contexts(self, triad_program):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2))
+        machine = Machine.from_config(MachineConfig.multithreaded(2))
         with pytest.raises(SimulationError):
-            simulator.run_group([triad_program])
-
-    def test_conflicting_num_contexts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MultithreadedSimulator(MachineConfig.multithreaded(2), num_contexts=3)
+            machine.run_group([triad_program])
 
     def test_thread0_runs_to_completion_exactly_once(self, triad_program, scalar_program):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2))
-        result = simulator.run_group([triad_program, scalar_program])
+        machine = Machine.from_config(MachineConfig.multithreaded(2))
+        result = machine.run_group([triad_program, scalar_program])
         thread0_jobs = result.stats.thread(0).jobs
         assert sum(1 for job in thread0_jobs if job.completed) == 1
         assert result.stop_reason == "stop-condition"
 
     def test_companions_are_restarted(self, small_swm256, triad_program):
         """Short companions restart until the program on context 0 completes (figure 3)."""
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2))
-        result = simulator.run_group([small_swm256, triad_program])
+        machine = Machine.from_config(MachineConfig.multithreaded(2))
+        result = machine.run_group([small_swm256, triad_program])
         companion_jobs = result.stats.thread(1).jobs
         assert len(companion_jobs) > 1
         assert sum(1 for job in companion_jobs if job.completed) >= 1
 
     def test_no_restart_option(self, small_swm256, triad_program):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2))
-        result = simulator.run_group(
+        machine = Machine.from_config(MachineConfig.multithreaded(2))
+        result = machine.run_group(
             [small_swm256, triad_program], restart_companions=False
         )
         assert len(result.stats.thread(1).jobs) == 1
 
     def test_multithreading_raises_port_occupancy(self, small_swm256, small_tomcatv):
         """The headline claim: multithreading drives the single port towards saturation."""
-        reference = ReferenceSimulator(MachineConfig.reference(50))
+        reference = Machine.from_config(MachineConfig.reference(50))
         baseline = reference.run(small_swm256)
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        threaded = simulator.run_group([small_swm256, small_tomcatv])
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        threaded = machine.run_group([small_swm256, small_tomcatv])
         assert threaded.memory_port_occupancy > baseline.memory_port_occupancy
         assert threaded.memory_port_occupancy > 0.6
 
     def test_more_contexts_do_not_hurt_throughput(self, tiny_suite):
         programs = [tiny_suite[name] for name in ("swm256", "tomcatv", "flo52", "dyfesm")]
-        two = MultithreadedSimulator(MachineConfig.multithreaded(2, 50)).run_group(
+        two = Machine.from_config(MachineConfig.multithreaded(2, 50)).run_group(
             programs[:2]
         )
-        four = MultithreadedSimulator(MachineConfig.multithreaded(4, 50)).run_group(programs)
+        four = Machine.from_config(MachineConfig.multithreaded(4, 50)).run_group(programs)
         assert four.memory_port_occupancy >= two.memory_port_occupancy - 0.05
 
     def test_workload_description(self, triad_program, scalar_program):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2))
-        result = simulator.run_group([triad_program, scalar_program])
+        machine = Machine.from_config(MachineConfig.multithreaded(2))
+        result = machine.run_group([triad_program, scalar_program])
         assert triad_program.name in result.workload_description
         assert scalar_program.name in result.workload_description
 
@@ -69,26 +64,26 @@ class TestRunGroup:
 class TestRunJobQueue:
     def test_all_jobs_complete_exactly_once(self, tiny_suite):
         programs = [tiny_suite[name] for name in ("flo52", "swm256", "dyfesm")]
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        result = simulator.run_job_queue(programs)
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        result = machine.run_queue(programs)
         completed = result.completed_jobs()
         assert sorted(job.program for job in completed) == sorted(p.name for p in programs)
         assert result.stop_reason == "completed"
 
     def test_empty_queue_rejected(self):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2))
+        machine = Machine.from_config(MachineConfig.multithreaded(2))
         with pytest.raises(SimulationError):
-            simulator.run_job_queue([])
+            machine.run_queue([])
 
     def test_fixed_work_faster_with_more_contexts(self, tiny_suite):
         programs = [tiny_suite[name] for name in ("flo52", "swm256", "tomcatv", "dyfesm")]
-        two = MultithreadedSimulator(MachineConfig.multithreaded(2, 50)).run_job_queue(programs)
-        three = MultithreadedSimulator(MachineConfig.multithreaded(3, 50)).run_job_queue(programs)
+        two = Machine.from_config(MachineConfig.multithreaded(2, 50)).run_queue(programs)
+        three = Machine.from_config(MachineConfig.multithreaded(3, 50)).run_queue(programs)
         assert three.cycles <= two.cycles
 
     def test_timeline_entries_are_consistent(self, tiny_suite):
         programs = [tiny_suite[name] for name in ("flo52", "swm256", "dyfesm")]
-        result = MultithreadedSimulator(MachineConfig.multithreaded(2, 50)).run_job_queue(
+        result = Machine.from_config(MachineConfig.multithreaded(2, 50)).run_queue(
             programs
         )
         for record in result.jobs():
@@ -99,18 +94,16 @@ class TestRunJobQueue:
 
 class TestRunSingle:
     def test_single_program_on_multithreaded_machine(self, triad_program):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        threaded = simulator.run_single(triad_program)
-        reference = ReferenceSimulator(MachineConfig.reference(50)).run(triad_program)
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        threaded = machine.run(triad_program)
+        reference = Machine.from_config(MachineConfig.reference(50)).run(triad_program)
         # with identical crossbar latencies a single thread behaves like the
         # reference machine
         assert threaded.cycles == pytest.approx(reference.cycles, rel=0.02)
 
     def test_slower_crossbar_penalizes_single_thread(self, triad_program):
-        fast = MultithreadedSimulator(MachineConfig.multithreaded(2, 50)).run_single(
-            triad_program
-        )
-        slow = MultithreadedSimulator(
+        fast = Machine.from_config(MachineConfig.multithreaded(2, 50)).run(triad_program)
+        slow = Machine.from_config(
             MachineConfig.multithreaded(2, 50, crossbar_latency=3)
-        ).run_single(triad_program)
+        ).run(triad_program)
         assert slow.cycles >= fast.cycles

@@ -1,88 +1,51 @@
-"""Tests for the reference-architecture simulator facade."""
+"""Tests for the reference architecture (the single-context :class:`Machine`)."""
 
 from __future__ import annotations
 
-import pytest
-
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.reference import ReferenceSimulator, as_job, simulate_program
-from repro.core.suppliers import Job
-from repro.errors import ConfigurationError
 from repro.trace.dixie import trace_program
 from repro.workloads.stats import measure_program
 
 
-class TestAsJob:
-    def test_accepts_program(self, triad_program):
-        assert as_job(triad_program).name == triad_program.name
-
-    def test_accepts_trace(self, triad_program):
-        trace = trace_program(triad_program)
-        assert as_job(trace).name == triad_program.name
-
-    def test_accepts_job(self, triad_program):
-        job = Job.from_program(triad_program)
-        assert as_job(job) is job
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_job(42)
-
-
-class TestReferenceSimulator:
-    def test_rejects_multicontext_config(self):
-        with pytest.raises(ConfigurationError):
-            ReferenceSimulator(MachineConfig.multithreaded(2))
-
-    def test_run_counts_every_instruction(self, triad_program, reference_simulator):
-        result = reference_simulator.run(triad_program)
+class TestReferenceMachine:
+    def test_run_counts_every_instruction(self, triad_program, reference_machine):
+        result = reference_machine.run(triad_program)
         assert result.instructions == triad_program.dynamic_instruction_count
         assert result.stop_reason == "completed"
         assert result.workload_description == triad_program.name
 
-    def test_program_and_trace_give_identical_timing(self, triad_program, reference_simulator):
+    def test_program_and_trace_give_identical_timing(self, triad_program, reference_machine):
         """Simulating a program directly or through its Dixie trace is equivalent."""
-        direct = reference_simulator.run(triad_program)
-        traced = reference_simulator.run(trace_program(triad_program))
+        direct = reference_machine.run(triad_program)
+        traced = reference_machine.run(trace_program(triad_program))
         assert traced.cycles == direct.cycles
         assert traced.stats.memory_port_busy_cycles == direct.stats.memory_port_busy_cycles
 
-    def test_instruction_limit_partial_run(self, triad_program, reference_simulator):
-        full = reference_simulator.run(triad_program)
+    def test_instruction_limit_partial_run(self, triad_program, reference_machine):
+        full = reference_machine.run(triad_program)
         limit = triad_program.dynamic_instruction_count // 2
-        partial = reference_simulator.run(triad_program, instruction_limit=limit)
+        partial = reference_machine.run(triad_program, instruction_limit=limit)
         assert partial.instructions == limit
         assert partial.cycles < full.cycles
 
-    def test_runs_are_reproducible(self, triad_program, reference_simulator):
-        first = reference_simulator.run(triad_program)
-        second = reference_simulator.run(triad_program)
+    def test_runs_are_reproducible(self, triad_program, reference_machine):
+        first = reference_machine.run(triad_program)
+        second = reference_machine.run(triad_program)
         assert first.cycles == second.cycles
 
-    def test_memory_transactions_match_workload(self, triad_program, reference_simulator):
+    def test_memory_transactions_match_workload(self, triad_program, reference_machine):
         stats = measure_program(triad_program)
-        result = reference_simulator.run(triad_program)
+        result = reference_machine.run(triad_program)
         assert result.stats.memory_transactions == stats.memory_transactions
 
-    def test_run_sequence_and_sequential_cycles(self, triad_program, scalar_program):
-        simulator = ReferenceSimulator()
-        results = simulator.run_sequence([triad_program, scalar_program])
-        assert len(results) == 2
-        total = simulator.sequential_cycles([triad_program, scalar_program])
-        assert total == results[0].cycles + results[1].cycles
-
     def test_latency_increases_execution_time(self, triad_program):
-        fast = ReferenceSimulator(MachineConfig.reference(1)).run(triad_program)
-        slow = ReferenceSimulator(MachineConfig.reference(100)).run(triad_program)
+        fast = Machine.from_config(MachineConfig.reference(1)).run(triad_program)
+        slow = Machine.from_config(MachineConfig.reference(100)).run(triad_program)
         assert slow.cycles > fast.cycles
 
-    def test_simulate_program_helper(self, triad_program):
-        result = simulate_program(triad_program)
-        assert result.cycles > 0
-        assert result.num_contexts == 1
-
-    def test_summary_dictionary(self, triad_program, reference_simulator):
-        summary = reference_simulator.run(triad_program).summary()
+    def test_summary_dictionary(self, triad_program, reference_machine):
+        summary = reference_machine.run(triad_program).summary()
         assert summary["contexts"] == 1
         assert summary["memory_latency"] == 50
         assert summary["cycles"] > 0

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.reference import ReferenceSimulator
 from repro.core.results import SimulationResult
 from repro.core.statistics import JobRecord, SimulationStats, ThreadStats
 
@@ -50,7 +50,7 @@ class TestSimulationResult:
             assert key in summary
 
     def test_real_run_summary(self, triad_program):
-        result = ReferenceSimulator(MachineConfig.reference(10)).run(triad_program)
+        result = Machine.from_config(MachineConfig.reference(10)).run(triad_program)
         summary = result.summary()
         assert summary["cycles"] == result.cycles
         assert summary["memory_port_occupancy"] == pytest.approx(
@@ -71,16 +71,13 @@ class TestPackageSurface:
 
     def test_top_level_exports(self):
         for name in (
+            "Machine",
             "MachineConfig",
-            "ReferenceSimulator",
-            "MultithreadedSimulator",
-            "DualScalarSimulator",
             "IdealMachineModel",
             "SimulationResult",
             "build_benchmark",
             "build_suite",
             "build_workload",
-            "simulate_program",
             "SweepSpec",
             "load_sweep_spec",
             "run_sweep",

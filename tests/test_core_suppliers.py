@@ -10,6 +10,7 @@ from repro.core.suppliers import (
     JobQueueSupplier,
     RepeatingSupplier,
     SingleJobSupplier,
+    as_job,
 )
 from repro.isa.builder import nop, scalar_op
 from repro.isa.opcodes import Opcode
@@ -35,6 +36,23 @@ class TestJob:
         trace = trace_program(triad_program)
         job = Job.from_trace(trace)
         assert list(job.open_stream()) == list(triad_program.instructions())
+
+
+class TestAsJob:
+    def test_accepts_program(self, triad_program):
+        assert as_job(triad_program).name == triad_program.name
+
+    def test_accepts_trace(self, triad_program):
+        trace = trace_program(triad_program)
+        assert as_job(trace).name == triad_program.name
+
+    def test_accepts_job(self, triad_program):
+        job = Job.from_program(triad_program)
+        assert as_job(job) is job
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            as_job(42)
 
 
 class TestSuppliers:

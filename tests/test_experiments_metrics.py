@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator
 from repro.core.suppliers import Job
 from repro.errors import ExperimentError
 from repro.experiments.metrics import ReferenceBank, SpeedupBreakdown, compute_speedup
@@ -15,7 +14,7 @@ from repro.experiments.metrics import ReferenceBank, SpeedupBreakdown, compute_s
 @pytest.fixture()
 def bank(tiny_suite):
     jobs = {name: Job.from_program(program) for name, program in tiny_suite.items()}
-    return ReferenceBank(jobs, ReferenceSimulator(MachineConfig.reference(50)))
+    return ReferenceBank(jobs, Machine.from_config(MachineConfig.reference(50)))
 
 
 class TestReferenceBank:
@@ -60,16 +59,16 @@ class TestSpeedupComputation:
 
     def test_group_speedup_exceeds_one(self, tiny_suite, bank):
         """A 2-context group must beat running the same work sequentially."""
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        result = simulator.run_group([tiny_suite["swm256"], tiny_suite["tomcatv"]])
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        result = machine.run_group([tiny_suite["swm256"], tiny_suite["tomcatv"]])
         breakdown = compute_speedup(result, bank)
         assert breakdown.speedup > 1.0
         assert breakdown.completed_runs  # thread 0 completed at least once
         assert breakdown.multithreaded_cycles == result.cycles
 
     def test_speedup_accounts_for_partial_work(self, tiny_suite, bank):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        result = simulator.run_group([tiny_suite["swm256"], tiny_suite["tomcatv"]])
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        result = machine.run_group([tiny_suite["swm256"], tiny_suite["tomcatv"]])
         breakdown = compute_speedup(result, bank)
         # the companion thread was cut off mid-run, so either partial work was
         # recorded or the companion completed an exact number of runs
@@ -78,8 +77,8 @@ class TestSpeedupComputation:
         assert has_incomplete == (breakdown.partial_work_cycles > 0)
 
     def test_empty_jobs_are_ignored(self, bank, tiny_suite):
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        result = simulator.run_group([tiny_suite["flo52"], tiny_suite["swm256"]])
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        result = machine.run_group([tiny_suite["flo52"], tiny_suite["swm256"]])
         breakdown = compute_speedup(result, bank)
         for program, instructions, cycles in breakdown.partial_runs:
             assert instructions > 0

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator
 from repro.core.suppliers import Job
 from repro.experiments.fixed_workload import FixedWorkload
 from repro.experiments.latency_sweep import LatencySweep
@@ -39,7 +38,7 @@ def suite():
 @pytest.fixture(scope="module")
 def reference_bank(suite):
     jobs = {name: Job.from_program(program) for name, program in suite.items()}
-    return ReferenceBank(jobs, ReferenceSimulator(MachineConfig.reference(50)))
+    return ReferenceBank(jobs, Machine.from_config(MachineConfig.reference(50)))
 
 
 @pytest.fixture(scope="module")
@@ -63,18 +62,18 @@ class TestSpeedupClaims:
     @pytest.mark.parametrize("group", GROUPS_2, ids=["+".join(g) for g in GROUPS_2])
     def test_two_context_speedup_in_paper_range(self, suite, reference_bank, group):
         """2 contexts give speedups around 1.2-1.5 at latency 50 (figure 6)."""
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        result = simulator.run_group([suite[name] for name in group])
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        result = machine.run_group([suite[name] for name in group])
         speedup = compute_speedup(result, reference_bank).speedup
         assert 1.1 <= speedup <= 1.75
 
     @pytest.mark.parametrize("group", GROUPS_3, ids=["+".join(g) for g in GROUPS_3])
     def test_three_contexts_improve_on_two(self, suite, reference_bank, group):
         """Going from 2 to 3 contexts keeps improving throughput (figure 6)."""
-        two = MultithreadedSimulator(MachineConfig.multithreaded(2, 50)).run_group(
+        two = Machine.from_config(MachineConfig.multithreaded(2, 50)).run_group(
             [suite[name] for name in group[:2]]
         )
-        three = MultithreadedSimulator(MachineConfig.multithreaded(3, 50)).run_group(
+        three = Machine.from_config(MachineConfig.multithreaded(3, 50)).run_group(
             [suite[name] for name in group]
         )
         speedup_two = compute_speedup(two, reference_bank).speedup
@@ -86,29 +85,29 @@ class TestSpeedupClaims:
 class TestMemoryPortClaims:
     def test_reference_machine_leaves_the_port_heavily_idle(self, suite):
         """Section 5: the reference machine leaves 30-65%% of cycles with an idle port."""
-        simulator = ReferenceSimulator(MachineConfig.reference(70))
+        machine = Machine.from_config(MachineConfig.reference(70))
         idle_fractions = []
         for name in ("swm256", "hydro2d", "flo52", "nasa7", "dyfesm"):
-            result = simulator.run(suite[name])
+            result = machine.run(suite[name])
             idle_fractions.append(result.memory_port_idle_fraction)
         assert all(0.2 <= idle <= 0.8 for idle in idle_fractions)
 
     def test_two_threads_reach_high_port_occupancy(self, suite):
         """Section 6.2: with 2 threads the port reaches ~80-90%% occupancy."""
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(2, 50))
-        result = simulator.run_group([suite["swm256"], suite["hydro2d"]])
+        machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
+        result = machine.run_group([suite["swm256"], suite["hydro2d"]])
         assert result.memory_port_occupancy >= 0.75
 
     def test_three_threads_approach_saturation(self, suite):
         """Abstract / section 6.2: 3+ threads drive the port to ~90-95%%."""
-        simulator = MultithreadedSimulator(MachineConfig.multithreaded(3, 50))
-        result = simulator.run_group([suite["swm256"], suite["hydro2d"], suite["flo52"]])
+        machine = Machine.from_config(MachineConfig.multithreaded(3, 50))
+        result = machine.run_group([suite["swm256"], suite["hydro2d"], suite["flo52"]])
         assert result.memory_port_occupancy >= 0.88
 
     def test_vopc_improves_with_multithreading(self, suite):
         """Section 6.3: VOPC rises well above the reference machine's value."""
-        baseline = ReferenceSimulator(MachineConfig.reference(50)).run(suite["swm256"])
-        threaded = MultithreadedSimulator(MachineConfig.multithreaded(3, 50)).run_group(
+        baseline = Machine.from_config(MachineConfig.reference(50)).run(suite["swm256"])
+        threaded = Machine.from_config(MachineConfig.multithreaded(3, 50)).run_group(
             [suite["swm256"], suite["hydro2d"], suite["arc2d"]]
         )
         assert threaded.vopc > 1.2 * baseline.vopc

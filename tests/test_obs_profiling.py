@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.api import Machine
+from repro.core import Job, MachineConfig, SimulationEngine, SingleJobSupplier
 from repro.obs import (
     PROFILE_ENV_VAR,
     PROFILE_PHASES,
@@ -107,18 +108,19 @@ class TestEngineProfiling:
         assert set(result.phase_profile["phases"]) == set(PROFILE_PHASES)
 
     def test_wrappers_removed_after_profiled_run(self):
-        machine = Machine.named("reference")
-        machine.run(_workload(), profile=True)
-        simulator = machine._backend._simulator
-        engine = getattr(simulator, "_engine", None) or getattr(
-            simulator, "engine", None
+        engine = SimulationEngine(
+            MachineConfig.reference(),
+            [SingleJobSupplier(Job.from_program(_workload()))],
         )
+        with force_profiling(True):
+            result = engine.run()
+        assert result.phase_profile is not None
         # the loop wrappers are instance attributes installed per profiled
         # run; none may survive into the next (unprofiled) run
-        if engine is not None:
-            assert "earliest_issue" not in vars(engine.dispatch_model)
-            assert "execute" not in vars(engine.dispatch_model)
-        unprofiled = machine.run(_workload())
+        assert "earliest_issue" not in vars(engine.dispatch_model)
+        assert "execute" not in vars(engine.dispatch_model)
+        assert "schedule_columnar" not in vars(engine.memory)
+        unprofiled = Machine.named("reference").run(_workload())
         assert unprofiled.phase_profile is None
 
     def test_profile_bypasses_cache_both_ways(self):

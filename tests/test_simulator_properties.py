@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Machine
 from repro.core.config import MachineConfig
 from repro.core.ideal import IdealMachineModel
-from repro.core.multithreaded import MultithreadedSimulator
-from repro.core.reference import ReferenceSimulator
 from repro.workloads.generator import LoopSpec, WorkloadSpec, build_workload
 from repro.workloads.kernels import kernel_names
 from repro.workloads.stats import measure_program
@@ -45,7 +44,7 @@ class TestSimulationInvariants:
     def test_reference_run_conserves_work(self, spec, latency):
         program = build_workload(spec)
         stats = measure_program(program)
-        result = ReferenceSimulator(MachineConfig.reference(latency)).run(program)
+        result = Machine.from_config(MachineConfig.reference(latency)).run(program)
         # every dynamic instruction is dispatched exactly once
         assert result.instructions == stats.total_instructions
         assert result.stats.vector_instructions == stats.vector_instructions
@@ -59,7 +58,7 @@ class TestSimulationInvariants:
     @given(spec=workload_strategy, latency=st.sampled_from([1, 25, 80]))
     def test_execution_time_respects_resource_bounds(self, spec, latency):
         program = build_workload(spec)
-        result = ReferenceSimulator(MachineConfig.reference(latency)).run(program)
+        result = Machine.from_config(MachineConfig.reference(latency)).run(program)
         bound = IdealMachineModel().bound_for_programs([program])
         # ``cycles`` stops at the last decode slot; a trailing vector store
         # still drains on the address bus afterwards, so the resource bounds
@@ -72,8 +71,8 @@ class TestSimulationInvariants:
     def test_latency_monotonicity(self, spec):
         """Longer memory latency never makes the reference machine faster."""
         program = build_workload(spec)
-        fast = ReferenceSimulator(MachineConfig.reference(1)).run(program)
-        slow = ReferenceSimulator(MachineConfig.reference(100)).run(program)
+        fast = Machine.from_config(MachineConfig.reference(1)).run(program)
+        slow = Machine.from_config(MachineConfig.reference(100)).run(program)
         assert slow.cycles >= fast.cycles
 
     @settings(max_examples=6, deadline=None)
@@ -81,8 +80,8 @@ class TestSimulationInvariants:
     def test_multithreading_never_slows_fixed_work(self, spec):
         """Running the same two programs on 2 contexts beats running them back to back."""
         program = build_workload(spec)
-        single = ReferenceSimulator(MachineConfig.reference(50)).run(program)
-        queued = MultithreadedSimulator(MachineConfig.multithreaded(2, 50)).run_job_queue(
+        single = Machine.from_config(MachineConfig.reference(50)).run(program)
+        queued = Machine.from_config(MachineConfig.multithreaded(2, 50)).run_queue(
             [program, program]
         )
         sequential = 2 * single.cycles
@@ -92,6 +91,6 @@ class TestSimulationInvariants:
     @given(spec=workload_strategy, latency=st.sampled_from([1, 50]))
     def test_fu_state_breakdown_partitions_time(self, spec, latency):
         program = build_workload(spec)
-        result = ReferenceSimulator(MachineConfig.reference(latency)).run(program)
+        result = Machine.from_config(MachineConfig.reference(latency)).run(program)
         breakdown = result.fu_state_breakdown()
         assert sum(breakdown.values()) == result.cycles
