@@ -19,8 +19,9 @@ With ``--check-against`` the freshly measured numbers are compared entry by
 entry against a previously committed baseline and the process exits non-zero
 when any single-run throughput — or the stats-finalize reduction rate of the
 columnar statistics pipeline, the scoreboard-hazard dispatch rate, or the
-cold/warm jobs-per-second of the simulation service round-trip, or the
-shed-and-retry jobs-per-second of the overloaded service —
+cold/warm jobs-per-second of the simulation service round-trip, the
+shed-and-retry jobs-per-second of the overloaded service, or the cold and
+repeat keys-per-second of request keying —
 dropped by more than ``--max-regression`` (default 30%).  Baselines are only
 written from a clean git tree (``--allow-dirty`` overrides, marking the
 recorded revision), so the recorded ``git_rev`` always describes the
@@ -489,6 +490,56 @@ def measure_service_overload(repeats: int) -> list[dict]:
     ]
 
 
+#: The 3-program group keyed by the request-keying rows (service job scale).
+REQUEST_KEY_GROUP = ("swm256", "tomcatv", "hydro2d")
+
+
+def measure_request_key(repeats: int) -> list[dict]:
+    """Keys/sec of ``SimulationRequest.cache_key`` for a fresh 3-program group.
+
+    Every repeat builds the programs anew (outside the timed region), the way
+    the service materializes each POSTed job document, then times keying:
+
+    * ``cold`` — the expansion intern table is cleared first, so every
+      program is expanded and its content digest computed;
+    * ``repeat`` — the table is warm, so the expansions and their memoized
+      fingerprints are reused.
+
+    ``instrs_per_sec`` records **keys** per second for these rows.
+    """
+    from repro.workloads.program import clear_expansion_intern
+
+    def time_keying(cold: bool) -> float:
+        samples = []
+        for _ in range(repeats):
+            if cold:
+                clear_expansion_intern()
+            request = SimulationRequest.group(
+                "multithreaded-3",
+                [build_benchmark(name, scale=SINGLE_RUN_SCALE) for name in REQUEST_KEY_GROUP],
+                memory_latency=50,
+            )
+            start = time.perf_counter()
+            request.cache_key()
+            samples.append(time.perf_counter() - start)
+        return min(samples)
+
+    cold_seconds = time_keying(cold=True)
+    repeat_seconds = time_keying(cold=False)
+    clear_expansion_intern()
+    return [
+        {
+            "benchmark": "request_key",
+            "model": label,
+            "workload": "+".join(REQUEST_KEY_GROUP),
+            "instructions": 1,
+            "seconds": round(seconds, 6),
+            "instrs_per_sec": round(1 / seconds, 1),
+        }
+        for label, seconds in (("cold", cold_seconds), ("repeat", repeat_seconds))
+    ]
+
+
 #: Telemetry transactions per repeat of the obs-overhead microbenchmark.
 OBS_OVERHEAD_OPS = 50_000
 #: Workload scale of the profiled-run overhead row.
@@ -684,6 +735,7 @@ def collect(repeats: int, *, dirty: bool = False) -> dict:
         + measure_scoreboard_hazard(repeats)
         + measure_service_roundtrip(repeats)
         + measure_service_overload(repeats)
+        + measure_request_key(repeats)
         + measure_obs_overhead(repeats)
         + measure_batch_scaling(repeats)
     )
@@ -712,6 +764,7 @@ GATED_BENCHMARKS = (
     "scoreboard_hazard",
     "service_roundtrip",
     "service_overload",
+    "request_key",
     "obs_overhead",
 )
 

@@ -5,7 +5,7 @@ observability contract end to end:
 
 * every submitted job carries a client-minted trace id through router →
   shard → pool worker and back, and its span chain is **complete** — the
-  submit, store-lookup, queue-wait, execute and result-ship spans are all
+  keying, submit, store-lookup, queue-wait, execute and result-ship spans are all
   present with the same trace id;
 * ``GET /metrics`` parses cleanly as Prometheus exposition on the router
   *and* on every shard (``# HELP``/``# TYPE`` present, no stray lines);
@@ -40,10 +40,14 @@ SHARDS = 2
 BENCHMARKS = ("tomcatv", "swm256", "dyfesm")
 
 #: Spans every executed job must record, in no particular order.
-REQUIRED_SPANS = ("submit", "store-lookup", "queue-wait", "execute", "result-ship")
+REQUIRED_SPANS = (
+    "keying", "submit", "store-lookup", "queue-wait", "execute", "result-ship",
+)
 
 #: Histogram families whose cluster aggregation must be exact.
-CHECKED_HISTOGRAMS = ("repro_queue_wait_seconds", "repro_execute_seconds")
+CHECKED_HISTOGRAMS = (
+    "repro_request_key_seconds", "repro_queue_wait_seconds", "repro_execute_seconds",
+)
 
 
 def _scrape(url: str) -> dict:

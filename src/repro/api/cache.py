@@ -27,8 +27,7 @@ from collections.abc import Iterable
 
 from repro.core.config import MachineConfig
 from repro.core.results import SimulationResult
-from repro.core.suppliers import as_job
-from repro.core.suppliers import Job
+from repro.core.suppliers import Job, as_job
 from repro.trace.records import TraceSet
 from repro.workloads.program import Program
 
@@ -41,7 +40,8 @@ __all__ = [
 
 Workload = Job | Program | TraceSet
 
-#: Identity-keyed memo of workload fingerprints (hashing a stream is O(n)).
+#: Identity-keyed memo of trace and instruction-tuple fingerprints (hashing a
+#: stream is O(n)); program fingerprints are memoized on their expansion.
 _workload_fingerprints: "weakref.WeakKeyDictionary[object, str]" = weakref.WeakKeyDictionary()
 
 
@@ -68,14 +68,23 @@ def fingerprint_workload(workload: Workload) -> str:
     Two workloads with identical streams fingerprint identically regardless of
     how they were built (``Program``, ``TraceSet`` or ``Job``), which is what
     lets a trace replay hit the cache entry of the program it was traced from.
+
+    A program-backed workload's digest is memoized on its interned expansion
+    (:meth:`~repro.workloads.program.Program.fingerprint`), so every rebuild
+    of the same program is hashed once per process; traces and fixed
+    instruction tuples are memoized per object.
     """
+    job = as_job(workload)
+    program = job.program
+    if program is not None:
+        return program.fingerprint(job.name, lambda: _hash_stream(job))
     try:
         cached = _workload_fingerprints.get(workload)
     except TypeError:  # not weak-referenceable
         cached = None
     if cached is not None:
         return cached
-    fingerprint = _hash_stream(as_job(workload))
+    fingerprint = _hash_stream(job)
     try:
         _workload_fingerprints[workload] = fingerprint
     except TypeError:

@@ -82,10 +82,14 @@ class Job:
         factory = self._stream_factory
         if isinstance(factory, _FrozenStreamFactory):
             return factory._instructions
-        owner = getattr(factory, "__self__", None)
-        if isinstance(owner, Program):
-            return owner.expanded()
-        return None
+        program = self.program
+        return None if program is None else program.expanded()
+
+    @property
+    def program(self) -> Program | None:
+        """The :class:`Program` whose expansion this job streams, if any."""
+        owner = getattr(self._stream_factory, "__self__", None)
+        return owner if isinstance(owner, Program) else None
 
     # ------------------------------------------------------------------ #
     @classmethod

@@ -19,7 +19,9 @@ __all__ = ["parse_exposition", "render_families"]
 def _format_value(value: float) -> str:
     if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return f"{value:g}"
+    # the shortest exact form: a scrape parses back the value that was
+    # recorded, so cross-shard sums can be checked to the last bit
+    return repr(value)
 
 
 def _format_labels(labelnames: list[str], labelvalues: list[str]) -> str:
@@ -58,7 +60,7 @@ def render_families(snapshot: dict) -> list[str]:
                 suffix = _label_suffix(labelnames, labelvalues, 'le="+Inf"')
                 lines.append(f"{name}_bucket{suffix} {series['count']}")
                 label_str = _format_labels(labelnames, labelvalues)
-                lines.append(f"{name}_sum{label_str} {series['sum']:g}")
+                lines.append(f"{name}_sum{label_str} {_format_value(series['sum'])}")
                 lines.append(f"{name}_count{label_str} {series['count']}")
             else:
                 label_str = _format_labels(labelnames, labelvalues)

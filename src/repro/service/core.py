@@ -196,6 +196,10 @@ class SimulationService:
 
         self._queue = CoalescingPriorityQueue()
         self._jobs: OrderedDict[str, JobRecord] = OrderedDict()
+        #: key -> [payload, retained store-hit records holding it]: every
+        #: store hit on one key shares one payload object instead of pinning
+        #: a private copy per retained record.
+        self._store_payloads: dict[tuple, list] = {}
         self._lock = threading.RLock()
         self._finished = threading.Condition(self._lock)
         self._gate = threading.Event()
@@ -227,6 +231,10 @@ class SimulationService:
         self._execute_seconds = self.metrics.histogram(
             "repro_execute_seconds",
             "Wall-clock time of one dispatched execution (seconds)",
+        )
+        self._request_key_seconds = self.metrics.histogram(
+            "repro_request_key_seconds",
+            "Time spent computing a submission's content key (seconds)",
         )
         #: Bounded per-job span timelines behind ``GET /jobs/<id>/trace``.
         self.trace = TraceLog()
@@ -273,9 +281,11 @@ class SimulationService:
             raise ConfigurationError("timeout must be positive (or None)")
         if timeout is None:
             timeout = self.default_timeout
-        key = request.cache_key()
         submit_started = time.perf_counter()
         submit_wall = time.time()
+        key = request.cache_key()
+        key_seconds = time.perf_counter() - submit_started
+        self._request_key_seconds.observe(key_seconds)
         job = JobRecord(
             job_id=uuid.uuid4().hex,
             key=key,
@@ -287,6 +297,13 @@ class SimulationService:
             # X-Repro-Trace, assigned here otherwise, so every job has a
             # complete span timeline
             trace_id=trace_id if trace_id else new_trace_id(),
+        )
+        self.trace.add_span(
+            job.job_id,
+            "keying",
+            trace_id=job.trace_id,
+            start=submit_wall,
+            duration=key_seconds,
         )
         # probe the store outside the service lock: it is internally
         # thread-safe, and its disk round-trip must not serialize every
@@ -301,7 +318,7 @@ class SimulationService:
                 job.job_id,
                 "store-lookup",
                 trace_id=job.trace_id,
-                start=submit_wall,
+                start=submit_wall + key_seconds,
                 duration=time.perf_counter() - lookup_started,
                 hit=payload is not None,
             )
@@ -320,7 +337,7 @@ class SimulationService:
             if payload is not None:
                 self._counters["store_hits"].inc()
                 job.served_from = "store"
-                job.payload = payload
+                job.payload = self._share_store_payload(key, payload)
                 job.finished_at = time.time()
                 job.state = JobState.DONE
                 self._remember(job)
@@ -416,9 +433,31 @@ class SimulationService:
             for job_id, record in self._jobs.items():
                 if record.finished:
                     del self._jobs[job_id]
+                    if record.served_from == "store":
+                        self._release_store_payload(record.key)
                     break
             else:  # every tracked job is still live; keep them all
                 break
+
+    def _share_store_payload(self, key: tuple, payload: bytes) -> bytes:
+        """The payload object every retained store hit on ``key`` shares.
+
+        Store entries are content-addressed, so every hit on one key reads
+        the same bytes; keeping one object per key bounds the records'
+        memory by the number of distinct keys instead of ``keep_jobs``.
+        """
+        shared = self._store_payloads.get(key)
+        if shared is None:
+            shared = self._store_payloads[key] = [payload, 0]
+        shared[1] += 1
+        return shared[0]
+
+    def _release_store_payload(self, key: tuple) -> None:
+        """Drop one pruned store-hit record's claim on its shared payload."""
+        shared = self._store_payloads[key]
+        shared[1] -= 1
+        if shared[1] == 0:
+            del self._store_payloads[key]
 
     # ------------------------------------------------------------------ #
     # dispatch

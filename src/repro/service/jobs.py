@@ -9,8 +9,9 @@ simulation (request coalescing) or be served straight from the durable store;
 * ``"store"`` — the result was already in the :class:`~repro.service.store.ResultStore`.
 
 Completed jobs hold the pickled result payload (`bytes`), shared between all
-jobs of one coalesced entry, so every waiter downloads byte-identical data
-even if the store evicts the entry later.
+jobs of one coalesced entry (and between all retained store hits on one
+key), so every waiter downloads byte-identical data even if the store
+evicts the entry later.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
@@ -423,15 +423,25 @@ class _Section:
 # expanded tuple.  The intern table below does exactly that, keyed by that
 # structural signature and bounded LRU so a long-lived service cannot
 # accumulate expansions without limit.
+#
+# Each entry also carries a *fingerprint memo*: content digests of the
+# expansion, keyed by the job name they were taken under (see
+# :meth:`Program.fingerprint`).  A digest is a pure function of (name,
+# expansion), so it is computed once per interned expansion and shared by
+# every program bound to it; the memo lives and dies with its entry.
 
 #: Upper bound on retained expansions (each can be ~10⁵ instructions).
 _INTERN_MAX_ENTRIES = 32
 
 _intern_lock = threading.Lock()
-_interned_expansions: "OrderedDict[tuple, tuple[Instruction, ...]]" = OrderedDict()
+_interned_expansions: "OrderedDict[tuple, tuple[tuple[Instruction, ...], dict[str, str]]]" = (
+    OrderedDict()
+)
 _interning_enabled = True
 _intern_hits = 0
 _intern_misses = 0
+_fingerprint_hits = 0
+_fingerprint_misses = 0
 
 
 def set_expansion_interning(enabled: bool) -> None:
@@ -442,12 +452,14 @@ def set_expansion_interning(enabled: bool) -> None:
 
 
 def clear_expansion_intern() -> None:
-    """Drop every interned expansion and reset the hit/miss counters."""
-    global _intern_hits, _intern_misses
+    """Drop every interned expansion (and its fingerprint memo) and reset the counters."""
+    global _intern_hits, _intern_misses, _fingerprint_hits, _fingerprint_misses
     with _intern_lock:
         _interned_expansions.clear()
         _intern_hits = 0
         _intern_misses = 0
+        _fingerprint_hits = 0
+        _fingerprint_misses = 0
 
 
 def expansion_intern_info() -> dict:
@@ -458,27 +470,49 @@ def expansion_intern_info() -> dict:
             "entries": len(_interned_expansions),
             "hits": _intern_hits,
             "misses": _intern_misses,
+            "fingerprint_hits": _fingerprint_hits,
+            "fingerprint_misses": _fingerprint_misses,
         }
 
 
-def _intern_lookup(key: tuple) -> "tuple[Instruction, ...] | None":
+def _intern_lookup(key: tuple) -> "tuple[tuple[Instruction, ...], dict[str, str]] | None":
     global _intern_hits
     with _intern_lock:
-        expansion = _interned_expansions.get(key)
-        if expansion is not None:
+        entry = _interned_expansions.get(key)
+        if entry is not None:
             _interned_expansions.move_to_end(key)
             _intern_hits += 1
-        return expansion
+        return entry
 
 
-def _intern_store(key: tuple, expansion: "tuple[Instruction, ...]") -> None:
+def _intern_store(
+    key: tuple, expansion: "tuple[Instruction, ...]"
+) -> "tuple[tuple[Instruction, ...], dict[str, str]]":
+    """Intern ``expansion`` under ``key``; returns the entry to bind.
+
+    When another thread interned the same key while this one was expanding,
+    its entry wins, so concurrent builders still end up sharing one
+    expansion and one fingerprint memo.
+    """
     global _intern_misses
     with _intern_lock:
         _intern_misses += 1
-        _interned_expansions[key] = expansion
+        entry = _interned_expansions.get(key)
+        if entry is None:
+            entry = _interned_expansions[key] = (expansion, {})
         _interned_expansions.move_to_end(key)
         while len(_interned_expansions) > _INTERN_MAX_ENTRIES:
             _interned_expansions.popitem(last=False)
+        return entry
+
+
+def _count_fingerprint(hit: bool) -> None:
+    global _fingerprint_hits, _fingerprint_misses
+    with _intern_lock:
+        if hit:
+            _fingerprint_hits += 1
+        else:
+            _fingerprint_misses += 1
 
 
 class Program:
@@ -499,6 +533,9 @@ class Program:
         self._loops: list[LoopNest] = []
         self._sections: list[_Section] | None = None
         self._expanded: tuple[Instruction, ...] | None = None
+        #: Fingerprint memo bound together with ``_expanded`` (shared with
+        #: the intern entry when the expansion is interned).
+        self._fingerprints: dict[str, str] | None = None
 
     # ------------------------------------------------------------------ #
     def add_loop(self, loop: LoopNest) -> "Program":
@@ -506,6 +543,7 @@ class Program:
         self._loops.append(loop)
         self._sections = None
         self._expanded = None
+        self._fingerprints = None
         return self
 
     @property
@@ -601,14 +639,31 @@ class Program:
             self._schedule()
             key = self._intern_key() if _interning_enabled else None
             if key is None:
-                self._expanded = self._expand()
+                self._expanded, self._fingerprints = self._expand(), {}
             else:
-                expansion = _intern_lookup(key)
-                if expansion is None:
-                    expansion = self._expand()
-                    _intern_store(key, expansion)
-                self._expanded = expansion
+                entry = _intern_lookup(key)
+                if entry is None:
+                    entry = _intern_store(key, self._expand())
+                self._expanded, self._fingerprints = entry
         return self._expanded
+
+    def fingerprint(self, name: str, compute: Callable[[], str]) -> str:
+        """The content fingerprint of this expansion under job name ``name``.
+
+        ``compute`` produces the digest on a miss; the result is memoized on
+        the expansion, so structurally identical programs (a rebuilt
+        benchmark, a pickled copy) pay for one digest per process while
+        their expansion stays interned.
+        """
+        self.expanded()
+        memo = self._fingerprints
+        # no lock across the O(n) hash: threads missing together compute
+        # the same digest, so the racing memo writes are idempotent
+        digest = memo.get(name)
+        _count_fingerprint(digest is not None)
+        if digest is None:
+            digest = memo[name] = compute()
+        return digest
 
     def instructions(self) -> Iterator[Instruction]:
         """Iterator over :meth:`expanded` (the job stream-factory protocol)."""
@@ -616,9 +671,11 @@ class Program:
 
     def __getstate__(self) -> dict:
         # The memoized expansion can be large and is cheap to rebuild; drop
-        # it when a program is pickled into batch worker processes.
+        # it (and the fingerprint memo bound to it) when a program is
+        # pickled into batch worker processes.
         state = self.__dict__.copy()
         state["_expanded"] = None
+        state["_fingerprints"] = None
         return state
 
     def iter_block_ids(self) -> Iterator[int]:

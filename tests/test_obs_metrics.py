@@ -139,6 +139,14 @@ class TestExposition:
         counter_samples = parsed["repro_jobs_total"]["samples"]
         assert ("repro_jobs_total", {"kind": "fast"}, 2.0) in counter_samples
 
+    def test_float_values_render_exactly(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("repro_wait_seconds", "Wait")
+        histogram.observe(0.0014726681234)
+        parsed = parse_exposition("\n".join(render_families(registry.snapshot())))
+        samples = {name: value for name, _labels, value in parsed["repro_wait_seconds"]["samples"]}
+        assert samples["repro_wait_seconds_sum"] == 0.0014726681234
+
 
 class TestMerge:
     def _shard(self, observations: list[float], submitted: int) -> dict:
@@ -206,6 +214,7 @@ class TestServiceScrape:
         parsed = parse_exposition(text)
         assert parsed["repro_service_submitted_total"]["type"] == "counter"
         assert parsed["repro_queue_wait_seconds"]["type"] == "histogram"
+        assert parsed["repro_request_key_seconds"]["type"] == "histogram"
         # the flat counter aliases are gone; gauges and rates remain
         assert "repro_submitted_total" not in parsed
         assert "repro_store_hit_rate" in parsed

@@ -11,6 +11,7 @@ from repro.core.suppliers import Job
 from repro.errors import ConfigurationError, SimulationError
 from repro.service import JobState, ResultStore, SimulationService
 from repro.workloads import build_benchmark
+from repro.workloads.program import clear_expansion_intern, expansion_intern_info
 
 SCALE = 0.05
 
@@ -204,6 +205,48 @@ class TestHousekeeping:
             low_record = service.job(low.job_id)
             high_record = service.job(high.job_id)
             assert high_record.finished_at <= low_record.finished_at
+
+
+class TestStorePayloadSharing:
+    def test_store_hits_share_one_payload_object_per_key(self, tmp_path):
+        store = ResultStore(tmp_path)
+        requests = [_request(memory_latency=10 + index) for index in range(4)]
+        for index, request in enumerate(requests):
+            store.put_bytes(request.cache_key(), pickle.dumps(("payload", index)))
+        with SimulationService(store=store, workers=1) as service:
+            for hit in range(1100):
+                record = service.submit(requests[hit % 3])
+                assert record.served_from == "store"
+            retained = list(service._jobs.values())
+            assert len(retained) == service.keep_jobs
+            assert len({id(record.payload) for record in retained}) == 3
+            assert len(service._store_payloads) == 3
+            # once every record of the first three keys is pruned, their
+            # shared payloads are dropped too
+            for _ in range(service.keep_jobs):
+                service.submit(requests[3])
+            assert list(service._store_payloads) == [requests[3].cache_key()]
+            assert service._store_payloads[requests[3].cache_key()][1] == service.keep_jobs
+
+
+class TestKeyingTelemetry:
+    def test_keying_is_timed_inside_submit(self, service):
+        job = service.submit(_request())
+        spans = {span["span"]: span for span in service.trace.spans(job.job_id)}
+        assert spans["keying"]["trace_id"] == job.trace_id
+        assert spans["keying"]["start"] == spans["submit"]["start"]
+        assert spans["keying"]["duration_ms"] <= spans["submit"]["duration_ms"]
+        histogram = service.metrics_snapshot()["repro_request_key_seconds"]
+        assert histogram["type"] == "histogram"
+        assert histogram["series"][0]["count"] == 1
+
+    def test_rebuilt_requests_hit_the_fingerprint_memo(self, service):
+        clear_expansion_intern()
+        service.submit(_request("swm256"))
+        service.submit(_request("swm256"))  # fresh programs, same content
+        info = expansion_intern_info()
+        assert (info["fingerprint_hits"], info["fingerprint_misses"]) == (1, 1)
+        clear_expansion_intern()
 
 
 class TestDrainTimeout:

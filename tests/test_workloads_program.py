@@ -256,6 +256,7 @@ class TestExpansionInterning:
             assert first._expanded is not None  # per-instance memo still on
             assert expansion_intern_info() == {
                 "enabled": False, "entries": 0, "hits": 0, "misses": 0,
+                "fingerprint_hits": 0, "fingerprint_misses": 0,
             }
         finally:
             set_expansion_interning(True)
