@@ -3,9 +3,14 @@ derived parameters, deduplication and stable point identity."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SweepError
+from repro.service.store import key_digest
 from repro.sweep import (
     DerivedParam,
     PerturbationRule,
@@ -16,7 +21,20 @@ from repro.sweep import (
     ZipGroup,
     compile_sweep,
     derive_seed,
+    load_sweep_spec,
 )
+
+EXAMPLE_SWEEPS = Path(__file__).resolve().parent.parent / "examples" / "sweeps"
+
+#: sha256 of the JSON list of ``(point_id, label, key_digest(request key))``
+#: of every point of each example sweep.  A change to how points turn into
+#: requests must not move a single content key: the store, the coalescing
+#: queue and the shard ring are all addressed by them.
+PINNED_POINT_KEYS = {
+    "figure10_threads.toml": "4a1ab4e3a4c1d089b095af55b22114e002ae35293e494731bbeed1cc6b868f91",
+    "figure4_reference.toml": "c992c378187274230bec5e78b6ddc48376217994d247960ac76679c7f8d57f68",
+    "scheduler_adapt.toml": "826c55472d498fd68e00ac161b5eb29d3d0fda9a1d977ace40404a3aa0703c7d",
+}
 
 REQUEST = RequestTemplate(machine="reference", mode="single", scale=0.05)
 
@@ -292,3 +310,18 @@ class TestRequestConstruction:
         assert len(compiled) == 1
         assert compiled.points[0].request.mode == "queue"
         assert len(compiled.points[0].request.workloads) == 2
+
+
+class TestPinnedPointKeys:
+    def test_table_covers_every_example(self):
+        assert set(PINNED_POINT_KEYS) == {p.name for p in EXAMPLE_SWEEPS.glob("*.toml")}
+
+    @pytest.mark.parametrize("name", sorted(PINNED_POINT_KEYS))
+    def test_point_keys_match_pinned_digest(self, name):
+        compiled = compile_sweep(load_sweep_spec(EXAMPLE_SWEEPS / name))
+        rows = [
+            (point.point_id, point.label, key_digest(point.request.cache_key()))
+            for point in compiled.points
+        ]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == PINNED_POINT_KEYS[name]
