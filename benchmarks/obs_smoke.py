@@ -24,7 +24,6 @@ import tempfile
 import urllib.request
 from pathlib import Path
 
-from repro.api.batch import SimulationRequest
 from repro.obs import parse_exposition
 from repro.service import (
     ResultStore,
@@ -33,7 +32,6 @@ from repro.service import (
     ShardRouterServer,
     SimulationService,
 )
-from repro.workloads import build_benchmark
 
 SCALE = 0.05
 SHARDS = 2
@@ -87,11 +85,7 @@ def main() -> int:
 
                 # -- complete span chains through the router ------------- #
                 handles = [
-                    client.submit_request(
-                        SimulationRequest.single(
-                            "reference", build_benchmark(name, scale=SCALE)
-                        )
-                    )
+                    client.submit("reference", {"benchmark": name, "scale": SCALE})
                     for name in BENCHMARKS
                 ]
                 for handle in handles:

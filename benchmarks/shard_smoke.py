@@ -29,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.api.batch import SimulationRequest, _execute_request_to_bytes
+from repro.api.batch import _execute_request_to_bytes
 from repro.service import (
     ResultStore,
     ServiceClient,
@@ -38,21 +38,28 @@ from repro.service import (
     ShardRouterServer,
     SimulationService,
 )
-from repro.workloads import build_benchmark
+from repro.service.specs import request_from_document
 
 SCALE = 0.05
 SHARDS = 3
 BENCHMARKS = ("tomcatv", "swm256", "dyfesm", "bdna")
 
 
-def _request_owned_by(router: ShardRouter, owner: str) -> SimulationRequest:
-    """A probe request whose ring owner is ``owner`` (varies an option)."""
-    program = build_benchmark("tomcatv", scale=SCALE)
+def _document(name: str = "tomcatv", **options) -> dict:
+    return {
+        "machine": "reference",
+        "workloads": [{"benchmark": name, "scale": SCALE}],
+        "options": options,
+    }
+
+
+def _document_owned_by(router: ShardRouter, owner: str) -> dict:
+    """A probe job document whose ring owner is ``owner`` (varies an option)."""
     for latency in range(40, 400):
-        request = SimulationRequest.single("reference", program, memory_latency=latency)
-        if router.shard_for(request.cache_key()) == owner:
-            return request
-    raise AssertionError(f"no probe request hashed onto {owner}")
+        document = _document(memory_latency=latency)
+        if router.shard_for(request_from_document(document).cache_key()) == owner:
+            return document
+    raise AssertionError(f"no probe document hashed onto {owner}")
 
 
 def main() -> int:
@@ -71,14 +78,12 @@ def main() -> int:
         try:
             # -- duplicate submissions from two independent clients -------- #
             clients = (ServiceClient(urls), ServiceClient(list(reversed(urls))))
-            requests = [
-                SimulationRequest.single("reference", build_benchmark(name, scale=SCALE))
-                for name in BENCHMARKS
-            ]
+            documents = [_document(name) for name in BENCHMARKS]
+            requests = [request_from_document(document) for document in documents]
             handles = [
-                (request, client.submit_request(request))
+                (request, client.submit_document(document))
                 for client in clients
-                for request in requests
+                for document, request in zip(documents, requests)
             ]
             for request, handle in handles:
                 owner = router.shard_for(request.cache_key())
@@ -134,12 +139,12 @@ def main() -> int:
             victim.stop()
             print(f"killed shard {victim_url}")
             survivor_client = ServiceClient(urls, timeout=5.0, retries=0)
-            probe = _request_owned_by(router, victim_url)
-            handle = survivor_client.submit_request(probe)
+            probe = _document_owned_by(router, victim_url)
+            handle = survivor_client.submit_document(probe)
             assert handle.degraded is True, "failover must be marked degraded"
             assert handle.shard in urls[1:], handle.shard
             payload = handle.result_bytes(timeout=120.0)
-            assert payload == _execute_request_to_bytes(probe), (
+            assert payload == _execute_request_to_bytes(request_from_document(probe)), (
                 "failover payload differs from in-process execution"
             )
             health = survivor_client.healthz()

@@ -9,7 +9,10 @@ and asserts the acceptance criteria end to end:
 * the warm re-run is answered almost entirely (>= 90%) by the durable store —
   no re-simulation — and its result ledger is **byte-identical** to the cold
   run's, which is the cheap end-to-end proof that the spec compiler, the
-  store keys and the engine payloads all still agree.
+  store keys and the engine payloads all still agree;
+* the same spec run locally (no service) and through a 2-URL sharded client
+  over two more servers writes the **same** ledger: in-process requests and
+  the JSON job documents the service decodes describe the same simulations.
 
 Run it the way CI does::
 
@@ -98,6 +101,24 @@ def main() -> int:
             print(f"ledger stable across re-run ({len(cold_ledger)} bytes)")
         # ServiceServer.__exit__ stopped the HTTP thread and shut the
         # service (dispatcher + worker pool) down
+
+        local = run_sweep(spec, out_dir=root / "local")
+        assert local.run.counts()["failed"] == 0, local.run.counts()
+        with (
+            ServiceServer(SimulationService(store=None, workers=1, name="shard0"), port=0) as a,
+            ServiceServer(SimulationService(store=None, workers=1, name="shard1"), port=0) as b,
+        ):
+            sharded = run_sweep(
+                spec, client=ServiceClient([a.url, b.url]), out_dir=root / "sharded"
+            )
+            assert sharded.run.counts()["failed"] == 0, sharded.run.counts()
+            assert a.service.stats()["executed"] and b.service.stats()["executed"], (
+                "the sharded sweep must spread over both shards"
+            )
+        for path in ("local", "sharded"):
+            ledger = (root / path / "ledger.sha256").read_bytes()
+            assert ledger == cold_ledger, f"{path} ledger differs from the service ledger"
+        print("local, single-service and 2-shard runs write one ledger")
         print("sweep smoke check passed; clean shutdown")
     return 0
 

@@ -107,7 +107,13 @@ class Machine:
     @classmethod
     def named(cls, name: str, *, cache: RunCache | None = None, **options) -> "Machine":
         """Resolve a registered machine model by name (``Machine.named("multithreaded-2")``)."""
-        produced = resolve_model(name).factory(**options)
+        factory = resolve_model(name).factory
+        try:
+            produced = factory(**options)
+        except (TypeError, ValueError) as error:  # a bad keyword or option value
+            raise ConfigurationError(
+                f"bad options {sorted(options)} for model {name!r}: {error}"
+            ) from None
         if not isinstance(produced, Machine):
             raise ConfigurationError(
                 f"the factory for model {name!r} returned {type(produced).__name__}; "

@@ -8,11 +8,12 @@ remote job submission::
     result = handle.wait()                # a SimulationResult, cycle-identical
     print(result.cycles)                  # to Machine.run on the same inputs
 
-Workloads may be benchmark names / JSON specs (serialized declaratively) or
-real :class:`~repro.workloads.program.Program` / :class:`~repro.core.suppliers.Job`
-/ :class:`~repro.trace.records.TraceSet` objects (shipped as a pickled
-:class:`~repro.api.batch.SimulationRequest`, like the batch worker pool
-does).  Only stdlib :mod:`urllib` is used — no new runtime dependencies.
+Workloads are benchmark names or JSON specs: every submission is one JSON
+job document (:mod:`repro.service.specs`), the only encoding the service
+accepts.  Requests over in-memory programs or traces run in-process through
+:func:`~repro.api.batch.run_batch`.  Results come back as canonical pickles
+that the client unpickles, so point it only at a server you trust.  Only
+stdlib :mod:`urllib` is used — no new runtime dependencies.
 
 Pass several base URLs (``"http://a:1,http://b:2"`` or a list) to talk to a
 sharded cluster: the client consistently hashes each request's content key
@@ -32,12 +33,18 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from repro.api.batch import SimulationRequest
 from repro.core.results import SimulationResult
-from repro.errors import JobCancelled, JobTimeout, ReproError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    JobCancelled,
+    JobTimeout,
+    ReproError,
+    SimulationError,
+)
 from repro.faults import inject_conn_reset
 from repro.obs.trace import TRACE_HEADER, new_trace_id
 from repro.service.shard import ShardRouter, aggregate_stats, parse_shard_urls
+from repro.service.specs import request_from_document
 
 __all__ = ["JobHandle", "ServiceClient", "ServiceError"]
 
@@ -281,74 +288,48 @@ class ServiceClient:
     ) -> JobHandle:
         """Submit one simulation, mirroring the :class:`Machine` facade.
 
-        ``workloads`` is one workload or a sequence; each may be a benchmark
-        name, a JSON spec object, or a real in-memory workload object.
-        ``job_timeout`` is the job's server-side wall-clock budget in seconds
-        (distinct from this client's per-call socket ``timeout``).
+        ``workloads`` is one workload or a sequence; each is a benchmark name
+        or a JSON spec object (see :mod:`repro.service.specs`).  The network
+        accepts JSON job documents only, so an in-memory ``Program``,
+        ``TraceSet`` or ``Job`` raises :class:`~repro.errors.ConfigurationError`
+        (run those in-process with :func:`~repro.api.batch.run_batch`).
+        Results are canonical pickles that this client unpickles: point it
+        only at a server you trust.  ``job_timeout`` is the job's server-side
+        wall-clock budget in seconds, not this client's socket ``timeout``.
         """
         if isinstance(workloads, (str, dict)) or not isinstance(workloads, (list, tuple)):
             workloads = [workloads]
-        declarative = all(isinstance(workload, (str, dict)) for workload in workloads)
-        if declarative and self._router is None:
-            document = {
-                "machine": machine,
-                "workloads": list(workloads),
-                "mode": mode,
-                "priority": priority,
-            }
-            if instruction_limit is not None:
-                document["instruction_limit"] = instruction_limit
-            if not restart_companions:
-                document["restart_companions"] = False
-            if options:
-                document["options"] = options
-            if tag is not None:
-                document["tag"] = tag
-            if job_timeout is not None:
-                document["timeout"] = job_timeout
-            trace_id = new_trace_id()
-            return self._submitted(
-                self._call("/jobs", document, headers={TRACE_HEADER: trace_id})
-            )
-        # mixed lists (names/specs next to in-memory objects) take the pickled
-        # path too, as do declarative submissions through a sharded client —
-        # the ring routes by content key, which needs the materialized request
-        from repro.service.specs import workload_from_spec
+        for workload in workloads:
+            if not isinstance(workload, (str, dict)):
+                raise ConfigurationError(
+                    f"a {type(workload).__name__} workload cannot be sent to the "
+                    "service, which accepts JSON job documents only; run in-memory "
+                    "workloads in-process with run_batch"
+                )
+        document = {
+            "machine": machine,
+            "workloads": list(workloads),
+            "mode": mode,
+            "instruction_limit": instruction_limit,
+            "restart_companions": restart_companions,
+            "options": options,
+            "tag": tag,
+        }
+        return self.submit_document(document, priority=priority, job_timeout=job_timeout)
 
-        request = SimulationRequest(
-            machine=machine,
-            workloads=tuple(
-                workload_from_spec(workload)
-                if isinstance(workload, (str, dict))
-                else workload
-                for workload in workloads
-            ),
-            mode=mode,
-            instruction_limit=instruction_limit,
-            restart_companions=restart_companions,
-            options=tuple(sorted(options.items())),
-            tag=tag,
-        )
-        return self.submit_request(request, priority=priority, job_timeout=job_timeout)
-
-    def submit_request(
+    def submit_document(
         self,
-        request: SimulationRequest,
+        document: dict,
         *,
         priority: int = 0,
         job_timeout: float | None = None,
     ) -> JobHandle:
-        """Submit a fully-built request (shipped as a pickled payload)."""
-        try:
-            payload = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as error:
-            raise ServiceError(
-                f"request cannot be shipped over HTTP (unpicklable): {error}"
-            ) from None
-        document = {
-            "request_pickle": base64.b64encode(payload).decode("ascii"),
-            "priority": priority,
-        }
+        """POST one JSON job document; ``priority``/``job_timeout`` fill its envelope.
+
+        A sharded client routes by ``request_from_document(document)``'s
+        content key, the digest the shards address their stores by.
+        """
+        document = {**document, "priority": priority}
         if job_timeout is not None:
             document["timeout"] = job_timeout
         trace_headers = {TRACE_HEADER: new_trace_id()}
@@ -357,8 +338,9 @@ class ServiceClient:
         # client-side sharding: the ring owner first, then its successors.
         # Only connection-level failures (status None) fail over — an HTTP
         # error is the owning shard's answer and is raised as-is.
+        key = request_from_document(document).cache_key()
         failures: list[str] = []
-        for rank, shard in enumerate(self._router.preference(request.cache_key())):
+        for rank, shard in enumerate(self._router.preference(key)):
             try:
                 answer = self._call(
                     "/jobs", document, base_url=shard, headers=trace_headers

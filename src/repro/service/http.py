@@ -28,9 +28,10 @@ dependencies**.  Endpoints:
 ``GET /healthz``          liveness probe
 ========================  ==================================================
 
-The server binds to localhost by default.  ``POST /jobs`` optionally accepts
-pickled requests (``request_pickle``), which implies arbitrary code execution
-on unpickle — do not expose the port beyond trusted clients.
+The server binds to localhost by default.  ``POST /jobs`` accepts JSON job
+documents only and never unpickles request bytes.  Results are still served
+as canonical pickles (``result_pickle``) that the client unpickles, so a
+client must trust the server it points at.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""JSON job specifications accepted by the service's HTTP API.
+"""JSON job documents: the one wire encoding of a simulation request.
 
 The HTTP front end cannot receive :class:`~repro.workloads.program.Program`
 objects directly, so a job is described declaratively:
@@ -22,30 +22,30 @@ Workload forms:
   (``name``, ``vector_instructions``, ``scalar_instructions``, ``loops`` as
   ``[{"kernel", "vl", "weight", "stride"}]``, ``outer_passes``).
 
-Clients holding real :class:`~repro.api.batch.SimulationRequest` objects (with
-arbitrary in-memory programs or traces) can instead POST
-``{"request_pickle": "<base64>"}`` — the same pickled-payload shipping the
-batch worker pool uses.  The server unpickles it, so only expose the service
-to clients you trust with code execution (it is bound to localhost by
-default).
+The network accepts JSON documents only and never unpickles a request;
+results still travel back as canonical pickles that the client unpickles, so
+a client must trust the server it points at.  :func:`request_from_document`
+is the one decoder, shared by the server, the router, the sharded client and
+the sweep compiler, so one document always means one content key.
 """
 
 from __future__ import annotations
-
-import base64
-import pickle
 
 from repro.api.batch import SimulationRequest
 from repro.errors import ConfigurationError, WorkloadError
 from repro.workloads import LoopSpec, WorkloadSpec, build_benchmark, build_workload
 
-__all__ = ["parse_job_document", "workload_from_spec"]
+__all__ = ["parse_job_document", "request_from_document", "workload_from_spec"]
 
 #: Fields accepted at the top level of a JSON job document.
 _JOB_FIELDS = {
     "machine", "workloads", "mode", "instruction_limit", "restart_companions",
-    "options", "priority", "tag", "request_pickle", "timeout",
+    "options", "priority", "tag", "timeout",
 }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def workload_from_spec(spec):
@@ -60,17 +60,66 @@ def workload_from_spec(spec):
         extra = set(spec) - {"benchmark", "scale"}
         if extra:
             raise WorkloadError(f"unknown benchmark spec field(s): {sorted(extra)}")
-        scale = spec.get("scale", 1.0)
-        return build_benchmark(spec["benchmark"], scale=scale)
+        name, scale = spec["benchmark"], spec.get("scale", 1.0)
+        if not isinstance(name, str):
+            raise WorkloadError(f"a benchmark name must be a string, got {name!r}")
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+            raise WorkloadError(f"a benchmark scale must be a number, got {scale!r}")
+        return build_benchmark(name, scale=scale)
     if "workload" in spec:
+        if not isinstance(spec["workload"], dict):
+            raise WorkloadError("a custom workload spec must be an object")
         body = dict(spec["workload"])
         try:
             loops = tuple(LoopSpec(**loop) for loop in body.pop("loops", ()))
             return build_workload(WorkloadSpec(loops=loops, **body))
-        except TypeError as error:
+        except (TypeError, ValueError) as error:
             raise WorkloadError(f"bad custom workload spec: {error}") from None
     raise WorkloadError(
         "a workload spec object needs a 'benchmark' or 'workload' field"
+    )
+
+
+def request_from_document(document: dict) -> SimulationRequest:
+    """The :class:`SimulationRequest` a job document's declarative fields describe.
+
+    Ignores the envelope (``priority``, ``timeout``); raises
+    :class:`~repro.errors.ConfigurationError` /
+    :class:`~repro.errors.WorkloadError` on malformed fields.
+    """
+    if not isinstance(document, dict):
+        raise ConfigurationError("a job document must be a JSON object")
+    unknown = set(document) - _JOB_FIELDS
+    if unknown:
+        raise ConfigurationError(f"unknown job field(s): {sorted(unknown)}")
+    machine = document.get("machine")
+    if not isinstance(machine, str) or not machine:
+        raise ConfigurationError("a job document needs a 'machine' model name")
+    workload_specs = document.get("workloads")
+    if isinstance(workload_specs, (str, dict)):
+        workload_specs = [workload_specs]
+    if not isinstance(workload_specs, list) or not workload_specs:
+        raise ConfigurationError("a job document needs a non-empty 'workloads' list")
+    options = document.get("options", {})
+    if not isinstance(options, dict):
+        raise ConfigurationError("'options' must be an object")
+    instruction_limit = document.get("instruction_limit")
+    if instruction_limit is not None and not _is_int(instruction_limit):
+        raise ConfigurationError("instruction_limit must be an integer")
+    restart_companions = document.get("restart_companions", True)
+    if not isinstance(restart_companions, bool):
+        raise ConfigurationError("restart_companions must be a boolean")
+    tag = document.get("tag")
+    if tag is not None and not isinstance(tag, str):
+        raise ConfigurationError("tag must be a string")
+    return SimulationRequest(
+        machine=machine,
+        workloads=tuple(workload_from_spec(spec) for spec in workload_specs),
+        mode=document.get("mode", "single"),
+        instruction_limit=instruction_limit,
+        restart_companions=restart_companions,
+        options=tuple(sorted(options.items())),
+        tag=tag,
     )
 
 
@@ -83,13 +132,9 @@ def parse_job_document(document: dict) -> tuple[SimulationRequest, int, float | 
     :class:`~repro.errors.WorkloadError` on malformed documents (mapped to
     HTTP 400 by the server).
     """
-    if not isinstance(document, dict):
-        raise ConfigurationError("a job document must be a JSON object")
-    unknown = set(document) - _JOB_FIELDS
-    if unknown:
-        raise ConfigurationError(f"unknown job field(s): {sorted(unknown)}")
+    request = request_from_document(document)
     priority = document.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
+    if not _is_int(priority):
         raise ConfigurationError("priority must be an integer")
     timeout = document.get("timeout")
     if timeout is not None:
@@ -98,42 +143,4 @@ def parse_job_document(document: dict) -> tuple[SimulationRequest, int, float | 
         timeout = float(timeout)
         if timeout <= 0:
             raise ConfigurationError("timeout must be positive")
-
-    if "request_pickle" in document:
-        conflicting = set(document) & {"machine", "workloads", "mode", "options"}
-        if conflicting:
-            raise ConfigurationError(
-                f"request_pickle excludes the declarative field(s) {sorted(conflicting)}"
-            )
-        try:
-            request = pickle.loads(base64.b64decode(document["request_pickle"]))
-        except Exception as error:
-            raise ConfigurationError(f"bad request_pickle: {error}") from None
-        if not isinstance(request, SimulationRequest):
-            raise ConfigurationError(
-                "request_pickle must encode a SimulationRequest, "
-                f"got {type(request).__name__}"
-            )
-        return request, priority, timeout
-
-    machine = document.get("machine")
-    if not isinstance(machine, str) or not machine:
-        raise ConfigurationError("a job document needs a 'machine' model name")
-    workload_specs = document.get("workloads")
-    if isinstance(workload_specs, (str, dict)):
-        workload_specs = [workload_specs]
-    if not isinstance(workload_specs, list) or not workload_specs:
-        raise ConfigurationError("a job document needs a non-empty 'workloads' list")
-    options = document.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigurationError("'options' must be an object")
-    request = SimulationRequest(
-        machine=machine,
-        workloads=tuple(workload_from_spec(spec) for spec in workload_specs),
-        mode=document.get("mode", "single"),
-        instruction_limit=document.get("instruction_limit"),
-        restart_companions=document.get("restart_companions", True),
-        options=tuple(sorted(options.items())),
-        tag=document.get("tag"),
-    )
     return request, priority, timeout

@@ -13,12 +13,13 @@ Expansion pipeline::
       → repetitions                   rep/seed parameters stamped per copy
       → derived parameters            expressions over the full parameter set
       → dedupe                        identical parameter sets collapse
-      → SimulationRequest per point   reserved params + options + workloads
+      → job document per point        reserved params + options + workloads
+      → SimulationRequest per point   request_from_document(document)
 
 Every point's parameters stay a flat ``{name: scalar}`` mapping; reserved
 names (``machine``, ``mode``, ``workload``/``workloads``, ``scale``,
 ``instruction_limit``, ``restart_companions``, ``tag``, ``rep``, ``seed``,
-``perturb``) steer the request builder, everything else is passed to the
+``perturb``) steer the document builder, everything else is passed to the
 machine-model factory as a keyword option (``memory_latency=70``,
 ``scheduler="roundrobin"``, ``num_contexts=3``...).
 """
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.api.batch import SimulationRequest
 from repro.errors import ReproError, SweepError
+from repro.service.specs import request_from_document
 from repro.sweep.spec import RESERVED_PARAMS, SweepSpec
 
 __all__ = ["CompiledSweep", "SweepPoint", "canonical_params", "compile_sweep", "derive_seed"]
@@ -66,6 +68,9 @@ class SweepPoint:
     point_id: str
     label: str
     params: dict
+    #: The JSON job document the service path submits.
+    document: dict
+    #: ``request_from_document(document)``, which the local path runs.
     request: SimulationRequest
 
     def group_params(self) -> dict:
@@ -232,35 +237,31 @@ def _workload_specs(spec: SweepSpec, params: dict) -> list:
     return resolved
 
 
-def _build_request(spec: SweepSpec, params: dict, label: str) -> SimulationRequest:
-    from repro.service.specs import workload_from_spec
-
+def _build_document(spec: SweepSpec, params: dict, label: str) -> dict:
+    """The JSON job document a point's resolved parameters describe."""
     machine = params.get("machine", spec.request.machine)
     if not isinstance(machine, str) or not machine:
         raise SweepError(
             f"sweep {spec.name!r} resolves no machine for point {label!r}: "
             "add [request] machine or a 'machine' axis"
         )
-    mode = params.get("mode", spec.request.mode)
-    options = {
-        name: value
-        for name, value in params.items()
-        if name not in RESERVED_PARAMS and name not in spec.request.exclude_options
-    }
-    workloads = tuple(
-        workload_from_spec(entry) for entry in _workload_specs(spec, params)
-    )
-    return SimulationRequest(
-        machine=machine,
-        workloads=workloads,
-        mode=mode,
-        instruction_limit=params.get("instruction_limit", spec.request.instruction_limit),
-        restart_companions=params.get(
+    return {
+        "machine": machine,
+        "workloads": _workload_specs(spec, params),
+        "mode": params.get("mode", spec.request.mode),
+        "instruction_limit": params.get(
+            "instruction_limit", spec.request.instruction_limit
+        ),
+        "restart_companions": params.get(
             "restart_companions", spec.request.restart_companions
         ),
-        options=tuple(sorted(options.items())),
-        tag=label,
-    )
+        "options": {
+            name: value
+            for name, value in params.items()
+            if name not in RESERVED_PARAMS and name not in spec.request.exclude_options
+        },
+        "tag": label,
+    }
 
 
 def _label(params: dict, varying: tuple[str, ...]) -> str:
@@ -312,17 +313,14 @@ def compile_sweep(spec: SweepSpec) -> CompiledSweep:
         identity = canonical_params(params)
         point_id = "pt-" + hashlib.sha256(identity.encode()).hexdigest()[:12]
         label = _label(params, varying)
+        document = _build_document(spec, params, label)
         try:
-            request = _build_request(spec, params, label)
-        except SweepError:
-            raise
+            request = request_from_document(document)
         except ReproError as error:
             raise SweepError(
                 f"point {label!r} of sweep {spec.name!r} cannot be compiled: {error}"
             ) from None
-        points.append(
-            SweepPoint(point_id=point_id, label=label, params=params, request=request)
-        )
+        points.append(SweepPoint(point_id, label, params, document, request))
     return CompiledSweep(
         spec=spec, points=tuple(points), duplicates=duplicates, varying=varying
     )

@@ -7,9 +7,9 @@ Two fan-out paths, one result shape:
   served from an optional cache/store, LPT-chunked over the process-wide
   shared :class:`~repro.api.pool.WorkerPool` (``jobs=N``, capped by the
   host's usable CPUs) and written back as canonical payload bytes;
-* **service** — points are submitted to a running :mod:`repro.service`
-  endpoint via :class:`~repro.service.client.ServiceClient`, which brings the
-  durable store, request coalescing and the persistent worker pool along for
+* **service** — each point's JSON job document is submitted to a running
+  :mod:`repro.service` endpoint via
+  :class:`~repro.service.client.ServiceClient`, which brings the durable store, request coalescing and the persistent worker pool along for
   free.  A client built with several base URLs shards the sweep across a
   cluster by content key (see :mod:`repro.service.shard`) with no executor
   changes — submission, waiting and failover are all client-side.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.api.batch import _settle_batch
 from repro.core.results import SimulationResult
-from repro.errors import SweepError
+from repro.errors import ReproError, SweepError
 from repro.obs.metrics import MetricsRegistry
 from repro.sweep.compile import CompiledSweep, SweepPoint
 
@@ -184,8 +184,8 @@ def _execute_via_service(
         handles: list[tuple[SweepPoint, object | None, str | None]] = []
         for point in points:
             try:
-                handle = client.submit_request(point.request, priority=priority)
-            except ServiceError as error:
+                handle = client.submit_document(point.document, priority=priority)
+            except ReproError as error:  # refused, unreachable, or unkeyable when sharding
                 handles.append((point, None, str(error)))
             else:
                 handles.append((point, handle, None))

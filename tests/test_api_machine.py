@@ -192,6 +192,11 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="reference"):
             Machine.named("no-such-machine")
 
+    @pytest.mark.parametrize("options", [{"bogus": 1}, {"memory_latency": "x"}])
+    def test_bad_factory_options_are_configuration_errors(self, options):
+        with pytest.raises(ConfigurationError, match="'reference'"):
+            Machine.named("reference", **options)
+
     def test_factory_returning_garbage_is_rejected(self):
         register_model("test-bad-factory", lambda **options: 42)
         try:

@@ -9,7 +9,6 @@ import urllib.request
 
 import pytest
 
-from repro.api import SimulationRequest
 from repro.obs import TRACE_HEADER, TraceLog, new_trace_id
 from repro.service import (
     ResultStore,
@@ -18,7 +17,6 @@ from repro.service import (
     ShardRouterServer,
     SimulationService,
 )
-from repro.workloads import build_benchmark
 
 SCALE = 0.05
 
@@ -71,16 +69,14 @@ def live_service(tmp_path):
         server.stop()
 
 
-def _request() -> SimulationRequest:
-    return SimulationRequest.single(
-        "reference", build_benchmark("tomcatv", scale=SCALE)
-    )
+def _document() -> dict:
+    return {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "scale": SCALE}]}
 
 
 class TestTracePropagation:
     def test_client_minted_id_reaches_pool_worker(self, live_service):
         client = ServiceClient(live_service.url)
-        handle = client.submit_request(_request())
+        handle = client.submit_document(_document())
         assert handle.trace_id  # echoed by the 202 answer
         handle.wait(timeout=120.0)
 
@@ -142,7 +138,7 @@ class TestTracePropagation:
 
     def test_fetch_span_recorded_on_result_download(self, live_service):
         client = ServiceClient(live_service.url)
-        handle = client.submit_request(_request())
+        handle = client.submit_document(_document())
         handle.wait(timeout=120.0)
         timeline = client.trace(handle.job_id)
         names = [span["span"] for span in timeline["spans"]]
@@ -150,9 +146,9 @@ class TestTracePropagation:
 
     def test_store_hit_records_short_chain(self, live_service):
         client = ServiceClient(live_service.url)
-        first = client.submit_request(_request())
+        first = client.submit_document(_document())
         first.wait(timeout=120.0)
-        second = client.submit_request(_request())
+        second = client.submit_document(_document())
         assert second.served_from == "store"
         assert second.trace_id and second.trace_id != first.trace_id
         timeline = client.trace(second.job_id)
@@ -174,7 +170,7 @@ class TestTraceCli:
         from repro.cli import trace_main
 
         client = ServiceClient(live_service.url)
-        handle = client.submit_request(_request())
+        handle = client.submit_document(_document())
         handle.wait(timeout=120.0)
         assert trace_main([handle.job_id, "--url", live_service.url]) == 0
         output = capsys.readouterr().out

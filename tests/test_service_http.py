@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+import pathlib
 import pickle
 import threading
 import urllib.request
@@ -12,17 +13,20 @@ import urllib.request
 import pytest
 
 from repro.api import Machine, SimulationRequest
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.service import (
     ResultStore,
     ServiceClient,
     ServiceError,
     ServiceServer,
+    ShardRouterServer,
     SimulationService,
 )
 from repro.workloads import build_benchmark
 
 SCALE = 0.05
+
+TOMCATV_JOB = {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "scale": SCALE}]}
 
 #: The paper's four machine models, as registered in the model registry.
 FOUR_MODELS = ("reference", "multithreaded-2", "dual-scalar", "ideal")
@@ -39,6 +43,12 @@ def server(tmp_path_factory):
 @pytest.fixture(scope="module")
 def client(server):
     return ServiceClient(server.url)
+
+
+@pytest.fixture(scope="module")
+def router_client(server):
+    with ShardRouterServer([server.url]) as router:
+        yield ServiceClient(router.url)
 
 
 class TestEndpoints:
@@ -88,14 +98,37 @@ class TestEndpoints:
             {"machine": "reference", "workloads": [7]},
             {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "x": 1}]},
             {"machine": "reference", "workloads": [{"weird": True}]},
-            {"request_pickle": "bm90IGEgcGlja2xl"},
-            {"request_pickle": base64.b64encode(pickle.dumps("a string")).decode()},
-            {"request_pickle": "x", "machine": "reference"},
+            {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "scale": "abc"}]},
+            {"machine": "reference", "workloads": [{"workload": "str"}]},
+            {**TOMCATV_JOB, "options": {"bogus": 1}},
+            {**TOMCATV_JOB, "options": {"memory_latency": "x"}},
+            {**TOMCATV_JOB, "instruction_limit": "5"},
+            {**TOMCATV_JOB, "restart_companions": "no"},
+            {**TOMCATV_JOB, "tag": [1, 2]},
+            {"machine": "reference", "workloads": [{"benchmark": ["tomcatv"]}]},
         ],
     )
-    def test_malformed_job_documents_400(self, client, document):
-        with pytest.raises(ServiceError, match="400"):
-            client._call("/jobs", document)
+    def test_malformed_job_documents_400(self, client, router_client, document):
+        # the router rejects (or relays the shard's rejection) identically
+        for sender in (client, router_client):
+            with pytest.raises(ServiceError, match="400"):
+                sender._call("/jobs", document)
+
+    def test_request_pickle_is_never_unpickled(self, client, router_client, tmp_path):
+        marker = tmp_path / "unpickled"
+
+        class Payload:
+            def __reduce__(self):
+                return (pathlib.Path.touch, (marker,))
+
+        document = {
+            "request_pickle": base64.b64encode(pickle.dumps(Payload())).decode(),
+            "priority": 0,
+        }
+        for sender in (client, router_client):
+            with pytest.raises(ServiceError, match="400"):
+                sender._call("/jobs", document)
+        assert not marker.exists()
 
 
 class TestSubmission:
@@ -119,17 +152,14 @@ class TestSubmission:
         result = client.submit("reference", spec).wait(timeout=120.0)
         assert result.instructions > 0
 
-    def test_pickled_request_submission(self, client):
-        program = build_benchmark("swm256", scale=SCALE)
-        request = SimulationRequest.single("reference", program, tag="pickled")
-        result = client.submit_request(request).wait(timeout=120.0)
-        local = Machine.named("reference").run(program)
-        assert pickle.dumps(result.stats) == pickle.dumps(local.stats)
+    def test_in_memory_workload_names_run_batch(self, client):
+        from repro.core.suppliers import Job
 
-    def test_in_memory_workload_auto_ships_as_pickle(self, client):
         program = build_benchmark("swm256", scale=SCALE)
-        handle = client.submit("reference", program)
-        assert handle.wait(timeout=120.0).instructions > 0
+        job = Job("closure", lambda: iter(()))
+        for workloads in (program, [job], ["tomcatv", program]):
+            with pytest.raises(ConfigurationError, match="run_batch"):
+                client.submit("multithreaded-2", workloads, mode="group")
 
     def test_group_mode_over_json(self, client):
         result = client.submit(
@@ -141,13 +171,6 @@ class TestSubmission:
             [build_benchmark("swm256", scale=SCALE), build_benchmark("tomcatv", scale=SCALE)]
         )
         assert pickle.dumps(result.stats) == pickle.dumps(local.stats)
-
-    def test_unpicklable_submission_raises_client_side(self, client):
-        from repro.core.suppliers import Job
-
-        job = Job("closure", lambda: iter(()))
-        with pytest.raises(ServiceError, match="unpicklable"):
-            client.submit("reference", [job])
 
     def test_failed_job_raises_on_wait(self, client):
         # valid document, but the group run fails in the worker: the
@@ -368,18 +391,6 @@ class TestClientDetails:
             assert handle.info()["state"] == "queued"
             with pytest.raises(ServiceError, match="timed out"):
                 handle.wait(timeout=0.2)
-
-    def test_mixed_workload_list_ships_as_pickle(self, client):
-        # a benchmark name next to an in-memory Program must materialize
-        # client-side and take the pickled path, not crash the server
-        program = build_benchmark("swm256", scale=SCALE)
-        result = client.submit(
-            "multithreaded-2", ["tomcatv", program], mode="group"
-        ).wait(timeout=120.0)
-        local = Machine.named("multithreaded-2").run_group(
-            [build_benchmark("tomcatv", scale=1.0), program]
-        )
-        assert pickle.dumps(result.stats) == pickle.dumps(local.stats)
 
 
 class TestOverloadHTTP:

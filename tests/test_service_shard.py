@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.api import Machine, SimulationRequest
+from repro.api import Machine
 from repro.errors import ConfigurationError
 from repro.service import (
     ResultStore,
@@ -24,6 +24,7 @@ from repro.service import (
     key_digest,
     parse_shard_urls,
 )
+from repro.service.specs import request_from_document
 from repro.workloads import build_benchmark
 
 SCALE = 0.05
@@ -45,28 +46,19 @@ def _dead_url() -> str:
     return f"http://127.0.0.1:{port}"
 
 
-def _request_owned_by(router: ShardRouter, owner: str) -> SimulationRequest:
-    """A real request whose ring owner is ``owner`` (probes option space)."""
-    program = build_benchmark("tomcatv", scale=SCALE)
-    for latency in range(40, 400):
-        request = SimulationRequest.single("reference", program, memory_latency=latency)
-        if router.shard_for(request.cache_key()) == owner:
-            return request
-    raise AssertionError(f"no probe request hashed onto {owner}")
+def _document(name: str = "tomcatv", **options) -> dict:
+    return {
+        "machine": "reference",
+        "workloads": [{"benchmark": name, "scale": SCALE}],
+        "options": options,
+    }
 
 
 def _document_owned_by(router: ShardRouter, owner: str) -> dict:
-    """A job document whose parsed content key is owned by ``owner``."""
-    from repro.service import parse_job_document
-
+    """A job document whose content key is owned by ``owner`` (probes option space)."""
     for latency in range(40, 400):
-        document = {
-            "machine": "reference",
-            "workloads": [{"benchmark": "tomcatv", "scale": SCALE}],
-            "options": {"memory_latency": latency},
-        }
-        request, _priority, _timeout = parse_job_document(document)
-        if router.shard_for(request.cache_key()) == owner:
+        document = _document(memory_latency=latency)
+        if router.shard_for(request_from_document(document).cache_key()) == owner:
             return document
     raise AssertionError(f"no probe document hashed onto {owner}")
 
@@ -203,21 +195,20 @@ class TestShardedClient:
         second = ServiceClient(list(reversed(urls)))  # order must not matter
         router = ShardRouter(urls)
 
-        requests = [
-            SimulationRequest.single("reference", build_benchmark(name, scale=SCALE))
-            for name in ("tomcatv", "swm256", "dyfesm")
-        ]
-        handles = [client.submit_request(request)
-                   for client in (first, second) for request in requests]
-        for handle, request in zip(handles, requests * 2):
-            assert handle.shard == router.shard_for(request.cache_key())
+        documents = [_document(name) for name in ("tomcatv", "swm256", "dyfesm")]
+        handles = [client.submit_document(document)
+                   for client in (first, second) for document in documents]
+        for handle, document in zip(handles, documents * 2):
+            assert handle.shard == router.shard_for(
+                request_from_document(document).cache_key()
+            )
             assert handle.degraded is False
         for server in servers:
             server.service.resume()
         payloads = [handle.result_bytes(timeout=120.0) for handle in handles]
         # both clients see byte-identical payloads per request
-        for index in range(len(requests)):
-            assert payloads[index] == payloads[index + len(requests)]
+        for index in range(len(documents)):
+            assert payloads[index] == payloads[index + len(documents)]
         # cluster-wide coalescing: six submissions, three executions
         stats = first.stats()
         assert stats["submitted"] == 6
@@ -241,10 +232,7 @@ class TestShardedClient:
     def test_follow_up_calls_route_to_owning_shard(self, two_shards):
         servers, urls = two_shards
         client = ServiceClient(urls)
-        request = SimulationRequest.single(
-            "reference", build_benchmark("tomcatv", scale=SCALE)
-        )
-        handle = client.submit_request(request)
+        handle = client.submit_document(_document())
         # the job only exists on its owning shard, so info()/cancel() working
         # at all proves the client routed the follow-up correctly
         assert handle.info()["state"] == "queued"
@@ -259,19 +247,15 @@ class TestShardedClient:
             urls = [live.url, dead]
             router = ShardRouter(urls)
             client = ServiceClient(urls, timeout=2.0, retries=0)
-            request = _request_owned_by(router, dead)
-            handle = client.submit_request(request)
+            handle = client.submit_document(_document_owned_by(router, dead))
             assert handle.degraded is True
             assert handle.shard == live.url
             assert handle.wait(timeout=120.0).instructions > 0
 
     def test_all_shards_down_raises(self):
         client = ServiceClient([_dead_url(), _dead_url()], timeout=0.5, retries=0)
-        request = SimulationRequest.single(
-            "reference", build_benchmark("tomcatv", scale=SCALE)
-        )
         with pytest.raises(ServiceError, match="no live shard"):
-            client.submit_request(request)
+            client.submit_document(_document())
 
     def test_healthz_and_metrics_aggregate(self, two_shards):
         servers, urls = two_shards

@@ -271,6 +271,17 @@ class TestRequestConstruction:
                 spec_with(axes=(SweepAxis(name="workload", values=("no-such-benchmark",)),))
             )
 
+    def test_mistyped_request_option_fails_at_compile(self):
+        with pytest.raises(SweepError, match="restart_companions must be a boolean"):
+            compile_sweep(
+                spec_with(
+                    axes=(
+                        SweepAxis(name="workload", values=("tomcatv",)),
+                        SweepAxis(name="restart_companions", values=("no",)),
+                    )
+                )
+            )
+
     def test_template_placeholder_substitution(self):
         compiled = compile_sweep(
             spec_with(

@@ -72,6 +72,22 @@ class TestSweepViaService:
         assert counts.get("executed", 0) + counts.get("store", 0) == 1
         assert "no-such-machine" in run.failures()[0].error
 
+    def test_sharded_client_isolates_unkeyable_points(self, service_url):
+        # a sharded client keys each document itself to route it; a point
+        # that cannot be keyed fails alone instead of aborting the sweep
+        spec = SweepSpec(
+            name="partial-sharded",
+            request=RequestTemplate(mode="single", scale=0.05),
+            axes=(
+                SweepAxis(name="machine", values=("reference", "no-such-machine")),
+                SweepAxis(name="workload", values=("tomcatv",)),
+            ),
+        )
+        client = ServiceClient([service_url, "http://127.0.0.1:9"], timeout=2.0, retries=0)
+        run = execute_sweep(compile_sweep(spec), client=client)
+        assert run.counts()["failed"] == 1
+        assert "no-such-machine" in run.failures()[0].error
+
     def test_run_sweep_via_service_writes_manifest(self, service_url, tmp_path):
         output = run_sweep(SPEC, client=ServiceClient(service_url), out_dir=tmp_path)
         assert output.failed == 0
@@ -96,10 +112,12 @@ class TestServiceRetries:
             self.payload = payload
             self.attempts: dict[str, int] = {}
 
-        def submit_request(self, request, priority=0, **_kwargs):
+        def submit_document(self, document, priority=0, **_kwargs):
+            import json
+
             from repro.service import ServiceError
 
-            key = repr(request.cache_key())
+            key = json.dumps(document, sort_keys=True)
             self.attempts[key] = self.attempts.get(key, 0) + 1
             if self.attempts[key] == 1:
                 raise ServiceError("HTTP 429: shed", status=429)
