@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+
 import pytest
 
+from repro.api.machine import Machine
 from repro.core.statistics import FU_STATE_NAMES
 from repro.experiments.figures import (
     ALL_EXPERIMENTS,
@@ -165,3 +169,92 @@ class TestReportRendering:
     def test_render_timeline_falls_back_for_other_reports(self):
         report = table2()
         assert render_timeline(report) == render_report(report)
+
+
+#: For each artifact at ``ExperimentSettings.quick().with_scale(0.05)``: the
+#: sha256 of the text the CLI prints for it (without the timing line) and its
+#: engine calls by kind, with every artifact regenerated in order in one
+#: context as ``repro-mtv all`` does.  ``run_limited`` is a ``Machine.run``
+#: with an ``instruction_limit`` (a partial reference run of section 4.1).
+PINNED_ARTIFACTS = {
+    "table1": ("4bdfd325ae7115478cb6fbb75eaccc1618f983a394f2532d71805d43001dea41", {}),
+    "table2": ("df901e65e35380bd436baf7c01897ee42eebba4fa2238d341de173784d26d913", {}),
+    "table3": ("49b55b75bfc823e1b1251264e462eec9943b049bf388a23e5832bc0b2c65b0b4", {}),
+    "figure4": (
+        "e5e747c7c5863ac95a85e825c0fcf3450a36695f8b32bb261648fcc532e08536",
+        {"run": 20},
+    ),
+    "figure5": ("67a128babd133aea010485469092c007a2b5476f643291dbd2832fc4c1e437df", {}),
+    "figure6": (
+        "c9bbb356ec455dd2f7db59679b223b9ddc81fbec1dc5e15ea2c6b97f01d863aa",
+        {"run": 7, "run_limited": 26, "run_group": 18},
+    ),
+    "figure7": ("f7577b86a36c785f8b2b9f58bd365a3b1b02a7a51df148e1e75894e9f817b9f8", {}),
+    "figure8": ("8f641af6190be4a3f3ff57b0992378fe9bb34fa4aebbf3e20e6dca9bbb1b3b87", {}),
+    "figure9": (
+        "e23514214256240051199b381813bae5437d85252441e1ec46c35504e1e69bdc",
+        {"run_queue": 1},
+    ),
+    "figure10": (
+        "491a973e668a5e0dff7323005ed5f7507ef24915511852b7a734f2df14e8312a",
+        {"run": 13, "run_queue": 8},
+    ),
+    "figure11": (
+        "cd3ebcf2de01afad3b580c951e8571543d04469b21ee6880cb330986ba1a92a2",
+        {"run_queue": 9},
+    ),
+    "figure12": (
+        "a80974c76c3a58812213c767d3218ba52772a15f92a2cf98f8e2edcb97526714",
+        {"run_queue": 3},
+    ),
+}
+
+
+def _count_engine_calls(monkeypatch, calls: Counter) -> None:
+    """Count every ``Machine`` engine call into ``calls``, by kind."""
+    for name in ("run", "run_group", "run_queue"):
+        original = getattr(Machine, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            limited = _name == "run" and kwargs.get("instruction_limit") is not None
+            calls["run_limited" if limited else _name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, name, counted)
+
+
+@pytest.fixture(scope="module")
+def pinned_pass():
+    """Every artifact of one quick pass: rendered text and engine calls."""
+    context = ExperimentContext(ExperimentSettings.quick().with_scale(0.05))
+    calls: Counter = Counter()
+    artifacts = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _count_engine_calls(monkeypatch, calls)
+        for experiment_id in ALL_EXPERIMENTS:
+            calls.clear()
+            report = run_experiment(experiment_id, context)
+            render = render_timeline if experiment_id == "figure9" else render_report
+            artifacts[experiment_id] = (render(report) + "\n\n", dict(calls))
+    return artifacts
+
+
+class TestPinnedArtifacts:
+    """Every artifact's bytes and engine calls, pinned at a quick preset."""
+
+    def test_every_artifact_is_pinned(self):
+        assert list(PINNED_ARTIFACTS) == list(ALL_EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment_id", list(PINNED_ARTIFACTS))
+    def test_rendered_text_digest(self, pinned_pass, experiment_id):
+        text, _ = pinned_pass[experiment_id]
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_ARTIFACTS[experiment_id][0]
+
+    @pytest.mark.parametrize("experiment_id", list(PINNED_ARTIFACTS))
+    def test_engine_calls(self, pinned_pass, experiment_id):
+        _, calls = pinned_pass[experiment_id]
+        assert calls == PINNED_ARTIFACTS[experiment_id][1]
+
+    def test_total_engine_calls(self, pinned_pass):
+        assert sum(sum(calls.values()) for _, calls in pinned_pass.values()) == 105
