@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import BatchRunner
 from repro.experiments.runner import ExperimentContext, ExperimentSettings
 
 
@@ -57,7 +56,7 @@ def experiment_context(request) -> ExperimentContext:
     # cache hits left behind by whichever benchmark happened to run earlier.
     # (The intra-context sharing of grouping runs between figures 6-8 is part
     # of the methodology and is kept.)
-    return ExperimentContext(settings, batch=BatchRunner(jobs=1, cache=None))
+    return ExperimentContext(settings, cache=None)
 
 
 def run_and_print(benchmark, experiment_id: str, context: ExperimentContext) -> None:

@@ -7,9 +7,10 @@ to 100 cycles over the ten-program fixed workload and prints the execution
 time of the sequential baseline, the 2- and 4-context multithreaded machines
 and the dependence-free IDEAL bound.
 
-Every series is executed as one batch through a shared
-:class:`repro.BatchRunner`, so the sweep fans out over ``JOBS`` worker
-processes and the points shared between series come from the run cache.
+The sweep is figure 10 itself, regenerated by an
+:class:`repro.ExperimentContext` narrowed to these latencies and context
+counts: its simulations run as batches over ``JOBS`` worker processes, and
+its run cache serves any point a series shares with another.
 
 Run with::
 
@@ -18,46 +19,50 @@ Run with::
 
 from __future__ import annotations
 
-from repro import BatchRunner
-from repro.experiments import FixedWorkload, LatencySweep
-from repro.workloads import build_suite
+from repro import ExperimentContext, ExperimentSettings
+from repro.experiments import run_experiment
 
 SCALE = 0.2
 LATENCIES = (1, 25, 50, 75, 100)
 JOBS = 4
 
 
+def degradation(column: list[int]) -> float:
+    """Relative increase in execution time from the first to the last latency."""
+    return (column[-1] - column[0]) / column[0]
+
+
 def main() -> None:
     print(f"building the ten-benchmark suite at scale {SCALE} ...")
-    runner = BatchRunner(jobs=JOBS)
-    workload = FixedWorkload(build_suite(scale=SCALE), batch=runner)
-    sweep = LatencySweep(workload)
+    settings = ExperimentSettings(
+        scale=SCALE, sweep_latencies=LATENCIES, context_counts=(2, 4), jobs=JOBS
+    )
+    context = ExperimentContext(settings)
 
     print("running the latency sweep (this takes a minute or so) ...\n")
-    baseline = sweep.baseline_series(LATENCIES)
-    two_threads = sweep.multithreaded_series(2, LATENCIES)
-    four_threads = sweep.multithreaded_series(4, LATENCIES)
-    ideal = sweep.ideal_series(LATENCIES)
+    report = run_experiment("figure10", context)
+    baseline = report.column_values("baseline")
+    two_threads = report.column_values("2 threads")
+    four_threads = report.column_values("4 threads")
 
     header = f"{'latency':>8} | {'baseline':>12} | {'2 threads':>12} | {'4 threads':>12} | {'IDEAL':>12}"
     print(header)
     print("-" * len(header))
-    for latency in LATENCIES:
+    for row in report.rows:
         print(
-            f"{latency:>8} | {baseline.cycles_at(latency):>12,} | "
-            f"{two_threads.cycles_at(latency):>12,} | "
-            f"{four_threads.cycles_at(latency):>12,} | {ideal.cycles_at(latency):>12,}"
+            f"{row['memory_latency']:>8} | {row['baseline']:>12,} | "
+            f"{row['2 threads']:>12,} | {row['4 threads']:>12,} | {row['IDEAL']:>12,}"
         )
 
     print()
-    print(f"baseline degradation (latency 1 -> 100) : {baseline.degradation():6.1%}")
-    print(f"2-thread degradation (latency 1 -> 100) : {two_threads.degradation():6.1%}")
-    print(f"4-thread degradation (latency 1 -> 100) : {four_threads.degradation():6.1%}")
+    print(f"baseline degradation (latency 1 -> 100) : {degradation(baseline):6.1%}")
+    print(f"2-thread degradation (latency 1 -> 100) : {degradation(two_threads):6.1%}")
+    print(f"4-thread degradation (latency 1 -> 100) : {degradation(four_threads):6.1%}")
     low, high = LATENCIES[0], LATENCIES[-1]
     print(
         "speedup of 2 threads over the baseline   : "
-        f"{baseline.cycles_at(low) / two_threads.cycles_at(low):4.2f}x at latency {low}, "
-        f"{baseline.cycles_at(high) / two_threads.cycles_at(high):4.2f}x at latency {high}"
+        f"{baseline[0] / two_threads[0]:4.2f}x at latency {low}, "
+        f"{baseline[-1] / two_threads[-1]:4.2f}x at latency {high}"
     )
     print(
         "\nAs in the paper, the multithreaded machine is only mildly sensitive to "

@@ -44,7 +44,6 @@ Quick start::
 """
 
 from repro.api import (
-    BatchRunner,
     Machine,
     RunCache,
     SimulationRequest,
@@ -92,7 +91,6 @@ __version__ = "1.8.0"
 
 __all__ = [
     "AssemblyError",
-    "BatchRunner",
     "ConfigurationError",
     "ExperimentContext",
     "ExperimentError",

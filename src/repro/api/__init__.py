@@ -16,7 +16,7 @@ Importing :mod:`repro.api` registers the built-in machine models
 ``cray-style`` and ``ideal``); :func:`register_model` adds new ones.
 """
 
-from repro.api.batch import BatchRunner, SimulationRequest, run_batch
+from repro.api.batch import SimulationRequest, run_batch
 from repro.api.cache import (
     RunCache,
     fingerprint_config,
@@ -40,7 +40,6 @@ from repro.api.registry import (
 )
 
 __all__ = [
-    "BatchRunner",
     "Machine",
     "ModelEntry",
     "RunCache",

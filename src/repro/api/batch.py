@@ -41,7 +41,7 @@ import pickle
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api.cache import RunCache, request_key
 from repro.api.machine import BUILTIN_MODEL_NAMES, Machine
@@ -54,7 +54,7 @@ from repro.faults import inject_slow_execute, inject_worker_crash
 from repro.trace.records import TraceSet
 from repro.workloads.program import Program
 
-__all__ = ["BatchRunner", "SimulationRequest", "run_batch"]
+__all__ = ["SimulationRequest", "run_batch"]
 
 #: Instruction estimate for workloads that cannot be sized cheaply.
 DEFAULT_INSTRUCTION_ESTIMATE = 10_000
@@ -504,37 +504,3 @@ def run_batch(
         if isinstance(outcome, Exception):
             raise outcome
     return [pickle.loads(payload) for payload in outcomes]
-
-
-@dataclass
-class BatchRunner:
-    """A reusable (parallelism, cache) pair for executing simulation batches.
-
-    The experiment harness threads one :class:`BatchRunner` through every
-    experiment so all of them share one run cache and one ``--jobs`` setting;
-    library users can do the same::
-
-        runner = BatchRunner(jobs=4, cache=RunCache())
-        results = runner.run([SimulationRequest.single("reference", program)])
-        machine = runner.machine("multithreaded-2")   # shares the cache
-    """
-
-    jobs: int = 1
-    cache: RunCache | None = field(default_factory=RunCache)
-    #: Optional explicit :class:`~repro.api.pool.WorkerPool`; ``None`` means
-    #: parallel batches share the process-wide pool (CPU-capped).
-    pool: WorkerPool | None = None
-
-    def run(self, requests: Iterable[SimulationRequest]) -> list[SimulationResult]:
-        """Execute the requests with this runner's parallelism and cache."""
-        return run_batch(requests, jobs=self.jobs, cache=self.cache, pool=self.pool)
-
-    def run_one(self, request: SimulationRequest) -> SimulationResult:
-        """Execute a single request (serially, but through the shared cache)."""
-        return run_batch([request], jobs=1, cache=self.cache)[0]
-
-    def machine(self, machine: str | MachineConfig, **options) -> Machine:
-        """A :class:`Machine` facade sharing this runner's cache."""
-        if isinstance(machine, MachineConfig):
-            return Machine.from_config(machine, cache=self.cache)
-        return Machine.named(machine, cache=self.cache, **options)

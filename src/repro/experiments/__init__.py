@@ -17,20 +17,8 @@ from repro.experiments.figures import (
     table2,
     table3,
 )
-from repro.experiments.fixed_workload import FixedWorkload, FixedWorkloadRun, TimelineEntry
 from repro.experiments.groupings import DEFAULT_GROUPING_TABLE, GroupingTable, grouping_plan
-from repro.experiments.latency_sweep import (
-    CROSSBAR_LATENCIES,
-    DEFAULT_LATENCIES,
-    LatencySweep,
-    SweepSeries,
-)
 from repro.experiments.metrics import ReferenceBank, SpeedupBreakdown, compute_speedup
-from repro.experiments.multiprogram import (
-    GroupRunMetrics,
-    GroupingExperiment,
-    GroupingExperimentResult,
-)
 from repro.experiments.export import (
     report_to_csv,
     report_to_json,
@@ -38,7 +26,12 @@ from repro.experiments.export import (
     write_reports,
 )
 from repro.experiments.report import render_report, render_timeline
-from repro.experiments.runner import ExperimentContext, ExperimentSettings
+from repro.experiments.runner import (
+    CROSSBAR_LATENCIES,
+    DEFAULT_LATENCIES,
+    ExperimentContext,
+    ExperimentSettings,
+)
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -48,17 +41,9 @@ __all__ = [
     "ExperimentContext",
     "ExperimentReport",
     "ExperimentSettings",
-    "FixedWorkload",
-    "FixedWorkloadRun",
-    "GroupRunMetrics",
-    "GroupingExperiment",
-    "GroupingExperimentResult",
     "GroupingTable",
-    "LatencySweep",
     "ReferenceBank",
     "SpeedupBreakdown",
-    "SweepSeries",
-    "TimelineEntry",
     "compute_speedup",
     "figure4",
     "figure5",

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-from repro.workloads.profiles import BENCHMARK_ORDER, get_profile
+from repro.workloads.profiles import get_profile
 
 __all__ = ["GroupingTable", "DEFAULT_GROUPING_TABLE", "grouping_plan"]
 
@@ -122,8 +122,3 @@ def grouping_plan(
             companions = companions[:max_groups_per_size]
         plan[num_contexts] = [(program, *companion) for companion in companions]
     return plan
-
-
-def all_programs() -> tuple[str, ...]:
-    """The ten benchmark programs, in Table 3 order."""
-    return BENCHMARK_ORDER

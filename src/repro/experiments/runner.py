@@ -1,10 +1,13 @@
-"""Experiment orchestration: shared settings, program caches and run caches.
+"""Experiment orchestration: shared settings, the program suite and the run cache.
 
 Regenerating every figure of the paper involves hundreds of simulations over
 the same ten programs, so the :class:`ExperimentContext` builds the synthetic
-suite once, caches reference runs per memory latency, and shares the results
-of the groupings experiment between figures 6, 7 and 8 (which the paper also
-derives from the same set of runs).
+suite once and routes every simulation through one run cache: each figure
+builds its :class:`~repro.api.batch.SimulationRequest` objects, runs them with
+:meth:`ExperimentContext.run_batch` and turns the results into rows, and a
+simulation one figure already ran is a cache hit for the next.  Figures 6, 7
+and 8 share one set of group runs (the paper derives them from the same
+runs), memoized per memory latency in :attr:`ExperimentContext.grouping_averages`.
 
 The :class:`ExperimentSettings` control how much work is done: the defaults
 reproduce every figure in a couple of minutes on a laptop; the benchmark
@@ -15,19 +18,26 @@ run (all 25 groups per program, fine latency grid) is available through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.api.batch import BatchRunner, SimulationRequest
+import repro.api.batch as batch
+from repro.api.batch import SimulationRequest
 from repro.api.cache import RunCache
 from repro.core.results import SimulationResult
-from repro.experiments.fixed_workload import FixedWorkload
-from repro.experiments.latency_sweep import CROSSBAR_LATENCIES, DEFAULT_LATENCIES, LatencySweep
-from repro.experiments.multiprogram import GroupingExperiment, GroupingExperimentResult
 from repro.workloads.profiles import BENCHMARK_ORDER
 from repro.workloads.suite import build_suite
 from repro.workloads.program import Program
 
-__all__ = ["ExperimentContext", "ExperimentSettings"]
+__all__ = ["CROSSBAR_LATENCIES", "DEFAULT_LATENCIES", "ExperimentContext", "ExperimentSettings"]
+
+#: Memory latencies swept by default (the paper's x-axis runs from 1 to 100).
+DEFAULT_LATENCIES: tuple[int, ...] = (1, 20, 40, 60, 80, 100)
+
+#: Latencies used for the crossbar study of figure 11.
+CROSSBAR_LATENCIES: tuple[int, ...] = (1, 10, 30, 50, 70, 90, 100)
+
+#: Default for :class:`ExperimentContext`'s ``cache``: a fresh, private cache.
+_FRESH_CACHE = object()
 
 
 @dataclass(frozen=True)
@@ -77,61 +87,32 @@ class ExperimentSettings:
 
 
 class ExperimentContext:
-    """Shared state for regenerating the paper's tables and figures."""
+    """Shared state for regenerating the paper's tables and figures.
+
+    ``cache`` defaults to a fresh :class:`~repro.api.cache.RunCache`; pass
+    ``None`` to simulate every request (the figure benchmarks do, so each one
+    times real work).  Parallelism comes from ``settings.jobs``.
+    """
 
     def __init__(
         self,
         settings: ExperimentSettings | None = None,
         *,
-        batch: BatchRunner | None = None,
+        cache: RunCache | None = _FRESH_CACHE,
     ) -> None:
         self.settings = settings or ExperimentSettings()
-        self.batch = batch or BatchRunner(jobs=self.settings.jobs, cache=RunCache())
+        self.cache: RunCache | None = RunCache() if cache is _FRESH_CACHE else cache
         self._programs: dict[str, Program] | None = None
-        self._grouping_results: dict[int, GroupingExperimentResult] = {}
-        self._fixed_workload: FixedWorkload | None = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def cache(self) -> RunCache | None:
-        """The run cache shared by every experiment of this context."""
-        return self.batch.cache
+        #: The figure 6-8 per-program averages, keyed by memory latency.
+        self.grouping_averages: dict[int, dict] = {}
 
     def run_batch(self, requests: list[SimulationRequest]) -> list[SimulationResult]:
         """Execute simulation requests with the context's parallelism and cache."""
-        return self.batch.run(requests)
+        return batch.run_batch(requests, jobs=self.settings.jobs, cache=self.cache)
 
-    # ------------------------------------------------------------------ #
     @property
     def programs(self) -> dict[str, Program]:
         """The synthetic benchmark suite at the configured scale (built once)."""
         if self._programs is None:
             self._programs = build_suite(scale=self.settings.scale)
         return self._programs
-
-    @property
-    def fixed_workload(self) -> FixedWorkload:
-        """The ten-program fixed workload of section 7."""
-        if self._fixed_workload is None:
-            self._fixed_workload = FixedWorkload(self.programs, batch=self.batch)
-        return self._fixed_workload
-
-    def latency_sweep(self) -> LatencySweep:
-        """A latency sweep over the fixed workload."""
-        return LatencySweep(self.fixed_workload, batch=self.batch)
-
-    # ------------------------------------------------------------------ #
-    def grouping_results(self, memory_latency: int | None = None) -> GroupingExperimentResult:
-        """The groupings experiment at one memory latency (cached; shared by figs 6-8)."""
-        latency = memory_latency if memory_latency is not None else self.settings.memory_latency
-        if latency not in self._grouping_results:
-            experiment = GroupingExperiment(
-                self.programs,
-                memory_latency=latency,
-                max_groups_per_size=self.settings.max_groups_per_size,
-                batch=self.batch,
-            )
-            self._grouping_results[latency] = experiment.run(
-                list(self.settings.grouping_programs)
-            )
-        return self._grouping_results[latency]

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
-    BatchRunner,
+    Machine,
     RunCache,
     SimulationRequest,
     fingerprint_workload,
@@ -233,18 +233,18 @@ class TestRunCache:
         assert [r.cycles for r in serial] == [r.cycles for r in parallel]
 
 
-class TestBatchRunner:
+class TestSharedRunCache:
     def test_machine_shares_the_cache(self):
-        runner = BatchRunner(jobs=1)
-        machine = runner.machine("reference", memory_latency=1)
+        cache = RunCache()
+        machine = Machine.named("reference", memory_latency=1, cache=cache)
         machine.run(WORKLOADS["triad"])
-        runner.run([_request("reference", "triad", 1, "single")])
-        assert runner.cache.hits == 1
+        run_batch([_request("reference", "triad", 1, "single")], cache=cache)
+        assert cache.hits == 1
 
-    def test_run_one_uses_the_cache(self):
-        runner = BatchRunner(jobs=1)
+    def test_lone_request_uses_the_cache(self):
+        cache = RunCache()
         request = _request("reference", "scalar", 1, "single")
-        first = runner.run_one(request)
-        second = runner.run_one(request)
+        (first,) = run_batch([request], cache=cache)
+        (second,) = run_batch([request], cache=cache)
         assert first.cycles == second.cycles
-        assert runner.cache.hits == 1
+        assert cache.hits == 1

@@ -4,23 +4,34 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from repro.api.batch import SimulationRequest
 from repro.api.machine import Machine
+from repro.core.config import MachineConfig
 from repro.core.statistics import FU_STATE_NAMES
+from repro.core.suppliers import Job
 from repro.experiments.figures import (
     ALL_EXPERIMENTS,
     figure4,
     figure5,
+    figure6,
     figure9,
     run_experiment,
     table1,
     table2,
     table3,
 )
+from repro.experiments.groupings import grouping_plan
+from repro.experiments.metrics import ReferenceBank, compute_speedup
 from repro.experiments.report import render_report, render_timeline
 from repro.experiments.runner import ExperimentContext, ExperimentSettings
+from repro.sweep import compile_sweep, load_sweep_spec
+from repro.workloads.profiles import FIXED_WORKLOAD_ORDER
+
+EXAMPLE_SWEEPS = Path(__file__).resolve().parent.parent / "examples" / "sweeps"
 
 
 @pytest.fixture(scope="module")
@@ -105,20 +116,71 @@ class TestReferenceFigures:
 
 
 class TestMultithreadedFigures:
-    def test_figures_6_7_8_share_the_same_runs(self, context):
-        first = context.grouping_results()
-        second = context.grouping_results()
-        assert first is second
+    def test_figures_6_7_8_share_the_same_runs(self, context, monkeypatch):
+        run_experiment("figure6", context)
+        calls: Counter = Counter()
+        _count_engine_calls(monkeypatch, calls)
+        run_experiment("figure7", context)
+        run_experiment("figure8", context)
+        assert not calls
+        assert list(context.grouping_averages) == [context.settings.memory_latency]
 
     def test_figure6_speedups_above_one(self, context):
         report = run_experiment("figure6", context)
+        assert report.column_values("program") == list(context.settings.grouping_programs)
         for row in report.rows:
             assert row["speedup_2_threads"] > 1.0
+
+    def test_figure6_averages_the_group_speedups(self):
+        settings = ExperimentSettings(
+            scale=0.05, context_counts=(2,), grouping_programs=("trfd",), max_groups_per_size=2
+        )
+        context = ExperimentContext(settings)
+        groups = grouping_plan("trfd", max_groups_per_size=2)[2]
+        results = context.run_batch(
+            [
+                SimulationRequest.group(
+                    MachineConfig.multithreaded(2, 50), [context.programs[n] for n in group]
+                )
+                for group in groups
+            ]
+        )
+        bank = ReferenceBank(
+            {name: Job.from_program(program) for name, program in context.programs.items()},
+            Machine.from_config(MachineConfig.reference(50)),
+        )
+        speedups = [compute_speedup(result, bank).speedup for result in results]
+        report = figure6(context)
+        assert report.rows == [
+            {"program": "trfd", "speedup_2_threads": round(sum(speedups) / 2, 3)}
+        ]
+
+    def test_figure6_honours_context_counts(self, monkeypatch):
+        settings = ExperimentSettings(
+            scale=0.05,
+            context_counts=(2,),
+            grouping_programs=("swm256", "dyfesm"),
+            max_groups_per_size=1,
+        )
+        sizes = []
+        run_group = Machine.run_group
+
+        def recorded(machine, workloads, **kwargs):
+            sizes.append(len(workloads))
+            return run_group(machine, workloads, **kwargs)
+
+        monkeypatch.setattr(Machine, "run_group", recorded)
+        context = ExperimentContext(settings)
+        assert figure6(context).columns == ["program", "speedup_2_threads"]
+        assert run_experiment("figure7", context).columns == [
+            "program", "mth_2_threads", "ref_2_threads",
+        ]
+        assert sizes == [2, 2]
 
     def test_figure7_multithreaded_occupancy_beats_reference(self, context):
         report = run_experiment("figure7", context)
         for row in report.rows:
-            assert row["mth_2_threads"] > row["ref_2_threads"]
+            assert 0.0 < row["ref_2_threads"] < row["mth_2_threads"] <= 1.0
 
     def test_figure8_vopc_improves(self, context):
         report = run_experiment("figure8", context)
@@ -126,11 +188,13 @@ class TestMultithreadedFigures:
             assert row["mth_2_threads"] > row["ref_2_threads"]
 
 
-class TestFixedWorkloadFigures:
+class TestLatencyFigures:
     def test_figure9_timeline_covers_all_programs(self, context):
         report = figure9(context)
-        assert len(report.rows) == 10
+        assert sorted(report.column_values("program")) == sorted(FIXED_WORKLOAD_ORDER)
         assert {row["thread"] for row in report.rows} <= {0, 1}
+        for row in report.rows:
+            assert 0 <= row["duration"] == row["end_cycle"] - row["start_cycle"]
         rendered = render_timeline(report)
         assert "thread 0" in rendered
 
@@ -140,17 +204,78 @@ class TestFixedWorkloadFigures:
         assert "IDEAL" in report.columns
         for row in report.rows:
             assert row["baseline"] >= row["2 threads"] >= row["IDEAL"]
+        low, high = report.rows
+        assert high["baseline"] > low["baseline"]
+        assert low["IDEAL"] == high["IDEAL"]
+        baseline = (high["baseline"] - low["baseline"]) / low["baseline"]
+        threaded = (high["2 threads"] - low["2 threads"]) / low["2 threads"]
+        assert threaded < baseline
+        assert report.notes.startswith(
+            f"Baseline degradation {baseline:.1%}, 2-thread degradation {threaded:.1%}"
+        )
+
+    def test_figure10_baseline_sums_the_reference_runs(self, context):
+        report = run_experiment("figure10", context)
+        for row in report.rows:
+            config = MachineConfig.reference(row["memory_latency"])
+            results = context.run_batch(
+                [
+                    SimulationRequest.single(config, context.programs[name])
+                    for name in FIXED_WORKLOAD_ORDER
+                ]
+            )
+            assert row["baseline"] == sum(result.cycles for result in results)
 
     def test_figure11_slowdowns_are_small(self, context):
         report = run_experiment("figure11", context)
         for row in report.rows:
-            assert row["2_threads"] < 1.05
+            assert 0.99 <= row["2_threads"] < 1.05
 
     def test_figure12_dual_scalar_column_present(self, context):
         report = run_experiment("figure12", context)
         assert "dual scalar" in report.columns
         for row in report.rows:
             assert row["dual scalar"] > 0
+
+
+class TestBundledFigureSpecs:
+    """The bundled sweep specs are point for point the requests of figures 4 and 10."""
+
+    @staticmethod
+    def _request_keys(experiment_id: str, mode: str, monkeypatch) -> set:
+        requests = []
+
+        def record(context, batch):
+            requests.extend(batch)
+            return [_Unsimulated()] * len(batch)
+
+        monkeypatch.setattr(ExperimentContext, "run_batch", record)
+        run_experiment(experiment_id, ExperimentContext(ExperimentSettings()))
+        return {request.cache_key() for request in requests if request.mode == mode}
+
+    @staticmethod
+    def _spec_keys(name: str) -> set:
+        compiled = compile_sweep(load_sweep_spec(EXAMPLE_SWEEPS / name))
+        return {point.request.cache_key() for point in compiled.points}
+
+    def test_figure4_reference_spec(self, monkeypatch):
+        keys = self._request_keys("figure4", "single", monkeypatch)
+        assert len(keys) == 40
+        assert self._spec_keys("figure4_reference.toml") == keys
+
+    def test_figure10_threads_spec(self, monkeypatch):
+        keys = self._request_keys("figure10", "queue", monkeypatch)
+        assert len(keys) == 18
+        assert self._spec_keys("figure10_threads.toml") == keys
+
+
+class _Unsimulated:
+    """Stands in for every result where a test only keys the requests."""
+
+    cycles = 1
+
+    def fu_state_vector(self) -> tuple[int, ...]:
+        return (0,) * len(FU_STATE_NAMES)
 
 
 class TestReportRendering:

@@ -5,12 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError, WorkloadError
-from repro.experiments.groupings import (
-    DEFAULT_GROUPING_TABLE,
-    GroupingTable,
-    all_programs,
-    grouping_plan,
-)
+from repro.experiments.groupings import DEFAULT_GROUPING_TABLE, GroupingTable, grouping_plan
+from repro.workloads.profiles import BENCHMARK_ORDER
 
 
 class TestGroupingTable:
@@ -69,4 +65,9 @@ class TestGroupingPlan:
             grouping_plan("not-a-benchmark")
 
     def test_all_programs(self):
-        assert len(all_programs()) == 10
+        """Every one of the ten programs has its own plan on context 0."""
+        assert len(BENCHMARK_ORDER) == 10
+        for program in BENCHMARK_ORDER:
+            plan = grouping_plan(program)
+            assert sorted(plan) == [2, 3, 4]
+            assert all(group[0] == program for groups in plan.values() for group in groups)

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Machine
+from repro.api import Machine, RunCache, SimulationRequest, run_batch
 from repro.core.config import MachineConfig
+from repro.core.ideal import IdealMachineModel
 from repro.core.suppliers import Job
-from repro.experiments.fixed_workload import FixedWorkload
-from repro.experiments.latency_sweep import LatencySweep
 from repro.experiments.metrics import ReferenceBank, compute_speedup
 from repro.workloads import build_suite
+from repro.workloads.profiles import FIXED_WORKLOAD_ORDER
+from repro.workloads.stats import measure_program
 
 SCALE = 0.15
 
@@ -43,7 +44,41 @@ def reference_bank(suite):
 
 @pytest.fixture(scope="module")
 def fixed_workload(suite):
-    return FixedWorkload(suite)
+    """The ten programs of section 7, in the paper's job order."""
+    return [suite[name] for name in FIXED_WORKLOAD_ORDER]
+
+
+@pytest.fixture(scope="module")
+def cache():
+    return RunCache()
+
+
+@pytest.fixture(scope="module")
+def queue_cycles(fixed_workload, cache):
+    """Cycles of the fixed workload as one job queue on a machine config."""
+
+    def cycles(config: MachineConfig) -> int:
+        request = SimulationRequest.queue(config, fixed_workload)
+        return run_batch([request], cache=cache)[0].cycles
+
+    return cycles
+
+
+@pytest.fixture(scope="module")
+def baseline_cycles(fixed_workload, cache):
+    """Cycles of the ten programs run back to back on the reference machine."""
+
+    def cycles(latency: int) -> int:
+        config = MachineConfig.reference(latency)
+        requests = [SimulationRequest.single(config, program) for program in fixed_workload]
+        return sum(result.cycles for result in run_batch(requests, cache=cache))
+
+    return cycles
+
+
+def degradation(cycles_low: int, cycles_high: int) -> float:
+    """Relative increase in execution time from latency 1 to latency 100."""
+    return (cycles_high - cycles_low) / cycles_low
 
 
 GROUPS_2 = [
@@ -114,56 +149,56 @@ class TestMemoryPortClaims:
 
 
 class TestLatencyToleranceClaims:
-    def test_multithreading_flattens_the_latency_curve(self, fixed_workload):
+    def test_multithreading_flattens_the_latency_curve(self, baseline_cycles, queue_cycles):
         """Figure 10: the 2-context machine degrades far less than the baseline."""
-        sweep = LatencySweep(fixed_workload)
-        baseline = sweep.baseline_series((1, 100))
-        threaded = sweep.multithreaded_series(2, (1, 100))
-        assert baseline.degradation() > 0.2
-        assert threaded.degradation() < 0.6 * baseline.degradation()
+        baseline = degradation(baseline_cycles(1), baseline_cycles(100))
+        threaded = degradation(
+            queue_cycles(MachineConfig.multithreaded(2, 1)),
+            queue_cycles(MachineConfig.multithreaded(2, 100)),
+        )
+        assert baseline > 0.2
+        assert threaded < 0.6 * baseline
 
-    def test_speedup_grows_with_latency(self, fixed_workload):
+    def test_speedup_grows_with_latency(self, baseline_cycles, queue_cycles):
         """Figure 10: the multithreaded advantage grows from ~1.15 at latency 1
         towards ~1.45 at latency 100."""
-        sweep = LatencySweep(fixed_workload)
-        baseline = sweep.baseline_series((1, 100))
-        threaded = sweep.multithreaded_series(2, (1, 100))
-        speedup_low = baseline.cycles_at(1) / threaded.cycles_at(1)
-        speedup_high = baseline.cycles_at(100) / threaded.cycles_at(100)
+        speedup_low = baseline_cycles(1) / queue_cycles(MachineConfig.multithreaded(2, 1))
+        speedup_high = baseline_cycles(100) / queue_cycles(MachineConfig.multithreaded(2, 100))
         assert speedup_low > 1.05  # benefit exists even with an ideal memory
         assert speedup_high > speedup_low
         assert speedup_high > 1.3
 
-    def test_ideal_bound_below_all_machines(self, fixed_workload):
-        sweep = LatencySweep(fixed_workload)
-        ideal = fixed_workload.ideal_cycles()
-        assert ideal <= fixed_workload.run_multithreaded(4, 1).cycles
-        assert ideal <= fixed_workload.run_baseline(1).cycles
+    def test_ideal_bound_below_all_machines(self, fixed_workload, baseline_cycles, queue_cycles):
+        ideal = IdealMachineModel().bound_for_stats(
+            measure_program(program) for program in fixed_workload
+        )
+        assert ideal <= queue_cycles(MachineConfig.multithreaded(4, 1))
+        assert ideal <= baseline_cycles(1)
 
 
 class TestCrossbarClaims:
-    def test_three_cycle_crossbar_costs_less_than_two_percent(self, fixed_workload):
+    def test_three_cycle_crossbar_costs_less_than_two_percent(self, queue_cycles):
         """Figure 11: the slowdown from the larger crossbar stays tiny (<1%% in the paper)."""
-        sweep = LatencySweep(fixed_workload)
-        slowdowns = sweep.crossbar_slowdowns(2, (50,))
-        assert slowdowns[50] < 1.02
+        fast = queue_cycles(MachineConfig.multithreaded(2, 50))
+        slow = queue_cycles(MachineConfig.multithreaded(2, 50, crossbar_latency=3))
+        assert slow / fast < 1.02
 
 
 class TestDualScalarClaims:
-    def test_dual_scalar_advantage_shrinks_with_latency(self, fixed_workload):
+    def test_dual_scalar_advantage_shrinks_with_latency(self, queue_cycles):
         """Figure 12: the Fujitsu-style machine leads slightly at low latency and
         converges with 2-context multithreading at latency 100."""
-        low_fuj = fixed_workload.run_dual_scalar(1).cycles
-        low_mth = fixed_workload.run_multithreaded(2, 1).cycles
-        high_fuj = fixed_workload.run_dual_scalar(100).cycles
-        high_mth = fixed_workload.run_multithreaded(2, 100).cycles
+        low_fuj = queue_cycles(MachineConfig.dual_scalar_fujitsu(1))
+        low_mth = queue_cycles(MachineConfig.multithreaded(2, 1))
+        high_fuj = queue_cycles(MachineConfig.dual_scalar_fujitsu(100))
+        high_mth = queue_cycles(MachineConfig.multithreaded(2, 100))
         low_gap = (low_mth - low_fuj) / low_mth
         high_gap = (high_mth - high_fuj) / high_mth
         assert low_fuj <= low_mth  # dual scalar ahead (or equal) at low latency
         assert abs(high_gap) <= abs(low_gap) + 0.01  # convergence at high latency
 
-    def test_more_contexts_beat_the_dual_scalar_machine(self, fixed_workload):
+    def test_more_contexts_beat_the_dual_scalar_machine(self, queue_cycles):
         """Figure 12: 3- and 4-context multithreading outperform both 2-way schemes."""
-        fujitsu = fixed_workload.run_dual_scalar(50).cycles
-        three = fixed_workload.run_multithreaded(3, 50).cycles
+        fujitsu = queue_cycles(MachineConfig.dual_scalar_fujitsu(50))
+        three = queue_cycles(MachineConfig.multithreaded(3, 50))
         assert three < fujitsu
