@@ -188,7 +188,7 @@ class TestMultithreadedFigures:
             assert row["mth_2_threads"] > row["ref_2_threads"]
 
 
-class TestLatencyFigures:
+class TestFixedWorkloadFigures:
     def test_figure9_timeline_covers_all_programs(self, context):
         report = figure9(context)
         assert sorted(report.column_values("program")) == sorted(FIXED_WORKLOAD_ORDER)

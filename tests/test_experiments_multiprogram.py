@@ -1,83 +1,110 @@
-"""Tests for the groupings experiment (figures 6-8 machinery)."""
+"""Tests for the groupings experiment (figures 6-8 machinery).
+
+Figures 6, 7 and 8 average, per program, the section-4.1 metrics of its
+Table 2 groups; :func:`repro.experiments.figures._grouping_averages` runs the
+groups and computes those averages.  These tests check one group's metrics
+and the averages; ``tests/test_experiments_figures.py`` checks the rendered
+figures.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError
-from repro.experiments.groupings import GroupingTable
-from repro.experiments.multiprogram import (
-    GroupRunMetrics,
-    GroupingExperiment,
-    GroupingExperimentResult,
-)
-from repro.workloads import build_suite
+from repro.api.batch import SimulationRequest
+from repro.api.machine import Machine
+from repro.core.config import MachineConfig
+from repro.core.suppliers import Job
+from repro.experiments.figures import _grouping_averages
+from repro.experiments.groupings import grouping_plan
+from repro.experiments.metrics import ReferenceBank, compute_speedup
+from repro.experiments.runner import ExperimentContext, ExperimentSettings
 
 
-@pytest.fixture(scope="module")
-def experiment():
-    programs = build_suite(scale=0.05)
-    table = GroupingTable(("swm256", "tomcatv"), ("flo52",), ("dyfesm",))
-    return GroupingExperiment(
-        programs,
-        memory_latency=50,
-        table=table,
-        max_groups_per_size=1,
-        context_counts=(2, 3),
+def _context(*programs: str, context_counts=(2, 3), max_groups_per_size=1) -> ExperimentContext:
+    return ExperimentContext(
+        ExperimentSettings(
+            scale=0.05,
+            context_counts=context_counts,
+            grouping_programs=programs,
+            max_groups_per_size=max_groups_per_size,
+        )
+    )
+
+
+def _bank(context: ExperimentContext) -> ReferenceBank:
+    return ReferenceBank(
+        {name: Job.from_program(program) for name, program in context.programs.items()},
+        Machine.from_config(MachineConfig.reference(50), cache=context.cache),
     )
 
 
 class TestGroupingExperiment:
-    def test_missing_companions_rejected(self, tiny_suite):
-        programs = {"swm256": tiny_suite["swm256"]}
-        with pytest.raises(ExperimentError):
-            GroupingExperiment(programs)
+    def test_run_group_metrics(self):
+        context = _context("trfd")
+        group = ("trfd", "swm256")
+        (result,) = context.run_batch(
+            [
+                SimulationRequest.group(
+                    MachineConfig.multithreaded(2, 50), [context.programs[n] for n in group]
+                )
+            ]
+        )
+        bank = _bank(context)
+        _, reference_occupancy, reference_vopc = bank.sequential_metrics(list(group))
+        assert result.num_contexts == 2
+        assert compute_speedup(result, bank).speedup > 1.0
+        assert 0 < reference_occupancy < result.memory_port_occupancy <= 1.0
+        assert result.vopc > reference_vopc
 
-    def test_run_group_metrics(self, experiment):
-        metrics = experiment.run_group(("trfd", "swm256"))
-        assert isinstance(metrics, GroupRunMetrics)
-        assert metrics.num_contexts == 2
-        assert metrics.speedup > 1.0
-        assert 0 < metrics.reference_occupancy < metrics.multithreaded_occupancy <= 1.0
-        assert metrics.multithreaded_vopc > metrics.reference_vopc
+    def test_run_program_covers_requested_context_counts(self, monkeypatch):
+        sizes = []
+        run_group = Machine.run_group
 
-    def test_run_program_covers_requested_context_counts(self, experiment):
-        metrics = experiment.run_program("dyfesm")
-        counts = {m.num_contexts for m in metrics}
-        assert counts == {2, 3}
-        assert len(metrics) == 2  # one group per context count (max_groups=1)
+        def recorded(machine, workloads, **kwargs):
+            sizes.append(len(workloads))
+            return run_group(machine, workloads, **kwargs)
 
-    def test_run_produces_averagable_result(self, experiment):
-        result = experiment.run(["trfd"])
-        assert isinstance(result, GroupingExperimentResult)
-        assert result.programs() == ["trfd"]
-        assert result.context_counts() == [2, 3]
-        assert result.average_speedup("trfd", 2) > 1.0
-        mth, ref = result.average_occupancy("trfd", 2)
-        assert mth > ref
+        monkeypatch.setattr(Machine, "run_group", recorded)
+        averages = _grouping_averages(_context("dyfesm"))
+        assert set(averages["dyfesm"]) == {2, 3}
+        assert sorted(sizes) == [2, 3]  # one group per context count (max_groups=1)
+
+    def test_run_produces_averagable_result(self):
+        averages = _grouping_averages(_context("trfd"))
+        assert list(averages) == ["trfd"]
+        assert sorted(averages["trfd"]) == [2, 3]
+        metrics = averages["trfd"][2]
+        assert metrics["speedup"] > 1.0
+        assert metrics["mth_occupancy"] > metrics["ref_occupancy"]
 
 
 class TestGroupingExperimentResult:
-    def test_missing_data_raises(self):
-        result = GroupingExperimentResult(memory_latency=50)
-        with pytest.raises(ExperimentError):
-            result.average_speedup("swm256", 2)
-
     def test_add_and_average(self):
-        result = GroupingExperimentResult(memory_latency=50)
-        for speedup in (1.2, 1.4):
-            result.add(
-                "swm256",
-                GroupRunMetrics(
-                    group=("swm256", "flo52"),
-                    num_contexts=2,
-                    multithreaded_cycles=1000,
-                    speedup=speedup,
-                    multithreaded_occupancy=0.8,
-                    reference_occupancy=0.6,
-                    multithreaded_vopc=0.9,
-                    reference_vopc=0.5,
-                ),
-            )
-        assert result.average_speedup("swm256", 2) == pytest.approx(1.3)
-        assert result.average_vopc("swm256", 2) == (pytest.approx(0.9), pytest.approx(0.5))
+        context = _context("swm256", context_counts=(2,), max_groups_per_size=2)
+        groups = grouping_plan("swm256", max_groups_per_size=2)[2]
+        assert len(groups) == 2
+        results = context.run_batch(
+            [
+                SimulationRequest.group(
+                    MachineConfig.multithreaded(2, 50), [context.programs[n] for n in group]
+                )
+                for group in groups
+            ]
+        )
+        bank = _bank(context)
+        references = [bank.sequential_metrics(list(group)) for group in groups]
+        averages = _grouping_averages(context)["swm256"][2]
+        assert averages["speedup"] == pytest.approx(
+            sum(compute_speedup(result, bank).speedup for result in results) / 2
+        )
+        assert averages["mth_occupancy"] == pytest.approx(
+            sum(result.memory_port_occupancy for result in results) / 2
+        )
+        assert averages["ref_occupancy"] == pytest.approx(
+            sum(reference[1] for reference in references) / 2
+        )
+        assert averages["mth_vopc"] == pytest.approx(sum(result.vopc for result in results) / 2)
+        assert averages["ref_vopc"] == pytest.approx(
+            sum(reference[2] for reference in references) / 2
+        )
