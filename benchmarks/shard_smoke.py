@@ -1,21 +1,24 @@
 """CI smoke check for consistent-hash sharding of the simulation service.
 
-Boots **three** real shard services on ephemeral ports, drives them from
-**two** independent multi-URL :class:`~repro.service.client.ServiceClient`
-instances submitting overlapping duplicate work, and asserts the cluster
-keeps every single-process guarantee:
+Boots **three** real shard services on ephemeral ports and **two**
+:class:`~repro.service.shard.ShardRouterServer` front-ends, each given the
+shard URLs in the opposite order.  Two one-URL
+:class:`~repro.service.client.ServiceClient` instances, one per router,
+submit overlapping duplicate work, and the cluster must keep every
+single-process guarantee:
 
 * every payload is byte-identical to executing the same request in-process
   (:func:`repro.api.batch._execute_request_to_bytes`);
 * duplicate submissions coalesce **cluster-wide**: the summed ``executed``
-  across shards equals the number of unique content keys — consistent
-  hashing sends identical requests to the same shard, so no coordination
-  protocol is needed;
-* a router front-end (:class:`~repro.service.shard.ShardRouterServer`)
-  aggregates ``/stats`` to the same cluster totals;
-* killing one shard mid-run degrades gracefully — the client fails over
-  along the ring, marks the handle ``degraded``, and still returns the
-  correct payload.
+  across shards equals the number of unique content keys — both routers
+  compute one ring, so identical requests land on the same shard and no
+  coordination protocol is needed;
+* every router answer names the ring owner as its ``shard`` and is not
+  ``degraded``, and each router's ``/stats`` aggregates to the per-shard
+  totals;
+* stopping one shard mid-run degrades gracefully — the router fails over
+  along the ring, marks the answer ``degraded``, still returns the correct
+  payload, and reports ``/healthz`` as ``degraded``.
 
 The shards start *paused* so all duplicates are guaranteed to be in flight
 together (no timing luck).  Run it the way CI does::
@@ -76,80 +79,82 @@ def main() -> int:
         router = ShardRouter(urls)
 
         try:
-            # -- duplicate submissions from two independent clients -------- #
-            clients = (ServiceClient(urls), ServiceClient(list(reversed(urls))))
-            documents = [_document(name) for name in BENCHMARKS]
-            requests = [request_from_document(document) for document in documents]
-            handles = [
-                (request, client.submit_document(document))
-                for client in clients
-                for document, request in zip(documents, requests)
-            ]
-            for request, handle in handles:
-                owner = router.shard_for(request.cache_key())
-                assert handle.shard == owner, (handle.shard, owner)
-                assert handle.degraded is False
-            for server in servers:
-                server.service.resume()
+            with (
+                ShardRouterServer(urls) as forward,
+                ShardRouterServer(list(reversed(urls))) as backward,
+            ):
+                fronts = (forward, backward)
+                print(f"2 routers booted: {forward.url}, {backward.url}")
 
-            # -- byte-identical payloads vs in-process execution ----------- #
-            expected = {
-                request.cache_key(): _execute_request_to_bytes(request)
-                for request in requests
-            }
-            for request, handle in handles:
+                # -- duplicate submissions through two routers ------------- #
+                clients = [ServiceClient(front.url) for front in fronts]
+                documents = [_document(name) for name in BENCHMARKS]
+                requests = [request_from_document(document) for document in documents]
+                handles = [
+                    (request, client.submit_document(document))
+                    for client in clients
+                    for document, request in zip(documents, requests)
+                ]
+                for request, handle in handles:
+                    owner = router.shard_for(request.cache_key())
+                    assert handle.shard == owner, (handle.shard, owner)
+                    assert handle.degraded is False
+                for server in servers:
+                    server.service.resume()
+
+                # -- byte-identical payloads vs in-process execution ------- #
+                expected = {
+                    request.cache_key(): _execute_request_to_bytes(request)
+                    for request in requests
+                }
+                for request, handle in handles:
+                    payload = handle.result_bytes(timeout=120.0)
+                    assert payload == expected[request.cache_key()], (
+                        f"payload for {request.workloads[0].name} differs from "
+                        "in-process execution"
+                    )
+                print(f"{len(handles)} payloads byte-identical to in-process execution")
+
+                # -- cluster-wide coalescing ------------------------------- #
+                per_shard = [server.service.stats() for server in servers]
+                submitted = sum(stats["submitted"] for stats in per_shard)
+                executed = sum(stats["executed"] for stats in per_shard)
+                coalesced = sum(stats["coalesced"] for stats in per_shard)
+                print(
+                    f"cluster stats: submitted={submitted} executed={executed} "
+                    f"coalesced={coalesced}"
+                )
+                assert submitted == len(handles), per_shard
+                assert executed == len(BENCHMARKS), (
+                    f"cluster-wide executed={executed}, want one per unique key "
+                    f"({len(BENCHMARKS)})"
+                )
+                assert coalesced == len(handles) - len(BENCHMARKS), per_shard
+
+                # -- each router aggregates to the same totals ------------- #
+                for client in clients:
+                    aggregated = client.stats()
+                    assert aggregated["submitted"] == submitted, aggregated
+                    assert aggregated["executed"] == executed, aggregated
+                    assert aggregated["shard_count"] == SHARDS
+                print("router /stats aggregation matches per-shard totals")
+
+                # -- stop one shard mid-run: the router fails over --------- #
+                victim = servers[0]
+                victim_url = victim.url
+                victim.stop()
+                print(f"stopped shard {victim_url}")
+                survivor_client = ServiceClient(forward.url, timeout=5.0, retries=0)
+                probe = _document_owned_by(router, victim_url)
+                handle = survivor_client.submit_document(probe)
+                assert handle.degraded is True, "failover must be marked degraded"
+                assert handle.shard in urls[1:], handle.shard
                 payload = handle.result_bytes(timeout=120.0)
-                assert payload == expected[request.cache_key()], (
-                    f"payload for {request.workloads[0].name} differs from "
-                    "in-process execution"
-                )
-            print(f"{len(handles)} payloads byte-identical to in-process execution")
-
-            # -- cluster-wide coalescing ----------------------------------- #
-            per_shard = [server.service.stats() for server in servers]
-            submitted = sum(stats["submitted"] for stats in per_shard)
-            executed = sum(stats["executed"] for stats in per_shard)
-            coalesced = sum(stats["coalesced"] for stats in per_shard)
-            print(
-                f"cluster stats: submitted={submitted} executed={executed} "
-                f"coalesced={coalesced}"
-            )
-            assert submitted == len(handles), per_shard
-            assert executed == len(BENCHMARKS), (
-                f"cluster-wide executed={executed}, want one per unique key "
-                f"({len(BENCHMARKS)})"
-            )
-            assert coalesced == len(handles) - len(BENCHMARKS), per_shard
-
-            # -- router front-end aggregates to the same totals ------------ #
-            with ShardRouterServer(urls) as front:
-                aggregated = ServiceClient(front.url).stats()
-                assert aggregated["submitted"] == submitted, aggregated
-                assert aggregated["executed"] == executed, aggregated
-                assert aggregated["shard_count"] == SHARDS
-                routed = ServiceClient(front.url).submit(
-                    "reference", {"benchmark": BENCHMARKS[0], "scale": SCALE}
-                )
-                routed.wait(timeout=120.0)
-            print("router front-end aggregation matches per-shard totals")
-
-            # -- kill one shard mid-run: client fails over, degraded ------- #
-            victim = servers[0]
-            victim_url = victim.url
-            victim.stop()
-            print(f"killed shard {victim_url}")
-            survivor_client = ServiceClient(urls, timeout=5.0, retries=0)
-            probe = _document_owned_by(router, victim_url)
-            handle = survivor_client.submit_document(probe)
-            assert handle.degraded is True, "failover must be marked degraded"
-            assert handle.shard in urls[1:], handle.shard
-            payload = handle.result_bytes(timeout=120.0)
-            assert payload == _execute_request_to_bytes(request_from_document(probe)), (
-                "failover payload differs from in-process execution"
-            )
-            health = survivor_client.healthz()
-            assert health["status"] == "degraded", health
-            print("client failed over to a live shard with a correct payload")
+                want = _execute_request_to_bytes(request_from_document(probe))
+                assert payload == want, "failover payload differs from in-process execution"
+                health = survivor_client.healthz()
+                assert health["status"] == "degraded", health
+                print("router failed over to a live shard with a correct payload")
 
             # -- no torn or leaked store artifacts -------------------------- #
             leftovers = [

@@ -10,9 +10,10 @@ and asserts the acceptance criteria end to end:
   no re-simulation — and its result ledger is **byte-identical** to the cold
   run's, which is the cheap end-to-end proof that the spec compiler, the
   store keys and the engine payloads all still agree;
-* the same spec run locally (no service) and through a 2-URL sharded client
-  over two more servers writes the **same** ledger: in-process requests and
-  the JSON job documents the service decodes describe the same simulations.
+* the same spec run locally (no service) and through a shard router in
+  front of two more servers writes the **same** ledger: in-process requests
+  and the JSON job documents the service decodes describe the same
+  simulations.
 
 Run it the way CI does::
 
@@ -25,7 +26,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.service import ResultStore, ServiceClient, ServiceServer, SimulationService
+from repro.service import (
+    ResultStore,
+    ServiceClient,
+    ServiceServer,
+    ShardRouterServer,
+    SimulationService,
+)
 from repro.sweep import load_sweep_spec, run_sweep
 
 #: 2 workloads x 2 machines x 2 latencies = 8 points, scaled down for speed.
@@ -107,9 +114,10 @@ def main() -> int:
         with (
             ServiceServer(SimulationService(store=None, workers=1, name="shard0"), port=0) as a,
             ServiceServer(SimulationService(store=None, workers=1, name="shard1"), port=0) as b,
+            ShardRouterServer([a.url, b.url]) as router,
         ):
             sharded = run_sweep(
-                spec, client=ServiceClient([a.url, b.url]), out_dir=root / "sharded"
+                spec, client=ServiceClient(router.url), out_dir=root / "sharded"
             )
             assert sharded.run.counts()["failed"] == 0, sharded.run.counts()
             assert a.service.stats()["executed"] and b.service.stats()["executed"], (

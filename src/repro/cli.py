@@ -161,6 +161,17 @@ def _dedupe(names: Sequence[str]) -> list[str]:
 # --------------------------------------------------------------------------- #
 # simulation service subcommands
 # --------------------------------------------------------------------------- #
+def _service_client(parser: argparse.ArgumentParser, url: str):
+    """A :class:`~repro.service.ServiceClient` for ``url``; a bad URL is a usage error."""
+    from repro.errors import ConfigurationError
+    from repro.service import ServiceClient
+
+    try:
+        return ServiceClient(url)
+    except ConfigurationError as error:
+        parser.error(str(error))
+
+
 def serve_main(argv: Sequence[str]) -> int:
     """``repro-mtv serve``: run the async simulation job service."""
     parser = argparse.ArgumentParser(
@@ -284,8 +295,8 @@ def submit_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--url", default="http://127.0.0.1:8321",
         help=(
-            "service base URL; pass several comma-separated URLs to route "
-            "across a sharded cluster client-side"
+            "base URL of one service; to reach a sharded cluster, point it "
+            "at a router (repro-mtv serve --shard-of URL,URL,...)"
         ),
     )
     parser.add_argument("--machine", default="reference", help="registered machine model name")
@@ -317,9 +328,9 @@ def submit_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro.errors import JobCancelled, JobTimeout
-    from repro.service import ServiceClient, ServiceError
+    from repro.service import ServiceError
 
-    client = ServiceClient(args.url)
+    client = _service_client(parser, args.url)
     options = {}
     if args.memory_latency is not None:
         options["memory_latency"] = args.memory_latency
@@ -370,13 +381,13 @@ def trace_main(argv: Sequence[str]) -> int:
     parser.add_argument("job_id", help="job id returned by submit")
     parser.add_argument(
         "--url", default="http://127.0.0.1:8321",
-        help="service base URL (or comma-separated shard URLs)",
+        help="base URL of one service or shard router",
     )
     args = parser.parse_args(argv)
 
-    from repro.service import ServiceClient, ServiceError
+    from repro.service import ServiceError
 
-    client = ServiceClient(args.url)
+    client = _service_client(parser, args.url)
     try:
         timeline = client.trace(args.job_id)
     except ServiceError as error:
@@ -419,11 +430,11 @@ def sweep_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument("spec", help="path to the sweep spec (.toml or .json)")
     parser.add_argument(
-        "--via-service", default=None, metavar="URL[,URL...]",
+        "--via-service", default=None, metavar="URL",
         help=(
-            "fan points out through a running repro-mtv service at URL; "
-            "several comma-separated URLs shard the sweep across a cluster "
-            "by content key"
+            "fan points out through the running repro-mtv service at URL "
+            "(one URL); to shard the sweep across a cluster by content key, "
+            "point it at a router (repro-mtv serve --shard-of URL,URL,...)"
         ),
     )
     parser.add_argument(
@@ -465,9 +476,9 @@ def sweep_main(argv: Sequence[str]) -> int:
     client = None
     cache = None
     if args.via_service is not None:
-        from repro.service import ServiceClient, ServiceError
+        from repro.service import ServiceError
 
-        client = ServiceClient(args.via_service)
+        client = _service_client(parser, args.via_service)
         try:
             # probe liveness up front: a dead endpoint fails the whole sweep
             # in one line instead of per-point tracebacks

@@ -13,14 +13,13 @@ The scale layer on top of the :class:`~repro.api.machine.Machine` facade:
   (``POST /jobs``, ``GET /jobs/<id>`` with ``?follow=1`` long-polling,
   ``GET /jobs/<id>/trace``, ``DELETE /jobs/<id>``, ``GET /stats``,
   ``GET /metrics`` in Prometheus exposition format, ``GET /healthz``);
-* :class:`ServiceClient` — Python client mirroring the ``Machine`` facade,
-  with capped-exponential-backoff retries that honour ``Retry-After``;
-  accepts several base URLs and routes by content key across a sharded
-  cluster (failing over, marking handles ``degraded``);
+* :class:`ServiceClient` — Python client for one base URL, mirroring the
+  ``Machine`` facade, with capped-exponential-backoff retries that honour
+  ``Retry-After``;
 * :class:`ShardRouter` / :class:`ShardRouterServer` — horizontal scale-out:
   consistent hashing of content-key digests onto N independent service
-  processes, either client-side or through a thin router front-end
-  (``repro-mtv serve --shard-of URL,URL,...``) that forwards jobs and
+  processes through a thin router front-end (``repro-mtv serve --shard-of
+  URL,URL,...``) that forwards jobs, fails over when a shard is down and
   aggregates ``/stats``/``/metrics`` cluster-wide.
 
 The stack carries a resilience layer throughout: admission control sheds

@@ -15,11 +15,13 @@ accepts.  Requests over in-memory programs or traces run in-process through
 that the client unpickles, so point it only at a server you trust.  Only
 stdlib :mod:`urllib` is used — no new runtime dependencies.
 
-Pass several base URLs (``"http://a:1,http://b:2"`` or a list) to talk to a
-sharded cluster: the client consistently hashes each request's content key
-onto the shard set, fails over along the ring when a shard is down (marking
-the handle ``degraded``), and aggregates ``stats()``/``metrics()`` across
-shards.  See :mod:`repro.service.shard`.
+A client talks to one base URL.  To reach a sharded cluster, point it at a
+router front-end (``repro-mtv serve --shard-of URL,URL,...``): the router
+routes each job to the shard owning its content key, fails over when that
+shard is down, and aggregates ``/stats``, ``/metrics`` and ``/healthz``.  Its
+answer to a submission names the serving ``shard`` and whether the job was
+``degraded``, and :class:`JobHandle` carries both.  See
+:mod:`repro.service.shard`.
 """
 
 from __future__ import annotations
@@ -43,16 +45,8 @@ from repro.errors import (
 )
 from repro.faults import inject_conn_reset
 from repro.obs.trace import TRACE_HEADER, new_trace_id
-from repro.service.shard import ShardRouter, aggregate_stats, parse_shard_urls
-from repro.service.specs import request_from_document
 
 __all__ = ["JobHandle", "ServiceClient", "ServiceError"]
-
-#: How many job-id → owning-shard mappings a multi-URL client remembers, so
-#: status/result/cancel calls for a routed job go straight to its shard.
-#: Oldest mappings are dropped first; a dropped job falls back to the first
-#: shard (which answers 404, surfaced as a normal :class:`ServiceError`).
-MAX_TRACKED_JOB_SHARDS = 4096
 
 #: HTTP statuses that mean "try again shortly", not "the request is wrong":
 #: 429 is admission-control load shedding, 503 a restarting server.
@@ -79,11 +73,12 @@ class ServiceError(ReproError):
 class JobHandle:
     """One submitted job: its id plus how the service is serving it.
 
-    ``shard`` is the base URL of the shard serving the job (``None`` for a
-    single-URL client); ``degraded`` is ``True`` when the job's ring owner
-    was down and the submission failed over to a substitute shard — correct
-    results, but cluster-wide coalescing with the owner's store is lost
-    until the owner returns.
+    ``shard`` and ``degraded`` mirror a router front-end's answer:
+    ``shard`` is the base URL of the shard serving the job (``None`` when
+    the client talks to a single service), and ``degraded`` is ``True`` when
+    the job's ring owner was down and the router failed the submission over
+    to a substitute shard — correct results, but cluster-wide coalescing
+    with the owner's store is lost until the owner returns.
     """
 
     client: "ServiceClient"
@@ -144,17 +139,12 @@ FOLLOW_CHUNK = 10.0
 
 
 class ServiceClient:
-    """HTTP client for one simulation service — or a sharded cluster of them.
+    """HTTP client for one simulation service endpoint.
 
-    ``base_url`` accepts one base URL, a comma-separated string of several,
-    or a sequence of them.  With more than one URL the client routes each
-    submission itself: the request's content key is consistently hashed
-    onto the shard set (the same :class:`~repro.service.shard.ShardRouter`
-    ring a router front-end uses), so identical requests from every client
-    land on the same shard and keep coalescing cluster-wide.  When a shard
-    is down at submission time the client fails over along the ring and
-    marks the returned handle ``degraded``; follow-up status/result/cancel
-    calls are routed to the shard that owns each job.
+    ``base_url`` is exactly one base URL: a service, or a router front-end
+    (``repro-mtv serve --shard-of``) in front of a sharded cluster.  A list
+    or a comma-separated string of URLs raises
+    :class:`~repro.errors.ConfigurationError`.
 
     Every HTTP round trip runs under a per-call socket ``timeout`` and a
     bounded retry budget: up to ``retries`` extra attempts on *transient*
@@ -171,17 +161,21 @@ class ServiceClient:
 
     def __init__(
         self,
-        base_url,
+        base_url: str,
         *,
         timeout: float = 30.0,
         retries: int = 2,
         retry_interval: float = 0.2,
         backoff_cap: float = 5.0,
     ) -> None:
-        self.base_urls = parse_shard_urls(base_url)
-        self.base_url = self.base_urls[0]
-        self._router = ShardRouter(self.base_urls) if len(self.base_urls) > 1 else None
-        self._job_shards: dict[str, str] = {}
+        url = base_url.strip().rstrip("/") if isinstance(base_url, str) else ""
+        if not url or "," in url:
+            raise ConfigurationError(
+                f"ServiceClient takes exactly one base URL, not {base_url!r}; "
+                "to reach a sharded cluster, run a router with "
+                "`repro-mtv serve --shard-of URL,URL,...` and point the client at it"
+            )
+        self.base_url = url
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.retry_interval = max(0.0, retry_interval)
@@ -207,12 +201,10 @@ class ServiceClient:
         body: dict | None = None,
         timeout: float | None = None,
         method: str | None = None,
-        base_url: str | None = None,
         headers: dict | None = None,
     ) -> bytes:
-        base_url = self.base_url if base_url is None else base_url
         request = urllib.request.Request(
-            base_url + path,
+            self.base_url + path,
             data=None if body is None else json.dumps(body).encode(),
             headers={"Content-Type": "application/json", **(headers or {})},
             method=method or ("GET" if body is None else "POST"),
@@ -253,7 +245,7 @@ class ServiceClient:
                 status=last_status,
             ) from None
         raise ServiceError(
-            f"cannot reach {base_url} after {self.retries + 1} attempt(s): {last_error}"
+            f"cannot reach {self.base_url} after {self.retries + 1} attempt(s): {last_error}"
         ) from None
 
     def _call(
@@ -261,16 +253,9 @@ class ServiceClient:
         path: str,
         body: dict | None = None,
         timeout: float | None = None,
-        base_url: str | None = None,
         headers: dict | None = None,
     ) -> dict:
-        return json.loads(
-            self._fetch(path, body, timeout, base_url=base_url, headers=headers)
-        )
-
-    def _shard_for_job(self, job_id: str) -> str:
-        """The base URL serving ``job_id`` (the first shard when untracked)."""
-        return self._job_shards.get(job_id, self.base_url)
+        return json.loads(self._fetch(path, body, timeout, headers=headers))
 
     # -- submission ------------------------------------------------------ #
     def submit(
@@ -324,53 +309,24 @@ class ServiceClient:
         priority: int = 0,
         job_timeout: float | None = None,
     ) -> JobHandle:
-        """POST one JSON job document; ``priority``/``job_timeout`` fill its envelope.
-
-        A sharded client routes by ``request_from_document(document)``'s
-        content key, the digest the shards address their stores by.
-        """
+        """POST one JSON job document; ``priority``/``job_timeout`` fill its envelope."""
         document = {**document, "priority": priority}
         if job_timeout is not None:
             document["timeout"] = job_timeout
-        trace_headers = {TRACE_HEADER: new_trace_id()}
-        if self._router is None:
-            return self._submitted(self._call("/jobs", document, headers=trace_headers))
-        # client-side sharding: the ring owner first, then its successors.
-        # Only connection-level failures (status None) fail over — an HTTP
-        # error is the owning shard's answer and is raised as-is.
-        key = request_from_document(document).cache_key()
-        failures: list[str] = []
-        for rank, shard in enumerate(self._router.preference(key)):
-            try:
-                answer = self._call(
-                    "/jobs", document, base_url=shard, headers=trace_headers
-                )
-            except ServiceError as error:
-                if error.status is not None:
-                    raise
-                failures.append(str(error))
-                continue
-            return self._submitted(answer, shard=shard, degraded=rank > 0)
-        raise ServiceError("no live shard: " + "; ".join(failures))
-
-    def _submitted(self, answer: dict, *, shard: str | None = None, degraded: bool = False) -> JobHandle:
-        if shard is not None:
-            self._job_shards[answer["job_id"]] = shard
-            while len(self._job_shards) > MAX_TRACKED_JOB_SHARDS:
-                self._job_shards.pop(next(iter(self._job_shards)))
+        answer = self._call("/jobs", document, headers={TRACE_HEADER: new_trace_id()})
         return JobHandle(
             client=self,
             job_id=answer["job_id"],
             served_from=answer["served_from"],
-            shard=shard,
-            degraded=degraded,
+            shard=answer.get("shard"),
+            degraded=bool(answer.get("degraded", False)),
             trace_id=answer.get("trace_id"),
         )
 
     # -- retrieval ------------------------------------------------------- #
     def job(self, job_id: str) -> dict:
         """Status document of one job (404 raises :class:`ServiceError`)."""
-        return self._call(f"/jobs/{job_id}", base_url=self._shard_for_job(job_id))
+        return self._call(f"/jobs/{job_id}")
 
     def trace(self, job_id: str) -> dict:
         """Span timeline of one job (``GET /jobs/<id>/trace``).
@@ -379,9 +335,7 @@ class ServiceClient:
         submit, store-lookup, coalesce-join, queue-wait, execute, result-ship
         and fetch — each with a wall-clock ``start`` and ``duration_ms``.
         """
-        return self._call(
-            f"/jobs/{job_id}/trace", base_url=self._shard_for_job(job_id)
-        )
+        return self._call(f"/jobs/{job_id}/trace")
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a still-queued job (``DELETE /jobs/<id>``).
@@ -391,9 +345,7 @@ class ServiceClient:
         raise :class:`ServiceError`.
         """
         try:
-            self._fetch(
-                f"/jobs/{job_id}", method="DELETE", base_url=self._shard_for_job(job_id)
-            )
+            self._fetch(f"/jobs/{job_id}", method="DELETE")
         except ServiceError as error:
             if error.status == 409:
                 return False
@@ -418,7 +370,6 @@ class ServiceClient:
             info = self._call(
                 f"/jobs/{job_id}?follow=1&wait={wait:g}",
                 timeout=self.timeout + wait,
-                base_url=self._shard_for_job(job_id),
             )
             if info["state"] in TERMINAL_JOB_STATES:
                 return info
@@ -459,49 +410,15 @@ class ServiceClient:
     def stats(self) -> dict:
         """The service's live counters (``GET /stats``).
 
-        A sharded client probes every shard and returns the cluster-wide
-        aggregate (counters summed, stores merged), with per-shard detail
-        under ``"shards"``.  Dead shards are reported, not raised.
+        A router answers with the cluster-wide aggregate (counters summed,
+        stores merged) and per-shard detail under ``"shards"``.
         """
-        if self._router is None:
-            return self._call("/stats")
-        per_shard: list[dict] = []
-        detail: list[dict] = []
-        for shard in self.base_urls:
-            try:
-                stats = self._call("/stats", base_url=shard)
-            except ServiceError:
-                stats = None
-            if stats is not None:
-                per_shard.append(stats)
-            detail.append({"url": shard, "ok": stats is not None, "stats": stats})
-        aggregate = aggregate_stats(per_shard)
-        aggregate["shards"] = detail
-        aggregate["shard_count"] = len(self.base_urls)
-        return aggregate
+        return self._call("/stats")
 
     def metrics(self) -> str:
-        """The scrape-friendly plaintext counter export (``GET /metrics``).
-
-        A sharded client renders the aggregated :meth:`stats` document, so
-        the export stays one flat set of ``repro_*`` lines cluster-wide.
-        """
-        if self._router is None:
-            return self._fetch("/metrics").decode()
-        from repro.service.http import render_metrics
-
-        return render_metrics(self.stats())
+        """The scrape-friendly plaintext counter export (``GET /metrics``)."""
+        return self._fetch("/metrics").decode()
 
     def healthz(self) -> dict:
-        """Liveness probe (``GET /healthz``) — per shard when sharded."""
-        if self._router is None:
-            return self._call("/healthz")
-        alive: dict[str, bool] = {}
-        for shard in self.base_urls:
-            try:
-                alive[shard] = self._call("/healthz", base_url=shard).get("status") == "ok"
-            except ServiceError:
-                alive[shard] = False
-        live = sum(1 for ok in alive.values() if ok)
-        status = "ok" if live == len(alive) else ("degraded" if live else "down")
-        return {"status": status, "shards": alive}
+        """Liveness probe (``GET /healthz``); a router reports each shard."""
+        return self._call("/healthz")

@@ -37,8 +37,10 @@ client must trust the server it points at.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.parse
+import weakref
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -50,7 +52,7 @@ from repro.obs.trace import TRACE_HEADER
 from repro.service.core import SimulationService
 from repro.service.specs import parse_job_document
 
-__all__ = ["ServiceServer", "render_metrics"]
+__all__ = ["BackgroundHTTPServer", "ServiceServer", "render_metrics"]
 
 #: Largest request body accepted by ``POST /jobs`` (16 MiB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -109,7 +111,7 @@ def render_metrics(stats: dict) -> str:
 class _JSONHandler(BaseHTTPRequestHandler):
     """Shared JSON-over-HTTP plumbing for the service and shard-router handlers.
 
-    The owning server must expose a ``verbose`` attribute.
+    The owning server is a :class:`BackgroundHTTPServer`.
     """
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -303,18 +305,89 @@ class _Handler(_JSONHandler):
         )
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """The service's HTTP server; owns a background serving thread.
+#: Every bound, not yet closed :class:`BackgroundHTTPServer` of this process.
+_LIVE_SERVERS: "weakref.WeakSet[BackgroundHTTPServer]" = weakref.WeakSet()
+
+
+def _close_listeners_in_child() -> None:
+    """Close every inherited listening socket in a freshly forked child.
+
+    A forked child (a pool worker) holds a copy of each listening socket.
+    Without this hook the port keeps accepting connections after its server
+    stops or dies, and clients hang until their socket timeout instead of
+    being refused.  The parent's sockets are untouched.
+    """
+    for server in list(_LIVE_SERVERS):
+        server.socket.close()
+    _LIVE_SERVERS.clear()
+
+
+os.register_at_fork(after_in_child=_close_listeners_in_child)
+
+
+class BackgroundHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that serves from one background thread.
 
     ``port=0`` binds an ephemeral port (read :attr:`url` after construction).
+    Use as a context manager, or call :meth:`start` / :meth:`stop`.  A
+    process forked while the server is bound does not inherit its listening
+    socket.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, handler, *, host: str, port: int, verbose: bool) -> None:
+        super().__init__((host, port), handler)
+        self.verbose = verbose
+        self._thread: threading.Thread | None = None
+        _LIVE_SERVERS.add(self)
+
+    @property
+    def url(self) -> str:
+        """Base URL of the bound socket (resolves ephemeral ports)."""
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "BackgroundHTTPServer":
+        """Serve requests on a background thread until :meth:`stop`."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self.serve_forever,
+                name="repro-http",
+                daemon=True,
+                kwargs={"poll_interval": 0.05},
+            )
+            self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop serving and close the listening socket."""
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join(timeout=5.0)
+            self._thread = None
+        self.server_close()
+
+    def server_close(self) -> None:
+        _LIVE_SERVERS.discard(self)
+        super().server_close()
+
+    def __enter__(self) -> "BackgroundHTTPServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class ServiceServer(BackgroundHTTPServer):
+    """The service's HTTP server; owns a background serving thread.
+
     Use as a context manager, or call :meth:`start` / :meth:`stop`::
 
         with ServiceServer(service, port=0) as server:
             client = ServiceClient(server.url)
             ...
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -324,10 +397,8 @@ class ServiceServer(ThreadingHTTPServer):
         port: int = 0,
         verbose: bool = False,
     ) -> None:
-        super().__init__((host, port), _Handler)
+        super().__init__(_Handler, host=host, port=port, verbose=verbose)
         self.service = service
-        self.verbose = verbose
-        self._thread: threading.Thread | None = None
         self._request_seconds = service.metrics.histogram(
             "repro_http_request_seconds",
             "End-to-end HTTP request handling time (seconds)",
@@ -345,36 +416,8 @@ class ServiceServer(ThreadingHTTPServer):
                 perf_counter() - started, labels={"method": method}
             )
 
-    @property
-    def url(self) -> str:
-        """Base URL of the bound socket (resolves ephemeral ports)."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ServiceServer":
-        """Serve requests on a background thread until :meth:`stop`."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.serve_forever,
-                name="repro-service-http",
-                daemon=True,
-                kwargs={"poll_interval": 0.05},
-            )
-            self._thread.start()
-        return self
-
     def stop(self, *, shutdown_service: bool = True) -> None:
         """Stop serving; optionally shut the underlying service down too."""
-        if self._thread is not None:
-            self.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.server_close()
+        super().stop()
         if shutdown_service:
             self.service.shutdown()
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

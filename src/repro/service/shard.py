@@ -11,17 +11,16 @@ requests therefore always land on the same shard, so request coalescing and
 store hits keep collapsing duplicates *cluster-wide* without any new
 coordination protocol between the shards.
 
-Two ways to route:
-
-* **client-side** — :class:`~repro.service.client.ServiceClient` accepts a
-  list of base URLs and routes each submission itself (no extra hop, no extra
-  process); it fails over to the next live shard on the ring when the owner
-  is down, marking the submission *degraded*;
-* **router front-end** — :class:`ShardRouterServer` (``repro-mtv serve
-  --shard-of URL,URL,...``) is a thin HTTP process that forwards
-  ``POST /jobs`` / ``GET /jobs/<id>`` / ``DELETE /jobs/<id>`` to the owning
-  shard and aggregates ``GET /stats`` / ``GET /metrics`` across the cluster,
-  for clients that should not know the shard topology.
+Clients reach a cluster through one route, the **router front-end**:
+:class:`ShardRouterServer` (``repro-mtv serve --shard-of URL,URL,...``) is a
+thin, stateless HTTP process that forwards ``POST /jobs`` /
+``GET /jobs/<id>`` / ``DELETE /jobs/<id>`` to the owning shard, fails a
+submission over along the ring when the owner is down (marking the answer
+``degraded``), and aggregates ``GET /stats`` / ``GET /metrics`` /
+``GET /healthz`` across the cluster.  A
+:class:`~repro.service.client.ServiceClient` pointed at a router needs no
+knowledge of the shard topology, and any number of routers can front the
+same shards.
 
 The ring (:class:`ShardRouter`) hashes each shard URL onto
 :data:`RING_REPLICAS` points of a 64-bit circle; a key is owned by the first
@@ -39,16 +38,14 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import threading
 import urllib.error
 import urllib.request
 from collections.abc import Sequence
-from http.server import ThreadingHTTPServer
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import merge_metric_snapshots
 from repro.obs.trace import TRACE_HEADER
-from repro.service.http import _JSONHandler, render_metrics
+from repro.service.http import BackgroundHTTPServer, _JSONHandler, render_metrics
 from repro.service.specs import parse_job_document
 from repro.service.store import key_digest
 
@@ -107,10 +104,9 @@ def _ring_point(label: str) -> int:
 class ShardRouter:
     """Consistent hashing of content-key digests onto shard base URLs.
 
-    The routing is a pure function of the *set* of shard URLs — two parties
-    holding the same URLs (in any order) compute identical owners, which is
-    what lets client-side routing and a router front-end coexist against one
-    cluster.
+    The routing is a pure function of the *set* of shard URLs — two routers
+    holding the same URLs (in any order) compute identical owners, so any
+    number of them can front one cluster.
     """
 
     def __init__(self, shards: str | Sequence[str], *, replicas: int = RING_REPLICAS) -> None:
@@ -161,10 +157,6 @@ class ShardRouter:
                 if len(order) == len(self.shards):
                     break
         return tuple(order)
-
-    def preference(self, key: tuple) -> tuple[str, ...]:
-        """Failover order for a request's content key (owner first)."""
-        return self.preference_for_digest(key_digest(key))
 
     def shard_index(self, url: str) -> int:
         """Stable index of one shard URL (used to prefix routed job ids)."""
@@ -372,7 +364,7 @@ class _RouterHandler(_JSONHandler):
         self._relay(shard, status, body)
 
 
-class ShardRouterServer(ThreadingHTTPServer):
+class ShardRouterServer(BackgroundHTTPServer):
     """HTTP front-end that routes jobs to shards and aggregates their stats.
 
     A deliberately thin, stateless process: it holds no job records and no
@@ -381,10 +373,9 @@ class ShardRouterServer(ThreadingHTTPServer):
     number of router processes can front the same cluster.
 
     ``port=0`` binds an ephemeral port (read :attr:`url` after construction).
-    Use as a context manager, or call :meth:`start` / :meth:`stop`.
+    Use as a context manager, or call :meth:`start` / :meth:`stop`; stopping
+    the router does not touch the shards.
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -394,10 +385,9 @@ class ShardRouterServer(ThreadingHTTPServer):
         port: int = 0,
         verbose: bool = False,
     ) -> None:
-        super().__init__((host, port), _RouterHandler)
+        # build the ring before binding, so a bad shard list leaks no socket
         self.router = router if isinstance(router, ShardRouter) else ShardRouter(router)
-        self.verbose = verbose
-        self._thread: threading.Thread | None = None
+        super().__init__(_RouterHandler, host=host, port=port, verbose=verbose)
 
     # -- cluster probes --------------------------------------------------- #
     def probe_shards(self, path: str) -> dict[str, bool]:
@@ -431,36 +421,3 @@ class ShardRouterServer(ThreadingHTTPServer):
         aggregate["shards"] = detail
         aggregate["shard_count"] = len(self.router.shards)
         return aggregate
-
-    # -- lifecycle -------------------------------------------------------- #
-    @property
-    def url(self) -> str:
-        """Base URL of the bound socket (resolves ephemeral ports)."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ShardRouterServer":
-        """Serve requests on a background thread until :meth:`stop`."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.serve_forever,
-                name="repro-shard-router",
-                daemon=True,
-                kwargs={"poll_interval": 0.05},
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop serving (the shards themselves are not touched)."""
-        if self._thread is not None:
-            self.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.server_close()
-
-    def __enter__(self) -> "ShardRouterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

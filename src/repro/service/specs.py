@@ -25,8 +25,8 @@ Workload forms:
 The network accepts JSON documents only and never unpickles a request;
 results still travel back as canonical pickles that the client unpickles, so
 a client must trust the server it points at.  :func:`request_from_document`
-is the one decoder, shared by the server, the router, the sharded client and
-the sweep compiler, so one document always means one content key.
+is the one decoder, shared by the server, the router and the sweep compiler,
+so one document always means one content key.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ Two fan-out paths, one result shape:
   host's usable CPUs) and written back as canonical payload bytes;
 * **service** — each point's JSON job document is submitted to a running
   :mod:`repro.service` endpoint via
-  :class:`~repro.service.client.ServiceClient`, which brings the durable store, request coalescing and the persistent worker pool along for
-  free.  A client built with several base URLs shards the sweep across a
-  cluster by content key (see :mod:`repro.service.shard`) with no executor
-  changes — submission, waiting and failover are all client-side.
+  :class:`~repro.service.client.ServiceClient`, which brings the durable
+  store, request coalescing and the persistent worker pool along for free.
+  A client pointed at a router front-end (``repro-mtv serve --shard-of``)
+  shards the sweep across a cluster by content key (see
+  :mod:`repro.service.shard`) with no executor changes.
 
 Either way the executor streams completions through a progress callback and
 isolates failures per point: a point whose machine cannot be resolved or
@@ -185,7 +186,7 @@ def _execute_via_service(
         for point in points:
             try:
                 handle = client.submit_document(point.document, priority=priority)
-            except ReproError as error:  # refused, unreachable, or unkeyable when sharding
+            except ReproError as error:  # refused or unreachable
                 handles.append((point, None, str(error)))
             else:
                 handles.append((point, handle, None))
@@ -303,10 +304,7 @@ def execute_sweep(
             retries=service_retries,
             emit=emit,
         )
-        # a sharded client reports every base URL, so the manifest records
-        # the cluster the sweep actually ran against
-        urls = getattr(client, "base_urls", None)
-        via = ",".join(urls) if urls else getattr(client, "base_url", "service")
+        via = client.base_url
     else:
         _execute_local(compiled, jobs=jobs, cache=cache, emit=emit)
         via = "local"

@@ -164,6 +164,17 @@ class TestServiceCommands:
         assert code == 2
         assert "service error:" in capsys.readouterr().err
 
+    def test_submit_with_several_urls_points_at_router(self, capsys):
+        from repro.cli import submit_main
+
+        with pytest.raises(SystemExit) as exited:
+            submit_main(
+                ["--url", "http://127.0.0.1:9,http://127.0.0.1:10",
+                 "--benchmark", "tomcatv", "--no-wait"]
+            )
+        assert exited.value.code == 2
+        assert "--shard-of" in capsys.readouterr().err
+
     def test_main_routes_service_subcommands(self, monkeypatch):
         import repro.cli as cli
 

@@ -5,9 +5,17 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import pathlib
 import pickle
+import re
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -244,6 +252,61 @@ class TestServerLifecycle:
                     "reference", build_benchmark("tomcatv", scale=SCALE)
                 )
             )
+
+    def test_forked_child_does_not_keep_the_listener(self):
+        server = ServiceServer(SimulationService(store=None, workers=1), port=0).start()
+        address = server.server_address[:2]
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the forked child
+            try:
+                time.sleep(60)
+            finally:
+                os._exit(0)
+        try:
+            server.stop()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5.0).close()
+        finally:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+
+    def test_sigkilled_serve_is_refused_not_held_by_its_workers(self, tmp_path):
+        # a real `serve` whose pool forked after the port was bound: once
+        # the server is SIGKILLed, its surviving workers must not keep the
+        # port accepting connections nobody will answer
+        log_path = tmp_path / "serve.log"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+        with open(log_path, "w") as log:
+            serve = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                 "--workers", "2", "--store-dir", str(tmp_path / "store")],
+                env=env, stdout=log, stderr=subprocess.STDOUT,
+                start_new_session=True,  # the server and its pool form one group
+            )
+        try:
+            url = None
+            deadline = time.monotonic() + 60.0
+            while url is None:
+                assert serve.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, "serve never logged its URL"
+                time.sleep(0.05)
+                found = re.search(r"serving on (http://\S+)", log_path.read_text())
+                url = found.group(1) if found else None
+            ServiceClient(url).submit(
+                "reference", {"benchmark": "tomcatv", "scale": SCALE}
+            ).wait(timeout=120.0)
+            serve.kill()
+            serve.wait()
+            with pytest.raises(urllib.error.URLError) as refused:
+                urllib.request.urlopen(url + "/healthz", timeout=5.0)
+            assert isinstance(refused.value.reason, ConnectionRefusedError)
+        finally:
+            serve.kill()
+            serve.wait()
+            try:  # the pool workers outlive a SIGKILLed server
+                os.killpg(serve.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestLongPoll:

@@ -1,5 +1,6 @@
-"""Tests for consistent-hash sharding: the ring, the sharded client, the
-router front-end, and cluster-wide stats aggregation."""
+"""Tests for consistent-hash sharding: the ring, the router front-end, a
+one-URL client reaching the cluster through routers, and cluster-wide stats
+aggregation."""
 
 from __future__ import annotations
 
@@ -189,28 +190,33 @@ def two_shards(tmp_path):
 
 
 class TestShardedClient:
+    """A one-URL :class:`ServiceClient` reaching the shards through routers."""
+
     def test_routing_lands_on_ring_owner_and_coalesces_cluster_wide(self, two_shards):
         servers, urls = two_shards
-        first = ServiceClient(urls)
-        second = ServiceClient(list(reversed(urls)))  # order must not matter
         router = ShardRouter(urls)
-
         documents = [_document(name) for name in ("tomcatv", "swm256", "dyfesm")]
-        handles = [client.submit_document(document)
-                   for client in (first, second) for document in documents]
-        for handle, document in zip(handles, documents * 2):
-            assert handle.shard == router.shard_for(
-                request_from_document(document).cache_key()
-            )
-            assert handle.degraded is False
-        for server in servers:
-            server.service.resume()
-        payloads = [handle.result_bytes(timeout=120.0) for handle in handles]
-        # both clients see byte-identical payloads per request
-        for index in range(len(documents)):
-            assert payloads[index] == payloads[index + len(documents)]
-        # cluster-wide coalescing: six submissions, three executions
-        stats = first.stats()
+        # two routers holding the shard URLs in opposite order: one ring
+        with (
+            ShardRouterServer(urls) as first,
+            ShardRouterServer(list(reversed(urls))) as second,
+        ):
+            clients = (ServiceClient(first.url), ServiceClient(second.url))
+            handles = [client.submit_document(document)
+                       for client in clients for document in documents]
+            for handle, document in zip(handles, documents * 2):
+                assert handle.shard == router.shard_for(
+                    request_from_document(document).cache_key()
+                )
+                assert handle.degraded is False
+            for server in servers:
+                server.service.resume()
+            payloads = [handle.result_bytes(timeout=120.0) for handle in handles]
+            # both clients see byte-identical payloads per request
+            for index in range(len(documents)):
+                assert payloads[index] == payloads[index + len(documents)]
+            # cluster-wide coalescing: six submissions, three executions
+            stats = clients[0].stats()
         assert stats["submitted"] == 6
         assert stats["executed"] == 3
         assert stats["shard_count"] == 2
@@ -222,58 +228,39 @@ class TestShardedClient:
         servers, urls = two_shards
         for server in servers:
             server.service.resume()
-        client = ServiceClient(urls)
-        result = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE}).wait(
-            timeout=120.0
-        )
+        with ShardRouterServer(urls) as router_server:
+            client = ServiceClient(router_server.url)
+            result = client.submit(
+                "reference", {"benchmark": "tomcatv", "scale": SCALE}
+            ).wait(timeout=120.0)
         local = Machine.named("reference").run(build_benchmark("tomcatv", scale=SCALE))
         assert result.cycles == local.cycles
-
-    def test_follow_up_calls_route_to_owning_shard(self, two_shards):
-        servers, urls = two_shards
-        client = ServiceClient(urls)
-        handle = client.submit_document(_document())
-        # the job only exists on its owning shard, so info()/cancel() working
-        # at all proves the client routed the follow-up correctly
-        assert handle.info()["state"] == "queued"
-        assert handle.cancel() is True
-        assert handle.info()["state"] == "cancelled"
 
     def test_failover_marks_degraded_and_still_serves(self, tmp_path):
         store = ResultStore(tmp_path / "live")
         service = SimulationService(store=store, workers=1)
         with ServiceServer(service, port=0) as live:
             dead = _dead_url()
-            urls = [live.url, dead]
-            router = ShardRouter(urls)
-            client = ServiceClient(urls, timeout=2.0, retries=0)
-            handle = client.submit_document(_document_owned_by(router, dead))
-            assert handle.degraded is True
-            assert handle.shard == live.url
-            assert handle.wait(timeout=120.0).instructions > 0
-
-    def test_all_shards_down_raises(self):
-        client = ServiceClient([_dead_url(), _dead_url()], timeout=0.5, retries=0)
-        with pytest.raises(ServiceError, match="no live shard"):
-            client.submit_document(_document())
-
-    def test_healthz_and_metrics_aggregate(self, two_shards):
-        servers, urls = two_shards
-        client = ServiceClient(urls, timeout=2.0, retries=0)
-        assert client.healthz()["status"] == "ok"
-        text = client.metrics()
-        assert "repro_service_submitted_total" in text
-        degraded = ServiceClient([urls[0], _dead_url()], timeout=0.5, retries=0)
-        health = degraded.healthz()
-        assert health["status"] == "degraded"
-        assert list(health["shards"].values()).count(True) == 1
+            with ShardRouterServer([live.url, dead]) as router_server:
+                client = ServiceClient(router_server.url, timeout=2.0, retries=0)
+                handle = client.submit_document(
+                    _document_owned_by(router_server.router, dead)
+                )
+                # the handle mirrors the router's answer
+                assert handle.degraded is True
+                assert handle.shard == live.url
+                assert handle.wait(timeout=120.0).instructions > 0
 
     def test_single_url_client_keeps_plain_behaviour(self, two_shards):
         servers, urls = two_shards
         client = ServiceClient(urls[0])
-        assert client._router is None
         handle = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
         assert handle.shard is None and handle.degraded is False
+
+    @pytest.mark.parametrize("urls", [["http://a:1", "http://b:2"], "http://a:1,http://b:2"])
+    def test_several_urls_rejected_with_router_hint(self, urls):
+        with pytest.raises(ConfigurationError, match="--shard-of"):
+            ServiceClient(urls)
 
 
 class TestRouterServer:
@@ -329,6 +316,7 @@ class TestRouterServer:
             assert stats["submitted"] == 1
             assert [entry["ok"] for entry in stats["shards"]] == [True, True]
             assert "repro_service_submitted_total 1" in client.metrics()
+            assert client.healthz()["status"] == "ok"
 
     def test_unknown_and_malformed_routed_ids_404(self, two_shards):
         _servers, urls = two_shards

@@ -5,7 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import ResultStore, ServiceClient, ServiceServer, SimulationService
+from repro.service import (
+    ResultStore,
+    ServiceClient,
+    ServiceServer,
+    ShardRouterServer,
+    SimulationService,
+)
 from repro.sweep import (
     MetricsSpec,
     RequestTemplate,
@@ -73,8 +79,9 @@ class TestSweepViaService:
         assert "no-such-machine" in run.failures()[0].error
 
     def test_sharded_client_isolates_unkeyable_points(self, service_url):
-        # a sharded client keys each document itself to route it; a point
-        # that cannot be keyed fails alone instead of aborting the sweep
+        # a shard router keys each document to route it and answers 400 for
+        # a point that cannot be keyed; that point fails alone instead of
+        # aborting the sweep
         spec = SweepSpec(
             name="partial-sharded",
             request=RequestTemplate(mode="single", scale=0.05),
@@ -83,9 +90,11 @@ class TestSweepViaService:
                 SweepAxis(name="workload", values=("tomcatv",)),
             ),
         )
-        client = ServiceClient([service_url, "http://127.0.0.1:9"], timeout=2.0, retries=0)
-        run = execute_sweep(compile_sweep(spec), client=client)
+        with ShardRouterServer([service_url, "http://127.0.0.1:9"]) as router:
+            client = ServiceClient(router.url, timeout=2.0, retries=0)
+            run = execute_sweep(compile_sweep(spec), client=client)
         assert run.counts()["failed"] == 1
+        assert "HTTP 400" in run.failures()[0].error
         assert "no-such-machine" in run.failures()[0].error
 
     def test_run_sweep_via_service_writes_manifest(self, service_url, tmp_path):
