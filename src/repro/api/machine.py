@@ -56,21 +56,6 @@ from repro.workloads.stats import measure_stream
 
 __all__ = ["BUILTIN_MODEL_NAMES", "Machine"]
 
-#: Model names registered by this module on import — resolvable in any
-#: process, including freshly spawned workers.
-BUILTIN_MODEL_NAMES: frozenset[str] = frozenset(
-    {
-        "reference",
-        "multithreaded",
-        "multithreaded-2",
-        "multithreaded-3",
-        "multithreaded-4",
-        "dual-scalar",
-        "cray-style",
-        "ideal",
-    }
-)
-
 Workload = Job | Program | TraceSet
 
 
@@ -312,13 +297,20 @@ class _IdealMachine(Machine):
 # --------------------------------------------------------------------------- #
 # built-in model registrations
 # --------------------------------------------------------------------------- #
-def _register_builtins() -> None:
-    register_model(
+def _register_builtins() -> frozenset[str]:
+    """Register the built-in models; returns the names it registered."""
+    names: list[str] = []
+
+    def builtin(name: str, factory, *, description: str) -> None:
+        register_model(name, factory, description=description)
+        names.append(name)
+
+    builtin(
         "reference",
         lambda **options: Machine(MachineConfig.reference(**options)),
         description="single-context Convex C3400-style reference architecture",
     )
-    register_model(
+    builtin(
         "multithreaded",
         lambda num_contexts=2, **options: Machine(
             MachineConfig.multithreaded(num_contexts, **options)
@@ -326,30 +318,33 @@ def _register_builtins() -> None:
         description="the paper's multithreaded vector architecture (num_contexts=2..4)",
     )
     for contexts in (2, 3, 4):
-        register_model(
+        builtin(
             f"multithreaded-{contexts}",
             lambda contexts=contexts, **options: Machine(
                 MachineConfig.multithreaded(contexts, **options)
             ),
             description=f"multithreaded vector architecture with {contexts} contexts",
         )
-    register_model(
+    builtin(
         "dual-scalar",
         lambda **options: Machine(MachineConfig.dual_scalar_fujitsu(**options)),
         description="Fujitsu VP2000-style dual-scalar machine (section 9)",
     )
-    register_model(
+    builtin(
         "cray-style",
         lambda num_contexts=4, **options: Machine(
             MachineConfig.cray_style(num_contexts, **options)
         ),
         description="Cray-like multi-port, multi-issue extension (section 10)",
     )
-    register_model(
+    builtin(
         "ideal",
         lambda **options: _IdealMachine(**options),
         description="dependence-free IDEAL lower bound of figure 10",
     )
+    return frozenset(names)
 
 
-_register_builtins()
+#: Model names registered by this module on import — resolvable in any
+#: process, including freshly spawned workers.
+BUILTIN_MODEL_NAMES: frozenset[str] = _register_builtins()

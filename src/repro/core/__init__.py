@@ -2,7 +2,7 @@
 
 from repro.core.config import LatencyTable, MachineConfig
 from repro.core.context import HardwareContext
-from repro.core.dispatch import DispatchModel, DispatchOutcome
+from repro.core.dispatch import DispatchModel
 from repro.core.engine import SimulationEngine
 from repro.core.eventlog import (
     DISPATCH_FIELDS,
@@ -44,7 +44,6 @@ __all__ = [
     "DISPATCH_FIELDS",
     "DispatchLog",
     "DispatchModel",
-    "DispatchOutcome",
     "FU_STATE_NAMES",
     "FlatIntervalRecorder",
     "FunctionalUnit",

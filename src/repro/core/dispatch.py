@@ -4,10 +4,13 @@ This module answers the two questions the decode unit asks every cycle:
 
 1. *Could* the head instruction of a context be dispatched now — and if not,
    when is the earliest cycle at which it could (:meth:`DispatchModel.earliest_issue`)?
-2. What happens when it *is* dispatched (:meth:`DispatchModel.dispatch`):
+2. What happens when it *is* dispatched (:meth:`DispatchModel.execute`):
    which functional unit it occupies for how long, when the memory port is
    busy, when each destination register's first element and last element
-   become available, and whether dependents may chain on it.
+   become available, and whether dependents may chain on it.  The dispatch
+   is recorded once, as one row of the columnar
+   :class:`~repro.core.eventlog.DispatchLog`; ``execute`` returns the
+   instruction's completion cycle.
 
 Timing rules implemented (paper section 3 / 3.1):
 
@@ -27,8 +30,6 @@ Timing rules implemented (paper section 3 / 3.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.config import MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.eventlog import DispatchLog
@@ -39,20 +40,7 @@ from repro.isa.opcodes import OpClass
 from repro.memory.request import AccessKind
 from repro.memory.system import _KIND_CODE, MemorySystem
 
-__all__ = ["DispatchModel", "DispatchOutcome"]
-
-
-@dataclass(frozen=True)
-class DispatchOutcome:
-    """Summary of one dispatched instruction, for statistics accounting."""
-
-    instruction: Instruction
-    thread_id: int
-    cycle: int
-    completion: int
-    vector_arithmetic_operations: int = 0
-    memory_transactions: int = 0
-    used_vector_unit: str | None = None
+__all__ = ["DispatchModel"]
 
 
 _ACCESS_KIND_BY_CLASS = {
@@ -137,71 +125,21 @@ class DispatchModel:
     # ------------------------------------------------------------------ #
     def execute(
         self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> None:
-        """Dispatch the instruction and record its columnar statistics row.
+    ) -> int:
+        """Dispatch the instruction, record its dispatch-log row, return its completion.
 
         This is the engine's hot path: all bookkeeping happens (functional
-        units, scoreboard, memory system, the dispatch log) but no
-        :class:`DispatchOutcome` is allocated — the per-dispatch counters
-        land as one flat integer row in :attr:`dispatch_log`.
+        units, scoreboard, memory system) and the per-dispatch counters land
+        as one flat integer row in :attr:`dispatch_log`.  The returned cycle
+        is when the instruction's last result is available.
         """
         if instruction.is_vector_arithmetic:
-            self._dispatch_vector_arithmetic(context, instruction, now)
-        elif instruction.is_vector_memory:
-            self._dispatch_vector_memory(context, instruction, now)
-        elif instruction.is_memory:
-            self._dispatch_scalar_memory(context, instruction, now)
-        else:
-            self._dispatch_scalar(context, instruction, now)
-
-    def dispatch(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> DispatchOutcome:
-        """Like :meth:`execute`, but returns a summary :class:`DispatchOutcome`.
-
-        Kept for API users and tests that inspect individual dispatches; the
-        engine loops use :meth:`execute`, which skips the outcome allocation.
-        """
-        if instruction.is_vector_arithmetic:
-            completion, unit_name = self._dispatch_vector_arithmetic(
-                context, instruction, now
-            )
-            return DispatchOutcome(
-                instruction=instruction,
-                thread_id=context.thread_id,
-                cycle=now,
-                completion=completion,
-                vector_arithmetic_operations=instruction.vl,
-                used_vector_unit=unit_name,
-            )
+            return self._dispatch_vector_arithmetic(context, instruction, now)
         if instruction.is_vector_memory:
-            completion, unit_name = self._dispatch_vector_memory(
-                context, instruction, now
-            )
-            return DispatchOutcome(
-                instruction=instruction,
-                thread_id=context.thread_id,
-                cycle=now,
-                completion=completion,
-                memory_transactions=instruction.vl,
-                used_vector_unit=unit_name,
-            )
+            return self._dispatch_vector_memory(context, instruction, now)
         if instruction.is_memory:
-            completion = self._dispatch_scalar_memory(context, instruction, now)
-            return DispatchOutcome(
-                instruction=instruction,
-                thread_id=context.thread_id,
-                cycle=now,
-                completion=completion,
-                memory_transactions=1,
-            )
-        completion = self._dispatch_scalar(context, instruction, now)
-        return DispatchOutcome(
-            instruction=instruction,
-            thread_id=context.thread_id,
-            cycle=now,
-            completion=completion,
-        )
+            return self._dispatch_scalar_memory(context, instruction, now)
+        return self._dispatch_scalar(context, instruction, now)
 
     # ------------------------------------------------------------------ #
     def _dispatch_scalar(
@@ -245,7 +183,7 @@ class DispatchModel:
 
     def _dispatch_vector_arithmetic(
         self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> tuple[int, str]:
+    ) -> int:
         if instruction.vl is None:
             raise SimulationError(f"vector instruction without a vector length: {instruction}")
         vl = instruction.vl
@@ -269,7 +207,7 @@ class DispatchModel:
         )
         completion = first_result + vl - 1
         read_end = element_start + vl
-        unit.reserve(now, read_end, elements=vl, record_until=completion)
+        unit.reserve(now, read_end, record_until=completion)
 
         record_read = scoreboard.record_read
         for source in instruction.vector_sources():
@@ -293,11 +231,11 @@ class DispatchModel:
                     chainable=True,
                 )
         self._log_extend((context.thread_id, context.job_ordinal, 1, vl, vl, 0))
-        return completion, unit.name
+        return completion
 
     def _dispatch_vector_memory(
         self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> tuple[int, str]:
+    ) -> int:
         if instruction.vl is None:
             raise SimulationError(f"vector instruction without a vector length: {instruction}")
         vl = instruction.vl
@@ -328,7 +266,7 @@ class DispatchModel:
             record_until = completion
         else:
             record_until = completion + 1
-        unit.reserve(now, streaming_end, elements=vl, record_until=record_until)
+        unit.reserve(now, streaming_end, record_until=record_until)
 
         record_read = scoreboard.record_read
         for source in instruction.vector_sources():
@@ -346,4 +284,4 @@ class DispatchModel:
                 chainable=False,
             )
         self._log_extend((context.thread_id, context.job_ordinal, 1, vl, 0, vl))
-        return completion, unit.name
+        return completion

@@ -401,9 +401,6 @@ class SimulationEngine:
                 ready.append(context)
         return ready
 
-    def _earliest_unblock(self, cycle: int) -> int | None:
-        return self._earliest_unblock_ready(cycle)[0]
-
     def _earliest_unblock_ready(
         self, cycle: int
     ) -> tuple[int | None, list[HardwareContext]]:

@@ -1,22 +1,20 @@
 """Columnar event-log statistics: flat-array recording, one-shot reduction.
 
-The measurement path of the simulator used to mutate Python objects per
-dynamic instruction: half a dozen counter increments on
-:class:`~repro.core.statistics.SimulationStats` and
-:class:`~repro.core.statistics.ThreadStats`, a ``JobRecord`` field update, a
-tuple append per functional-unit reservation, and a frozen ``DispatchOutcome``
-dataclass allocated per dispatch just to carry the numbers.  On vector-heavy
-runs that accounting rivaled the cost of the timing model itself.
+Every engine event is recorded exactly once, as plain integers appended to
+flat ``array('q')`` buffers:
 
-This module replaces it with a *columnar event log*:
+* one :data:`DISPATCH_FIELDS` row per dynamic instruction
+  (:class:`DispatchLog`), the only per-instruction record;
+* one ``(start, end)`` pair per functional-unit reservation
+  (:class:`FlatIntervalRecorder`);
+* the address, load-data and store-data busses keep a single running
+  busy-cycle total each (:class:`repro.memory.bus.Bus`), since a bus
+  serializes its reservations.
 
-* while the simulation runs, the engine appends plain integers to flat
-  ``array('q')`` buffers — one :data:`DISPATCH_FIELDS` row per dynamic
-  instruction (:class:`DispatchLog`) and one ``(start, end)`` pair per
-  functional-unit reservation (:class:`FlatIntervalRecorder`);
-* every derived statistic (per-run counters, per-thread counters, per-job
-  instruction counts, busy intervals, the figure-4 state breakdown) is
-  computed in a single reduction at ``SimulationEngine._finalize``.
+Every derived statistic (per-run counters, per-thread counters, per-job
+instruction counts, busy intervals, the figure-4 state breakdown) is computed
+in a single reduction at ``SimulationEngine._finalize``; no statistics object
+is mutated and no summary object is allocated per instruction.
 
 The reductions are dependency-free: column totals are sums over strided
 slices of the flat buffer and per-thread/per-job counts come from one

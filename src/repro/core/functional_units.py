@@ -33,8 +33,6 @@ class FunctionalUnit:
         # busy windows land in a flat (start, end) int buffer; every derived
         # metric is reduced from it once at run finalization
         self.intervals = FlatIntervalRecorder(name)
-        self.instructions_executed = 0
-        self.element_operations = 0
         # Pool this unit belongs to, if any; reservations bump the pool's
         # version so the dispatch-layer ready-time cache can invalidate.
         self._pool: "VectorUnitPool | None" = None
@@ -44,7 +42,7 @@ class FunctionalUnit:
         """First cycle at which a new instruction may occupy the unit."""
         return self._free_at
 
-    def reserve(self, start: int, end: int, *, elements: int = 0, record_until: int | None = None) -> None:
+    def reserve(self, start: int, end: int, *, record_until: int | None = None) -> None:
         """Occupy the unit for ``[start, end)``; ``record_until`` extends the stats window.
 
         ``end`` bounds when the *next* instruction may start on the unit;
@@ -58,8 +56,6 @@ class FunctionalUnit:
             )
         self._free_at = max(self._free_at, end)
         self.intervals.record(start, record_until if record_until is not None else end)
-        self.instructions_executed += 1
-        self.element_operations += elements
         if self._pool is not None:
             self._pool.version += 1
 
@@ -67,8 +63,6 @@ class FunctionalUnit:
         """Clear reservations and statistics."""
         self._free_at = 0
         self.intervals.reset()
-        self.instructions_executed = 0
-        self.element_operations = 0
         if self._pool is not None:
             self._pool.version += 1
 

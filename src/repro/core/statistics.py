@@ -33,9 +33,6 @@ __all__ = [
     "fu_state_breakdown",
 ]
 
-#: Names of the three vector units in the order used by the state tuples.
-VECTOR_UNIT_NAMES = ("FU2", "FU1", "LD")
-
 #: The eight machine states of figure 4, encoded as frozensets of busy units.
 FU_STATE_NAMES: tuple[str, ...] = (
     "( , , )",
@@ -272,16 +269,6 @@ class SimulationStats:
         return fu_state_breakdown(
             self.fu2_intervals, self.fu1_intervals, self.ld_intervals, self.cycles
         )
-
-    def fu_busy_fractions(self) -> dict[str, float]:
-        """Fraction of cycles each vector unit was busy."""
-        if self.cycles <= 0:
-            return {name: 0.0 for name in VECTOR_UNIT_NAMES}
-        return {
-            "FU2": self.fu2_intervals.busy_cycles(self.cycles) / self.cycles,
-            "FU1": self.fu1_intervals.busy_cycles(self.cycles) / self.cycles,
-            "LD": self.ld_intervals.busy_cycles(self.cycles) / self.cycles,
-        }
 
     def counters(self) -> dict[str, int]:
         """Every raw per-run counter as one flat mapping (columnar view).

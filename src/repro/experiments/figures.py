@@ -472,15 +472,16 @@ def figure10(context: ExperimentContext | None = None) -> ExperimentReport:
     )
     series["IDEAL"] = dict.fromkeys(latencies, _ideal_cycles(context))
     baseline_degradation = _degradation(series["baseline"])
-    mth2_degradation = _degradation(series[f"{counts[0]} threads"]) if counts else 0.0
+    lead = counts[0] if counts else 2
+    lead_degradation = _degradation(series.get(f"{lead} threads", {}))
     return ExperimentReport(
         experiment_id="figure10",
         title="Figure 10: total execution time of the 10 benchmarks vs memory latency",
         columns=["memory_latency", *series],
         rows=_latency_rows(latencies, series),
         notes=(
-            f"Baseline degradation {baseline_degradation:.1%}, 2-thread degradation "
-            f"{mth2_degradation:.1%} across the sweep (paper: ~6.8%% for 2 threads)."
+            f"Baseline degradation {baseline_degradation:.1%}, {lead}-thread degradation "
+            f"{lead_degradation:.1%} across the sweep (paper: ~6.8%% for 2 threads)."
         ),
     )
 

@@ -1,18 +1,15 @@
 """Memory subsystem models: busses, interleaved banks, latency."""
 
-from repro.memory.banks import BankConflictModel, BankedMemoryStats
-from repro.memory.bus import Bus, BusStats
+from repro.memory.banks import BankConflictModel
+from repro.memory.bus import Bus
 from repro.memory.request import AccessKind, MemoryRequest, MemoryTiming
-from repro.memory.system import MemorySystem, MemorySystemStats
+from repro.memory.system import MemorySystem
 
 __all__ = [
     "AccessKind",
     "BankConflictModel",
-    "BankedMemoryStats",
     "Bus",
-    "BusStats",
     "MemoryRequest",
     "MemorySystem",
-    "MemorySystemStats",
     "MemoryTiming",
 ]

@@ -17,28 +17,11 @@ that the headline experiments reproduce the paper's published model exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.memory.request import AccessKind, MemoryRequest
+from repro.memory.request import MemoryRequest
 
-__all__ = ["BankConflictModel", "BankedMemoryStats"]
-
-
-@dataclass
-class BankedMemoryStats:
-    """Aggregate statistics of the bank model."""
-
-    accesses: int = 0
-    conflicted_accesses: int = 0
-    extra_cycles: int = 0
-
-    @property
-    def conflict_rate(self) -> float:
-        """Fraction of vector accesses that suffered bank conflicts."""
-        if self.accesses == 0:
-            return 0.0
-        return self.conflicted_accesses / self.accesses
+__all__ = ["BankConflictModel"]
 
 
 class BankConflictModel:
@@ -70,7 +53,6 @@ class BankConflictModel:
         self.num_banks = num_banks
         self.bank_busy_cycles = bank_busy_cycles
         self.gather_conflict_factor = gather_conflict_factor
-        self.stats = BankedMemoryStats()
         # num_banks and bank_busy_cycles are fixed for the lifetime of a run
         # while strides repeat heavily across a vector stream, so both the
         # gcd-derived bank count and the resulting slowdown are memoized per
@@ -111,18 +93,7 @@ class BankConflictModel:
 
     def delivery_cycles(self, request: MemoryRequest) -> int:
         """Cycles needed to stream all elements of the request from the banks."""
-        stats = self.stats
-        stats.accesses += 1
         slowdown = self.slowdown(request)
         if slowdown == 1.0:
             return request.elements
-        cycles = math.ceil(request.elements * slowdown)
-        if cycles > request.elements:
-            stats.conflicted_accesses += 1
-            stats.extra_cycles += cycles - request.elements
-        return cycles
-
-    def reset(self) -> None:
-        """Clear accumulated statistics (the per-stride memos stay valid:
-        they depend only on the fixed bank geometry)."""
-        self.stats = BankedMemoryStats()
+        return math.ceil(request.elements * slowdown)

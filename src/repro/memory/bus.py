@@ -6,54 +6,29 @@ memory transactions (scalar/vector and load/store), and physically separate
 data busses for sending and receiving data to/from main memory."*
 
 Each bus is a simple serially-reusable resource: a transaction reserves a
-contiguous window of cycles.  Reservations land in a flat ``(start, end)``
-integer buffer — part of the columnar statistics pipeline — and the aggregate
-:class:`BusStats` the experiment harness reads (busy cycles, transaction
-count, the memory-port occupation metric) are reduced from it on demand and
-memoized until the next reservation.
+contiguous window of cycles.  Because the bus serializes, reservations never
+overlap, so its whole usage record is one running :attr:`Bus.busy_cycles`
+total — the memory-port occupation metric of figures 5 and 7 is reduced from
+the address ports' totals at run finalization.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass
-
 from repro.errors import SimulationError
 
-__all__ = ["Bus", "BusStats"]
-
-
-@dataclass
-class BusStats:
-    """Aggregate usage statistics of one bus."""
-
-    busy_cycles: int = 0
-    transactions: int = 0
-    last_busy_cycle: int = 0
-
-    def occupancy(self, total_cycles: int) -> float:
-        """Fraction of ``total_cycles`` during which the bus was busy."""
-        if total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / total_cycles)
+__all__ = ["Bus"]
 
 
 class Bus:
-    """A serially-reusable bus that transfers one item per cycle.
+    """A serially-reusable bus that transfers one item per cycle."""
 
-    The cycle-level hot path only appends two integers per reservation; the
-    :attr:`stats` view is computed from the recorded windows when read.
-    """
-
-    __slots__ = ("name", "_free_at", "_windows", "_stats_cache")
+    __slots__ = ("name", "_free_at", "busy_cycles")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._free_at = 0
-        # interleaved (start, end) pairs; windows never overlap because the
-        # bus serializes, so busy cycles is the plain sum of their lengths
-        self._windows: array = array("q")
-        self._stats_cache: BusStats | None = None
+        #: Total cycles reserved so far (the sum of all reservation lengths).
+        self.busy_cycles = 0
 
     @property
     def free_at(self) -> int:
@@ -75,40 +50,9 @@ class Bus:
         start = earliest if earliest > free_at else free_at
         if cycles == 0:
             return start
-        end = start + cycles
-        self._free_at = end
-        self._windows.extend((start, end))
-        self._stats_cache = None
+        self._free_at = start + cycles
+        self.busy_cycles += cycles
         return start
 
-    @property
-    def stats(self) -> BusStats:
-        """Aggregate busy statistics, reduced from the recorded windows."""
-        cached = self._stats_cache
-        if cached is None:
-            windows = self._windows
-            cached = BusStats(
-                busy_cycles=sum(windows[1::2]) - sum(windows[0::2]),
-                transactions=len(windows) // 2,
-                last_busy_cycle=self._free_at - 1 if windows else 0,
-            )
-            self._stats_cache = cached
-        return cached
-
-    @property
-    def busy_windows(self) -> list[tuple[int, int]]:
-        """The recorded ``[start, end)`` reservation windows, in order."""
-        windows = self._windows
-        return [
-            (windows[index], windows[index + 1])
-            for index in range(0, len(windows), 2)
-        ]
-
-    def reset(self) -> None:
-        """Clear reservations and statistics (used between simulation runs)."""
-        self._free_at = 0
-        del self._windows[:]
-        self._stats_cache = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bus({self.name!r}, free_at={self._free_at}, busy={self.stats.busy_cycles})"
+        return f"Bus({self.name!r}, free_at={self._free_at}, busy={self.busy_cycles})"

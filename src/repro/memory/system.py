@@ -13,56 +13,27 @@ Timing rules (paper, section 3.1):
 
 The :class:`MemorySystem` owns the busses (and the optional bank-conflict
 model) and converts a :class:`~repro.memory.request.MemoryRequest` plus an
-earliest start cycle into a :class:`~repro.memory.request.MemoryTiming`.
+earliest start cycle into a :class:`~repro.memory.request.MemoryTiming`.  It
+keeps no per-transaction log: the engine records every memory instruction once,
+in its dispatch log, and the only usage total the memory system carries is
+each bus's running busy-cycle count.
 """
 
 from __future__ import annotations
-
-from array import array
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.memory.banks import BankConflictModel
 from repro.memory.bus import Bus
 from repro.memory.request import AccessKind, MemoryRequest, MemoryTiming
 
-__all__ = ["MemorySystem", "MemorySystemStats"]
+__all__ = ["MemorySystem"]
 
-#: Dense code per access kind, used by the columnar transaction log.
+#: Dense code per access kind, the hot path's primitive transaction kind.
 _KIND_CODE: dict[AccessKind, int] = {kind: code for code, kind in enumerate(AccessKind)}
 _KIND_BY_CODE: tuple[AccessKind, ...] = tuple(AccessKind)
-_LOAD_KINDS = frozenset(
-    {AccessKind.VECTOR_LOAD, AccessKind.VECTOR_GATHER, AccessKind.SCALAR_LOAD}
-)
 #: ``is_load`` per dense kind code (a list index beats enum containment on
 #: the per-transaction hot path).
-_IS_LOAD_BY_CODE: tuple[bool, ...] = tuple(kind in _LOAD_KINDS for kind in _KIND_BY_CODE)
-
-
-@dataclass
-class MemorySystemStats:
-    """Aggregate transaction counts of the memory system."""
-
-    vector_loads: int = 0
-    vector_stores: int = 0
-    gathers: int = 0
-    scatters: int = 0
-    scalar_loads: int = 0
-    scalar_stores: int = 0
-    elements_loaded: int = 0
-    elements_stored: int = 0
-
-    @property
-    def total_transactions(self) -> int:
-        """Total number of memory instructions processed."""
-        return (
-            self.vector_loads
-            + self.vector_stores
-            + self.gathers
-            + self.scatters
-            + self.scalar_loads
-            + self.scalar_stores
-        )
+_IS_LOAD_BY_CODE: tuple[bool, ...] = tuple(kind.is_load for kind in _KIND_BY_CODE)
 
 
 class MemorySystem:
@@ -84,61 +55,11 @@ class MemorySystem:
         self.load_data_bus = Bus("load-data")
         self.store_data_bus = Bus("store-data")
         self.bank_model = bank_model
-        # columnar transaction log: interleaved (kind code, elements) pairs,
-        # reduced into a MemorySystemStats on demand
-        self._transactions: array = array("q")
-        self._stats_cache: MemorySystemStats | None = None
 
     @property
     def num_ports(self) -> int:
         """Number of address ports (1 on the Convex-style machine, 3 on Cray-style)."""
         return len(self.address_buses)
-
-    @property
-    def address_bus(self) -> Bus:
-        """The first address port (the only one on the reference machine)."""
-        return self.address_buses[0]
-
-    # ------------------------------------------------------------------ #
-    def _delivery_cycles(self, request: MemoryRequest) -> int:
-        if self.bank_model is None:
-            return request.elements
-        return self.bank_model.delivery_cycles(request)
-
-    @property
-    def stats(self) -> MemorySystemStats:
-        """Aggregate transaction counts, reduced from the columnar log."""
-        cached = self._stats_cache
-        if cached is None:
-            counts = [0] * len(_KIND_CODE)
-            elements_by_kind = [0] * len(_KIND_CODE)
-            log = self._transactions
-            for index in range(0, len(log), 2):
-                code = log[index]
-                counts[code] += 1
-                elements_by_kind[code] += log[index + 1]
-            # scalar transactions always move exactly one element (matching
-            # the per-transaction accounting this reduction replaced)
-            loaded = 0
-            stored = 0
-            for kind, code in _KIND_CODE.items():
-                moved = counts[code] if not kind.is_vector else elements_by_kind[code]
-                if kind in _LOAD_KINDS:
-                    loaded += moved
-                else:
-                    stored += moved
-            cached = MemorySystemStats(
-                vector_loads=counts[_KIND_CODE[AccessKind.VECTOR_LOAD]],
-                vector_stores=counts[_KIND_CODE[AccessKind.VECTOR_STORE]],
-                gathers=counts[_KIND_CODE[AccessKind.VECTOR_GATHER]],
-                scatters=counts[_KIND_CODE[AccessKind.VECTOR_SCATTER]],
-                scalar_loads=counts[_KIND_CODE[AccessKind.SCALAR_LOAD]],
-                scalar_stores=counts[_KIND_CODE[AccessKind.SCALAR_STORE]],
-                elements_loaded=loaded,
-                elements_stored=stored,
-            )
-            self._stats_cache = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     def schedule_columnar(
@@ -150,11 +71,8 @@ class MemorySystem:
         kind code plus element count and stride directly and returns a plain
         ``(start, first_element, completion)`` tuple — no
         :class:`~repro.memory.request.MemoryRequest` or
-        :class:`~repro.memory.request.MemoryTiming` is allocated.  The
-        transaction lands as one row in the columnar log.
+        :class:`~repro.memory.request.MemoryTiming` is allocated.
         """
-        self._transactions.extend((kind_code, elements))
-        self._stats_cache = None
         if self.bank_model is None:
             delivery = elements
         else:
@@ -213,25 +131,4 @@ class MemorySystem:
     @property
     def address_port_busy_cycles(self) -> int:
         """Total busy cycles summed over all address ports."""
-        return sum(bus.stats.busy_cycles for bus in self.address_buses)
-
-    def port_occupancy(self, total_cycles: int) -> float:
-        """Memory-port occupation metric of the paper (section 6.2).
-
-        With more than one port this is the average occupation across ports,
-        so the metric stays in [0, 1].
-        """
-        if total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.address_port_busy_cycles / (total_cycles * self.num_ports))
-
-    def reset(self) -> None:
-        """Clear all reservations and statistics (between simulation runs)."""
-        for bus in self.address_buses:
-            bus.reset()
-        self.load_data_bus.reset()
-        self.store_data_bus.reset()
-        if self.bank_model is not None:
-            self.bank_model.reset()
-        del self._transactions[:]
-        self._stats_cache = None
+        return sum(bus.busy_cycles for bus in self.address_buses)

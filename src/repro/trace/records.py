@@ -77,13 +77,6 @@ class TraceSet:
             raise TraceError("basic block ids must be unique within a trace set")
 
     # ------------------------------------------------------------------ #
-    def block_by_id(self, block_id: int) -> BasicBlock:
-        """Look up a static basic block by id."""
-        for block in self.basic_blocks:
-            if block.block_id == block_id:
-                return block
-        raise TraceError(f"trace references unknown basic block id {block_id}")
-
     def validate(self) -> None:
         """Check internal consistency of the four streams.
 

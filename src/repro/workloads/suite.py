@@ -19,7 +19,6 @@ from repro.errors import WorkloadError
 from repro.workloads.generator import WorkloadSpec, build_workload
 from repro.workloads.profiles import (
     BENCHMARK_ORDER,
-    BENCHMARK_PROFILES,
     BenchmarkProfile,
     get_profile,
 )
@@ -97,7 +96,3 @@ def build_suite(
         programs[profile.name] = build_benchmark(profile.name, scale)
     return programs
 
-
-def suite_profiles() -> dict[str, BenchmarkProfile]:
-    """The profiles of the full suite, keyed by benchmark name."""
-    return dict(BENCHMARK_PROFILES)

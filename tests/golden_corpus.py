@@ -208,26 +208,28 @@ def instrument_fast_engine(engine: SimulationEngine) -> list:
 
     The run loops hoist ``dispatch_model.execute`` once at entry, so
     installing an instance attribute before ``run`` intercepts every
-    dispatch.  The wrapper routes through :meth:`DispatchModel.dispatch`,
-    which performs the *same* mutations as ``execute`` and additionally
-    returns the completion cycle for the row.
+    dispatch.  The wrapper keeps ``execute``'s return value (the completion
+    cycle) and reads the two counter columns from the dispatch-log row that
+    the call just appended.
     """
     rows: list = []
     model = engine.dispatch_model
-    original_dispatch = model.dispatch
+    original_execute = model.execute
+    log_values = model.dispatch_log.values
 
     def execute(context, instruction, now):
-        outcome = original_dispatch(context, instruction, now)
+        completion = original_execute(context, instruction, now)
         rows.append(
             _row(
                 context,
                 instruction,
                 now,
-                outcome.completion,
-                outcome.vector_arithmetic_operations,
-                outcome.memory_transactions,
+                completion,
+                log_values[-2],
+                log_values[-1],
             )
         )
+        return completion
 
     model.execute = execute
     return rows

@@ -16,6 +16,7 @@ from repro.api import (
     resolve_model,
     unregister_model,
 )
+from repro.api.machine import BUILTIN_MODEL_NAMES
 from repro.core import Job, MachineConfig, SimulationResult
 from repro.core.ideal import ideal_execution_time
 from repro.errors import ConfigurationError, SimulationError
@@ -116,6 +117,7 @@ class TestPinnedMapping:
 
     def test_table_covers_every_builtin(self):
         assert {name for name, _ in PINNED_MAPPING} == set(BUILTIN_MODELS)
+        assert BUILTIN_MODEL_NAMES == {name for name, _ in PINNED_MAPPING}
 
     @pytest.mark.parametrize(("name", "mode"), sorted(PINNED_MAPPING))
     def test_result_matches_pinned_digest(self, name, mode, triad_program, scalar_program):

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import LatencyTable, MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.dispatch import DispatchModel
+from repro.core.eventlog import DISPATCH_FIELDS
 from repro.core.functional_units import VectorUnitPool
 from repro.core.suppliers import Job, SingleJobSupplier
 from repro.isa.builder import (
@@ -40,44 +41,49 @@ def make_model(latency=50, **config_overrides):
     return model, context, pool, memory, config
 
 
+def last_row(model):
+    """The dispatch-log row of the most recent dispatch, keyed by column name."""
+    return dict(zip(DISPATCH_FIELDS, model.dispatch_log.rows()[-1]))
+
+
 class TestScalarTiming:
     def test_scalar_alu_latency(self):
         model, context, _, _, config = make_model()
-        outcome = model.dispatch(context, scalar_op(Opcode.ADD_S, S(0), S(1), S(2)), now=10)
+        completion = model.execute(context, scalar_op(Opcode.ADD_S, S(0), S(1), S(2)), now=10)
         expected = 10 + config.latencies.scalar_latency("alu")
-        assert outcome.completion == expected
+        assert completion == expected
         assert context.scoreboard.state(S(0)).ready_at == expected
 
     def test_scalar_div_is_slow(self):
         model, context, _, _, config = make_model()
-        outcome = model.dispatch(context, scalar_op(Opcode.DIV_S, S(0), S(1), S(2)), now=0)
-        assert outcome.completion == config.latencies.scalar_latency("div")
+        completion = model.execute(context, scalar_op(Opcode.DIV_S, S(0), S(1), S(2)), now=0)
+        assert completion == config.latencies.scalar_latency("div")
 
     def test_scalar_load_pays_memory_latency(self):
         model, context, _, memory, _ = make_model(latency=40)
-        outcome = model.dispatch(context, scalar_load(S(0), address=0x10), now=5)
-        assert outcome.memory_transactions == 1
+        model.execute(context, scalar_load(S(0), address=0x10), now=5)
+        assert last_row(model)["memory_transactions"] == 1
         assert context.scoreboard.state(S(0)).ready_at >= 5 + 40
         assert memory.address_port_busy_cycles == 1
 
     def test_scalar_store_does_not_wait(self):
         model, context, _, memory, _ = make_model(latency=40)
-        outcome = model.dispatch(context, scalar_store(S(0), A(1), address=0x10), now=5)
-        assert outcome.completion <= 5 + 2
-        assert memory.stats.scalar_stores == 1
+        completion = model.execute(context, scalar_store(S(0), A(1), address=0x10), now=5)
+        assert completion <= 5 + 2
+        assert memory.store_data_bus.busy_cycles == 1
 
     def test_branch_has_no_memory_side_effects(self):
         model, context, _, memory, _ = make_model()
-        outcome = model.dispatch(context, branch(S(1)), now=0)
-        assert outcome.memory_transactions == 0
-        assert memory.stats.total_transactions == 0
+        model.execute(context, branch(S(1)), now=0)
+        assert last_row(model)["memory_transactions"] == 0
+        assert memory.address_port_busy_cycles == 0
 
 
 class TestVectorArithmeticTiming:
     def test_result_timing_includes_crossbars_and_latency(self):
         model, context, pool, _, config = make_model()
         instruction = vadd(V(2), V(0), V(1), vl=64)
-        outcome = model.dispatch(context, instruction, now=0)
+        model.execute(context, instruction, now=0)
         expected_first = (
             config.vector_startup
             + config.read_crossbar_latency
@@ -88,26 +94,27 @@ class TestVectorArithmeticTiming:
         assert state.first_element_at == expected_first
         assert state.ready_at == expected_first + 64
         assert state.chainable is True
-        assert outcome.vector_arithmetic_operations == 64
+        assert last_row(model)["vector_arithmetic_ops"] == 64
 
     def test_unit_occupied_for_vl_cycles(self):
         model, context, pool, _, config = make_model()
-        model.dispatch(context, vadd(V(2), V(0), V(1), vl=100), now=0)
+        model.execute(context, vadd(V(2), V(0), V(1), vl=100), now=0)
         assert pool.fu1.free_at == config.vector_startup + 100
 
     def test_mul_goes_to_fu2(self):
         model, context, pool, _, _ = make_model()
-        outcome = model.dispatch(context, vmul(V(2), V(0), V(1), vl=32), now=0)
-        assert outcome.used_vector_unit == "FU2"
+        model.execute(context, vmul(V(2), V(0), V(1), vl=32), now=0)
+        assert len(pool.fu2.intervals) == 1
+        assert len(pool.fu1.intervals) == 0
         assert pool.fu2.free_at > 0
         assert pool.fu1.free_at == 0
 
     def test_chaining_from_in_flight_producer(self):
         """FU->FU chaining: the dependent starts at the producer's element rate."""
         model, context, _, _, _ = make_model()
-        model.dispatch(context, vadd(V(2), V(0), V(1), vl=64), now=0)
+        model.execute(context, vadd(V(2), V(0), V(1), vl=64), now=0)
         producer_first = context.scoreboard.state(V(2)).first_element_at
-        model.dispatch(context, vmul(V(3), V(2), V(1), vl=64), now=1)
+        model.execute(context, vmul(V(3), V(2), V(1), vl=64), now=1)
         consumer_first = context.scoreboard.state(V(3)).first_element_at
         # the consumer's first result appears one pipeline depth after the
         # producer's first element, not after the producer's completion
@@ -123,7 +130,7 @@ class TestVectorArithmeticTiming:
 
     def test_reduction_result_not_available_until_completion(self):
         model, context, _, _, _ = make_model()
-        model.dispatch(context, vreduce(S(1), V(0), vl=64), now=0)
+        model.execute(context, vreduce(S(1), V(0), vl=64), now=0)
         state = context.scoreboard.state(S(1))
         assert state.ready_at == state.first_element_at
         assert state.ready_at > 64
@@ -133,37 +140,37 @@ class TestVectorMemoryTiming:
     def test_load_not_chainable(self):
         """No load->FU chaining on the modeled machine (section 3)."""
         model, context, _, _, _ = make_model()
-        model.dispatch(context, vload(V(0), vl=64, address=0x100), now=0)
+        model.execute(context, vload(V(0), vl=64, address=0x100), now=0)
         state = context.scoreboard.state(V(0))
         assert state.chainable is False
         assert state.ready_at > 50 + 64
 
     def test_load_occupies_port_for_vl_cycles(self):
         model, context, pool, memory, _ = make_model()
-        outcome = model.dispatch(context, vload(V(0), vl=77, address=0x100), now=0)
-        assert outcome.memory_transactions == 77
+        completion = model.execute(context, vload(V(0), vl=77, address=0x100), now=0)
+        assert last_row(model)["memory_transactions"] == 77
         assert memory.address_port_busy_cycles == 77
         # the LD unit is free again once the addresses have been streamed
-        assert pool.load_store.free_at < outcome.completion
+        assert pool.load_store.free_at < completion
 
     def test_store_chains_from_functional_unit(self):
         model, context, _, memory, _ = make_model()
-        model.dispatch(context, vadd(V(2), V(0), V(1), vl=64), now=0)
+        model.execute(context, vadd(V(2), V(0), V(1), vl=64), now=0)
         producer_first = context.scoreboard.state(V(2)).first_element_at
-        outcome = model.dispatch(context, vstore(V(2), A(0), vl=64, address=0x200), now=1)
+        completion = model.execute(context, vstore(V(2), A(0), vl=64, address=0x200), now=1)
         # the store's addresses cannot be driven before the producer's elements exist
-        assert outcome.completion >= producer_first + 64 - 1
-        assert memory.stats.vector_stores == 1
+        assert completion >= producer_first + 64 - 1
+        assert memory.store_data_bus.busy_cycles == 64
 
     def test_store_after_load_waits_for_the_full_load(self):
         model, context, _, _, _ = make_model(latency=30)
-        model.dispatch(context, vload(V(0), vl=32, address=0x100), now=0)
+        model.execute(context, vload(V(0), vl=32, address=0x100), now=0)
         load_ready = context.scoreboard.state(V(0)).ready_at
         assert model.earliest_issue(context, vstore(V(0), A(0), vl=32, address=0x200), now=1) >= load_ready
 
     def test_gather_pays_latency_like_a_load(self):
         model, context, _, _, _ = make_model(latency=60)
-        model.dispatch(context, vgather(V(2), V(0), vl=16, address=0x100), now=0)
+        model.execute(context, vgather(V(2), V(0), vl=16, address=0x100), now=0)
         state = context.scoreboard.state(V(2))
         assert state.chainable is False
         assert state.ready_at > 60 + 16
@@ -171,13 +178,13 @@ class TestVectorMemoryTiming:
     def test_back_to_back_loads_keep_port_busy(self):
         """A second independent load starts streaming right after the first."""
         model, context, _, memory, _ = make_model()
-        model.dispatch(context, vload(V(0), vl=64, address=0x100), now=0)
+        model.execute(context, vload(V(0), vl=64, address=0x100), now=0)
         free_after_first = model.vector_units.load_store.free_at
         assert model.earliest_issue(context, vload(V(2), vl=64, address=0x900), now=0) == free_after_first
 
     def test_memory_latency_zero_still_works(self):
         model, context, _, _, _ = make_model(latency=0)
-        model.dispatch(context, vload(V(0), vl=8, address=0), now=0)
+        model.execute(context, vload(V(0), vl=8, address=0), now=0)
         assert context.scoreboard.state(V(0)).ready_at > 8
 
 
@@ -187,8 +194,8 @@ class TestCrossbarLatencyEffect:
         slow_model, slow_context, _, _, _ = make_model(
             read_crossbar_latency=3, write_crossbar_latency=3
         )
-        fast_model.dispatch(fast_context, vadd(V(2), V(0), V(1), vl=64), now=0)
-        slow_model.dispatch(slow_context, vadd(V(2), V(0), V(1), vl=64), now=0)
+        fast_model.execute(fast_context, vadd(V(2), V(0), V(1), vl=64), now=0)
+        slow_model.execute(slow_context, vadd(V(2), V(0), V(1), vl=64), now=0)
         fast_ready = fast_context.scoreboard.state(V(2)).ready_at
         slow_ready = slow_context.scoreboard.state(V(2)).ready_at
         assert slow_ready == fast_ready + 2  # one extra cycle per crossbar
@@ -201,7 +208,7 @@ class TestDispatchErrors:
         model, context, pool, _, _ = make_model()
         pool.load_store.reserve(0, 100)
         with pytest.raises(SimulationError):
-            model.dispatch(context, vload(V(0), vl=8, address=0), now=0)
+            model.execute(context, vload(V(0), vl=8, address=0), now=0)
 
     def test_vector_arithmetic_requires_free_unit(self):
         from repro.errors import SimulationError
@@ -209,4 +216,4 @@ class TestDispatchErrors:
         model, context, pool, _, _ = make_model()
         pool.fu2.reserve(0, 100)
         with pytest.raises(SimulationError):
-            model.dispatch(context, vmul(V(2), V(0), V(1), vl=8), now=0)
+            model.execute(context, vmul(V(2), V(0), V(1), vl=8), now=0)

@@ -10,6 +10,7 @@ import pytest
 from repro.api import Machine
 from repro.core.config import MachineConfig
 from repro.core.functional_units import VectorUnitPool
+from repro.core.statistics import SimulationStats
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.request import AccessKind, MemoryRequest
 from repro.memory.system import MemorySystem
@@ -56,7 +57,12 @@ class TestMultiPortMemorySystem:
     def test_occupancy_normalized_by_port_count(self):
         memory = MemorySystem(latency=10, num_ports=2)
         memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=50), earliest=0)
-        assert memory.port_occupancy(100) == pytest.approx(0.25)
+        stats = SimulationStats(
+            cycles=100,
+            memory_port_busy_cycles=memory.address_port_busy_cycles,
+            memory_ports=memory.num_ports,
+        )
+        assert stats.memory_port_occupancy == pytest.approx(0.25)
 
     def test_invalid_port_count(self):
         with pytest.raises(ConfigurationError):

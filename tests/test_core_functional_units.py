@@ -13,14 +13,13 @@ from repro.isa.registers import V
 class TestFunctionalUnit:
     def test_reservation_advances_free_time(self):
         unit = FunctionalUnit("FU1")
-        unit.reserve(0, 130, elements=128)
+        unit.reserve(0, 130)
         assert unit.free_at == 130
-        assert unit.instructions_executed == 1
-        assert unit.element_operations == 128
+        assert unit.intervals.intervals == [(0, 130)]
 
     def test_record_until_extends_stats_window_only(self):
         unit = FunctionalUnit("FU1")
-        unit.reserve(0, 130, elements=128, record_until=260)
+        unit.reserve(0, 130, record_until=260)
         assert unit.free_at == 130
         assert unit.intervals.busy_cycles() == 260
 
@@ -34,7 +33,7 @@ class TestFunctionalUnit:
         unit.reserve(0, 10)
         unit.reset()
         assert unit.free_at == 0
-        assert unit.instructions_executed == 0
+        assert len(unit.intervals) == 0
 
 
 class TestVectorUnitPool:

@@ -378,33 +378,14 @@ class TestBreakdownPaths:
 # memory-layer columnar recording
 # --------------------------------------------------------------------------- #
 class TestMemoryLayerColumnar:
-    def test_bus_stats_reduced_from_windows(self):
+    def test_bus_busy_cycles_is_a_running_total(self):
         bus = Bus("address")
-        assert bus.stats.busy_cycles == 0
-        bus.reserve(0, 10)
-        bus.reserve(5, 5)
-        assert bus.busy_windows == [(0, 10), (10, 15)]
-        stats = bus.stats
-        assert stats.busy_cycles == 15
-        assert stats.transactions == 2
-        assert stats.last_busy_cycle == 14
-        bus.reset()
-        assert bus.stats.busy_cycles == 0
-
-    def test_memory_stats_reduced_from_transaction_log(self):
-        memory = MemorySystem(latency=10)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=8), earliest=0)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_STORE, elements=4), earliest=0)
-        memory.schedule(MemoryRequest(AccessKind.SCALAR_LOAD, elements=1), earliest=0)
-        stats = memory.stats
-        assert stats.vector_loads == 1
-        assert stats.vector_stores == 1
-        assert stats.scalar_loads == 1
-        assert stats.elements_loaded == 9
-        assert stats.elements_stored == 4
-        assert stats.total_transactions == 3
-        memory.reset()
-        assert memory.stats.total_transactions == 0
+        assert bus.busy_cycles == 0
+        assert bus.reserve(0, 10) == 0
+        assert bus.reserve(5, 5) == 10
+        assert bus.reserve(40, 0) == 40
+        assert bus.busy_cycles == 15
+        assert bus.free_at == 15
 
     def test_schedule_columnar_matches_schedule(self):
         from repro.memory.system import _KIND_CODE
@@ -417,8 +398,8 @@ class TestMemoryLayerColumnar:
             _KIND_CODE[AccessKind.VECTOR_LOAD], 16, 2, 5
         )
         assert fast == (timing.start, timing.first_element, timing.completion)
-        assert plain.stats == columnar.stats
         assert plain.address_port_busy_cycles == columnar.address_port_busy_cycles
+        assert plain.load_data_bus.busy_cycles == columnar.load_data_bus.busy_cycles
 
 
 # --------------------------------------------------------------------------- #

@@ -214,6 +214,18 @@ class TestFixedWorkloadFigures:
             f"Baseline degradation {baseline:.1%}, 2-thread degradation {threaded:.1%}"
         )
 
+    def test_figure10_notes_label_the_first_context_count(self):
+        settings = ExperimentSettings(
+            scale=0.05,
+            sweep_latencies=(1, 100),
+            context_counts=(3, 4),
+        )
+        report = run_experiment("figure10", ExperimentContext(settings))
+        low, high = report.rows
+        threaded = (high["3 threads"] - low["3 threads"]) / low["3 threads"]
+        assert f", 3-thread degradation {threaded:.1%} across" in report.notes
+        assert "2-thread degradation" not in report.notes
+
     def test_figure10_baseline_sums_the_reference_runs(self, context):
         report = run_experiment("figure10", context)
         for row in report.rows:

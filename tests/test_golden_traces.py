@@ -7,6 +7,11 @@ one deterministic run generated from the frozen seed oracle; replaying the
 same case through the optimized engine must reproduce every row
 byte-identically: same dispatch cycle, thread, pc, opcode, vector length,
 completion cycle and per-dispatch counters, in the same order.
+
+The seed oracle itself runs on ``MemorySystem`` (and through it ``Bus``) from
+``src/``, so it is replayed against the committed files too: an edit to those
+classes that moved the oracle and the engine together would pass the engine
+replay but fail the seed replay.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from tests.golden_corpus import (
     TRACE_FIELDS,
     load_golden,
     run_fast_case,
+    run_seed_case,
 )
 
 CASE_NAMES = sorted(CASES)
@@ -57,3 +63,8 @@ class TestGoldenTraceCorpus:
             f"{case}: golden file schema drift — regenerate the corpus"
         )
         _assert_rows_identical(case, document["rows"], run_fast_case(case))
+
+    @pytest.mark.parametrize("case", CASE_NAMES)
+    def test_seed_oracle_reproduces_golden_trace(self, case):
+        document = load_golden(case)
+        _assert_rows_identical(case, document["rows"], run_seed_case(case))

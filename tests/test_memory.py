@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.statistics import SimulationStats
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.banks import BankConflictModel
 from repro.memory.bus import Bus
@@ -20,7 +21,7 @@ class TestBus:
         second = bus.reserve(0, 5)
         assert first == 0
         assert second == 10
-        assert bus.stats.busy_cycles == 15
+        assert bus.busy_cycles == 15
         assert bus.free_at == 15
 
     def test_reservation_respects_earliest(self):
@@ -31,7 +32,7 @@ class TestBus:
     def test_zero_length_reservation(self):
         bus = Bus("address")
         assert bus.reserve(5, 0) == 5
-        assert bus.stats.busy_cycles == 0
+        assert bus.busy_cycles == 0
 
     def test_invalid_reservations(self):
         bus = Bus("address")
@@ -41,18 +42,18 @@ class TestBus:
             bus.reserve(0, -4)
 
     def test_occupancy(self):
+        """The port-occupancy metric is the bus's busy cycles over the run length."""
         bus = Bus("address")
         bus.reserve(0, 50)
-        assert bus.stats.occupancy(100) == pytest.approx(0.5)
-        assert bus.stats.occupancy(25) == 1.0
-        assert bus.stats.occupancy(0) == 0.0
 
-    def test_reset(self):
-        bus = Bus("address")
-        bus.reserve(0, 10)
-        bus.reset()
-        assert bus.free_at == 0
-        assert bus.stats.busy_cycles == 0
+        def occupancy(cycles):
+            return SimulationStats(
+                cycles=cycles, memory_port_busy_cycles=bus.busy_cycles
+            ).memory_port_occupancy
+
+        assert occupancy(100) == pytest.approx(0.5)
+        assert occupancy(25) == 1.0
+        assert occupancy(0) == 0.0
 
     @given(
         lengths=st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=30)
@@ -62,7 +63,7 @@ class TestBus:
         bus = Bus("address")
         for length in lengths:
             bus.reserve(0, length)
-        assert bus.stats.busy_cycles == sum(lengths)
+        assert bus.busy_cycles == sum(lengths)
         assert bus.free_at == sum(lengths)
 
 
@@ -90,14 +91,12 @@ class TestBankConflictModel:
         model = BankConflictModel(num_banks=64, bank_busy_cycles=4)
         request = MemoryRequest(AccessKind.VECTOR_LOAD, elements=128, stride=1)
         assert model.delivery_cycles(request) == 128
-        assert model.stats.conflict_rate == 0.0
 
     def test_pathological_stride_serializes(self):
         model = BankConflictModel(num_banks=64, bank_busy_cycles=4)
         request = MemoryRequest(AccessKind.VECTOR_LOAD, elements=64, stride=64)
         assert model.effective_banks(64) == 1
         assert model.delivery_cycles(request) == 64 * 4
-        assert model.stats.conflicted_accesses == 1
 
     def test_moderate_stride(self):
         model = BankConflictModel(num_banks=64, bank_busy_cycles=4)
@@ -148,7 +147,7 @@ class TestMemorySystem:
         """Gathers pay the initial latency and then one datum per cycle (section 3.1)."""
         memory = MemorySystem(latency=30)
         load = memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=16), earliest=0)
-        memory.reset()
+        memory = MemorySystem(latency=30)
         gather = memory.schedule(MemoryRequest(AccessKind.VECTOR_GATHER, elements=16), earliest=0)
         assert gather.first_element == load.first_element
         assert gather.completion == load.completion
@@ -163,6 +162,7 @@ class TestMemorySystem:
             MemorySystem(latency=-1)
 
     def test_transaction_counters(self):
+        """Each element moves once over the address bus and once over its data bus."""
         memory = MemorySystem(latency=5)
         memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=8), earliest=0)
         memory.schedule(MemoryRequest(AccessKind.VECTOR_STORE, elements=8), earliest=0)
@@ -170,17 +170,19 @@ class TestMemorySystem:
         memory.schedule(MemoryRequest(AccessKind.VECTOR_SCATTER, elements=8), earliest=0)
         memory.schedule(MemoryRequest(AccessKind.SCALAR_LOAD, elements=1), earliest=0)
         memory.schedule(MemoryRequest(AccessKind.SCALAR_STORE, elements=1), earliest=0)
-        stats = memory.stats
-        assert stats.total_transactions == 6
-        assert stats.vector_loads == stats.vector_stores == 1
-        assert stats.gathers == stats.scatters == 1
-        assert stats.elements_loaded == 17
-        assert stats.elements_stored == 17
+        assert memory.address_port_busy_cycles == 34
+        assert memory.load_data_bus.busy_cycles == 17
+        assert memory.store_data_bus.busy_cycles == 17
 
     def test_port_occupancy_metric(self):
         memory = MemorySystem(latency=5)
         memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=50), earliest=0)
-        assert memory.port_occupancy(100) == pytest.approx(0.5)
+        stats = SimulationStats(
+            cycles=100,
+            memory_port_busy_cycles=memory.address_port_busy_cycles,
+            memory_ports=memory.num_ports,
+        )
+        assert stats.memory_port_occupancy == pytest.approx(0.5)
 
     def test_bank_model_slows_delivery_but_not_address_bus(self):
         model = BankConflictModel(num_banks=8, bank_busy_cycles=4)
@@ -190,13 +192,6 @@ class TestMemorySystem:
         )
         assert timing.address_busy == 32
         assert timing.completion - timing.first_element + 1 == 32 * 4
-
-    def test_reset_clears_everything(self):
-        memory = MemorySystem(latency=5)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=8), earliest=0)
-        memory.reset()
-        assert memory.address_port_busy_cycles == 0
-        assert memory.stats.total_transactions == 0
 
     @given(
         elements=st.integers(min_value=1, max_value=128),
