@@ -76,9 +76,10 @@ class RoundRobinScheduler(ThreadScheduler):
         if previous is None:
             return min(ready, key=lambda context: context.thread_id)
         start = previous.thread_id + 1
+        modulus = _modulus(ready, previous)
         return min(
             ready,
-            key=lambda context: ((context.thread_id - start) % _modulus(ready), context.thread_id),
+            key=lambda context: ((context.thread_id - start) % modulus, context.thread_id),
         )
 
 
@@ -97,9 +98,9 @@ class LeastServiceScheduler(ThreadScheduler):
         return min(ready, key=lambda context: (context.stats.instructions, context.thread_id))
 
 
-def _modulus(ready: Sequence[HardwareContext]) -> int:
-    highest = max(context.thread_id for context in ready)
-    return max(1, highest + 1)
+def _modulus(ready: Sequence[HardwareContext], previous: HardwareContext) -> int:
+    """Rotation length: the rotation must pass ``previous`` before wrapping to 0."""
+    return max(max(context.thread_id for context in ready), previous.thread_id) + 1
 
 
 _SCHEDULERS: dict[str, type[ThreadScheduler]] = {

@@ -62,6 +62,13 @@ class TestRoundRobinScheduler:
         scheduler = RoundRobinScheduler()
         assert scheduler.select(ready, previous=contexts[0], cycle=0).thread_id == 2
 
+    def test_wraps_after_the_highest_thread(self):
+        """After thread 2 the rotation is 3, then 0: thread 3 is not ready, so 0."""
+        contexts = make_contexts(4)
+        ready = [contexts[0], contexts[1]]
+        scheduler = RoundRobinScheduler()
+        assert scheduler.select(ready, previous=contexts[2], cycle=0).thread_id == 0
+
     def test_without_previous_picks_lowest(self):
         scheduler = RoundRobinScheduler()
         assert scheduler.select(make_contexts(3), previous=None, cycle=0).thread_id == 0
