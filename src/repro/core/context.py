@@ -45,23 +45,21 @@ class HardwareContext:
         # generator fallback for trace replays and arbitrary factories.
         self._sequence: tuple[Instruction, ...] | None = None
         self._cursor = 0
-        self._head: Instruction | None = None
-        self._finished = False
+        #: The fetched head instruction, pending until :meth:`consume`.
+        self.pending: Instruction | None = None
+        #: Whether this context has exhausted its supplier (no more work).
+        self.finished = False
         self._current_job: Job | None = None
-        #: Dispatch-layer ready-time cache for the current head instruction:
-        #: ``(head, earliest, scoreboard_version, unit_pool_version)``.
-        self.issue_cache: tuple[Instruction, int, int, int] | None = None
+        #: Register-hazard bound of the pending head, ``None`` until probed.
+        #: Only this context's dispatches write its scoreboard, so the bound
+        #: holds until :meth:`consume` clears it.
+        self.head_hazard: int | None = None
         #: Index of the currently running job in ``stats.jobs``; recorded in
         #: the columnar dispatch log so per-job instruction counts can be
         #: reduced at run finalization (-1 until the first job is fetched).
         self.job_ordinal = -1
 
     # ------------------------------------------------------------------ #
-    @property
-    def finished(self) -> bool:
-        """Whether this context has exhausted its supplier (no more work)."""
-        return self._finished
-
     @property
     def current_job_name(self) -> str | None:
         """Name of the program currently running on this context."""
@@ -81,18 +79,25 @@ class HardwareContext:
         Returns ``None`` once the supplier is exhausted (context finished) or
         when an ``instruction_limit`` was reached (used for the fractional
         reference runs of the speedup methodology).
+
+        A :attr:`pending` head is returned first: it exists only between a
+        fetch and the :meth:`consume` that bumps ``instructions``, so none of
+        the checks it passed at fetch can have changed.
         """
-        if self._finished:
+        head = self.pending
+        if head is not None:
+            return head
+        if self.finished:
             return None
         if self.instruction_limit is not None and self.stats.instructions >= self.instruction_limit:
             self._close_current_job(now, completed=False)
-            self._finished = True
+            self.finished = True
             return None
-        while self._head is None:
+        while self.pending is None:
             if self._stream is None and self._sequence is None:
                 job = self.supplier.next_job()
                 if job is None:
-                    self._finished = True
+                    self.finished = True
                     return None
                 self._current_job = job
                 sequence = job.open_sequence()
@@ -109,18 +114,18 @@ class HardwareContext:
                 # index cursor over the flat (interned) expansion: no
                 # generator frame, no StopIteration, per instruction
                 if self._cursor < len(self._sequence):
-                    self._head = self._sequence[self._cursor]
+                    self.pending = self._sequence[self._cursor]
                     self._cursor += 1
                 else:
                     self._close_current_job(now, completed=True)
                     self._sequence = None
             else:
                 try:
-                    self._head = next(self._stream)
+                    self.pending = next(self._stream)
                 except StopIteration:
                     self._close_current_job(now, completed=True)
                     self._stream = None
-        return self._head
+        return self.pending
 
     def _close_current_job(self, now: int, *, completed: bool) -> None:
         if self._current_job is None:
@@ -141,8 +146,8 @@ class HardwareContext:
         other per-dispatch accounting lands in the columnar dispatch log and
         is reduced once at run finalization.
         """
-        self._head = None
-        self.issue_cache = None
+        self.pending = None
+        self.head_hazard = None
         self.stats.instructions += 1
 
     def record_lost_cycle(self) -> None:
@@ -152,5 +157,5 @@ class HardwareContext:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HardwareContext(thread={self.thread_id}, job={self.current_job_name!r}, "
-            f"instructions={self.stats.instructions}, finished={self._finished})"
+            f"instructions={self.stats.instructions}, finished={self.finished})"
         )

@@ -36,30 +36,9 @@ from repro.core.eventlog import DispatchLog
 from repro.core.functional_units import VectorUnitPool
 from repro.errors import SimulationError
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass
-from repro.memory.request import AccessKind
-from repro.memory.system import _KIND_CODE, MemorySystem
+from repro.memory.system import MemorySystem
 
 __all__ = ["DispatchModel"]
-
-
-_ACCESS_KIND_BY_CLASS = {
-    OpClass.VECTOR_LOAD: AccessKind.VECTOR_LOAD,
-    OpClass.VECTOR_STORE: AccessKind.VECTOR_STORE,
-    OpClass.VECTOR_GATHER: AccessKind.VECTOR_GATHER,
-    OpClass.VECTOR_SCATTER: AccessKind.VECTOR_SCATTER,
-    OpClass.SCALAR_LOAD: AccessKind.SCALAR_LOAD,
-    OpClass.SCALAR_STORE: AccessKind.SCALAR_STORE,
-}
-
-# dense kind codes / load flags per opcode class, resolved once so the
-# per-transaction hot path never touches enum hashing or containment
-_MEMORY_CODE_BY_CLASS = {
-    op_class: _KIND_CODE[kind] for op_class, kind in _ACCESS_KIND_BY_CLASS.items()
-}
-_MEMORY_IS_LOAD_BY_CLASS = {
-    op_class: kind.is_load for op_class, kind in _ACCESS_KIND_BY_CLASS.items()
-}
 
 
 class DispatchModel:
@@ -84,41 +63,38 @@ class DispatchModel:
     # ------------------------------------------------------------------ #
     # question 1: when could this instruction issue?
     # ------------------------------------------------------------------ #
+    def register_hazard(self, context: HardwareContext, instruction: Instruction) -> int:
+        """The instruction's register-hazard bound on ``context``'s scoreboard.
+
+        This is the probe profiled as ``hazard_check``.  Only the context's
+        own dispatches move the bound, so the engine makes this call once per
+        head and keeps the result in ``context.head_hazard``.
+        """
+        return context.scoreboard.earliest_dispatch(instruction, 0)
+
     def earliest_issue(
         self, context: HardwareContext, instruction: Instruction, now: int
     ) -> int:
         """Earliest cycle at which the instruction could be dispatched.
 
-        The result is cached per context head and only recomputed when state
-        that can move it has changed: a register read/write recorded on this
-        context's scoreboard, or a reservation/release on the shared vector
-        units (both tracked through monotonic version counters).  While those
-        versions are unchanged, every hazard constraint is a constant, so the
-        cached ready time ``e`` is exact and the answer at a later probe
-        cycle ``now`` is simply ``max(e, now)``.
+        That is ``max(now, hazard, unit_free)``: ``hazard`` is the register
+        bound (kept on the context while ``instruction`` is its pending
+        head), ``unit_free`` the cycle the FU1/FU2/LD unit it needs frees up,
+        read live because other contexts' dispatches move it.
         """
-        scoreboard = context.scoreboard
-        units = self.vector_units
-        cached = context.issue_cache
-        if (
-            cached is not None
-            and cached[0] is instruction
-            and cached[2] == scoreboard.version
-            and cached[3] == units.version
-        ):
-            earliest = cached[1]
-            return earliest if earliest > now else now
-        earliest = scoreboard.earliest_dispatch(instruction, now)
+        if instruction is context.pending:
+            earliest = context.head_hazard
+            if earliest is None:
+                earliest = context.head_hazard = self.register_hazard(context, instruction)
+        else:
+            earliest = self.register_hazard(context, instruction)
         if instruction.is_vector_arithmetic:
-            unit_earliest = units.arithmetic_unit_for(instruction, now).earliest
-            if unit_earliest > earliest:
-                earliest = unit_earliest
+            unit_free = self.vector_units.arithmetic_unit_for(instruction, now).earliest
         elif instruction.is_vector_memory:
-            unit_earliest = units.memory_unit(now).earliest
-            if unit_earliest > earliest:
-                earliest = unit_earliest
-        context.issue_cache = (instruction, earliest, scoreboard.version, units.version)
-        return earliest
+            unit_free = self.vector_units.memory_unit(now).earliest
+        else:
+            unit_free = now
+        return earliest if earliest > unit_free else unit_free
 
     # ------------------------------------------------------------------ #
     # question 2: what happens when it issues?
@@ -131,20 +107,15 @@ class DispatchModel:
         This is the engine's hot path: all bookkeeping happens (functional
         units, scoreboard, memory system) and the per-dispatch counters land
         as one flat integer row in :attr:`dispatch_log`.  The returned cycle
-        is when the instruction's last result is available.
+        is when the instruction's last result is available.  Scalar-unit
+        work, the most common case, is handled inline.
         """
+        if instruction.is_memory:
+            if instruction.is_vector_memory:
+                return self._dispatch_vector_memory(context, instruction, now)
+            return self._dispatch_scalar_memory(context, instruction, now)
         if instruction.is_vector_arithmetic:
             return self._dispatch_vector_arithmetic(context, instruction, now)
-        if instruction.is_vector_memory:
-            return self._dispatch_vector_memory(context, instruction, now)
-        if instruction.is_memory:
-            return self._dispatch_scalar_memory(context, instruction, now)
-        return self._dispatch_scalar(context, instruction, now)
-
-    # ------------------------------------------------------------------ #
-    def _dispatch_scalar(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> int:
         ready_at = now + self._scalar_latency(instruction.latency_class)
         scoreboard = context.scoreboard
         record_read = scoreboard.record_read
@@ -160,11 +131,12 @@ class DispatchModel:
         self._log_extend((context.thread_id, context.job_ordinal, 0, 0, 0, 0))
         return ready_at
 
+    # ------------------------------------------------------------------ #
     def _dispatch_scalar_memory(
         self, context: HardwareContext, instruction: Instruction, now: int
     ) -> int:
         start, _first, completion = self.memory.schedule_columnar(
-            _MEMORY_CODE_BY_CLASS[instruction.op_class], 1, 1, now + 1
+            instruction.memory_code, 1, 1, now + 1
         )
         scoreboard = context.scoreboard
         for source in instruction.srcs:
@@ -246,7 +218,6 @@ class DispatchModel:
                 f"LD unit is busy until {unit_choice.earliest}, cannot dispatch at {now}"
             )
         unit = unit_choice.unit
-        op_class = instruction.op_class
         address_earliest = now + 1 + config.vector_startup
         scoreboard = context.scoreboard
         if instruction.vector_sources():
@@ -258,11 +229,11 @@ class DispatchModel:
                 + config.read_crossbar_latency
             )
         start, first_element, completion = self.memory.schedule_columnar(
-            _MEMORY_CODE_BY_CLASS[op_class], vl, instruction.stride or 1, address_earliest
+            instruction.memory_code, vl, instruction.stride or 1, address_earliest
         )
         streaming_end = start + vl
 
-        if _MEMORY_IS_LOAD_BY_CLASS[op_class]:
+        if instruction.is_load:
             record_until = completion
         else:
             record_until = completion + 1

@@ -101,6 +101,10 @@ class SimulationEngine:
         ]
         self.stats = SimulationStats(threads=[context.stats for context in self.contexts])
         self.cycle = 0
+        #: Loop counters, kept off :attr:`stats` (whose pickled bytes are
+        #: pinned) and exported as ``phase_profile["counts"]``.
+        self.blocked_window_skips = 0
+        self.clamp_rescans = 0
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -139,8 +143,8 @@ class SimulationEngine:
         # loop (and helper) resolves them through the instance, so all phase
         # calls are timed.  They are removed again before returning so the
         # engine object stays reusable and picklable.
-        dispatch_model.earliest_issue = profile.wrap(
-            "hazard_check", dispatch_model.earliest_issue
+        dispatch_model.register_hazard = profile.wrap(
+            "hazard_check", dispatch_model.register_hazard
         )
         dispatch_model.execute = profile.wrap("dispatch", dispatch_model.execute)
         memory.schedule_columnar = profile.wrap("memory", memory.schedule_columnar)
@@ -156,8 +160,12 @@ class SimulationEngine:
             finalize_started = perf_counter()
             result = self._finalize(stop_reason)
             profile.add("finalize", perf_counter() - finalize_started)
+            profile.counts = {
+                "blocked_window_skips": self.blocked_window_skips,
+                "clamp_rescans": self.clamp_rescans,
+            }
         finally:
-            dispatch_model.__dict__.pop("earliest_issue", None)
+            dispatch_model.__dict__.pop("register_hazard", None)
             dispatch_model.__dict__.pop("execute", None)
             memory.__dict__.pop("schedule_columnar", None)
         result.phase_profile = profile.as_dict()
@@ -172,11 +180,15 @@ class SimulationEngine:
         # The inner loop runs once per decode slot; every self-attribute it
         # touches more than once per iteration is hoisted to a local.
         dispatch_model = self.dispatch_model
-        earliest_issue = dispatch_model.earliest_issue
+        register_hazard = dispatch_model.register_hazard
         execute = dispatch_model.execute
         stats = self.stats
         select = self.scheduler.select
         units = self.vector_units
+        fu1 = units.fu1
+        fu2 = units.fu2
+        ld_units = units.load_store_units
+        ld = ld_units[0] if len(ld_units) == 1 else None
         active: HardwareContext | None = None
         while self.cycle < max_cycles:
             # Stop conditions are probed at the top of every decode slot, in
@@ -189,27 +201,29 @@ class SimulationEngine:
                 if active is None:
                     return "completed"
             cycle = self.cycle
-            head = active.head(cycle)
+            head = active.pending
             if head is None:
-                # this context ran out of work; pick another without losing a cycle
-                active = None
-                continue
-            # Inlined ready-time cache probe (the scoreboard/unit-pool version
-            # counters say whether the cached earliest-issue cycle is still
-            # exact): the blocked-window scans warm the cache for every
-            # context, so the common follow-up probe skips the call into the
-            # dispatch layer entirely.
-            cached = active.issue_cache
-            if (
-                cached is not None
-                and cached[0] is head
-                and cached[2] == active.scoreboard.version
-                and cached[3] == units.version
-            ):
-                can_issue = cached[1] <= cycle
-            else:
-                can_issue = earliest_issue(active, head, cycle) <= cycle
-            if can_issue:
+                head = active.head(cycle)
+                if head is None:
+                    # this context ran out of work; pick another without losing a cycle
+                    active = None
+                    continue
+            # Inlined DispatchModel.earliest_issue: the register-hazard bound
+            # is probed once per head, the unit term read live.
+            issue = active.head_hazard
+            if issue is None:
+                issue = active.head_hazard = register_hazard(active, head)
+            if head.is_vector_arithmetic:
+                free = fu2._free_at
+                if not head.fu2_only and fu1._free_at < free:
+                    free = fu1._free_at
+                if free > issue:
+                    issue = free
+            elif head.is_vector_memory:
+                free = ld._free_at if ld is not None else units.memory_unit(cycle).earliest
+                if free > issue:
+                    issue = free
+            if issue <= cycle:
                 execute(active, head, cycle)
                 active.consume(head)
                 stats.instructions += 1
@@ -219,22 +233,25 @@ class SimulationEngine:
             # logic picks another non-blocked thread for the following cycle.
             stats.decode_lost_cycles += 1
             active.record_lost_cycle()
-            self.cycle = cycle + 1
-            ready = self._ready_contexts(self.cycle)
-            if not ready:
-                jump_to, ready_at_jump = self._earliest_unblock_ready(self.cycle)
-                if jump_to is None:
-                    return "completed"
-                self._skip_blocked_window(jump_to, max_cycles)
-                # nothing dispatched between the scan and the jump, so the
-                # ready set established by the scan is still exact — unless
-                # the jump was clamped at max_cycles, where we rescan.
-                if self.cycle == jump_to:
-                    ready = ready_at_jump
+            cycle += 1
+            self.cycle = cycle
+            earliest, ready = self._scan(cycle)
+            if earliest is None:
+                return "completed"
+            if earliest > cycle:
+                # every context is blocked; nothing dispatches before
+                # ``earliest``, so the contexts issuing there are the ready
+                # set after the jump — unless the jump was clamped at
+                # max_cycles, where we rescan.
+                self._skip_blocked_window(earliest, max_cycles)
+                if self.cycle < earliest:
+                    self.clamp_rescans += 1
+                    earliest, ready = self._scan(self.cycle)
+            if earliest == self.cycle:
+                if len(ready) == 1:
+                    active = ready[0]
                 else:
-                    ready = self._ready_contexts(self.cycle)
-            if ready:
-                active = select(ready, previous=active, cycle=self.cycle)
+                    active = select(ready, previous=active, cycle=earliest)
         return "max-cycles"
 
     # ------------------------------------------------------------------ #
@@ -257,8 +274,6 @@ class SimulationEngine:
             dispatched = 0
             blocked_until: int | None = None
             for context in contexts:
-                if context.finished:
-                    continue
                 head = context.head(cycle)
                 if head is None:
                     continue
@@ -312,8 +327,6 @@ class SimulationEngine:
             cycle = self.cycle
             remaining: list[tuple[HardwareContext, "Instruction"]] = []
             for context in contexts:
-                if context.finished:
-                    continue
                 head = context.head(cycle)
                 if head is not None:
                     remaining.append((context, head))
@@ -359,74 +372,69 @@ class SimulationEngine:
 
         ``target`` is the earliest cycle at which any context may unblock.
         The jump is clamped to ``max_cycles`` and the skipped cycles are
-        accounted as decode-idle time.  Shared by all three run loops (it was
-        triplicated before the fast-path rework).
+        accounted as decode-idle time.  Shared by all three run loops.
         """
         if target > max_cycles:
             target = max_cycles
         if target > self.cycle:
+            self.blocked_window_skips += 1
             self.stats.decode_idle_cycles += target - self.cycle
             self.cycle = target
 
     def _pick_initial(
         self, cycle: int, previous: HardwareContext | None
     ) -> HardwareContext | None:
-        earliest_issue = self.dispatch_model.earliest_issue
-        candidates = []
-        for context in self.contexts:
-            if context.finished:
-                continue
-            if context.head(cycle) is not None:
-                candidates.append(context)
-        if not candidates:
+        earliest, ready = self._scan(cycle)
+        if earliest is None:
             return None
-        ready = [
-            context
-            for context in candidates
-            if earliest_issue(context, context.head(cycle), cycle) <= cycle
-        ]
-        pool = ready or candidates
-        return self.scheduler.select(pool, previous=previous, cycle=cycle)
+        if earliest > cycle:
+            # nobody is ready: choose among every context that has work
+            ready = [context for context in self.contexts if not context.finished]
+        return self.scheduler.select(ready, previous=previous, cycle=cycle)
 
-    def _ready_contexts(self, cycle: int) -> list[HardwareContext]:
-        earliest_issue = self.dispatch_model.earliest_issue
-        ready = []
-        for context in self.contexts:
-            if context.finished:
-                continue
-            head = context.head(cycle)
-            if head is None:
-                continue
-            if earliest_issue(context, head, cycle) <= cycle:
-                ready.append(context)
-        return ready
+    def _scan(self, cycle: int) -> tuple[int | None, list[HardwareContext]]:
+        """The earliest issue cycle over the contexts with work, and who issues then.
 
-    def _earliest_unblock_ready(
-        self, cycle: int
-    ) -> tuple[int | None, list[HardwareContext]]:
-        """The earliest unblock cycle *and* the contexts that unblock there.
-
-        Called only when no context is ready at ``cycle``, so every ready
-        time strictly exceeds ``cycle`` and the contexts achieving the
-        minimum are exactly the ready set after the blocked-window jump —
-        the caller reuses it instead of rescanning every context.
+        If that cycle is ``cycle`` the contexts are the ready set; otherwise
+        all are blocked until then and, as nothing dispatches inside the
+        window, they are the ready set after the jump.  ``(None, [])`` once no
+        context has work left.  Probes inline ``DispatchModel.earliest_issue``.
         """
-        earliest_issue = self.dispatch_model.earliest_issue
+        register_hazard = self.dispatch_model.register_hazard
+        units = self.vector_units
+        fu1 = units.fu1
+        fu2 = units.fu2
+        ld_units = units.load_store_units
+        ld = ld_units[0] if len(ld_units) == 1 else None
         earliest: int | None = None
-        ready: list[HardwareContext] = []
+        at_earliest: list[HardwareContext] = []
         for context in self.contexts:
-            if context.finished:
-                continue
-            head = context.head(cycle)
+            head = context.pending
             if head is None:
-                continue
-            time = earliest_issue(context, head, cycle)
+                head = context.head(cycle)
+                if head is None:
+                    continue
+            time = context.head_hazard
+            if time is None:
+                time = context.head_hazard = register_hazard(context, head)
+            if head.is_vector_arithmetic:
+                free = fu2._free_at
+                if not head.fu2_only and fu1._free_at < free:
+                    free = fu1._free_at
+                if free > time:
+                    time = free
+            elif head.is_vector_memory:
+                free = ld._free_at if ld is not None else units.memory_unit(cycle).earliest
+                if free > time:
+                    time = free
+            if time < cycle:
+                time = cycle
             if earliest is None or time < earliest:
                 earliest = time
-                ready = [context]
+                at_earliest = [context]
             elif time == earliest:
-                ready.append(context)
-        return earliest, ready
+                at_earliest.append(context)
+        return earliest, at_earliest
 
     def _finalize(self, stop_reason: str) -> SimulationResult:
         stats = self.stats

@@ -33,9 +33,6 @@ class FunctionalUnit:
         # busy windows land in a flat (start, end) int buffer; every derived
         # metric is reduced from it once at run finalization
         self.intervals = FlatIntervalRecorder(name)
-        # Pool this unit belongs to, if any; reservations bump the pool's
-        # version so the dispatch-layer ready-time cache can invalidate.
-        self._pool: "VectorUnitPool | None" = None
 
     @property
     def free_at(self) -> int:
@@ -56,15 +53,11 @@ class FunctionalUnit:
             )
         self._free_at = max(self._free_at, end)
         self.intervals.record(start, record_until if record_until is not None else end)
-        if self._pool is not None:
-            self._pool.version += 1
 
     def reset(self) -> None:
         """Clear reservations and statistics."""
         self._free_at = 0
         self.intervals.reset()
-        if self._pool is not None:
-            self._pool.version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FunctionalUnit({self.name!r}, free_at={self._free_at})"
@@ -89,17 +82,12 @@ class VectorUnitPool:
     def __init__(self, num_load_store_units: int = 1) -> None:
         if num_load_store_units < 1:
             raise SimulationError("the vector unit pool needs at least one LD unit")
-        #: Mutation counter: bumped whenever any owned unit is reserved or
-        #: reset, consumed by the dispatch-layer ready-time cache.
-        self.version = 0
         self.fu1 = FunctionalUnit("FU1")
         self.fu2 = FunctionalUnit("FU2")
         self.load_store_units = [
             FunctionalUnit("LD" if index == 0 else f"LD{index}")
             for index in range(num_load_store_units)
         ]
-        for unit in (self.fu1, self.fu2, *self.load_store_units):
-            unit._pool = self
 
     @property
     def load_store(self) -> FunctionalUnit:

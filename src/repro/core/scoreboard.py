@@ -101,7 +101,6 @@ class ColumnarScoreboard:
     """
 
     __slots__ = (
-        "version",
         "_model_bank_ports",
         "_allow_chaining",
         "_ready_at",
@@ -116,8 +115,6 @@ class ColumnarScoreboard:
     def __init__(self, *, model_bank_ports: bool = True, allow_chaining: bool = True) -> None:
         self._model_bank_ports = model_bank_ports
         self._allow_chaining = allow_chaining
-        #: Mutation counter consumed by the dispatch-layer ready-time cache.
-        self.version = 0
         self._clear_columns()
 
     def _clear_columns(self) -> None:
@@ -136,15 +133,18 @@ class ColumnarScoreboard:
         return _ColumnarRegisterView(self, register.key)
 
     def reset(self) -> None:
-        """Clear all hazard state (used when a context starts a new program)."""
+        """Clear all hazard state."""
         self._clear_columns()
-        self.version += 1
 
     # ------------------------------------------------------------------ #
     # dispatch-time constraint computation
     # ------------------------------------------------------------------ #
     def earliest_dispatch(self, instruction: Instruction, now: int) -> int:
-        """Earliest cycle at which register hazards allow dispatching."""
+        """Earliest cycle at which register hazards allow dispatching.
+
+        Equals ``max(now, earliest_dispatch(instruction, 0))``, so the engine
+        probes each head once with ``now=0`` (``HardwareContext.head_hazard``).
+        """
         earliest = now
         ready_at = self._ready_at
         for key in instruction.scalar_src_keys:
@@ -203,7 +203,6 @@ class ColumnarScoreboard:
     # ------------------------------------------------------------------ #
     def record_read(self, register: Register, now: int, read_end: int) -> None:
         """Mark a register as being read by an in-flight instruction."""
-        self.version += 1
         key = register.key
         read_busy = self._read_busy
         if read_end > read_busy[key]:
@@ -228,7 +227,6 @@ class ColumnarScoreboard:
         chainable: bool,
     ) -> None:
         """Mark a register as being produced by an in-flight instruction."""
-        self.version += 1
         key = register.key
         self._first_at[key] = first_element_at
         self._ready_at[key] = ready_at

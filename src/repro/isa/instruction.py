@@ -56,10 +56,11 @@ class Instruction:
     ``is_vector``, ``is_vector_arithmetic``, ``is_vector_memory``,
     ``is_memory``, ``is_load``, ``is_store``, ``is_branch``, ``is_scalar``,
     ``uses_stride_register``, ``element_count``, ``memory_transactions``,
-    ``vector_operations``, ``latency_class``, ``fu2_only``) are precomputed at
-    construction and read as plain fields, as are the dense hazard-plan
-    tuples consumed by the columnar scoreboard (``vector_src_keys``,
-    ``vector_src_banks``, ``scalar_src_keys``, ``dest_key``, ``dest_bank``).
+    ``vector_operations``, ``latency_class``, ``fu2_only``, ``memory_code``)
+    are precomputed at construction and read as plain fields, as are the
+    dense hazard-plan tuples consumed by the columnar scoreboard
+    (``vector_src_keys``, ``vector_src_banks``, ``scalar_src_keys``,
+    ``dest_key``, ``dest_bank``).
     """
 
     opcode: Opcode
@@ -112,6 +113,7 @@ class Instruction:
         write(self, "is_scalar", traits.is_scalar)
         write(self, "uses_stride_register", traits.uses_stride_register)
         write(self, "fu2_only", traits.fu2_only)
+        write(self, "memory_code", traits.memory_code)
         element_count = self.vl if (traits.is_vector and self.vl is not None) else 1
         write(self, "element_count", element_count)
         write(self, "memory_transactions", element_count if traits.is_memory else 0)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.memory.request import AccessKind
+
 __all__ = [
     "ExecutionResource",
     "OpClass",
@@ -352,7 +354,14 @@ class OpcodeTraits:
     is_scalar: bool
     uses_stride_register: bool
     fu2_only: bool
+    #: The memory transaction kind as the memory system's dense code (the
+    #: kind's position in :class:`AccessKind`), or -1 for non-memory opcodes.
+    memory_code: int
 
+
+#: Dense memory transaction code per memory class: each memory class shares
+#: its name with one :class:`AccessKind`.
+_MEMORY_CODE = {OpClass[kind.name]: code for code, kind in enumerate(AccessKind)}
 
 #: One fully resolved :class:`OpcodeTraits` per opcode, built at import time.
 OPCODE_TRAITS: dict[Opcode, OpcodeTraits] = {}
@@ -374,5 +383,6 @@ for _opcode, _i in OPCODE_INFO.items():
         is_scalar=_r is ExecutionResource.SCALAR_UNIT,
         uses_stride_register=_c in (OpClass.VECTOR_LOAD, OpClass.VECTOR_STORE),
         fu2_only=_c in FU2_ONLY_CLASSES,
+        memory_code=_MEMORY_CODE.get(_c, -1),
     )
 del _opcode, _i, _c, _r

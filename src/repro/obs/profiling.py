@@ -1,7 +1,7 @@
 """Opt-in per-phase profiling of the simulator hot loop.
 
 The engine's run loops hoist their phase callables
-(``dispatch_model.earliest_issue``, ``dispatch_model.execute``,
+(``dispatch_model.register_hazard``, ``dispatch_model.execute``,
 ``memory.schedule_columnar``) into locals **once at loop setup**, so the
 profiler works by *function selection*: when profiling is enabled,
 :meth:`SimulationEngine.run` installs timing wrappers as instance
@@ -31,8 +31,9 @@ __all__ = [
 PROFILE_ENV_VAR = "REPRO_PROFILE"
 
 #: Hot-loop phases accounted when profiling is on.  ``decode`` is the loop
-#: residual (instruction supply + issue-cache probes + bookkeeping) left
-#: after the three wrapped phases; ``finalize`` wraps statistics reduction.
+#: residual (instruction supply, unit-free probes, context selection and
+#: bookkeeping) left after the three wrapped phases; ``hazard_check`` is
+#: called once per probed head; ``finalize`` wraps statistics reduction.
 PROFILE_PHASES = ("decode", "hazard_check", "dispatch", "memory", "finalize")
 
 _local = threading.local()
@@ -70,6 +71,8 @@ class PhaseProfile:
         self.seconds = {phase: 0.0 for phase in PROFILE_PHASES}
         self.calls = {phase: 0 for phase in PROFILE_PHASES}
         self.loop_seconds = 0.0
+        #: Per-run engine loop counters, reported as they are.
+        self.counts: dict[str, int] = {}
 
     def wrap(self, phase: str, fn):
         seconds = self.seconds
@@ -109,4 +112,5 @@ class PhaseProfile:
             },
             "loop_seconds": round(self.loop_seconds, 6),
             "nested": {"memory": "dispatch"},
+            "counts": dict(self.counts),
         }

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import MachineConfig
@@ -11,6 +14,7 @@ from repro.errors import SimulationError
 from repro.isa.builder import nop, scalar_op, vadd, vload, vstore
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import A, S, V
+from repro.obs.profiling import force_profiling
 
 
 def engine_for(instructions, config=None, name="prog"):
@@ -189,3 +193,38 @@ class TestDualScalarEngine:
             MachineConfig.reference(50), [SingleJobSupplier(job)]
         ).run()
         assert result.cycles > single.cycles
+
+
+class TestEngineLifetime:
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_run_leaves_no_reference_cycles(self, triad_program, profiled):
+        """A dropped engine is freed by reference counting alone.
+
+        A cycle through the engine would keep every run's dispatch log alive
+        until the cyclic collector runs, which inflates peak memory over a
+        pass of hundreds of runs.
+        """
+        job = Job.from_program(triad_program)
+        gc.collect()
+        gc.disable()
+        try:
+            engine = SimulationEngine(
+                MachineConfig.multithreaded(2, 50),
+                [SingleJobSupplier(job), SingleJobSupplier(job)],
+            )
+            with force_profiling(profiled):
+                result = engine.run()
+            refs = [
+                weakref.ref(owner)
+                for owner in (
+                    engine,
+                    engine.dispatch_model,
+                    engine.vector_units,
+                    engine.memory,
+                )
+            ]
+            del engine
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert result.instructions > 0
+        finally:
+            gc.enable()

@@ -93,14 +93,6 @@ class TestDataHazards:
         assert vector_state.write_busy_until == 80
         assert scoreboard.state(A(1)).read_busy_until == 7
 
-    def test_version_counts_every_mutation(self):
-        scoreboard = ColumnarScoreboard()
-        before = scoreboard.version
-        scoreboard.record_read(S(0), now=0, read_end=1)
-        scoreboard.record_write(S(0), first_element_at=4, ready_at=4, chainable=True)
-        scoreboard.reset()
-        assert scoreboard.version == before + 3
-
 
 class TestBankPorts:
     def test_write_port_conflict_within_bank(self):
@@ -161,7 +153,6 @@ class TestConstruction:
         scoreboard.record_write(V(0), first_element_at=60, ready_at=150, chainable=False)
         scoreboard.record_read(V(1), now=0, read_end=90)
         clone = pickle.loads(pickle.dumps(scoreboard))
-        assert clone.version == scoreboard.version
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert clone.earliest_dispatch(consumer, now=10) == scoreboard.earliest_dispatch(
             consumer, now=10

@@ -1,7 +1,7 @@
 """Cycle-identical equivalence of the fast-path engine against the seed oracle.
 
-The fast-path rework (columnar instruction decode, incremental ready-time
-caching, specialized run loops, per-stride bank memoization) must not change a
+The fast-path rework (columnar instruction decode, per-head register-hazard
+bounds, specialized run loops, per-stride bank memoization) must not change a
 single statistic of any simulation.  This suite runs the optimized
 :class:`repro.core.engine.SimulationEngine` next to the frozen naive
 implementation in :mod:`tests.seed_engine` and asserts byte-identical results:
@@ -538,4 +538,32 @@ class TestExpansionInterningEquivalence:
             seed = SeedEngine(config, [SingleJobSupplier(seed_job)]).run()
         finally:
             set_expansion_interning(True)
+        assert_cycle_identical(fast, seed)
+
+
+# --------------------------------------------------------------------------- #
+# a max_cycles limit that falls inside a blocked window
+# --------------------------------------------------------------------------- #
+class TestMaxCyclesInsideBlockedWindow:
+    def test_clamped_jump_matches_the_seed_oracle(self):
+        """Both threads wait on a 100-cycle load when the limit strikes.
+
+        Unlimited, the run completes at cycle 172; at a limit of 100 the
+        blocked-window jump is clamped, the engine rescans at the limit and
+        the run stops there with every skipped cycle counted as idle.
+        """
+        program = [vload(V(0), vl=32, address=0x100), vadd(V(1), V(0), V(0), vl=32)]
+        config = MachineConfig.multithreaded(2, 100)
+
+        def make_suppliers() -> list[JobSupplier]:
+            return [SingleJobSupplier(Job.from_instructions("p", program)) for _ in range(2)]
+
+        assert SimulationEngine(config, make_suppliers()).run().cycles == 172
+        engine = SimulationEngine(config, make_suppliers())
+        fast = engine.run(max_cycles=100)
+        seed = SeedEngine(config, make_suppliers()).run(max_cycles=100)
+        assert fast.stop_reason == "max-cycles"
+        assert fast.cycles == 100
+        assert fast.stats.decode_idle_cycles == 96
+        assert engine.clamp_rescans == 1
         assert_cycle_identical(fast, seed)

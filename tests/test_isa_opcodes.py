@@ -8,9 +8,12 @@ from repro.isa.opcodes import (
     ExecutionResource,
     FU2_ONLY_CLASSES,
     OPCODE_INFO,
+    OPCODE_TRAITS,
     OpClass,
     Opcode,
 )
+from repro.memory.request import AccessKind
+from repro.memory.system import _KIND_CODE
 
 
 class TestOpcodeClassification:
@@ -32,6 +35,16 @@ class TestOpcodeClassification:
             assert opcode.is_memory
         for opcode in (Opcode.VADD, Opcode.ADD_S, Opcode.BR, Opcode.NOP):
             assert not opcode.is_memory
+
+    def test_memory_code_is_the_memory_systems_kind_code(self):
+        for opcode in Opcode:
+            traits = OPCODE_TRAITS[opcode]
+            if traits.is_memory:
+                kind = AccessKind[traits.op_class.name]
+                assert traits.memory_code == _KIND_CODE[kind]
+                assert kind.is_load == traits.is_load
+            else:
+                assert traits.memory_code == -1
 
     def test_load_store_split(self):
         assert OpClass.VECTOR_LOAD.is_load and not OpClass.VECTOR_LOAD.is_store

@@ -84,9 +84,14 @@ class TestEngineProfiling:
         assert profile is not None
         assert set(profile["phases"]) == set(PROFILE_PHASES)
         assert profile["loop_seconds"] > 0.0
-        assert profile["phases"]["hazard_check"]["calls"] > 0
-        assert profile["phases"]["dispatch"]["calls"] > 0
+        # the register-hazard bound is probed once per head, and every head
+        # of a completed run is dispatched
+        assert profile["phases"]["hazard_check"]["calls"] == result.instructions
+        assert profile["phases"]["dispatch"]["calls"] == result.instructions
         assert profile["phases"]["finalize"]["calls"] == 1
+        assert set(profile["counts"]) == {"blocked_window_skips", "clamp_rescans"}
+        assert profile["counts"]["blocked_window_skips"] > 0
+        assert profile["counts"]["clamp_rescans"] == 0
 
     def test_env_var_profiles_plain_run(self, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV_VAR, "1")
@@ -117,7 +122,7 @@ class TestEngineProfiling:
         assert result.phase_profile is not None
         # the loop wrappers are instance attributes installed per profiled
         # run; none may survive into the next (unprofiled) run
-        assert "earliest_issue" not in vars(engine.dispatch_model)
+        assert "register_hazard" not in vars(engine.dispatch_model)
         assert "execute" not in vars(engine.dispatch_model)
         assert "schedule_columnar" not in vars(engine.memory)
         unprofiled = Machine.named("reference").run(_workload())
