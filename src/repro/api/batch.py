@@ -115,6 +115,8 @@ class SimulationRequest:
             )
         if self.instruction_limit is not None and self.mode != "single":
             raise ConfigurationError("instruction_limit only applies to mode='single'")
+        if (self.instruction_limit or 0) < 0:
+            raise ConfigurationError(f"negative instruction_limit {self.instruction_limit}")
 
     # -- convenience constructors ---------------------------------------- #
     @classmethod
@@ -176,11 +178,11 @@ class SimulationRequest:
         )
 
     # ------------------------------------------------------------------ #
-    def build_machine(self, *, cache: RunCache | None = None) -> Machine:
+    def build_machine(self) -> Machine:
         """Construct the :class:`Machine` this request targets."""
         if isinstance(self.machine, MachineConfig):
-            return Machine.from_config(self.machine, cache=cache)
-        return Machine.named(self.machine, cache=cache, **dict(self.options))
+            return Machine.from_config(self.machine)
+        return Machine.named(self.machine, **dict(self.options))
 
     def cache_key(self) -> tuple:
         """The content-hash key identifying this request's simulation.

@@ -11,9 +11,10 @@ execution mode, so two structurally identical requests share one simulation
 even when they were built from distinct Python objects.
 
 Cached results are stored as their canonical pickles (the same bytes a
-:class:`~repro.service.store.ResultStore` keeps) and a fresh copy is
-returned on every object hit, so callers can freely mutate what they get
-back (results carry mutable statistics) without corrupting the cache.
+:class:`~repro.service.store.ResultStore` keeps): the cache deals only in
+bytes, and :func:`~repro.api.batch.run_batch` unpickles a fresh copy per
+request, so callers can freely mutate what they get back (results carry
+mutable statistics) without corrupting the cache.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from collections import OrderedDict
 from collections.abc import Iterable
 
 from repro.core.config import MachineConfig
-from repro.core.results import SimulationResult
 from repro.core.suppliers import Job, as_job
 from repro.trace.records import TraceSet
 from repro.workloads.program import Program
@@ -111,7 +111,7 @@ def request_key(
 
 
 class RunCache:
-    """An in-memory, content-addressed cache of :class:`SimulationResult`\\ s.
+    """An in-memory, content-addressed cache of simulation result pickles.
 
     Entries are evicted least-recently-used once ``max_entries`` is exceeded
     (the default keeps every run of a full experiment regeneration).
@@ -146,13 +146,6 @@ class RunCache:
             self.hits += 1
             return payload
 
-    def get(self, key: tuple) -> SimulationResult | None:
-        """A fresh copy of the cached result, or ``None`` on a miss."""
-        payload = self.get_bytes(key)
-        if payload is None:
-            return None
-        return pickle.loads(payload)
-
     def put_bytes(self, key: tuple, payload: bytes) -> None:
         """Store one already-pickled result under ``key``."""
         with self._lock:
@@ -161,10 +154,6 @@ class RunCache:
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
-
-    def put(self, key: tuple, result: SimulationResult) -> None:
-        """Pickle and store one simulation result (a snapshot, not the object)."""
-        self.put_bytes(key, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

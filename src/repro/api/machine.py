@@ -23,9 +23,9 @@ instruction limits and which stop rule the engine gets.
   - :meth:`Machine.run_queue` — the fixed-workload methodology of section 7
     (all contexts drain a shared job queue).
 
-A machine constructed with a :class:`~repro.api.cache.RunCache` transparently
-memoizes its runs by content, so repeated simulations of identical
-(configuration, workload) pairs are free.
+A machine simulates every call it is given.  Memoizing runs by content is
+the batch layer's job: :func:`repro.api.batch.run_batch` deduplicates a
+batch and consults a :class:`~repro.api.cache.RunCache` or result store.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import replace
 
-from repro.api.cache import RunCache, request_key
 from repro.api.registry import register_model, resolve_model
 from repro.core.config import MachineConfig
 from repro.core.engine import SimulationEngine
@@ -77,20 +76,17 @@ class Machine:
     (section 9).
     """
 
-    def __init__(self, config: MachineConfig, *, cache: RunCache | None = None) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        self.cache = cache
 
     # -- construction ---------------------------------------------------- #
     @classmethod
-    def from_config(
-        cls, config: MachineConfig, *, cache: RunCache | None = None
-    ) -> "Machine":
+    def from_config(cls, config: MachineConfig) -> "Machine":
         """The machine model matching an arbitrary configuration."""
-        return Machine(config, cache=cache)
+        return Machine(config)
 
     @classmethod
-    def named(cls, name: str, *, cache: RunCache | None = None, **options) -> "Machine":
+    def named(cls, name: str, **options) -> "Machine":
         """Resolve a registered machine model by name (``Machine.named("multithreaded-2")``)."""
         factory = resolve_model(name).factory
         try:
@@ -104,8 +100,6 @@ class Machine:
                 f"the factory for model {name!r} returned {type(produced).__name__}; "
                 "expected a Machine"
             )
-        if cache is not None:
-            produced.cache = cache
         return produced
 
     # -- identity -------------------------------------------------------- #
@@ -115,8 +109,7 @@ class Machine:
         return self.config.name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cached = ", cached" if self.cache is not None else ""
-        return f"Machine({self.name!r}{cached})"
+        return f"Machine({self.name!r})"
 
     # -- the uniform execution surface ----------------------------------- #
     def run(
@@ -132,16 +125,14 @@ class Machine:
         instructions: the *fractional* reference runs of the speedup
         methodology (section 4.1).  ``profile=True`` forces engine phase
         profiling for this call (see :mod:`repro.obs.profiling`): the result
-        carries ``phase_profile`` and the run bypasses the cache both ways —
-        cached results have no profile, and a profiled result must not poison
-        the cache for unprofiled callers.
+        carries ``phase_profile``.
         """
         if profile:
             from repro.obs.profiling import force_profiling
 
             with force_profiling(True):
                 return self._execute("single", [workload], instruction_limit=instruction_limit)
-        return self._simulate("single", [workload], instruction_limit=instruction_limit)
+        return self._execute("single", [workload], instruction_limit=instruction_limit)
 
     def run_group(
         self, workloads: Sequence[Workload], *, restart_companions: bool = True
@@ -152,25 +143,13 @@ class Machine:
         figure 3 of the paper.  A single-context machine has no companions: it
         runs the workloads back to back.
         """
-        return self._simulate("group", workloads, restart_companions=restart_companions)
+        return self._execute("group", workloads, restart_companions=restart_companions)
 
     def run_queue(self, workloads: Sequence[Workload]) -> SimulationResult:
         """Fixed-workload methodology: every context drains a shared job queue."""
-        return self._simulate("queue", workloads)
+        return self._execute("queue", workloads)
 
     # -- the one mapping from (model, methodology) to an engine run ------- #
-    def _simulate(
-        self, mode: str, workloads: Sequence[Workload], **options
-    ) -> SimulationResult:
-        if self.cache is None:
-            return self._execute(mode, workloads, **options)
-        key = request_key(self.config, mode, workloads, **options)
-        result = self.cache.get(key)
-        if result is None:
-            result = self._execute(mode, workloads, **options)
-            self.cache.put(key, result)
-        return result
-
     def _execute(
         self,
         mode: str,
@@ -236,16 +215,13 @@ class _IdealMachine(Machine):
         *,
         decode_width: int = 1,
         num_arithmetic_units: int = 2,
-        cache: RunCache | None = None,
     ) -> None:
         # The model parameters must be part of the (synthetic) config so that
         # differently-parameterized ideal machines get distinct cache keys.
         name = "ideal"
         if decode_width != 1 or num_arithmetic_units != 2:
             name = f"ideal-w{decode_width}x{num_arithmetic_units}"
-        super().__init__(
-            replace(MachineConfig.reference(), name=name, memory_latency=0), cache=cache
-        )
+        super().__init__(replace(MachineConfig.reference(), name=name, memory_latency=0))
         self._model = IdealMachineModel(
             decode_width=decode_width, num_arithmetic_units=num_arithmetic_units
         )

@@ -18,11 +18,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.api.batch import SimulationRequest
-from repro.api.machine import Machine
 from repro.core.config import LatencyTable, MachineConfig
 from repro.core.ideal import IdealMachineModel
 from repro.core.statistics import FU_STATE_NAMES
-from repro.core.suppliers import Job
 from repro.experiments.groupings import DEFAULT_GROUPING_TABLE, grouping_plan
 from repro.experiments.metrics import ReferenceBank, compute_speedup
 from repro.experiments.runner import ExperimentContext
@@ -244,19 +242,16 @@ def _grouping_averages(context: ExperimentContext) -> dict[str, dict[int, dict[s
 
     Runs each program of ``settings.grouping_programs`` on context 0 of every
     Table 2 group with ``settings.context_counts`` contexts, as one batch, and
-    charges each run's work at reference-machine cost (section 4.1).  The
-    three figures share these runs, so the context memoizes the averages per
-    memory latency.
+    charges each run's work at reference-machine cost (section 4.1); every
+    reference run those charges need is a second batch.  The three figures
+    share these runs, so the context memoizes the averages per memory latency.
     """
     settings = context.settings
     latency = settings.memory_latency
     if latency in context.grouping_averages:
         return context.grouping_averages[latency]
     programs = context.programs
-    bank = ReferenceBank(
-        {name: Job.from_program(program) for name, program in programs.items()},
-        Machine.from_config(MachineConfig.reference(latency), cache=context.cache),
-    )
+    bank = ReferenceBank(programs, MachineConfig.reference(latency), run_batch=context.run_batch)
     groups = []
     for program in settings.grouping_programs:
         plan = grouping_plan(program, max_groups_per_size=settings.max_groups_per_size)
@@ -272,6 +267,7 @@ def _grouping_averages(context: ExperimentContext) -> dict[str, dict[int, dict[s
             for group in groups
         ]
     )
+    bank.load_groups(groups, results)
     samples: dict[str, dict[int, list[tuple[float, ...]]]] = {}
     for group, result in zip(groups, results):
         speedup = compute_speedup(result, bank).speedup

@@ -16,51 +16,100 @@ multithreaded execution time.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.api.machine import Machine
+from repro.api import batch
+from repro.api.batch import SimulationRequest, Workload
+from repro.core.config import MachineConfig
 from repro.core.results import SimulationResult
-from repro.core.suppliers import Job
 from repro.errors import ExperimentError
 
 __all__ = ["ReferenceBank", "SpeedupBreakdown", "compute_speedup"]
 
 
 class ReferenceBank:
-    """Caches reference-machine execution times of the benchmark programs.
+    """Reference-machine execution times of the benchmark programs.
 
     The speedup computation needs, for every program, the cycles the reference
-    machine takes to run it to completion, and occasionally the cycles needed
-    to execute only its first *n* instructions (for partially-completed
-    companion runs).  Full runs are cached; partial runs are computed on
-    demand (they are comparatively rare and cheap).
+    machine takes to run it to completion, and the cycles needed to execute
+    only its first *n* instructions (for partially-completed companion runs).
 
-    The machine is a reference-model :class:`~repro.api.machine.Machine`
-    (whose run cache then also serves the bank's runs).
+    :meth:`load` runs whatever is not loaded yet as one ``run_batch`` call:
+    the figures pass :meth:`ExperimentContext.run_batch
+    <repro.experiments.runner.ExperimentContext.run_batch>`, so the bank's
+    runs share the context's deduplication, cache and pool.
+    :meth:`load_groups` loads all that a batch of group runs needs at once;
+    any other lookup that misses is a batch of one.
     """
 
-    def __init__(self, jobs: dict[str, Job], machine: Machine) -> None:
-        self._jobs = dict(jobs)
-        self._machine = machine
+    def __init__(
+        self,
+        workloads: Mapping[str, Workload],
+        config: MachineConfig,
+        *,
+        run_batch: Callable[[list[SimulationRequest]], list[SimulationResult]] = batch.run_batch,
+    ) -> None:
+        self._workloads = dict(workloads)
+        self._config = config
+        self._run_batch = run_batch
         self._full_results: dict[str, SimulationResult] = {}
-        self._partial_cache: dict[tuple[str, int], int] = {}
+        self._partial_cycles: dict[tuple[str, int], int] = {}
 
-    @property
-    def machine(self) -> Machine:
-        """The reference machine used for all runs of this bank."""
-        return self._machine
-
-    def job(self, program: str) -> Job:
-        """The job registered under ``program``."""
+    def job(self, program: str) -> Workload:
+        """The workload registered under ``program``."""
         try:
-            return self._jobs[program]
+            return self._workloads[program]
         except KeyError as exc:
             raise ExperimentError(f"no reference job registered for {program!r}") from exc
 
+    def load(self, runs: Iterable[tuple[str, int | None]]) -> None:
+        """Run every ``(program, instruction limit)`` not loaded yet, as one batch.
+
+        A ``None`` limit is a full run.
+        """
+        missing = [
+            (name, limit) for name, limit in dict.fromkeys(runs)
+            if (
+                name not in self._full_results if limit is None
+                else (name, limit) not in self._partial_cycles
+            )
+        ]
+        if not missing:
+            return
+        requests = [
+            SimulationRequest.single(self._config, self.job(name), instruction_limit=limit)
+            for name, limit in missing
+        ]
+        for (name, limit), result in zip(missing, self._run_batch(requests)):
+            if limit is None:
+                self._full_results[name] = result
+            else:
+                self._partial_cycles[(name, limit)] = result.cycles
+
+    def load_groups(
+        self, groups: Sequence[Sequence[str]], results: Sequence[SimulationResult]
+    ) -> None:
+        """Load, as one batch, every reference run that charging these group runs needs.
+
+        That is a full run of each group member and of each completed run,
+        and a partial run of each unfinished one in the groups' job tables.
+        """
+        runs: list[tuple[str, int | None]] = [(name, None) for group in groups for name in group]
+        for result in results:
+            table = result.job_table()
+            for program, instructions, completed in zip(
+                table["program"], table["instructions"], table["completed"]
+            ):
+                if completed:
+                    runs.append((program, None))
+                elif instructions > 0:
+                    runs.append((program, instructions))
+        self.load(runs)
+
     def full_result(self, program: str) -> SimulationResult:
-        """Full reference-machine run of one program (cached)."""
-        if program not in self._full_results:
-            self._full_results[program] = self._machine.run(self.job(program))
+        """Full reference-machine run of one program (loaded once)."""
+        self.load([(program, None)])
         return self._full_results[program]
 
     def full_cycles(self, program: str) -> int:
@@ -71,11 +120,8 @@ class ReferenceBank:
         """Reference time to execute only the first ``instructions`` instructions."""
         if instructions <= 0:
             return 0
-        key = (program, instructions)
-        if key not in self._partial_cache:
-            result = self._machine.run(self.job(program), instruction_limit=instructions)
-            self._partial_cache[key] = result.cycles
-        return self._partial_cache[key]
+        self.load([(program, instructions)])
+        return self._partial_cycles[(program, instructions)]
 
     def sequential_metrics(self, programs: list[str]) -> tuple[int, float, float]:
         """Aggregate (cycles, port occupancy, VOPC) of a sequential reference run.

@@ -8,7 +8,7 @@ The scale layer on top of the :class:`~repro.api.machine.Machine` facade:
 * :class:`ResultStore` — disk-backed, content-addressed result store with
   size-bounded LRU eviction and code-version invalidation (the durable
   successor of the in-memory :class:`~repro.api.cache.RunCache`, and a
-  drop-in ``cache=`` for :class:`~repro.api.machine.Machine`);
+  drop-in ``cache=`` for :func:`~repro.api.batch.run_batch`);
 * :class:`ServiceServer` — stdlib JSON-over-HTTP front end
   (``POST /jobs``, ``GET /jobs/<id>`` with ``?follow=1`` long-polling,
   ``GET /jobs/<id>/trace``, ``DELETE /jobs/<id>``, ``GET /stats``,

@@ -15,7 +15,7 @@ Durability and safety properties:
   :class:`ResultStore` on the same directory serves them immediately;
 * **size-bounded LRU eviction** — when the store grows past ``max_bytes``,
   least-recently-*used* entries are deleted first (access order survives
-  restarts via file mtimes, which :meth:`get` refreshes);
+  restarts via file mtimes, which :meth:`get_bytes` refreshes);
 * **fingerprint invalidation** — every entry records the code fingerprint
   (the :mod:`repro` version by default) it was produced by; entries written
   by a different code version are treated as misses and deleted, so a store
@@ -36,9 +36,9 @@ Durability and safety properties:
   ``max_bytes`` instead of overshooting it N×; a missing victim file
   (already evicted by a sibling) is tolerated everywhere.
 
-The store exposes the same ``get(key)``/``put(key, result)`` surface as
-:class:`~repro.api.cache.RunCache`, so it is a drop-in ``cache=`` argument for
-:class:`~repro.api.machine.Machine` and :func:`~repro.api.batch.run_batch`.
+The store exposes the same ``get_bytes(key)``/``put_bytes(key, payload)``
+surface as :class:`~repro.api.cache.RunCache`, so it is a drop-in ``cache=``
+argument for :func:`~repro.api.batch.run_batch` and the sweep executor.
 All methods are thread-safe.
 """
 
@@ -58,7 +58,6 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-from repro.core.results import SimulationResult
 from repro.errors import ConfigurationError
 from repro.faults import inject_store_corrupt
 from repro.obs.metrics import MetricsRegistry
@@ -358,9 +357,9 @@ class ResultStore:
     def get_bytes(self, key: tuple) -> bytes | None:
         """The stored result pickle for ``key``, or ``None`` on a miss.
 
-        Returns the exact payload bytes written by :meth:`put`, which is what
-        lets the service hand byte-identical responses to every waiter of a
-        coalesced request.
+        Returns the exact payload bytes written by :meth:`put_bytes`, which is
+        what lets the service hand byte-identical responses to every waiter of
+        a coalesced request.
         """
         digest = key_digest(key)
         started = time.perf_counter()
@@ -401,13 +400,6 @@ class ResultStore:
         finally:
             self._get_seconds.observe(time.perf_counter() - started)
 
-    def get(self, key: tuple) -> SimulationResult | None:
-        """A fresh copy of the stored result, or ``None`` on a miss."""
-        payload = self.get_bytes(key)
-        if payload is None:
-            return None
-        return pickle.loads(payload)
-
     def put_bytes(self, key: tuple, payload: bytes) -> None:
         """Store one already-pickled result under ``key`` (atomic write)."""
         digest = key_digest(key)
@@ -436,10 +428,6 @@ class ResultStore:
                     self._scan()
                     self._evict_to_bound(protect=digest)
         self._put_seconds.observe(time.perf_counter() - started)
-
-    def put(self, key: tuple, result: SimulationResult) -> None:
-        """Pickle and store one simulation result under ``key``."""
-        self.put_bytes(key, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
     # ------------------------------------------------------------------ #
     def total_bytes(self) -> int:

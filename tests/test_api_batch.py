@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
-    Machine,
     RunCache,
     SimulationRequest,
     fingerprint_workload,
@@ -81,6 +80,21 @@ class TestSimulationRequest:
                 mode="group",
                 instruction_limit=10,
             )
+
+    def test_negative_instruction_limit_rejected(self):
+        from repro.service.specs import request_from_document
+
+        with pytest.raises(ConfigurationError, match="negative instruction_limit"):
+            SimulationRequest.single("reference", WORKLOADS["triad"], instruction_limit=-1)
+        document = {
+            "machine": "reference",
+            "workloads": [{"benchmark": "tomcatv", "scale": 0.05}],
+            "instruction_limit": -3,
+        }
+        with pytest.raises(ConfigurationError, match="negative instruction_limit"):
+            request_from_document(document)
+        zero = SimulationRequest.single("reference", WORKLOADS["triad"], instruction_limit=0)
+        assert zero.instruction_limit == 0
 
     def test_empty_workloads_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one"):
@@ -234,17 +248,42 @@ class TestRunCache:
 
 
 class TestSharedRunCache:
-    def test_machine_shares_the_cache(self):
-        cache = RunCache()
-        machine = Machine.named("reference", memory_latency=1, cache=cache)
-        machine.run(WORKLOADS["triad"])
-        run_batch([_request("reference", "triad", 1, "single")], cache=cache)
-        assert cache.hits == 1
-
     def test_lone_request_uses_the_cache(self):
         cache = RunCache()
         request = _request("reference", "scalar", 1, "single")
         (first,) = run_batch([request], cache=cache)
         (second,) = run_batch([request], cache=cache)
+        assert first is not second
         assert first.cycles == second.cycles
+        assert first.counters() == second.counters()
+        assert cache.hits == 1 and cache.misses == 1
+
+    def test_cache_copies_are_independent(self):
+        cache = RunCache()
+        request = _request("reference", "triad", 50, "single")
+        (first,) = run_batch([request], cache=cache)
+        first.workload_description = "mutated"
+        (second,) = run_batch([request], cache=cache)
         assert cache.hits == 1
+        assert second.workload_description != "mutated"
+
+    def test_different_configs_do_not_collide(self):
+        cache = RunCache()
+        fast, slow = run_batch(
+            [_request("reference", "triad", latency, "single") for latency in (1, 100)],
+            cache=cache,
+        )
+        assert fast.cycles < slow.cycles
+        assert cache.hits == 0 and len(cache) == 2
+
+    def test_ideal_model_options_do_not_collide(self):
+        cache = RunCache()
+        narrow, wide = run_batch(
+            [
+                SimulationRequest.single("ideal", WORKLOADS["scalar"]),
+                SimulationRequest.single("ideal", WORKLOADS["scalar"], decode_width=4),
+            ],
+            cache=cache,
+        )
+        assert cache.hits == 0 and len(cache) == 2
+        assert wide.cycles < narrow.cycles

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 
 import pytest
 
 from repro.api import (
     Machine,
     RunCache,
+    SimulationRequest,
     model_descriptions,
     model_names,
     register_model,
     resolve_model,
+    run_batch,
     unregister_model,
 )
 from repro.api.machine import BUILTIN_MODEL_NAMES
@@ -282,48 +285,16 @@ class TestUniformSurface:
         assert result.cycles > 0
 
 
-class TestMachineCache:
-    def test_cached_runs_are_equal_and_hit(self, triad_program):
-        cache = RunCache()
-        machine = Machine.named("reference", memory_latency=50, cache=cache)
-        first = machine.run(triad_program)
-        second = machine.run(triad_program)
-        assert_same_result(first, second)
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_cache_copies_are_independent(self, triad_program):
-        cache = RunCache()
-        machine = Machine.named("reference", memory_latency=50, cache=cache)
-        first = machine.run(triad_program)
-        first.workload_description = "mutated"
-        second = machine.run(triad_program)
-        assert second.workload_description != "mutated"
-
-    def test_different_configs_do_not_collide(self, triad_program):
-        cache = RunCache()
-        fast = Machine.named("reference", memory_latency=1, cache=cache).run(triad_program)
-        slow = Machine.named("reference", memory_latency=100, cache=cache).run(triad_program)
-        assert fast.cycles < slow.cycles
-        assert cache.hits == 0
-
-    def test_ideal_model_options_do_not_collide(self, scalar_program):
-        cache = RunCache()
-        narrow = Machine.named("ideal", cache=cache).run(scalar_program)
-        wide = Machine.named("ideal", decode_width=4, cache=cache).run(scalar_program)
-        assert cache.hits == 0
-        assert wide.cycles < narrow.cycles
-
-
 class TestRunCacheThreadSafety:
     """The service's threaded HTTP front end shares one cache with worker
-    completions, so concurrent get/put/len must never corrupt the cache."""
+    completions, so concurrent get_bytes/put_bytes/len must never corrupt the
+    cache."""
 
     def test_concurrent_get_put_with_eviction(self, triad_program):
         import threading
 
-        machine = Machine.named("reference", memory_latency=50)
-        result = machine.run(triad_program)
+        result = Machine.named("reference", memory_latency=50).run(triad_program)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         cache = RunCache(max_entries=8)
         keys = [("key", index) for index in range(16)]
         errors = []
@@ -333,11 +304,11 @@ class TestRunCacheThreadSafety:
                 for turn in range(200):
                     key = keys[(seed * 7 + turn) % len(keys)]
                     if turn % 3 == 0:
-                        cache.put(key, result)
+                        cache.put_bytes(key, payload)
                     else:
-                        hit = cache.get(key)
+                        hit = cache.get_bytes(key)
                         if hit is not None:
-                            assert hit.cycles == result.cycles
+                            assert pickle.loads(hit).cycles == result.cycles
                     len(cache)
                     key in cache
             except Exception as error:  # pragma: no cover - failure path
@@ -353,12 +324,11 @@ class TestRunCacheThreadSafety:
         assert cache.hits + cache.misses > 0
 
     def test_cache_pickles_without_its_lock(self, triad_program):
-        import pickle
-
         cache = RunCache()
-        machine = Machine.named("reference", memory_latency=50, cache=cache)
-        machine.run(triad_program)
+        request = SimulationRequest.single("reference", triad_program, memory_latency=50)
+        run_batch([request], cache=cache)
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == 1
-        clone.put(("fresh",), machine.run(triad_program))  # lock was re-armed
+        payload = clone.get_bytes(request.cache_key())
+        clone.put_bytes(("fresh",), payload)  # lock was re-armed
         assert len(clone) == 2

@@ -12,7 +12,6 @@ from repro.api.batch import SimulationRequest
 from repro.api.machine import Machine
 from repro.core.config import MachineConfig
 from repro.core.statistics import FU_STATE_NAMES
-from repro.core.suppliers import Job
 from repro.experiments.figures import (
     ALL_EXPERIMENTS,
     figure4,
@@ -145,15 +144,44 @@ class TestMultithreadedFigures:
                 for group in groups
             ]
         )
-        bank = ReferenceBank(
-            {name: Job.from_program(program) for name, program in context.programs.items()},
-            Machine.from_config(MachineConfig.reference(50)),
-        )
+        bank = ReferenceBank(context.programs, MachineConfig.reference(50))
         speedups = [compute_speedup(result, bank).speedup for result in results]
         report = figure6(context)
         assert report.rows == [
             {"program": "trfd", "speedup_2_threads": round(sum(speedups) / 2, 3)}
         ]
+
+    def test_figure6_reference_runs_are_one_context_batch(self, monkeypatch):
+        settings = ExperimentSettings.quick().with_scale(0.05)
+        batches: list[list[SimulationRequest]] = []
+        in_batch: list[bool] = []
+        outside_batches: Counter = Counter()
+        run_batch, machine_run = ExperimentContext.run_batch, Machine.run
+
+        def recorded_batch(context, requests):
+            batches.append(list(requests))
+            in_batch.append(True)
+            try:
+                return run_batch(context, requests)
+            finally:
+                in_batch.pop()
+
+        def recorded_run(machine, *args, **kwargs):
+            if not in_batch:
+                outside_batches[machine.name] += 1
+            return machine_run(machine, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentContext, "run_batch", recorded_batch)
+        monkeypatch.setattr(Machine, "run", recorded_run)
+        serial = figure6(ExperimentContext(settings))
+        assert not outside_batches
+        group_batch, reference_batch = batches
+        assert {request.mode for request in group_batch} == {"group"}
+        assert all(request.machine == MachineConfig.reference(50) for request in reference_batch)
+        limits = [request.instruction_limit for request in reference_batch]
+        assert limits.count(None) == 7 and len(limits) - 7 == 26
+        parallel = figure6(ExperimentContext(settings.with_jobs(2)))
+        assert parallel.rows == serial.rows
 
     def test_figure6_honours_context_counts(self, monkeypatch):
         settings = ExperimentSettings(

@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Machine
+from repro.api import Machine, run_batch
 from repro.core.config import MachineConfig
-from repro.core.suppliers import Job
 from repro.errors import ExperimentError
 from repro.experiments.metrics import ReferenceBank, SpeedupBreakdown, compute_speedup
 
 
 @pytest.fixture()
 def bank(tiny_suite):
-    jobs = {name: Job.from_program(program) for name, program in tiny_suite.items()}
-    return ReferenceBank(jobs, Machine.from_config(MachineConfig.reference(50)))
+    return ReferenceBank(tiny_suite, MachineConfig.reference(50))
 
 
 class TestReferenceBank:
@@ -42,6 +40,42 @@ class TestReferenceBank:
         assert cycles == bank.full_cycles("swm256") + bank.full_cycles("flo52")
         assert 0 < occupancy <= 1
         assert vopc > 0
+
+
+class TestReferenceBankBatches:
+    """Every reference run of the bank goes through its batch runner."""
+
+    @staticmethod
+    def _recording_bank(suite, batches: list) -> ReferenceBank:
+        def recording(requests):
+            batches.append(requests)
+            return run_batch(requests)
+
+        return ReferenceBank(suite, MachineConfig.reference(50), run_batch=recording)
+
+    def test_group_charges_load_as_one_batch(self, tiny_suite):
+        batches: list = []
+        bank = self._recording_bank(tiny_suite, batches)
+        group = ["swm256", "tomcatv"]
+        result = Machine.from_config(MachineConfig.multithreaded(2, 50)).run_group(
+            [tiny_suite[name] for name in group]
+        )
+        bank.load_groups([group], [result])
+        (loaded,) = batches
+        breakdown = compute_speedup(result, bank)
+        bank.sequential_metrics(group)
+        assert len(batches) == 1  # every later lookup is a hit
+        limits = [request.instruction_limit for request in loaded]
+        assert limits == [None, None] + [n for _, n, _ in breakdown.partial_runs]
+
+    def test_lookup_miss_is_a_batch_of_one(self, tiny_suite):
+        batches: list = []
+        bank = self._recording_bank(tiny_suite, batches)
+        bank.full_cycles("flo52")
+        bank.partial_cycles("flo52", 50)
+        bank.full_cycles("flo52")
+        assert [len(requests) for requests in batches] == [1, 1]
+        assert batches[1][0].instruction_limit == 50
 
 
 class TestSpeedupComputation:

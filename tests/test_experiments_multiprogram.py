@@ -14,7 +14,6 @@ import pytest
 from repro.api.batch import SimulationRequest
 from repro.api.machine import Machine
 from repro.core.config import MachineConfig
-from repro.core.suppliers import Job
 from repro.experiments.figures import _grouping_averages
 from repro.experiments.groupings import grouping_plan
 from repro.experiments.metrics import ReferenceBank, compute_speedup
@@ -34,8 +33,7 @@ def _context(*programs: str, context_counts=(2, 3), max_groups_per_size=1) -> Ex
 
 def _bank(context: ExperimentContext) -> ReferenceBank:
     return ReferenceBank(
-        {name: Job.from_program(program) for name, program in context.programs.items()},
-        Machine.from_config(MachineConfig.reference(50), cache=context.cache),
+        context.programs, MachineConfig.reference(50), run_batch=context.run_batch
     )
 
 

@@ -22,7 +22,6 @@ import pytest
 from repro.api import Machine, RunCache, SimulationRequest, run_batch
 from repro.core.config import MachineConfig
 from repro.core.ideal import IdealMachineModel
-from repro.core.suppliers import Job
 from repro.experiments.metrics import ReferenceBank, compute_speedup
 from repro.workloads import build_suite
 from repro.workloads.profiles import FIXED_WORKLOAD_ORDER
@@ -38,8 +37,7 @@ def suite():
 
 @pytest.fixture(scope="module")
 def reference_bank(suite):
-    jobs = {name: Job.from_program(program) for name, program in suite.items()}
-    return ReferenceBank(jobs, Machine.from_config(MachineConfig.reference(50)))
+    return ReferenceBank(suite, MachineConfig.reference(50))
 
 
 @pytest.fixture(scope="module")

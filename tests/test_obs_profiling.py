@@ -128,17 +128,6 @@ class TestEngineProfiling:
         unprofiled = Machine.named("reference").run(_workload())
         assert unprofiled.phase_profile is None
 
-    def test_profile_bypasses_cache_both_ways(self):
-        from repro.api.cache import RunCache
-
-        machine = Machine.named("reference", cache=RunCache())
-        warm = machine.run(_workload())  # fills the cache
-        profiled = machine.run(_workload(), profile=True)
-        assert profiled.phase_profile is not None
-        cached = machine.run(_workload())
-        assert cached.phase_profile is None
-        assert warm.cycles == profiled.cycles == cached.cycles
-
 
 class TestSweepProfileMetrics:
     def test_profile_metric_resolves_on_profiled_result(self):

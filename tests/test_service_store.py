@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Machine, request_key
+from repro.api import Machine, SimulationRequest, request_key, run_batch
 from repro.errors import ConfigurationError
 from repro.service import ResultStore, code_fingerprint, key_digest
 from repro.service.store import (
@@ -26,11 +26,11 @@ from repro.service.store import (
 
 @pytest.fixture(scope="module")
 def run_and_key(small_tomcatv):
-    """One real simulation result plus its content-hash request key."""
+    """One real simulation result's pickle plus its content-hash request key."""
     machine = Machine.named("reference")
-    result = machine.run(small_tomcatv)
+    payload = pickle.dumps(machine.run(small_tomcatv), protocol=pickle.HIGHEST_PROTOCOL)
     key = request_key(machine.config, "single", [small_tomcatv])
-    return result, key
+    return payload, key
 
 
 def _fake_key(tag: str) -> tuple:
@@ -39,57 +39,56 @@ def _fake_key(tag: str) -> tuple:
 
 class TestRoundTrip:
     def test_get_returns_fresh_equal_copies(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        assert store.get(key) is None
-        store.put(key, result)
-        first, second = store.get(key), store.get(key)
+        assert store.get_bytes(key) is None
+        store.put_bytes(key, payload)
+        first, second = (pickle.loads(store.get_bytes(key)) for _ in range(2))
         assert first is not second
-        assert first.cycles == result.cycles
+        assert first.cycles == pickle.loads(payload).cycles
         assert pickle.dumps(first.stats) == pickle.dumps(second.stats)
         assert store.hits == 2 and store.misses == 1
         assert key in store and len(store) == 1
 
     def test_round_trip_across_restart(self, tmp_path, run_and_key):
-        result, key = run_and_key
-        ResultStore(tmp_path).put(key, result)
+        payload, key = run_and_key
+        ResultStore(tmp_path).put_bytes(key, payload)
         # a brand-new store instance on the same directory (a "restarted
         # service") serves the entry without re-simulating
         reborn = ResultStore(tmp_path)
         assert len(reborn) == 1
-        hit = reborn.get(key)
-        assert hit is not None and hit.cycles == result.cycles
+        hit = reborn.get_bytes(key)
+        assert hit == payload
         assert reborn.hits == 1 and reborn.misses == 0
 
     def test_round_trip_across_processes(self, tmp_path, run_and_key):
-        result, key = run_and_key
-        ResultStore(tmp_path).put(key, result)
+        payload, key = run_and_key
+        ResultStore(tmp_path).put_bytes(key, payload)
         script = (
             "import pickle, sys\n"
             "from repro.service import ResultStore\n"
             "store = ResultStore(sys.argv[1])\n"
             "key = pickle.loads(bytes.fromhex(sys.argv[2]))\n"
-            "hit = store.get(key)\n"
+            "hit = store.get_bytes(key)\n"
             "assert hit is not None, 'store entry must survive into a new process'\n"
-            "print(hit.cycles)\n"
+            "print(pickle.loads(hit).cycles)\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path), pickle.dumps(key).hex()],
             capture_output=True, text=True, check=True,
         )
-        assert int(out.stdout.strip()) == result.cycles
+        assert int(out.stdout.strip()) == pickle.loads(payload).cycles
 
     def test_byte_identical_payloads(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         assert store.get_bytes(key) == store.get_bytes(key)
 
 
 class TestEviction:
     def test_lru_eviction_at_size_bound(self, tmp_path, run_and_key):
-        result, _ = run_and_key
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        payload, _ = run_and_key
         # room for roughly two entries (envelope overhead included)
         store = ResultStore(tmp_path, max_bytes=int(len(payload) * 2.5))
         keys = [_fake_key(str(index)) for index in range(3)]
@@ -103,8 +102,7 @@ class TestEviction:
         assert keys[0] in store and keys[2] in store
 
     def test_eviction_order_survives_restart(self, tmp_path, run_and_key):
-        result, _ = run_and_key
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        payload, _ = run_and_key
         seed = ResultStore(tmp_path, max_bytes=None)
         keys = [_fake_key(str(index)) for index in range(3)]
         for key in keys:
@@ -116,9 +114,9 @@ class TestEviction:
         assert keys[0] not in reborn
 
     def test_oversized_single_entry_is_kept(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path, max_bytes=1)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         assert key in store  # the newest entry is never evicted by itself
 
     def test_bad_max_bytes_rejected(self, tmp_path):
@@ -128,96 +126,96 @@ class TestEviction:
 
 class TestInvalidation:
     def test_corrupt_entry_degrades_to_miss(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         entry = tmp_path / (key_digest(key) + ENTRY_SUFFIX)
         entry.write_bytes(b"\x80corrupt garbage")
-        assert store.get(key) is None
+        assert store.get_bytes(key) is None
         assert store.misses == 1
         assert not entry.exists()  # the broken file cannot keep failing
 
     def test_truncated_entry_degrades_to_miss(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         entry = tmp_path / (key_digest(key) + ENTRY_SUFFIX)
         entry.write_bytes(entry.read_bytes()[:10])
-        assert ResultStore(tmp_path).get(key) is None
+        assert ResultStore(tmp_path).get_bytes(key) is None
 
     def test_code_version_change_invalidates(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         old = ResultStore(tmp_path, fingerprint="repro-0.0-old")
-        old.put(key, result)
+        old.put_bytes(key, payload)
         current = ResultStore(tmp_path)  # defaults to code_fingerprint()
         assert current.fingerprint == code_fingerprint()
-        assert current.get(key) is None
+        assert current.get_bytes(key) is None
         assert current.misses == 1
         assert len(current) == 0  # the stale entry was dropped
 
     def test_key_collision_guard(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         # simulate a digest collision: the file exists but holds another key
         entry = tmp_path / (key_digest(key) + ENTRY_SUFFIX)
         envelope = pickle.loads(entry.read_bytes())
         envelope["key"] = _fake_key("other")
         entry.write_bytes(pickle.dumps(envelope))
-        assert store.get(key) is None
+        assert store.get_bytes(key) is None
 
 
 class TestQuarantine:
     def test_corrupt_entry_is_quarantined_not_deleted(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         entry = tmp_path / (key_digest(key) + ENTRY_SUFFIX)
         entry.write_bytes(b"\x80corrupt garbage")
-        assert store.get(key) is None
+        assert store.get_bytes(key) is None
         assert store.quarantined == 1
         # the bytes survive under the quarantine name, for diagnosis
         aside = entry.with_name(entry.name + ".corrupt")
         assert aside.read_bytes() == b"\x80corrupt garbage"
 
     def test_quarantined_entry_is_never_rescanned(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         entry = tmp_path / (key_digest(key) + ENTRY_SUFFIX)
         entry.write_bytes(b"\x80corrupt garbage")
-        store.get(key)
+        store.get_bytes(key)
         reopened = ResultStore(tmp_path)  # rescans the directory
         assert len(reopened) == 0
-        assert reopened.get(key) is None
+        assert reopened.get_bytes(key) is None
         assert reopened.quarantined == 0  # a miss, not a re-quarantine
 
     def test_clean_rewrite_after_quarantine(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         entry = tmp_path / (key_digest(key) + ENTRY_SUFFIX)
         entry.write_bytes(b"\x80corrupt garbage")
-        store.get(key)
-        store.put(key, result)  # the original path is free again
-        assert store.get(key) is not None
+        store.get_bytes(key)
+        store.put_bytes(key, payload)  # the original path is free again
+        assert store.get_bytes(key) is not None
         assert store.quarantined == 1
 
     def test_stale_entries_are_deleted_not_quarantined(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         old = ResultStore(tmp_path, fingerprint="repro-0.0-old")
-        old.put(key, result)
+        old.put_bytes(key, payload)
         current = ResultStore(tmp_path)
-        assert current.get(key) is None
+        assert current.get_bytes(key) is None
         assert current.quarantined == 0  # stale, parseable: plain delete
         assert list(tmp_path.glob("*.corrupt")) == []
 
     def test_stats_report_quarantines(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         (tmp_path / (key_digest(key) + ENTRY_SUFFIX)).write_bytes(b"junk")
-        store.get(key)
+        store.get_bytes(key)
         assert store.stats()["quarantined"] == 1
 
 
@@ -226,8 +224,7 @@ class TestSharedDirectory:
         # two store instances on one directory stand in for two service
         # processes; interleaved over-bound puts must stay consistent (the
         # advisory lock serializes eviction) and never raise
-        result, key = run_and_key
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        payload, key = run_and_key
         bound = 3 * len(payload)
         a = ResultStore(tmp_path, max_bytes=bound)
         b = ResultStore(tmp_path, max_bytes=bound)
@@ -238,8 +235,7 @@ class TestSharedDirectory:
         assert b.total_bytes() <= bound + len(payload)
 
     def test_missing_victim_is_tolerated(self, tmp_path, run_and_key):
-        result, key = run_and_key
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        payload, key = run_and_key
         store = ResultStore(tmp_path, max_bytes=3 * len(payload))
         for index in range(3):
             store.put_bytes(_fake_key(f"k{index}"), payload)
@@ -251,38 +247,37 @@ class TestSharedDirectory:
 
 class TestHousekeeping:
     def test_clear_empties_directory_and_counters(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path)
-        store.put(key, result)
-        store.get(key)
+        store.put_bytes(key, payload)
+        store.get_bytes(key)
         store.clear()
         assert len(store) == 0 and store.hits == 0 and store.misses == 0
         assert not list(Path(tmp_path).glob("*" + ENTRY_SUFFIX))
 
     def test_stats_document(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path, max_bytes=1 << 20)
-        store.put(key, result)
+        store.put_bytes(key, payload)
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] == store.total_bytes() > 0
         assert stats["max_bytes"] == 1 << 20
         assert stats["fingerprint"] == code_fingerprint()
 
-    def test_drop_in_machine_cache(self, tmp_path, small_tomcatv):
-        # ResultStore exposes the RunCache surface: Machine memoizes through it
+    def test_drop_in_batch_cache(self, tmp_path, small_tomcatv):
+        # ResultStore exposes the RunCache surface: run_batch memoizes through it
         store = ResultStore(tmp_path)
-        machine = Machine.named("reference", cache=store)
-        first = machine.run(small_tomcatv)
-        second = machine.run(small_tomcatv)
+        request = SimulationRequest.single("reference", small_tomcatv)
+        (first,) = run_batch([request], cache=store)
+        (second,) = run_batch([request], cache=store)
         assert store.hits == 1 and store.misses == 1
         assert first.cycles == second.cycles
 
     def test_concurrent_access_is_safe(self, tmp_path, run_and_key):
-        result, key = run_and_key
+        payload, key = run_and_key
         store = ResultStore(tmp_path, max_bytes=1 << 20)
         keys = [_fake_key(str(index)) for index in range(8)]
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         errors = []
 
         def hammer(seed: int) -> None:
