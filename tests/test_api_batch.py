@@ -258,6 +258,18 @@ class TestSharedRunCache:
         assert first.counters() == second.counters()
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_cached_runs_are_equal_and_hit(self):
+        cache = RunCache()
+        request = _request("reference", "triad", 50, "single")
+        (first,) = run_batch([request], cache=cache)
+        (second,) = run_batch([request], cache=cache)
+        assert first.cycles == second.cycles
+        assert first.instructions == second.instructions
+        assert first.summary() == second.summary()
+        assert first.fu_state_breakdown() == second.fu_state_breakdown()
+        assert cache.hits == 1
+        assert cache.misses == 1
+
     def test_cache_copies_are_independent(self):
         cache = RunCache()
         request = _request("reference", "triad", 50, "single")
