@@ -58,11 +58,6 @@ __all__ = ["BUILTIN_MODEL_NAMES", "Machine"]
 Workload = Job | Program | TraceSet
 
 
-def _context0_completed(engine: SimulationEngine) -> bool:
-    """Groupings stop rule: the program on context 0 has run to completion."""
-    return engine.contexts[0].completed_programs >= 1
-
-
 class Machine:
     """The single entry point for simulating any machine model.
 
@@ -162,7 +157,7 @@ class Machine:
         config = self.config
         contexts = config.num_contexts
         limits: list[int | None] | None = None
-        stop_when = None
+        stop_after_context0 = False
         if mode == "single":
             if instruction_limit is not None and config.dual_scalar:
                 raise ConfigurationError(
@@ -186,7 +181,7 @@ class Machine:
             companion = RepeatingSupplier if restart_companions else SingleJobSupplier
             suppliers = [SingleJobSupplier(jobs[0])]
             suppliers += [companion(job) for job in jobs[1:]]
-            stop_when = _context0_completed
+            stop_after_context0 = True
             separator = " + "
         else:
             jobs = [as_job(workload) for workload in workloads]
@@ -195,7 +190,7 @@ class Machine:
             suppliers = [JobQueueSupplier(jobs)] * contexts
             separator = ", "
         engine = SimulationEngine(config, suppliers, instruction_limits=limits)
-        result = engine.run(stop_when=stop_when)
+        result = engine.run(stop_after_context0=stop_after_context0)
         result.workload_description = separator.join(job.name for job in jobs)
         return result
 

@@ -2,15 +2,13 @@
 
 Each hardware context owns a full copy of the architectural registers (A, S
 and V files — modeled by its private
-:class:`~repro.core.scoreboard.ColumnarScoreboard`), its own fetch stream,
+:class:`~repro.core.scoreboard.ColumnarScoreboard`), its own fetch cursor,
 and per-thread statistics.  The functional units, the decode unit and the
 memory port are *shared* and live in the simulation engine, exactly as in the
 proposed architecture (section 3).
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from repro.core.scoreboard import ColumnarScoreboard
 from repro.core.statistics import JobRecord, ThreadStats
@@ -39,10 +37,8 @@ class HardwareContext:
         )
         self.stats = ThreadStats(thread_id=thread_id)
         self.instruction_limit = instruction_limit
-        self._stream: Iterator[Instruction] | None = None
-        # Index cursor over a flat instruction tuple; the fast path for
-        # program-backed jobs (interned expansions).  ``_stream`` is the
-        # generator fallback for trace replays and arbitrary factories.
+        # Index cursor over the current job's flat instruction tuple
+        # (:meth:`~repro.core.suppliers.Job.open_sequence`).
         self._sequence: tuple[Instruction, ...] | None = None
         self._cursor = 0
         #: The fetched head instruction, pending until :meth:`consume`.
@@ -65,16 +61,11 @@ class HardwareContext:
         """Name of the program currently running on this context."""
         return self._current_job.name if self._current_job is not None else None
 
-    @property
-    def completed_programs(self) -> int:
-        """How many programs this context has run to completion."""
-        return self.stats.completed_programs
-
     # ------------------------------------------------------------------ #
     def head(self, now: int) -> Instruction | None:
         """The next instruction to dispatch, fetching across job boundaries.
 
-        When the current stream is exhausted, the current job is marked
+        When the current job's sequence is exhausted, the job is marked
         completed at cycle ``now`` and the supplier is asked for the next job.
         Returns ``None`` once the supplier is exhausted (context finished) or
         when an ``instruction_limit`` was reached (used for the fractional
@@ -94,37 +85,25 @@ class HardwareContext:
             self.finished = True
             return None
         while self.pending is None:
-            if self._stream is None and self._sequence is None:
+            sequence = self._sequence
+            if sequence is None:
                 job = self.supplier.next_job()
                 if job is None:
                     self.finished = True
                     return None
                 self._current_job = job
-                sequence = job.open_sequence()
-                if sequence is not None:
-                    self._sequence = sequence
-                    self._cursor = 0
-                else:
-                    self._stream = job.open_stream()
+                self._sequence = sequence = job.open_sequence()
+                self._cursor = 0
                 self.stats.jobs.append(
                     JobRecord(program=job.name, thread_id=self.thread_id, start_cycle=now)
                 )
                 self.job_ordinal = len(self.stats.jobs) - 1
-            if self._sequence is not None:
-                # index cursor over the flat (interned) expansion: no
-                # generator frame, no StopIteration, per instruction
-                if self._cursor < len(self._sequence):
-                    self.pending = self._sequence[self._cursor]
-                    self._cursor += 1
-                else:
-                    self._close_current_job(now, completed=True)
-                    self._sequence = None
+            if self._cursor < len(sequence):
+                self.pending = sequence[self._cursor]
+                self._cursor += 1
             else:
-                try:
-                    self.pending = next(self._stream)
-                except StopIteration:
-                    self._close_current_job(now, completed=True)
-                    self._stream = None
+                self._close_current_job(now, completed=True)
+                self._sequence = None
         return self.pending
 
     def _close_current_job(self, now: int, *, completed: bool) -> None:

@@ -3,7 +3,13 @@
 This module answers the two questions the decode unit asks every cycle:
 
 1. *Could* the head instruction of a context be dispatched now — and if not,
-   when is the earliest cycle at which it could (:meth:`DispatchModel.earliest_issue`)?
+   when is the earliest cycle at which it could?  The answer is
+   ``max(hazard, unit free)``: the register-hazard bound
+   (:meth:`DispatchModel.register_hazard`, probed once per head and kept on
+   the context) and the free cycle of the FU1/FU2/LD unit
+   :class:`~repro.core.functional_units.VectorUnitPool` picks, read live
+   because other contexts' dispatches move it.  The engine's run loops
+   combine the two.
 2. What happens when it *is* dispatched (:meth:`DispatchModel.execute`):
    which functional unit it occupies for how long, when the memory port is
    busy, when each destination register's first element and last element
@@ -72,30 +78,6 @@ class DispatchModel:
         """
         return context.scoreboard.earliest_dispatch(instruction, 0)
 
-    def earliest_issue(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> int:
-        """Earliest cycle at which the instruction could be dispatched.
-
-        That is ``max(now, hazard, unit_free)``: ``hazard`` is the register
-        bound (kept on the context while ``instruction`` is its pending
-        head), ``unit_free`` the cycle the FU1/FU2/LD unit it needs frees up,
-        read live because other contexts' dispatches move it.
-        """
-        if instruction is context.pending:
-            earliest = context.head_hazard
-            if earliest is None:
-                earliest = context.head_hazard = self.register_hazard(context, instruction)
-        else:
-            earliest = self.register_hazard(context, instruction)
-        if instruction.is_vector_arithmetic:
-            unit_free = self.vector_units.arithmetic_unit_for(instruction, now).earliest
-        elif instruction.is_vector_memory:
-            unit_free = self.vector_units.memory_unit(now).earliest
-        else:
-            unit_free = now
-        return earliest if earliest > unit_free else unit_free
-
     # ------------------------------------------------------------------ #
     # question 2: what happens when it issues?
     # ------------------------------------------------------------------ #
@@ -160,11 +142,10 @@ class DispatchModel:
             raise SimulationError(f"vector instruction without a vector length: {instruction}")
         vl = instruction.vl
         config = self.config
-        choice = self.vector_units.arithmetic_unit_for(instruction, now)
-        unit = choice.unit
-        if choice.earliest > now:
+        unit = self.vector_units.arithmetic_unit_for(instruction, now)
+        if unit._free_at > now:
             raise SimulationError(
-                f"vector unit {unit.name} is busy until {choice.earliest}, "
+                f"vector unit {unit.name} is busy until {unit._free_at}, "
                 f"cannot dispatch at {now}"
             )
         latency = config.latencies.vector_latency(instruction.latency_class)
@@ -212,12 +193,11 @@ class DispatchModel:
             raise SimulationError(f"vector instruction without a vector length: {instruction}")
         vl = instruction.vl
         config = self.config
-        unit_choice = self.vector_units.memory_unit(now)
-        if unit_choice.earliest > now:
+        unit = self.vector_units.memory_unit(now)
+        if unit._free_at > now:
             raise SimulationError(
-                f"LD unit is busy until {unit_choice.earliest}, cannot dispatch at {now}"
+                f"LD unit is busy until {unit._free_at}, cannot dispatch at {now}"
             )
-        unit = unit_choice.unit
         address_earliest = now + 1 + config.vector_startup
         scoreboard = context.scoreboard
         if instruction.vector_sources():

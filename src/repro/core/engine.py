@@ -18,7 +18,13 @@ The engine implements the decode behaviour of section 3:
 The Fujitsu-style *dual scalar* variant of section 9 (two complete scalar
 units sharing the vector facility, i.e. up to two instructions decoded per
 cycle but at most one of them vector) is implemented by a second loop,
-selected through ``MachineConfig.dual_scalar``.
+selected through ``MachineConfig.dual_scalar``; the multi-issue decode unit
+of section 10 by a third, selected through ``MachineConfig.issue_width``.
+
+An engine is built for one run.  ``run(stop_after_context0=True)`` is the
+groupings stop rule of section 4.1: every loop ends the run at the top of
+the decode slot after the program on context 0 completes (its context is
+``finished``: in a groupings run it executes exactly one job).
 """
 
 from __future__ import annotations
@@ -36,14 +42,12 @@ from repro.core.scheduler import ThreadScheduler, create_scheduler
 from repro.core.statistics import SimulationStats
 from repro.core.suppliers import JobSupplier
 from repro.errors import SimulationError
+from repro.isa.instruction import Instruction
 from repro.memory.banks import BankConflictModel
 from repro.memory.system import MemorySystem
 from repro.obs.profiling import PhaseProfile, profiling_enabled
 
-__all__ = ["SimulationEngine", "StopCondition"]
-
-#: A stop condition receives the engine and returns True when the run must end.
-StopCondition = Callable[["SimulationEngine"], bool]
+__all__ = ["SimulationEngine"]
 
 #: Hard safety limit so a mis-configured run can never loop forever.
 DEFAULT_MAX_CYCLES = 2_000_000_000
@@ -112,10 +116,13 @@ class SimulationEngine:
     def run(
         self,
         *,
-        stop_when: StopCondition | None = None,
+        stop_after_context0: bool = False,
         max_cycles: int = DEFAULT_MAX_CYCLES,
     ) -> SimulationResult:
-        """Run the simulation until completion, a stop condition, or ``max_cycles``.
+        """Run the simulation until completion, a stop, or ``max_cycles``.
+
+        ``stop_after_context0`` is the groupings stop rule (section 4.1): the
+        run ends once the program on context 0 completes.
 
         When profiling is enabled (:func:`repro.obs.profiling.profiling_enabled`)
         timing wrappers are installed on the phase callables *before* the run
@@ -123,26 +130,26 @@ class SimulationEngine:
         so the unprofiled path executes the exact same bytecode it always did
         with zero added per-iteration work.
         """
+        if self.config.dual_scalar:
+            loop = self._run_dual_scalar
+        elif self.config.issue_width > 1:
+            loop = self._run_multi_issue
+        else:
+            loop = self._run_single_decode
         if not profiling_enabled():
-            if self.config.dual_scalar:
-                stop_reason = self._run_dual_scalar(stop_when, max_cycles)
-            elif self.config.issue_width > 1:
-                stop_reason = self._run_multi_issue(stop_when, max_cycles)
-            else:
-                stop_reason = self._run_single_decode(stop_when, max_cycles)
-            return self._finalize(stop_reason)
-        return self._run_profiled(stop_when, max_cycles)
+            return self._finalize(loop(stop_after_context0, max_cycles))
+        return self._run_profiled(loop, stop_after_context0, max_cycles)
 
     def _run_profiled(
-        self, stop_when: StopCondition | None, max_cycles: int
+        self, loop: Callable[[bool, int], str], stop_after_context0: bool, max_cycles: int
     ) -> SimulationResult:
         profile = PhaseProfile()
         dispatch_model = self.dispatch_model
         memory = self.memory
         # Instance-attribute wrappers shadow the class methods; every run
         # loop (and helper) resolves them through the instance, so all phase
-        # calls are timed.  They are removed again before returning so the
-        # engine object stays reusable and picklable.
+        # calls are timed.  They are removed again before returning so no
+        # wrapper outlives the run and the engine stays picklable.
         dispatch_model.register_hazard = profile.wrap(
             "hazard_check", dispatch_model.register_hazard
         )
@@ -150,12 +157,7 @@ class SimulationEngine:
         memory.schedule_columnar = profile.wrap("memory", memory.schedule_columnar)
         try:
             loop_started = perf_counter()
-            if self.config.dual_scalar:
-                stop_reason = self._run_dual_scalar(stop_when, max_cycles)
-            elif self.config.issue_width > 1:
-                stop_reason = self._run_multi_issue(stop_when, max_cycles)
-            else:
-                stop_reason = self._run_single_decode(stop_when, max_cycles)
+            stop_reason = loop(stop_after_context0, max_cycles)
             profile.loop_seconds = perf_counter() - loop_started
             finalize_started = perf_counter()
             result = self._finalize(stop_reason)
@@ -174,11 +176,10 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # single shared decode unit (reference and multithreaded machines)
     # ------------------------------------------------------------------ #
-    def _run_single_decode(
-        self, stop_when: StopCondition | None, max_cycles: int
-    ) -> str:
+    def _run_single_decode(self, stop_after_context0: bool, max_cycles: int) -> str:
         # The inner loop runs once per decode slot; every self-attribute it
         # touches more than once per iteration is hoisted to a local.
+        context0 = self.contexts[0]
         dispatch_model = self.dispatch_model
         register_hazard = dispatch_model.register_hazard
         execute = dispatch_model.execute
@@ -191,10 +192,10 @@ class SimulationEngine:
         ld = ld_units[0] if len(ld_units) == 1 else None
         active: HardwareContext | None = None
         while self.cycle < max_cycles:
-            # Stop conditions are probed at the top of every decode slot, in
-            # all three run loops, so they fire at consistent points even
+            # The groupings stop is tested at the top of every decode slot,
+            # in all three run loops, so it fires at consistent points even
             # when no head can be fetched.
-            if stop_when is not None and stop_when(self):
+            if stop_after_context0 and context0.finished:
                 return "stop-condition"
             if active is None or active.finished:
                 active = self._pick_initial(self.cycle, previous=active)
@@ -208,8 +209,8 @@ class SimulationEngine:
                     # this context ran out of work; pick another without losing a cycle
                     active = None
                     continue
-            # Inlined DispatchModel.earliest_issue: the register-hazard bound
-            # is probed once per head, the unit term read live.
+            # Inlined _issue_cycle: the register-hazard bound is probed once
+            # per head, the unit term read live.
             issue = active.head_hazard
             if issue is None:
                 issue = active.head_hazard = register_hazard(active, head)
@@ -220,7 +221,7 @@ class SimulationEngine:
                 if free > issue:
                     issue = free
             elif head.is_vector_memory:
-                free = ld._free_at if ld is not None else units.memory_unit(cycle).earliest
+                free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
                 if free > issue:
                     issue = free
             if issue <= cycle:
@@ -257,16 +258,14 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # dual scalar unit machine (Fujitsu VP2000 style, section 9)
     # ------------------------------------------------------------------ #
-    def _run_dual_scalar(
-        self, stop_when: StopCondition | None, max_cycles: int
-    ) -> str:
+    def _run_dual_scalar(self, stop_after_context0: bool, max_cycles: int) -> str:
         contexts = self.contexts
-        dispatch_model = self.dispatch_model
-        earliest_issue = dispatch_model.earliest_issue
-        execute = dispatch_model.execute
+        context0 = contexts[0]
+        issue_cycle = self._issue_cycle
+        execute = self.dispatch_model.execute
         stats = self.stats
         while self.cycle < max_cycles:
-            if stop_when is not None and stop_when(self):
+            if stop_after_context0 and context0.finished:
                 return "stop-condition"
             cycle = self.cycle
             any_head = False
@@ -278,7 +277,7 @@ class SimulationEngine:
                 if head is None:
                     continue
                 any_head = True
-                earliest = earliest_issue(context, head, cycle)
+                earliest = issue_cycle(context, head, cycle)
                 uses_vector_facility = head.is_vector_arithmetic or head.is_vector_memory
                 if earliest <= cycle and not (uses_vector_facility and vector_issued):
                     execute(context, head, cycle)
@@ -305,9 +304,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # simultaneous issue from several threads (future-work decode unit)
     # ------------------------------------------------------------------ #
-    def _run_multi_issue(
-        self, stop_when: StopCondition | None, max_cycles: int
-    ) -> str:
+    def _run_multi_issue(self, stop_after_context0: bool, max_cycles: int) -> str:
         """Decode unit able to dispatch ``issue_width`` instructions per cycle.
 
         Each hardware context still issues at most one instruction per cycle
@@ -316,16 +313,16 @@ class SimulationEngine:
         """
         width = self.config.issue_width
         contexts = self.contexts
-        dispatch_model = self.dispatch_model
-        earliest_issue = dispatch_model.earliest_issue
-        execute = dispatch_model.execute
+        context0 = contexts[0]
+        issue_cycle = self._issue_cycle
+        execute = self.dispatch_model.execute
         stats = self.stats
         select = self.scheduler.select
         while self.cycle < max_cycles:
-            if stop_when is not None and stop_when(self):
+            if stop_after_context0 and context0.finished:
                 return "stop-condition"
             cycle = self.cycle
-            remaining: list[tuple[HardwareContext, "Instruction"]] = []
+            remaining: list[tuple[HardwareContext, Instruction]] = []
             for context in contexts:
                 head = context.head(cycle)
                 if head is not None:
@@ -337,7 +334,7 @@ class SimulationEngine:
                 ready = [
                     context
                     for context, head in remaining
-                    if earliest_issue(context, head, cycle) <= cycle
+                    if issue_cycle(context, head, cycle) <= cycle
                 ]
                 if not ready:
                     break
@@ -350,7 +347,7 @@ class SimulationEngine:
                 remaining = [(c, h) for c, h in remaining if c is not chosen]
             blocked_until: int | None = None
             for context, head in remaining:
-                earliest = earliest_issue(context, head, cycle)
+                earliest = issue_cycle(context, head, cycle)
                 if earliest > cycle:
                     context.record_lost_cycle()
                     if blocked_until is None or earliest < blocked_until:
@@ -367,6 +364,26 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    def _issue_cycle(self, context: HardwareContext, head: Instruction, now: int) -> int:
+        """Earliest cycle the pending ``head`` could issue: ``max(hazard, unit free)``.
+
+        The register-hazard bound is probed once per head through
+        ``dispatch_model.register_hazard`` (so profiled runs count it) and
+        kept on the context; the unit term is read live, as other contexts'
+        dispatches move it.  The result may lie before ``now``; callers only
+        compare it with ``now``.
+        """
+        issue = context.head_hazard
+        if issue is None:
+            issue = context.head_hazard = self.dispatch_model.register_hazard(context, head)
+        if head.is_vector_arithmetic:
+            free = self.vector_units.arithmetic_unit_for(head, now)._free_at
+        elif head.is_vector_memory:
+            free = self.vector_units.memory_unit(now)._free_at
+        else:
+            return issue
+        return issue if issue > free else free
+
     def _skip_blocked_window(self, target: int, max_cycles: int) -> None:
         """Jump the decode clock forward over a window where nothing can issue.
 
@@ -398,7 +415,7 @@ class SimulationEngine:
         If that cycle is ``cycle`` the contexts are the ready set; otherwise
         all are blocked until then and, as nothing dispatches inside the
         window, they are the ready set after the jump.  ``(None, [])`` once no
-        context has work left.  Probes inline ``DispatchModel.earliest_issue``.
+        context has work left.  Probes inline :meth:`_issue_cycle`.
         """
         register_hazard = self.dispatch_model.register_hazard
         units = self.vector_units
@@ -424,7 +441,7 @@ class SimulationEngine:
                 if free > time:
                     time = free
             elif head.is_vector_memory:
-                free = ld._free_at if ld is not None else units.memory_unit(cycle).earliest
+                free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
                 if free > time:
                     time = free
             if time < cycle:

@@ -200,9 +200,9 @@ class FlatIntervalRecorder:
     Drop-in replacement for the object-per-interval
     :class:`~repro.core.statistics.IntervalRecorder` (the seed oracle's data
     structure): same ``record`` / ``intervals`` / ``merged`` /
-    ``busy_cycles`` / ``reset`` surface, same validation, same merge
-    semantics.  ``merged`` results are memoized per horizon and invalidated by
-    ``record``/``reset``.
+    ``busy_cycles`` surface, same validation, same merge semantics.
+    ``merged`` results are memoized per horizon and invalidated by
+    ``record``.
     """
 
     __slots__ = ("name", "_pairs", "_merged_cache")
@@ -254,11 +254,6 @@ class FlatIntervalRecorder:
         if not self._pairs:
             return 0
         return sum(end - start for start, end in self.merged(horizon))
-
-    def reset(self) -> None:
-        """Drop all recorded intervals."""
-        self._pairs = array("q")
-        self._merged_cache = {}
 
     def drop_merge_memo(self) -> None:
         """Discard memoized ``merged`` results, keeping the intervals.

@@ -15,8 +15,6 @@ hardware contexts; only the register files are replicated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.eventlog import FlatIntervalRecorder
 from repro.errors import SimulationError
 from repro.isa.instruction import Instruction
@@ -54,21 +52,8 @@ class FunctionalUnit:
         self._free_at = max(self._free_at, end)
         self.intervals.record(start, record_until if record_until is not None else end)
 
-    def reset(self) -> None:
-        """Clear reservations and statistics."""
-        self._free_at = 0
-        self.intervals.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FunctionalUnit({self.name!r}, free_at={self._free_at})"
-
-
-@dataclass
-class _UnitChoice:
-    """The outcome of selecting an arithmetic unit for a vector instruction."""
-
-    unit: FunctionalUnit
-    earliest: int
 
 
 class VectorUnitPool:
@@ -102,12 +87,13 @@ class VectorUnitPool:
         return combined
 
     # ------------------------------------------------------------------ #
-    def arithmetic_unit_for(self, instruction: Instruction, now: int) -> _UnitChoice:
-        """Pick the arithmetic unit that can accept the instruction earliest.
+    def arithmetic_unit_for(self, instruction: Instruction, now: int) -> FunctionalUnit:
+        """The arithmetic unit that can accept the instruction earliest.
 
         Multiply, divide and square root may only execute on FU2; every other
-        vector instruction prefers whichever unit frees up first, breaking
-        ties towards FU1 so FU2 stays available for the restricted opcodes.
+        vector instruction prefers whichever unit frees up first (free cycles
+        clamped to ``now``), breaking ties towards FU1 so FU2 stays available
+        for the restricted opcodes.
         """
         if not instruction.is_vector_arithmetic:
             raise SimulationError(
@@ -115,31 +101,15 @@ class VectorUnitPool:
             )
         fu2 = self.fu2
         if instruction.fu2_only:
-            return _UnitChoice(fu2, max(now, fu2._free_at))
+            return fu2
+        # FU1 wins iff max(now, fu1 free) <= max(now, fu2 free)
         fu1 = self.fu1
-        fu1_ready = fu1._free_at
-        if fu1_ready < now:
-            fu1_ready = now
-        fu2_ready = fu2._free_at
-        if fu2_ready < now:
-            fu2_ready = now
-        if fu1_ready <= fu2_ready:
-            return _UnitChoice(fu1, fu1_ready)
-        return _UnitChoice(fu2, fu2_ready)
+        free = fu1._free_at
+        return fu1 if free <= now or free <= fu2._free_at else fu2
 
-    def memory_unit(self, now: int) -> _UnitChoice:
+    def memory_unit(self, now: int) -> FunctionalUnit:
         """The memory unit that can accept a new instruction earliest."""
         units = self.load_store_units
         if len(units) == 1:
-            unit = units[0]
-            return _UnitChoice(unit, max(now, unit._free_at))
-        best = min(units, key=lambda unit: max(now, unit.free_at))
-        return _UnitChoice(best, max(now, best.free_at))
-
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        """Clear every unit."""
-        self.fu1.reset()
-        self.fu2.reset()
-        for unit in self.load_store_units:
-            unit.reset()
+            return units[0]
+        return min(units, key=lambda unit: max(now, unit._free_at))

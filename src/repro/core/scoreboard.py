@@ -115,9 +115,6 @@ class ColumnarScoreboard:
     def __init__(self, *, model_bank_ports: bool = True, allow_chaining: bool = True) -> None:
         self._model_bank_ports = model_bank_ports
         self._allow_chaining = allow_chaining
-        self._clear_columns()
-
-    def _clear_columns(self) -> None:
         keys = TOTAL_REGISTER_KEYS
         self._ready_at = [0] * keys
         self._first_at = [0] * keys
@@ -131,10 +128,6 @@ class ColumnarScoreboard:
     def state(self, register: Register) -> _ColumnarRegisterView:
         """A live read-only view of one register's hazard columns."""
         return _ColumnarRegisterView(self, register.key)
-
-    def reset(self) -> None:
-        """Clear all hazard state."""
-        self._clear_columns()
 
     # ------------------------------------------------------------------ #
     # dispatch-time constraint computation

@@ -10,8 +10,9 @@ The paper uses two multiprogramming methodologies:
   total amount of work is fixed regardless of the number of contexts.
 
 Both are expressed here as *suppliers*: objects a hardware context asks for
-its next program.  A supplier returns :class:`Job` handles, each of which can
-produce a fresh dynamic instruction stream on demand.
+its next program.  A supplier returns :class:`Job` handles; a context walks
+each job's instructions as one flat tuple (:meth:`Job.open_sequence`) with
+an index cursor.
 """
 
 from __future__ import annotations
@@ -65,25 +66,36 @@ class Job:
     def __init__(self, name: str, stream_factory: Callable[[], Iterator[Instruction]]) -> None:
         self.name = name
         self._stream_factory = stream_factory
+        #: A trace job's replay, materialized by the first :meth:`open_sequence`.
+        self._replay: tuple[Instruction, ...] | None = None
 
     def open_stream(self) -> Iterator[Instruction]:
         """Create a fresh dynamic instruction stream for one execution."""
         return iter(self._stream_factory())
 
-    def open_sequence(self) -> tuple[Instruction, ...] | None:
-        """The job's instructions as a flat random-access tuple, when possible.
+    def open_sequence(self) -> tuple[Instruction, ...]:
+        """The job's instructions as one flat tuple, walked with an index cursor.
 
-        Program- and frozen-tuple-backed jobs expose their (interned)
-        expansion directly, so hardware contexts can walk it with an index
-        cursor instead of paying a generator frame per fetched instruction.
-        Trace replays and arbitrary stream factories return ``None``; those
-        jobs run through :meth:`open_stream`.
+        Program- and frozen-tuple-backed jobs return their (interned)
+        expansion directly; a trace job replays its trace once and keeps the
+        tuple, so a restarted companion does not replay it again; any other
+        stream factory is materialized on every open.
         """
         factory = self._stream_factory
         if isinstance(factory, _FrozenStreamFactory):
             return factory._instructions
         program = self.program
-        return None if program is None else program.expanded()
+        if program is not None:
+            return program.expanded()
+        if isinstance(factory, _TraceStreamFactory):
+            if self._replay is None:
+                self._replay = tuple(factory())
+            return self._replay
+        return tuple(factory())
+
+    def __getstate__(self) -> dict:
+        # a materialized replay is rebuilt cheaply; do not ship it to workers
+        return {**self.__dict__, "_replay": None}
 
     @property
     def program(self) -> Program | None:

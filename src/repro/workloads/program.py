@@ -38,7 +38,6 @@ __all__ = [
     "clear_expansion_intern",
     "expansion_intern_info",
     "scalar_filler",
-    "set_expansion_interning",
 ]
 
 #: Size in bytes of one vector element.
@@ -437,18 +436,10 @@ _intern_lock = threading.Lock()
 _interned_expansions: "OrderedDict[tuple, tuple[tuple[Instruction, ...], dict[str, str]]]" = (
     OrderedDict()
 )
-_interning_enabled = True
 _intern_hits = 0
 _intern_misses = 0
 _fingerprint_hits = 0
 _fingerprint_misses = 0
-
-
-def set_expansion_interning(enabled: bool) -> None:
-    """Globally enable/disable expanded-stream interning (default: enabled)."""
-    global _interning_enabled
-    with _intern_lock:
-        _interning_enabled = bool(enabled)
 
 
 def clear_expansion_intern() -> None:
@@ -466,7 +457,6 @@ def expansion_intern_info() -> dict:
     """Counters of the intern table (used by tests and diagnostics)."""
     with _intern_lock:
         return {
-            "enabled": _interning_enabled,
             "entries": len(_interned_expansions),
             "hits": _intern_hits,
             "misses": _intern_misses,
@@ -637,7 +627,7 @@ class Program:
             # schedule first: an intern hit must still assign block ids (and
             # reject empty programs) exactly like a full expansion would
             self._schedule()
-            key = self._intern_key() if _interning_enabled else None
+            key = self._intern_key()
             if key is None:
                 self._expanded, self._fingerprints = self._expand(), {}
             else:

@@ -73,21 +73,22 @@ def _traced_job(kernel: str, *, vl: int = 32) -> Job:
 
 
 def _stop_thread0(engine) -> bool:
+    """The seed oracle's groupings stop callback."""
     return engine.contexts[0].completed_programs >= 1
 
 
-#: name -> (make_config, make_suppliers, stop_when | None).  Every factory is
-#: deterministic; the generator and the replaying test build identical runs.
+#: name -> (make_config, make_suppliers, stop_after_context0).  Every factory
+#: is deterministic; the generator and the replaying test build identical runs.
 CASES = {
     "reference_daxpy_lat50": (
         lambda: MachineConfig.reference(50),
         lambda: [SingleJobSupplier(_job("daxpy", vl=64))],
-        None,
+        False,
     ),
     "reference_stencil3_lat1_stride7": (
         lambda: MachineConfig.reference(1),
         lambda: [SingleJobSupplier(_job("stencil3", vl=32, stride=7, passes=2))],
-        None,
+        False,
     ),
     "reference_matvec_banked": (
         lambda: MachineConfig(
@@ -98,26 +99,26 @@ CASES = {
             bank_busy_cycles=4,
         ),
         lambda: [SingleJobSupplier(_job("matvec", vl=128, stride=8))],
-        None,
+        False,
     ),
     "reference_divsqrt_no_chaining": (
         lambda: MachineConfig(
             name="no-chaining", num_contexts=1, allow_chaining=False
         ),
         lambda: [SingleJobSupplier(_job("divsqrt", vl=64))],
-        None,
+        False,
     ),
     "reference_triad_no_bank_ports": (
         lambda: MachineConfig(
             name="no-bank-ports", num_contexts=1, model_bank_ports=False
         ),
         lambda: [SingleJobSupplier(_job("triad", vl=64))],
-        None,
+        False,
     ),
     "reference_copy_scale_traced": (
         lambda: MachineConfig.reference(50),
         lambda: [SingleJobSupplier(_traced_job("copy_scale", vl=48))],
-        None,
+        False,
     ),
     "mt2_unfair_groupings": (
         lambda: MachineConfig.multithreaded(2, 50),
@@ -125,7 +126,7 @@ CASES = {
             SingleJobSupplier(_job("daxpy", vl=64)),
             RepeatingSupplier(_job("dot_reduce", index=1, vl=32)),
         ],
-        _stop_thread0,
+        True,
     ),
     "mt2_round_robin_groupings": (
         lambda: MachineConfig.multithreaded(2, 50, scheduler="round_robin"),
@@ -133,7 +134,7 @@ CASES = {
             SingleJobSupplier(_job("stencil3", vl=16)),
             RepeatingSupplier(_job("compress", index=1, vl=128)),
         ],
-        _stop_thread0,
+        True,
     ),
     "mt4_least_service_queue": (
         lambda: MachineConfig.multithreaded(4, 50, scheduler="least_service"),
@@ -150,7 +151,7 @@ CASES = {
                 ]
             )
         ),
-        None,
+        False,
     ),
     "dual_scalar_groupings": (
         lambda: MachineConfig.dual_scalar_fujitsu(50),
@@ -158,7 +159,7 @@ CASES = {
             SingleJobSupplier(_job("copy_scale", vl=64)),
             RepeatingSupplier(_job("stencil5_2d", index=1, vl=32)),
         ],
-        _stop_thread0,
+        True,
     ),
     "dual_scalar_queue_lat1": (
         lambda: MachineConfig.dual_scalar_fujitsu(1),
@@ -167,7 +168,7 @@ CASES = {
                 [_job("daxpy", vl=32), _job("divsqrt", index=1, vl=64)]
             )
         ),
-        None,
+        False,
     ),
     "cray2_issue2_ports3": (
         lambda: MachineConfig.cray_style(2, 50, num_memory_ports=3, issue_width=2),
@@ -175,7 +176,7 @@ CASES = {
             SingleJobSupplier(_job("daxpy", vl=64)),
             SingleJobSupplier(_job("matvec", index=1, vl=64)),
         ],
-        None,
+        False,
     ),
     "cray4_issue2_port1": (
         lambda: MachineConfig.cray_style(4, 50, num_memory_ports=1, issue_width=2),
@@ -185,7 +186,7 @@ CASES = {
             SingleJobSupplier(_job("compress", index=2, vl=16)),
             SingleJobSupplier(_job("copy_scale", index=3, vl=128)),
         ],
-        None,
+        False,
     ),
 }
 
@@ -261,10 +262,10 @@ def instrument_seed_engine(engine) -> list:
 
 def run_fast_case(name: str) -> list:
     """Dispatch rows of one corpus case through the optimized engine."""
-    make_config, make_suppliers, stop_when = CASES[name]
+    make_config, make_suppliers, stop_after_context0 = CASES[name]
     engine = SimulationEngine(make_config(), make_suppliers())
     rows = instrument_fast_engine(engine)
-    engine.run(stop_when=stop_when)
+    engine.run(stop_after_context0=stop_after_context0)
     return rows
 
 
@@ -272,10 +273,10 @@ def run_seed_case(name: str) -> list:
     """Dispatch rows of one corpus case through the seed oracle."""
     from tests.seed_engine import SeedEngine
 
-    make_config, make_suppliers, stop_when = CASES[name]
+    make_config, make_suppliers, stop_after_context0 = CASES[name]
     engine = SeedEngine(make_config(), make_suppliers())
     rows = instrument_seed_engine(engine)
-    engine.run(stop_when=stop_when)
+    engine.run(stop_when=_stop_thread0 if stop_after_context0 else None)
     return rows
 
 

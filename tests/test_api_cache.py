@@ -15,7 +15,6 @@ from repro.workloads.program import (
     ScalarLoopNest,
     clear_expansion_intern,
     expansion_intern_info,
-    set_expansion_interning,
 )
 
 GROUP = ("swm256", "tomcatv", "hydro2d")
@@ -98,23 +97,16 @@ class TestMemoizedDigest:
 
 
 class TestRequestKeys:
-    def test_disabled_interning_and_pickle_round_trip_give_equal_keys(self):
+    def test_uninterned_stream_and_pickle_round_trip_give_equal_keys(self):
         interned = _group_request().cache_key()
         # keys are memoized per request instance, so pickle one never keyed
         clone = pickle.loads(pickle.dumps(_group_request()))
         assert clone.cache_key() == interned
-        set_expansion_interning(False)
-        try:
-            assert _group_request().cache_key() == interned
-            # each uninterned program keeps its own memo
-            program = build_benchmark("swm256", scale=SCALE)
-            hits, misses = _fingerprint_counts()
-            fingerprint_workload(program)
-            fingerprint_workload(program)
-            fingerprint_workload(build_benchmark("swm256", scale=SCALE))
-            assert _fingerprint_counts() == (hits + 1, misses + 2)
-        finally:
-            set_expansion_interning(True)
+        # a fresh, uninterned emission of the same stream keys identically
+        program = build_benchmark("swm256", scale=SCALE)
+        fresh = Job.from_instructions(program.name, program._expand())
+        assert fresh.open_sequence() is not program.expanded()
+        assert fingerprint_workload(fresh) == fingerprint_workload(program)
 
     def test_concurrent_keying_gives_identical_keys(self):
         expected = _group_request().cache_key()

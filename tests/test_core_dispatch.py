@@ -125,8 +125,11 @@ class TestVectorArithmeticTiming:
         model, context, pool, _, _ = make_model()
         pool.fu1.reserve(0, 200)
         pool.fu2.reserve(0, 300)
-        assert model.earliest_issue(context, vadd(V(2), V(0), V(1), vl=8), now=0) == 200
-        assert model.earliest_issue(context, vmul(V(2), V(0), V(1), vl=8), now=0) == 300
+        # no register hazard: the issue bound is the picked unit's free cycle
+        add, mul = vadd(V(2), V(0), V(1), vl=8), vmul(V(2), V(0), V(1), vl=8)
+        assert model.register_hazard(context, add) == 0
+        assert pool.arithmetic_unit_for(add, now=0).free_at == 200
+        assert pool.arithmetic_unit_for(mul, now=0).free_at == 300
 
     def test_reduction_result_not_available_until_completion(self):
         model, context, _, _, _ = make_model()
@@ -166,7 +169,7 @@ class TestVectorMemoryTiming:
         model, context, _, _, _ = make_model(latency=30)
         model.execute(context, vload(V(0), vl=32, address=0x100), now=0)
         load_ready = context.scoreboard.state(V(0)).ready_at
-        assert model.earliest_issue(context, vstore(V(0), A(0), vl=32, address=0x200), now=1) >= load_ready
+        assert model.register_hazard(context, vstore(V(0), A(0), vl=32, address=0x200)) >= load_ready
 
     def test_gather_pays_latency_like_a_load(self):
         model, context, _, _, _ = make_model(latency=60)
@@ -180,7 +183,8 @@ class TestVectorMemoryTiming:
         model, context, _, memory, _ = make_model()
         model.execute(context, vload(V(0), vl=64, address=0x100), now=0)
         free_after_first = model.vector_units.load_store.free_at
-        assert model.earliest_issue(context, vload(V(2), vl=64, address=0x900), now=0) == free_after_first
+        assert model.register_hazard(context, vload(V(2), vl=64, address=0x900)) == 0
+        assert model.vector_units.memory_unit(now=0).free_at == free_after_first
 
     def test_memory_latency_zero_still_works(self):
         model, context, _, _, _ = make_model(latency=0)

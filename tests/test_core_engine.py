@@ -9,7 +9,12 @@ import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.engine import SimulationEngine
-from repro.core.suppliers import Job, JobQueueSupplier, SingleJobSupplier
+from repro.core.suppliers import (
+    Job,
+    JobQueueSupplier,
+    RepeatingSupplier,
+    SingleJobSupplier,
+)
 from repro.errors import SimulationError
 from repro.isa.builder import nop, scalar_op, vadd, vload, vstore
 from repro.isa.opcodes import Opcode
@@ -76,12 +81,28 @@ class TestSingleDecodeEngine:
         assert result.cycles <= 20
 
     def test_stop_condition(self):
-        instructions = [nop() for _ in range(20)]
-        engine = engine_for(instructions)
-        result = engine.run(stop_when=lambda e: e.stats.instructions >= 5)
-        assert result.stop_reason == "stop-condition"
-        assert result.instructions >= 5
-        assert result.instructions < 20
+        """The groupings stop ends each of the three run loops.
+
+        Context 0 runs five nops once; its companion restarts forever, so
+        without the stop only ``max_cycles`` ends the run.
+        """
+        main = Job.from_instructions("main", [nop() for _ in range(5)])
+        companion = Job.from_instructions("companion", [nop() for _ in range(3)])
+        for config in (
+            MachineConfig.multithreaded(2, 50),
+            MachineConfig.dual_scalar_fujitsu(50),
+            MachineConfig.cray_style(2, 50, issue_width=2),
+        ):
+            def make_engine():
+                suppliers = [SingleJobSupplier(main), RepeatingSupplier(companion)]
+                return SimulationEngine(config, suppliers)
+
+            result = make_engine().run(stop_after_context0=True)
+            assert result.stop_reason == "stop-condition", config.name
+            first = result.stats.threads[0]
+            assert (first.instructions, first.completed_programs) == (5, 1)
+            assert result.cycles < 20
+            assert make_engine().run(max_cycles=200).stop_reason == "max-cycles"
 
     def test_supplier_count_must_match_contexts(self):
         config = MachineConfig.multithreaded(2)

@@ -72,9 +72,9 @@ class TestMultiPortMemorySystem:
         pool = VectorUnitPool(num_load_store_units=3)
         assert len(pool.load_store_units) == 3
         pool.load_store_units[0].reserve(0, 100)
-        choice = pool.memory_unit(now=0)
-        assert choice.earliest == 0
-        assert choice.unit is not pool.load_store_units[0]
+        unit = pool.memory_unit(now=0)
+        assert unit.free_at == 0
+        assert unit is not pool.load_store_units[0]
 
     def test_pool_rejects_zero_units(self):
         with pytest.raises(SimulationError):

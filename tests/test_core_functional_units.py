@@ -28,13 +28,6 @@ class TestFunctionalUnit:
         with pytest.raises(SimulationError):
             unit.reserve(10, 5)
 
-    def test_reset(self):
-        unit = FunctionalUnit("FU1")
-        unit.reserve(0, 10)
-        unit.reset()
-        assert unit.free_at == 0
-        assert len(unit.intervals) == 0
-
 
 class TestVectorUnitPool:
     def test_mul_div_sqrt_route_to_fu2_only(self):
@@ -45,46 +38,37 @@ class TestVectorUnitPool:
             vdiv(V(2), V(0), V(1), vl=8),
             vsqrt(V(2), V(0), vl=8),
         ):
-            choice = pool.arithmetic_unit_for(instruction, now=0)
-            assert choice.unit is pool.fu2
+            assert pool.arithmetic_unit_for(instruction, now=0) is pool.fu2
 
     def test_general_ops_prefer_free_unit(self):
         pool = VectorUnitPool()
         add = vadd(V(2), V(0), V(1), vl=8)
-        first = pool.arithmetic_unit_for(add, now=0)
-        assert first.unit is pool.fu1  # tie broken towards FU1
+        assert pool.arithmetic_unit_for(add, now=0) is pool.fu1  # tie broken towards FU1
         pool.fu1.reserve(0, 100)
-        second = pool.arithmetic_unit_for(add, now=0)
-        assert second.unit is pool.fu2
+        assert pool.arithmetic_unit_for(add, now=0) is pool.fu2
         pool.fu2.reserve(0, 200)
         third = pool.arithmetic_unit_for(add, now=0)
-        assert third.unit is pool.fu1
-        assert third.earliest == 100
+        assert third is pool.fu1
+        assert third.free_at == 100
+        # free cycles are clamped to ``now``: both units free by 250 tie
+        assert pool.arithmetic_unit_for(add, now=250) is pool.fu1
 
     def test_fu2_only_waits_even_if_fu1_free(self):
         pool = VectorUnitPool()
         pool.fu2.reserve(0, 150)
         mul = vmul(V(2), V(0), V(1), vl=8)
-        choice = pool.arithmetic_unit_for(mul, now=0)
-        assert choice.unit is pool.fu2
-        assert choice.earliest == 150
+        unit = pool.arithmetic_unit_for(mul, now=0)
+        assert unit is pool.fu2
+        assert unit.free_at == 150
 
     def test_memory_unit(self):
         pool = VectorUnitPool()
         pool.load_store.reserve(0, 64)
-        choice = pool.memory_unit(now=10)
-        assert choice.unit is pool.load_store
-        assert choice.earliest == 64
+        unit = pool.memory_unit(now=10)
+        assert unit is pool.load_store
+        assert unit.free_at == 64
 
     def test_non_arithmetic_rejected(self):
         pool = VectorUnitPool()
         with pytest.raises(SimulationError):
             pool.arithmetic_unit_for(vload(V(0), vl=8, address=0), now=0)
-
-    def test_reset(self):
-        pool = VectorUnitPool()
-        pool.fu1.reserve(0, 10)
-        pool.load_store.reserve(0, 10)
-        pool.reset()
-        assert pool.fu1.free_at == 0
-        assert pool.load_store.free_at == 0

@@ -69,13 +69,6 @@ class TestDataHazards:
         consumer = vadd(V(2), V(0), V(1), vl=64)
         assert scoreboard.chain_start(consumer, candidate_start=20) == 20
 
-    def test_reset_clears_state(self):
-        scoreboard = ColumnarScoreboard()
-        scoreboard.record_write(V(0), first_element_at=60, ready_at=150, chainable=False)
-        scoreboard.reset()
-        consumer = vadd(V(2), V(0), V(1), vl=64)
-        assert scoreboard.earliest_dispatch(consumer, now=0) == 0
-
     def test_chaining_can_be_disabled(self):
         scoreboard = ColumnarScoreboard(allow_chaining=False)
         scoreboard.record_write(V(0), first_element_at=60, ready_at=150, chainable=True)

@@ -6,7 +6,7 @@ object-graph scoreboard with the same interface) with flat int columns and
 top-K port slots.  The compression is only valid under the engine's contract
 — ``now`` never decreases across successive calls on one scoreboard — so this
 suite drives both implementations through identical random *monotonic*
-sequences of ``record_read`` / ``record_write`` / ``reset`` operations
+sequences of ``record_read`` / ``record_write`` operations
 interleaved with ``earliest_dispatch`` / ``chain_start`` probes, and asserts
 that every probe result and every per-register state column agree, across
 both ``model_bank_ports`` and ``allow_chaining`` settings.
@@ -39,15 +39,6 @@ from tests.seed_engine import SeedScoreboard
 
 ALL_REGISTERS = all_registers()
 
-
-class ResettableSeedScoreboard(SeedScoreboard):
-    """The seed scoreboard plus ``reset``: the state of a freshly built board."""
-
-    def reset(self) -> None:
-        self.__init__(
-            model_bank_ports=self._model_bank_ports,
-            allow_chaining=self._allow_chaining,
-        )
 
 # Small register pools bias the sequences towards aliasing and same-bank
 # traffic; the full pool keeps every dense key reachable.
@@ -88,7 +79,7 @@ def operation(draw):
     """One scoreboard call: mutation or probe, with relative time deltas."""
     kind = draw(
         st.sampled_from(
-            ["read", "read", "write", "write", "probe", "probe", "chain", "reset"]
+            ["read", "read", "write", "write", "probe", "probe", "chain"]
         )
     )
     advance = draw(st.integers(min_value=0, max_value=25))
@@ -104,10 +95,8 @@ def operation(draw):
         return ("write", advance, register, first_delta, ready_delta, chainable)
     if kind == "probe":
         return ("probe", advance, draw(probe_instruction()))
-    if kind == "chain":
-        candidate_delta = draw(st.integers(min_value=0, max_value=120))
-        return ("chain", advance, draw(probe_instruction()), candidate_delta)
-    return ("reset", advance)
+    candidate_delta = draw(st.integers(min_value=0, max_value=120))
+    return ("chain", advance, draw(probe_instruction()), candidate_delta)
 
 
 def apply_sequence(boards, ops):
@@ -136,15 +125,12 @@ def apply_sequence(boards, ops):
                 )
         elif kind == "probe":
             yield op, tuple(board.earliest_dispatch(op[2], now) for board in boards)
-        elif kind == "chain":
+        else:
             _, _, instruction, candidate_delta = op
             yield op, tuple(
                 board.chain_start(instruction, now + candidate_delta)
                 for board in boards
             )
-        else:
-            for board in boards:
-                board.reset()
 
 
 def assert_same_state(columnar, fallback):
@@ -170,7 +156,7 @@ class TestColumnarAgreesWithObjectScoreboard:
         columnar = ColumnarScoreboard(
             model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
         )
-        fallback = ResettableSeedScoreboard(
+        fallback = SeedScoreboard(
             model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
         )
         for op, (flat_result, object_result) in apply_sequence(

@@ -92,7 +92,7 @@ class TestHardwareContext:
         context.consume(second)
         assert context.head(now=2) is None
         assert context.finished
-        assert context.completed_programs == 1
+        assert context.stats.completed_programs == 1
 
     def test_job_records_track_boundaries(self):
         context = HardwareContext(0, JobQueueSupplier([tiny_job("a", 2), tiny_job("b", 1)]))

@@ -14,6 +14,8 @@ fractional runs with instruction limits.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,25 +145,27 @@ def run_both(
     make_suppliers,
     *,
     instruction_limits=None,
-    stop_when_completed_on_context0: bool = False,
+    stop_after_context0: bool = False,
 ) -> tuple[SimulationResult, SimulationResult]:
-    """Run the optimized and the seed engine on identical fresh suppliers."""
+    """Run the optimized and the seed engine on identical fresh suppliers.
+
+    ``stop_after_context0`` is the engine's groupings stop; the seed oracle
+    gets the equivalent callback (context 0 has completed a program).
+    """
     fast_engine = SimulationEngine(
         config, make_suppliers(), instruction_limits=instruction_limits
     )
     seed_engine = SeedEngine(
         config, make_suppliers(), instruction_limits=instruction_limits
     )
-    if stop_when_completed_on_context0:
-        fast_result = fast_engine.run(
-            stop_when=lambda engine: engine.contexts[0].completed_programs >= 1
+    fast_result = fast_engine.run(stop_after_context0=stop_after_context0)
+    seed_result = seed_engine.run(
+        stop_when=(
+            (lambda engine: engine.contexts[0].completed_programs >= 1)
+            if stop_after_context0
+            else None
         )
-        seed_result = seed_engine.run(
-            stop_when=lambda engine: engine.contexts[0].completed_programs >= 1
-        )
-    else:
-        fast_result = fast_engine.run()
-        seed_result = seed_engine.run()
+    )
     return fast_result, seed_result
 
 
@@ -227,7 +231,7 @@ class TestMultithreadedEquivalence:
             return suppliers
 
         fast, seed = run_both(
-            config, make_suppliers, stop_when_completed_on_context0=True
+            config, make_suppliers, stop_after_context0=True
         )
         assert_cycle_identical(fast, seed)
 
@@ -278,7 +282,7 @@ class TestDualScalarEquivalence:
             return [SingleJobSupplier(jobs[0]), RepeatingSupplier(jobs[1])]
 
         fast, seed = run_both(
-            config, make_suppliers, stop_when_completed_on_context0=True
+            config, make_suppliers, stop_after_context0=True
         )
         assert_cycle_identical(fast, seed)
 
@@ -320,6 +324,36 @@ class TestCrayStyleEquivalence:
             return [SingleJobSupplier(job) for job in jobs]
 
         fast, seed = run_both(config, make_suppliers)
+        assert_cycle_identical(fast, seed)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        num_contexts=st.sampled_from([2, 3, 4]),
+        issue_width=st.sampled_from([2, 3]),
+        ports=st.sampled_from([1, 3]),
+        scheduler=st.sampled_from(["unfair", "round_robin", "least_service"]),
+        seed_vl=st.sampled_from([8, 64]),
+    )
+    def test_multi_issue_groupings_stop_is_cycle_identical(
+        self, num_contexts, issue_width, ports, scheduler, seed_vl
+    ):
+        """The groupings stop on the multi-issue loop, against the oracle's callback."""
+        jobs = _make_jobs((sorted(kernel_names()) * 2)[:num_contexts], seed_vl)
+        config = replace(
+            MachineConfig.cray_style(
+                num_contexts, 50, num_memory_ports=ports,
+                issue_width=min(issue_width, num_contexts),
+            ),
+            scheduler=scheduler,
+        )
+
+        def make_suppliers() -> list[JobSupplier]:
+            suppliers: list[JobSupplier] = [SingleJobSupplier(jobs[0])]
+            suppliers.extend(RepeatingSupplier(job) for job in jobs[1:])
+            return suppliers
+
+        fast, seed = run_both(config, make_suppliers, stop_after_context0=True)
+        assert fast.stop_reason == "stop-condition"
         assert_cycle_identical(fast, seed)
 
 
@@ -433,7 +467,7 @@ class TestHazardCornerEquivalence:
             return [SingleJobSupplier(job0), RepeatingSupplier(job1)]
 
         fast, seed = run_both(
-            config, make_suppliers, stop_when_completed_on_context0=True
+            config, make_suppliers, stop_after_context0=True
         )
         assert_cycle_identical(fast, seed)
 
@@ -472,6 +506,50 @@ class TestTraceReplayEquivalence:
         )
         assert_cycle_identical(program_fast, fast)
 
+    def test_restarted_trace_companion_matches_program_companion(self):
+        """A trace-backed companion restarted by ``RepeatingSupplier``.
+
+        The trace job replays its trace once and every restart walks that
+        tuple.  The group run must match the seed oracle (which replays the
+        trace afresh per restart) and the same group with the
+        program-backed companion.
+        """
+        from repro.trace.dixie import trace_program
+
+        kernels = sorted(kernel_names())
+        main = build_workload(
+            WorkloadSpec(
+                name="main",
+                vector_instructions=120,
+                scalar_instructions=90,
+                loops=(LoopSpec(kernel=kernels[0], vl=64, weight=1.0, stride=1),),
+                outer_passes=3,
+            )
+        )
+        companion = build_workload(
+            WorkloadSpec(
+                name="companion",
+                vector_instructions=20,
+                scalar_instructions=15,
+                loops=(LoopSpec(kernel=kernels[1], vl=16, weight=1.0, stride=2),),
+            )
+        )
+        main_job = Job.from_program(main)
+        trace_job = Job.from_trace(trace_program(companion))
+        config = MachineConfig.multithreaded(2, 50)
+
+        def make_suppliers(companion_job: Job):
+            return lambda: [SingleJobSupplier(main_job), RepeatingSupplier(companion_job)]
+
+        fast, seed = run_both(config, make_suppliers(trace_job), stop_after_context0=True)
+        assert fast.stats.threads[1].completed_programs >= 2
+        assert_cycle_identical(fast, seed)
+        assert trace_job.open_sequence() is trace_job.open_sequence()
+        program_fast, _ = run_both(
+            config, make_suppliers(Job.from_program(companion)), stop_after_context0=True
+        )
+        assert_cycle_identical(program_fast, fast)
+
 
 # --------------------------------------------------------------------------- #
 # interned instruction-stream expansion, against a fresh uninterned emission
@@ -498,10 +576,7 @@ class TestExpansionInterningEquivalence:
     @given(spec=workload_strategy)
     @settings(max_examples=20, deadline=None)
     def test_interned_stream_matches_uninterned(self, spec):
-        from repro.workloads.program import (
-            expansion_intern_info,
-            set_expansion_interning,
-        )
+        from repro.workloads.program import expansion_intern_info
 
         first = build_workload(spec)
         second = build_workload(spec)
@@ -509,17 +584,11 @@ class TestExpansionInterningEquivalence:
         interned_second = list(second.instructions())
         assert first._expanded is second._expanded, "identical programs must share"
         assert expansion_intern_info()["hits"] >= 1
-        set_expansion_interning(False)
-        try:
-            fresh = list(build_workload(spec).instructions())
-        finally:
-            set_expansion_interning(True)
+        fresh = list(build_workload(spec)._expand())
         assert interned_first == fresh
         assert interned_second == fresh
 
     def test_interned_run_cycle_identical_to_uninterned_seed(self):
-        from repro.workloads.program import set_expansion_interning
-
         spec = WorkloadSpec(
             name="intern-equiv",
             vector_instructions=80,
@@ -532,12 +601,9 @@ class TestExpansionInterningEquivalence:
         build_workload(spec).instructions()
         interned_job = Job.from_program(build_workload(spec))
         fast = SimulationEngine(config, [SingleJobSupplier(interned_job)]).run()
-        set_expansion_interning(False)
-        try:
-            seed_job = Job.from_program(build_workload(spec))
-            seed = SeedEngine(config, [SingleJobSupplier(seed_job)]).run()
-        finally:
-            set_expansion_interning(True)
+        program = build_workload(spec)
+        seed_job = Job.from_instructions(program.name, program._expand())
+        seed = SeedEngine(config, [SingleJobSupplier(seed_job)]).run()
         assert_cycle_identical(fast, seed)
 
 

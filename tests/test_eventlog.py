@@ -290,7 +290,7 @@ class TestFlatIntervalRecorder:
         with pytest.raises(SimulationError):
             FlatIntervalRecorder("x").record(10, 5)
 
-    def test_reset_and_memo_invalidation(self):
+    def test_memo_invalidation(self):
         recorder = FlatIntervalRecorder("x")
         recorder.record(0, 10)
         assert recorder.merged() == [(0, 10)]
@@ -298,9 +298,6 @@ class TestFlatIntervalRecorder:
         assert recorder.merged() == [(0, 10), (20, 30)]
         recorder.drop_merge_memo()  # keeps intervals, drops only the memo
         assert recorder.merged() == [(0, 10), (20, 30)]
-        recorder.reset()
-        assert recorder.merged() == []
-        assert recorder.busy_cycles() == 0
 
     def test_pickle_ships_flat_buffer(self):
         recorder = FlatIntervalRecorder("LD")

@@ -16,7 +16,6 @@ from repro.workloads.program import (
     clear_expansion_intern,
     expansion_intern_info,
     scalar_filler,
-    set_expansion_interning,
 )
 
 
@@ -231,6 +230,9 @@ class TestExpansionInterning:
         assert first._expanded is second._expanded
         info = expansion_intern_info()
         assert info["hits"] == 1 and info["misses"] == 1 and info["entries"] == 1
+        assert set(info) == {
+            "entries", "hits", "misses", "fingerprint_hits", "fingerprint_misses",
+        }
 
     def test_structurally_different_programs_do_not_share(self):
         first, second = self.build_program(passes=1), self.build_program(passes=2)
@@ -246,20 +248,6 @@ class TestExpansionInterning:
         clone = pickle.loads(pickle.dumps(program))
         assert list(clone.instructions()) == stream
         assert clone._expanded is program._expanded
-
-    def test_disabled_interning_still_memoizes_per_program(self):
-        set_expansion_interning(False)
-        try:
-            first, second = self.build_program(), self.build_program()
-            assert list(first.instructions()) == list(second.instructions())
-            assert first._expanded is not second._expanded
-            assert first._expanded is not None  # per-instance memo still on
-            assert expansion_intern_info() == {
-                "enabled": False, "entries": 0, "hits": 0, "misses": 0,
-                "fingerprint_hits": 0, "fingerprint_misses": 0,
-            }
-        finally:
-            set_expansion_interning(True)
 
     def test_custom_loop_subclass_is_not_interned(self):
         class TrickLoop(ScalarLoopNest):
