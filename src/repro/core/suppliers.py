@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 
+from repro.errors import SimulationError
 from repro.isa.instruction import Instruction
 from repro.trace.records import TraceSet
 from repro.trace.stream import TraceStream
@@ -159,6 +160,10 @@ class RepeatingSupplier(JobSupplier):
     """Supplies the same job over and over (the restart rule of section 4.1)."""
 
     def __init__(self, job: Job, *, max_restarts: int | None = None) -> None:
+        # an empty job restarted without end would keep a context fetching
+        # forever inside one ``head`` call, before any cycle bound is checked
+        if max_restarts is None and not job.open_sequence():
+            raise SimulationError(f"cannot restart job {job.name!r}: it has no instructions")
         self._job = job
         self._remaining = None if max_restarts is None else max_restarts + 1
         self.times_supplied = 0

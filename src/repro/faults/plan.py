@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,12 +214,11 @@ def load_fault_plan(source: str) -> FaultPlan:
             raw = path.read_text()
         except OSError as error:
             raise ConfigurationError(f"cannot read fault plan {path}: {error}") from None
-        if path.suffix == ".json":
-            document = json.loads(raw)
-        else:
-            from repro.sweep.spec import parse_toml
-
-            document = parse_toml(raw, where=str(path))
+        kind, parse = ("JSON", json.loads) if path.suffix == ".json" else ("TOML", tomllib.loads)
+        try:
+            document = parse(raw)
+        except ValueError as error:
+            raise ConfigurationError(f"invalid {kind} in fault plan {path}: {error}") from None
         return FaultPlan.from_document(document)
     try:
         document = json.loads(text)

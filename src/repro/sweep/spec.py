@@ -46,6 +46,7 @@ deduplicated :class:`~repro.api.batch.SimulationRequest` points.
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -400,16 +401,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
 
 
 def parse_toml(text: str, *, where: str = "<string>") -> dict:
-    """Parse TOML via :mod:`tomllib`, or the bundled subset reader on 3.10."""
-    try:
-        import tomllib
-    except ImportError:  # Python < 3.11: no new deps, use the fallback subset
-        from repro.sweep import _toml
-
-        try:
-            return _toml.loads(text)
-        except _toml.TomlFallbackError as error:
-            raise SweepError(f"invalid TOML in {where}: {error}") from None
+    """Parse TOML with :mod:`tomllib`; a decode error becomes a :class:`SweepError`."""
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as error:

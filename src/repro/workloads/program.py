@@ -18,6 +18,7 @@ bank-port conflicts are rare (paper, section 3).
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -440,6 +441,16 @@ _intern_hits = 0
 _intern_misses = 0
 _fingerprint_hits = 0
 _fingerprint_misses = 0
+
+
+def _reset_intern_lock_in_child() -> None:
+    # a child forked while another parent thread held the lock inherits it
+    # held, with no thread left to release it
+    global _intern_lock
+    _intern_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_intern_lock_in_child)
 
 
 def clear_expansion_intern() -> None:

@@ -332,3 +332,22 @@ class TestRunCacheThreadSafety:
         payload = clone.get_bytes(request.cache_key())
         clone.put_bytes(("fresh",), payload)  # lock was re-armed
         assert len(clone) == 2
+
+
+class TestEmptyCompanion:
+    """A restarted companion with no instructions fails fast instead of hanging."""
+
+    @pytest.fixture()
+    def workloads(self):
+        from repro.workloads import build_benchmark
+
+        return [build_benchmark("swm256", scale=0.05), Job.from_instructions("empty", [])]
+
+    def test_run_group_raises(self, workloads):
+        with pytest.raises(SimulationError, match="'empty'"):
+            Machine.named("multithreaded-2").run_group(workloads)
+
+    def test_run_batch_raises(self, workloads):
+        request = SimulationRequest.group("multithreaded-2", workloads)
+        with pytest.raises(SimulationError, match="'empty'"):
+            run_batch([request])

@@ -8,7 +8,10 @@ the machinery under test unexercised.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+from concurrent.futures import TimeoutError as FuturesTimeout
 
 import pytest
 
@@ -40,6 +43,11 @@ def _requests(latencies=(1, 20, 50)) -> list[SimulationRequest]:
         for latency in latencies
         for name, workload in WORKLOADS.items()
     ]
+
+
+def _pid_at_barrier(barrier) -> int:
+    barrier.wait()
+    return os.getpid()
 
 
 @pytest.fixture(autouse=True)
@@ -84,10 +92,44 @@ class TestWorkerPool:
         assert pool.alive
 
     def test_worker_processes_are_reused(self, pool):
-        first = {pool.submit(os.getpid).result() for _ in range(8)}
-        second = {pool.submit(os.getpid).result() for _ in range(8)}
-        assert first and first == second
-        assert all(pid != os.getpid() for pid in first)
+        # two tasks that meet at a barrier run on two distinct, started workers
+        with multiprocessing.Manager() as manager:
+            barrier = manager.Barrier(2, timeout=60)
+            meeting = [pool.submit(_pid_at_barrier, barrier) for _ in range(2)]
+            workers = {future.result() for future in meeting}
+        assert len(workers) == 2 and os.getpid() not in workers
+        for _ in range(2):
+            assert {pool.submit(os.getpid).result() for _ in range(8)} <= workers
+        assert pool.spawned == 1
+
+    def test_spawn_while_another_thread_holds_the_intern_lock(self):
+        """A worker forked while a parent thread holds ``_intern_lock`` still warms up."""
+        from repro.workloads import program
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with program._intern_lock:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        assert held.wait(timeout=10)
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool(1)
+        try:
+            future = pool.submit(os.getpid)
+            try:
+                assert future.result(timeout=30) != os.getpid()
+            except FuturesTimeout:
+                for child in set(multiprocessing.active_children()) - before:
+                    child.kill()
+                pytest.fail("the forked worker deadlocked on the inherited intern lock")
+        finally:
+            release.set()
+            holder.join(timeout=10)
+            pool.shutdown(wait=False)
 
     def test_env_fingerprint_change_respawns(self, pool, monkeypatch):
         pool.submit(os.getpid).result()

@@ -131,6 +131,16 @@ class TestPlanDocuments:
         with pytest.raises(ConfigurationError, match="cannot read fault plan"):
             load_fault_plan(f"@{tmp_path / 'absent.toml'}")
 
+    @pytest.mark.parametrize(
+        ("name", "text", "kind"),
+        [("bad.json", '{"faults": ', "JSON"), ("bad.toml", "[faults.worker_crash\n", "TOML")],
+    )
+    def test_load_malformed_file(self, tmp_path, name, text, kind):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"invalid {kind} in fault plan .*{name}"):
+            load_fault_plan(f"@{path}")
+
 
 class TestActivePlan:
     def test_default_is_none(self):

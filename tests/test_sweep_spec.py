@@ -1,5 +1,4 @@
-"""Tests for the sweep spec dataclasses, the TOML/JSON loader and the
-bundled TOML-subset fallback parser."""
+"""Tests for the sweep spec dataclasses and the TOML/JSON loader."""
 
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from repro.sweep import (
     parse_sweep_spec,
     parse_toml,
 )
-from repro.sweep import _toml
 
 EXAMPLES = sorted(Path(__file__).resolve().parent.parent.glob("examples/sweeps/*.toml"))
 
@@ -137,6 +135,11 @@ class TestParsing:
         with pytest.raises(SweepError, match=r"\[axes\] must be a table"):
             parse_sweep_spec({"axes": [1, 2]})
 
+    def test_parse_toml_entry_point(self):
+        assert parse_toml('[sweep]\nname = "x"\n')["sweep"]["name"] == "x"
+        with pytest.raises(SweepError, match="invalid TOML in spec.toml: "):
+            parse_toml("[sweep", where="spec.toml")
+
 
 class TestLoader:
     def test_load_json_spec(self, tmp_path):
@@ -180,54 +183,3 @@ class TestLoader:
         spec = load_sweep_spec(example)
         assert spec.name
         assert spec.metrics.select
-
-
-class TestTomlFallback:
-    """The 3.10 fallback parser must agree with tomllib where both run."""
-
-    def test_scalars_arrays_tables(self):
-        document = _toml.loads(
-            "\n".join(
-                [
-                    "# a comment",
-                    "[sweep]",
-                    'name = "demo"  # trailing comment',
-                    "count = 3",
-                    "ratio = 0.5",
-                    "flag = true",
-                    "",
-                    "[axes]",
-                    "memory_latency = [1, 20,",
-                    "    100]",
-                    'machine = ["reference", "ideal"]',
-                    "",
-                    "[[perturb]]",
-                    'key = "memory_latency"',
-                    "deltas = [-10, 10]",
-                ]
-            )
-        )
-        assert document["sweep"] == {"name": "demo", "count": 3, "ratio": 0.5, "flag": True}
-        assert document["axes"]["memory_latency"] == [1, 20, 100]
-        assert document["perturb"] == [{"key": "memory_latency", "deltas": [-10, 10]}]
-
-    def test_unsupported_syntax_raises(self):
-        with pytest.raises(_toml.TomlFallbackError):
-            _toml.loads("point = {x = 1, y = 2}")  # inline tables unsupported
-
-    def test_bad_header_raises(self):
-        with pytest.raises(_toml.TomlFallbackError):
-            _toml.loads("[unclosed\n")
-
-    def test_bare_line_raises(self):
-        with pytest.raises(_toml.TomlFallbackError):
-            _toml.loads("just some words\n")
-
-    @pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.name)
-    def test_fallback_matches_tomllib_on_examples(self, example):
-        tomllib = pytest.importorskip("tomllib")
-        text = example.read_text()
-        assert _toml.loads(text) == tomllib.loads(text)
-
-    def test_parse_toml_entry_point(self):
-        assert parse_toml('[sweep]\nname = "x"\n')["sweep"]["name"] == "x"
