@@ -192,66 +192,89 @@ def measure_single_runs(repeats: int) -> list[dict]:
     return entries
 
 
-#: Rows of the synthetic event log used by the stats-finalize microbenchmark.
+#: Dynamic instructions of the synthetic run used by the stats-finalize microbenchmark.
 STATS_FINALIZE_ROWS = 200_000
 
 
 def measure_stats_finalize(repeats: int) -> list[dict]:
-    """Rows/sec through the columnar event-log → statistics reduction.
+    """Instructions/sec through the finalize-time statistics fold.
 
-    Builds one synthetic dispatch log (4 threads × 3 jobs, mixed
-    scalar/vector rows) plus the three unit interval buffers, and times a
-    full finalize-style reduction: every per-run/per-thread/per-job counter
-    plus the figure-4 state sweep.  The entry's ``model`` names the
-    reduction (``python``: the strided pure-Python pass), so baselines that
+    Builds one synthetic 200k-instruction sequence (mixed scalar/vector
+    instructions) split into 4 threads × 3 jobs, plus the three unit
+    interval buffers, and times what ``SimulationEngine._finalize`` does:
+    every job's executed-prefix counters folded into per-thread and per-run
+    totals, plus the figure-4 state sweep.  The job sequences are plain
+    tuples, not program expansions, so no repeat hits the expansion memo.
+    The entry's ``model`` names the fold (``python``), so baselines that
     recorded another reduction are reported as ungated, not compared.
     """
-    from repro.core.eventlog import (
-        DispatchLog,
-        FlatIntervalRecorder,
-        reduce_dispatch_log,
-    )
+    from repro.core.eventlog import FlatIntervalRecorder, prefix_counts
     from repro.core.statistics import (
         JobRecord,
         SimulationStats,
         ThreadStats,
         fu_state_breakdown,
     )
+    from repro.isa.builder import scalar_load, scalar_op, vadd, vload
+    from repro.isa.opcodes import Opcode
+    from repro.isa.registers import S, V
 
-    log = DispatchLog()
-    extend = log.values.extend
     recorders = [
         FlatIntervalRecorder("FU2"),
         FlatIntervalRecorder("FU1"),
         FlatIntervalRecorder("LD"),
     ]
+    scalar = scalar_op(Opcode.ADD_S, S(0), S(1), S(2))
+    load = scalar_load(S(3), address=0x10)
+    arithmetic = {vl: vadd(V(2), V(0), V(1), vl=vl) for vl in range(16, 129)}
+    memory = {vl: vload(V(0), vl=vl, address=0x100) for vl in range(16, 129)}
+    sequence = []
     for index in range(STATS_FINALIZE_ROWS):
-        thread_id = index & 3
-        job_ordinal = (index >> 2) % 3
         vl = 16 + (index % 113)
         kind = index % 4
         if kind == 0:
-            extend((thread_id, job_ordinal, 0, 0, 0, 0))
+            sequence.append(scalar)
         elif kind == 1:
-            extend((thread_id, job_ordinal, 0, 0, 0, 1))
+            sequence.append(load)
         elif kind == 2:
-            extend((thread_id, job_ordinal, 1, vl, vl, 0))
+            sequence.append(arithmetic[vl])
             recorders[index & 1].record(index, index + vl)
         else:
-            extend((thread_id, job_ordinal, 1, vl, 0, vl))
+            sequence.append(memory[vl])
             recorders[2].record(index, index + vl)
+    job_length = -(-STATS_FINALIZE_ROWS // 12)
+    jobs = [
+        tuple(sequence[start : start + job_length])
+        for start in range(0, STATS_FINALIZE_ROWS, job_length)
+    ]
 
     def finalize() -> None:
-        threads = []
+        stats = SimulationStats()
         for thread_id in range(4):
             thread = ThreadStats(thread_id=thread_id)
-            thread.jobs = [
-                JobRecord(program=f"job-{ordinal}", thread_id=thread_id, start_cycle=0)
-                for ordinal in range(3)
-            ]
-            threads.append(thread)
-        stats = SimulationStats(threads=threads)
-        reduce_dispatch_log(log, stats)
+            for ordinal in range(3):
+                job = jobs[3 * thread_id + ordinal]
+                record = JobRecord(
+                    program=f"job-{ordinal}", thread_id=thread_id, start_cycle=0
+                )
+                record.instructions = len(job)
+                thread.jobs.append(record)
+                vector, elements, vector_arithmetic, transactions = prefix_counts(
+                    job, len(job)
+                )
+                thread.instructions += len(job)
+                thread.vector_instructions += vector
+                thread.vector_operations += elements
+                thread.memory_transactions += transactions
+                stats.vector_arithmetic_operations += vector_arithmetic
+            thread.scalar_instructions = thread.instructions - thread.vector_instructions
+            stats.threads.append(thread)
+            stats.instructions += thread.instructions
+            stats.vector_instructions += thread.vector_instructions
+            stats.vector_operations += thread.vector_operations
+            stats.memory_transactions += thread.memory_transactions
+        stats.scalar_instructions = stats.instructions - stats.vector_instructions
+        stats.decode_busy_cycles = stats.instructions
         for recorder in recorders:
             # every repeat pays the full interval merge, not a cache hit
             recorder.drop_merge_memo()

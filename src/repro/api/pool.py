@@ -26,7 +26,9 @@ curve.  :class:`WorkerPool` keeps the worker processes warm across calls:
   the rebuilt executor instead of losing the pool for the rest of the
   process;
 * the shared pool is torn down once, at interpreter exit (``atexit``); a
-  service shutting down leaves it warm for the next consumer.
+  service shutting down leaves it warm for the next consumer;
+* a worker exits once its parent dies (a ppid watchdog thread), so a
+  SIGKILLed server does not leave its pool running.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro.obs.metrics import Counter
@@ -59,20 +62,42 @@ def _env_fingerprint() -> tuple:
     return tuple(os.environ.get(name) for name in ENV_FINGERPRINT_VARS)
 
 
+#: Seconds between two parent checks of a worker's watchdog.
+_PARENT_POLL_SECONDS = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    # a dead parent's children are re-parented, so the ppid changes
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
 def _warm_worker() -> None:
     """Run in every fresh worker: pre-pay imports the first job would pay.
 
     Importing :mod:`repro.api.batch` pulls in the engine, the statistics
-    reduction, the ISA and the workload builders.  Touching
+    pipeline, the ISA and the workload builders.  Touching
     :func:`~repro.workloads.program.expansion_intern_info` initializes the
     interning table (under ``fork`` it already holds the parent's expansions,
     so re-simulating a workload the parent expanded is an intern hit, not a
     re-emission).
+
+    It also starts the worker's parent watchdog: a daemon thread that exits
+    the worker once its parent process dies.  ``PR_SET_PDEATHSIG`` would not
+    do, because it fires when the forking *thread* exits, and service
+    dispatcher threads fork workers.
     """
     import repro.api.batch  # noqa: F401
     from repro.workloads.program import expansion_intern_info
 
     expansion_intern_info()
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(os.getppid(),),
+        name="repro-parent-watchdog",
+        daemon=True,
+    ).start()
 
 
 class WorkerPool:

@@ -4,12 +4,7 @@ from repro.core.config import LatencyTable, MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.dispatch import DispatchModel
 from repro.core.engine import SimulationEngine
-from repro.core.eventlog import (
-    DISPATCH_FIELDS,
-    DispatchLog,
-    FlatIntervalRecorder,
-    reduce_dispatch_log,
-)
+from repro.core.eventlog import FlatIntervalRecorder
 from repro.core.functional_units import FunctionalUnit, VectorUnitPool
 from repro.core.ideal import IdealMachineModel, ideal_execution_time
 from repro.core.results import SimulationResult
@@ -41,8 +36,6 @@ from repro.core.suppliers import (
 
 __all__ = [
     "ColumnarScoreboard",
-    "DISPATCH_FIELDS",
-    "DispatchLog",
     "DispatchModel",
     "FU_STATE_NAMES",
     "FlatIntervalRecorder",
@@ -71,6 +64,5 @@ __all__ = [
     "create_scheduler",
     "fu_state_breakdown",
     "ideal_execution_time",
-    "reduce_dispatch_log",
     "scheduler_names",
 ]

@@ -223,18 +223,3 @@ class MachineConfig:
     def with_scheduler(self, scheduler: str) -> "MachineConfig":
         """A copy using a different thread-scheduling policy."""
         return replace(self, scheduler=scheduler)
-
-    @property
-    def is_multithreaded(self) -> bool:
-        """Whether the machine has more than one hardware context."""
-        return self.num_contexts > 1
-
-    @property
-    def total_vector_register_bits(self) -> int:
-        """Total size of the replicated vector register file, in bits."""
-        return (
-            self.num_contexts
-            * self.num_vector_registers
-            * self.max_vector_length
-            * 64
-        )

@@ -10,6 +10,7 @@ proposed architecture (section 3).
 
 from __future__ import annotations
 
+from repro.core.eventlog import prefix_counts
 from repro.core.scoreboard import ColumnarScoreboard
 from repro.core.statistics import JobRecord, ThreadStats
 from repro.core.suppliers import Job, JobSupplier
@@ -50,10 +51,9 @@ class HardwareContext:
         #: Only this context's dispatches write its scoreboard, so the bound
         #: holds until :meth:`consume` clears it.
         self.head_hazard: int | None = None
-        #: Index of the currently running job in ``stats.jobs``; recorded in
-        #: the columnar dispatch log so per-job instruction counts can be
-        #: reduced at run finalization (-1 until the first job is fetched).
-        self.job_ordinal = -1
+        #: This thread's vector arithmetic operations, a run-level counter
+        #: only (``ThreadStats`` has no such field).
+        self.vector_arithmetic_operations = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -81,7 +81,7 @@ class HardwareContext:
         if self.finished:
             return None
         if self.instruction_limit is not None and self.stats.instructions >= self.instruction_limit:
-            self._close_current_job(now, completed=False)
+            self.close_job(now, completed=False)
             self.finished = True
             return None
         while self.pending is None:
@@ -97,23 +97,41 @@ class HardwareContext:
                 self.stats.jobs.append(
                     JobRecord(program=job.name, thread_id=self.thread_id, start_cycle=now)
                 )
-                self.job_ordinal = len(self.stats.jobs) - 1
             if self._cursor < len(sequence):
                 self.pending = sequence[self._cursor]
                 self._cursor += 1
             else:
-                self._close_current_job(now, completed=True)
+                self.close_job(now, completed=True)
                 self._sequence = None
         return self.pending
 
-    def _close_current_job(self, now: int, *, completed: bool) -> None:
-        if self._current_job is None:
+    def close_job(self, now: int, *, completed: bool) -> None:
+        """End the current job at cycle ``now`` and count what it dispatched.
+
+        The job dispatched exactly the prefix of its sequence that the
+        cursor passed, less a fetched head still pending.  Its length is the
+        job's instruction count, and the thread's other dispatch counters
+        grow by the prefix's column sums.  The engine closes a job still
+        running at the end of the run as not completed.
+        """
+        job = self._current_job
+        if job is None:
             return
-        record = self.stats.jobs[-1]
+        executed = self._cursor - (self.pending is not None)
+        stats = self.stats
+        record = stats.jobs[-1]
         record.end_cycle = now
         record.completed = completed
+        record.instructions = executed
+        vector, elements, arithmetic, transactions = prefix_counts(
+            self._sequence, executed, job.program
+        )
+        stats.vector_instructions += vector
+        stats.vector_operations += elements
+        stats.memory_transactions += transactions
+        self.vector_arithmetic_operations += arithmetic
         if completed:
-            self.stats.completed_programs += 1
+            stats.completed_programs += 1
         self._current_job = None
 
     # ------------------------------------------------------------------ #
@@ -121,9 +139,9 @@ class HardwareContext:
         """Advance past the dispatched head instruction.
 
         Only the live ``instructions`` counter is bumped here — it feeds the
-        instruction-limit check and the least-service scheduler mid-run.  All
-        other per-dispatch accounting lands in the columnar dispatch log and
-        is reduced once at run finalization.
+        instruction-limit check and the least-service scheduler mid-run.  The
+        other dispatch counters are summed over the job's executed prefix
+        when it closes (:meth:`close_job`).
         """
         self.pending = None
         self.head_hazard = None

@@ -13,10 +13,11 @@ This module answers the two questions the decode unit asks every cycle:
 2. What happens when it *is* dispatched (:meth:`DispatchModel.execute`):
    which functional unit it occupies for how long, when the memory port is
    busy, when each destination register's first element and last element
-   become available, and whether dependents may chain on it.  The dispatch
-   is recorded once, as one row of the columnar
-   :class:`~repro.core.eventlog.DispatchLog`; ``execute`` returns the
-   instruction's completion cycle.
+   become available, and whether dependents may chain on it.  ``execute``
+   touches only the units, the memory system and the scoreboard, and
+   returns the instruction's completion cycle; the dispatch counters are
+   static columns of the instruction, summed per job by
+   :func:`~repro.core.eventlog.prefix_counts`.
 
 Timing rules implemented (paper section 3 / 3.1):
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from repro.core.config import MachineConfig
 from repro.core.context import HardwareContext
-from repro.core.eventlog import DispatchLog
 from repro.core.functional_units import VectorUnitPool
 from repro.errors import SimulationError
 from repro.isa.instruction import Instruction
@@ -55,15 +55,10 @@ class DispatchModel:
         config: MachineConfig,
         memory: MemorySystem,
         vector_units: VectorUnitPool,
-        dispatch_log: DispatchLog | None = None,
     ) -> None:
         self.config = config
         self.memory = memory
         self.vector_units = vector_units
-        #: Columnar per-dispatch counter log; every dispatch appends one
-        #: flat row here instead of mutating statistics objects.
-        self.dispatch_log = dispatch_log if dispatch_log is not None else DispatchLog()
-        self._log_extend = self.dispatch_log.values.extend
         self._scalar_latency = config.latencies.scalar_latency
 
     # ------------------------------------------------------------------ #
@@ -84,13 +79,12 @@ class DispatchModel:
     def execute(
         self, context: HardwareContext, instruction: Instruction, now: int
     ) -> int:
-        """Dispatch the instruction, record its dispatch-log row, return its completion.
+        """Dispatch the instruction and return its completion cycle.
 
-        This is the engine's hot path: all bookkeeping happens (functional
-        units, scoreboard, memory system) and the per-dispatch counters land
-        as one flat integer row in :attr:`dispatch_log`.  The returned cycle
-        is when the instruction's last result is available.  Scalar-unit
-        work, the most common case, is handled inline.
+        This is the engine's hot path: it reserves the functional units and
+        the memory system and updates the scoreboard.  The returned cycle is
+        when the instruction's last result is available.  Scalar-unit work,
+        the most common case, is handled inline.
         """
         if instruction.is_memory:
             if instruction.is_vector_memory:
@@ -110,7 +104,6 @@ class DispatchModel:
                 ready_at=ready_at,
                 chainable=True,
             )
-        self._log_extend((context.thread_id, context.job_ordinal, 0, 0, 0, 0))
         return ready_at
 
     # ------------------------------------------------------------------ #
@@ -132,7 +125,6 @@ class DispatchModel:
                 chainable=True,
             )
             completion = ready_at
-        self._log_extend((context.thread_id, context.job_ordinal, 0, 0, 0, 1))
         return completion
 
     def _dispatch_vector_arithmetic(
@@ -183,7 +175,6 @@ class DispatchModel:
                     ready_at=completion + 1,
                     chainable=True,
                 )
-        self._log_extend((context.thread_id, context.job_ordinal, 1, vl, vl, 0))
         return completion
 
     def _dispatch_vector_memory(
@@ -234,5 +225,4 @@ class DispatchModel:
                 ready_at=ready_at,
                 chainable=False,
             )
-        self._log_extend((context.thread_id, context.job_ordinal, 1, vl, 0, vl))
         return completion

@@ -35,7 +35,6 @@ from time import perf_counter
 from repro.core.config import MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.dispatch import DispatchModel
-from repro.core.eventlog import DispatchLog, reduce_dispatch_log
 from repro.core.functional_units import VectorUnitPool
 from repro.core.results import SimulationResult
 from repro.core.scheduler import ThreadScheduler, create_scheduler
@@ -84,12 +83,7 @@ class SimulationEngine:
             num_ports=config.num_memory_ports,
         )
         self.vector_units = VectorUnitPool(num_load_store_units=config.num_memory_ports)
-        #: Columnar event log: one flat integer row per dynamic instruction,
-        #: reduced into every counter of :attr:`stats` at :meth:`_finalize`.
-        self.event_log = DispatchLog()
-        self.dispatch_model = DispatchModel(
-            config, self.memory, self.vector_units, dispatch_log=self.event_log
-        )
+        self.dispatch_model = DispatchModel(config, self.memory, self.vector_units)
         self.scheduler = scheduler or create_scheduler(config.scheduler)
         self.contexts = [
             HardwareContext(
@@ -474,14 +468,24 @@ class SimulationEngine:
             stats.ld_intervals = units.load_store.intervals
         else:
             stats.ld_intervals = units.combined_load_store_intervals()
-        # close the job records of contexts that were still running at the end
+        # close the jobs still running; each closed job has added its
+        # executed prefix's counters to its thread, and the run totals are
+        # sums over the threads
+        vector = elements = arithmetic = transactions = 0
         for context in self.contexts:
-            record = context.stats.current_job
-            if record is not None:
-                record.end_cycle = self.cycle
-        # one-shot reduction of the columnar event log into every per-run,
-        # per-thread and per-job counter
-        reduce_dispatch_log(self.event_log, stats)
+            context.close_job(self.cycle, completed=False)
+            thread = context.stats
+            thread.scalar_instructions = thread.instructions - thread.vector_instructions
+            vector += thread.vector_instructions
+            elements += thread.vector_operations
+            arithmetic += context.vector_arithmetic_operations
+            transactions += thread.memory_transactions
+        stats.decode_busy_cycles = stats.instructions
+        stats.vector_instructions = vector
+        stats.scalar_instructions = stats.instructions - vector
+        stats.vector_operations = elements
+        stats.vector_arithmetic_operations = arithmetic
+        stats.memory_transactions = transactions
         return SimulationResult(
             config=self.config,
             stats=stats,

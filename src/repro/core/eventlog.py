@@ -1,163 +1,80 @@
-"""Columnar event-log statistics: flat-array recording, one-shot reduction.
+"""Columnar statistics: executed-prefix counters and flat busy intervals.
 
-Every engine event is recorded exactly once, as plain integers appended to
-flat ``array('q')`` buffers:
+Nothing is recorded per dispatched instruction beyond the live
+``instructions`` counters.  Every other per-dispatch counter is a static
+column of :class:`~repro.isa.instruction.Instruction`, and a context walks
+each job's instruction tuple with one index cursor, so a job dispatched
+exactly a prefix of that tuple.  :func:`prefix_counts` sums the columns over
+that prefix when the job closes; a full program expansion's sums are
+computed once per expansion and memoized on it.
 
-* one :data:`DISPATCH_FIELDS` row per dynamic instruction
-  (:class:`DispatchLog`), the only per-instruction record;
+The engine events that do depend on the run are recorded as plain integers:
+
 * one ``(start, end)`` pair per functional-unit reservation
   (:class:`FlatIntervalRecorder`);
 * the address, load-data and store-data busses keep a single running
   busy-cycle total each (:class:`repro.memory.bus.Bus`), since a bus
   serializes its reservations.
 
-Every derived statistic (per-run counters, per-thread counters, per-job
-instruction counts, busy intervals, the figure-4 state breakdown) is computed
-in a single reduction at ``SimulationEngine._finalize``; no statistics object
-is mutated and no summary object is allocated per instruction.
-
-The reductions are dependency-free: column totals are sums over strided
-slices of the flat buffer and per-thread/per-job counts come from one
-``collections.Counter`` pass, so the per-row work stays in C-level loops.
-The equivalence suite asserts every reduced integer against the frozen seed
-oracle.
+Per-job and per-thread counters are settled when each job closes, the
+run totals, busy intervals and the figure-4 state breakdown at
+``SimulationEngine._finalize``; no statistics object is mutated and no
+summary object is allocated per instruction.  The equivalence suite asserts
+every counter against the frozen seed oracle.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 
 from repro.errors import SimulationError
 
 __all__ = [
-    "DISPATCH_FIELDS",
-    "DispatchLog",
     "FlatIntervalRecorder",
     "merge_interval_pairs",
-    "reduce_dispatch_log",
+    "prefix_counts",
 ]
 
 # --------------------------------------------------------------------------- #
-# the per-dispatch counter rows
+# the per-dispatch counters of an executed prefix
 # --------------------------------------------------------------------------- #
-#: Column names of one dispatch row, in storage order.
-DISPATCH_FIELDS: tuple[str, ...] = (
-    "thread_id",
-    "job_ordinal",
-    "is_vector",
-    "vector_elements",
-    "vector_arithmetic_ops",
-    "memory_transactions",
-)
-
-ROW_WIDTH = len(DISPATCH_FIELDS)
+#: Memo key of a full expansion's counters (see :meth:`Program.memoized`).
+_FULL_COUNTS_KEY = "prefix_counts"
 
 
-class DispatchLog:
-    """One flat integer row per dynamic instruction.
+def _column_sums(instructions) -> tuple[int, int, int, int]:
+    # vector-control ops are vector but dispatch on the scalar path, where
+    # they count as scalar instructions with no elements
+    vector = [
+        instruction
+        for instruction in instructions
+        if instruction.is_vector_arithmetic or instruction.is_vector_memory
+    ]
+    return (
+        len(vector),
+        sum([instruction.element_count for instruction in vector]),
+        sum([instruction.vector_operations for instruction in vector]),
+        sum([instruction.memory_transactions for instruction in instructions]),
+    )
 
-    The hot path never calls a method on this class: the dispatch layer
-    hoists ``log.values.extend`` once and appends :data:`ROW_WIDTH` integers
-    per dispatched instruction.  Everything else (row iteration, reduction)
-    happens once per run.
+
+def prefix_counts(sequence, executed: int, program=None) -> tuple[int, int, int, int]:
+    """Dispatch counters of the first ``executed`` instructions of ``sequence``.
+
+    Returns ``(vector instructions, vector elements, vector arithmetic
+    operations, memory transactions)``: the ``ThreadStats`` counters of a
+    job that dispatched that prefix, plus the run-level arithmetic
+    operations.  ``program`` is the :class:`~repro.workloads.program.Program`
+    whose expansion ``sequence`` is, if any; a full expansion's counters are
+    then memoized on the expansion, so they are summed once per distinct
+    program rather than once per run.  Partial prefixes and other sequences
+    are summed directly.
     """
-
-    __slots__ = ("values",)
-
-    def __init__(self) -> None:
-        self.values: array = array("q")
-
-    def __len__(self) -> int:
-        return len(self.values) // ROW_WIDTH
-
-    def clear(self) -> None:
-        """Drop every recorded row."""
-        del self.values[:]
-
-    def rows(self) -> list[tuple[int, ...]]:
-        """All rows as tuples (test/debug helper, not a hot path)."""
-        values = self.values
-        return [
-            tuple(values[index : index + ROW_WIDTH])
-            for index in range(0, len(values), ROW_WIDTH)
-        ]
-
-    # -- pickling: ship the raw buffer, not 6n Python ints ---------------- #
-    def __getstate__(self) -> bytes:
-        return self.values.tobytes()
-
-    def __setstate__(self, state: bytes) -> None:
-        self.values = array("q")
-        self.values.frombytes(state)
-
-
-def reduce_dispatch_log(log: DispatchLog, stats) -> None:
-    """One-shot reduction of the dispatch log into a ``SimulationStats``.
-
-    Fills every per-run, per-thread and per-job counter that used to be
-    incremented per dispatched instruction.  The few counters the engine must
-    keep observable *between* cycles (global/per-thread ``instructions`` for
-    stop conditions, schedulers and instruction limits) stay live during the
-    run; this reduction overwrites them with the identical reduced values.
-
-    Rows of a thread absent from ``stats.threads`` count only globally, and
-    rows recorded before the thread fetched its first job (ordinal ``-1``)
-    never land in a job count.
-    """
-    values = log.values
-    total_rows = len(values) // ROW_WIDTH
-    is_vector = values[2::ROW_WIDTH]
-    elements = values[3::ROW_WIDTH]
-    memtx = values[5::ROW_WIDTH]
-    vector_instructions = sum(is_vector)
-    vector_operations = sum(elements)
-    memory_transactions = sum(memtx)
-    stats.instructions = total_rows
-    stats.decode_busy_cycles = total_rows
-    stats.vector_instructions = vector_instructions
-    stats.scalar_instructions = total_rows - vector_instructions
-    stats.vector_operations = vector_operations
-    stats.vector_arithmetic_operations = sum(values[4::ROW_WIDTH])
-    stats.memory_transactions = memory_transactions
-
-    threads = stats.threads
-    thread_ids = values[0::ROW_WIDTH]
-    ordinals = values[1::ROW_WIDTH]
-    if len(threads) == 1 and thread_ids.count(threads[0].thread_id) == total_rows:
-        # single context: the thread totals are the run totals
-        thread = threads[0]
-        thread.instructions = total_rows
-        thread.vector_instructions = vector_instructions
-        thread.scalar_instructions = total_rows - vector_instructions
-        thread.vector_operations = vector_operations
-        thread.memory_transactions = memory_transactions
-        job_counts = Counter(ordinals)
-        for ordinal, record in enumerate(thread.jobs):
-            record.instructions = job_counts[ordinal]
-        return
-
-    # rows, vector rows, vector elements, memory transactions, job counts
-    per_thread = {thread.thread_id: [0, 0, 0, 0, Counter()] for thread in threads}
-    grouped = Counter(zip(thread_ids, ordinals, is_vector, elements, memtx))
-    for (thread_id, ordinal, vector, operations, transactions), count in grouped.items():
-        bucket = per_thread.get(thread_id)
-        if bucket is None:
-            continue
-        bucket[0] += count
-        bucket[1] += vector * count
-        bucket[2] += operations * count
-        bucket[3] += transactions * count
-        bucket[4][ordinal] += count
-    for thread in threads:
-        rows, vectors, operations, transactions, job_counts = per_thread[thread.thread_id]
-        thread.instructions = rows
-        thread.vector_instructions = vectors
-        thread.scalar_instructions = rows - vectors
-        thread.vector_operations = operations
-        thread.memory_transactions = transactions
-        for ordinal, record in enumerate(thread.jobs):
-            record.instructions = job_counts[ordinal]
+    if executed < len(sequence):
+        return _column_sums(sequence[:executed])
+    if program is None:
+        return _column_sums(sequence)
+    return program.memoized(_FULL_COUNTS_KEY, lambda: _column_sums(sequence))
 
 
 # --------------------------------------------------------------------------- #

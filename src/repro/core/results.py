@@ -78,10 +78,6 @@ class SimulationResult:
             records.extend(thread.jobs)
         return records
 
-    def completed_jobs(self) -> list[JobRecord]:
-        """Only the program executions that ran to completion."""
-        return [record for record in self.jobs() if record.completed]
-
     def fu_state_breakdown(self) -> dict[str, int]:
         """Execution-time breakdown into the eight figure-4 states."""
         return self.stats.fu_state_breakdown()

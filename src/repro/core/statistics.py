@@ -46,15 +46,6 @@ FU_STATE_NAMES: tuple[str, ...] = (
 )
 
 
-def _state_index(fu2_busy: bool, fu1_busy: bool, ld_busy: bool) -> int:
-    return (4 if fu2_busy else 0) + (2 if fu1_busy else 0) + (1 if ld_busy else 0)
-
-
-def state_name(fu2_busy: bool, fu1_busy: bool, ld_busy: bool) -> str:
-    """Human-readable name of one ``(FU2, FU1, LD)`` state."""
-    return FU_STATE_NAMES[_state_index(fu2_busy, fu1_busy, ld_busy)]
-
-
 class IntervalRecorder:
     """Records busy intervals ``[start, end)`` of one functional unit.
 

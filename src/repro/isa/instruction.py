@@ -161,12 +161,6 @@ class Instruction:
         """Non-vector registers among the sources."""
         return self._scalar_srcs
 
-    def vector_registers_touched(self) -> tuple[Register, ...]:
-        """All vector registers read or written by this instruction."""
-        if self.dest is not None and self.dest.cls is RegisterClass.VECTOR:
-            return self._vector_srcs + (self.dest,)
-        return self._vector_srcs
-
     # ------------------------------------------------------------------ #
     # convenience (fast clones: skip __init__ validation, copy the columnar
     # attributes, and only recompute what the changed field influences)

@@ -14,9 +14,9 @@ Timing rules (paper, section 3.1):
 The :class:`MemorySystem` owns the busses (and the optional bank-conflict
 model) and converts a :class:`~repro.memory.request.MemoryRequest` plus an
 earliest start cycle into a :class:`~repro.memory.request.MemoryTiming`.  It
-keeps no per-transaction log: the engine records every memory instruction once,
-in its dispatch log, and the only usage total the memory system carries is
-each bus's running busy-cycle count.
+keeps no per-transaction log: a memory instruction's transactions are a static
+column of the instruction, summed per job by the engine, and the only usage
+total the memory system carries is each bus's running busy-cycle count.
 """
 
 from __future__ import annotations

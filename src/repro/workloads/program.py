@@ -21,7 +21,7 @@ import itertools
 import os
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
@@ -424,17 +424,18 @@ class _Section:
 # structural signature and bounded LRU so a long-lived service cannot
 # accumulate expansions without limit.
 #
-# Each entry also carries a *fingerprint memo*: content digests of the
-# expansion, keyed by the job name they were taken under (see
-# :meth:`Program.fingerprint`).  A digest is a pure function of (name,
-# expansion), so it is computed once per interned expansion and shared by
-# every program bound to it; the memo lives and dies with its entry.
+# Each entry also carries a *memo* of pure functions of the expansion: its
+# content digests, keyed by the job name they were taken under (see
+# :meth:`Program.fingerprint`), and its dispatch counters (see
+# :func:`repro.core.eventlog.prefix_counts`).  Each is computed once per
+# interned expansion and shared by every program bound to it; the memo lives
+# and dies with its entry and holds no reference to the expansion.
 
 #: Upper bound on retained expansions (each can be ~10⁵ instructions).
 _INTERN_MAX_ENTRIES = 32
 
 _intern_lock = threading.Lock()
-_interned_expansions: "OrderedDict[tuple, tuple[tuple[Instruction, ...], dict[str, str]]]" = (
+_interned_expansions: "OrderedDict[tuple, tuple[tuple[Instruction, ...], dict]]" = (
     OrderedDict()
 )
 _intern_hits = 0
@@ -454,7 +455,7 @@ os.register_at_fork(after_in_child=_reset_intern_lock_in_child)
 
 
 def clear_expansion_intern() -> None:
-    """Drop every interned expansion (and its fingerprint memo) and reset the counters."""
+    """Drop every interned expansion (and its memo) and reset the counters."""
     global _intern_hits, _intern_misses, _fingerprint_hits, _fingerprint_misses
     with _intern_lock:
         _interned_expansions.clear()
@@ -476,7 +477,7 @@ def expansion_intern_info() -> dict:
         }
 
 
-def _intern_lookup(key: tuple) -> "tuple[tuple[Instruction, ...], dict[str, str]] | None":
+def _intern_lookup(key: tuple) -> "tuple[tuple[Instruction, ...], dict] | None":
     global _intern_hits
     with _intern_lock:
         entry = _interned_expansions.get(key)
@@ -488,12 +489,12 @@ def _intern_lookup(key: tuple) -> "tuple[tuple[Instruction, ...], dict[str, str]
 
 def _intern_store(
     key: tuple, expansion: "tuple[Instruction, ...]"
-) -> "tuple[tuple[Instruction, ...], dict[str, str]]":
+) -> "tuple[tuple[Instruction, ...], dict]":
     """Intern ``expansion`` under ``key``; returns the entry to bind.
 
     When another thread interned the same key while this one was expanding,
     its entry wins, so concurrent builders still end up sharing one
-    expansion and one fingerprint memo.
+    expansion and one memo.
     """
     global _intern_misses
     with _intern_lock:
@@ -534,9 +535,9 @@ class Program:
         self._loops: list[LoopNest] = []
         self._sections: list[_Section] | None = None
         self._expanded: tuple[Instruction, ...] | None = None
-        #: Fingerprint memo bound together with ``_expanded`` (shared with
-        #: the intern entry when the expansion is interned).
-        self._fingerprints: dict[str, str] | None = None
+        #: Memo of pure functions of ``_expanded``, bound together with it
+        #: (shared with the intern entry when the expansion is interned).
+        self._memo: dict | None = None
 
     # ------------------------------------------------------------------ #
     def add_loop(self, loop: LoopNest) -> "Program":
@@ -544,7 +545,7 @@ class Program:
         self._loops.append(loop)
         self._sections = None
         self._expanded = None
-        self._fingerprints = None
+        self._memo = None
         return self
 
     @property
@@ -640,12 +641,12 @@ class Program:
             self._schedule()
             key = self._intern_key()
             if key is None:
-                self._expanded, self._fingerprints = self._expand(), {}
+                self._expanded, self._memo = self._expand(), {}
             else:
                 entry = _intern_lookup(key)
                 if entry is None:
                     entry = _intern_store(key, self._expand())
-                self._expanded, self._fingerprints = entry
+                self._expanded, self._memo = entry
         return self._expanded
 
     def fingerprint(self, name: str, compute: Callable[[], str]) -> str:
@@ -657,14 +658,24 @@ class Program:
         their expansion stays interned.
         """
         self.expanded()
-        memo = self._fingerprints
-        # no lock across the O(n) hash: threads missing together compute
-        # the same digest, so the racing memo writes are idempotent
-        digest = memo.get(name)
-        _count_fingerprint(digest is not None)
-        if digest is None:
-            digest = memo[name] = compute()
-        return digest
+        key = ("fingerprint", name)
+        _count_fingerprint(key in self._memo)
+        return self.memoized(key, compute)
+
+    def memoized(self, key: Hashable, compute: Callable[[], object]):
+        """``compute()``, a pure function of this expansion, memoized under ``key``.
+
+        The memo is bound to the expansion, so it is shared by structurally
+        identical programs and dropped with the interned expansion.
+        """
+        self.expanded()
+        memo = self._memo
+        # no lock across the O(n) computation: threads missing together
+        # compute the same value, so the racing memo writes are idempotent
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute()
+        return value
 
     def instructions(self) -> Iterator[Instruction]:
         """Iterator over :meth:`expanded` (the job stream-factory protocol)."""
@@ -672,11 +683,11 @@ class Program:
 
     def __getstate__(self) -> dict:
         # The memoized expansion can be large and is cheap to rebuild; drop
-        # it (and the fingerprint memo bound to it) when a program is
-        # pickled into batch worker processes.
+        # it (and the memo bound to it) when a program is pickled into batch
+        # worker processes.
         state = self.__dict__.copy()
         state["_expanded"] = None
-        state["_fingerprints"] = None
+        state["_memo"] = None
         return state
 
     def iter_block_ids(self) -> Iterator[int]:

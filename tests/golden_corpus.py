@@ -210,13 +210,12 @@ def instrument_fast_engine(engine: SimulationEngine) -> list:
     The run loops hoist ``dispatch_model.execute`` once at entry, so
     installing an instance attribute before ``run`` intercepts every
     dispatch.  The wrapper keeps ``execute``'s return value (the completion
-    cycle) and reads the two counter columns from the dispatch-log row that
-    the call just appended.
+    cycle) and reads the two counter columns from the instruction's static
+    columns, which the engine sums over each job's executed prefix.
     """
     rows: list = []
     model = engine.dispatch_model
     original_execute = model.execute
-    log_values = model.dispatch_log.values
 
     def execute(context, instruction, now):
         completion = original_execute(context, instruction, now)
@@ -226,8 +225,8 @@ def instrument_fast_engine(engine: SimulationEngine) -> list:
                 instruction,
                 now,
                 completion,
-                log_values[-2],
-                log_values[-1],
+                instruction.vector_operations,
+                instruction.memory_transactions,
             )
         )
         return completion

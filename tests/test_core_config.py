@@ -42,14 +42,12 @@ class TestMachineConfig:
         assert config.num_contexts == 1
         assert config.memory_latency == 50
         assert config.read_crossbar_latency == 2
-        assert not config.is_multithreaded
         assert not config.dual_scalar
 
     def test_multithreaded_constructor(self):
         config = MachineConfig.multithreaded(3, memory_latency=70)
         assert config.num_contexts == 3
         assert config.memory_latency == 70
-        assert config.is_multithreaded
         assert config.name == "multithreaded-3"
 
     def test_dual_scalar_constructor(self):
@@ -93,11 +91,19 @@ class TestMachineConfig:
 
     def test_register_file_size_grows_with_contexts(self):
         """4 contexts imply 4096 64-bit registers = 32 KB of vector state (section 3)."""
+        def register_file_bits(config):
+            return (
+                config.num_contexts
+                * config.num_vector_registers
+                * config.max_vector_length
+                * 64
+            )
+
         four = MachineConfig.multithreaded(4)
-        assert four.total_vector_register_bits == 4 * 8 * 128 * 64
-        assert four.total_vector_register_bits // 8 == 32 * 1024
+        assert register_file_bits(four) == 4 * 8 * 128 * 64
+        assert register_file_bits(four) // 8 == 32 * 1024
         one = MachineConfig.reference()
-        assert four.total_vector_register_bits == 4 * one.total_vector_register_bits
+        assert register_file_bits(four) == 4 * register_file_bits(one)
 
     def test_configs_are_immutable(self):
         config = MachineConfig.reference()

@@ -7,7 +7,6 @@ import pytest
 from repro.core.config import LatencyTable, MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.dispatch import DispatchModel
-from repro.core.eventlog import DISPATCH_FIELDS
 from repro.core.functional_units import VectorUnitPool
 from repro.core.suppliers import Job, SingleJobSupplier
 from repro.isa.builder import (
@@ -41,11 +40,6 @@ def make_model(latency=50, **config_overrides):
     return model, context, pool, memory, config
 
 
-def last_row(model):
-    """The dispatch-log row of the most recent dispatch, keyed by column name."""
-    return dict(zip(DISPATCH_FIELDS, model.dispatch_log.rows()[-1]))
-
-
 class TestScalarTiming:
     def test_scalar_alu_latency(self):
         model, context, _, _, config = make_model()
@@ -61,8 +55,9 @@ class TestScalarTiming:
 
     def test_scalar_load_pays_memory_latency(self):
         model, context, _, memory, _ = make_model(latency=40)
-        model.execute(context, scalar_load(S(0), address=0x10), now=5)
-        assert last_row(model)["memory_transactions"] == 1
+        load = scalar_load(S(0), address=0x10)
+        model.execute(context, load, now=5)
+        assert load.memory_transactions == 1
         assert context.scoreboard.state(S(0)).ready_at >= 5 + 40
         assert memory.address_port_busy_cycles == 1
 
@@ -74,8 +69,9 @@ class TestScalarTiming:
 
     def test_branch_has_no_memory_side_effects(self):
         model, context, _, memory, _ = make_model()
-        model.execute(context, branch(S(1)), now=0)
-        assert last_row(model)["memory_transactions"] == 0
+        instruction = branch(S(1))
+        model.execute(context, instruction, now=0)
+        assert instruction.memory_transactions == 0
         assert memory.address_port_busy_cycles == 0
 
 
@@ -94,7 +90,7 @@ class TestVectorArithmeticTiming:
         assert state.first_element_at == expected_first
         assert state.ready_at == expected_first + 64
         assert state.chainable is True
-        assert last_row(model)["vector_arithmetic_ops"] == 64
+        assert instruction.vector_operations == 64
 
     def test_unit_occupied_for_vl_cycles(self):
         model, context, pool, _, config = make_model()
@@ -150,8 +146,9 @@ class TestVectorMemoryTiming:
 
     def test_load_occupies_port_for_vl_cycles(self):
         model, context, pool, memory, _ = make_model()
-        completion = model.execute(context, vload(V(0), vl=77, address=0x100), now=0)
-        assert last_row(model)["memory_transactions"] == 77
+        load = vload(V(0), vl=77, address=0x100)
+        completion = model.execute(context, load, now=0)
+        assert load.memory_transactions == 77
         assert memory.address_port_busy_cycles == 77
         # the LD unit is free again once the addresses have been streamed
         assert pool.load_store.free_at < completion

@@ -30,7 +30,7 @@ class TestDualScalarMachine:
         result = Machine.from_config(MachineConfig.dual_scalar_fujitsu(50)).run_queue(
             programs
         )
-        assert len(result.completed_jobs()) == 3
+        assert len([job for job in result.jobs() if job.completed]) == 3
 
     def test_dual_scalar_beats_multithreading_at_low_latency(self, tiny_suite):
         """At low latency two scalar units give the Fujitsu machine a small edge (section 9)."""

@@ -221,9 +221,9 @@ class TestEngineLifetime:
     def test_run_leaves_no_reference_cycles(self, triad_program, profiled):
         """A dropped engine is freed by reference counting alone.
 
-        A cycle through the engine would keep every run's dispatch log alive
-        until the cyclic collector runs, which inflates peak memory over a
-        pass of hundreds of runs.
+        A cycle through the engine would keep every run's interval buffers
+        and scoreboards alive until the cyclic collector runs, which inflates
+        peak memory over a pass of hundreds of runs.
         """
         job = Job.from_program(triad_program)
         gc.collect()

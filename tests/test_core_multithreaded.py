@@ -66,7 +66,7 @@ class TestRunJobQueue:
         programs = [tiny_suite[name] for name in ("flo52", "swm256", "dyfesm")]
         machine = Machine.from_config(MachineConfig.multithreaded(2, 50))
         result = machine.run_queue(programs)
-        completed = result.completed_jobs()
+        completed = [job for job in result.jobs() if job.completed]
         assert sorted(job.program for job in completed) == sorted(p.name for p in programs)
         assert result.stop_reason == "completed"
 

@@ -42,7 +42,7 @@ class TestSimulationResult:
     def test_job_listing(self):
         result = self.make_result()
         assert len(result.jobs()) == 2
-        assert [job.program for job in result.completed_jobs()] == ["a"]
+        assert [job.program for job in result.jobs() if job.completed] == ["a"]
 
     def test_summary_keys(self):
         summary = self.make_result().summary()

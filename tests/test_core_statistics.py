@@ -13,7 +13,6 @@ from repro.core.statistics import (
     SimulationStats,
     ThreadStats,
     fu_state_breakdown,
-    state_name,
 )
 from repro.errors import SimulationError
 
@@ -105,9 +104,10 @@ class TestFuStateBreakdown:
         assert all(value == 0 for value in breakdown.values())
 
     def test_state_names(self):
-        assert state_name(False, False, False) == "( , , )"
-        assert state_name(True, True, True) == "(FU2,FU1,LD)"
-        assert state_name(False, True, False) == "( ,FU1, )"
+        # indexed by the busy bits FU2=4, FU1=2, LD=1
+        assert FU_STATE_NAMES[0] == "( , , )"
+        assert FU_STATE_NAMES[7] == "(FU2,FU1,LD)"
+        assert FU_STATE_NAMES[2] == "( ,FU1, )"
         assert len(FU_STATE_NAMES) == 8
 
     @given(

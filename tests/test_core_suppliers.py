@@ -96,21 +96,15 @@ class TestHardwareContext:
 
     def test_job_records_track_boundaries(self):
         context = HardwareContext(0, JobQueueSupplier([tiny_job("a", 2), tiny_job("b", 1)]))
-        ordinals = []
         while True:
             head = context.head(now=context.stats.instructions)
             if head is None:
                 break
-            ordinals.append(context.job_ordinal)
             context.consume(head)
         assert [record.program for record in context.stats.jobs] == ["a", "b"]
         assert all(record.completed for record in context.stats.jobs)
-        # per-job instruction counts are reduced from the columnar dispatch
-        # log at engine finalization; the context exposes the job ordinal the
-        # log records per dispatch
-        assert ordinals == [0, 0, 1]
 
-    def test_job_instruction_counts_reduced_from_event_log(self):
+    def test_job_instruction_counts_are_executed_prefixes(self):
         from repro.core.config import MachineConfig
         from repro.core.engine import SimulationEngine
 
@@ -140,9 +134,9 @@ class TestHardwareContext:
         assert not context.stats.jobs[0].completed
 
     def test_statistics_accumulate_by_kind(self, triad_program):
-        # per-kind counters are reduced from the columnar dispatch log when a
-        # run finalizes; only the live `instructions` counter (instruction
-        # limits, least-service scheduling) accumulates during the run
+        # per-kind counters are summed over each job's executed prefix when
+        # the job closes; only the live `instructions` counter (instruction
+        # limits, least-service scheduling) accumulates per dispatch
         from repro.core.config import MachineConfig
         from repro.core.engine import SimulationEngine
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MachineConfig
-from repro.core.engine import SimulationEngine
+from repro.core.engine import DEFAULT_MAX_CYCLES, SimulationEngine
 from repro.core.results import SimulationResult
 from repro.core.suppliers import (
     Job,
@@ -146,6 +146,7 @@ def run_both(
     *,
     instruction_limits=None,
     stop_after_context0: bool = False,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> tuple[SimulationResult, SimulationResult]:
     """Run the optimized and the seed engine on identical fresh suppliers.
 
@@ -158,13 +159,16 @@ def run_both(
     seed_engine = SeedEngine(
         config, make_suppliers(), instruction_limits=instruction_limits
     )
-    fast_result = fast_engine.run(stop_after_context0=stop_after_context0)
+    fast_result = fast_engine.run(
+        stop_after_context0=stop_after_context0, max_cycles=max_cycles
+    )
     seed_result = seed_engine.run(
         stop_when=(
             (lambda engine: engine.contexts[0].completed_programs >= 1)
             if stop_after_context0
             else None
-        )
+        ),
+        max_cycles=max_cycles,
     )
     return fast_result, seed_result
 
@@ -632,4 +636,59 @@ class TestMaxCyclesInsideBlockedWindow:
         assert fast.cycles == 100
         assert fast.stats.decode_idle_cycles == 96
         assert engine.clamp_rescans == 1
+        assert_cycle_identical(fast, seed)
+
+
+# --------------------------------------------------------------------------- #
+# a max_cycles limit anywhere inside the run
+# --------------------------------------------------------------------------- #
+CUT_MACHINES = {
+    "multithreaded-3": MachineConfig.multithreaded(3, 50),
+    "dual-scalar": MachineConfig.dual_scalar_fujitsu(50),
+    "cray-style": MachineConfig.cray_style(3, 50, issue_width=2),
+}
+
+
+class TestMaxCyclesCutEquivalence:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        machine=st.sampled_from(sorted(CUT_MACHINES)),
+        grouped=st.booleans(),
+        seed_vl=st.sampled_from([8, 64]),
+        cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_runs_cut_at_max_cycles_are_cycle_identical(
+        self, machine, grouped, seed_vl, cut
+    ):
+        """A run cut inside its length, by every multi-context run loop.
+
+        The cut leaves jobs open, some with a fetched head still pending, so
+        each job's counters come from an executed prefix shorter than its
+        sequence.
+        """
+        config = CUT_MACHINES[machine]
+        jobs = _make_jobs(sorted(kernel_names())[:4], seed_vl)
+
+        def make_suppliers() -> list[JobSupplier]:
+            if grouped:
+                suppliers: list[JobSupplier] = [SingleJobSupplier(jobs[0])]
+                suppliers.extend(
+                    RepeatingSupplier(job)
+                    for job in jobs[1 : config.num_contexts]
+                )
+                return suppliers
+            queue = JobQueueSupplier(jobs)
+            return [queue] * config.num_contexts
+
+        full = SimulationEngine(config, make_suppliers()).run(
+            stop_after_context0=grouped
+        )
+        max_cycles = 1 + int(cut * (full.cycles - 1))
+        fast, seed = run_both(
+            config,
+            make_suppliers,
+            stop_after_context0=grouped,
+            max_cycles=max_cycles,
+        )
+        assert (fast.stop_reason, fast.cycles) == ("max-cycles", max_cycles)
         assert_cycle_identical(fast, seed)

@@ -1,13 +1,8 @@
-"""Unit and property tests for the columnar event-log statistics pipeline.
+"""Unit and property tests for the columnar statistics pipeline.
 
-Covers the flat-array recording structures (:class:`DispatchLog`,
-:class:`FlatIntervalRecorder`) and the one-shot reductions that turn them into
-``SimulationStats``/``ThreadStats``/``JobRecord`` values.  Hypothesis
-round-trip properties check the strided reduction against a naive per-row
-loop and against a straightforward per-kind reference accounting, on
-single-context logs (the reduction's fast path) and multi-context logs (its
-grouped path), including rows recorded before any job was fetched (ordinal
-``-1``) and rows for threads missing from ``stats.threads``.
+Covers the executed-prefix counters (:func:`prefix_counts`), checked against
+a per-dispatch accounting by dispatch path, and the flat-array interval
+recorder (:class:`FlatIntervalRecorder`) with the figure-4 sweep over it.
 """
 
 from __future__ import annotations
@@ -24,21 +19,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.eventlog import (
-    DISPATCH_FIELDS,
-    DispatchLog,
     FlatIntervalRecorder,
     merge_interval_pairs,
-    reduce_dispatch_log,
+    prefix_counts,
 )
-from repro.core.statistics import (
-    FU_STATE_NAMES,
-    IntervalRecorder,
-    JobRecord,
-    SimulationStats,
-    ThreadStats,
-    fu_state_breakdown,
-)
+from repro.core.statistics import FU_STATE_NAMES, IntervalRecorder, fu_state_breakdown
 from repro.errors import SimulationError
+from repro.isa.builder import (
+    nop,
+    scalar_load,
+    scalar_op,
+    scalar_store,
+    vadd,
+    vload,
+    vreduce,
+    vsetvl,
+    vstore,
+)
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import A, S, V
 from repro.memory.bus import Bus
 from repro.memory.request import AccessKind, MemoryRequest
 from repro.memory.system import MemorySystem
@@ -47,223 +46,81 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 # --------------------------------------------------------------------------- #
-# dispatch-log reduction
+# executed-prefix counters
 # --------------------------------------------------------------------------- #
-#: One synthetic dispatch row: (thread, job ordinal, kind, vl).  Thread 4 is
-#: never in ``stats.threads``; ordinal -1 is a row recorded before the
-#: thread fetched its first job.
-row_strategy = st.tuples(
-    st.integers(min_value=0, max_value=4),  # thread_id
-    st.integers(min_value=-1, max_value=2),  # job_ordinal
-    st.sampled_from(["scalar", "scalar_mem", "varith", "vmem"]),
-    st.integers(min_value=1, max_value=128),  # vl when vector
+#: One instruction of every dispatch path: scalar unit, vector control (a
+#: vector op that dispatches on the scalar path), scalar memory, vector
+#: arithmetic and vector memory.
+instruction_strategy = st.one_of(
+    st.just(nop()),
+    st.just(scalar_op(Opcode.ADD_S, S(0), S(1), S(2))),
+    st.integers(1, 128).map(lambda value: vsetvl(S(0), value)),
+    st.just(scalar_load(S(1), address=0x10)),
+    st.just(scalar_store(S(1), A(1), address=0x18)),
+    st.integers(1, 128).map(lambda vl: vadd(V(2), V(0), V(1), vl=vl)),
+    st.integers(1, 128).map(lambda vl: vreduce(S(3), V(0), vl=vl)),
+    st.integers(1, 128).map(lambda vl: vload(V(0), vl=vl, address=0x100)),
+    st.integers(1, 128).map(lambda vl: vstore(V(1), A(1), vl=vl, address=0x200)),
 )
 
 
-def build_log(rows, num_threads: int = 4, jobs_per_thread: int = 3):
-    """A (DispatchLog, SimulationStats) pair mirroring engine recording."""
-    log = DispatchLog()
-    extend = log.values.extend
-    for thread_id, job_ordinal, kind, vl in rows:
-        if kind == "scalar":
-            extend((thread_id, job_ordinal, 0, 0, 0, 0))
-        elif kind == "scalar_mem":
-            extend((thread_id, job_ordinal, 0, 0, 0, 1))
-        elif kind == "varith":
-            extend((thread_id, job_ordinal, 1, vl, vl, 0))
-        else:  # vector memory
-            extend((thread_id, job_ordinal, 1, vl, 0, vl))
-    threads = []
-    for thread_id in range(num_threads):
-        thread = ThreadStats(thread_id=thread_id)
-        thread.jobs = [
-            JobRecord(program=f"job-{ordinal}", thread_id=thread_id, start_cycle=0)
-            for ordinal in range(jobs_per_thread)
-        ]
-        threads.append(thread)
-    return log, SimulationStats(threads=threads)
+def reference_counts(instructions) -> tuple[int, int, int, int]:
+    """Per-dispatch accounting by dispatch path, as the seed engine did it."""
+    vector = elements = arithmetic = transactions = 0
+    for instruction in instructions:
+        if instruction.is_vector_arithmetic:
+            vector += 1
+            elements += instruction.vl
+            arithmetic += instruction.vl
+        elif instruction.is_vector_memory:
+            vector += 1
+            elements += instruction.vl
+            transactions += instruction.vl
+        elif instruction.is_memory:
+            transactions += 1
+    return vector, elements, arithmetic, transactions
 
 
-def naive_reduction(log: DispatchLog, stats: SimulationStats) -> None:
-    """The reduction as a plain loop over :meth:`DispatchLog.rows`."""
-    rows = log.rows()
-    stats.instructions = stats.decode_busy_cycles = len(rows)
-    stats.vector_instructions = sum(row[2] for row in rows)
-    stats.scalar_instructions = len(rows) - stats.vector_instructions
-    stats.vector_operations = sum(row[3] for row in rows)
-    stats.vector_arithmetic_operations = sum(row[4] for row in rows)
-    stats.memory_transactions = sum(row[5] for row in rows)
-    for thread in stats.threads:
-        own = [row for row in rows if row[0] == thread.thread_id]
-        thread.instructions = len(own)
-        thread.vector_instructions = sum(row[2] for row in own)
-        thread.scalar_instructions = len(own) - thread.vector_instructions
-        thread.vector_operations = sum(row[3] for row in own)
-        thread.memory_transactions = sum(row[5] for row in own)
-        jobs = Counter(row[1] for row in own)
-        for ordinal, record in enumerate(thread.jobs):
-            record.instructions = jobs[ordinal]
+class TestPrefixCounts:
+    def test_full_partial_and_empty_prefix(self):
+        sequence = (
+            nop(),
+            scalar_load(S(1), address=0x10),
+            vadd(V(2), V(0), V(1), vl=8),
+            vsetvl(S(0), 64),
+            vload(V(0), vl=16, address=0x100),
+        )
+        assert prefix_counts(sequence, 5) == (2, 24, 8, 17)
+        assert prefix_counts(sequence, 3) == (1, 8, 8, 1)
+        assert prefix_counts(sequence, 0) == (0, 0, 0, 0)
+        assert prefix_counts((), 0) == (0, 0, 0, 0)
 
-
-def blank_thread(jobs_per_thread: int) -> dict:
-    return {
-        "instructions": 0,
-        "scalar_instructions": 0,
-        "vector_instructions": 0,
-        "vector_operations": 0,
-        "memory_transactions": 0,
-        "jobs": [0] * jobs_per_thread,
-    }
-
-
-def reference_accounting(rows, num_threads: int = 4, jobs_per_thread: int = 3):
-    """Per-row object mutation, exactly as the pre-columnar engine did it."""
-    stats = {
-        "instructions": 0,
-        "scalar_instructions": 0,
-        "vector_instructions": 0,
-        "vector_operations": 0,
-        "vector_arithmetic_operations": 0,
-        "memory_transactions": 0,
-        "decode_busy_cycles": 0,
-    }
-    threads = {
-        thread_id: blank_thread(jobs_per_thread) for thread_id in range(num_threads)
-    }
-    for thread_id, job_ordinal, kind, vl in rows:
-        stats["instructions"] += 1
-        stats["decode_busy_cycles"] += 1
-        # rows of unknown threads count only globally
-        thread = threads.get(thread_id) or blank_thread(jobs_per_thread)
-        thread["instructions"] += 1
-        if job_ordinal >= 0:  # pre-job rows land in no job record
-            thread["jobs"][job_ordinal] += 1
-        if kind in ("varith", "vmem"):
-            stats["vector_instructions"] += 1
-            stats["vector_operations"] += vl
-            thread["vector_instructions"] += 1
-            thread["vector_operations"] += vl
-            if kind == "varith":
-                stats["vector_arithmetic_operations"] += vl
-            else:
-                stats["memory_transactions"] += vl
-                thread["memory_transactions"] += vl
-        else:
-            stats["scalar_instructions"] += 1
-            thread["scalar_instructions"] += 1
-            if kind == "scalar_mem":
-                stats["memory_transactions"] += 1
-                thread["memory_transactions"] += 1
-    return stats, threads
-
-
-def snapshot(stats: SimulationStats):
-    """Comparable snapshot of every reduced counter."""
-    return (
-        {key: value for key, value in stats.counters().items() if key != "cycles"},
-        [
-            (
-                thread.thread_id,
-                thread.instructions,
-                thread.scalar_instructions,
-                thread.vector_instructions,
-                thread.vector_operations,
-                thread.memory_transactions,
-                tuple(record.instructions for record in thread.jobs),
-            )
-            for thread in stats.threads
-        ],
-    )
-
-
-def reduce_both(rows, num_threads: int):
-    """Snapshots of the reduction and of the naive row loop on one log."""
-    log, stats = build_log(rows, num_threads)
-    reduce_dispatch_log(log, stats)
-    naive_log, naive_stats = build_log(rows, num_threads)
-    naive_reduction(naive_log, naive_stats)
-    return snapshot(stats), snapshot(naive_stats)
-
-
-class TestDispatchLogReduction:
-    def test_row_shape(self):
-        log, stats = build_log([(0, 0, "varith", 8), (1, 1, "scalar", 1)])
-        assert len(log) == 2
-        assert log.rows()[0] == (0, 0, 1, 8, 8, 0)
-        assert len(DISPATCH_FIELDS) == 6
-
-    def test_empty_log_zeroes_everything(self):
-        log, stats = build_log([])
-        stats.vector_instructions = 99  # stale garbage the reduction must clear
-        reduce_dispatch_log(log, stats)
-        assert stats.instructions == 0
-        assert stats.vector_instructions == 0
-        assert all(thread.instructions == 0 for thread in stats.threads)
-
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        rows=st.lists(row_strategy, min_size=0, max_size=120),
-        num_threads=st.sampled_from([1, 4]),
+        instructions=st.lists(instruction_strategy, max_size=40),
+        cut=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_roundtrip_matches_reference_accounting_on_both_paths(
-        self, rows, num_threads
-    ):
-        """Single- and multi-context logs reduce like the naive row loop."""
-        if num_threads == 1:
-            # mostly thread-0 logs, so the single-context fast path fires
-            rows = [(0, *row[1:]) if row[0] < 4 else row for row in rows]
-        reduced, naive = reduce_both(rows, num_threads)
-        assert reduced == naive
-        expected_stats, expected_threads = reference_accounting(rows, num_threads)
-        counters, threads = reduced
-        for key, value in expected_stats.items():
-            assert counters[key] == value, key
-        for (
-            thread_id,
-            instructions,
-            scalar,
-            vector,
-            operations,
-            transactions,
-            job_counts,
-        ) in threads:
-            expected = expected_threads[thread_id]
-            assert instructions == expected["instructions"]
-            assert scalar == expected["scalar_instructions"]
-            assert vector == expected["vector_instructions"]
-            assert operations == expected["vector_operations"]
-            assert transactions == expected["memory_transactions"]
-            assert list(job_counts) == expected["jobs"]
+    def test_matches_per_dispatch_accounting(self, instructions, cut):
+        sequence = tuple(instructions)
+        executed = int(len(sequence) * cut)
+        assert prefix_counts(sequence, executed) == reference_counts(
+            sequence[:executed]
+        )
 
-    def test_paths_agree_outside_the_engine_happy_path(self):
-        """Unknown threads and pre-job rows reduce like the naive row loop.
-
-        Rows whose thread is absent from ``stats.threads`` count only
-        globally; rows recorded before any job was fetched (ordinal -1)
-        never land in a job count.  Checked on a one-thread log, where the
-        unknown row forces the grouped path, and on a clean one-thread log,
-        which takes the single-context fast path.
-        """
-        rows = [(1, 0, "varith", 8), (0, -1, "scalar_mem", 1)]
-        reduced, naive = reduce_both(rows, num_threads=1)
-        assert reduced == naive
-        counters, threads = reduced
-        assert counters["instructions"] == 2
-        assert counters["vector_operations"] == 8
-        assert threads[0][1] == 1  # only the known thread's row counted
-        assert threads[0][-1] == (0, 0, 0)  # the pre-job row hit no job record
-        clean = [(0, -1, "scalar", 1), (0, 0, "vmem", 4), (0, 2, "varith", 2)]
-        reduced, naive = reduce_both(clean, num_threads=1)
-        assert reduced == naive
-        assert reduced[1][0][-1] == (1, 0, 1)
-
-    def test_pickle_roundtrip_is_compact_bytes(self):
-        log, _ = build_log([(0, 0, "varith", 16)] * 100)
-        payload = pickle.dumps(log)
-        clone = pickle.loads(payload)
-        assert clone.rows() == log.rows()
-        # 6 int64 per row plus framing — far from 6 pickled Python ints/row
-        assert len(payload) < 100 * 6 * 8 + 200
+    def test_full_expansion_is_memoized_on_the_expansion(self, triad_program):
+        sequence = triad_program.expanded()
+        counts = prefix_counts(sequence, len(sequence), triad_program)
+        assert counts == reference_counts(sequence)
+        # a structurally identical program shares the interned expansion,
+        # and with it the memoized totals
+        rebuilt = pickle.loads(pickle.dumps(triad_program))
+        assert rebuilt.expanded() is sequence
+        assert prefix_counts(sequence, len(sequence), rebuilt) is counts
+        # a partial prefix is summed directly, not memoized
+        half = len(sequence) // 2
+        assert prefix_counts(sequence, half, triad_program) == reference_counts(
+            sequence[:half]
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -40,6 +40,59 @@ TOMCATV_JOB = {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "s
 FOUR_MODELS = ("reference", "multithreaded-2", "dual-scalar", "ideal")
 
 
+def start_serve(tmp_path) -> tuple[subprocess.Popen, str]:
+    """A real ``serve --workers 2`` subprocess on a free port, and its URL."""
+    log_path = tmp_path / "serve.log"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    with open(log_path, "w") as log:
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "2", "--store-dir", str(tmp_path / "store")],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True,  # the server and its pool form one group
+        )
+    url = None
+    deadline = time.monotonic() + 60.0
+    try:
+        while url is None:
+            assert serve.poll() is None, log_path.read_text()
+            assert time.monotonic() < deadline, "serve never logged its URL"
+            time.sleep(0.05)
+            found = re.search(r"serving on (http://\S+)", log_path.read_text())
+            url = found.group(1) if found else None
+    except BaseException:
+        serve.kill()
+        serve.wait()
+        raise
+    return serve, url
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """The ``/proc/<pid>/stat`` fields after the command name, or ``None``."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def child_pids(parent: int) -> list[int]:
+    """Pids whose parent is ``parent``, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _proc_stat(int(entry))
+            if fields is not None and int(fields[1]) == parent:
+                children.append(int(entry))
+    return children
+
+
+def is_running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie waiting to be reaped."""
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("service-store"))
@@ -274,24 +327,8 @@ class TestServerLifecycle:
         # a real `serve` whose pool forked after the port was bound: once
         # the server is SIGKILLed, its surviving workers must not keep the
         # port accepting connections nobody will answer
-        log_path = tmp_path / "serve.log"
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-        with open(log_path, "w") as log:
-            serve = subprocess.Popen(
-                [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-                 "--workers", "2", "--store-dir", str(tmp_path / "store")],
-                env=env, stdout=log, stderr=subprocess.STDOUT,
-                start_new_session=True,  # the server and its pool form one group
-            )
+        serve, url = start_serve(tmp_path)
         try:
-            url = None
-            deadline = time.monotonic() + 60.0
-            while url is None:
-                assert serve.poll() is None, log_path.read_text()
-                assert time.monotonic() < deadline, "serve never logged its URL"
-                time.sleep(0.05)
-                found = re.search(r"serving on (http://\S+)", log_path.read_text())
-                url = found.group(1) if found else None
             ServiceClient(url).submit(
                 "reference", {"benchmark": "tomcatv", "scale": SCALE}
             ).wait(timeout=120.0)
@@ -303,10 +340,37 @@ class TestServerLifecycle:
         finally:
             serve.kill()
             serve.wait()
-            try:  # the pool workers outlive a SIGKILLed server
+            try:  # in case a pool worker outlived the SIGKILLed server
                 os.killpg(serve.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+    def test_sigkilled_serve_takes_its_pool_workers_along(self, tmp_path):
+        # each pool worker watches its parent pid and exits once the
+        # server is gone, instead of living on re-parented to init
+        serve, url = start_serve(tmp_path)
+        workers: list[int] = []
+        try:
+            ServiceClient(url).submit(
+                "reference", {"benchmark": "tomcatv", "scale": SCALE}
+            ).wait(timeout=120.0)
+            workers = child_pids(serve.pid)
+            assert workers, "the server forked no pool workers"
+            serve.kill()
+            serve.wait()
+            deadline = time.monotonic() + 10.0
+            while any(map(is_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            survivors = [pid for pid in workers if is_running(pid)]
+            assert not survivors, f"pool workers outlived their server: {survivors}"
+        finally:
+            serve.kill()
+            serve.wait()
+            for pid in filter(is_running, workers):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestLongPoll:

@@ -66,7 +66,8 @@ class TestKernelBodies:
         body = kernel.build(make_context(vregs=[V(i) for i in range(8)]))
         used = set()
         for instruction in body:
-            used.update(instruction.vector_registers_touched())
+            used.update(instruction.vector_sources())
+            used.update(r for r in instruction.writes() if r.is_vector)
         assert len(used) <= kernel.vector_registers
 
     def test_memory_fraction_in_expected_band(self):

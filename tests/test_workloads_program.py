@@ -92,7 +92,8 @@ class TestVectorLoopNest:
         def touched(body):
             registers = set()
             for instruction in body:
-                registers.update(instruction.vector_registers_touched())
+                registers.update(instruction.vector_sources())
+                registers.update(r for r in instruction.writes() if r.is_vector)
             return registers
         assert not (touched(variants[0]) & touched(variants[1]))
 
