@@ -304,8 +304,9 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     reductions, scalar ops spread over all four register banks) against one
     scoreboard, performing per dispatched instruction exactly what the
     dispatch layer does: one ``earliest_dispatch`` probe, a ``chain_start``
-    for vector consumers, a ``record_read`` per source and a
-    ``record_write`` for the destination.
+    for vector consumers, and one ``record_dispatch`` with the read ends,
+    write times and chainability of the instruction's ``DispatchModel``
+    path (scalar unit, scalar memory, vector arithmetic, vector memory).
     """
     from repro.core.scoreboard import ColumnarScoreboard
     from repro.isa.builder import (
@@ -345,14 +346,22 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
                 if instruction.vector_src_keys:
                     board.chain_start(instruction, earliest + 1)
                 read_end = earliest + instruction.element_count
-                for source in instruction.srcs:
-                    board.record_read(source, earliest, read_end)
-                if instruction.dest is not None:
-                    board.record_write(
-                        instruction.dest,
-                        first_element_at=earliest + 5,
-                        ready_at=read_end + 5,
-                        chainable=not instruction.is_load,
+                if instruction.is_vector_memory:
+                    # loads do not chain; stores have no destination
+                    board.record_dispatch(
+                        instruction, read_end, earliest + 1, earliest + 5, read_end + 5, False
+                    )
+                elif instruction.is_vector_arithmetic:
+                    # a reduction's scalar result lands once all elements are done
+                    first = earliest + 5 if instruction.dest_bank >= 0 else read_end + 5
+                    board.record_dispatch(
+                        instruction, read_end, earliest + 1, first, read_end + 5, True
+                    )
+                else:
+                    # scalar unit and scalar memory: every read ends next cycle
+                    ready = earliest + 5
+                    board.record_dispatch(
+                        instruction, earliest + 1, earliest + 1, ready, ready, True
                     )
                 now = earliest + 1
 

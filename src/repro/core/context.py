@@ -39,10 +39,16 @@ class HardwareContext:
         self.stats = ThreadStats(thread_id=thread_id)
         self.instruction_limit = instruction_limit
         # Index cursor over the current job's flat instruction tuple
-        # (:meth:`~repro.core.suppliers.Job.open_sequence`).
+        # (:meth:`~repro.core.suppliers.Job.open_sequence`), and the cursor
+        # bound below which :meth:`consume` fetches ahead: the sequence's
+        # end, or sooner where the instruction limit falls inside the job.
         self._sequence: tuple[Instruction, ...] | None = None
         self._cursor = 0
-        #: The fetched head instruction, pending until :meth:`consume`.
+        self._fetch_end = 0
+        #: The fetched head instruction, pending until :meth:`consume`.  A
+        #: head exists between a fetch by :meth:`head` and the next
+        #: dispatch, and also between one :meth:`consume` (which fetches the
+        #: next instruction of the same job) and the next dispatch.
         self.pending: Instruction | None = None
         #: Whether this context has exhausted its supplier (no more work).
         self.finished = False
@@ -71,9 +77,11 @@ class HardwareContext:
         when an ``instruction_limit`` was reached (used for the fractional
         reference runs of the speedup methodology).
 
-        A :attr:`pending` head is returned first: it exists only between a
-        fetch and the :meth:`consume` that bumps ``instructions``, so none of
-        the checks it passed at fetch can have changed.
+        A :attr:`pending` head is returned first: it was fetched inside the
+        current job with the instruction limit not yet reached, and only a
+        dispatch (:meth:`consume`) moves either, so none of the checks it
+        passed at fetch can have changed.  Job close, supplier fetch and
+        limit close happen here, at the cycle they always did.
         """
         head = self.pending
         if head is not None:
@@ -94,6 +102,12 @@ class HardwareContext:
                 self._current_job = job
                 self._sequence = sequence = job.open_sequence()
                 self._cursor = 0
+                # each dispatch of this job bumps the cursor and
+                # ``instructions`` together, so the limit is a cursor bound
+                end = len(sequence)
+                if self.instruction_limit is not None:
+                    end = min(end, self.instruction_limit - self.stats.instructions)
+                self._fetch_end = end
                 self.stats.jobs.append(
                     JobRecord(program=job.name, thread_id=self.thread_id, start_cycle=now)
                 )
@@ -136,16 +150,24 @@ class HardwareContext:
 
     # ------------------------------------------------------------------ #
     def consume(self, instruction: Instruction) -> None:
-        """Advance past the dispatched head instruction.
+        """Advance past the dispatched head instruction and fetch ahead.
 
         Only the live ``instructions`` counter is bumped here — it feeds the
         instruction-limit check and the least-service scheduler mid-run.  The
         other dispatch counters are summed over the job's executed prefix
-        when it closes (:meth:`close_job`).
+        when it closes (:meth:`close_job`).  While the cursor is inside the
+        job and the limit is not reached, the next instruction becomes the
+        pending head at once; otherwise :meth:`head` does the job close,
+        supplier fetch or limit close at the next decode slot.
         """
-        self.pending = None
         self.head_hazard = None
         self.stats.instructions += 1
+        cursor = self._cursor
+        if cursor < self._fetch_end:
+            self.pending = self._sequence[cursor]
+            self._cursor = cursor + 1
+        else:
+            self.pending = None
 
     def record_lost_cycle(self) -> None:
         """Account for a decode cycle lost to this context's blocked instruction."""

@@ -93,17 +93,9 @@ class DispatchModel:
         if instruction.is_vector_arithmetic:
             return self._dispatch_vector_arithmetic(context, instruction, now)
         ready_at = now + self._scalar_latency(instruction.latency_class)
-        scoreboard = context.scoreboard
-        record_read = scoreboard.record_read
-        for source in instruction.srcs:
-            record_read(source, now, now + 1)
-        if instruction.dest is not None:
-            scoreboard.record_write(
-                instruction.dest,
-                first_element_at=ready_at,
-                ready_at=ready_at,
-                chainable=True,
-            )
+        context.scoreboard.record_dispatch(
+            instruction, now + 1, now + 1, ready_at, ready_at, True
+        )
         return ready_at
 
     # ------------------------------------------------------------------ #
@@ -113,18 +105,11 @@ class DispatchModel:
         start, _first, completion = self.memory.schedule_columnar(
             instruction.memory_code, 1, 1, now + 1
         )
-        scoreboard = context.scoreboard
-        for source in instruction.srcs:
-            scoreboard.record_read(source, now, start + 1)
-        if instruction.dest is not None:  # scalar load
-            ready_at = completion + 1
-            scoreboard.record_write(
-                instruction.dest,
-                first_element_at=ready_at,
-                ready_at=ready_at,
-                chainable=True,
-            )
-            completion = ready_at
+        if instruction.dest_key >= 0:  # scalar load
+            completion += 1
+        context.scoreboard.record_dispatch(
+            instruction, start + 1, start + 1, completion, completion, True
+        )
         return completion
 
     def _dispatch_vector_arithmetic(
@@ -153,28 +138,12 @@ class DispatchModel:
         completion = first_result + vl - 1
         read_end = element_start + vl
         unit.reserve(now, read_end, record_until=completion)
-
-        record_read = scoreboard.record_read
-        for source in instruction.vector_sources():
-            record_read(source, now, read_end)
-        for source in instruction.scalar_sources():
-            record_read(source, now, now + 1)
-        if instruction.dest is not None:
-            if instruction.dest.is_vector:
-                scoreboard.record_write(
-                    instruction.dest,
-                    first_element_at=first_result,
-                    ready_at=completion + 1,
-                    chainable=True,
-                )
-            else:
-                # reductions deposit a scalar result once all elements are done
-                scoreboard.record_write(
-                    instruction.dest,
-                    first_element_at=completion + 1,
-                    ready_at=completion + 1,
-                    chainable=True,
-                )
+        if instruction.dest_bank < 0:
+            # reductions deposit a scalar result once all elements are done
+            first_result = completion + 1
+        scoreboard.record_dispatch(
+            instruction, read_end, now + 1, first_result, completion + 1, True
+        )
         return completion
 
     def _dispatch_vector_memory(
@@ -191,7 +160,7 @@ class DispatchModel:
             )
         address_earliest = now + 1 + config.vector_startup
         scoreboard = context.scoreboard
-        if instruction.vector_sources():
+        if instruction.vector_src_keys:
             # stores read their data register (and gathers their index vector)
             # through the read crossbar; chaining from a functional unit is
             # allowed, so the transfer starts at the producer's element rate.
@@ -209,20 +178,15 @@ class DispatchModel:
         else:
             record_until = completion + 1
         unit.reserve(now, streaming_end, record_until=record_until)
-
-        record_read = scoreboard.record_read
-        for source in instruction.vector_sources():
-            record_read(source, now, streaming_end)
-        for source in instruction.scalar_sources():
-            record_read(source, now, now + 1)
-        if instruction.dest is not None:
-            # vector loads/gathers are NOT chainable into functional units on
-            # the modeled machine: consumers wait for the full completion.
-            ready_at = completion + config.write_crossbar_latency + 1
-            scoreboard.record_write(
-                instruction.dest,
-                first_element_at=first_element + config.write_crossbar_latency,
-                ready_at=ready_at,
-                chainable=False,
-            )
+        # vector loads/gathers are NOT chainable into functional units on
+        # the modeled machine: consumers wait for the full completion.
+        write_crossbar = config.write_crossbar_latency
+        scoreboard.record_dispatch(
+            instruction,
+            streaming_end,
+            now + 1,
+            first_element + write_crossbar,
+            completion + write_crossbar + 1,
+            False,
+        )
         return completion

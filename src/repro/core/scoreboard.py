@@ -19,12 +19,15 @@ register allocations the real compiler would not produce.
 
 :class:`ColumnarScoreboard` keeps every hazard quantity in a flat int list
 indexed by the dense ``Register.key`` — ``earliest_dispatch`` /
-``chain_start`` / ``record_read`` / ``record_write`` are array reads plus int
-compares, with no dict lookups and no per-source allocation.  It assumes the
-engine's monotonic clock: ``now`` never decreases across successive calls on
-one scoreboard.  The property suite in
+``chain_start`` / ``record_dispatch`` read the instruction's int columns
+(operand keys and banks) and do array reads plus int compares, with no dict
+lookups, no ``Register`` objects and no per-source allocation.  Each
+dispatch is one ``record_dispatch`` call covering all its reads and its
+write.  It assumes the engine's monotonic clock: ``now`` never decreases
+across successive calls on one scoreboard.  The property suite in
 ``tests/test_core_scoreboard_columnar.py`` asserts call-by-call agreement
-with the frozen seed oracle's object-graph scoreboard, and the golden-trace
+with the frozen seed oracle's object-graph scoreboard (each dispatch replayed
+there as its per-register read and write calls), and the golden-trace
 corpus guards whole-run dispatch sequences.
 """
 
@@ -194,42 +197,58 @@ class ColumnarScoreboard:
     # ------------------------------------------------------------------ #
     # post-dispatch bookkeeping
     # ------------------------------------------------------------------ #
-    def record_read(self, register: Register, now: int, read_end: int) -> None:
-        """Mark a register as being read by an in-flight instruction."""
-        key = register.key
-        read_busy = self._read_busy
-        if read_end > read_busy[key]:
-            read_busy[key] = read_end
-        if self._model_bank_ports and register.is_vector:
-            slots = self._bank_read_slots
-            index = register.bank * READ_PORTS_PER_BANK
-            if read_end > slots[index]:
-                # shift the smaller kept ends down, keep the bank ascending
-                top = index + READ_PORTS_PER_BANK - 1
-                while index < top and read_end > slots[index + 1]:
-                    slots[index] = slots[index + 1]
-                    index += 1
-                slots[index] = read_end
-
-    def record_write(
+    def record_dispatch(
         self,
-        register: Register,
-        *,
+        instruction: Instruction,
+        vector_read_end: int,
+        scalar_read_end: int,
         first_element_at: int,
         ready_at: int,
         chainable: bool,
     ) -> None:
-        """Mark a register as being produced by an in-flight instruction."""
-        key = register.key
-        self._first_at[key] = first_element_at
-        self._ready_at[key] = ready_at
-        self._chainable[key] = 1 if (chainable and self._allow_chaining) else 0
-        self._write_busy[key] = ready_at
-        if self._model_bank_ports and register.is_vector:
-            bank = register.bank
-            write_ends = self._bank_write_end
-            if ready_at > write_ends[bank]:
-                write_ends[bank] = ready_at
+        """Record one dispatched instruction's operand reads and its write.
+
+        Vector sources stay read-busy (and hold a bank read port) until
+        ``vector_read_end``, the other sources until ``scalar_read_end``.
+        The destination, if any, delivers its first element at
+        ``first_element_at`` and is complete at ``ready_at``; ``chainable``
+        says whether dependents may start on the first element.  Reads of
+        different keys are independent and the per-bank slots keep the K
+        largest read ends whatever the insertion order, so one call per
+        dispatch equals a call per operand.
+        """
+        read_busy = self._read_busy
+        for key in instruction.scalar_src_keys:
+            if scalar_read_end > read_busy[key]:
+                read_busy[key] = scalar_read_end
+        model_bank_ports = self._model_bank_ports
+        vector_keys = instruction.vector_src_keys
+        if vector_keys:
+            for key in vector_keys:
+                if vector_read_end > read_busy[key]:
+                    read_busy[key] = vector_read_end
+            if model_bank_ports:
+                slots = self._bank_read_slots
+                for bank in instruction.vector_src_banks:
+                    index = bank * READ_PORTS_PER_BANK
+                    if vector_read_end > slots[index]:
+                        # shift the smaller kept ends down, keep the bank ascending
+                        top = index + READ_PORTS_PER_BANK - 1
+                        while index < top and vector_read_end > slots[index + 1]:
+                            slots[index] = slots[index + 1]
+                            index += 1
+                        slots[index] = vector_read_end
+        key = instruction.dest_key
+        if key >= 0:
+            self._first_at[key] = first_element_at
+            self._ready_at[key] = ready_at
+            self._chainable[key] = 1 if (chainable and self._allow_chaining) else 0
+            self._write_busy[key] = ready_at
+            bank = instruction.dest_bank
+            if bank >= 0 and model_bank_ports:
+                write_ends = self._bank_write_end
+                if ready_at > write_ends[bank]:
+                    write_ends[bank] = ready_at
 
     # -- pickling: __slots__ classes need an explicit state protocol ------- #
     def __getstate__(self) -> tuple:

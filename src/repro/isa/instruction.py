@@ -123,15 +123,16 @@ class Instruction:
             self.vl if (traits.is_vector_arithmetic and self.vl is not None) else 0,
         )
         vector_srcs = tuple(r for r in self.srcs if r.cls is RegisterClass.VECTOR)
-        scalar_srcs = tuple(r for r in self.srcs if r.cls is not RegisterClass.VECTOR)
-        write(self, "_vector_srcs", vector_srcs)
-        write(self, "_scalar_srcs", scalar_srcs)
         # Dense hazard plan consumed by the columnar scoreboard: operand
         # register keys and vector banks as plain int tuples, so a hazard
         # check never touches a Register object.
         write(self, "vector_src_keys", tuple(r.key for r in vector_srcs))
         write(self, "vector_src_banks", tuple(r.bank for r in vector_srcs))
-        write(self, "scalar_src_keys", tuple(r.key for r in scalar_srcs))
+        write(
+            self,
+            "scalar_src_keys",
+            tuple(r.key for r in self.srcs if r.cls is not RegisterClass.VECTOR),
+        )
         dest = self.dest
         write(self, "dest_key", -1 if dest is None else dest.key)
         write(
@@ -152,14 +153,6 @@ class Instruction:
         if self.dest is None:
             return ()
         return (self.dest,)
-
-    def vector_sources(self) -> tuple[Register, ...]:
-        """Vector registers among the sources."""
-        return self._vector_srcs
-
-    def scalar_sources(self) -> tuple[Register, ...]:
-        """Non-vector registers among the sources."""
-        return self._scalar_srcs
 
     # ------------------------------------------------------------------ #
     # convenience (fast clones: skip __init__ validation, copy the columnar

@@ -51,11 +51,6 @@ class RegisterClass(enum.Enum):
     VECTOR_STRIDE = "vs"
 
     @property
-    def is_scalar_class(self) -> bool:
-        """Whether registers of this class live in a scalar-sized file."""
-        return self in (RegisterClass.ADDRESS, RegisterClass.SCALAR)
-
-    @property
     def is_control_class(self) -> bool:
         """Whether this class is a vector control register (VL / VS)."""
         return self in (RegisterClass.VECTOR_LENGTH, RegisterClass.VECTOR_STRIDE)

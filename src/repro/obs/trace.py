@@ -13,7 +13,6 @@ stay always-on without growing without bound under sustained traffic.
 
 from __future__ import annotations
 
-import json
 import threading
 import uuid
 from collections import OrderedDict
@@ -83,13 +82,6 @@ class TraceLog:
             if spans is None:
                 return None
             return sorted((dict(span) for span in spans), key=lambda s: s["start"])
-
-    def to_jsonl(self, job_id: str) -> str:
-        """The span timeline as JSON lines (one span per line, ordered)."""
-        spans = self.spans(job_id)
-        if spans is None:
-            return ""
-        return "\n".join(json.dumps(span, sort_keys=True) for span in spans)
 
     def __len__(self) -> int:
         with self._lock:

@@ -197,11 +197,6 @@ class CoalescingPriorityQueue:
         with self._lock:
             return sum(1 for entry in self._entries.values() if not entry.running)
 
-    def running_count(self) -> int:
-        """Entries taken and not yet finished."""
-        with self._lock:
-            return sum(1 for entry in self._entries.values() if entry.running)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -91,19 +91,6 @@ class Kernel:
         )
         return sum(1 for instr in self.build(probe) if instr.is_vector)
 
-    @property
-    def memory_instructions(self) -> int:
-        """Number of vector memory instructions emitted per iteration."""
-        probe = KernelContext(
-            vl=64,
-            vregs=tuple(Register.parse(f"v{i}") for i in range(8)),
-            sregs=tuple(Register.parse(f"s{i}") for i in range(2, 8)),
-            aregs=tuple(Register.parse(f"a{i}") for i in range(2, 8)),
-            stride=1,
-            bases=tuple(0x1000_0000 + i * 0x10000 for i in range(max(1, self.arrays))),
-        )
-        return sum(1 for instr in self.build(probe) if instr.is_vector_memory)
-
 
 # --------------------------------------------------------------------------- #
 # kernel builders

@@ -56,11 +56,6 @@ class BenchmarkProfile:
         """Average vector length reported by Table 3 (vector ops / vector instructions)."""
         return self.vector_mops / self.vector_minsns
 
-    @property
-    def mix_average_vl(self) -> float:
-        """Average vector length implied by the synthetic loop mix."""
-        return sum(spec.vl * spec.weight for spec in self.loops)
-
 
 def _profile(
     name: str,

@@ -140,11 +140,6 @@ class LoopNest:
         return base + iteration % len(self.body_variants())
 
     @property
-    def instructions_per_iteration(self) -> int:
-        """Dynamic instructions contributed by one iteration (variant 0 size)."""
-        return len(self.body_variants()[0])
-
-    @property
     def dynamic_instruction_count(self) -> int:
         """Total dynamic instructions contributed by this loop nest."""
         variants = self.body_variants()

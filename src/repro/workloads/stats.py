@@ -65,13 +65,6 @@ class ProgramStats:
         """Total addresses that must cross the single address bus."""
         return self.vector_memory_transactions + self.scalar_memory_instructions
 
-    @property
-    def vector_memory_fraction(self) -> float:
-        """Fraction of vector instructions that are memory operations."""
-        if self.vector_instructions == 0:
-            return 0.0
-        return self.vector_memory_instructions / self.vector_instructions
-
     # ------------------------------------------------------------------ #
     def record(self, instruction: Instruction) -> None:
         """Accumulate one dynamic instruction into the statistics."""
@@ -93,17 +86,6 @@ class ProgramStats:
             self.scalar_instructions += 1
             if instruction.is_memory:
                 self.scalar_memory_instructions += 1
-
-    def as_table_row(self) -> dict[str, float]:
-        """Return the Table 3 columns for this program."""
-        return {
-            "program": self.name,
-            "scalar_instructions": self.scalar_instructions,
-            "vector_instructions": self.vector_instructions,
-            "vector_operations": self.vector_operations,
-            "vectorization_pct": round(self.vectorization, 1),
-            "average_vl": round(self.average_vector_length, 1),
-        }
 
 
 def measure_stream(instructions: Iterable[Instruction], name: str = "") -> ProgramStats:

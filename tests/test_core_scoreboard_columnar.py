@@ -6,15 +6,21 @@ object-graph scoreboard with the same interface) with flat int columns and
 top-K port slots.  The compression is only valid under the engine's contract
 — ``now`` never decreases across successive calls on one scoreboard — so this
 suite drives both implementations through identical random *monotonic*
-sequences of ``record_read`` / ``record_write`` operations
-interleaved with ``earliest_dispatch`` / ``chain_start`` probes, and asserts
-that every probe result and every per-register state column agree, across
-both ``model_bank_ports`` and ``allow_chaining`` settings.
+sequences of dispatches interleaved with ``earliest_dispatch`` /
+``chain_start`` probes, and asserts that every probe result and every
+per-register state column agree, across both ``model_bank_ports`` and
+``allow_chaining`` settings.  A dispatch is one ``record_dispatch`` call on
+the columnar side; the seed side replays it as its per-register calls, a
+``record_read`` per source (vector sources to the vector read end, the
+others to the scalar one, in operand order) and a ``record_write`` for the
+destination — so the suite also shows that folding them into one call is
+exact.
 
 The sequences deliberately oversample the corners where the two data layouts
 could diverge: many readers piling onto one bank (port-slot eviction), reads
-and writes aliasing the same dense register key, and probes landing exactly
-on busy-interval boundaries.
+and writes aliasing the same dense register key (including one instruction
+reading a register twice, or reading and writing it), and probes landing
+exactly on busy-interval boundaries.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.isa.builder import (
     vreduce,
     vstore,
 )
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import A, S, V, all_registers
 
@@ -75,61 +82,83 @@ def probe_instruction(draw):
 
 
 @st.composite
+def any_operands(draw):
+    """An instruction over arbitrary registers: every dense key is reachable.
+
+    Sources and destination are drawn from the full register pool, with
+    repeats, so one dispatch may read a register twice or read and write it.
+    """
+    srcs = tuple(draw(st.lists(st.sampled_from(ALL_REGISTERS), max_size=3)))
+    dest = draw(st.none() | st.sampled_from(ALL_REGISTERS))
+    if dest is None:
+        return Instruction(Opcode.BR_COND, srcs=srcs)
+    return Instruction(Opcode.ADD_S, dest=dest, srcs=srcs)
+
+
+@st.composite
 def operation(draw):
-    """One scoreboard call: mutation or probe, with relative time deltas."""
+    """One dispatch or probe, with times relative to the shared clock."""
     kind = draw(
         st.sampled_from(
-            ["read", "read", "write", "write", "probe", "probe", "chain"]
+            ["dispatch", "dispatch", "dispatch", "dispatch", "probe", "probe", "chain"]
         )
     )
     advance = draw(st.integers(min_value=0, max_value=25))
-    if kind == "read":
-        register = draw(st.sampled_from(ALL_REGISTERS))
-        duration = draw(st.integers(min_value=0, max_value=200))
-        return ("read", advance, register, duration)
-    if kind == "write":
-        register = draw(st.sampled_from(ALL_REGISTERS))
-        first_delta = draw(st.integers(min_value=0, max_value=60))
-        ready_delta = draw(st.integers(min_value=0, max_value=300))
-        chainable = draw(st.booleans())
-        return ("write", advance, register, first_delta, ready_delta, chainable)
+    if kind == "dispatch":
+        instruction = draw(any_operands() | probe_instruction())
+        # vector read end, scalar read end, first element, ready
+        deltas = tuple(
+            draw(st.integers(min_value=0, max_value=bound)) for bound in (200, 200, 60, 300)
+        )
+        return ("dispatch", advance, instruction, deltas, draw(st.booleans()))
     if kind == "probe":
         return ("probe", advance, draw(probe_instruction()))
     candidate_delta = draw(st.integers(min_value=0, max_value=120))
     return ("chain", advance, draw(probe_instruction()), candidate_delta)
 
 
-def apply_sequence(boards, ops):
-    """Drive all boards through ``ops`` with a shared monotonic clock.
+def dispatch_both(
+    columnar, seed, instruction, now, vector_read_end, scalar_read_end,
+    first_element_at, ready_at, chainable,
+):
+    """One dispatch: a ``record_dispatch`` call, and the seed's per-register calls."""
+    columnar.record_dispatch(
+        instruction, vector_read_end, scalar_read_end, first_element_at, ready_at, chainable
+    )
+    for source in instruction.srcs:
+        read_end = vector_read_end if source.is_vector else scalar_read_end
+        seed.record_read(source, now, read_end)
+    if instruction.dest is not None:
+        seed.record_write(
+            instruction.dest,
+            first_element_at=first_element_at,
+            ready_at=ready_at,
+            chainable=chainable,
+        )
 
-    Yields, per probe-style op, the tuple of per-board results so the caller
-    can assert agreement mid-run (divergence is reported at the first call
-    that differs, not only in the final state).
+
+def apply_sequence(columnar, seed, ops):
+    """Drive both boards through ``ops`` with a shared monotonic clock.
+
+    Yields, per probe-style op, the pair of results so the caller can assert
+    agreement mid-run (divergence is reported at the first call that
+    differs, not only in the final state).
     """
     now = 0
     for op in ops:
         kind = op[0]
         now += op[1]
-        if kind == "read":
-            _, _, register, duration = op
-            for board in boards:
-                board.record_read(register, now, now + duration)
-        elif kind == "write":
-            _, _, register, first_delta, ready_delta, chainable = op
-            for board in boards:
-                board.record_write(
-                    register,
-                    first_element_at=now + first_delta,
-                    ready_at=now + ready_delta,
-                    chainable=chainable,
-                )
+        if kind == "dispatch":
+            _, _, instruction, deltas, chainable = op
+            times = (now + delta for delta in deltas)
+            dispatch_both(columnar, seed, instruction, now, *times, chainable)
         elif kind == "probe":
-            yield op, tuple(board.earliest_dispatch(op[2], now) for board in boards)
+            yield op, tuple(board.earliest_dispatch(op[2], now) for board in (columnar, seed))
         else:
             _, _, instruction, candidate_delta = op
             yield op, tuple(
                 board.chain_start(instruction, now + candidate_delta)
-                for board in boards
+                for board in (columnar, seed)
             )
 
 
@@ -159,9 +188,7 @@ class TestColumnarAgreesWithObjectScoreboard:
         fallback = SeedScoreboard(
             model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
         )
-        for op, (flat_result, object_result) in apply_sequence(
-            (columnar, fallback), ops
-        ):
+        for op, (flat_result, object_result) in apply_sequence(columnar, fallback, ops):
             assert flat_result == object_result, op
         assert_same_state(columnar, fallback)
 
@@ -172,6 +199,7 @@ class TestColumnarAgreesWithObjectScoreboard:
                 crowded_vector,  # register inside one bank
                 st.integers(min_value=0, max_value=6),  # clock advance
                 st.integers(min_value=0, max_value=40),  # read duration
+                st.booleans(),  # one dispatch reading both registers of the bank
             ),
             min_size=3,
             max_size=30,
@@ -179,15 +207,25 @@ class TestColumnarAgreesWithObjectScoreboard:
         probe_gap=st.integers(min_value=0, max_value=50),
     )
     def test_port_slot_eviction_matches_prune_and_sort(self, reads, probe_gap):
-        """Many readers on one bank: top-K slots vs. the seed's full list."""
+        """Many readers on one bank: top-K slots vs. the seed's full list.
+
+        A paired dispatch reads both registers of the bank at once, so it
+        takes both read ports in one ``record_dispatch`` call.
+        """
         columnar = ColumnarScoreboard()
         fallback = SeedScoreboard()
         now = 0
         reader = vstore(V(0), A(0), vl=16, address=0)
-        for index, advance, duration in reads:
+        for index, advance, duration, paired in reads:
             now += advance
-            for board in (columnar, fallback):
-                board.record_read(V(index), now, now + duration)
+            if paired:
+                instruction = vadd(V(2), V(index), V(1 - index), vl=16)
+            else:
+                instruction = vstore(V(index), A(0), vl=16, address=0)
+            read_end = now + duration
+            dispatch_both(
+                columnar, fallback, instruction, now, read_end, now + 1, now + 5, read_end + 5, True
+            )
             probe_at = now + probe_gap
             assert columnar.earliest_dispatch(reader, probe_at) == (
                 fallback.earliest_dispatch(reader, probe_at)
@@ -206,10 +244,8 @@ class TestColumnarAgreesWithObjectScoreboard:
         """Probes landing exactly on ``ready_at`` boundaries stay identical."""
         columnar = ColumnarScoreboard(allow_chaining=allow_chaining)
         fallback = SeedScoreboard(allow_chaining=allow_chaining)
-        for board in (columnar, fallback):
-            board.record_write(
-                V(0), first_element_at=10, ready_at=10 + ready_delta, chainable=chainable
-            )
+        producer = vload(V(0), vl=32, address=0)
+        dispatch_both(columnar, fallback, producer, 0, 0, 0, 10, 10 + ready_delta, chainable)
         consumer = vadd(V(2), V(0), V(4), vl=32)
         now = 10 + probe_delta
         assert columnar.earliest_dispatch(consumer, now) == fallback.earliest_dispatch(

@@ -26,7 +26,7 @@ class TestVectorBuilders:
         scatter = builder.vscatter(V(2), V(0), A(1), vl=16, address=0x1000)
         assert gather.is_load and gather.is_vector_memory
         assert scatter.is_store and scatter.is_vector_memory
-        assert V(0) in gather.vector_sources()
+        assert V(0) in [r for r in gather.srcs if r.is_vector]
 
     def test_arithmetic_builders(self):
         assert builder.vadd(V(2), V(0), V(1), vl=8).opcode is Opcode.VADD

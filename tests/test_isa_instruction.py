@@ -89,8 +89,12 @@ class TestInstructionCosts:
         assert instruction.writes() == (V(2),)
         store = Instruction(Opcode.VSTORE, srcs=(V(3), A(1)), vl=8, address=0)
         assert store.writes() == ()
-        assert V(3) in store.vector_sources()
-        assert A(1) in store.scalar_sources()
+        assert [r for r in store.srcs if r.is_vector] == [V(3)]
+        assert [r for r in store.srcs if not r.is_vector] == [A(1)]
+        # the scoreboard's dense split of the same operands
+        assert store.vector_src_keys == (V(3).key,)
+        assert store.vector_src_banks == (V(3).bank,)
+        assert store.scalar_src_keys == (A(1).key,)
 
     def test_vector_registers_touched(self):
         instruction = vadd()

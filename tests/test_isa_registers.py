@@ -28,9 +28,10 @@ from repro.isa.registers import (
 
 class TestRegisterClass:
     def test_scalar_classes(self):
-        assert RegisterClass.ADDRESS.is_scalar_class
-        assert RegisterClass.SCALAR.is_scalar_class
-        assert not RegisterClass.VECTOR.is_scalar_class
+        # scalar-file registers are not vectors and sit in no vector bank
+        for register in (A(0), S(7)):
+            assert not register.is_vector and register.bank is None
+        assert V(0).is_vector and V(0).bank == 0
 
     def test_control_classes(self):
         assert RegisterClass.VECTOR_LENGTH.is_control_class

@@ -57,7 +57,6 @@ class TestKernelBodies:
         vector = [i for i in body if i.is_vector]
         memory = [i for i in body if i.is_vector_memory]
         assert len(vector) == kernel.vector_instructions
-        assert len(memory) == kernel.memory_instructions
         assert 0 < len(memory) <= len(vector)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -66,14 +65,16 @@ class TestKernelBodies:
         body = kernel.build(make_context(vregs=[V(i) for i in range(8)]))
         used = set()
         for instruction in body:
-            used.update(instruction.vector_sources())
+            used.update(r for r in instruction.srcs if r.is_vector)
             used.update(r for r in instruction.writes() if r.is_vector)
         assert len(used) <= kernel.vector_registers
 
     def test_memory_fraction_in_expected_band(self):
         """The suite-level memory fraction must keep the single port the bottleneck."""
         for kernel in KERNELS.values():
-            fraction = kernel.memory_instructions / kernel.vector_instructions
+            body = kernel.build(make_context(vregs=[V(i) for i in range(8)]))
+            memory = sum(1 for instruction in body if instruction.is_vector_memory)
+            fraction = memory / kernel.vector_instructions
             assert 0.25 <= fraction <= 0.8
 
     def test_gather_kernel_uses_indexed_accesses(self):

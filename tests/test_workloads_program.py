@@ -83,7 +83,7 @@ class TestVectorLoopNest:
         loop = self.make_loop(iterations=5)
         emitted = list(loop.emit())
         assert len(emitted) == loop.dynamic_instruction_count
-        assert len(emitted) == 5 * loop.instructions_per_iteration
+        assert len(emitted) == 5 * len(loop.body_variants()[0])
 
     def test_variants_use_disjoint_register_halves(self):
         loop = self.make_loop()
@@ -92,7 +92,7 @@ class TestVectorLoopNest:
         def touched(body):
             registers = set()
             for instruction in body:
-                registers.update(instruction.vector_sources())
+                registers.update(r for r in instruction.srcs if r.is_vector)
                 registers.update(r for r in instruction.writes() if r.is_vector)
             return registers
         assert not (touched(variants[0]) & touched(variants[1]))
@@ -125,7 +125,7 @@ class TestVectorLoopNest:
     def test_partial_emission(self):
         loop = self.make_loop(iterations=6)
         partial = list(loop.emit(first_iteration=0, count=2))
-        assert len(partial) == 2 * loop.instructions_per_iteration
+        assert len(partial) == 2 * len(loop.body_variants()[0])
 
     def test_scalar_overhead_included(self):
         loop = self.make_loop(scalar_overhead=5)
