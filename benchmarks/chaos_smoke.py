@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api.batch import SimulationRequest, _execute_request_to_bytes
-from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
+from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 from repro.service import (
     ResultStore,
     ServiceClient,
@@ -54,8 +54,8 @@ def canonical_bytes(benchmark: str) -> bytes:
 
 
 def check_worker_crash(client: ServiceClient, service: SimulationService, state_dir: Path) -> None:
-    # the env-installed plan is inherited by the (lazily spawned) pool
-    # worker; the shared state_dir caps the crash budget across processes
+    # the plan travels with the pool task to the worker; the shared
+    # state_dir caps the crash budget across processes
     set_fault_plan(
         FaultPlan([FaultSpec("worker_crash", count=1)], state_dir=state_dir)
     )
@@ -64,7 +64,7 @@ def check_worker_crash(client: ServiceClient, service: SimulationService, state_
             "reference", {"benchmark": "tomcatv", "scale": SCALE}
         ).result_bytes(timeout=120.0)
     finally:
-        clear_fault_plan()
+        set_fault_plan(None)
     stats = client.stats()
     assert stats["worker_crashes"] == 1, stats
     assert stats["retried"] == 1, stats
@@ -75,15 +75,13 @@ def check_worker_crash(client: ServiceClient, service: SimulationService, state_
 
 
 def check_store_corruption(client: ServiceClient, service: SimulationService) -> None:
-    # the entry written by the crash scenario is corrupted on its next read;
-    # install_env=False keeps the plan out of the worker processes — the
-    # store read happens in the service process
-    set_fault_plan(FaultPlan([FaultSpec("store_corrupt", count=1)]), install_env=False)
+    # the entry written by the crash scenario is corrupted on its next read
+    set_fault_plan(FaultPlan([FaultSpec("store_corrupt", count=1)]))
     try:
         handle = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
         payload = handle.result_bytes(timeout=120.0)
     finally:
-        clear_fault_plan()
+        set_fault_plan(None)
     assert handle.served_from == "executed", handle.served_from
     assert service.store is not None and service.store.quarantined == 1
     assert payload == canonical_bytes("tomcatv"), (
@@ -126,7 +124,7 @@ def check_overload_burst(client: ServiceClient, service: SimulationService) -> N
 
 
 def main() -> int:
-    clear_fault_plan()  # never inherit a stray plan from the environment
+    set_fault_plan(None)
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         service = SimulationService(

@@ -41,6 +41,7 @@ import pickle
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.api.cache import RunCache, request_key
@@ -51,6 +52,8 @@ from repro.core.results import SimulationResult
 from repro.core.suppliers import Job
 from repro.errors import ConfigurationError
 from repro.faults import inject_slow_execute, inject_worker_crash
+from repro.faults.plan import FaultPlan, active_plan, set_fault_plan
+from repro.obs.profiling import force_profiling, profiling_enabled
 from repro.trace.records import TraceSet
 from repro.workloads.program import Program
 
@@ -242,8 +245,41 @@ def _execute_request_to_bytes(request: SimulationRequest) -> bytes:
     return _result_to_bytes(_execute_request(request))
 
 
+#: What a pool task runs under: the submitter's fault-plan document or ``None``,
+#: and whether engine profiling is on.
+TaskSettings = tuple[dict | None, bool]
+
+#: The plan document this worker's tasks installed last.  It starts as a
+#: sentinel, not ``None``, so a forked worker installs on its first task and a
+#: plan copied by ``fork`` never runs.
+_installed_plan: object = object()
+
+
+def _task_settings() -> TaskSettings:
+    """The submitting process's settings, as shipped with each pool task."""
+    plan = active_plan()
+    return (None if plan is None else plan.to_document()), profiling_enabled()
+
+
+@contextmanager
+def _running_under(settings: TaskSettings):
+    """Worker side of :func:`_task_settings`: install them for one task.
+
+    The plan is rebuilt only when its document differs from the one this
+    worker installed last, so the per-process counters of a plan without a
+    ``state_dir`` keep counting across the tasks that ship it.
+    """
+    global _installed_plan
+    document, profile = settings
+    if document != _installed_plan:
+        set_fault_plan(None if document is None else FaultPlan.from_document(document))
+        _installed_plan = document
+    with force_profiling(profile):
+        yield
+
+
 def _execute_pickled_traced(
-    payload: bytes, trace_id: str | None
+    payload: bytes, trace_id: str | None, settings: TaskSettings
 ) -> tuple[bytes, dict]:
     """Service pool entry point that echoes the trace id back with the payload.
 
@@ -253,8 +289,9 @@ def _execute_pickled_traced(
     never the in-process thread path, so a crash-looping fault plan still
     lets the service's thread failover complete the job.
     """
-    inject_worker_crash()
-    data = _execute_request_to_bytes(pickle.loads(payload))
+    with _running_under(settings):
+        inject_worker_crash()
+        data = _execute_request_to_bytes(pickle.loads(payload))
     return data, {"trace_id": trace_id, "worker_pid": os.getpid()}
 
 
@@ -340,7 +377,9 @@ def _try_execute(request: SimulationRequest) -> bytes | Exception:
         return error
 
 
-def _execute_chunk(payloads: list[bytes]) -> tuple[int, list[bytes | Exception]]:
+def _execute_chunk(
+    payloads: list[bytes], settings: TaskSettings
+) -> tuple[int, list[bytes | Exception]]:
     """Worker-process entry point: run a chunk of pre-pickled requests.
 
     Returns ``(worker_pid, outcomes)`` in chunk order, each outcome the
@@ -349,8 +388,9 @@ def _execute_chunk(payloads: list[bytes]) -> tuple[int, list[bytes | Exception]]
     hooks only the pool entry points — never the in-process fallback — so a
     crash-looping fault plan still lets the local retry complete the batch.
     """
-    inject_worker_crash()
-    return os.getpid(), [_try_execute(pickle.loads(payload)) for payload in payloads]
+    with _running_under(settings):
+        inject_worker_crash()
+        return os.getpid(), [_try_execute(pickle.loads(payload)) for payload in payloads]
 
 
 def _run_chunks_on_pool(
@@ -362,33 +402,37 @@ def _run_chunks_on_pool(
     """Run every chunk on the pool, riding out one worker-crash respawn.
 
     ``finish(index, outcome)`` fires for each request as its chunk completes.
-    A ``BrokenProcessPool`` fails every chunk in flight; the pool is
-    respawned and the failed chunks retried once.  Returns the indexes whose
-    chunks failed twice (a crash-looping fault plan), for in-process
-    execution.
+    A ``BrokenProcessPool`` fails every chunk in flight or still to submit;
+    the pool is respawned and the failed chunks retried once under the same
+    settings.  Returns the indexes whose chunks failed twice (a
+    crash-looping fault plan) for in-process execution, leaving a respawned
+    pool behind.
     """
+    settings = _task_settings()
     remaining = chunks
-    for attempt in range(2):
-        futures = {
-            pool.submit(_execute_chunk, [payloads[i] for i in chunk]): chunk
-            for chunk in remaining
-        }
-        remaining = []
+    for _ in range(2):
+        futures, failed = {}, []
+        for chunk in remaining:
+            shipped = [payloads[i] for i in chunk]
+            try:
+                futures[pool.submit(_execute_chunk, shipped, settings)] = chunk
+            except BrokenProcessPool:  # a worker died while the batch was being submitted
+                failed.append(chunk)
         for future in as_completed(futures):
             chunk = futures[future]
             try:
                 _, outcomes = future.result()
             except BrokenProcessPool:
-                remaining.append(chunk)
+                failed.append(chunk)
                 continue
             except Exception as error:  # the chunk's outcomes could not cross back
                 outcomes = [error] * len(chunk)
             for index, outcome in zip(chunk, outcomes):
                 finish(index, outcome)
-        if not remaining:
+        if not failed:
             return []
-        if attempt == 0:
-            pool.respawn_broken()
+        pool.respawn_broken()
+        remaining = failed
     return [index for chunk in remaining for index in chunk]
 
 

@@ -14,13 +14,10 @@ curve.  :class:`WorkerPool` keeps the worker processes warm across calls:
   touches the expansion-interning table) so the first real job does not pay
   cold-import latency; under the ``fork`` start method workers additionally
   inherit the parent's already-interned expansions;
-* the pool watches an **environment fingerprint** (the fault-plan and
-  engine-profiling variables).  Long-lived workers would otherwise keep
-  running with the environment they were forked with; when the fingerprint
-  changes the pool swaps in a fresh executor at the next submission and
-  lets the old one drain, so e.g. a freshly installed
-  :class:`~repro.faults.plan.FaultPlan` is guaranteed to be loaded by the
-  workers that execute the next batch;
+* workers take no run settings from the environment: each task carries the
+  fault plan and the engine-profiling flag it runs under
+  (:mod:`repro.api.batch`), so warm workers serve every later setting and
+  the executor is replaced only when the pool grows or a worker crashed;
 * a worker crash (``BrokenProcessPool``) is recovered with
   :meth:`WorkerPool.respawn_broken` — consumers retry their submission on
   the rebuilt executor instead of losing the pool for the rest of the
@@ -43,12 +40,6 @@ from repro.obs.metrics import Counter
 
 __all__ = ["WorkerPool", "get_shared_pool", "shutdown_shared_pool", "usable_cpus"]
 
-#: Environment variables workers must agree with the parent about.  A change
-#: to either (a fault plan installed or cleared, engine profiling toggled)
-#: forces the pool to replace its warm workers before the next submission
-#: runs.
-ENV_FINGERPRINT_VARS = ("REPRO_FAULT_PLAN", "REPRO_PROFILE")
-
 
 def usable_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware where possible)."""
@@ -56,10 +47,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - platforms without affinity
         return os.cpu_count() or 1
-
-
-def _env_fingerprint() -> tuple:
-    return tuple(os.environ.get(name) for name in ENV_FINGERPRINT_VARS)
 
 
 #: Seconds between two parent checks of a worker's watchdog.
@@ -117,7 +104,6 @@ class WorkerPool:
         self._lock = threading.RLock()
         self._executor: ProcessPoolExecutor | None = None
         self._executor_workers = 0
-        self._fingerprint: tuple | None = None
         #: How many executors this pool has created (tests assert warm reuse
         #: by watching this stay flat across batches).  Backed by an obs
         #: counter so /metrics can export it per service.
@@ -138,36 +124,27 @@ class WorkerPool:
 
     # ------------------------------------------------------------------ #
     def _spawn_locked(self) -> ProcessPoolExecutor:
-        self._retire_locked(self._executor)
+        if self._executor is not None:
+            # wait=False: anything already submitted still runs to
+            # completion on the old workers; they exit when done
+            self._executor.shutdown(wait=False)
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers, initializer=self._initializer
         )
         self._executor_workers = self.workers
-        self._fingerprint = _env_fingerprint()
         self._spawned.inc()
         return self._executor
-
-    @staticmethod
-    def _retire_locked(executor: ProcessPoolExecutor | None) -> None:
-        if executor is not None:
-            # wait=False: anything already submitted still runs to
-            # completion on the old workers; they exit when done
-            executor.shutdown(wait=False)
 
     def _ensure_locked(self) -> ProcessPoolExecutor:
         if self._closed:
             raise RuntimeError("the worker pool is shut down")
-        if (
-            self._executor is None
-            or self._fingerprint != _env_fingerprint()
-            or self._executor_workers < self.workers
-        ):
+        if self._executor is None or self._executor_workers < self.workers:
             return self._spawn_locked()
         return self._executor
 
     # ------------------------------------------------------------------ #
     def submit(self, fn, /, *args) -> Future:
-        """Submit one call; spawns or refreshes the workers when needed."""
+        """Submit one call; spawns or grows the workers when needed."""
         with self._lock:
             return self._ensure_locked().submit(fn, *args)
 

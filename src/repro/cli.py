@@ -36,6 +36,7 @@ Shard the service horizontally (router in front of N backend processes)::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -224,13 +225,21 @@ def serve_main(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.errors import ConfigurationError
+    from repro.faults import PLAN_ENV, load_fault_plan, set_fault_plan
     from repro.obs.logs import configure_logging, get_logger
 
     configure_logging(args.log_level)
     logger = get_logger("repro.cli")
 
+    if os.environ.get(PLAN_ENV):  # read once, at boot; pool tasks carry it on
+        try:
+            set_fault_plan(load_fault_plan(os.environ[PLAN_ENV]))
+        except ConfigurationError as error:
+            logger.error("bad %s value: %s", PLAN_ENV, error)
+            return 2
+
     if args.shard_of is not None:
-        from repro.errors import ConfigurationError
         from repro.service import ShardRouterServer
 
         try:

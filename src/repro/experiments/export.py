@@ -16,22 +16,11 @@ from pathlib import Path
 from repro.experiments.figures import ExperimentReport
 
 __all__ = [
-    "report_to_arrays",
     "report_to_csv",
     "report_to_json",
     "write_report",
     "write_reports",
 ]
-
-
-def report_to_arrays(report: ExperimentReport) -> dict[str, list]:
-    """A report's rows as parallel columns (one list per column name).
-
-    The columnar counterpart of the row-dict view: plotting and diffing
-    tools consume series, so this hands each column out as one list instead
-    of forcing callers to pivot row dictionaries themselves.
-    """
-    return {column: report.column_values(column) for column in report.columns}
 
 
 def report_to_csv(report: ExperimentReport) -> str:

@@ -6,8 +6,8 @@ client connection — can be injected on demand, deterministically, so the
 chaos suite can assert that results stay byte-identical to
 :meth:`repro.api.machine.Machine.run` under each of them.
 
-Activate a plan in-process (and, via the environment, in worker processes
-spawned afterwards)::
+Activate a plan in-process; every pool task submitted afterwards carries it
+to the worker that runs it::
 
     from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 
@@ -17,7 +17,8 @@ spawned afterwards)::
     ...  # the first pool execution service-wide now hard-exits its worker
     set_fault_plan(None)
 
-or ship one to a separately launched service through the environment::
+or hand one to a separately launched service, which reads
+``REPRO_FAULT_PLAN`` once at boot::
 
     REPRO_FAULT_PLAN='{"faults": {"store_corrupt": {"count": 1}}}' \
         repro-mtv serve ...
@@ -42,7 +43,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
     active_plan,
-    clear_fault_plan,
     load_fault_plan,
     set_fault_plan,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "active_plan",
-    "clear_fault_plan",
     "inject_conn_reset",
     "inject_slow_execute",
     "inject_store_corrupt",

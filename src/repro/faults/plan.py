@@ -48,7 +48,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "active_plan",
-    "clear_fault_plan",
     "load_fault_plan",
     "set_fault_plan",
 ]
@@ -56,7 +55,7 @@ __all__ = [
 #: The fault kinds a plan may name (one injection site each, see above).
 FAULT_KINDS = ("worker_crash", "store_corrupt", "slow_execute", "conn_reset")
 
-#: Environment variable carrying the active plan into worker processes:
+#: Environment variable ``repro-mtv serve`` reads its plan from at boot:
 #: either inline JSON (``{"faults": ...}``) or ``@/path/to/plan.toml``.
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
@@ -160,7 +159,7 @@ class FaultPlan:
 
     # ------------------------------------------------------------------ #
     def to_document(self) -> dict:
-        """JSON-ready form of this plan (the :data:`PLAN_ENV` payload)."""
+        """JSON-ready form of this plan (what pool tasks carry to their workers)."""
         return {
             "state_dir": None if self.state_dir is None else str(self.state_dir),
             "faults": {
@@ -227,46 +226,21 @@ def load_fault_plan(source: str) -> FaultPlan:
     return FaultPlan.from_document(document)
 
 
-#: The process's active plan; ``_loaded`` marks whether :data:`PLAN_ENV` has
-#: been consulted (once per process — worker processes inherit the env var
-#: and load their own copy, sharing state through the plan's ``state_dir``).
+#: The process's active plan (in a pool worker: the one its tasks shipped).
 _plan: FaultPlan | None = None
-_loaded = False
 
 
 def active_plan() -> FaultPlan | None:
     """The plan injecting faults in this process, or ``None`` (the default)."""
-    global _plan, _loaded
-    if not _loaded:
-        _loaded = True
-        raw = os.environ.get(PLAN_ENV)
-        if raw:
-            _plan = load_fault_plan(raw)
     return _plan
 
 
-def set_fault_plan(plan: FaultPlan | None, *, install_env: bool = True) -> None:
+def set_fault_plan(plan: FaultPlan | None) -> None:
     """Activate ``plan`` in this process (``None`` disables injection).
 
-    With ``install_env`` (the default) the plan is also serialized into
-    :data:`PLAN_ENV`, so worker processes spawned *after* this call load the
-    same plan — required for ``worker_crash``, which fires inside pool
-    workers.  Pair with a cross-process ``state_dir`` when the trigger budget
-    must be shared across those workers.
+    Pool tasks submitted afterwards carry the plan's document to their
+    workers.  Pair it with a cross-process ``state_dir`` when the trigger
+    budget must be shared across those workers.
     """
-    global _plan, _loaded
+    global _plan
     _plan = plan
-    _loaded = True
-    if install_env:
-        if plan is None:
-            os.environ.pop(PLAN_ENV, None)
-        else:
-            os.environ[PLAN_ENV] = json.dumps(plan.to_document())
-
-
-def clear_fault_plan() -> None:
-    """Drop the active plan and the env override; re-reads env on next use."""
-    global _plan, _loaded
-    _plan = None
-    _loaded = False
-    os.environ.pop(PLAN_ENV, None)

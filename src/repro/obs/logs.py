@@ -28,6 +28,20 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(name)
 
 
+class _CliHandler(logging.StreamHandler):
+    """Writes to ``target``, or else to ``sys.stdout`` as of each record.
+
+    A long-lived service thread then never writes to a stdout that was
+    swapped out and closed since logging was configured.
+    """
+
+    target = None
+    stream = property(lambda self: sys.stdout if self.target is None else self.target)
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+
 def configure_logging(level: str = "info", stream=None) -> logging.Logger:
     """Attach a stream handler to the ``repro`` logger (idempotent).
 
@@ -38,21 +52,11 @@ def configure_logging(level: str = "info", stream=None) -> logging.Logger:
     numeric = getattr(logging, level.upper(), None)
     if not isinstance(numeric, int):
         raise ValueError(f"unknown log level: {level!r}")
-    target = stream if stream is not None else sys.stdout
-    handler = next(
-        (
-            existing
-            for existing in root.handlers
-            if getattr(existing, "_repro_cli", False)
-        ),
-        None,
-    )
+    handler = next((h for h in root.handlers if isinstance(h, _CliHandler)), None)
     if handler is None:
-        handler = logging.StreamHandler(target)
-        handler._repro_cli = True  # type: ignore[attr-defined]
+        handler = _CliHandler()
         handler.setFormatter(logging.Formatter(_FORMAT))
         root.addHandler(handler)
-    else:
-        handler.setStream(target)
+    handler.target = stream
     root.setLevel(numeric)
     return root

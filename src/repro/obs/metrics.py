@@ -134,9 +134,6 @@ class Gauge(_Family):
         with self._lock:
             self._state(labels)[0] += amount
 
-    def dec(self, amount: float = 1, labels: Mapping[str, str] | None = None) -> None:
-        self.inc(-amount, labels)
-
     def value(self, labels: Mapping[str, str] | None = None) -> float:
         with self._lock:
             return self._state(labels)[0]

@@ -9,8 +9,10 @@ attributes before the loop binds its locals; when it is disabled nothing
 is installed and the loop runs the exact same bytecode it always did —
 zero added work per iteration, byte-identical statistics.
 
-Enable with ``REPRO_PROFILE=1`` in the environment (workers inherit it via
-the pool env fingerprint) or per-call with ``Machine.run(profile=True)``.
+Enable with ``REPRO_PROFILE=1`` in the environment or per-call with
+``Machine.run(profile=True)``.  The environment is read in the process that
+runs or submits a simulation; a pool task carries the flag to its worker,
+which runs under :func:`force_profiling`.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ from repro.api.batch import (
     _execute_pickled_traced,
     _execute_request_traced,
     _ship_payload,
+    _task_settings,
 )
 from repro.api.pool import WorkerPool, get_shared_pool
 from repro.errors import (
@@ -532,7 +533,9 @@ class SimulationService:
             # bind (and grow, if needed) the process-wide shared pool: its
             # warm workers are reused across services and run_batch calls
             self._pool = get_shared_pool(self.workers)
-        return self._pool.submit(_execute_pickled_traced, entry.payload, entry.trace_id)
+        return self._pool.submit(
+            _execute_pickled_traced, entry.payload, entry.trace_id, _task_settings()
+        )
 
     def _complete(self, entry: QueueEntry, outcome, error: BaseException | None) -> None:
         self._slots.release()  # the execution is over, requeued or not

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -24,7 +25,8 @@ from repro.api.batch import (
 )
 from repro.api.pool import get_shared_pool, shutdown_shared_pool
 from repro.core import Job
-from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
+from repro.faults import FaultPlan, FaultSpec, active_plan, set_fault_plan
+from repro.obs.profiling import profiling_enabled
 
 from tests.conftest import make_scalar_loop_program, make_vector_loop_program
 
@@ -52,9 +54,9 @@ def _pid_at_barrier(barrier) -> int:
 
 @pytest.fixture(autouse=True)
 def _no_leftover_fault_plan():
-    clear_fault_plan()
+    set_fault_plan(None)
     yield
-    clear_fault_plan()
+    set_fault_plan(None)
 
 
 @pytest.fixture()
@@ -130,18 +132,6 @@ class TestWorkerPool:
             release.set()
             holder.join(timeout=10)
             pool.shutdown(wait=False)
-
-    def test_env_fingerprint_change_respawns(self, pool, monkeypatch):
-        pool.submit(os.getpid).result()
-        assert pool.spawned == 1
-        # flip relative to whatever the environment may have preset
-        current = os.environ.get("REPRO_PROFILE")
-        monkeypatch.setenv("REPRO_PROFILE", "1" if current != "1" else "")
-        pool.submit(os.getpid).result()
-        assert pool.spawned == 2
-        # unchanged fingerprint: no further respawn
-        pool.submit(os.getpid).result()
-        assert pool.spawned == 2
 
     def test_resize_only_grows(self, pool):
         pool.resize(1)
@@ -249,6 +239,99 @@ class TestCrashRecovery:
         serial_cycles = [r.cycles for r in run_batch(requests, jobs=1)]
         pooled = run_batch(requests, pool=pool)
         assert [r.cycles for r in pooled] == serial_cycles
+
+    def test_break_while_submitting_is_retried(self, pool):
+        # a worker can die before the parent has submitted every chunk: the
+        # executor then refuses the rest at submit time, which must count as
+        # a failed attempt, not escape run_batch
+        class BreaksMidSubmission:
+            workers = pool.workers
+
+            def __init__(self) -> None:
+                self.submits = self.respawns = 0
+
+            def submit(self, fn, /, *args):
+                self.submits += 1
+                if self.submits == 2:
+                    raise BrokenProcessPool("a worker died mid-submission")
+                return pool.submit(fn, *args)
+
+            def respawn_broken(self) -> bool:
+                self.respawns += 1
+                return pool.respawn_broken()
+
+        flaky = BreaksMidSubmission()
+        requests = _requests(latencies=(1,))
+        serial_cycles = [r.cycles for r in run_batch(requests, jobs=1)]
+        assert [r.cycles for r in run_batch(requests, pool=flaky)] == serial_cycles
+        assert flaky.respawns == 1
+
+
+class TestTaskSettings:
+    """Each pool task carries the fault plan and profiling flag it runs under."""
+
+    def test_plan_set_on_a_warm_pool_reaches_its_workers(self, pool, tmp_path):
+        requests = _requests(latencies=(1,))
+        serial = [r.cycles for r in run_batch(requests, jobs=1)]
+        run_batch(requests, pool=pool)
+        assert pool.spawned == 1
+        set_fault_plan(
+            FaultPlan([FaultSpec("worker_crash", count=1)], state_dir=tmp_path)
+        )
+        pooled = run_batch(requests, pool=pool)
+        assert [r.cycles for r in pooled] == serial
+        assert (tmp_path / "worker_crash.tick0").exists()
+        # the crash respawn is the only one: setting the plan swapped nothing
+        assert pool.spawned == 2
+
+    def test_profiling_toggle_keeps_the_pool_warm(self, pool, monkeypatch):
+        requests = _requests(latencies=(1,))
+        for flag in ("1", "0", "1"):
+            monkeypatch.setenv("REPRO_PROFILE", flag)
+            profiled = [r.phase_profile is not None for r in run_batch(requests, pool=pool)]
+            assert profiled == [flag == "1"] * len(requests)
+        assert pool.spawned == 1
+
+    def test_cleared_crash_looping_plan_runs_on_the_warm_pool(self, pool, monkeypatch):
+        fell_back: list[list[int]] = []
+        run_chunks = batch._run_chunks_on_pool
+
+        def spy(*args):
+            local = run_chunks(*args)
+            fell_back.append(local)
+            return local
+
+        monkeypatch.setattr(batch, "_run_chunks_on_pool", spy)
+        requests = _requests(latencies=(1,))
+        serial = [r.cycles for r in run_batch(requests, jobs=1)]
+        set_fault_plan(FaultPlan([FaultSpec("worker_crash", count=1_000_000)]))
+        assert [r.cycles for r in run_batch(requests, pool=pool)] == serial
+        assert fell_back[-1]  # both pool attempts crashed
+        spawned = pool.spawned
+        set_fault_plan(None)
+        assert [r.cycles for r in run_batch(requests, pool=pool)] == serial
+        assert fell_back[-1] == []  # every chunk ran on the pool, none crashed
+        assert pool.spawned == spawned
+
+    def test_worker_reinstalls_only_a_changed_plan(self, monkeypatch):
+        monkeypatch.setattr(batch, "_installed_plan", object())
+        document = FaultPlan([FaultSpec("conn_reset", count=1)]).to_document()
+        with batch._running_under((document, False)):
+            plan = active_plan()
+            assert plan.should_fire("conn_reset")
+        with batch._running_under((document, True)):
+            # same document: the per-process counter keeps its count
+            assert active_plan() is plan and profiling_enabled()
+            assert not plan.should_fire("conn_reset")
+        with batch._running_under((None, False)):
+            assert active_plan() is None and not profiling_enabled()
+
+    def test_first_task_replaces_a_plan_copied_by_fork(self, monkeypatch):
+        monkeypatch.setattr(batch, "_installed_plan", object())
+        # what a worker forked while its parent held a plan starts with
+        set_fault_plan(FaultPlan([FaultSpec("worker_crash", count=1_000_000)]))
+        with batch._running_under((None, False)):
+            assert active_plan() is None
 
 
 def _failing_on_boom(execute):

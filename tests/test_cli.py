@@ -154,6 +154,14 @@ class TestServiceCommands:
         assert output["code"] == 0
         assert "service stopped" in capsys.readouterr().out
 
+    def test_serve_refuses_a_bad_boot_fault_plan(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import serve_main
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "{not json")
+        code = serve_main(["--port", "0", "--store-dir", str(tmp_path), "--duration", "0"])
+        assert code == 2
+        assert "bad REPRO_FAULT_PLAN value" in capsys.readouterr().out
+
     def test_submit_against_dead_server_exits_nonzero(self, capsys):
         from repro.cli import submit_main
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -11,11 +10,9 @@ from repro.errors import ConfigurationError
 from repro.faults import (
     CORRUPT_BYTES,
     FAULT_KINDS,
-    PLAN_ENV,
     FaultPlan,
     FaultSpec,
     active_plan,
-    clear_fault_plan,
     inject_conn_reset,
     inject_slow_execute,
     inject_store_corrupt,
@@ -26,9 +23,9 @@ from repro.faults import (
 
 @pytest.fixture(autouse=True)
 def _no_leftover_plan():
-    clear_fault_plan()
+    set_fault_plan(None)
     yield
-    clear_fault_plan()
+    set_fault_plan(None)
 
 
 class TestFaultSpec:
@@ -146,33 +143,16 @@ class TestActivePlan:
     def test_default_is_none(self):
         assert active_plan() is None
 
-    def test_set_installs_env_for_workers(self):
-        set_fault_plan(FaultPlan([FaultSpec("conn_reset")]))
-        assert PLAN_ENV in os.environ
-        # a fresh process would load the same plan from the env payload
-        reloaded = load_fault_plan(os.environ[PLAN_ENV])
-        assert reloaded.spec("conn_reset") is not None
-
-    def test_env_is_loaded_once(self, tmp_path):
-        clear_fault_plan()
-        os.environ[PLAN_ENV] = json.dumps(
-            {"faults": {"slow_execute": {"delay": 0.0}}}
-        )
-        try:
-            assert active_plan().spec("slow_execute") is not None
-        finally:
-            clear_fault_plan()
-
     def test_clear_disables_injection(self):
         set_fault_plan(FaultPlan([FaultSpec("conn_reset")]))
-        clear_fault_plan()
-        assert PLAN_ENV not in os.environ
+        set_fault_plan(None)
+        assert active_plan() is None
         inject_conn_reset()  # no plan: must not raise
 
 
 class TestInjectors:
     def test_conn_reset_fires_then_stops(self):
-        set_fault_plan(FaultPlan([FaultSpec("conn_reset", count=1)]), install_env=False)
+        set_fault_plan(FaultPlan([FaultSpec("conn_reset", count=1)]))
         with pytest.raises(ConnectionResetError):
             inject_conn_reset()
         inject_conn_reset()  # budget exhausted
@@ -180,10 +160,7 @@ class TestInjectors:
     def test_slow_execute_sleeps(self, monkeypatch):
         naps = []
         monkeypatch.setattr("time.sleep", lambda s: naps.append(s))
-        set_fault_plan(
-            FaultPlan([FaultSpec("slow_execute", count=1, delay=0.123)]),
-            install_env=False,
-        )
+        set_fault_plan(FaultPlan([FaultSpec("slow_execute", count=1, delay=0.123)]))
         inject_slow_execute()
         inject_slow_execute()
         assert naps == [0.123]
@@ -191,7 +168,7 @@ class TestInjectors:
     def test_store_corrupt_scribbles_over_file(self, tmp_path):
         victim = tmp_path / "entry.res"
         victim.write_bytes(b"x" * 64)
-        set_fault_plan(FaultPlan([FaultSpec("store_corrupt", count=1)]), install_env=False)
+        set_fault_plan(FaultPlan([FaultSpec("store_corrupt", count=1)]))
         inject_store_corrupt(victim)
         assert victim.read_bytes().startswith(CORRUPT_BYTES)
         before = victim.read_bytes()
@@ -199,5 +176,5 @@ class TestInjectors:
         assert victim.read_bytes() == before
 
     def test_store_corrupt_tolerates_missing_file(self, tmp_path):
-        set_fault_plan(FaultPlan([FaultSpec("store_corrupt", count=1)]), install_env=False)
+        set_fault_plan(FaultPlan([FaultSpec("store_corrupt", count=1)]))
         inject_store_corrupt(tmp_path / "absent.res")  # must not raise

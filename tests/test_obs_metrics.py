@@ -49,7 +49,7 @@ class TestGauge:
         gauge = Gauge("repro_test_gauge", "A test gauge")
         gauge.set(7)
         gauge.inc(2)
-        gauge.dec(4)
+        gauge.inc(-4)
         assert gauge.value() == 5.0
 
 

@@ -21,6 +21,7 @@ import urllib.request
 import pytest
 
 from repro.api import Machine, SimulationRequest
+from repro.api.batch import _execute_request_to_bytes
 from repro.errors import ConfigurationError, SimulationError
 from repro.service import (
     ResultStore,
@@ -40,14 +41,20 @@ TOMCATV_JOB = {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "s
 FOUR_MODELS = ("reference", "multithreaded-2", "dual-scalar", "ideal")
 
 
-def start_serve(tmp_path) -> tuple[subprocess.Popen, str]:
-    """A real ``serve --workers 2`` subprocess on a free port, and its URL."""
+def start_serve(
+    tmp_path, *, workers: int = 2, env: dict | None = None
+) -> tuple[subprocess.Popen, str]:
+    """A real ``serve --workers N`` subprocess on a free port, and its URL.
+
+    ``env`` adds variables to the server's environment.
+    """
     log_path = tmp_path / "serve.log"
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **(env or {}))
     with open(log_path, "w") as log:
         serve = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--workers", "2", "--store-dir", str(tmp_path / "store")],
+             "--workers", str(workers), "--store-dir", str(tmp_path / "store")],
             env=env, stdout=log, stderr=subprocess.STDOUT,
             start_new_session=True,  # the server and its pool form one group
         )
@@ -628,30 +635,64 @@ class TestJobTimeoutHTTP:
 
 class TestConnResetRetry:
     def test_injected_reset_is_retried_transparently(self, tmp_path):
-        from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
+        from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 
         service = SimulationService(store=None, workers=1)
         with ServiceServer(service, port=0) as running:
             resilient = ServiceClient(running.url, retries=2, retry_interval=0.01)
-            set_fault_plan(
-                FaultPlan([FaultSpec("conn_reset", count=1)]), install_env=False
-            )
+            set_fault_plan(FaultPlan([FaultSpec("conn_reset", count=1)]))
             try:
                 assert resilient.healthz()["status"] == "ok"
             finally:
-                clear_fault_plan()
+                set_fault_plan(None)
 
     def test_reset_beyond_budget_surfaces(self, tmp_path):
-        from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
+        from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 
         service = SimulationService(store=None, workers=1)
         with ServiceServer(service, port=0) as running:
             brittle = ServiceClient(running.url, retries=0)
-            set_fault_plan(
-                FaultPlan([FaultSpec("conn_reset", count=5)]), install_env=False
-            )
+            set_fault_plan(FaultPlan([FaultSpec("conn_reset", count=5)]))
             try:
                 with pytest.raises(ServiceError, match="cannot reach"):
                     brittle.healthz()
             finally:
-                clear_fault_plan()
+                set_fault_plan(None)
+
+
+class TestServeFaultPlan:
+    def test_boot_time_plan_crashes_one_pool_execution(self, tmp_path):
+        # `serve` reads REPRO_FAULT_PLAN once at boot; the pool task carries
+        # the plan to the worker, and the state_dir caps it at one crash
+        plan = {"state_dir": str(tmp_path / "faults"), "faults": {"worker_crash": {"count": 1}}}
+        serve, url = start_serve(
+            tmp_path, workers=1, env={"REPRO_FAULT_PLAN": json.dumps(plan)}
+        )
+        workers: list[int] = []
+        try:
+            client = ServiceClient(url)
+            payload = client.submit(
+                "reference", {"benchmark": "tomcatv", "scale": SCALE}
+            ).result_bytes(timeout=120.0)
+            stats = client.stats()
+            assert stats["worker_crashes"] == 1
+            assert stats["retried"] == 1
+            request = SimulationRequest.single(
+                "reference", build_benchmark("tomcatv", scale=SCALE)
+            )
+            assert payload == _execute_request_to_bytes(request)
+            workers = child_pids(serve.pid)
+            serve.send_signal(signal.SIGTERM)
+            assert serve.wait(timeout=30.0) == -signal.SIGTERM
+            deadline = time.monotonic() + 10.0
+            while any(map(is_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if is_running(pid)]
+        finally:
+            serve.kill()
+            serve.wait()
+            for pid in filter(is_running, workers):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

@@ -21,7 +21,7 @@ from repro.errors import (
     ServiceOverloadedError,
     SimulationError,
 )
-from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
+from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 from repro.service import JobState, ResultStore, SimulationService
 from repro.workloads import build_benchmark
 
@@ -30,9 +30,9 @@ SCALE = 0.05
 
 @pytest.fixture(autouse=True)
 def _no_leftover_plan():
-    clear_fault_plan()
+    set_fault_plan(None)
     yield
-    clear_fault_plan()
+    set_fault_plan(None)
 
 
 def _request(benchmark: str = "tomcatv", **options) -> SimulationRequest:
@@ -58,7 +58,7 @@ class TestCrashRecovery:
             assert stats["retried"] == 1
             assert stats["failover_local"] == 0
             payload = record.payload
-        clear_fault_plan()
+        set_fault_plan(None)
         assert payload == _execute_request_to_bytes(request)
 
     def test_crash_loop_fails_over_to_thread_path(self, tmp_path):
@@ -79,7 +79,7 @@ class TestCrashRecovery:
             assert stats["worker_crashes"] == 2  # max_retries + 1 attempts
             assert stats["failover_local"] == 1
             payload = record.payload
-        clear_fault_plan()
+        set_fault_plan(None)
         assert payload == _execute_request_to_bytes(request)
 
     def test_crashes_do_not_fail_coalesced_waiters(self, tmp_path):
@@ -106,9 +106,7 @@ class TestStoreCorruptionViaService:
         with SimulationService(store=ResultStore(tmp_path / "store"), workers=1) as service:
             clean = service.wait(service.submit(request).job_id, timeout=300.0)
             # next store read is scribbled over before parsing
-            set_fault_plan(
-                FaultPlan([FaultSpec("store_corrupt", count=1)]), install_env=False
-            )
+            set_fault_plan(FaultPlan([FaultSpec("store_corrupt", count=1)]))
             redone = service.wait(service.submit(request).job_id, timeout=300.0)
             assert redone.served_from == "executed"  # corrupt entry = miss
             assert redone.payload == clean.payload
@@ -232,10 +230,7 @@ class TestShutdownAndDrain:
     def test_shutdown_with_inflight_job(self):
         # a job slowed by fault injection is mid-execution when shutdown
         # lands; shutdown must return and later submissions must be refused
-        set_fault_plan(
-            FaultPlan([FaultSpec("slow_execute", count=1, delay=0.3)]),
-            install_env=False,
-        )
+        set_fault_plan(FaultPlan([FaultSpec("slow_execute", count=1, delay=0.3)]))
         service = SimulationService(store=None, workers=1)
         job = service.submit(SimulationRequest.single("reference", build_benchmark("tomcatv", scale=SCALE)))
         deadline = time.monotonic() + 5.0

@@ -8,7 +8,7 @@ import pytest
 from repro.api.cache import RunCache
 from repro.api.pool import get_shared_pool, shutdown_shared_pool
 from repro.errors import SweepError
-from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
+from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 from repro.service import ResultStore
 from repro.sweep import (
     Repetitions,
@@ -160,9 +160,9 @@ class TestCrashLadder:
     def _pooled(self, monkeypatch):
         monkeypatch.setattr("repro.api.batch.usable_cpus", lambda: 2)
         shutdown_shared_pool()
-        clear_fault_plan()
+        set_fault_plan(None)
         yield
-        clear_fault_plan()
+        set_fault_plan(None)
         shutdown_shared_pool()
 
     def _sweep(self):
