@@ -37,7 +37,6 @@ from repro.api.registry import register_model, resolve_model
 from repro.core.config import MachineConfig
 from repro.core.engine import SimulationEngine
 from repro.core.ideal import IdealMachineModel
-from repro.core.eventlog import FlatIntervalRecorder
 from repro.core.results import SimulationResult
 from repro.core.statistics import SimulationStats
 from repro.core.suppliers import (
@@ -238,13 +237,9 @@ class _IdealMachine(Machine):
             raise SimulationError("the IDEAL bound needs at least one workload")
         stats_list = [measure_stream(job.open_stream(), name=job.name) for job in jobs]
         cycles = self._model.bound_for_stats(stats_list)
-        # flat-array recorders (empty: the analytic bound has no unit
-        # timeline) so every result, simulated or analytic, marshals the
-        # same compact columnar containers through batch IPC and the cache
+        # the analytic bound has no unit timeline: its interval recorders
+        # are the empty defaults
         stats = SimulationStats(
-            fu2_intervals=FlatIntervalRecorder("FU2"),
-            fu1_intervals=FlatIntervalRecorder("FU1"),
-            ld_intervals=FlatIntervalRecorder("LD"),
             cycles=cycles,
             instructions=sum(s.total_instructions for s in stats_list),
             scalar_instructions=sum(s.scalar_instructions for s in stats_list),

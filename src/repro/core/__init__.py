@@ -19,7 +19,6 @@ from repro.core.scheduler import (
 from repro.core.scoreboard import ColumnarScoreboard
 from repro.core.statistics import (
     FU_STATE_NAMES,
-    IntervalRecorder,
     JobRecord,
     SimulationStats,
     ThreadStats,
@@ -42,7 +41,6 @@ __all__ = [
     "FunctionalUnit",
     "HardwareContext",
     "IdealMachineModel",
-    "IntervalRecorder",
     "Job",
     "JobQueueSupplier",
     "JobRecord",

@@ -169,10 +169,6 @@ class HardwareContext:
         else:
             self.pending = None
 
-    def record_lost_cycle(self) -> None:
-        """Account for a decode cycle lost to this context's blocked instruction."""
-        self.stats.lost_decode_cycles += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HardwareContext(thread={self.thread_id}, job={self.current_job_name!r}, "

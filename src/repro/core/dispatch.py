@@ -19,6 +19,10 @@ This module answers the two questions the decode unit asks every cycle:
    static columns of the instruction, summed per job by
    :func:`~repro.core.eventlog.prefix_counts`.
 
+A scalar-unit head with scalar operands only (``Instruction.scalar_unit_only``)
+has no unit term: :meth:`DispatchModel.issue_scalar` answers both questions
+in one call.  Units and busses are reserved inline, without helper calls.
+
 Timing rules implemented (paper section 3 / 3.1):
 
 * at most one instruction is dispatched per decode slot, in order per thread;
@@ -40,11 +44,17 @@ from __future__ import annotations
 from repro.core.config import MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.functional_units import VectorUnitPool
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instruction import Instruction
 from repro.memory.system import MemorySystem
 
 __all__ = ["DispatchModel"]
+
+
+def _no_latency(kind: str, instruction: Instruction) -> ConfigurationError:
+    return ConfigurationError(
+        f"no {kind} latency defined for class {instruction.latency_class!r}"
+    )
 
 
 class DispatchModel:
@@ -59,7 +69,9 @@ class DispatchModel:
         self.config = config
         self.memory = memory
         self.vector_units = vector_units
-        self._scalar_latency = config.latencies.scalar_latency
+        # the run's latency tables, indexed directly on the dispatch paths
+        self._scalar_latencies = config.latencies.scalar
+        self._vector_latencies = config.latencies.vector
 
     # ------------------------------------------------------------------ #
     # question 1: when could this instruction issue?
@@ -67,11 +79,55 @@ class DispatchModel:
     def register_hazard(self, context: HardwareContext, instruction: Instruction) -> int:
         """The instruction's register-hazard bound on ``context``'s scoreboard.
 
-        This is the probe profiled as ``hazard_check``.  Only the context's
-        own dispatches move the bound, so the engine makes this call once per
-        head and keeps the result in ``context.head_hazard``.
+        This is the separate probe profiled as ``hazard_check``.  Only the
+        context's own dispatches move the bound, so the engine makes this
+        call at most once per head and keeps the result in
+        ``context.head_hazard``.
         """
         return context.scoreboard.earliest_dispatch(instruction, 0)
+
+    def issue_scalar(
+        self, context: HardwareContext, instruction: Instruction, now: int
+    ) -> int | None:
+        """Probe a ``scalar_unit_only`` head and dispatch it if it issues at ``now``.
+
+        The scalar unit has no busy term and the head touches scalar
+        registers only, so this is the scalar part of the scoreboard's
+        ``earliest_dispatch`` and ``record_dispatch`` over its columns, in
+        one call.  Returns the completion cycle, or ``None`` when the head
+        blocks, with its bound kept in ``context.head_hazard``.
+        """
+        board = context.scoreboard
+        ready_at = board._ready_at
+        read_busy = board._read_busy
+        sources = instruction.scalar_src_keys
+        dest = instruction.dest_key
+        hazard = 0
+        for key in sources:
+            if ready_at[key] > hazard:
+                hazard = ready_at[key]
+        if dest >= 0:
+            if board._write_busy[dest] > hazard:
+                hazard = board._write_busy[dest]
+            if read_busy[dest] > hazard:
+                hazard = read_busy[dest]
+        if hazard > now:
+            context.head_hazard = hazard
+            return None
+        try:
+            completion = now + self._scalar_latencies[instruction.latency_class]
+        except KeyError:
+            raise _no_latency("scalar", instruction) from None
+        read_end = now + 1
+        for key in sources:
+            if read_end > read_busy[key]:
+                read_busy[key] = read_end
+        if dest >= 0:
+            board._first_at[dest] = completion
+            ready_at[dest] = completion
+            board._chainable[dest] = 1 if board._allow_chaining else 0
+            board._write_busy[dest] = completion
+        return completion
 
     # ------------------------------------------------------------------ #
     # question 2: what happens when it issues?
@@ -81,10 +137,11 @@ class DispatchModel:
     ) -> int:
         """Dispatch the instruction and return its completion cycle.
 
-        This is the engine's hot path: it reserves the functional units and
-        the memory system and updates the scoreboard.  The returned cycle is
-        when the instruction's last result is available.  Scalar-unit work,
-        the most common case, is handled inline.
+        This is the engine's general dispatch path: it reserves the
+        functional units and the memory system and updates the scoreboard.
+        The returned cycle is when the instruction's last result is
+        available.  Every instruction may take it; the run loops send
+        ``scalar_unit_only`` heads through :meth:`issue_scalar` instead.
         """
         if instruction.is_memory:
             if instruction.is_vector_memory:
@@ -92,7 +149,10 @@ class DispatchModel:
             return self._dispatch_scalar_memory(context, instruction, now)
         if instruction.is_vector_arithmetic:
             return self._dispatch_vector_arithmetic(context, instruction, now)
-        ready_at = now + self._scalar_latency(instruction.latency_class)
+        try:
+            ready_at = now + self._scalar_latencies[instruction.latency_class]
+        except KeyError:
+            raise _no_latency("scalar", instruction) from None
         context.scoreboard.record_dispatch(
             instruction, now + 1, now + 1, ready_at, ready_at, True
         )
@@ -115,17 +175,26 @@ class DispatchModel:
     def _dispatch_vector_arithmetic(
         self, context: HardwareContext, instruction: Instruction, now: int
     ) -> int:
-        if instruction.vl is None:
-            raise SimulationError(f"vector instruction without a vector length: {instruction}")
         vl = instruction.vl
+        if vl is None:
+            raise SimulationError(f"vector instruction without a vector length: {instruction}")
         config = self.config
-        unit = self.vector_units.arithmetic_unit_for(instruction, now)
+        # VectorUnitPool.arithmetic_unit_for, inline
+        units = self.vector_units
+        unit = units.fu2
+        if not instruction.fu2_only:
+            free = units.fu1._free_at
+            if free <= now or free <= unit._free_at:
+                unit = units.fu1
         if unit._free_at > now:
             raise SimulationError(
                 f"vector unit {unit.name} is busy until {unit._free_at}, "
                 f"cannot dispatch at {now}"
             )
-        latency = config.latencies.vector_latency(instruction.latency_class)
+        try:
+            latency = self._vector_latencies[instruction.latency_class]
+        except KeyError:
+            raise _no_latency("vector", instruction) from None
         read_start = now + config.vector_startup
         scoreboard = context.scoreboard
         element_start = scoreboard.chain_start(instruction, read_start)
@@ -137,7 +206,20 @@ class DispatchModel:
         )
         completion = first_result + vl - 1
         read_end = element_start + vl
-        unit.reserve(now, read_end, record_until=completion)
+        # FunctionalUnit.reserve(now, read_end, record_until=completion), inline
+        if now < 0 or read_end < now:
+            raise SimulationError(f"unit {unit.name}: invalid reservation [{now}, {read_end})")
+        if read_end > unit._free_at:
+            unit._free_at = read_end
+        intervals = unit.intervals
+        if completion > now:
+            intervals._pairs.extend((now, completion))
+            if intervals._merged_cache:
+                intervals._merged_cache = {}
+        elif completion < now:
+            raise SimulationError(
+                f"unit {unit.name}: busy interval ends ({completion}) before it starts ({now})"
+            )
         if instruction.dest_bank < 0:
             # reductions deposit a scalar result once all elements are done
             first_result = completion + 1
@@ -149,11 +231,12 @@ class DispatchModel:
     def _dispatch_vector_memory(
         self, context: HardwareContext, instruction: Instruction, now: int
     ) -> int:
-        if instruction.vl is None:
-            raise SimulationError(f"vector instruction without a vector length: {instruction}")
         vl = instruction.vl
+        if vl is None:
+            raise SimulationError(f"vector instruction without a vector length: {instruction}")
         config = self.config
-        unit = self.vector_units.memory_unit(now)
+        units = self.vector_units.load_store_units
+        unit = units[0] if len(units) == 1 else self.vector_units.memory_unit(now)
         if unit._free_at > now:
             raise SimulationError(
                 f"LD unit is busy until {unit._free_at}, cannot dispatch at {now}"
@@ -172,12 +255,25 @@ class DispatchModel:
             instruction.memory_code, vl, instruction.stride or 1, address_earliest
         )
         streaming_end = start + vl
-
-        if instruction.is_load:
-            record_until = completion
-        else:
-            record_until = completion + 1
-        unit.reserve(now, streaming_end, record_until=record_until)
+        # the busy window recorded for the figure-4 breakdown lasts until the
+        # last datum has returned (loads) or one cycle past it (stores)
+        record_until = completion if instruction.is_load else completion + 1
+        # FunctionalUnit.reserve(now, streaming_end, record_until=...), inline
+        if now < 0 or streaming_end < now:
+            raise SimulationError(
+                f"unit {unit.name}: invalid reservation [{now}, {streaming_end})"
+            )
+        if streaming_end > unit._free_at:
+            unit._free_at = streaming_end
+        intervals = unit.intervals
+        if record_until > now:
+            intervals._pairs.extend((now, record_until))
+            if intervals._merged_cache:
+                intervals._merged_cache = {}
+        elif record_until < now:
+            raise SimulationError(
+                f"unit {unit.name}: busy interval ends ({record_until}) before it starts ({now})"
+            )
         # vector loads/gathers are NOT chainable into functional units on
         # the modeled machine: consumers wait for the full completion.
         write_crossbar = config.write_crossbar_latency

@@ -144,11 +144,18 @@ class SimulationEngine:
         # loop (and helper) resolves them through the instance, so all phase
         # calls are timed.  They are removed again before returning so no
         # wrapper outlives the run and the engine stays picklable.
-        dispatch_model.register_hazard = profile.wrap(
-            "hazard_check", dispatch_model.register_hazard
-        )
-        dispatch_model.execute = profile.wrap("dispatch", dispatch_model.execute)
-        memory.schedule_columnar = profile.wrap("memory", memory.schedule_columnar)
+        wrappers = {
+            (dispatch_model, "register_hazard"): profile.wrap(
+                "hazard_check", dispatch_model.register_hazard
+            ),
+            (dispatch_model, "issue_scalar"): profile.wrap(
+                "dispatch", dispatch_model.issue_scalar, blocked_phase="hazard_check"
+            ),
+            (dispatch_model, "execute"): profile.wrap("dispatch", dispatch_model.execute),
+            (memory, "schedule_columnar"): profile.wrap("memory", memory.schedule_columnar),
+        }
+        for (owner, name), wrapper in wrappers.items():
+            setattr(owner, name, wrapper)
         try:
             loop_started = perf_counter()
             stop_reason = loop(stop_after_context0, max_cycles)
@@ -161,9 +168,8 @@ class SimulationEngine:
                 "clamp_rescans": self.clamp_rescans,
             }
         finally:
-            dispatch_model.__dict__.pop("register_hazard", None)
-            dispatch_model.__dict__.pop("execute", None)
-            memory.__dict__.pop("schedule_columnar", None)
+            for owner, name in wrappers:
+                owner.__dict__.pop(name, None)
         result.phase_profile = profile.as_dict()
         return result
 
@@ -176,6 +182,7 @@ class SimulationEngine:
         context0 = self.contexts[0]
         dispatch_model = self.dispatch_model
         register_hazard = dispatch_model.register_hazard
+        issue_scalar = dispatch_model.issue_scalar
         execute = dispatch_model.execute
         stats = self.stats
         select = self.scheduler.select
@@ -203,31 +210,39 @@ class SimulationEngine:
                     # this context ran out of work; pick another without losing a cycle
                     active = None
                     continue
-            # Inlined _issue_cycle: the register-hazard bound is probed once
-            # per head, the unit term read live.
             issue = active.head_hazard
-            if issue is None:
-                issue = active.head_hazard = register_hazard(active, head)
-            if head.is_vector_arithmetic:
-                free = fu2._free_at
-                if not head.fu2_only and fu1._free_at < free:
-                    free = fu1._free_at
-                if free > issue:
-                    issue = free
-            elif head.is_vector_memory:
-                free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
-                if free > issue:
-                    issue = free
-            if issue <= cycle:
-                execute(active, head, cycle)
-                active.consume(head)
-                stats.instructions += 1
-                self.cycle = cycle + 1
-                continue
+            if head.scalar_unit_only:
+                # one call probes the head and, if it issues now, dispatches it
+                if (issue is None or issue <= cycle) and issue_scalar(
+                    active, head, cycle
+                ) is not None:
+                    active.consume(head)
+                    self.cycle = cycle + 1
+                    continue
+            else:
+                # Inlined _issue_cycle: the register-hazard bound is probed
+                # once per head, the unit term read live.
+                if issue is None:
+                    issue = active.head_hazard = register_hazard(active, head)
+                if head.is_vector_arithmetic:
+                    free = fu2._free_at
+                    if not head.fu2_only and fu1._free_at < free:
+                        free = fu1._free_at
+                    if free > issue:
+                        issue = free
+                elif head.is_vector_memory:
+                    free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
+                    if free > issue:
+                        issue = free
+                if issue <= cycle:
+                    execute(active, head, cycle)
+                    active.consume(head)
+                    self.cycle = cycle + 1
+                    continue
             # the active thread blocks: the decode cycle is lost and the switch
             # logic picks another non-blocked thread for the following cycle.
             stats.decode_lost_cycles += 1
-            active.record_lost_cycle()
+            active.stats.lost_decode_cycles += 1
             cycle += 1
             self.cycle = cycle
             earliest, ready = self._scan(cycle)
@@ -256,6 +271,7 @@ class SimulationEngine:
         contexts = self.contexts
         context0 = contexts[0]
         issue_cycle = self._issue_cycle
+        issue_scalar = self.dispatch_model.issue_scalar
         execute = self.dispatch_model.execute
         stats = self.stats
         while self.cycle < max_cycles:
@@ -271,19 +287,30 @@ class SimulationEngine:
                 if head is None:
                     continue
                 any_head = True
-                earliest = issue_cycle(context, head, cycle)
-                uses_vector_facility = head.is_vector_arithmetic or head.is_vector_memory
-                if earliest <= cycle and not (uses_vector_facility and vector_issued):
-                    execute(context, head, cycle)
-                    context.consume(head)
-                    stats.instructions += 1
-                    dispatched += 1
-                    if uses_vector_facility:
-                        vector_issued = True
+                if head.scalar_unit_only:
+                    # each context has its own scalar unit: the head issues
+                    # once its register hazards allow
+                    earliest = context.head_hazard
+                    if (earliest is None or earliest <= cycle) and issue_scalar(
+                        context, head, cycle
+                    ) is not None:
+                        context.consume(head)
+                        dispatched += 1
+                        continue
+                    earliest = context.head_hazard
                 else:
-                    context.record_lost_cycle()
-                    if blocked_until is None or earliest < blocked_until:
-                        blocked_until = earliest
+                    earliest = issue_cycle(context, head, cycle)
+                    uses_vector_facility = head.is_vector_arithmetic or head.is_vector_memory
+                    if earliest <= cycle and not (uses_vector_facility and vector_issued):
+                        execute(context, head, cycle)
+                        context.consume(head)
+                        dispatched += 1
+                        if uses_vector_facility:
+                            vector_issued = True
+                        continue
+                context.stats.lost_decode_cycles += 1
+                if blocked_until is None or earliest < blocked_until:
+                    blocked_until = earliest
             if dispatched:
                 self.cycle = cycle + 1
                 continue
@@ -336,14 +363,13 @@ class SimulationEngine:
                 head = chosen.head(cycle)
                 execute(chosen, head, cycle)
                 chosen.consume(head)
-                stats.instructions += 1
                 dispatched += 1
                 remaining = [(c, h) for c, h in remaining if c is not chosen]
             blocked_until: int | None = None
             for context, head in remaining:
                 earliest = issue_cycle(context, head, cycle)
                 if earliest > cycle:
-                    context.record_lost_cycle()
+                    context.stats.lost_decode_cycles += 1
                     if blocked_until is None or earliest < blocked_until:
                         blocked_until = earliest
             if dispatched:
@@ -471,18 +497,19 @@ class SimulationEngine:
         # close the jobs still running; each closed job has added its
         # executed prefix's counters to its thread, and the run totals are
         # sums over the threads
-        vector = elements = arithmetic = transactions = 0
+        instructions = vector = elements = arithmetic = transactions = 0
         for context in self.contexts:
             context.close_job(self.cycle, completed=False)
             thread = context.stats
             thread.scalar_instructions = thread.instructions - thread.vector_instructions
+            instructions += thread.instructions
             vector += thread.vector_instructions
             elements += thread.vector_operations
             arithmetic += context.vector_arithmetic_operations
             transactions += thread.memory_transactions
-        stats.decode_busy_cycles = stats.instructions
+        stats.instructions = stats.decode_busy_cycles = instructions
         stats.vector_instructions = vector
-        stats.scalar_instructions = stats.instructions - vector
+        stats.scalar_instructions = instructions - vector
         stats.vector_operations = elements
         stats.vector_arithmetic_operations = arithmetic
         stats.memory_transactions = transactions

@@ -83,11 +83,7 @@ def prefix_counts(sequence, executed: int, program=None) -> tuple[int, int, int,
 def merge_interval_pairs(
     pairs: array, horizon: int | None
 ) -> list[tuple[int, int]]:
-    """Merge interleaved ``(start, end)`` pairs into sorted disjoint intervals.
-
-    Equivalent to :meth:`repro.core.statistics.IntervalRecorder.merged` but
-    operating on a flat buffer.
-    """
+    """Merge interleaved ``(start, end)`` pairs into sorted disjoint intervals."""
     if not pairs:
         return []
     clipped: list[tuple[int, int]] = []
@@ -114,10 +110,9 @@ def merge_interval_pairs(
 class FlatIntervalRecorder:
     """Busy intervals of one functional unit as a flat ``(start, end)`` buffer.
 
-    Drop-in replacement for the object-per-interval
-    :class:`~repro.core.statistics.IntervalRecorder` (the seed oracle's data
-    structure): same ``record`` / ``intervals`` / ``merged`` /
-    ``busy_cycles`` surface, same validation, same merge semantics.
+    Same ``record`` / ``intervals`` / ``merged`` / ``busy_cycles`` surface,
+    validation and merge semantics as the seed oracle's object-per-interval
+    recorder (``tests/seed_engine.py``).
     ``merged`` results are memoized per horizon and invalidated by
     ``record``.
     """

@@ -26,7 +26,6 @@ from repro.errors import SimulationError
 __all__ = [
     "FU_STATE_NAMES",
     "FlatIntervalRecorder",
-    "IntervalRecorder",
     "JobRecord",
     "SimulationStats",
     "ThreadStats",
@@ -46,86 +45,17 @@ FU_STATE_NAMES: tuple[str, ...] = (
 )
 
 
-class IntervalRecorder:
-    """Records busy intervals ``[start, end)`` of one functional unit.
-
-    This is the object-per-interval recorder (the data structure of the
-    frozen seed oracle); the optimized engine records into the
-    flat-array :class:`~repro.core.eventlog.FlatIntervalRecorder`, which
-    mirrors this surface exactly.  ``merged`` results are memoized per
-    horizon and invalidated by ``record``/``reset``, so ``busy_cycles`` and
-    the figure-4 breakdown stop re-sorting the same intervals.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._intervals: list[tuple[int, int]] = []
-        self._merged_cache: dict[int | None, list[tuple[int, int]]] = {}
-
-    def record(self, start: int, end: int) -> None:
-        """Record one busy interval; zero-length intervals are ignored."""
-        if end < start:
-            raise SimulationError(
-                f"unit {self.name}: busy interval ends ({end}) before it starts ({start})"
-            )
-        if end > start:
-            self._intervals.append((start, end))
-            if self._merged_cache:
-                self._merged_cache = {}
-
-    @property
-    def intervals(self) -> list[tuple[int, int]]:
-        """All recorded busy intervals (unsorted, possibly overlapping)."""
-        return list(self._intervals)
-
-    def busy_cycles(self, horizon: int | None = None) -> int:
-        """Number of distinct cycles the unit was busy (union of intervals)."""
-        if not self._intervals:
-            return 0
-        merged = self.merged(horizon)
-        return sum(end - start for start, end in merged)
-
-    def merged(self, horizon: int | None = None) -> list[tuple[int, int]]:
-        """Intervals merged into a sorted, non-overlapping list, clipped to ``horizon``."""
-        cached = self._merged_cache.get(horizon)
-        if cached is not None:
-            return list(cached)
-        clipped: list[tuple[int, int]] = []
-        for start, end in self._intervals:
-            if horizon is not None:
-                end = min(end, horizon)
-            if end > start:
-                clipped.append((start, end))
-        merged: list[tuple[int, int]] = []
-        if clipped:
-            clipped.sort()
-            merged = [clipped[0]]
-            for start, end in clipped[1:]:
-                last_start, last_end = merged[-1]
-                if start <= last_end:
-                    merged[-1] = (last_start, max(last_end, end))
-                else:
-                    merged.append((start, end))
-        self._merged_cache[horizon] = merged
-        return list(merged)
-
-    def reset(self) -> None:
-        """Drop all recorded intervals."""
-        self._intervals.clear()
-        self._merged_cache = {}
-
-
 def fu_state_breakdown(
-    fu2: "IntervalRecorder | FlatIntervalRecorder",
-    fu1: "IntervalRecorder | FlatIntervalRecorder",
-    ld: "IntervalRecorder | FlatIntervalRecorder",
+    fu2: FlatIntervalRecorder,
+    fu1: FlatIntervalRecorder,
+    ld: FlatIntervalRecorder,
     total_cycles: int,
 ) -> dict[str, int]:
     """Split ``total_cycles`` into the eight ``(FU2, FU1, LD)`` states of figure 4.
 
-    Accepts either recorder flavour (the seed oracle's object-per-interval
-    recorder or the flat-array recorder of the columnar pipeline).  The
-    endpoint sweep walks the merged intervals of the three units once.
+    Takes any recorder with ``merged(horizon)`` (the seed oracle's
+    object-per-interval recorder has the same surface).  The endpoint sweep
+    walks the merged intervals of the three units once.
     """
     if total_cycles <= 0:
         return {name: 0 for name in FU_STATE_NAMES}
@@ -213,14 +143,14 @@ class SimulationStats:
     decode_lost_cycles: int = 0
     decode_idle_cycles: int = 0
     threads: list[ThreadStats] = field(default_factory=list)
-    fu2_intervals: "IntervalRecorder | FlatIntervalRecorder" = field(
-        default_factory=lambda: IntervalRecorder("FU2")
+    fu2_intervals: FlatIntervalRecorder = field(
+        default_factory=lambda: FlatIntervalRecorder("FU2")
     )
-    fu1_intervals: "IntervalRecorder | FlatIntervalRecorder" = field(
-        default_factory=lambda: IntervalRecorder("FU1")
+    fu1_intervals: FlatIntervalRecorder = field(
+        default_factory=lambda: FlatIntervalRecorder("FU1")
     )
-    ld_intervals: "IntervalRecorder | FlatIntervalRecorder" = field(
-        default_factory=lambda: IntervalRecorder("LD")
+    ld_intervals: FlatIntervalRecorder = field(
+        default_factory=lambda: FlatIntervalRecorder("LD")
     )
 
     # ------------------------------------------------------------------ #

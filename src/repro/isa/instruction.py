@@ -56,11 +56,11 @@ class Instruction:
     ``is_vector``, ``is_vector_arithmetic``, ``is_vector_memory``,
     ``is_memory``, ``is_load``, ``is_store``, ``is_branch``, ``is_scalar``,
     ``uses_stride_register``, ``element_count``, ``memory_transactions``,
-    ``vector_operations``, ``latency_class``, ``fu2_only``, ``memory_code``)
-    are precomputed at construction and read as plain fields, as are the
-    dense hazard-plan tuples consumed by the columnar scoreboard
-    (``vector_src_keys``, ``vector_src_banks``, ``scalar_src_keys``,
-    ``dest_key``, ``dest_bank``).
+    ``vector_operations``, ``latency_class``, ``fu2_only``, ``memory_code``,
+    ``scalar_unit_only``) are precomputed at construction and read as plain
+    fields, as are the dense hazard-plan tuples consumed by the columnar
+    scoreboard (``vector_src_keys``, ``vector_src_banks``,
+    ``scalar_src_keys``, ``dest_key``, ``dest_bank``).
     """
 
     opcode: Opcode
@@ -135,10 +135,15 @@ class Instruction:
         )
         dest = self.dest
         write(self, "dest_key", -1 if dest is None else dest.key)
+        dest_bank = dest.bank if (dest is not None and dest.is_vector) else -1
+        write(self, "dest_bank", dest_bank)
+        # no memory, vector unit or vector register: the engine probes and
+        # dispatches it in one call (``DispatchModel.issue_scalar``)
         write(
             self,
-            "dest_bank",
-            dest.bank if (dest is not None and dest.is_vector) else -1,
+            "scalar_unit_only",
+            not (traits.is_memory or traits.is_vector_arithmetic or vector_srcs)
+            and dest_bank < 0,
         )
 
     # ------------------------------------------------------------------ #

@@ -2,7 +2,7 @@
 
 from repro.memory.banks import BankConflictModel
 from repro.memory.bus import Bus
-from repro.memory.request import AccessKind, MemoryRequest, MemoryTiming
+from repro.memory.request import AccessKind, MemoryRequest
 from repro.memory.system import MemorySystem
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "Bus",
     "MemoryRequest",
     "MemorySystem",
-    "MemoryTiming",
 ]

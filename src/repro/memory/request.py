@@ -1,11 +1,11 @@
-"""Memory request and timing records exchanged between the CPU and memory."""
+"""Memory access kinds and the request record of one transaction."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-__all__ = ["AccessKind", "MemoryRequest", "MemoryTiming"]
+__all__ = ["AccessKind", "MemoryRequest"]
 
 
 class AccessKind(enum.Enum):
@@ -61,33 +61,3 @@ class MemoryRequest:
     def address_cycles(self) -> int:
         """Cycles of address-bus occupancy (one address per element)."""
         return self.elements
-
-
-@dataclass(frozen=True)
-class MemoryTiming:
-    """Resolved timing of one memory transaction.
-
-    Attributes
-    ----------
-    start:
-        Cycle at which the first address is driven onto the address bus.
-    address_busy:
-        Number of cycles the address bus is occupied by this transaction.
-    first_element:
-        Cycle at which the first datum is available to the processor
-        (loads) or accepted by memory (stores).
-    completion:
-        Cycle at which the last datum has been delivered/accepted; for loads
-        this is when the destination vector register is fully written.
-    """
-
-    start: int
-    address_busy: int
-    first_element: int
-    completion: int
-
-    def __post_init__(self) -> None:
-        if self.completion < self.first_element:
-            raise ValueError("completion cannot precede the first element")
-        if self.address_busy < 0:
-            raise ValueError("address bus occupancy cannot be negative")

@@ -12,8 +12,8 @@ Timing rules (paper, section 3.1):
   complete as soon as their address and datum are sent.
 
 The :class:`MemorySystem` owns the busses (and the optional bank-conflict
-model) and converts a :class:`~repro.memory.request.MemoryRequest` plus an
-earliest start cycle into a :class:`~repro.memory.request.MemoryTiming`.  It
+model) and turns one transaction (kind, element count, stride) plus an
+earliest start cycle into its start, first-datum and completion cycles.  It
 keeps no per-transaction log: a memory instruction's transactions are a static
 column of the instruction, summed per job by the engine, and the only usage
 total the memory system carries is each bus's running busy-cycle count.
@@ -21,10 +21,10 @@ total the memory system carries is each bus's running busy-cycle count.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.memory.banks import BankConflictModel
 from repro.memory.bus import Bus
-from repro.memory.request import AccessKind, MemoryRequest, MemoryTiming
+from repro.memory.request import AccessKind, MemoryRequest
 
 __all__ = ["MemorySystem"]
 
@@ -65,13 +65,14 @@ class MemorySystem:
     def schedule_columnar(
         self, kind_code: int, elements: int, stride: int, earliest: int
     ) -> tuple[int, int, int]:
-        """Schedule one transaction from primitive values (the hot path).
+        """Schedule one memory transaction, reserving the busses it needs.
 
-        Identical timing semantics to :meth:`schedule`, but takes the dense
-        kind code plus element count and stride directly and returns a plain
-        ``(start, first_element, completion)`` tuple — no
-        :class:`~repro.memory.request.MemoryRequest` or
-        :class:`~repro.memory.request.MemoryTiming` is allocated.
+        Takes the dense kind code (``Instruction.memory_code``), element
+        count and stride, and the first cycle the processor could drive the
+        first address.  Returns ``(start, first_element, completion)``: when
+        the first address is driven, the first datum is available (loads) or
+        accepted (stores), and the last one is.  Each bus is reserved inline
+        from ``max(earliest, free_at)``, one cycle per item.
         """
         if self.bank_model is None:
             delivery = elements
@@ -85,47 +86,40 @@ class MemorySystem:
         if len(buses) == 1:
             bus = buses[0]
         else:
-            bus = min(buses, key=lambda candidate: max(earliest, candidate.free_at))
-        # one address per element on the shared address bus
-        start = bus.reserve(earliest, elements)
+            bus = min(buses, key=lambda candidate: max(earliest, candidate._free_at))
+        # one address per element on the address bus; a data-bus reservation
+        # starts no earlier and lasts ``delivery >= 0`` cycles, so these
+        # checks cover it too
+        if elements < 0:
+            raise SimulationError(f"bus {bus.name}: cannot reserve {elements} cycles")
+        if earliest < 0:
+            raise SimulationError(f"bus {bus.name}: negative start cycle {earliest}")
+        start = bus._free_at
+        if earliest > start:
+            start = earliest
+        if elements:
+            bus._free_at = start + elements
+            bus.busy_cycles += elements
 
         if _IS_LOAD_BY_CODE[kind_code]:
             first_datum = start + self.latency + 1
             completion = first_datum + delivery - 1
-            self.load_data_bus.reserve(first_datum, delivery)
+            data_bus = self.load_data_bus
+            data_start = first_datum
         else:
             # Stores stream data out alongside the addresses and never wait
             # for the write acknowledgement.
             first_datum = start
             completion = start + delivery - 1
-            self.store_data_bus.reserve(start, delivery)
+            data_bus = self.store_data_bus
+            data_start = start
+        # the data bus keeps the record only: the timing does not wait for it
+        if delivery:
+            if data_bus._free_at > data_start:
+                data_start = data_bus._free_at
+            data_bus._free_at = data_start + delivery
+            data_bus.busy_cycles += delivery
         return start, first_datum, completion
-
-    def schedule(self, request: MemoryRequest, earliest: int) -> MemoryTiming:
-        """Schedule one memory transaction, reserving the busses it needs.
-
-        Parameters
-        ----------
-        request:
-            The transaction (kind, element count, stride).
-        earliest:
-            First cycle at which the processor could drive the first address.
-
-        Returns
-        -------
-        MemoryTiming
-            Start cycle, address-bus occupancy, first-datum cycle and
-            completion cycle of the transaction.
-        """
-        start, first_datum, completion = self.schedule_columnar(
-            _KIND_CODE[request.kind], request.elements, request.stride, earliest
-        )
-        return MemoryTiming(
-            start=start,
-            address_busy=request.address_cycles,
-            first_element=first_datum,
-            completion=completion,
-        )
 
     # ------------------------------------------------------------------ #
     @property

@@ -1,13 +1,13 @@
 """Opt-in per-phase profiling of the simulator hot loop.
 
 The engine's run loops hoist their phase callables
-(``dispatch_model.register_hazard``, ``dispatch_model.execute``,
-``memory.schedule_columnar``) into locals **once at loop setup**, so the
-profiler works by *function selection*: when profiling is enabled,
-:meth:`SimulationEngine.run` installs timing wrappers as instance
-attributes before the loop binds its locals; when it is disabled nothing
-is installed and the loop runs the exact same bytecode it always did —
-zero added work per iteration, byte-identical statistics.
+(``dispatch_model.register_hazard``, ``dispatch_model.issue_scalar``,
+``dispatch_model.execute``, ``memory.schedule_columnar``) into locals **once
+at loop setup**, so the profiler works by *function selection*: when
+profiling is enabled, :meth:`SimulationEngine.run` installs timing wrappers
+as instance attributes before the loop binds its locals; when it is disabled
+nothing is installed and the loop runs the exact same bytecode it always did
+— zero added work per iteration, byte-identical statistics.
 
 Enable with ``REPRO_PROFILE=1`` in the environment or per-call with
 ``Machine.run(profile=True)``.  The environment is read in the process that
@@ -34,8 +34,11 @@ PROFILE_ENV_VAR = "REPRO_PROFILE"
 
 #: Hot-loop phases accounted when profiling is on.  ``decode`` is the loop
 #: residual (instruction supply, unit-free probes, context selection and
-#: bookkeeping) left after the three wrapped phases; ``hazard_check`` is
-#: called once per probed head; ``finalize`` wraps statistics reduction.
+#: bookkeeping) left after the wrapped phases.  ``hazard_check`` wraps
+#: ``register_hazard`` and each ``issue_scalar`` call whose head blocked,
+#: ``dispatch`` wraps ``execute`` and each ``issue_scalar`` call that
+#: dispatched (one call per dispatched instruction), ``memory`` wraps
+#: ``schedule_columnar``; ``finalize`` times statistics reduction.
 PROFILE_PHASES = ("decode", "hazard_check", "dispatch", "memory", "finalize")
 
 _local = threading.local()
@@ -76,17 +79,26 @@ class PhaseProfile:
         #: Per-run engine loop counters, reported as they are.
         self.counts: dict[str, int] = {}
 
-    def wrap(self, phase: str, fn):
+    def wrap(self, phase: str, fn, blocked_phase: str | None = None):
+        """A closure that times every call to ``fn`` into ``phase``.
+
+        With ``blocked_phase``, a call that returns ``None`` (a probe whose
+        head did not dispatch) is charged to ``blocked_phase`` instead.
+        """
         seconds = self.seconds
         calls = self.calls
 
         def timed(*args, **kwargs):
             started = perf_counter()
+            charged = phase
             try:
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                if result is None and blocked_phase is not None:
+                    charged = blocked_phase
+                return result
             finally:
-                seconds[phase] += perf_counter() - started
-                calls[phase] += 1
+                seconds[charged] += perf_counter() - started
+                calls[charged] += 1
 
         return timed
 

@@ -207,31 +207,38 @@ def _row(context, instruction, now, completion, vector_arithmetic, memory_tx):
 def instrument_fast_engine(engine: SimulationEngine) -> list:
     """Capture one trace row per dispatch from the optimized engine.
 
-    The run loops hoist ``dispatch_model.execute`` once at entry, so
-    installing an instance attribute before ``run`` intercepts every
-    dispatch.  The wrapper keeps ``execute``'s return value (the completion
-    cycle) and reads the two counter columns from the instruction's static
-    columns, which the engine sums over each job's executed prefix.
+    The run loops hoist their dispatch callables, ``dispatch_model.execute``
+    and ``dispatch_model.issue_scalar``, once at entry, so installing
+    instance attributes before ``run`` intercepts every dispatch.
+    ``issue_scalar`` also probes: a call that returns ``None`` found its
+    head blocked and dispatched nothing.  The wrappers keep the completion
+    cycle the callables return and read the two counter columns from the
+    instruction's static columns, which the engine sums over each job's
+    executed prefix.
     """
     rows: list = []
     model = engine.dispatch_model
-    original_execute = model.execute
 
-    def execute(context, instruction, now):
-        completion = original_execute(context, instruction, now)
-        rows.append(
-            _row(
-                context,
-                instruction,
-                now,
-                completion,
-                instruction.vector_operations,
-                instruction.memory_transactions,
-            )
-        )
-        return completion
+    def traced(dispatch):
+        def wrapper(context, instruction, now):
+            completion = dispatch(context, instruction, now)
+            if completion is not None:
+                rows.append(
+                    _row(
+                        context,
+                        instruction,
+                        now,
+                        completion,
+                        instruction.vector_operations,
+                        instruction.memory_transactions,
+                    )
+                )
+            return completion
 
-    model.execute = execute
+        return wrapper
+
+    model.execute = traced(model.execute)
+    model.issue_scalar = traced(model.issue_scalar)
     return rows
 
 

@@ -10,6 +10,15 @@ simulator as it existed before the fast-path rework:
 * instruction classification goes through the same decision logic the
   ``Instruction`` properties used to evaluate on every access.
 
+The memory timing and the busy-interval record are frozen here too:
+:class:`SeedMemorySystem`, :class:`SeedBus` and :class:`MemoryTiming` keep
+the busses and the load/store data-bus rules as ``MemorySystem.schedule``
+and ``Bus.reserve`` implemented them, and :class:`IntervalRecorder` keeps
+one object per busy interval, so a change to ``src/``'s memory layer or
+interval recording cannot move both engines at once.  Only the request
+records (:class:`repro.memory.request.MemoryRequest`, ``AccessKind``) are
+shared.
+
 The equivalence test suite runs this oracle next to the optimized
 :class:`repro.core.engine.SimulationEngine` and asserts byte-identical
 statistics.  The only intentional deviation from the seed is the placement of
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 from repro.core.config import MachineConfig
 from repro.core.results import SimulationResult
 from repro.core.scheduler import ThreadScheduler, create_scheduler
-from repro.core.statistics import IntervalRecorder, JobRecord, SimulationStats, ThreadStats
+from repro.core.statistics import JobRecord, SimulationStats, ThreadStats
 from repro.core.suppliers import Job, JobSupplier
 from repro.errors import SimulationError
 from repro.isa.instruction import Instruction
@@ -41,8 +50,8 @@ from repro.isa.registers import (
     Register,
     RegisterClass,
 )
+from repro.errors import ConfigurationError
 from repro.memory.request import AccessKind, MemoryRequest
-from repro.memory.system import MemorySystem
 
 __all__ = ["SeedEngine"]
 
@@ -136,6 +145,93 @@ class SeedBankConflictModel:
 
     def reset(self) -> None:  # API parity with the real model
         pass
+
+
+# --------------------------------------------------------------------------- #
+# seed memory system: busses and memory timing
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class MemoryTiming:
+    """Resolved timing of one memory transaction."""
+
+    start: int
+    address_busy: int
+    first_element: int
+    completion: int
+
+    def __post_init__(self) -> None:
+        if self.completion < self.first_element:
+            raise ValueError("completion cannot precede the first element")
+        if self.address_busy < 0:
+            raise ValueError("address bus occupancy cannot be negative")
+
+
+class SeedBus:
+    """A serially-reusable bus that transfers one item per cycle."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.free_at = 0
+        self.busy_cycles = 0
+
+    def reserve(self, earliest: int, cycles: int) -> int:
+        if cycles < 0:
+            raise SimulationError(f"bus {self.name}: cannot reserve {cycles} cycles")
+        if earliest < 0:
+            raise SimulationError(f"bus {self.name}: negative start cycle {earliest}")
+        start = max(earliest, self.free_at)
+        if cycles == 0:
+            return start
+        self.free_at = start + cycles
+        self.busy_cycles += cycles
+        return start
+
+
+class SeedMemorySystem:
+    """One address bus per port, a load-data bus and a store-data bus."""
+
+    def __init__(self, latency: int = 50, *, bank_model=None, num_ports: int = 1) -> None:
+        if latency < 0:
+            raise ConfigurationError(f"memory latency cannot be negative, got {latency}")
+        if num_ports < 1:
+            raise ConfigurationError("the memory system needs at least one address port")
+        self.latency = latency
+        self.address_buses = [SeedBus(f"address-{index}") for index in range(num_ports)]
+        self.load_data_bus = SeedBus("load-data")
+        self.store_data_bus = SeedBus("store-data")
+        self.bank_model = bank_model
+
+    @property
+    def num_ports(self) -> int:
+        return len(self.address_buses)
+
+    def schedule(self, request: MemoryRequest, earliest: int) -> MemoryTiming:
+        if self.bank_model is None:
+            delivery = request.elements
+        else:
+            delivery = self.bank_model.delivery_cycles(request)
+        bus = min(self.address_buses, key=lambda candidate: max(earliest, candidate.free_at))
+        start = bus.reserve(earliest, request.address_cycles)
+        if request.kind.is_load:
+            first_datum = start + self.latency + 1
+            completion = first_datum + delivery - 1
+            self.load_data_bus.reserve(first_datum, delivery)
+        else:
+            # stores stream data out alongside the addresses and never wait
+            # for the write acknowledgement
+            first_datum = start
+            completion = start + delivery - 1
+            self.store_data_bus.reserve(start, delivery)
+        return MemoryTiming(
+            start=start,
+            address_busy=request.address_cycles,
+            first_element=first_datum,
+            completion=completion,
+        )
+
+    @property
+    def address_port_busy_cycles(self) -> int:
+        return sum(bus.busy_cycles for bus in self.address_buses)
 
 
 # --------------------------------------------------------------------------- #
@@ -242,6 +338,73 @@ class SeedScoreboard:
 # --------------------------------------------------------------------------- #
 # seed functional units
 # --------------------------------------------------------------------------- #
+class IntervalRecorder:
+    """Records busy intervals ``[start, end)`` of one functional unit.
+
+    The object-per-interval recorder of the seed; the engine records into
+    the flat-array :class:`~repro.core.eventlog.FlatIntervalRecorder`, which
+    mirrors this surface exactly.  ``merged`` results are memoized per
+    horizon and invalidated by ``record``/``reset``.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._intervals: list[tuple[int, int]] = []
+        self._merged_cache: dict[int | None, list[tuple[int, int]]] = {}
+
+    def record(self, start: int, end: int) -> None:
+        """Record one busy interval; zero-length intervals are ignored."""
+        if end < start:
+            raise SimulationError(
+                f"unit {self.name}: busy interval ends ({end}) before it starts ({start})"
+            )
+        if end > start:
+            self._intervals.append((start, end))
+            if self._merged_cache:
+                self._merged_cache = {}
+
+    @property
+    def intervals(self) -> list[tuple[int, int]]:
+        """All recorded busy intervals (unsorted, possibly overlapping)."""
+        return list(self._intervals)
+
+    def busy_cycles(self, horizon: int | None = None) -> int:
+        """Number of distinct cycles the unit was busy (union of intervals)."""
+        if not self._intervals:
+            return 0
+        merged = self.merged(horizon)
+        return sum(end - start for start, end in merged)
+
+    def merged(self, horizon: int | None = None) -> list[tuple[int, int]]:
+        """Intervals merged into a sorted, non-overlapping list, clipped to ``horizon``."""
+        cached = self._merged_cache.get(horizon)
+        if cached is not None:
+            return list(cached)
+        clipped: list[tuple[int, int]] = []
+        for start, end in self._intervals:
+            if horizon is not None:
+                end = min(end, horizon)
+            if end > start:
+                clipped.append((start, end))
+        merged: list[tuple[int, int]] = []
+        if clipped:
+            clipped.sort()
+            merged = [clipped[0]]
+            for start, end in clipped[1:]:
+                last_start, last_end = merged[-1]
+                if start <= last_end:
+                    merged[-1] = (last_start, max(last_end, end))
+                else:
+                    merged.append((start, end))
+        self._merged_cache[horizon] = merged
+        return list(merged)
+
+    def reset(self) -> None:
+        """Drop all recorded intervals."""
+        self._intervals.clear()
+        self._merged_cache = {}
+
+
 class SeedFunctionalUnit:
     def __init__(self, name: str) -> None:
         self.name = name
@@ -394,7 +557,7 @@ class SeedDispatchOutcome:
 
 
 class SeedDispatchModel:
-    def __init__(self, config: MachineConfig, memory: MemorySystem,
+    def __init__(self, config: MachineConfig, memory: SeedMemorySystem,
                  vector_units: SeedVectorUnitPool) -> None:
         self.config = config
         self.memory = memory
@@ -552,7 +715,7 @@ class SeedEngine:
                 num_banks=config.num_memory_banks,
                 bank_busy_cycles=config.bank_busy_cycles,
             )
-        self.memory = MemorySystem(
+        self.memory = SeedMemorySystem(
             latency=config.memory_latency,
             bank_model=bank_model,
             num_ports=config.num_memory_ports,

@@ -12,8 +12,8 @@ from repro.core.config import MachineConfig
 from repro.core.functional_units import VectorUnitPool
 from repro.core.statistics import SimulationStats
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.request import AccessKind, MemoryRequest
-from repro.memory.system import MemorySystem
+from repro.memory.request import AccessKind
+from repro.memory.system import _KIND_CODE, MemorySystem
 from repro.workloads import build_suite
 
 
@@ -48,15 +48,16 @@ class TestConfigurationExtensions:
 class TestMultiPortMemorySystem:
     def test_two_ports_serve_two_streams_concurrently(self):
         memory = MemorySystem(latency=10, num_ports=2)
-        first = memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=32), earliest=0)
-        second = memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=32), earliest=0)
-        assert first.start == 0
-        assert second.start == 0  # the second port takes the second stream
+        load = _KIND_CODE[AccessKind.VECTOR_LOAD]
+        first_start = memory.schedule_columnar(load, 32, 1, 0)[0]
+        second_start = memory.schedule_columnar(load, 32, 1, 0)[0]
+        assert first_start == 0
+        assert second_start == 0  # the second port takes the second stream
         assert memory.address_port_busy_cycles == 64
 
     def test_occupancy_normalized_by_port_count(self):
         memory = MemorySystem(latency=10, num_ports=2)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=50), earliest=0)
+        memory.schedule_columnar(_KIND_CODE[AccessKind.VECTOR_LOAD], 50, 1, 0)
         stats = SimulationStats(
             cycles=100,
             memory_port_busy_cycles=memory.address_port_busy_cycles,

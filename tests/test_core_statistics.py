@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from repro.core.statistics import (
     FU_STATE_NAMES,
-    IntervalRecorder,
     JobRecord,
     SimulationStats,
     ThreadStats,
     fu_state_breakdown,
 )
 from repro.errors import SimulationError
+from tests.seed_engine import IntervalRecorder
 
 
 class TestIntervalRecorder:

@@ -153,10 +153,18 @@ class TestHardwareContext:
         )
 
     def test_lost_cycle_accounting(self):
-        context = HardwareContext(0, SingleJobSupplier(tiny_job()))
-        context.record_lost_cycle()
-        context.record_lost_cycle()
-        assert context.stats.lost_decode_cycles == 2
+        # the add waits on the divide's result: one lost decode cycle, counted
+        # on the thread and on the run
+        from repro.core.config import MachineConfig
+        from repro.core.engine import SimulationEngine
+
+        job = Job.from_instructions(
+            "chain",
+            [scalar_op(Opcode.DIV_S, S(1), S(0), S(0)), scalar_op(Opcode.ADD_S, S(2), S(1), S(1))],
+        )
+        result = SimulationEngine(MachineConfig.reference(), [SingleJobSupplier(job)]).run()
+        assert result.stats.thread(0).lost_decode_cycles == 1
+        assert result.stats.decode_lost_cycles == 1
 
     def test_current_job_name(self):
         context = HardwareContext(0, SingleJobSupplier(tiny_job("prog")))

@@ -23,7 +23,7 @@ from repro.core.eventlog import (
     merge_interval_pairs,
     prefix_counts,
 )
-from repro.core.statistics import FU_STATE_NAMES, IntervalRecorder, fu_state_breakdown
+from repro.core.statistics import FU_STATE_NAMES, fu_state_breakdown
 from repro.errors import SimulationError
 from repro.isa.builder import (
     nop,
@@ -38,9 +38,9 @@ from repro.isa.builder import (
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import A, S, V
-from repro.memory.bus import Bus
 from repro.memory.request import AccessKind, MemoryRequest
 from repro.memory.system import MemorySystem
+from tests.seed_engine import IntervalRecorder
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -233,27 +233,39 @@ class TestBreakdownPaths:
 # --------------------------------------------------------------------------- #
 class TestMemoryLayerColumnar:
     def test_bus_busy_cycles_is_a_running_total(self):
-        bus = Bus("address")
+        from repro.memory.system import _KIND_CODE
+
+        store = _KIND_CODE[AccessKind.VECTOR_STORE]
+        memory = MemorySystem()
+        bus = memory.address_buses[0]
         assert bus.busy_cycles == 0
-        assert bus.reserve(0, 10) == 0
-        assert bus.reserve(5, 5) == 10
-        assert bus.reserve(40, 0) == 40
+        assert memory.schedule_columnar(store, 10, 1, 0)[0] == 0
+        assert memory.schedule_columnar(store, 5, 1, 5)[0] == 10
+        assert memory.schedule_columnar(store, 0, 1, 40)[0] == 40
         assert bus.busy_cycles == 15
         assert bus.free_at == 15
 
     def test_schedule_columnar_matches_schedule(self):
+        """The inline bus reservations equal the seed oracle's frozen ``schedule``."""
         from repro.memory.system import _KIND_CODE
+        from tests.seed_engine import SeedMemorySystem
 
-        plain = MemorySystem(latency=30)
+        plain = SeedMemorySystem(latency=30)
         columnar = MemorySystem(latency=30)
-        request = MemoryRequest(AccessKind.VECTOR_LOAD, elements=16, stride=2)
-        timing = plain.schedule(request, earliest=5)
-        fast = columnar.schedule_columnar(
-            _KIND_CODE[AccessKind.VECTOR_LOAD], 16, 2, 5
-        )
-        assert fast == (timing.start, timing.first_element, timing.completion)
+        for kind, elements, stride, earliest in (
+            (AccessKind.VECTOR_LOAD, 16, 2, 5),
+            (AccessKind.VECTOR_STORE, 8, 1, 0),
+            (AccessKind.SCALAR_LOAD, 1, 1, 3),
+            (AccessKind.VECTOR_GATHER, 4, 1, 90),
+        ):
+            request = MemoryRequest(kind, elements=elements, stride=stride)
+            timing = plain.schedule(request, earliest=earliest)
+            fast = columnar.schedule_columnar(_KIND_CODE[kind], elements, stride, earliest)
+            assert fast == (timing.start, timing.first_element, timing.completion)
         assert plain.address_port_busy_cycles == columnar.address_port_busy_cycles
-        assert plain.load_data_bus.busy_cycles == columnar.load_data_bus.busy_cycles
+        for bus in ("load_data_bus", "store_data_bus"):
+            assert getattr(plain, bus).busy_cycles == getattr(columnar, bus).busy_cycles
+            assert getattr(plain, bus).free_at == getattr(columnar, bus).free_at
 
 
 # --------------------------------------------------------------------------- #

@@ -9,42 +9,54 @@ from hypothesis import strategies as st
 from repro.core.statistics import SimulationStats
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.banks import BankConflictModel
-from repro.memory.bus import Bus
-from repro.memory.request import AccessKind, MemoryRequest, MemoryTiming
-from repro.memory.system import MemorySystem
+from repro.memory.request import AccessKind, MemoryRequest
+from repro.memory.system import _KIND_CODE, MemorySystem
+from tests.seed_engine import MemoryTiming
+
+
+def schedule(memory, kind, elements, earliest, stride=1):
+    """``(start, first_element, completion)`` of one transaction."""
+    return memory.schedule_columnar(_KIND_CODE[kind], elements, stride, earliest)
+
+
+def reserve(memory, earliest, cycles):
+    """Reserve the address bus for ``cycles`` addresses (a vector store); its start."""
+    return schedule(memory, AccessKind.VECTOR_STORE, cycles, earliest)[0]
 
 
 class TestBus:
     def test_serial_reservations(self):
-        bus = Bus("address")
-        first = bus.reserve(0, 10)
-        second = bus.reserve(0, 5)
+        memory = MemorySystem()
+        bus = memory.address_buses[0]
+        first = reserve(memory, 0, 10)
+        second = reserve(memory, 0, 5)
         assert first == 0
         assert second == 10
         assert bus.busy_cycles == 15
         assert bus.free_at == 15
 
     def test_reservation_respects_earliest(self):
-        bus = Bus("address")
-        assert bus.reserve(100, 4) == 100
-        assert bus.reserve(10, 4) == 104
+        memory = MemorySystem()
+        assert reserve(memory, 100, 4) == 100
+        assert reserve(memory, 10, 4) == 104
 
     def test_zero_length_reservation(self):
-        bus = Bus("address")
-        assert bus.reserve(5, 0) == 5
-        assert bus.busy_cycles == 0
+        memory = MemorySystem()
+        assert reserve(memory, 5, 0) == 5
+        assert memory.address_buses[0].busy_cycles == 0
 
     def test_invalid_reservations(self):
-        bus = Bus("address")
+        memory = MemorySystem()
         with pytest.raises(SimulationError):
-            bus.reserve(-1, 4)
+            reserve(memory, -1, 4)
         with pytest.raises(SimulationError):
-            bus.reserve(0, -4)
+            reserve(memory, 0, -4)
 
     def test_occupancy(self):
         """The port-occupancy metric is the bus's busy cycles over the run length."""
-        bus = Bus("address")
-        bus.reserve(0, 50)
+        memory = MemorySystem()
+        bus = memory.address_buses[0]
+        reserve(memory, 0, 50)
 
         def occupancy(cycles):
             return SimulationStats(
@@ -60,9 +72,10 @@ class TestBus:
     )
     @settings(max_examples=30, deadline=None)
     def test_busy_cycles_equal_sum_of_reservations(self, lengths):
-        bus = Bus("address")
+        memory = MemorySystem()
+        bus = memory.address_buses[0]
         for length in lengths:
-            bus.reserve(0, length)
+            reserve(memory, 0, length)
         assert bus.busy_cycles == sum(lengths)
         assert bus.free_at == sum(lengths)
 
@@ -73,6 +86,11 @@ class TestMemoryRequest:
         assert AccessKind.VECTOR_SCATTER.is_indexed and not AccessKind.VECTOR_SCATTER.is_load
         assert AccessKind.SCALAR_STORE.is_vector is False
 
+    def test_timing_validation(self):
+        # the seed oracle's frozen timing record keeps the checks
+        with pytest.raises(ValueError):
+            MemoryTiming(start=0, address_busy=1, first_element=10, completion=5)
+
     def test_address_cycles(self):
         request = MemoryRequest(AccessKind.VECTOR_LOAD, elements=77)
         assert request.address_cycles == 77
@@ -80,10 +98,6 @@ class TestMemoryRequest:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             MemoryRequest(AccessKind.VECTOR_LOAD, elements=0)
-
-    def test_timing_validation(self):
-        with pytest.raises(ValueError):
-            MemoryTiming(start=0, address_busy=1, first_element=10, completion=5)
 
 
 class TestBankConflictModel:
@@ -121,41 +135,47 @@ class TestBankConflictModel:
 class TestMemorySystem:
     def test_vector_load_timing(self):
         memory = MemorySystem(latency=50)
-        timing = memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=64), earliest=10)
-        assert timing.start == 10
-        assert timing.address_busy == 64
-        assert timing.first_element == 10 + 50 + 1
-        assert timing.completion == timing.first_element + 63
+        start, first_element, completion = schedule(
+            memory, AccessKind.VECTOR_LOAD, 64, earliest=10
+        )
+        assert start == 10
+        assert memory.address_port_busy_cycles == 64
+        assert first_element == 10 + 50 + 1
+        assert completion == first_element + 63
 
     def test_vector_store_pays_no_latency(self):
         """Stores send data and never wait for the write to complete (section 3.1)."""
         memory = MemorySystem(latency=50)
-        timing = memory.schedule(MemoryRequest(AccessKind.VECTOR_STORE, elements=64), earliest=10)
-        assert timing.first_element == timing.start == 10
-        assert timing.completion == 10 + 63
+        start, first_element, completion = schedule(
+            memory, AccessKind.VECTOR_STORE, 64, earliest=10
+        )
+        assert first_element == start == 10
+        assert completion == 10 + 63
 
     def test_address_bus_is_shared_by_all_transactions(self):
         """Scalar and vector transactions contend for the single address bus."""
         memory = MemorySystem(latency=10)
-        first = memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=32), earliest=0)
-        second = memory.schedule(MemoryRequest(AccessKind.SCALAR_LOAD, elements=1), earliest=0)
-        assert first.start == 0
-        assert second.start == 32
+        first = schedule(memory, AccessKind.VECTOR_LOAD, 32, earliest=0)
+        second = schedule(memory, AccessKind.SCALAR_LOAD, 1, earliest=0)
+        assert first[0] == 0
+        assert second[0] == 32
         assert memory.address_port_busy_cycles == 33
 
     def test_gather_behaves_like_a_load(self):
         """Gathers pay the initial latency and then one datum per cycle (section 3.1)."""
         memory = MemorySystem(latency=30)
-        load = memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=16), earliest=0)
+        load = schedule(memory, AccessKind.VECTOR_LOAD, 16, earliest=0)
         memory = MemorySystem(latency=30)
-        gather = memory.schedule(MemoryRequest(AccessKind.VECTOR_GATHER, elements=16), earliest=0)
-        assert gather.first_element == load.first_element
-        assert gather.completion == load.completion
+        gather = schedule(memory, AccessKind.VECTOR_GATHER, 16, earliest=0)
+        assert gather[1] == load[1]
+        assert gather[2] == load[2]
 
     def test_zero_latency_memory(self):
         memory = MemorySystem(latency=0)
-        timing = memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=8), earliest=0)
-        assert timing.first_element == 1
+        _start, first_element, _completion = schedule(
+            memory, AccessKind.VECTOR_LOAD, 8, earliest=0
+        )
+        assert first_element == 1
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -164,19 +184,19 @@ class TestMemorySystem:
     def test_transaction_counters(self):
         """Each element moves once over the address bus and once over its data bus."""
         memory = MemorySystem(latency=5)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=8), earliest=0)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_STORE, elements=8), earliest=0)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_GATHER, elements=8), earliest=0)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_SCATTER, elements=8), earliest=0)
-        memory.schedule(MemoryRequest(AccessKind.SCALAR_LOAD, elements=1), earliest=0)
-        memory.schedule(MemoryRequest(AccessKind.SCALAR_STORE, elements=1), earliest=0)
+        schedule(memory, AccessKind.VECTOR_LOAD, 8, earliest=0)
+        schedule(memory, AccessKind.VECTOR_STORE, 8, earliest=0)
+        schedule(memory, AccessKind.VECTOR_GATHER, 8, earliest=0)
+        schedule(memory, AccessKind.VECTOR_SCATTER, 8, earliest=0)
+        schedule(memory, AccessKind.SCALAR_LOAD, 1, earliest=0)
+        schedule(memory, AccessKind.SCALAR_STORE, 1, earliest=0)
         assert memory.address_port_busy_cycles == 34
         assert memory.load_data_bus.busy_cycles == 17
         assert memory.store_data_bus.busy_cycles == 17
 
     def test_port_occupancy_metric(self):
         memory = MemorySystem(latency=5)
-        memory.schedule(MemoryRequest(AccessKind.VECTOR_LOAD, elements=50), earliest=0)
+        schedule(memory, AccessKind.VECTOR_LOAD, 50, earliest=0)
         stats = SimulationStats(
             cycles=100,
             memory_port_busy_cycles=memory.address_port_busy_cycles,
@@ -187,11 +207,11 @@ class TestMemorySystem:
     def test_bank_model_slows_delivery_but_not_address_bus(self):
         model = BankConflictModel(num_banks=8, bank_busy_cycles=4)
         memory = MemorySystem(latency=10, bank_model=model)
-        timing = memory.schedule(
-            MemoryRequest(AccessKind.VECTOR_LOAD, elements=32, stride=8), earliest=0
+        _start, first_element, completion = schedule(
+            memory, AccessKind.VECTOR_LOAD, 32, earliest=0, stride=8
         )
-        assert timing.address_busy == 32
-        assert timing.completion - timing.first_element + 1 == 32 * 4
+        assert memory.address_port_busy_cycles == 32
+        assert completion - first_element + 1 == 32 * 4
 
     @given(
         elements=st.integers(min_value=1, max_value=128),
@@ -201,10 +221,10 @@ class TestMemorySystem:
     @settings(max_examples=40, deadline=None)
     def test_load_timing_invariants(self, elements, latency, earliest):
         memory = MemorySystem(latency=latency)
-        timing = memory.schedule(
-            MemoryRequest(AccessKind.VECTOR_LOAD, elements=elements), earliest=earliest
+        start, first_element, completion = schedule(
+            memory, AccessKind.VECTOR_LOAD, elements, earliest=earliest
         )
-        assert timing.start >= earliest
-        assert timing.first_element > timing.start
-        assert timing.completion == timing.first_element + elements - 1
-        assert timing.address_busy == elements
+        assert start >= earliest
+        assert first_element > start
+        assert completion == first_element + elements - 1
+        assert memory.address_port_busy_cycles == elements

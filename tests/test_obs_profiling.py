@@ -25,6 +25,12 @@ def _workload():
     return build_benchmark("tomcatv", scale=SCALE)
 
 
+def _engine() -> SimulationEngine:
+    return SimulationEngine(
+        MachineConfig.reference(), [SingleJobSupplier(Job.from_program(_workload()))]
+    )
+
+
 class TestGate:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
@@ -84,10 +90,41 @@ class TestEngineProfiling:
         assert profile is not None
         assert set(profile["phases"]) == set(PROFILE_PHASES)
         assert profile["loop_seconds"] > 0.0
-        # the register-hazard bound is probed once per head, and every head
-        # of a completed run is dispatched
-        assert profile["phases"]["hazard_check"]["calls"] == result.instructions
+        # The same run with counting wrappers on the loop's callables.  A
+        # head is dispatched by ``execute`` or by ``issue_scalar``; the
+        # separate probes are the ``register_hazard`` calls and the
+        # ``issue_scalar`` calls whose head blocked.
+        counted = _engine()
+        model = counted.dispatch_model
+        calls = {"register_hazard": 0, "execute": 0, "issued": 0, "blocked": 0}
+        register_hazard, execute, issue_scalar = (
+            model.register_hazard, model.execute, model.issue_scalar
+        )
+
+        def probe(context, head):
+            calls["register_hazard"] += 1
+            return register_hazard(context, head)
+
+        def dispatch(context, head, now):
+            calls["execute"] += 1
+            return execute(context, head, now)
+
+        def issue(context, head, now):
+            completion = issue_scalar(context, head, now)
+            calls["blocked" if completion is None else "issued"] += 1
+            return completion
+
+        model.register_hazard, model.execute, model.issue_scalar = probe, dispatch, issue
+        assert pickle.dumps(counted.run().stats) == pickle.dumps(result.stats)
+        # both outcomes of the folded scalar call occur in this run
+        assert calls["issued"] > 0 and calls["blocked"] > 0
+        # every head of a completed run is dispatched, and counted once
+        assert calls["execute"] + calls["issued"] == result.instructions
         assert profile["phases"]["dispatch"]["calls"] == result.instructions
+        assert (
+            profile["phases"]["hazard_check"]["calls"]
+            == calls["register_hazard"] + calls["blocked"]
+        )
         assert profile["phases"]["finalize"]["calls"] == 1
         assert set(profile["counts"]) == {"blocked_window_skips", "clamp_rescans"}
         assert profile["counts"]["blocked_window_skips"] > 0
@@ -113,18 +150,16 @@ class TestEngineProfiling:
         assert set(result.phase_profile["phases"]) == set(PROFILE_PHASES)
 
     def test_wrappers_removed_after_profiled_run(self):
-        engine = SimulationEngine(
-            MachineConfig.reference(),
-            [SingleJobSupplier(Job.from_program(_workload()))],
-        )
+        engine = _engine()
         with force_profiling(True):
             result = engine.run()
         assert result.phase_profile is not None
         # the loop wrappers are instance attributes installed per profiled
         # run; none may survive into the next (unprofiled) run
-        assert "register_hazard" not in vars(engine.dispatch_model)
-        assert "execute" not in vars(engine.dispatch_model)
+        for name in ("register_hazard", "issue_scalar", "execute"):
+            assert name not in vars(engine.dispatch_model)
         assert "schedule_columnar" not in vars(engine.memory)
+        pickle.dumps(engine)
         unprofiled = Machine.named("reference").run(_workload())
         assert unprofiled.phase_profile is None
 
