@@ -9,6 +9,7 @@ from repro.core.context import HardwareContext
 from repro.core.dispatch import DispatchModel
 from repro.core.functional_units import VectorUnitPool
 from repro.core.suppliers import Job, SingleJobSupplier
+from repro.errors import ConfigurationError
 from repro.isa.builder import (
     branch,
     nop,
@@ -47,6 +48,31 @@ class TestScalarTiming:
         expected = 10 + config.latencies.scalar_latency("alu")
         assert completion == expected
         assert context.scoreboard.state(S(0)).ready_at == expected
+
+    def test_issue_scalar_probes_then_dispatches(self):
+        model, context, _, _, config = make_model()
+        divide = scalar_op(Opcode.DIV_S, S(1), S(0), S(0))
+        add = scalar_op(Opcode.ADD_S, S(2), S(1), S(1))
+        assert divide.scalar_unit_only and add.scalar_unit_only
+        assert model.issue_scalar(context, divide, now=0) == config.latencies.scalar["div"]
+        # the add waits on the divide: nothing is recorded, the bound is kept
+        assert model.issue_scalar(context, add, now=1) is None
+        assert context.head_hazard == config.latencies.scalar["div"]
+        assert context.scoreboard.state(S(2)).ready_at == 0
+        ready = context.head_hazard
+        assert model.issue_scalar(context, add, now=ready) == ready + config.latencies.scalar["alu"]
+        assert context.scoreboard.state(S(2)).ready_at == ready + config.latencies.scalar["alu"]
+
+    def test_missing_scalar_latency_raises_at_dispatch(self):
+        model, context, _, _, _ = make_model(latencies=LatencyTable(scalar={"div": 34}))
+        add = scalar_op(Opcode.ADD_S, S(2), S(1), S(1))
+        with pytest.raises(ConfigurationError, match="no scalar latency defined for class 'alu'"):
+            model.issue_scalar(context, add, now=0)
+        with pytest.raises(ConfigurationError, match="no scalar latency defined for class 'alu'"):
+            model.execute(context, add, now=0)
+        # a head that cannot issue yet needs no latency
+        model.issue_scalar(context, scalar_op(Opcode.DIV_S, S(1), S(0), S(0)), now=0)
+        assert model.issue_scalar(context, add, now=1) is None
 
     def test_scalar_div_is_slow(self):
         model, context, _, _, config = make_model()
