@@ -307,6 +307,8 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     for vector consumers, and one ``record_dispatch`` with the read ends,
     write times and chainability of the instruction's ``DispatchModel``
     path (scalar unit, scalar memory, vector arithmetic, vector memory).
+    For a scalar-unit op with scalar operands, ``DispatchModel.issue_scalar``
+    does the same probe and record over the scoreboard's columns in one call.
     """
     from repro.core.scoreboard import ColumnarScoreboard
     from repro.isa.builder import (
