@@ -238,10 +238,10 @@ def measure_stats_finalize(repeats: int) -> list[dict]:
             sequence.append(load)
         elif kind == 2:
             sequence.append(arithmetic[vl])
-            recorders[index & 1].record(index, index + vl)
+            recorders[index & 1].pairs.extend((index, index + vl))
         else:
             sequence.append(memory[vl])
-            recorders[2].record(index, index + vl)
+            recorders[2].pairs.extend((index, index + vl))
     job_length = -(-STATS_FINALIZE_ROWS // 12)
     jobs = [
         tuple(sequence[start : start + job_length])
@@ -306,10 +306,12 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     dispatch layer does: one ``earliest_dispatch`` probe, a ``chain_start``
     for vector consumers, and one ``record_dispatch`` with the read ends,
     write times and chainability of the instruction's ``DispatchModel``
-    path (scalar unit, scalar memory, vector arithmetic, vector memory).
-    For a scalar-unit op with scalar operands, ``DispatchModel.issue_scalar``
-    does the same probe and record over the scoreboard's columns in one call.
+    path (scalar memory, vector arithmetic, vector memory).  A scalar-unit
+    op with scalar operands takes the scoreboard's one-call
+    ``issue_scalar`` probe and dispatch instead, retried at its bound when
+    it blocks, as the run loops do.
     """
+    from repro.core.config import LatencyTable
     from repro.core.scoreboard import ColumnarScoreboard
     from repro.isa.builder import (
         scalar_load,
@@ -337,11 +339,22 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     rounds = SCOREBOARD_HAZARD_DISPATCHES // len(mix)
     dispatches = rounds * len(mix)
 
+    latencies = LatencyTable()
+
     def spin() -> None:
         board = ColumnarScoreboard()
         now = 0
         for _ in range(rounds):
             for instruction in mix:
+                if instruction.scalar_unit_only:
+                    # one call probes and dispatches; a blocked head issues
+                    # at its bound
+                    bound = board.issue_scalar(instruction, now, latencies)
+                    if bound > now:
+                        board.issue_scalar(instruction, bound, latencies)
+                        now = bound
+                    now += 1
+                    continue
                 earliest = board.earliest_dispatch(instruction, now)
                 if earliest < now:
                     earliest = now
@@ -360,7 +373,7 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
                         instruction, read_end, earliest + 1, first, read_end + 5, True
                     )
                 else:
-                    # scalar unit and scalar memory: every read ends next cycle
+                    # scalar memory: every read ends next cycle
                     ready = earliest + 5
                     board.record_dispatch(
                         instruction, earliest + 1, earliest + 1, ready, ready, True

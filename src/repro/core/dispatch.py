@@ -20,8 +20,10 @@ This module answers the two questions the decode unit asks every cycle:
    :func:`~repro.core.eventlog.prefix_counts`.
 
 A scalar-unit head with scalar operands only (``Instruction.scalar_unit_only``)
-has no unit term: :meth:`DispatchModel.issue_scalar` answers both questions
-in one call.  Units and busses are reserved inline, without helper calls.
+has no unit term: :attr:`DispatchModel.issue_scalar`, the scoreboard's
+:meth:`~repro.core.scoreboard.ColumnarScoreboard.issue_scalar`, answers both
+questions in one call.  Units and busses are reserved inline, without helper
+calls.
 
 Timing rules implemented (paper section 3 / 3.1):
 
@@ -44,17 +46,12 @@ from __future__ import annotations
 from repro.core.config import MachineConfig
 from repro.core.context import HardwareContext
 from repro.core.functional_units import VectorUnitPool
-from repro.errors import ConfigurationError, SimulationError
+from repro.core.scoreboard import ColumnarScoreboard
+from repro.errors import SimulationError
 from repro.isa.instruction import Instruction
 from repro.memory.system import MemorySystem
 
 __all__ = ["DispatchModel"]
-
-
-def _no_latency(kind: str, instruction: Instruction) -> ConfigurationError:
-    return ConfigurationError(
-        f"no {kind} latency defined for class {instruction.latency_class!r}"
-    )
 
 
 class DispatchModel:
@@ -86,48 +83,12 @@ class DispatchModel:
         """
         return context.scoreboard.earliest_dispatch(instruction, 0)
 
-    def issue_scalar(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> int | None:
-        """Probe a ``scalar_unit_only`` head and dispatch it if it issues at ``now``.
-
-        The scalar unit has no busy term and the head touches scalar
-        registers only, so this is the scalar part of the scoreboard's
-        ``earliest_dispatch`` and ``record_dispatch`` over its columns, in
-        one call.  Returns the completion cycle, or ``None`` when the head
-        blocks, with its bound kept in ``context.head_hazard``.
-        """
-        board = context.scoreboard
-        ready_at = board._ready_at
-        read_busy = board._read_busy
-        sources = instruction.scalar_src_keys
-        dest = instruction.dest_key
-        hazard = 0
-        for key in sources:
-            if ready_at[key] > hazard:
-                hazard = ready_at[key]
-        if dest >= 0:
-            if board._write_busy[dest] > hazard:
-                hazard = board._write_busy[dest]
-            if read_busy[dest] > hazard:
-                hazard = read_busy[dest]
-        if hazard > now:
-            context.head_hazard = hazard
-            return None
-        try:
-            completion = now + self._scalar_latencies[instruction.latency_class]
-        except KeyError:
-            raise _no_latency("scalar", instruction) from None
-        read_end = now + 1
-        for key in sources:
-            if read_end > read_busy[key]:
-                read_busy[key] = read_end
-        if dest >= 0:
-            board._first_at[dest] = completion
-            ready_at[dest] = completion
-            board._chainable[dest] = 1 if board._allow_chaining else 0
-            board._write_busy[dest] = completion
-        return completion
+    #: ``issue_scalar(scoreboard, instruction, now, latencies)`` probes a
+    #: ``scalar_unit_only`` head on its context's scoreboard and dispatches
+    #: it if it issues at ``now``; it returns the head's hazard bound.  The
+    #: run loops take it from here once at setup, so profiled runs and trace
+    #: recorders can wrap it like :meth:`execute`.
+    issue_scalar = staticmethod(ColumnarScoreboard.issue_scalar)
 
     # ------------------------------------------------------------------ #
     # question 2: what happens when it issues?
@@ -141,7 +102,7 @@ class DispatchModel:
         functional units and the memory system and updates the scoreboard.
         The returned cycle is when the instruction's last result is
         available.  Every instruction may take it; the run loops send
-        ``scalar_unit_only`` heads through :meth:`issue_scalar` instead.
+        ``scalar_unit_only`` heads through :attr:`issue_scalar` instead.
         """
         if instruction.is_memory:
             if instruction.is_vector_memory:
@@ -152,7 +113,7 @@ class DispatchModel:
         try:
             ready_at = now + self._scalar_latencies[instruction.latency_class]
         except KeyError:
-            raise _no_latency("scalar", instruction) from None
+            ready_at = now + self.config.latencies.scalar_latency(instruction.latency_class)
         context.scoreboard.record_dispatch(
             instruction, now + 1, now + 1, ready_at, ready_at, True
         )
@@ -194,7 +155,7 @@ class DispatchModel:
         try:
             latency = self._vector_latencies[instruction.latency_class]
         except KeyError:
-            raise _no_latency("vector", instruction) from None
+            latency = config.latencies.vector_latency(instruction.latency_class)
         read_start = now + config.vector_startup
         scoreboard = context.scoreboard
         element_start = scoreboard.chain_start(instruction, read_start)
@@ -206,16 +167,14 @@ class DispatchModel:
         )
         completion = first_result + vl - 1
         read_end = element_start + vl
-        # FunctionalUnit.reserve(now, read_end, record_until=completion), inline
+        # reserve the unit until the last element is read; the busy window
+        # recorded for the figure-4 breakdown lasts until the last result
         if now < 0 or read_end < now:
             raise SimulationError(f"unit {unit.name}: invalid reservation [{now}, {read_end})")
         if read_end > unit._free_at:
             unit._free_at = read_end
-        intervals = unit.intervals
         if completion > now:
-            intervals._pairs.extend((now, completion))
-            if intervals._merged_cache:
-                intervals._merged_cache = {}
+            unit.intervals.pairs.extend((now, completion))
         elif completion < now:
             raise SimulationError(
                 f"unit {unit.name}: busy interval ends ({completion}) before it starts ({now})"
@@ -258,18 +217,15 @@ class DispatchModel:
         # the busy window recorded for the figure-4 breakdown lasts until the
         # last datum has returned (loads) or one cycle past it (stores)
         record_until = completion if instruction.is_load else completion + 1
-        # FunctionalUnit.reserve(now, streaming_end, record_until=...), inline
+        # reserve the unit while it streams addresses
         if now < 0 or streaming_end < now:
             raise SimulationError(
                 f"unit {unit.name}: invalid reservation [{now}, {streaming_end})"
             )
         if streaming_end > unit._free_at:
             unit._free_at = streaming_end
-        intervals = unit.intervals
         if record_until > now:
-            intervals._pairs.extend((now, record_until))
-            if intervals._merged_cache:
-                intervals._merged_cache = {}
+            unit.intervals.pairs.extend((now, record_until))
         elif record_until < now:
             raise SimulationError(
                 f"unit {unit.name}: busy interval ends ({record_until}) before it starts ({now})"

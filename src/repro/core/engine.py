@@ -148,9 +148,7 @@ class SimulationEngine:
             (dispatch_model, "register_hazard"): profile.wrap(
                 "hazard_check", dispatch_model.register_hazard
             ),
-            (dispatch_model, "issue_scalar"): profile.wrap(
-                "dispatch", dispatch_model.issue_scalar, blocked_phase="hazard_check"
-            ),
+            (dispatch_model, "issue_scalar"): profile.wrap_issue(dispatch_model.issue_scalar),
             (dispatch_model, "execute"): profile.wrap("dispatch", dispatch_model.execute),
             (memory, "schedule_columnar"): profile.wrap("memory", memory.schedule_columnar),
         }
@@ -183,6 +181,7 @@ class SimulationEngine:
         dispatch_model = self.dispatch_model
         register_hazard = dispatch_model.register_hazard
         issue_scalar = dispatch_model.issue_scalar
+        latencies = self.config.latencies
         execute = dispatch_model.execute
         stats = self.stats
         select = self.scheduler.select
@@ -213,12 +212,13 @@ class SimulationEngine:
             issue = active.head_hazard
             if head.scalar_unit_only:
                 # one call probes the head and, if it issues now, dispatches it
-                if (issue is None or issue <= cycle) and issue_scalar(
-                    active, head, cycle
-                ) is not None:
-                    active.consume(head)
-                    self.cycle = cycle + 1
-                    continue
+                if issue is None or issue <= cycle:
+                    issue = issue_scalar(active.scoreboard, head, cycle, latencies)
+                    if issue <= cycle:
+                        active.consume(head)
+                        self.cycle = cycle + 1
+                        continue
+                    active.head_hazard = issue
             else:
                 # Inlined _issue_cycle: the register-hazard bound is probed
                 # once per head, the unit term read live.
@@ -272,6 +272,7 @@ class SimulationEngine:
         context0 = contexts[0]
         issue_cycle = self._issue_cycle
         issue_scalar = self.dispatch_model.issue_scalar
+        latencies = self.config.latencies
         execute = self.dispatch_model.execute
         stats = self.stats
         while self.cycle < max_cycles:
@@ -291,13 +292,13 @@ class SimulationEngine:
                     # each context has its own scalar unit: the head issues
                     # once its register hazards allow
                     earliest = context.head_hazard
-                    if (earliest is None or earliest <= cycle) and issue_scalar(
-                        context, head, cycle
-                    ) is not None:
-                        context.consume(head)
-                        dispatched += 1
-                        continue
-                    earliest = context.head_hazard
+                    if earliest is None or earliest <= cycle:
+                        earliest = issue_scalar(context.scoreboard, head, cycle, latencies)
+                        if earliest <= cycle:
+                            context.consume(head)
+                            dispatched += 1
+                            continue
+                        context.head_hazard = earliest
                 else:
                     earliest = issue_cycle(context, head, cycle)
                     uses_vector_facility = head.is_vector_arithmetic or head.is_vector_memory

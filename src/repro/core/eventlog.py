@@ -10,8 +10,8 @@ computed once per expansion and memoized on it.
 
 The engine events that do depend on the run are recorded as plain integers:
 
-* one ``(start, end)`` pair per functional-unit reservation
-  (:class:`FlatIntervalRecorder`);
+* one ``(start, end)`` pair per functional-unit reservation, appended to
+  :attr:`FlatIntervalRecorder.pairs` by the dispatch paths;
 * the address, load-data and store-data busses keep a single running
   busy-cycle total each (:class:`repro.memory.bus.Bus`), since a bus
   serializes its reservations.
@@ -26,8 +26,6 @@ every counter against the frozen seed oracle.
 from __future__ import annotations
 
 from array import array
-
-from repro.errors import SimulationError
 
 __all__ = [
     "FlatIntervalRecorder",
@@ -110,60 +108,49 @@ def merge_interval_pairs(
 class FlatIntervalRecorder:
     """Busy intervals of one functional unit as a flat ``(start, end)`` buffer.
 
-    Same ``record`` / ``intervals`` / ``merged`` / ``busy_cycles`` surface,
-    validation and merge semantics as the seed oracle's object-per-interval
-    recorder (``tests/seed_engine.py``).
-    ``merged`` results are memoized per horizon and invalidated by
-    ``record``.
+    ``pairs`` is the append-only raw buffer: the vector dispatch paths
+    (:class:`~repro.core.dispatch.DispatchModel`) append each reservation's
+    busy window to it directly, as ``start, end`` with ``end > start``.
+    ``intervals`` / ``merged`` / ``busy_cycles`` have the merge semantics of
+    the seed oracle's object-per-interval recorder (``tests/seed_engine.py``).
+    ``merged`` results are memoized per horizon together with the pair count
+    they cover, so an append needs no invalidation.
     """
 
-    __slots__ = ("name", "_pairs", "_merged_cache")
+    __slots__ = ("name", "pairs", "_merged_cache")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._pairs: array = array("q")
-        self._merged_cache: dict[int | None, list[tuple[int, int]]] = {}
-
-    def record(self, start: int, end: int) -> None:
-        """Record one busy interval; zero-length intervals are ignored."""
-        if end > start:
-            self._pairs.extend((start, end))
-            if self._merged_cache:
-                self._merged_cache = {}
-        elif end < start:
-            raise SimulationError(
-                f"unit {self.name}: busy interval ends ({end}) before it starts ({start})"
-            )
+        self.pairs: array = array("q")
+        self._merged_cache: dict[int | None, tuple[int, list[tuple[int, int]]]] = {}
 
     def extend_pairs(self, other: "FlatIntervalRecorder") -> None:
         """Append every interval of ``other`` (used to combine LD units)."""
-        if len(other._pairs):
-            self._pairs.extend(other._pairs)
-            if self._merged_cache:
-                self._merged_cache = {}
+        self.pairs.extend(other.pairs)
 
     @property
     def intervals(self) -> list[tuple[int, int]]:
         """All recorded busy intervals (unsorted, possibly overlapping)."""
-        pairs = self._pairs
+        pairs = self.pairs
         return [
             (pairs[index], pairs[index + 1]) for index in range(0, len(pairs), 2)
         ]
 
     def __len__(self) -> int:
-        return len(self._pairs) // 2
+        return len(self.pairs) // 2
 
     def merged(self, horizon: int | None = None) -> list[tuple[int, int]]:
         """Intervals merged into a sorted, disjoint list, clipped to ``horizon``."""
+        count = len(self.pairs)
         cached = self._merged_cache.get(horizon)
-        if cached is None:
-            cached = merge_interval_pairs(self._pairs, horizon)
+        if cached is None or cached[0] != count:
+            cached = (count, merge_interval_pairs(self.pairs, horizon))
             self._merged_cache[horizon] = cached
-        return list(cached)
+        return list(cached[1])
 
     def busy_cycles(self, horizon: int | None = None) -> int:
         """Number of distinct cycles the unit was busy (union of intervals)."""
-        if not self._pairs:
+        if not self.pairs:
             return 0
         return sum(end - start for start, end in self.merged(horizon))
 
@@ -177,12 +164,12 @@ class FlatIntervalRecorder:
 
     # -- pickling: ship the raw buffer ------------------------------------ #
     def __getstate__(self) -> tuple[str, bytes]:
-        return (self.name, self._pairs.tobytes())
+        return (self.name, self.pairs.tobytes())
 
     def __setstate__(self, state: tuple[str, bytes]) -> None:
         self.name = state[0]
-        self._pairs = array("q")
-        self._pairs.frombytes(state[1])
+        self.pairs = array("q")
+        self.pairs.frombytes(state[1])
         self._merged_cache = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

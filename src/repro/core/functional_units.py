@@ -27,30 +27,17 @@ class FunctionalUnit:
 
     def __init__(self, name: str) -> None:
         self.name = name
+        # the dispatch paths reserve the unit inline: they raise ``_free_at``
+        # to the end of the streaming window and append the busy window to
+        # the flat ``intervals`` buffer, from which every derived metric is
+        # reduced once at run finalization
         self._free_at = 0
-        # busy windows land in a flat (start, end) int buffer; every derived
-        # metric is reduced from it once at run finalization
         self.intervals = FlatIntervalRecorder(name)
 
     @property
     def free_at(self) -> int:
         """First cycle at which a new instruction may occupy the unit."""
         return self._free_at
-
-    def reserve(self, start: int, end: int, *, record_until: int | None = None) -> None:
-        """Occupy the unit for ``[start, end)``; ``record_until`` extends the stats window.
-
-        ``end`` bounds when the *next* instruction may start on the unit;
-        ``record_until`` (defaults to ``end``) is the busy window recorded for
-        the figure-4 state breakdown, which for memory operations extends
-        until the last datum has returned.
-        """
-        if start < 0 or end < start:
-            raise SimulationError(
-                f"unit {self.name}: invalid reservation [{start}, {end})"
-            )
-        self._free_at = max(self._free_at, end)
-        self.intervals.record(start, record_until if record_until is not None else end)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FunctionalUnit({self.name!r}, free_at={self._free_at})"

@@ -23,7 +23,8 @@ indexed by the dense ``Register.key`` — ``earliest_dispatch`` /
 (operand keys and banks) and do array reads plus int compares, with no dict
 lookups, no ``Register`` objects and no per-source allocation.  Each
 dispatch is one ``record_dispatch`` call covering all its reads and its
-write.  It assumes the engine's monotonic clock: ``now`` never decreases
+write; a scalar-unit head is probed and recorded by one ``issue_scalar``
+call.  It assumes the engine's monotonic clock: ``now`` never decreases
 across successive calls on one scoreboard.  The property suite in
 ``tests/test_core_scoreboard_columnar.py`` asserts call-by-call agreement
 with the frozen seed oracle's object-graph scoreboard (each dispatch replayed
@@ -33,6 +34,7 @@ corpus guards whole-run dispatch sequences.
 
 from __future__ import annotations
 
+from repro.core.config import LatencyTable
 from repro.isa.instruction import Instruction
 from repro.isa.registers import (
     NUM_VECTOR_BANKS,
@@ -249,6 +251,51 @@ class ColumnarScoreboard:
                 write_ends = self._bank_write_end
                 if ready_at > write_ends[bank]:
                     write_ends[bank] = ready_at
+
+    def issue_scalar(self, instruction: Instruction, now: int, latencies: LatencyTable) -> int:
+        """Probe a ``scalar_unit_only`` head and dispatch it if it issues at ``now``.
+
+        Returns the head's register-hazard bound,
+        ``earliest_dispatch(instruction, 0)``.  If the bound is at most
+        ``now`` the head is dispatched at ``now`` in the same call, as
+        ``record_dispatch(instruction, now + 1, now + 1, completion,
+        completion, True)`` with ``completion = now +`` its scalar latency
+        from ``latencies``; otherwise nothing is recorded.  The head has no
+        vector operand and no vector destination bank, so only the scalar
+        terms of the two calls apply.  A latency class missing from
+        ``latencies`` raises :class:`~repro.errors.ConfigurationError` at the
+        dispatch that needs it.
+        """
+        ready_at = self._ready_at
+        read_busy = self._read_busy
+        write_busy = self._write_busy
+        sources = instruction.scalar_src_keys
+        dest = instruction.dest_key
+        hazard = 0
+        for key in sources:
+            if ready_at[key] > hazard:
+                hazard = ready_at[key]
+        if dest >= 0:
+            if write_busy[dest] > hazard:
+                hazard = write_busy[dest]
+            if read_busy[dest] > hazard:
+                hazard = read_busy[dest]
+        if hazard > now:
+            return hazard
+        try:
+            completion = now + latencies.scalar[instruction.latency_class]
+        except KeyError:
+            completion = now + latencies.scalar_latency(instruction.latency_class)
+        read_end = now + 1
+        for key in sources:
+            if read_end > read_busy[key]:
+                read_busy[key] = read_end
+        if dest >= 0:
+            self._first_at[dest] = completion
+            ready_at[dest] = completion
+            self._chainable[dest] = 1 if self._allow_chaining else 0
+            write_busy[dest] = completion
+        return hazard
 
     # -- pickling: __slots__ classes need an explicit state protocol ------- #
     def __getstate__(self) -> tuple:

@@ -138,7 +138,7 @@ class Instruction:
         dest_bank = dest.bank if (dest is not None and dest.is_vector) else -1
         write(self, "dest_bank", dest_bank)
         # no memory, vector unit or vector register: the engine probes and
-        # dispatches it in one call (``DispatchModel.issue_scalar``)
+        # dispatches it in one call (``ColumnarScoreboard.issue_scalar``)
         write(
             self,
             "scalar_unit_only",

@@ -1,8 +1,9 @@
 """Opt-in per-phase profiling of the simulator hot loop.
 
 The engine's run loops hoist their phase callables
-(``dispatch_model.register_hazard``, ``dispatch_model.issue_scalar``,
-``dispatch_model.execute``, ``memory.schedule_columnar``) into locals **once
+(``dispatch_model.register_hazard``; ``dispatch_model.issue_scalar``, the
+scoreboard's one-call probe and dispatch of a scalar-unit head;
+``dispatch_model.execute``; ``memory.schedule_columnar``) into locals **once
 at loop setup**, so the profiler works by *function selection*: when
 profiling is enabled, :meth:`SimulationEngine.run` installs timing wrappers
 as instance attributes before the loop binds its locals; when it is disabled
@@ -35,10 +36,11 @@ PROFILE_ENV_VAR = "REPRO_PROFILE"
 #: Hot-loop phases accounted when profiling is on.  ``decode`` is the loop
 #: residual (instruction supply, unit-free probes, context selection and
 #: bookkeeping) left after the wrapped phases.  ``hazard_check`` wraps
-#: ``register_hazard`` and each ``issue_scalar`` call whose head blocked,
-#: ``dispatch`` wraps ``execute`` and each ``issue_scalar`` call that
-#: dispatched (one call per dispatched instruction), ``memory`` wraps
-#: ``schedule_columnar``; ``finalize`` times statistics reduction.
+#: ``DispatchModel.register_hazard`` and each ``DispatchModel.issue_scalar``
+#: call whose head blocked, ``dispatch`` wraps ``DispatchModel.execute`` and
+#: each ``issue_scalar`` call that dispatched (one call per dispatched
+#: instruction), ``memory`` wraps ``MemorySystem.schedule_columnar``;
+#: ``finalize`` times statistics reduction.
 PROFILE_PHASES = ("decode", "hazard_check", "dispatch", "memory", "finalize")
 
 _local = threading.local()
@@ -79,23 +81,39 @@ class PhaseProfile:
         #: Per-run engine loop counters, reported as they are.
         self.counts: dict[str, int] = {}
 
-    def wrap(self, phase: str, fn, blocked_phase: str | None = None):
-        """A closure that times every call to ``fn`` into ``phase``.
-
-        With ``blocked_phase``, a call that returns ``None`` (a probe whose
-        head did not dispatch) is charged to ``blocked_phase`` instead.
-        """
+    def wrap(self, phase: str, fn):
+        """A closure that times every call to ``fn`` into ``phase``."""
         seconds = self.seconds
         calls = self.calls
 
         def timed(*args, **kwargs):
             started = perf_counter()
-            charged = phase
             try:
-                result = fn(*args, **kwargs)
-                if result is None and blocked_phase is not None:
-                    charged = blocked_phase
-                return result
+                return fn(*args, **kwargs)
+            finally:
+                seconds[phase] += perf_counter() - started
+                calls[phase] += 1
+
+        return timed
+
+    def wrap_issue(self, fn):
+        """A closure that times ``issue_scalar(scoreboard, instruction, now, latencies)``.
+
+        The call returns the head's hazard bound: a call whose bound is later
+        than ``now`` found the head blocked and is a ``hazard_check``, one
+        that dispatched the head is a ``dispatch``.
+        """
+        seconds = self.seconds
+        calls = self.calls
+
+        def timed(scoreboard, instruction, now, latencies):
+            started = perf_counter()
+            charged = "dispatch"
+            try:
+                bound = fn(scoreboard, instruction, now, latencies)
+                if bound > now:
+                    charged = "hazard_check"
+                return bound
             finally:
                 seconds[charged] += perf_counter() - started
                 calls[charged] += 1

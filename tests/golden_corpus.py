@@ -210,35 +210,49 @@ def instrument_fast_engine(engine: SimulationEngine) -> list:
     The run loops hoist their dispatch callables, ``dispatch_model.execute``
     and ``dispatch_model.issue_scalar``, once at entry, so installing
     instance attributes before ``run`` intercepts every dispatch.
-    ``issue_scalar`` also probes: a call that returns ``None`` found its
-    head blocked and dispatched nothing.  The wrappers keep the completion
-    cycle the callables return and read the two counter columns from the
-    instruction's static columns, which the engine sums over each job's
-    executed prefix.
+    ``execute`` returns the completion cycle.  ``issue_scalar`` probes a
+    scalar-unit head on its context's scoreboard and returns the head's
+    hazard bound; it dispatched iff the bound is at most ``now``, and the
+    completion cycle is then its destination's ``ready_at`` (or ``now`` plus
+    its scalar latency when it writes no register).  The wrappers read the
+    two counter columns from the instruction's static columns, which the
+    engine sums over each job's executed prefix.
     """
     rows: list = []
     model = engine.dispatch_model
+    execute = model.execute
+    issue_scalar = model.issue_scalar
+    context_of = {id(context.scoreboard): context for context in engine.contexts}
 
-    def traced(dispatch):
-        def wrapper(context, instruction, now):
-            completion = dispatch(context, instruction, now)
-            if completion is not None:
-                rows.append(
-                    _row(
-                        context,
-                        instruction,
-                        now,
-                        completion,
-                        instruction.vector_operations,
-                        instruction.memory_transactions,
-                    )
-                )
-            return completion
+    def append(context, instruction, now, completion):
+        rows.append(
+            _row(
+                context,
+                instruction,
+                now,
+                completion,
+                instruction.vector_operations,
+                instruction.memory_transactions,
+            )
+        )
 
-        return wrapper
+    def traced_execute(context, instruction, now):
+        completion = execute(context, instruction, now)
+        append(context, instruction, now, completion)
+        return completion
 
-    model.execute = traced(model.execute)
-    model.issue_scalar = traced(model.issue_scalar)
+    def traced_issue_scalar(scoreboard, instruction, now, latencies):
+        bound = issue_scalar(scoreboard, instruction, now, latencies)
+        if bound <= now:
+            if instruction.dest is not None:
+                completion = scoreboard.state(instruction.dest).ready_at
+            else:
+                completion = now + latencies.scalar_latency(instruction.latency_class)
+            append(context_of[id(scoreboard)], instruction, now, completion)
+        return bound
+
+    model.execute = traced_execute
+    model.issue_scalar = traced_issue_scalar
     return rows
 
 

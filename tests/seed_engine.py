@@ -41,7 +41,7 @@ from repro.core.results import SimulationResult
 from repro.core.scheduler import ThreadScheduler, create_scheduler
 from repro.core.statistics import JobRecord, SimulationStats, ThreadStats
 from repro.core.suppliers import Job, JobSupplier
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FU2_ONLY_CLASSES, ExecutionResource, OpClass
 from repro.isa.registers import (
@@ -50,7 +50,6 @@ from repro.isa.registers import (
     Register,
     RegisterClass,
 )
-from repro.errors import ConfigurationError
 from repro.memory.request import AccessKind, MemoryRequest
 
 __all__ = ["SeedEngine"]

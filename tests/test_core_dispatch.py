@@ -37,8 +37,13 @@ def make_model(latency=50, **config_overrides):
     memory = MemorySystem(latency=config.memory_latency)
     pool = VectorUnitPool()
     model = DispatchModel(config, memory, pool)
-    context = HardwareContext(0, SingleJobSupplier(Job.from_instructions("t", [nop()])))
-    return model, context, pool, memory, config
+    return model, make_context(0), pool, memory, config
+
+
+def make_context(thread_id):
+    return HardwareContext(
+        thread_id, SingleJobSupplier(Job.from_instructions("t", [nop()]))
+    )
 
 
 class TestScalarTiming:
@@ -51,28 +56,38 @@ class TestScalarTiming:
 
     def test_issue_scalar_probes_then_dispatches(self):
         model, context, _, _, config = make_model()
+        board, latencies = context.scoreboard, config.latencies
         divide = scalar_op(Opcode.DIV_S, S(1), S(0), S(0))
         add = scalar_op(Opcode.ADD_S, S(2), S(1), S(1))
         assert divide.scalar_unit_only and add.scalar_unit_only
-        assert model.issue_scalar(context, divide, now=0) == config.latencies.scalar["div"]
-        # the add waits on the divide: nothing is recorded, the bound is kept
-        assert model.issue_scalar(context, add, now=1) is None
-        assert context.head_hazard == config.latencies.scalar["div"]
-        assert context.scoreboard.state(S(2)).ready_at == 0
-        ready = context.head_hazard
-        assert model.issue_scalar(context, add, now=ready) == ready + config.latencies.scalar["alu"]
-        assert context.scoreboard.state(S(2)).ready_at == ready + config.latencies.scalar["alu"]
+        # no hazard: the bound is 0 and the divide is dispatched at once
+        assert model.issue_scalar(board, divide, 0, latencies) == 0
+        assert board.state(S(1)).ready_at == latencies.scalar["div"]
+        # the add waits on the divide: nothing is recorded, the bound is returned
+        ready = model.issue_scalar(board, add, 1, latencies)
+        assert ready == latencies.scalar["div"]
+        assert board.state(S(2)).ready_at == 0
+        assert board.state(S(1)).read_busy_until == 0
+        assert model.issue_scalar(board, add, ready, latencies) == ready
+        assert board.state(S(2)).ready_at == ready + latencies.scalar["alu"]
+        assert board.state(S(1)).read_busy_until == ready + 1
 
     def test_missing_scalar_latency_raises_at_dispatch(self):
-        model, context, _, _, _ = make_model(latencies=LatencyTable(scalar={"div": 34}))
+        model, context, _, _, config = make_model(latencies=LatencyTable(scalar={"div": 34}))
+        board, latencies = context.scoreboard, config.latencies
         add = scalar_op(Opcode.ADD_S, S(2), S(1), S(1))
         with pytest.raises(ConfigurationError, match="no scalar latency defined for class 'alu'"):
-            model.issue_scalar(context, add, now=0)
+            model.issue_scalar(board, add, 0, latencies)
         with pytest.raises(ConfigurationError, match="no scalar latency defined for class 'alu'"):
             model.execute(context, add, now=0)
         # a head that cannot issue yet needs no latency
-        model.issue_scalar(context, scalar_op(Opcode.DIV_S, S(1), S(0), S(0)), now=0)
-        assert model.issue_scalar(context, add, now=1) is None
+        model.issue_scalar(board, scalar_op(Opcode.DIV_S, S(1), S(0), S(0)), 0, latencies)
+        assert model.issue_scalar(board, add, 1, latencies) == 34
+
+    def test_missing_vector_latency_raises_at_dispatch(self):
+        model, context, _, _, _ = make_model(latencies=LatencyTable(vector={"mul": 7}))
+        with pytest.raises(ConfigurationError, match="no vector latency defined for class 'alu'"):
+            model.execute(context, vadd(V(2), V(0), V(1), vl=8), now=0)
 
     def test_scalar_div_is_slow(self):
         model, context, _, _, config = make_model()
@@ -145,8 +160,10 @@ class TestVectorArithmeticTiming:
 
     def test_earliest_issue_blocks_on_busy_unit(self):
         model, context, pool, _, _ = make_model()
-        pool.fu1.reserve(0, 200)
-        pool.fu2.reserve(0, 300)
+        # another context occupies FU1 until 71 + 1 + 128 and FU2 until 171 + 1 + 128
+        other = make_context(1)
+        model.execute(other, vadd(V(6), V(4), V(5), vl=128), now=71)
+        model.execute(other, vmul(V(7), V(4), V(5), vl=128), now=171)
         # no register hazard: the issue bound is the picked unit's free cycle
         add, mul = vadd(V(2), V(0), V(1), vl=8), vmul(V(2), V(0), V(1), vl=8)
         assert model.register_hazard(context, add) == 0
@@ -233,7 +250,9 @@ class TestDispatchErrors:
         from repro.errors import SimulationError
 
         model, context, pool, _, _ = make_model()
-        pool.load_store.reserve(0, 100)
+        # streams addresses from cycle 2 until 100
+        model.execute(make_context(1), vload(V(4), vl=98, address=0), now=0)
+        assert pool.load_store.free_at == 100
         with pytest.raises(SimulationError):
             model.execute(context, vload(V(0), vl=8, address=0), now=0)
 
@@ -241,6 +260,7 @@ class TestDispatchErrors:
         from repro.errors import SimulationError
 
         model, context, pool, _, _ = make_model()
-        pool.fu2.reserve(0, 100)
+        model.execute(make_context(1), vmul(V(6), V(4), V(5), vl=99), now=0)
+        assert pool.fu2.free_at == 100
         with pytest.raises(SimulationError):
             model.execute(context, vmul(V(2), V(0), V(1), vl=8), now=0)

@@ -9,9 +9,14 @@ import pytest
 
 from repro.api import Machine
 from repro.core.config import MachineConfig
+from repro.core.context import HardwareContext
+from repro.core.dispatch import DispatchModel
 from repro.core.functional_units import VectorUnitPool
 from repro.core.statistics import SimulationStats
+from repro.core.suppliers import Job, SingleJobSupplier
 from repro.errors import ConfigurationError, SimulationError
+from repro.isa.builder import vload
+from repro.isa.registers import V
 from repro.memory.request import AccessKind
 from repro.memory.system import _KIND_CODE, MemorySystem
 from repro.workloads import build_suite
@@ -72,7 +77,14 @@ class TestMultiPortMemorySystem:
     def test_pool_with_multiple_ld_units(self):
         pool = VectorUnitPool(num_load_store_units=3)
         assert len(pool.load_store_units) == 3
-        pool.load_store_units[0].reserve(0, 100)
+        config = MachineConfig.cray_style(1, 50)
+        model = DispatchModel(config, MemorySystem(latency=50, num_ports=3), pool)
+        context = HardwareContext(
+            0, SingleJobSupplier(Job.from_instructions("t", [vload(V(0), vl=98, address=0)]))
+        )
+        # the first LD unit streams addresses until 100
+        model.execute(context, vload(V(0), vl=98, address=0), now=0)
+        assert pool.load_store_units[0].free_at == 100
         unit = pool.memory_unit(now=0)
         assert unit.free_at == 0
         assert unit is not pool.load_store_units[0]

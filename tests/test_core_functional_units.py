@@ -1,32 +1,59 @@
-"""Unit tests for the functional-unit pool (FU1, FU2, LD)."""
+"""Unit tests for the functional-unit pool (FU1, FU2, LD).
+
+Units are reserved inline by the dispatch paths, so every busy unit here is
+made busy by dispatching an instruction through
+:meth:`~repro.core.dispatch.DispatchModel.execute`.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.functional_units import FunctionalUnit, VectorUnitPool
+from repro.core.config import MachineConfig
+from repro.core.context import HardwareContext
+from repro.core.dispatch import DispatchModel
+from repro.core.functional_units import VectorUnitPool
+from repro.core.suppliers import Job, SingleJobSupplier
 from repro.errors import SimulationError
-from repro.isa.builder import vadd, vdiv, vmul, vsqrt, vload
+from repro.isa.builder import nop, vadd, vdiv, vload, vmul, vsqrt
 from repro.isa.registers import V
+from repro.memory.system import MemorySystem
+
+
+def dispatcher(pool, memory_latency=50):
+    """``dispatch(instruction, now)`` on a reference machine around ``pool``."""
+    model = DispatchModel(
+        MachineConfig.reference(memory_latency), MemorySystem(latency=memory_latency), pool
+    )
+    context = HardwareContext(0, SingleJobSupplier(Job.from_instructions("t", [nop()])))
+    return lambda instruction, now: model.execute(context, instruction, now)
 
 
 class TestFunctionalUnit:
     def test_reservation_advances_free_time(self):
-        unit = FunctionalUnit("FU1")
-        unit.reserve(0, 130)
-        assert unit.free_at == 130
-        assert unit.intervals.intervals == [(0, 130)]
+        pool = VectorUnitPool()
+        dispatcher(pool)(vadd(V(2), V(0), V(1), vl=128), 0)
+        # the unit reads its 128 elements from cycle 1 (vector start-up) on
+        assert pool.fu1.free_at == 129
+        # and is recorded busy until the last result: crossbars 2 + 2, ALU 4
+        assert pool.fu1.intervals.intervals == [(0, 136)]
 
     def test_record_until_extends_stats_window_only(self):
-        unit = FunctionalUnit("FU1")
-        unit.reserve(0, 130, record_until=260)
-        assert unit.free_at == 130
-        assert unit.intervals.busy_cycles() == 260
+        pool = VectorUnitPool()
+        dispatcher(pool, memory_latency=130)(vload(V(0), vl=128, address=0), 0)
+        # the LD unit streams addresses over [2, 130) ...
+        assert pool.load_store.free_at == 130
+        # ... and its busy window lasts until the last datum returns
+        assert pool.load_store.intervals.busy_cycles() == 260
 
     def test_invalid_reservation(self):
-        unit = FunctionalUnit("FU1")
+        pool = VectorUnitPool()
+        dispatch = dispatcher(pool)
         with pytest.raises(SimulationError):
-            unit.reserve(10, 5)
+            dispatch(vadd(V(2), V(0), V(1), vl=8), -1)
+        with pytest.raises(SimulationError):
+            dispatch(vload(V(0), vl=8, address=0), -1)
+        assert len(pool.fu1.intervals) == len(pool.load_store.intervals) == 0
 
 
 class TestVectorUnitPool:
@@ -42,11 +69,13 @@ class TestVectorUnitPool:
 
     def test_general_ops_prefer_free_unit(self):
         pool = VectorUnitPool()
+        dispatch = dispatcher(pool)
         add = vadd(V(2), V(0), V(1), vl=8)
         assert pool.arithmetic_unit_for(add, now=0) is pool.fu1  # tie broken towards FU1
-        pool.fu1.reserve(0, 100)
+        dispatch(vadd(V(2), V(0), V(1), vl=99), 0)  # FU1 busy until 1 + 99
         assert pool.arithmetic_unit_for(add, now=0) is pool.fu2
-        pool.fu2.reserve(0, 200)
+        dispatch(vadd(V(3), V(0), V(1), vl=128), 71)  # FU2 busy until 72 + 128
+        assert pool.fu2.free_at == 200
         third = pool.arithmetic_unit_for(add, now=0)
         assert third is pool.fu1
         assert third.free_at == 100
@@ -55,7 +84,7 @@ class TestVectorUnitPool:
 
     def test_fu2_only_waits_even_if_fu1_free(self):
         pool = VectorUnitPool()
-        pool.fu2.reserve(0, 150)
+        dispatcher(pool)(vmul(V(2), V(0), V(1), vl=128), 21)  # FU2 busy until 22 + 128
         mul = vmul(V(2), V(0), V(1), vl=8)
         unit = pool.arithmetic_unit_for(mul, now=0)
         assert unit is pool.fu2
@@ -63,7 +92,7 @@ class TestVectorUnitPool:
 
     def test_memory_unit(self):
         pool = VectorUnitPool()
-        pool.load_store.reserve(0, 64)
+        dispatcher(pool)(vload(V(0), vl=62, address=0), 0)  # streams over [2, 64)
         unit = pool.memory_unit(now=10)
         assert unit is pool.load_store
         assert unit.free_at == 64

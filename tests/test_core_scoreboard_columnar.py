@@ -14,7 +14,9 @@ the columnar side; the seed side replays it as its per-register calls, a
 ``record_read`` per source (vector sources to the vector read end, the
 others to the scalar one, in operand order) and a ``record_write`` for the
 destination — so the suite also shows that folding them into one call is
-exact.
+exact.  A scalar-unit head's one-call ``issue_scalar`` is replayed on the
+seed side as an ``earliest_dispatch(instruction, 0)`` probe followed, when
+the head issues, by the scalar unit's reads and write.
 
 The sequences deliberately oversample the corners where the two data layouts
 could diverge: many readers piling onto one bank (port-slot eviction), reads
@@ -28,6 +30,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import LatencyTable
 from repro.core.scoreboard import ColumnarScoreboard
 from repro.isa.builder import (
     scalar_load,
@@ -45,6 +48,8 @@ from repro.isa.registers import A, S, V, all_registers
 from tests.seed_engine import SeedScoreboard
 
 ALL_REGISTERS = all_registers()
+SCALAR_REGISTERS = [register for register in ALL_REGISTERS if not register.is_vector]
+LATENCIES = LatencyTable()
 
 
 # Small register pools bias the sequences towards aliasing and same-bank
@@ -96,14 +101,33 @@ def any_operands(draw):
 
 
 @st.composite
+def scalar_unit_head(draw):
+    """A ``scalar_unit_only`` instruction over scalar registers, with repeats."""
+    srcs = tuple(draw(st.lists(st.sampled_from(SCALAR_REGISTERS), max_size=3)))
+    dest = draw(st.none() | st.sampled_from(SCALAR_REGISTERS))
+    if dest is None:
+        instruction = Instruction(Opcode.BR_COND, srcs=srcs)
+    else:
+        opcode = draw(st.sampled_from([Opcode.ADD_S, Opcode.DIV_S]))
+        instruction = Instruction(opcode, dest=dest, srcs=srcs)
+    assert instruction.scalar_unit_only
+    return instruction
+
+
+@st.composite
 def operation(draw):
     """One dispatch or probe, with times relative to the shared clock."""
     kind = draw(
         st.sampled_from(
-            ["dispatch", "dispatch", "dispatch", "dispatch", "probe", "probe", "chain"]
+            [
+                "dispatch", "dispatch", "dispatch", "dispatch",
+                "probe", "probe", "chain", "issue", "issue",
+            ]
         )
     )
     advance = draw(st.integers(min_value=0, max_value=25))
+    if kind == "issue":
+        return ("issue", advance, draw(scalar_unit_head()))
     if kind == "dispatch":
         instruction = draw(any_operands() | probe_instruction())
         # vector read end, scalar read end, first element, ready
@@ -137,6 +161,28 @@ def dispatch_both(
         )
 
 
+def issue_both(columnar, seed, instruction, now):
+    """One ``issue_scalar`` call, and the seed's probe, reads and write.
+
+    Returns both hazard bounds; the head was dispatched iff its bound is at
+    most ``now``.
+    """
+    bound = columnar.issue_scalar(instruction, now, LATENCIES)
+    seed_bound = seed.earliest_dispatch(instruction, 0)
+    if seed_bound <= now:
+        completion = now + LATENCIES.scalar_latency(instruction.latency_class)
+        for source in instruction.srcs:
+            seed.record_read(source, now, now + 1)
+        if instruction.dest is not None:
+            seed.record_write(
+                instruction.dest,
+                first_element_at=completion,
+                ready_at=completion,
+                chainable=True,
+            )
+    return bound, seed_bound
+
+
 def apply_sequence(columnar, seed, ops):
     """Drive both boards through ``ops`` with a shared monotonic clock.
 
@@ -154,6 +200,8 @@ def apply_sequence(columnar, seed, ops):
             dispatch_both(columnar, seed, instruction, now, *times, chainable)
         elif kind == "probe":
             yield op, tuple(board.earliest_dispatch(op[2], now) for board in (columnar, seed))
+        elif kind == "issue":
+            yield op, issue_both(columnar, seed, op[2], now)
         else:
             _, _, instruction, candidate_delta = op
             yield op, tuple(

@@ -18,12 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import MachineConfig
+from repro.core.context import HardwareContext
+from repro.core.dispatch import DispatchModel
 from repro.core.eventlog import (
     FlatIntervalRecorder,
     merge_interval_pairs,
     prefix_counts,
 )
+from repro.core.functional_units import VectorUnitPool
 from repro.core.statistics import FU_STATE_NAMES, fu_state_breakdown
+from repro.core.suppliers import Job, SingleJobSupplier
 from repro.errors import SimulationError
 from repro.isa.builder import (
     nop,
@@ -131,12 +136,18 @@ interval_list = st.lists(
 )
 
 
+def append(recorder, start, end):
+    """Append one busy window as the dispatch paths do: non-empty ones only."""
+    if end > start:
+        recorder.pairs.extend((start, end))
+
+
 class TestFlatIntervalRecorder:
     def test_mirrors_fallback_recorder(self):
         flat = FlatIntervalRecorder("FU1")
         legacy = IntervalRecorder("FU1")
         for start, end in ((0, 10), (5, 15), (20, 25), (7, 7)):
-            flat.record(start, end)
+            append(flat, start, end)
             legacy.record(start, end)
         assert flat.intervals == legacy.intervals
         assert flat.merged() == legacy.merged()
@@ -144,14 +155,23 @@ class TestFlatIntervalRecorder:
         assert flat.busy_cycles(horizon=12) == legacy.busy_cycles(horizon=12)
 
     def test_invalid_interval(self):
-        with pytest.raises(SimulationError):
-            FlatIntervalRecorder("x").record(10, 5)
+        """A busy window that would end before the dispatch cycle is rejected."""
+        config = MachineConfig.reference(50)
+        # unreachable through a validated config: a latency this negative
+        # puts the last result before the dispatch cycle
+        config.latencies.vector["alu"] = -100
+        pool = VectorUnitPool()
+        model = DispatchModel(config, MemorySystem(latency=50), pool)
+        context = HardwareContext(0, SingleJobSupplier(Job.from_instructions("t", [nop()])))
+        with pytest.raises(SimulationError, match="busy interval ends"):
+            model.execute(context, vadd(V(2), V(0), V(1), vl=8), now=10)
+        assert len(pool.fu1.intervals) == 0
 
     def test_memo_invalidation(self):
         recorder = FlatIntervalRecorder("x")
-        recorder.record(0, 10)
+        append(recorder, 0, 10)
         assert recorder.merged() == [(0, 10)]
-        recorder.record(20, 30)  # must invalidate the memoized merge
+        append(recorder, 20, 30)  # the memo covers one pair: merged again
         assert recorder.merged() == [(0, 10), (20, 30)]
         recorder.drop_merge_memo()  # keeps intervals, drops only the memo
         assert recorder.merged() == [(0, 10), (20, 30)]
@@ -159,7 +179,7 @@ class TestFlatIntervalRecorder:
     def test_pickle_ships_flat_buffer(self):
         recorder = FlatIntervalRecorder("LD")
         for index in range(50):
-            recorder.record(index * 10, index * 10 + 5)
+            append(recorder, index * 10, index * 10 + 5)
         clone = pickle.loads(pickle.dumps(recorder))
         assert clone.name == "LD"
         assert clone.intervals == recorder.intervals
@@ -173,7 +193,7 @@ class TestFlatIntervalRecorder:
         flat = FlatIntervalRecorder("u")
         legacy = IntervalRecorder("u")
         for start, length in spans:
-            flat.record(start, start + length)
+            append(flat, start, start + length)
             legacy.record(start, start + length)
 
         assert flat.merged(horizon) == legacy.merged(horizon)
@@ -215,7 +235,7 @@ class TestBreakdownPaths:
         ]
         busy = [set(), set(), set()]
         for unit, start, length in data:
-            recorders[unit].record(start, start + length)
+            append(recorders[unit], start, start + length)
             busy[unit].update(range(start, start + length))
         breakdown = fu_state_breakdown(*recorders, total)
         per_cycle = Counter(

@@ -62,6 +62,16 @@ class TestPhaseProfile:
         assert profile.calls["dispatch"] == 2
         assert profile.seconds["dispatch"] >= 0.0
 
+    def test_wrap_issue_charges_blocked_probes_to_hazard_check(self):
+        profile = PhaseProfile()
+        # the wrapped call returns the head's hazard bound
+        wrapped = profile.wrap_issue(lambda board, head, now, latencies: head)
+        assert wrapped(None, 5, 5, None) == 5  # issued at its bound
+        assert wrapped(None, 3, 5, None) == 3  # issued, bound in the past
+        assert wrapped(None, 9, 5, None) == 9  # blocked until 9
+        assert profile.calls["dispatch"] == 2
+        assert profile.calls["hazard_check"] == 1
+
     def test_as_dict_derives_decode_residual(self):
         profile = PhaseProfile()
         profile.loop_seconds = 1.0
@@ -109,10 +119,10 @@ class TestEngineProfiling:
             calls["execute"] += 1
             return execute(context, head, now)
 
-        def issue(context, head, now):
-            completion = issue_scalar(context, head, now)
-            calls["blocked" if completion is None else "issued"] += 1
-            return completion
+        def issue(scoreboard, head, now, latencies):
+            bound = issue_scalar(scoreboard, head, now, latencies)
+            calls["blocked" if bound > now else "issued"] += 1
+            return bound
 
         model.register_hazard, model.execute, model.issue_scalar = probe, dispatch, issue
         assert pickle.dumps(counted.run().stats) == pickle.dumps(result.stats)
