@@ -45,6 +45,7 @@ REQUIRED_SPANS = (
 #: Histogram families whose cluster aggregation must be exact.
 CHECKED_HISTOGRAMS = (
     "repro_request_key_seconds", "repro_queue_wait_seconds", "repro_execute_seconds",
+    "repro_workload_build_seconds",
 )
 
 

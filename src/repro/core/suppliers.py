@@ -195,8 +195,3 @@ class JobQueueSupplier(JobSupplier):
         job = self._queue.popleft()
         self.dispatched.append(job.name)
         return job
-
-    @property
-    def remaining(self) -> int:
-        """Number of jobs still waiting in the queue."""
-        return len(self._queue)

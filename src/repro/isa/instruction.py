@@ -11,9 +11,9 @@ arithmetic vs. memory vs. scalar, element counts, operand splits) millions of
 times per run, so every derived attribute is resolved **once**, at decode
 time, and stored as a plain instance attribute.  The engine's inner loop then
 performs field loads instead of property-call chains through the opcode
-enums.  The columnar decode helpers (:meth:`with_pc`, :meth:`with_address`,
-:meth:`with_vl`) clone instructions without re-running validation, which keeps
-trace replay proportional to the amount of *changed* data.
+enums.  The columnar decode helpers (:meth:`with_pc`, :meth:`with_address`)
+clone instructions without re-running validation, which keeps trace replay
+proportional to the amount of *changed* data.
 """
 
 from __future__ import annotations
@@ -166,19 +166,6 @@ class Instruction:
     def _clone(self) -> "Instruction":
         clone = object.__new__(Instruction)
         clone.__dict__.update(self.__dict__)
-        return clone
-
-    def with_vl(self, vl: int) -> "Instruction":
-        """Return a copy of this instruction with a different vector length."""
-        if self.is_vector and not 1 <= vl <= MAX_VECTOR_LENGTH:
-            raise IsaError(f"vector length {vl} out of range 1..{MAX_VECTOR_LENGTH}")
-        clone = self._clone()
-        d = clone.__dict__
-        d["vl"] = vl
-        element_count = vl if self.is_vector else 1
-        d["element_count"] = element_count
-        d["memory_transactions"] = element_count if self.is_memory else 0
-        d["vector_operations"] = vl if self.is_vector_arithmetic else 0
         return clone
 
     def with_pc(self, pc: int) -> "Instruction":

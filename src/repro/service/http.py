@@ -267,7 +267,8 @@ class _Handler(_JSONHandler):
             self._error(400, f"bad JSON body: {error}")
             return
         try:
-            request, priority, timeout = parse_job_document(document)
+            with self.server.time_decode():
+                request, priority, timeout = parse_job_document(document)
             job = self.server.service.submit(
                 request,
                 priority=priority,
@@ -379,6 +380,16 @@ class BackgroundHTTPServer(ThreadingHTTPServer):
         self.stop()
 
 
+@contextmanager
+def _timed(histogram, labels: dict | None = None):
+    """Observe the wall time of the ``with`` body into ``histogram``."""
+    started = perf_counter()
+    try:
+        yield
+    finally:
+        histogram.observe(perf_counter() - started, labels=labels)
+
+
 class ServiceServer(BackgroundHTTPServer):
     """The service's HTTP server; owns a background serving thread.
 
@@ -404,17 +415,18 @@ class ServiceServer(BackgroundHTTPServer):
             "End-to-end HTTP request handling time (seconds)",
             labelnames=("method",),
         )
+        self._build_seconds = service.metrics.histogram(
+            "repro_workload_build_seconds",
+            "Time spent decoding a POSTed job document into a request (seconds)",
+        )
 
-    @contextmanager
     def time_request(self, method: str):
         """Observe one request's wall time into the service's histogram."""
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            self._request_seconds.observe(
-                perf_counter() - started, labels={"method": method}
-            )
+        return _timed(self._request_seconds, {"method": method})
+
+    def time_decode(self):
+        """Observe one job document's decode time into the build histogram."""
+        return _timed(self._build_seconds)
 
     def stop(self, *, shutdown_service: bool = True) -> None:
         """Stop serving; optionally shut the underlying service down too."""

@@ -27,13 +27,30 @@ results still travel back as canonical pickles that the client unpickles, so
 a client must trust the server it points at.  :func:`request_from_document`
 is the one decoder, shared by the server, the router and the sweep compiler,
 so one document always means one content key.
+
+Decode is memoized.  :func:`workload_from_spec` keys each workload spec by
+its canonical JSON (``json.dumps(spec, sort_keys=True)``) in one bounded,
+thread-safe LRU memo of 32 entries, the bound of the expansion intern table
+(:mod:`repro.workloads.program`).  A repeated spec returns the program built
+for its first decode, already expanded, so its request key is a fingerprint
+memo probe instead of a build plus a structural intern lookup.  A spec that
+raises is not memoized; one that cannot be JSON-encoded is decoded without
+the memo.  **Decoded programs are shared read-only** between requests and
+threads: a caller must not ``add_loop`` to one (or change it otherwise).
+Every lazily filled field of a program is written by
+:meth:`~repro.workloads.program.Program.expanded` before the memo publishes
+it, so concurrent readers never write one.
 """
 
 from __future__ import annotations
 
+import json
+import threading
+from collections import OrderedDict
+
 from repro.api.batch import SimulationRequest
 from repro.errors import ConfigurationError, WorkloadError
-from repro.workloads import LoopSpec, WorkloadSpec, build_benchmark, build_workload
+from repro.workloads import LoopSpec, Program, WorkloadSpec, build_benchmark, build_workload
 
 __all__ = ["parse_job_document", "request_from_document", "workload_from_spec"]
 
@@ -48,8 +65,43 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def workload_from_spec(spec):
-    """Materialize one workload from its JSON form (see module docstring)."""
+#: Upper bound on memoized decodes (the expansion intern table's bound).
+_DECODE_MAX_ENTRIES = 32
+
+_decode_lock = threading.Lock()
+#: Canonical spec JSON -> the expanded program decoded from it, LRU order.
+_decoded: "OrderedDict[str, Program]" = OrderedDict()
+
+
+def workload_from_spec(spec) -> Program:
+    """Materialize one workload from its JSON form (see module docstring).
+
+    Memoized on the spec's canonical JSON: the returned program may be the
+    one an earlier call returned, and is shared read-only.
+    """
+    try:
+        key = json.dumps(spec, sort_keys=True)
+    except (TypeError, ValueError):
+        return _decode(spec)
+    with _decode_lock:
+        program = _decoded.get(key)
+        if program is not None:
+            _decoded.move_to_end(key)
+            return program
+    program = _decode(spec)
+    program.expanded()
+    with _decode_lock:
+        # a thread that decoded the same spec meanwhile published first:
+        # share its program, so every caller holds one object
+        program = _decoded.setdefault(key, program)
+        _decoded.move_to_end(key)
+        while len(_decoded) > _DECODE_MAX_ENTRIES:
+            _decoded.popitem(last=False)
+    return program
+
+
+def _decode(spec) -> Program:
+    """Build one workload from its JSON form, validating every field."""
     if isinstance(spec, str):
         return build_benchmark(spec)
     if not isinstance(spec, dict):

@@ -74,9 +74,10 @@ class TestSuppliers:
         assert supplier.next_job() is None
 
     def test_job_queue_supplier(self):
-        queue = JobQueueSupplier([tiny_job("a"), tiny_job("b")])
-        assert queue.remaining == 2
+        jobs = [tiny_job("a"), tiny_job("b")]
+        queue = JobQueueSupplier(jobs)
         assert queue.next_job().name == "a"
+        assert len(jobs) - len(queue.dispatched) == 1
         assert queue.next_job().name == "b"
         assert queue.next_job() is None
         assert queue.dispatched == ["a", "b"]

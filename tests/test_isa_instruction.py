@@ -103,9 +103,6 @@ class TestInstructionCosts:
 
 
 class TestInstructionCopies:
-    def test_with_vl(self):
-        assert vadd(vl=64).with_vl(32).vl == 32
-
     def test_with_pc_and_address(self):
         load = Instruction(Opcode.VLOAD, dest=V(0), vl=8, address=0x40)
         assert load.with_pc(12).pc == 12

@@ -454,6 +454,22 @@ class TestMetricsEndpoint:
             hits / submitted, rel=1e-6
         )
 
+    def test_one_post_observes_one_workload_build(self, client):
+        from repro.obs import parse_exposition
+
+        def build_count() -> float:
+            family = parse_exposition(client.metrics())["repro_workload_build_seconds"]
+            assert family["type"] == "histogram"
+            return dict(
+                (sample, value) for sample, _labels, value in family["samples"]
+            )["repro_workload_build_seconds_count"]
+
+        before = build_count()
+        client.submit("reference", {"benchmark": "swm256", "scale": SCALE}).wait(
+            timeout=120.0
+        )
+        assert build_count() == before + 1
+
     def test_render_metrics_without_store(self):
         from repro.service import render_metrics
 
