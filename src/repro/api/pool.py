@@ -173,12 +173,6 @@ class WorkerPool:
                 return True
             return False
 
-    @property
-    def alive(self) -> bool:
-        """Whether the pool currently holds a (non-retired) executor."""
-        with self._lock:
-            return self._executor is not None and not self._closed
-
     def shutdown(self, *, wait: bool = True) -> None:
         """Tear the workers down; the pool cannot be used afterwards."""
         with self._lock:

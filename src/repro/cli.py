@@ -370,6 +370,8 @@ def submit_main(argv: Sequence[str]) -> int:
     except (JobCancelled, JobTimeout) as error:
         print(f"job did not complete: {error}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     print(
         f"{args.machine}: {result.instructions} instructions in {result.cycles} cycles "
         f"({result.stop_reason})"
@@ -402,6 +404,8 @@ def trace_main(argv: Sequence[str]) -> int:
     except ServiceError as error:
         print(f"service error: {error}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     spans = timeline.get("spans") or []
     print(
         f"job {timeline.get('job_id', args.job_id)} "
@@ -519,6 +523,9 @@ def sweep_main(argv: Sequence[str]) -> int:
     except ReproError as error:
         print(f"sweep failed: {error}", file=sys.stderr)
         return 1
+    finally:
+        if client is not None:
+            client.close()
 
     counts = output.run.counts()
     print(

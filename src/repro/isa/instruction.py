@@ -147,19 +147,6 @@ class Instruction:
         )
 
     # ------------------------------------------------------------------ #
-    # operand helpers
-    # ------------------------------------------------------------------ #
-    def reads(self) -> tuple[Register, ...]:
-        """Registers read by this instruction."""
-        return self.srcs
-
-    def writes(self) -> tuple[Register, ...]:
-        """Registers written by this instruction."""
-        if self.dest is None:
-            return ()
-        return (self.dest,)
-
-    # ------------------------------------------------------------------ #
     # convenience (fast clones: skip __init__ validation, copy the columnar
     # attributes, and only recompute what the changed field influences)
     # ------------------------------------------------------------------ #

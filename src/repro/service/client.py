@@ -12,8 +12,13 @@ Workloads are benchmark names or JSON specs: every submission is one JSON
 job document (:mod:`repro.service.specs`), the only encoding the service
 accepts.  Requests over in-memory programs or traces run in-process through
 :func:`~repro.api.batch.run_batch`.  Results come back as canonical pickles
-that the client unpickles, so point it only at a server you trust.  Only
-stdlib :mod:`urllib` is used — no new runtime dependencies.
+that the client unpickles, so point it only at a server you trust.
+
+Requests go over HTTP/1.1 keep-alive connections (stdlib :mod:`http.client`,
+no runtime dependencies): each calling thread reuses one connection per
+client.  A submission the store already holds is answered with its result
+inline, so a warm job costs one round trip.  :meth:`ServiceClient.close`
+closes every connection the client opened.
 
 A client talks to one base URL.  To reach a sharded cluster, point it at a
 router front-end (``repro-mtv serve --shard-of URL,URL,...``): the router
@@ -27,13 +32,15 @@ answer to a submission names the serving ``shard`` and whether the job was
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import pickle
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
-from dataclasses import dataclass
+import urllib.parse
+import weakref
+from dataclasses import dataclass, field
 
 from repro.core.results import SimulationResult
 from repro.errors import (
@@ -89,6 +96,9 @@ class JobHandle:
     #: Distributed-tracing id for this submission (client-minted, echoed by
     #: the server in the 202 answer; ``None`` for servers predating tracing).
     trace_id: str | None = None
+    #: The result pickle when the 202 answer carried it (a store hit):
+    #: :meth:`wait` and :meth:`result_bytes` then need no round trip.
+    payload: bytes | None = field(default=None, repr=False)
 
     def info(self) -> dict:
         """The job's current status document."""
@@ -100,10 +110,12 @@ class JobHandle:
 
     def wait(self, timeout: float | None = 60.0) -> SimulationResult:
         """Block until the job completes and return its result."""
-        return self.client.wait(self.job_id, timeout=timeout)
+        return pickle.loads(self.result_bytes(timeout))
 
     def result_bytes(self, timeout: float | None = 60.0) -> bytes:
         """The raw result pickle (byte-identical across coalesced waiters)."""
+        if self.payload is not None:
+            return self.payload
         return self.client.result_bytes(self.job_id, timeout=timeout)
 
     def cancel(self) -> bool:
@@ -111,7 +123,7 @@ class JobHandle:
         return self.client.cancel(self.job_id)
 
 
-def _retry_after_hint(error: urllib.error.HTTPError, raw: bytes) -> float | None:
+def _retry_after_hint(headers, raw: bytes) -> float | None:
     """The server's retry hint for a shed request, in seconds (or ``None``).
 
     Prefers the JSON body's fractional ``retry_after`` over the integral
@@ -124,7 +136,7 @@ def _retry_after_hint(error: urllib.error.HTTPError, raw: bytes) -> float | None
             return float(hint)
     except Exception:
         pass
-    header = error.headers.get("Retry-After") if error.headers is not None else None
+    header = headers.get("Retry-After")
     try:
         return max(0.0, float(header)) if header is not None else None
     except ValueError:
@@ -136,6 +148,79 @@ def _retry_after_hint(error: urllib.error.HTTPError, raw: bytes) -> float | None
 #: timeout is stretched by this much so the held-back answer is not
 #: misread as an unreachable server.
 FOLLOW_CHUNK = 10.0
+
+
+class HTTPTransport:
+    """HTTP/1.1 round trips to one base URL over kept-alive connections.
+
+    Each calling thread gets its own :class:`http.client.HTTPConnection`,
+    opened on first use and reused by every later round trip of that
+    thread; a thread's connection is released when the thread ends.  A
+    reused connection the server has since closed (its idle timeout, or a
+    restart) fails with a :class:`ConnectionError`; the round trip then
+    reconnects once.  Every other failure propagates: connection-level ones
+    as :class:`OSError` or :class:`http.client.HTTPException`, and an HTTP
+    error status is an ordinary answer.
+    """
+
+    def __init__(self, base_url: str) -> None:
+        parts = urllib.parse.urlsplit(base_url)
+        try:
+            port = parts.port
+        except ValueError:
+            port = -1
+        if parts.scheme not in ("http", "https") or not parts.hostname or port == -1:
+            raise ConfigurationError(f"not an http(s) base URL: {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._address = (parts.hostname, port)
+        self._prefix = parts.path.rstrip("/")
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened: "weakref.WeakSet[http.client.HTTPConnection]" = weakref.WeakSet()
+
+    def round_trip(
+        self, method: str, path: str, body: bytes | None, headers: dict, timeout: float
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One request on this thread's connection: ``(status, headers, body)``."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(*self._address, timeout=timeout)
+            self._local.connection = connection
+            with self._lock:
+                self._opened.add(connection)
+        reused = connection.sock is not None
+        try:
+            return self._exchange(connection, method, path, body, headers, timeout)
+        except ConnectionError:
+            connection.close()
+            if not reused:
+                raise
+        except BaseException:
+            connection.close()
+            raise
+        # a stale kept-alive connection: the next request opens a new one
+        try:
+            return self._exchange(connection, method, path, body, headers, timeout)
+        except BaseException:
+            connection.close()
+            raise
+
+    def _exchange(self, connection, method, path, body, headers, timeout):
+        connection.timeout = timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
+        connection.request(method, self._prefix + path, body=body, headers=headers)
+        response = connection.getresponse()
+        return response.status, response.headers, response.read()
+
+    def close(self) -> None:
+        """Close every connection this transport opened, in any thread."""
+        with self._lock:
+            connections = list(self._opened)
+        for connection in connections:
+            connection.close()
 
 
 class ServiceClient:
@@ -157,6 +242,10 @@ class ServiceClient:
     spoke, it just said no.  The client therefore cannot hang indefinitely:
     the worst case is ``(retries + 1) × timeout`` plus the bounded backoff
     sleeps per call.
+
+    Round trips reuse one kept-alive connection per calling thread
+    (:class:`HTTPTransport`); reopening a stale one does not spend a retry.
+    :meth:`close` (or leaving a ``with`` block) closes them all.
     """
 
     def __init__(
@@ -180,6 +269,17 @@ class ServiceClient:
         self.retries = max(0, int(retries))
         self.retry_interval = max(0.0, retry_interval)
         self.backoff_cap = max(self.retry_interval, backoff_cap)
+        self._transport = HTTPTransport(url)
+
+    def close(self) -> None:
+        """Close every connection this client opened; a later call reconnects."""
+        self._transport.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ------------------------------------------------------- #
     def _backoff_delay(self, attempt: int, floor: float | None) -> float:
@@ -203,40 +303,33 @@ class ServiceClient:
         method: str | None = None,
         headers: dict | None = None,
     ) -> bytes:
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=None if body is None else json.dumps(body).encode(),
-            headers={"Content-Type": "application/json", **(headers or {})},
-            method=method or ("GET" if body is None else "POST"),
-        )
+        data = None if body is None else json.dumps(body).encode()
+        method = method or ("GET" if body is None else "POST")
+        headers = {"Content-Type": "application/json", **(headers or {})}
         last_error: Exception | None = None
         last_status: int | None = None
         for attempt in range(self.retries + 1):
             retry_after: float | None = None
             try:
                 inject_conn_reset()
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout if timeout is None else timeout
-                ) as response:
-                    return response.read()
-            except urllib.error.HTTPError as error:
-                raw = error.read()
-                try:
-                    message = json.loads(raw).get("error", str(error))
-                except Exception:
-                    message = str(error)
-                if error.code not in RETRYABLE_STATUSES:
-                    raise ServiceError(
-                        f"{path}: HTTP {error.code}: {message}", status=error.code
-                    ) from None
-                retry_after = _retry_after_hint(error, raw)
-                last_error = ServiceError(
-                    f"{path}: HTTP {error.code}: {message}", status=error.code
+                status, reply_headers, raw = self._transport.round_trip(
+                    method, path, data, headers, self.timeout if timeout is None else timeout
                 )
-                last_status = error.code
-            except (urllib.error.URLError, OSError) as error:
+            except (OSError, http.client.HTTPException) as error:
                 last_error = error
                 last_status = None
+            else:
+                if status < 300:
+                    return raw
+                try:
+                    message = json.loads(raw)["error"]
+                except Exception:
+                    message = http.client.responses.get(status, "error")
+                if status not in RETRYABLE_STATUSES:
+                    raise ServiceError(f"{path}: HTTP {status}: {message}", status=status)
+                retry_after = _retry_after_hint(reply_headers, raw)
+                last_error = ServiceError(f"{path}: HTTP {status}: {message}", status=status)
+                last_status = status
             if attempt < self.retries:
                 time.sleep(self._backoff_delay(attempt, retry_after))
         if isinstance(last_error, ServiceError):
@@ -321,6 +414,9 @@ class ServiceClient:
             shard=answer.get("shard"),
             degraded=bool(answer.get("degraded", False)),
             trace_id=answer.get("trace_id"),
+            payload=(
+                base64.b64decode(answer["result_pickle"]) if "result_pickle" in answer else None
+            ),
         )
 
     # -- retrieval ------------------------------------------------------- #

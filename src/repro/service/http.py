@@ -2,13 +2,17 @@
 
 A thin JSON layer over :class:`~repro.service.core.SimulationService`, built
 on :class:`http.server.ThreadingHTTPServer` so it adds **no runtime
-dependencies**.  Endpoints:
+dependencies**.  It speaks HTTP/1.1: a connection stays open for further
+requests (with ``TCP_NODELAY``) until the client closes it or it idles for
+``IDLE_TIMEOUT`` seconds.  Endpoints:
 
 ========================  ==================================================
 ``POST /jobs``            submit a job document (see :mod:`repro.service.specs`);
-                          answers ``202`` with ``{job_id, state, served_from}``,
-                          or ``429`` with a ``Retry-After`` header when
-                          admission control sheds the submission
+                          answers ``202`` with ``{job_id, state, served_from}``
+                          plus ``result_pickle`` (base64) when the job is
+                          already done (a store hit), or ``429`` with a
+                          ``Retry-After`` header when admission control
+                          sheds the submission
 ``GET /jobs/<id>``        job status; includes ``result_pickle`` (base64)
                           once the job is done.  ``?follow=1[&wait=N]``
                           long-polls: the answer is held back until the job
@@ -36,8 +40,11 @@ client must trust the server it points at.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import socket
+import sys
 import threading
 import urllib.parse
 import weakref
@@ -65,6 +72,10 @@ MAX_FOLLOW_WAIT = 30.0
 #: ``wait=``; below the cap so default clients stay comfortably inside
 #: ordinary HTTP read timeouts.
 DEFAULT_FOLLOW_WAIT = 25.0
+
+#: Seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before its handler thread closes it.
+IDLE_TIMEOUT = 60.0
 
 
 def render_metrics(stats: dict) -> str:
@@ -111,8 +122,30 @@ def render_metrics(stats: dict) -> str:
 class _JSONHandler(BaseHTTPRequestHandler):
     """Shared JSON-over-HTTP plumbing for the service and shard-router handlers.
 
-    The owning server is a :class:`BackgroundHTTPServer`.
+    The owning server is a :class:`BackgroundHTTPServer`.  A request body
+    the handler did not read would be parsed as the next request on the
+    kept-alive connection, so every answer to such a request closes it.
     """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # else Nagle meets the client's delayed ACK
+    timeout = IDLE_TIMEOUT
+    _body_unread = False
+
+    def parse_request(self) -> bool:
+        self._body_unread = False
+        if not super().parse_request():
+            return False
+        self._body_unread = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        return True
+
+    def end_headers(self) -> None:
+        if self._body_unread and not self.close_connection:
+            self.send_header("Connection", "close")
+        super().end_headers()
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:  # pragma: no cover - log formatting only
@@ -140,16 +173,23 @@ class _JSONHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_body(self) -> bytes | None:
-        """The request body, bounded by ``MAX_BODY_BYTES`` (``None`` = refused)."""
+        """The request body, bounded by ``MAX_BODY_BYTES`` (``None`` = refused).
+
+        A refusal leaves the body unread, so it also closes the connection.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = None
+        if length is not None and 0 < length <= MAX_BODY_BYTES:
+            self._body_unread = False
+            return self.rfile.read(length)
+        self._body_unread = True
+        if length is None:
             self._error(400, "bad Content-Length header")
-            return None
-        if length <= 0 or length > MAX_BODY_BYTES:
+        else:
             self._error(400, f"request body must be 1..{MAX_BODY_BYTES} bytes")
-            return None
-        return self.rfile.read(length)
+        return None
 
 
 class _Handler(_JSONHandler):
@@ -187,22 +227,29 @@ class _Handler(_JSONHandler):
             if record is None:
                 self._error(404, f"unknown job id {job_id!r}")
             else:
-                fetch_started = perf_counter()
-                body = record.describe(include_payload=True)
-                # span recorded before the send, so a client that downloads
-                # the payload and immediately asks for the trace sees it
-                if record.finished and record.payload is not None:
-                    service.trace.add_span(
-                        record.job_id,
-                        "fetch",
-                        trace_id=record.trace_id,
-                        start=wall_time(),
-                        duration=perf_counter() - fetch_started,
-                        payload_bytes=len(record.payload),
-                    )
-                self._send_json(200, body)
+                self._send_json(200, self._with_result(record, record.describe()))
         else:
             self._error(404, f"unknown path {path!r}")
+
+    def _with_result(self, record, body: dict) -> dict:
+        """``body`` plus the job's ``result_pickle`` once it is done.
+
+        Serving the payload records a ``fetch`` span, before the send, so a
+        client that downloads the payload and immediately asks for the trace
+        sees it.
+        """
+        if record.finished and record.payload is not None:
+            fetch_started = perf_counter()
+            body["result_pickle"] = base64.b64encode(record.payload).decode("ascii")
+            self.server.service.trace.add_span(
+                record.job_id,
+                "fetch",
+                trace_id=record.trace_id,
+                start=wall_time(),
+                duration=perf_counter() - fetch_started,
+                payload_bytes=len(record.payload),
+            )
+        return body
 
     def _handle_trace(self, job_id: str) -> None:
         """``GET /jobs/<id>/trace``: the job's ordered span timeline."""
@@ -294,16 +341,15 @@ class _Handler(_JSONHandler):
             # failures (e.g. a submit racing shutdown) become a JSON 500
             self._error(500, f"{type(error).__name__}: {error}")
             return
-        self._send_json(
-            202,
-            {
-                "job_id": job.job_id,
-                "state": job.state.value,
-                "served_from": job.served_from,
-                "priority": job.priority,
-                "trace_id": job.trace_id,
-            },
-        )
+        answer = {
+            "job_id": job.job_id,
+            "state": job.state.value,
+            "served_from": job.served_from,
+            "priority": job.priority,
+            "trace_id": job.trace_id,
+        }
+        # a store hit is done at submit: its result rides on this answer
+        self._send_json(202, self._with_result(job, answer))
 
 
 #: Every bound, not yet closed :class:`BackgroundHTTPServer` of this process.
@@ -311,15 +357,22 @@ _LIVE_SERVERS: "weakref.WeakSet[BackgroundHTTPServer]" = weakref.WeakSet()
 
 
 def _close_listeners_in_child() -> None:
-    """Close every inherited listening socket in a freshly forked child.
+    """Close every inherited listening and accepted socket in a forked child.
 
-    A forked child (a pool worker) holds a copy of each listening socket.
+    A forked child (a pool worker) holds a copy of each server socket.
     Without this hook the port keeps accepting connections after its server
     stops or dies, and clients hang until their socket timeout instead of
-    being refused.  The parent's sockets are untouched.
+    being refused; and a connection the server closes stays open for its
+    client.  The parent's sockets are untouched.  No lock is taken: the
+    child runs only the forking thread.  An accepted socket's ``close()``
+    would wait for its handler's file objects, which the child never
+    releases, so its descriptor is detached and closed directly.
     """
     for server in list(_LIVE_SERVERS):
         server.socket.close()
+        for connection in list(server._connections):
+            os.close(connection.detach())
+        server._connections.clear()
     _LIVE_SERVERS.clear()
 
 
@@ -331,8 +384,9 @@ class BackgroundHTTPServer(ThreadingHTTPServer):
 
     ``port=0`` binds an ephemeral port (read :attr:`url` after construction).
     Use as a context manager, or call :meth:`start` / :meth:`stop`.  A
-    process forked while the server is bound does not inherit its listening
-    socket.
+    process forked while the server is bound does not inherit its sockets.
+    Each accepted connection is served by its own handler thread until the
+    client closes it, it idles out, or :meth:`stop` shuts it down.
     """
 
     daemon_threads = True
@@ -341,7 +395,26 @@ class BackgroundHTTPServer(ThreadingHTTPServer):
         super().__init__((host, port), handler)
         self.verbose = verbose
         self._thread: threading.Thread | None = None
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         _LIVE_SERVERS.add(self)
+
+    def get_request(self):
+        connection, address = super().get_request()
+        with self._connections_lock:
+            self._connections.add(connection)
+        return connection, address
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # a client that went away mid-answer (or a connection stop() shut
+        # down) is not a server fault; anything else keeps its traceback
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     @property
     def url(self) -> str:
@@ -362,12 +435,20 @@ class BackgroundHTTPServer(ThreadingHTTPServer):
         return self
 
     def stop(self) -> None:
-        """Stop serving and close the listening socket."""
+        """Stop serving: close the listening socket, and shut down every open
+        connection so no parked keep-alive handler serves another request."""
         if self._thread is not None:
             self.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
         self.server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the handler closed it meanwhile
+                pass
 
     def server_close(self) -> None:
         _LIVE_SERVERS.discard(self)

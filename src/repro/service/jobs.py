@@ -87,9 +87,10 @@ class JobRecord:
             raise SimulationError(f"job {self.job_id} has no result yet ({self.state.value})")
         return pickle.loads(self.payload)
 
-    def describe(self, *, include_payload: bool = False) -> dict:
-        """JSON-ready description of this job (the ``GET /jobs/<id>`` body)."""
-        info = {
+    def describe(self) -> dict:
+        """JSON-ready description of this job (the ``GET /jobs/<id>`` body,
+        which adds the payload as ``result_pickle`` once done)."""
+        return {
             "job_id": self.job_id,
             "state": self.state.value,
             "priority": self.priority,
@@ -101,8 +102,3 @@ class JobRecord:
             "timeout": self.timeout,
             "trace_id": self.trace_id,
         }
-        if include_payload and self.payload is not None:
-            import base64
-
-            info["result_pickle"] = base64.b64encode(self.payload).decode("ascii")
-        return info

@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import http.client
 import json
-import urllib.error
-import urllib.request
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import merge_metric_snapshots
 from repro.obs.trace import TRACE_HEADER
+from repro.service.client import HTTPTransport
 from repro.service.http import BackgroundHTTPServer, _JSONHandler, render_metrics
 from repro.service.specs import parse_job_document
 from repro.service.store import key_digest
@@ -211,37 +211,6 @@ class _ShardDown(Exception):
     """One shard could not be reached at the connection level."""
 
 
-def _forward(
-    url: str,
-    path: str,
-    *,
-    data: bytes | None = None,
-    method: str | None = None,
-    timeout: float = FORWARD_TIMEOUT,
-    headers: dict | None = None,
-) -> tuple[int, bytes]:
-    """One HTTP round trip to a shard: ``(status, body)``.
-
-    An HTTP error *is* an answer (the shard spoke; relay it); only
-    connection-level failures raise :class:`_ShardDown` so the caller can
-    fail over.  ``headers`` are merged over the JSON content type (the
-    router uses this to pass ``X-Repro-Trace`` through unchanged).
-    """
-    request = urllib.request.Request(
-        url + path,
-        data=data,
-        headers={"Content-Type": "application/json", **(headers or {})},
-        method=method or ("GET" if data is None else "POST"),
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.getcode(), response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, error.read()
-    except (urllib.error.URLError, OSError) as error:
-        raise _ShardDown(f"{url}: {error}") from None
-
-
 def _split_routed_id(job_id: str) -> tuple[int, str] | None:
     """``"<shard-index>-<job-id>"`` → ``(index, job_id)``, or ``None``."""
     prefix, separator, rest = job_id.partition("-")
@@ -253,8 +222,9 @@ def _split_routed_id(job_id: str) -> tuple[int, str] | None:
 class _RouterHandler(_JSONHandler):
     server: "ShardRouterServer"
 
-    def _relay(self, shard: str, status: int, raw: bytes, *, extra: dict | None = None) -> None:
+    def _relay(self, shard: str, answer: tuple, *, extra: dict | None = None) -> None:
         """Relay one shard answer, optionally decorating its JSON body."""
+        status, shard_headers, raw = answer
         try:
             document = json.loads(raw)
         except (ValueError, UnicodeDecodeError):  # pragma: no cover - non-JSON shard answer
@@ -265,11 +235,8 @@ class _RouterHandler(_JSONHandler):
                 index = self.server.router.shard_index(shard)
                 document["job_id"] = f"{index}-{document['job_id']}"
             document.update(extra or {})
-        headers = None
-        if status == 429 and isinstance(document, dict):
-            hint = document.get("retry_after")
-            if isinstance(hint, (int, float)) and not isinstance(hint, bool):
-                headers = {"Retry-After": str(max(1, int(-(-hint // 1))))}
+        retry_after = shard_headers.get("Retry-After")
+        headers = None if retry_after is None else {"Retry-After": retry_after}
         self._send_json(status, document, headers=headers)
 
     def _shard_for_routed_id(self, job_id: str) -> tuple[str, str] | None:
@@ -309,11 +276,11 @@ class _RouterHandler(_JSONHandler):
         down: list[str] = []
         for rank, shard in enumerate(self.server.router.preference_for_digest(digest)):
             try:
-                status, body = _forward(shard, "/jobs", data=raw, headers=forward_headers)
+                answer = self.server.forward(shard, "/jobs", data=raw, headers=forward_headers)
             except _ShardDown as error:
                 down.append(str(error))
                 continue
-            self._relay(shard, status, body, extra={"shard": shard, "degraded": rank > 0})
+            self._relay(shard, answer, extra={"shard": shard, "degraded": rank > 0})
             return
         self._send_json(503, {"error": "no live shard: " + "; ".join(down)})
 
@@ -339,11 +306,11 @@ class _RouterHandler(_JSONHandler):
             shard, upstream_id = target
             suffix = f"?{query}" if query else ""
             try:
-                status, body = _forward(shard, f"/jobs/{upstream_id}{suffix}")
+                answer = self.server.forward(shard, f"/jobs/{upstream_id}{suffix}")
             except _ShardDown as error:
                 self._send_json(503, {"error": str(error)})
                 return
-            self._relay(shard, status, body)
+            self._relay(shard, answer)
         else:
             self._error(404, f"unknown path {path!r}")
 
@@ -357,11 +324,11 @@ class _RouterHandler(_JSONHandler):
             return
         shard, upstream_id = target
         try:
-            status, body = _forward(shard, f"/jobs/{upstream_id}", method="DELETE")
+            answer = self.server.forward(shard, f"/jobs/{upstream_id}", method="DELETE")
         except _ShardDown as error:
             self._send_json(503, {"error": str(error)})
             return
-        self._relay(shard, status, body)
+        self._relay(shard, answer)
 
 
 class ShardRouterServer(BackgroundHTTPServer):
@@ -387,7 +354,44 @@ class ShardRouterServer(BackgroundHTTPServer):
     ) -> None:
         # build the ring before binding, so a bad shard list leaks no socket
         self.router = router if isinstance(router, ShardRouter) else ShardRouter(router)
+        #: One kept-alive transport per shard, shared by the handler threads.
+        self.transports = {shard: HTTPTransport(shard) for shard in self.router.shards}
         super().__init__(_RouterHandler, host=host, port=port, verbose=verbose)
+
+    def stop(self) -> None:
+        """Stop serving and close every connection to the shards."""
+        super().stop()
+        for transport in self.transports.values():
+            transport.close()
+
+    def forward(
+        self,
+        shard: str,
+        path: str,
+        *,
+        data: bytes | None = None,
+        method: str | None = None,
+        timeout: float = FORWARD_TIMEOUT,
+        headers: dict | None = None,
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One HTTP round trip to a shard: ``(status, headers, body)``.
+
+        An HTTP error *is* an answer (the shard spoke; relay it); only
+        connection-level failures — after the transport's one reconnect of a
+        stale kept-alive connection — raise :class:`_ShardDown` so the caller
+        can fail over.  ``headers`` are merged over the JSON content type
+        (the router uses this to pass ``X-Repro-Trace`` through unchanged).
+        """
+        try:
+            return self.transports[shard].round_trip(
+                method or ("GET" if data is None else "POST"),
+                path,
+                data,
+                {"Content-Type": "application/json", **(headers or {})},
+                timeout,
+            )
+        except (OSError, http.client.HTTPException) as error:
+            raise _ShardDown(f"{shard}: {error}") from None
 
     # -- cluster probes --------------------------------------------------- #
     def probe_shards(self, path: str) -> dict[str, bool]:
@@ -395,7 +399,7 @@ class ShardRouterServer(BackgroundHTTPServer):
         alive: dict[str, bool] = {}
         for shard in self.router.shards:
             try:
-                status, _body = _forward(shard, path, timeout=PROBE_TIMEOUT)
+                status, _headers, _body = self.forward(shard, path, timeout=PROBE_TIMEOUT)
                 alive[shard] = status == 200
             except _ShardDown:
                 alive[shard] = False
@@ -408,7 +412,7 @@ class ShardRouterServer(BackgroundHTTPServer):
         for shard in self.router.shards:
             stats = None
             try:
-                status, body = _forward(shard, "/stats", timeout=PROBE_TIMEOUT)
+                status, _headers, body = self.forward(shard, "/stats", timeout=PROBE_TIMEOUT)
                 if status == 200:
                     loaded = json.loads(body)
                     stats = loaded if isinstance(loaded, dict) else None

@@ -91,7 +91,8 @@ class TestWorkerPool:
         assert [r.cycles for r in first] == [r.cycles for r in second]
         # one executor served both batches: the workers stayed warm
         assert pool.spawned == 1
-        assert pool.alive
+        assert pool.submit(os.getpid).result() != os.getpid()
+        assert pool.spawned == 1
 
     def test_worker_processes_are_reused(self, pool):
         # two tasks that meet at a barrier run on two distinct, started workers
@@ -150,7 +151,7 @@ class TestWorkerPool:
 
     def test_shutdown_is_terminal(self, pool):
         pool.shutdown()
-        assert not pool.alive
+        assert pool.respawn_broken() is False
         with pytest.raises(RuntimeError):
             pool.submit(os.getpid)
 
@@ -178,7 +179,9 @@ class TestSharedPool:
             shutdown_shared_pool()
             second = get_shared_pool(1)
             assert second is not first
-            assert second.alive or not second._closed
+            assert second.submit(os.getpid).result() != os.getpid()
+            with pytest.raises(RuntimeError):
+                first.submit(os.getpid)
         finally:
             shutdown_shared_pool()
 

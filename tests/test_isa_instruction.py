@@ -85,10 +85,12 @@ class TestInstructionCosts:
 
     def test_reads_and_writes(self):
         instruction = vadd()
-        assert instruction.reads() == (V(0), V(1))
-        assert instruction.writes() == (V(2),)
+        assert instruction.srcs == (V(0), V(1))
+        assert instruction.dest == V(2)
+        assert instruction.dest_key == V(2).key
         store = Instruction(Opcode.VSTORE, srcs=(V(3), A(1)), vl=8, address=0)
-        assert store.writes() == ()
+        assert store.dest is None
+        assert (store.dest_key, store.dest_bank) == (-1, -1)
         assert [r for r in store.srcs if r.is_vector] == [V(3)]
         assert [r for r in store.srcs if not r.is_vector] == [A(1)]
         # the scoreboard's dense split of the same operands
@@ -98,7 +100,7 @@ class TestInstructionCosts:
 
     def test_vector_registers_touched(self):
         instruction = vadd()
-        touched = [r for r in instruction.reads() + instruction.writes() if r.is_vector]
+        touched = [r for r in (*instruction.srcs, instruction.dest) if r.is_vector]
         assert set(touched) == {V(0), V(1), V(2)}
 
 

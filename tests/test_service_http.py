@@ -497,13 +497,13 @@ class TestClientRetries:
 
     def test_http_errors_are_not_retried(self, client, monkeypatch):
         calls = {"n": 0}
-        original = urllib.request.urlopen
+        original = client._transport.round_trip
 
-        def counting(request, timeout=None):
+        def counting(*args, **kwargs):
             calls["n"] += 1
-            return original(request, timeout=timeout)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", counting)
+        monkeypatch.setattr(client._transport, "round_trip", counting)
         with pytest.raises(ServiceError, match="404"):
             client.job("no-such-job")
         assert calls["n"] == 1
@@ -647,6 +647,207 @@ class TestJobTimeoutHTTP:
                 "reference", {"benchmark": "tomcatv", "scale": SCALE},
                 job_timeout=-1.0,
             )
+
+
+def _settle(condition, timeout: float = 10.0) -> None:
+    """Wait until ``condition()`` holds (handler threads close asynchronously)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never settled"
+        time.sleep(0.02)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestKeepAlive:
+    def test_round_trips_share_one_connection_per_thread(self, server):
+        with ServiceClient(server.url) as kept:
+            ports = set()
+            for _ in range(3):
+                kept.healthz()
+                ports.add(kept._transport._local.connection.sock.getsockname()[1])
+            assert len(ports) == 1
+            # without TCP_NODELAY a kept-alive answer waits on a delayed ACK
+            with server._connections_lock:
+                accepted = list(server._connections)
+            assert accepted and all(
+                connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                for connection in accepted
+            )
+
+    def test_store_hit_post_carries_the_result_inline(self, server):
+        document = {"benchmark": "tomcatv", "scale": SCALE}
+        with ServiceClient(server.url) as warm:
+            warm.submit("reference", document, memory_latency=66).wait(timeout=120.0)
+            calls = {"n": 0}
+            original = warm._transport.round_trip
+
+            def counting(*args, **kwargs):
+                calls["n"] += 1
+                return original(*args, **kwargs)
+
+            warm._transport.round_trip = counting
+            handle = warm.submit("reference", document, memory_latency=66)
+            assert handle.served_from == "store"
+            result = handle.wait(timeout=120.0)
+            assert calls["n"] == 1  # the POST; no poll
+            # the inline bytes are the GET path's bytes
+            assert handle.payload == warm.result_bytes(handle.job_id)
+            assert pickle.dumps(result) == pickle.dumps(pickle.loads(handle.payload))
+            spans = [span["span"] for span in handle.trace()["spans"]]
+            assert spans.count("fetch") == 2  # the POST's, then the GET's
+
+    def test_queued_job_answer_has_no_result(self, tmp_path):
+        service = SimulationService(store=None, workers=1, paused=True)
+        with ServiceServer(service, port=0) as running:
+            with ServiceClient(running.url) as paused:
+                handle = paused.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
+                assert handle.payload is None
+                service.resume()
+                assert handle.wait(timeout=120.0).instructions > 0
+
+    def test_stale_connection_is_reopened_without_a_retry(self, server):
+        with ServiceClient(server.url, retries=0) as kept:
+            kept.healthz()
+            with server._connections_lock:
+                connections = list(server._connections)
+            for connection in connections:
+                connection.shutdown(socket.SHUT_RDWR)
+            _settle(lambda: not server._connections)
+            assert kept.healthz()["status"] == "ok"
+
+    def test_stopped_server_answers_a_kept_alive_client_with_an_error(self, tmp_path):
+        threads = threading.active_count()
+        service = SimulationService(store=None, workers=1)
+        server = ServiceServer(service, port=0).start()
+        with ServiceClient(server.url, retries=0) as kept:
+            assert kept.healthz()["status"] == "ok"
+            server.stop()
+            with pytest.raises(ServiceError, match="cannot reach"):
+                kept.healthz()
+        # the parked keep-alive handler thread is gone too
+        _settle(lambda: threading.active_count() <= threads)
+
+    def test_idle_connection_is_closed_by_the_server(self, monkeypatch):
+        from repro.service import http as service_http
+
+        assert service_http._JSONHandler.timeout == service_http.IDLE_TIMEOUT > 0
+        monkeypatch.setattr(service_http._JSONHandler, "timeout", 0.2)
+        with ServiceServer(SimulationService(store=None, workers=1), port=0) as running:
+            with socket.create_connection(running.server_address[:2], timeout=5.0) as idle:
+                assert idle.recv(1) == b""  # closed after 0.2 s, not after 5 s
+            _settle(lambda: not running._connections)
+
+    def test_forked_child_closes_accepted_connections(self, server):
+        with ServiceClient(server.url) as kept:
+            kept.healthz()
+            with server._connections_lock:
+                fds = [connection.fileno() for connection in server._connections]
+            assert fds
+            read_end, write_end = os.pipe()
+            child = os.fork()
+            if child == 0:  # pragma: no cover - runs in the forked child
+                try:
+                    still_open = 0
+                    for fd in fds:
+                        try:
+                            os.fstat(fd)
+                            still_open += 1
+                        except OSError:
+                            pass
+                    os.write(write_end, bytes([still_open]))
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            try:
+                assert os.read(read_end, 1) == b"\x00"
+            finally:
+                os.close(read_end)
+                os.waitpid(child, 0)
+
+    def test_close_releases_every_socket(self, tmp_path):
+        store = ResultStore(tmp_path)
+        service = SimulationService(store=store, workers=1)
+        workload = {"benchmark": "tomcatv", "scale": SCALE}
+        latencies = (60, 61, 62, 63, 64)
+        with ServiceServer(service, port=0) as running:
+            with ServiceClient(running.url) as warm:  # spawn the pool, fill the store
+                for latency in latencies:
+                    warm.submit("reference", workload, memory_latency=latency).wait(
+                        timeout=120.0
+                    )
+            _settle(lambda: not running._connections)
+            fds, threads = _open_fds(), threading.active_count()
+
+            client = ServiceClient(running.url)
+            done, release = threading.Event(), threading.Event()
+
+            def other_thread() -> None:
+                for index in range(25):
+                    client.submit(
+                        "reference", workload, memory_latency=latencies[index % 5]
+                    ).wait(timeout=120.0)
+                done.set()
+                release.wait(30.0)  # keep this thread's connection alive
+
+            helper = threading.Thread(target=other_thread)
+            helper.start()
+            try:
+                for index in range(25):
+                    client.submit(
+                        "reference", workload, memory_latency=latencies[index % 5]
+                    ).wait(timeout=120.0)
+                assert done.wait(60.0)
+                assert len(client._transport._opened) == 2
+                client.close()
+                # the server sees both clients' EOFs and closes its ends
+                _settle(lambda: not running._connections)
+                assert _open_fds() == fds
+            finally:
+                release.set()
+                helper.join()
+            _settle(lambda: threading.active_count() <= threads)
+            assert service.stats()["store_hits"] >= 50
+
+    def test_refused_body_closes_the_kept_alive_connection(self, server):
+        from repro.service.http import MAX_BODY_BYTES
+
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        heads = [
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY_BYTES + 1),
+            # an unknown path answers before reading a well-formed body
+            b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            % len(smuggled),
+        ]
+        for head in heads:
+            with socket.create_connection(server.server_address[:2], timeout=5.0) as raw:
+                raw.sendall(head + smuggled)
+                answer = b""
+                while chunk := raw.recv(65536):  # until the server closes
+                    answer += chunk
+            assert answer.split(b" ", 2)[1] in (b"400", b"404")
+            assert b"Connection: close" in answer
+            assert answer.count(b"HTTP/1.1 ") == 1  # the body was never served
+        # the next request, on a new connection, is clean
+        import http.client
+
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=5.0)
+        try:
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            refused = connection.getresponse()
+            assert refused.status == 400 and refused.will_close
+            refused.read()
+            connection.request("GET", "/healthz")
+            assert json.loads(connection.getresponse().read())["status"] == "ok"
+        finally:
+            connection.close()
 
 
 class TestConnResetRetry:

@@ -355,6 +355,35 @@ class TestRouterServer:
             assert answer["degraded"] is True
             assert answer["shard"] == urls[0]
 
+    def test_stale_connection_to_a_stopped_shard_is_shard_down(self, two_shards):
+        from repro.service.shard import _ShardDown
+
+        servers, urls = two_shards
+        with ShardRouterServer(urls) as router_server:
+            status, _headers, _body = router_server.forward(urls[1], "/healthz")
+            assert status == 200
+            transport = router_server.transports[urls[1]]
+            exchanges = {"n": 0}
+            original = transport._exchange
+
+            def counting(*args, **kwargs):
+                exchanges["n"] += 1
+                return original(*args, **kwargs)
+
+            transport._exchange = counting
+            servers[1].stop()
+            with pytest.raises(_ShardDown):
+                router_server.forward(urls[1], "/healthz")
+            assert exchanges["n"] == 2  # the stale connection, then one reconnect
+            # and a submission the stopped shard owns fails over
+            servers[0].service.resume()
+            client = ServiceClient(router_server.url, retries=0)
+            handle = client.submit_document(
+                _document_owned_by(router_server.router, urls[1])
+            )
+            assert handle.degraded is True and handle.shard == urls[0]
+            assert handle.wait(timeout=120.0).instructions > 0
+
     def test_all_shards_down_is_503(self):
         with ShardRouterServer([_dead_url(), _dead_url()]) as router_server:
             client = ServiceClient(router_server.url, retries=0)

@@ -66,7 +66,7 @@ class TestKernelBodies:
         used = set()
         for instruction in body:
             used.update(r for r in instruction.srcs if r.is_vector)
-            used.update(r for r in instruction.writes() if r.is_vector)
+            used.update(r for r in (instruction.dest,) if r is not None and r.is_vector)
         assert len(used) <= kernel.vector_registers
 
     def test_memory_fraction_in_expected_band(self):

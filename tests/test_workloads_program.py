@@ -93,7 +93,7 @@ class TestVectorLoopNest:
             registers = set()
             for instruction in body:
                 registers.update(r for r in instruction.srcs if r.is_vector)
-                registers.update(r for r in instruction.writes() if r.is_vector)
+                registers.update(r for r in (instruction.dest,) if r is not None and r.is_vector)
             return registers
         assert not (touched(variants[0]) & touched(variants[1]))
 
