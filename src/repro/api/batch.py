@@ -19,6 +19,19 @@ as one *batch*:
   whose (configuration, workload, mode) content hash was simulated before;
 * shipped requests are **chunked** by an instruction-count estimate, so tiny
   simulations share one worker round trip instead of paying per-job IPC;
+* a shipped request carries **build specs, not loop nests** where it can
+  (:func:`_ship_payload`).  A program that
+  :func:`~repro.workloads.build_benchmark` built and nothing changed since
+  (its ``build_spec`` is set) ships as the persistent id
+  ``({"benchmark": name, "scale": scale}, fingerprint)``, about 0.1 KB,
+  with the fingerprint read from the request's cache key.  The parent takes
+  that shortcut only when its decode memo entry for the spec
+  (:func:`~repro.service.specs.workload_from_spec`) *is* the program or has
+  its fingerprint; every other workload (a changed or hand-built program, a
+  trace, a job) ships by value through the same pickler.  The worker rebuilds
+  each spec through its own decode memo and raises
+  :class:`~repro.errors.WorkloadError` before running if the rebuilt
+  program's fingerprint differs, so it never simulates another program;
 * every request settles as the canonical result pickle
   (:func:`_result_to_bytes`) or the exception it raised, whether it ran in a
   worker or in-process, so caches, stores and sweep ledgers record pooled
@@ -35,6 +48,7 @@ closure) are transparently executed in-process.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import os
 import pickle
@@ -44,13 +58,13 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.api.cache import RunCache, request_key
+from repro.api.cache import RunCache, fingerprint_workload, request_key
 from repro.api.machine import BUILTIN_MODEL_NAMES, Machine
 from repro.api.pool import WorkerPool, get_shared_pool, usable_cpus
 from repro.core.config import MachineConfig
 from repro.core.results import SimulationResult
 from repro.core.suppliers import Job
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.faults import inject_slow_execute, inject_worker_crash
 from repro.faults.plan import FaultPlan, active_plan, set_fault_plan
 from repro.obs.profiling import force_profiling, profiling_enabled
@@ -291,7 +305,7 @@ def _execute_pickled_traced(
     """
     with _running_under(settings):
         inject_worker_crash()
-        data = _execute_request_to_bytes(pickle.loads(payload))
+        data = _execute_request_to_bytes(_load_payload(payload))
     return data, {"trace_id": trace_id, "worker_pid": os.getpid()}
 
 
@@ -303,8 +317,61 @@ def _execute_request_traced(
     return data, {"trace_id": trace_id, "worker_pid": os.getpid()}
 
 
-def _ship_payload(request: SimulationRequest) -> bytes | None:
+class _SpecPickler(pickle.Pickler):
+    """Pickles a request with some of its programs replaced by persistent ids."""
+
+    def __init__(self, file, shipped: dict[int, tuple]) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._shipped = shipped
+
+    def persistent_id(self, obj):
+        return self._shipped.get(id(obj))
+
+
+class _SpecUnpickler(pickle.Unpickler):
+    """Loads a shipped request, rebuilding each spec-shipped program."""
+
+    def persistent_load(self, pid):
+        from repro.service.specs import workload_from_spec  # import cycle
+
+        spec, fingerprint = pid
+        program = workload_from_spec(spec)
+        if fingerprint_workload(program) != fingerprint:
+            raise WorkloadError(
+                f"workload spec {spec} rebuilt to a program whose fingerprint "
+                f"differs from the submitter's; refusing to simulate it"
+            )
+        return program
+
+
+def _spec_id(workload: Workload, fingerprint: str) -> tuple | None:
+    """The persistent id ``(spec, fingerprint)`` a workload ships as, or ``None``.
+
+    Only a program that records its ``build_spec`` qualifies, and only when
+    this process's decode memo entry for that spec *is* the program or has
+    the program's fingerprint; anything else ships by value.
+    """
+    if not isinstance(workload, Program) or workload.build_spec is None:
+        return None
+    from repro.service.specs import workload_from_spec  # import cycle
+
+    name, scale = workload.build_spec
+    spec = {"benchmark": name, "scale": scale}
+    try:
+        entry = workload_from_spec(spec)
+    except WorkloadError:
+        return None
+    if entry is not workload and entry.known_fingerprint(entry.name) != fingerprint:
+        return None
+    return spec, fingerprint
+
+
+def _ship_payload(request: SimulationRequest, key: tuple) -> bytes | None:
     """The request pickled for a worker, or ``None`` if it must run in-process.
+
+    ``key`` is the request's :meth:`~SimulationRequest.cache_key`; its
+    workload fingerprints (``key[2]``, in ``request.workloads`` order) decide
+    which programs ship as specs (see the module docstring).
 
     Two reasons to keep a request local: its workloads cannot be pickled at
     all (a :class:`~repro.core.suppliers.Job` around a closure), or it names a
@@ -316,10 +383,31 @@ def _ship_payload(request: SimulationRequest) -> bytes | None:
     if isinstance(request.machine, str) and request.machine not in BUILTIN_MODEL_NAMES:
         if multiprocessing.get_start_method(allow_none=False) != "fork":
             return None
+    shipped = {}
+    for workload, fingerprint in zip(request.workloads, key[2]):
+        pid = _spec_id(workload, fingerprint)
+        if pid is not None:
+            shipped[id(workload)] = pid
     try:
-        return pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
+        if not shipped:
+            # the bytes the hook pickler would write, without its Python
+            # call per pickled object (5x slower over a by-value loop nest)
+            return pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
+        buffer = io.BytesIO()
+        _SpecPickler(buffer, shipped).dump(request)
+        return buffer.getvalue()
     except Exception:
         return None
+
+
+def _load_payload(payload: bytes) -> SimulationRequest:
+    """Worker side of :func:`_ship_payload`: the request a payload describes.
+
+    Each spec-shipped program comes from this process's decode memo, checked
+    against the submitter's fingerprint; a mismatch raises
+    :class:`~repro.errors.WorkloadError` before anything runs.
+    """
+    return _SpecUnpickler(io.BytesIO(payload)).load()
 
 
 # --------------------------------------------------------------------------- #
@@ -369,9 +457,12 @@ def _plan_chunks(
     return [chunk for chunk in chunks if chunk]
 
 
-def _try_execute(request: SimulationRequest) -> bytes | Exception:
-    """The request's canonical result pickle, or the exception it raised."""
+def _try_execute(request: SimulationRequest | bytes) -> bytes | Exception:
+    """The canonical result pickle of a request (or shipped payload), or the
+    exception it raised."""
     try:
+        if isinstance(request, bytes):
+            request = _load_payload(request)
         return _execute_request_to_bytes(request)
     except Exception as error:
         return error
@@ -390,7 +481,7 @@ def _execute_chunk(
     """
     with _running_under(settings):
         inject_worker_crash()
-        return os.getpid(), [_try_execute(pickle.loads(payload)) for payload in payloads]
+        return os.getpid(), [_try_execute(payload) for payload in payloads]
 
 
 def _run_chunks_on_pool(
@@ -498,7 +589,7 @@ def _settle_batch(
             worker_pool = get_shared_pool(workers)
     local = pending
     if worker_pool is not None and pending:
-        payloads = {index: _ship_payload(requests[index]) for index in pending}
+        payloads = {index: _ship_payload(requests[index], keys[index]) for index in pending}
         shippable = [index for index in pending if payloads[index] is not None]
         local = [index for index in pending if payloads[index] is None]
         if shippable:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import os
 import pickle
 import random
 import threading
@@ -150,12 +151,25 @@ def _retry_after_hint(headers, raw: bytes) -> float | None:
 FOLLOW_CHUNK = 10.0
 
 
+class _ThreadMarker:
+    """A weak-referenceable object held only by one thread's locals."""
+
+
+def _close_in_opener(pid: int, connection: http.client.HTTPConnection) -> None:
+    # A forked child frees the other threads' locals inside fork() itself,
+    # while a thread that no longer exists there may hold the connection's
+    # buffer lock mid-read; closing would block the child forever.  Only the
+    # process that opened a connection closes it.
+    if os.getpid() == pid:
+        connection.close()
+
+
 class HTTPTransport:
     """HTTP/1.1 round trips to one base URL over kept-alive connections.
 
     Each calling thread gets its own :class:`http.client.HTTPConnection`,
     opened on first use and reused by every later round trip of that
-    thread; a thread's connection is released when the thread ends.  A
+    thread; a thread's connection is closed when the thread ends.  A
     reused connection the server has since closed (its idle timeout, or a
     restart) fails with a :class:`ConnectionError`; the round trip then
     reconnects once.  Every other failure propagates: connection-level ones
@@ -188,6 +202,10 @@ class HTTPTransport:
         if connection is None:
             connection = self._connection_class(*self._address, timeout=timeout)
             self._local.connection = connection
+            # the marker dies with this thread's locals: close the socket
+            # then, rather than leave it to the garbage collector
+            self._local.marker = marker = _ThreadMarker()
+            weakref.finalize(marker, _close_in_opener, os.getpid(), connection)
             with self._lock:
                 self._opened.add(connection)
         reused = connection.sock is not None

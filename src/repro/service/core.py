@@ -23,7 +23,10 @@ of one coalesced execution receives the *same* payload bytes.
 
 On top of scheduling, the service carries the resilience layer:
 
-* **admission control** — queue depth and queued request bytes are bounded;
+* **admission control** — queue depth and queued request bytes are bounded
+  (the bytes are the shipped payloads: about 0.5 KB per benchmark job, whose
+  programs ship as build specs, so depth binds first for those; hand-built
+  programs ship by value and cost tens of KB each);
   a submission that would exceed either is *shed* with
   :class:`~repro.errors.ServiceOverloadedError` (HTTP ``429 + Retry-After``)
   instead of growing the backlog without bound.  Store hits and coalescing
@@ -116,7 +119,8 @@ DEFAULT_KEEP_JOBS = 1024
 #: Default bound on distinct pending queue entries (admission control).
 DEFAULT_MAX_PENDING = 256
 
-#: Default bound on the pickled bytes of queued + running requests (64 MiB).
+#: Default bound on the shipped payload bytes of queued + running requests
+#: (64 MiB; a benchmark job ships in about 0.5 KB, a by-value one in tens of KB).
 DEFAULT_MAX_QUEUED_BYTES = 64 * 1024 * 1024
 
 #: Pool re-dispatches granted to an entry whose worker crashed, before the
@@ -324,13 +328,14 @@ class SimulationService:
                 hit=payload is not None,
             )
         # the request is pickled for the worker pool up front (outside the
-        # lock): admission control charges its bytes, and crash-recovery
+        # lock; benchmark programs ship as build specs, see _ship_payload):
+        # admission control charges its bytes, and crash-recovery
         # re-dispatches reuse it instead of re-pickling per attempt.  Joins
         # of an in-flight entry skip the pickle; if the entry finishes in
         # the race window, dispatch falls back to pickling the request then.
         ship = None
         if payload is None and not self._queue.has(key):
-            ship = _ship_payload(request)
+            ship = _ship_payload(request, key)
         with self._lock:
             if self._shutdown:
                 raise SimulationError("the service is shut down")
@@ -517,7 +522,7 @@ class SimulationService:
         # content-hashing consumer, e.g. sweep ledgers)
         if entry.payload is None and not entry.force_local:
             # submit-time pickling was skipped (coalescing race) — try here
-            entry.payload = _ship_payload(entry.request)
+            entry.payload = _ship_payload(entry.request, entry.key)
         if entry.payload is None or entry.force_local:
             # Unpicklable (or spawn-unsafe) request, or an entry that burned
             # its pool retry budget: execute in-process on a thread so it
@@ -551,6 +556,8 @@ class SimulationService:
             if entry.dispatched_at
             else 0.0
         )
+        # the bytes the pool task carried; nothing ships on the thread path
+        request_bytes = 0 if entry.force_local or entry.payload is None else len(entry.payload)
         ship_seconds = 0.0
         if error is None:
             self._execute_seconds.observe(execute_seconds)
@@ -588,6 +595,7 @@ class SimulationService:
                     # pool path)
                     worker_pid=worker_info.get("worker_pid"),
                     worker_trace_id=worker_info.get("trace_id"),
+                    request_bytes=request_bytes,
                 )
                 if error is None and self.store is not None:
                     self.trace.add_span(

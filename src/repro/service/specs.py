@@ -40,11 +40,17 @@ threads: a caller must not ``add_loop`` to one (or change it otherwise).
 Every lazily filled field of a program is written by
 :meth:`~repro.workloads.program.Program.expanded` before the memo publishes
 it, so concurrent readers never write one.
+
+The same memo serves pool shipping (:mod:`repro.api.batch`): the parent
+looks up a benchmark program's ``{"benchmark", "scale"}`` spec here to decide
+whether the program may ship as that spec, and a pool worker rebuilds each
+spec-shipped program through its own copy of the memo.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 from collections import OrderedDict
 
@@ -71,6 +77,16 @@ _DECODE_MAX_ENTRIES = 32
 _decode_lock = threading.Lock()
 #: Canonical spec JSON -> the expanded program decoded from it, LRU order.
 _decoded: "OrderedDict[str, Program]" = OrderedDict()
+
+
+def _reset_decode_lock_in_child() -> None:
+    # pool workers decode spec-shipped programs; a worker forked while an
+    # HTTP thread held the lock would inherit it held
+    global _decode_lock
+    _decode_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_decode_lock_in_child)
 
 
 def workload_from_spec(spec) -> Program:

@@ -520,28 +520,59 @@ class Program:
     Loop nests are interleaved over ``outer_passes`` passes so the dynamic
     behaviour alternates between vector-heavy and scalar-heavy phases the way
     real programs do, instead of executing each loop to completion in turn.
+
+    ``build_spec`` is the ``(benchmark name, scale)`` of the
+    :func:`~repro.workloads.suite.build_benchmark` call that built the
+    program, or ``None``.  Every mutator (``add_loop``, assigning ``name`` or
+    ``outer_passes``) drops it, so a program that carries one still is what
+    its builder made, and a pool worker may rebuild it from the spec instead
+    of receiving its loop nests (:mod:`repro.api.batch`).
     """
 
     def __init__(self, name: str, *, outer_passes: int = 1) -> None:
-        if outer_passes < 1:
-            raise WorkloadError("a program needs at least one outer pass")
-        self.name = name
-        self.outer_passes = outer_passes
+        self._name = name
         self._loops: list[LoopNest] = []
         self._sections: list[_Section] | None = None
         self._expanded: tuple[Instruction, ...] | None = None
         #: Memo of pure functions of ``_expanded``, bound together with it
         #: (shared with the intern entry when the expansion is interned).
         self._memo: dict | None = None
+        self.build_spec: tuple[str, float] | None = None
+        self.outer_passes = outer_passes
 
     # ------------------------------------------------------------------ #
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        self._name = name
+        self.build_spec = None
+
+    @property
+    def outer_passes(self) -> int:
+        return self._outer_passes
+
+    @outer_passes.setter
+    def outer_passes(self, outer_passes: int) -> None:
+        if outer_passes < 1:
+            raise WorkloadError("a program needs at least one outer pass")
+        self._outer_passes = outer_passes
+        self._changed()
+
     def add_loop(self, loop: LoopNest) -> "Program":
         """Append a loop nest to the program; returns ``self`` for chaining."""
         self._loops.append(loop)
+        self._changed()
+        return self
+
+    def _changed(self) -> None:
+        """Drop the schedule, the expansion and the build spec after a change."""
         self._sections = None
         self._expanded = None
         self._memo = None
-        return self
+        self.build_spec = None
 
     @property
     def loops(self) -> tuple[LoopNest, ...]:
@@ -656,6 +687,13 @@ class Program:
         key = ("fingerprint", name)
         _count_fingerprint(key in self._memo)
         return self.memoized(key, compute)
+
+    def known_fingerprint(self, name: str) -> str | None:
+        """The memoized :meth:`fingerprint` under ``name``, or ``None``.
+
+        A peek: it neither computes a digest nor counts as a memo probe.
+        """
+        return None if self._memo is None else self._memo.get(("fingerprint", name))
 
     def memoized(self, key: Hashable, compute: Callable[[], object]):
         """``compute()``, a pure function of this expansion, memoized under ``key``.

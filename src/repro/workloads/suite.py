@@ -77,9 +77,13 @@ def build_benchmark(name: str, scale: float = DEFAULT_SCALE) -> Program:
     scale:
         Size multiplier; ``1.0`` gives a few thousand dynamic instructions
         per program, which keeps whole-suite simulations in the seconds range.
+
+    The program records ``(profile name, scale)`` as its ``build_spec``.
     """
     profile = get_profile(name)
-    return build_workload(spec_for_profile(profile, scale))
+    program = build_workload(spec_for_profile(profile, scale))
+    program.build_spec = (profile.name, scale)
+    return program
 
 
 def build_suite(

@@ -103,3 +103,21 @@ def triad_program() -> Program:
 def scalar_program() -> Program:
     """A small purely scalar program."""
     return make_scalar_loop_program("scalar_prog", iterations=20)
+
+
+@pytest.fixture()
+def open_client():
+    """``ServiceClient(...)`` for one test: every client it opens is closed
+    when the test ends, so no kept-alive socket is left to the collector."""
+    from repro.service import ServiceClient
+
+    opened = []
+
+    def open_client(*args, **kwargs):
+        client = ServiceClient(*args, **kwargs)
+        opened.append(client)
+        return client
+
+    yield open_client
+    for client in opened:
+        client.close()

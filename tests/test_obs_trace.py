@@ -12,7 +12,6 @@ import pytest
 from repro.obs import TRACE_HEADER, TraceLog, new_trace_id
 from repro.service import (
     ResultStore,
-    ServiceClient,
     ServiceServer,
     ShardRouterServer,
     SimulationService,
@@ -74,8 +73,8 @@ def _document() -> dict:
 
 
 class TestTracePropagation:
-    def test_client_minted_id_reaches_pool_worker(self, live_service):
-        client = ServiceClient(live_service.url)
+    def test_client_minted_id_reaches_pool_worker(self, live_service, open_client):
+        client = open_client(live_service.url)
         handle = client.submit_document(_document())
         assert handle.trace_id  # echoed by the 202 answer
         handle.wait(timeout=120.0)
@@ -123,9 +122,9 @@ class TestTracePropagation:
             body = json.loads(answer.read())
         assert body["trace_id"]
 
-    def test_propagates_through_router(self, live_service):
+    def test_propagates_through_router(self, live_service, open_client):
         with ShardRouterServer([live_service.url]) as router:
-            client = ServiceClient(router.url)
+            client = open_client(router.url)
             handle = client.submit(
                 "reference", {"benchmark": "tomcatv", "scale": SCALE}
             )
@@ -136,16 +135,16 @@ class TestTracePropagation:
         names = [span["span"] for span in timeline["spans"]]
         assert "submit" in names and "execute" in names
 
-    def test_fetch_span_recorded_on_result_download(self, live_service):
-        client = ServiceClient(live_service.url)
+    def test_fetch_span_recorded_on_result_download(self, live_service, open_client):
+        client = open_client(live_service.url)
         handle = client.submit_document(_document())
         handle.wait(timeout=120.0)
         timeline = client.trace(handle.job_id)
         names = [span["span"] for span in timeline["spans"]]
         assert "fetch" in names
 
-    def test_store_hit_records_short_chain(self, live_service):
-        client = ServiceClient(live_service.url)
+    def test_store_hit_records_short_chain(self, live_service, open_client):
+        client = open_client(live_service.url)
         first = client.submit_document(_document())
         first.wait(timeout=120.0)
         second = client.submit_document(_document())
@@ -156,20 +155,20 @@ class TestTracePropagation:
         assert spans["store-lookup"]["hit"] is True
         assert "execute" not in spans
 
-    def test_unknown_job_trace_404s(self, live_service):
+    def test_unknown_job_trace_404s(self, live_service, open_client):
         from repro.service import ServiceError
 
-        client = ServiceClient(live_service.url)
+        client = open_client(live_service.url)
         with pytest.raises(ServiceError) as excinfo:
             client.trace("no-such-job")
         assert excinfo.value.status == 404
 
 
 class TestTraceCli:
-    def test_trace_main_pretty_prints(self, live_service, capsys):
+    def test_trace_main_pretty_prints(self, live_service, capsys, open_client):
         from repro.cli import trace_main
 
-        client = ServiceClient(live_service.url)
+        client = open_client(live_service.url)
         handle = client.submit_document(_document())
         handle.wait(timeout=120.0)
         assert trace_main([handle.job_id, "--url", live_service.url]) == 0

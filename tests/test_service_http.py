@@ -4,6 +4,7 @@ criterion: service results are byte-identical to :meth:`Machine.run`."""
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import os
 import pathlib
@@ -31,6 +32,7 @@ from repro.service import (
     ShardRouterServer,
     SimulationService,
 )
+from repro.service.client import HTTPTransport
 from repro.workloads import build_benchmark
 
 SCALE = 0.05
@@ -110,13 +112,14 @@ def server(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(server):
-    return ServiceClient(server.url)
+    with ServiceClient(server.url) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
 def router_client(server):
-    with ShardRouterServer([server.url]) as router:
-        yield ServiceClient(router.url)
+    with ShardRouterServer([server.url]) as router, ServiceClient(router.url) as client:
+        yield client
 
 
 class TestEndpoints:
@@ -144,12 +147,14 @@ class TestEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_empty_body_400(self, server):
         request = urllib.request.Request(server.url + "/jobs", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     @pytest.mark.parametrize(
@@ -254,12 +259,12 @@ class TestSubmission:
 
 
 class TestCoalescingOverHTTP:
-    def test_concurrent_identical_submissions_one_execution(self, tmp_path):
+    def test_concurrent_identical_submissions_one_execution(self, tmp_path, open_client):
         service = SimulationService(
             store=ResultStore(tmp_path), workers=2, paused=True
         )
         with ServiceServer(service, port=0) as server:
-            client = ServiceClient(server.url)
+            client = open_client(server.url)
             document = {"benchmark": "tomcatv", "scale": SCALE}
             handles = []
             lock = threading.Lock()
@@ -330,13 +335,13 @@ class TestServerLifecycle:
             os.kill(child, signal.SIGKILL)
             os.waitpid(child, 0)
 
-    def test_sigkilled_serve_is_refused_not_held_by_its_workers(self, tmp_path):
+    def test_sigkilled_serve_is_refused_not_held_by_its_workers(self, tmp_path, open_client):
         # a real `serve` whose pool forked after the port was bound: once
         # the server is SIGKILLed, its surviving workers must not keep the
         # port accepting connections nobody will answer
         serve, url = start_serve(tmp_path)
         try:
-            ServiceClient(url).submit(
+            open_client(url).submit(
                 "reference", {"benchmark": "tomcatv", "scale": SCALE}
             ).wait(timeout=120.0)
             serve.kill()
@@ -352,13 +357,13 @@ class TestServerLifecycle:
             except ProcessLookupError:
                 pass
 
-    def test_sigkilled_serve_takes_its_pool_workers_along(self, tmp_path):
+    def test_sigkilled_serve_takes_its_pool_workers_along(self, tmp_path, open_client):
         # each pool worker watches its parent pid and exits once the
         # server is gone, instead of living on re-parented to init
         serve, url = start_serve(tmp_path)
         workers: list[int] = []
         try:
-            ServiceClient(url).submit(
+            open_client(url).submit(
                 "reference", {"benchmark": "tomcatv", "scale": SCALE}
             ).wait(timeout=120.0)
             workers = child_pids(serve.pid)
@@ -387,10 +392,10 @@ class TestLongPoll:
         info = client._call(f"/jobs/{handle.job_id}?follow=1&wait=30")
         assert info["state"] == "done"
 
-    def test_follow_timeout_reports_current_state(self, tmp_path):
+    def test_follow_timeout_reports_current_state(self, tmp_path, open_client):
         service = SimulationService(store=ResultStore(tmp_path), workers=1, paused=True)
         with ServiceServer(service, port=0) as server:
-            client = ServiceClient(server.url)
+            client = open_client(server.url)
             handle = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
             import time
 
@@ -400,12 +405,12 @@ class TestLongPoll:
             assert info["state"] == "queued"  # bounded wait, then current state
             assert 0.2 <= elapsed < 5.0
 
-    def test_follow_blocks_until_completion(self, tmp_path):
+    def test_follow_blocks_until_completion(self, tmp_path, open_client):
         import threading
 
         service = SimulationService(store=ResultStore(tmp_path), workers=1, paused=True)
         with ServiceServer(service, port=0) as server:
-            client = ServiceClient(server.url)
+            client = open_client(server.url)
             handle = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
             timer = threading.Timer(0.2, service.resume)
             timer.start()
@@ -482,10 +487,10 @@ class TestMetricsEndpoint:
 
 
 class TestClientRetries:
-    def test_dead_server_exhausts_retry_budget(self):
+    def test_dead_server_exhausts_retry_budget(self, open_client):
         import time
 
-        client = ServiceClient(
+        client = open_client(
             "http://127.0.0.1:9", timeout=0.5, retries=2, retry_interval=0.05
         )
         started = time.monotonic()
@@ -508,8 +513,8 @@ class TestClientRetries:
             client.job("no-such-job")
         assert calls["n"] == 1
 
-    def test_zero_retries_single_attempt(self):
-        client = ServiceClient("http://127.0.0.1:9", timeout=0.3, retries=0)
+    def test_zero_retries_single_attempt(self, open_client):
+        client = open_client("http://127.0.0.1:9", timeout=0.3, retries=0)
         with pytest.raises(ServiceError, match="after 1 attempt"):
             client.healthz()
 
@@ -531,12 +536,12 @@ class TestClientDetails:
         info = handle.info()
         assert info["tag"] == "fractional" and info["priority"] == 1
 
-    def test_wait_times_out_on_stalled_job(self, tmp_path):
+    def test_wait_times_out_on_stalled_job(self, tmp_path, open_client):
         service = SimulationService(
             store=ResultStore(tmp_path), workers=1, paused=True
         )
         with ServiceServer(service, port=0) as server:
-            stalled = ServiceClient(server.url)
+            stalled = open_client(server.url)
             handle = stalled.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
             assert handle.info()["state"] == "queued"
             with pytest.raises(ServiceError, match="timed out"):
@@ -549,8 +554,9 @@ class TestOverloadHTTP:
         service = SimulationService(
             store=None, workers=1, max_pending=1, paused=True
         )
-        with ServiceServer(service, port=0) as running:
-            overload_client = ServiceClient(running.url, retries=0)
+        with ServiceServer(service, port=0) as running, ServiceClient(
+            running.url, retries=0
+        ) as overload_client:
             overload_client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
             yield running, overload_client
 
@@ -577,11 +583,11 @@ class TestOverloadHTTP:
         )
         assert joined.served_from == "coalesced"
 
-    def test_client_retries_429_until_capacity_returns(self, saturated):
+    def test_client_retries_429_until_capacity_returns(self, saturated, open_client):
         # unblocking the queue while a patient client backs off turns its
         # shed submission into an accepted one — no caller-side handling
         server, _ = saturated
-        patient = ServiceClient(server.url, retries=4, retry_interval=0.05)
+        patient = open_client(server.url, retries=4, retry_interval=0.05)
         release = threading.Timer(0.15, server.service.resume)
         release.start()
         try:
@@ -606,8 +612,8 @@ class TestCancelHTTP:
         with ServiceServer(service, port=0) as running:
             yield running
 
-    def test_delete_cancels_queued_job(self, paused_server):
-        cancel_client = ServiceClient(paused_server.url)
+    def test_delete_cancels_queued_job(self, paused_server, open_client):
+        cancel_client = open_client(paused_server.url)
         handle = cancel_client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
         assert handle.cancel() is True
         assert handle.info()["state"] == "cancelled"
@@ -627,10 +633,10 @@ class TestCancelHTTP:
 
 
 class TestJobTimeoutHTTP:
-    def test_timeout_field_reaches_the_service(self, tmp_path):
+    def test_timeout_field_reaches_the_service(self, tmp_path, open_client):
         service = SimulationService(store=None, workers=1, paused=True)
         with ServiceServer(service, port=0) as running:
-            timeout_client = ServiceClient(running.url)
+            timeout_client = open_client(running.url)
             handle = timeout_client.submit(
                 "reference", {"benchmark": "tomcatv", "scale": SCALE},
                 job_timeout=0.05,
@@ -676,6 +682,65 @@ class TestKeepAlive:
                 connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
                 for connection in accepted
             )
+
+    def test_a_finished_threads_connection_is_closed(self, server):
+        with ServiceClient(server.url) as kept:
+            opened = []
+
+            def round_trip() -> None:
+                kept.healthz()
+                opened.append(kept._transport._local.connection)
+
+            thread = threading.Thread(target=round_trip)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert len(opened) == 1 and opened[0].sock is None
+
+    def test_a_fork_leaves_another_threads_connection_alone(self):
+        # a thread blocked mid-body holds its response's buffer lock; the
+        # forked child frees that thread's locals inside fork() and must not
+        # try to close the connection, or it blocks on that lock forever
+        listener = socket.create_server(("127.0.0.1", 0))
+        transport = HTTPTransport(f"http://127.0.0.1:{listener.getsockname()[1]}")
+
+        def second_round_trip_stalls() -> None:
+            transport.round_trip("GET", "/healthz", None, {}, 60.0)
+            with pytest.raises((OSError, http.client.HTTPException)):
+                transport.round_trip("GET", "/healthz", None, {}, 60.0)
+
+        reader = threading.Thread(target=second_round_trip_stalls)
+        reader.start()
+        peer, _ = listener.accept()
+
+        def read_request() -> None:
+            received = b""
+            while not received.endswith(b"\r\n\r\n"):
+                chunk = peer.recv(65536)
+                assert chunk, "the client closed the connection"
+                received += chunk
+
+        try:
+            read_request()
+            peer.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+            read_request()  # the same connection's second request
+            peer.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial")
+            time.sleep(0.2)  # let the reader block on the missing body bytes
+            child = os.fork()
+            if child == 0:  # pragma: no cover - runs in the forked child
+                os._exit(0)
+            deadline = time.monotonic() + 20.0
+            while os.waitpid(child, os.WNOHANG) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(child, signal.SIGKILL)
+                    os.waitpid(child, 0)
+                    pytest.fail("the forked child blocked closing a connection")
+                time.sleep(0.01)
+        finally:
+            peer.close()
+            listener.close()
+            reader.join(timeout=60)
+        assert not reader.is_alive()
 
     def test_store_hit_post_carries_the_result_inline(self, server):
         document = {"benchmark": "tomcatv", "scale": SCALE}
@@ -851,24 +916,24 @@ class TestKeepAlive:
 
 
 class TestConnResetRetry:
-    def test_injected_reset_is_retried_transparently(self, tmp_path):
+    def test_injected_reset_is_retried_transparently(self, tmp_path, open_client):
         from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 
         service = SimulationService(store=None, workers=1)
         with ServiceServer(service, port=0) as running:
-            resilient = ServiceClient(running.url, retries=2, retry_interval=0.01)
+            resilient = open_client(running.url, retries=2, retry_interval=0.01)
             set_fault_plan(FaultPlan([FaultSpec("conn_reset", count=1)]))
             try:
                 assert resilient.healthz()["status"] == "ok"
             finally:
                 set_fault_plan(None)
 
-    def test_reset_beyond_budget_surfaces(self, tmp_path):
+    def test_reset_beyond_budget_surfaces(self, tmp_path, open_client):
         from repro.faults import FaultPlan, FaultSpec, set_fault_plan
 
         service = SimulationService(store=None, workers=1)
         with ServiceServer(service, port=0) as running:
-            brittle = ServiceClient(running.url, retries=0)
+            brittle = open_client(running.url, retries=0)
             set_fault_plan(FaultPlan([FaultSpec("conn_reset", count=5)]))
             try:
                 with pytest.raises(ServiceError, match="cannot reach"):
@@ -878,7 +943,7 @@ class TestConnResetRetry:
 
 
 class TestServeFaultPlan:
-    def test_boot_time_plan_crashes_one_pool_execution(self, tmp_path):
+    def test_boot_time_plan_crashes_one_pool_execution(self, tmp_path, open_client):
         # `serve` reads REPRO_FAULT_PLAN once at boot; the pool task carries
         # the plan to the worker, and the state_dir caps it at one crash
         plan = {"state_dir": str(tmp_path / "faults"), "faults": {"worker_crash": {"count": 1}}}
@@ -887,7 +952,7 @@ class TestServeFaultPlan:
         )
         workers: list[int] = []
         try:
-            client = ServiceClient(url)
+            client = open_client(url)
             payload = client.submit(
                 "reference", {"benchmark": "tomcatv", "scale": SCALE}
             ).result_bytes(timeout=120.0)

@@ -192,7 +192,7 @@ def two_shards(tmp_path):
 class TestShardedClient:
     """A one-URL :class:`ServiceClient` reaching the shards through routers."""
 
-    def test_routing_lands_on_ring_owner_and_coalesces_cluster_wide(self, two_shards):
+    def test_routing_lands_on_ring_owner_and_coalesces_cluster_wide(self, two_shards, open_client):
         servers, urls = two_shards
         router = ShardRouter(urls)
         documents = [_document(name) for name in ("tomcatv", "swm256", "dyfesm")]
@@ -201,7 +201,7 @@ class TestShardedClient:
             ShardRouterServer(urls) as first,
             ShardRouterServer(list(reversed(urls))) as second,
         ):
-            clients = (ServiceClient(first.url), ServiceClient(second.url))
+            clients = (open_client(first.url), open_client(second.url))
             handles = [client.submit_document(document)
                        for client in clients for document in documents]
             for handle, document in zip(handles, documents * 2):
@@ -224,25 +224,25 @@ class TestShardedClient:
         names = {entry["stats"]["name"] for entry in stats["shards"]}
         assert names == {"shard0", "shard1"}
 
-    def test_results_byte_identical_to_machine_run(self, two_shards):
+    def test_results_byte_identical_to_machine_run(self, two_shards, open_client):
         servers, urls = two_shards
         for server in servers:
             server.service.resume()
         with ShardRouterServer(urls) as router_server:
-            client = ServiceClient(router_server.url)
+            client = open_client(router_server.url)
             result = client.submit(
                 "reference", {"benchmark": "tomcatv", "scale": SCALE}
             ).wait(timeout=120.0)
         local = Machine.named("reference").run(build_benchmark("tomcatv", scale=SCALE))
         assert result.cycles == local.cycles
 
-    def test_failover_marks_degraded_and_still_serves(self, tmp_path):
+    def test_failover_marks_degraded_and_still_serves(self, tmp_path, open_client):
         store = ResultStore(tmp_path / "live")
         service = SimulationService(store=store, workers=1)
         with ServiceServer(service, port=0) as live:
             dead = _dead_url()
             with ShardRouterServer([live.url, dead]) as router_server:
-                client = ServiceClient(router_server.url, timeout=2.0, retries=0)
+                client = open_client(router_server.url, timeout=2.0, retries=0)
                 handle = client.submit_document(
                     _document_owned_by(router_server.router, dead)
                 )
@@ -251,9 +251,9 @@ class TestShardedClient:
                 assert handle.shard == live.url
                 assert handle.wait(timeout=120.0).instructions > 0
 
-    def test_single_url_client_keeps_plain_behaviour(self, two_shards):
+    def test_single_url_client_keeps_plain_behaviour(self, two_shards, open_client):
         servers, urls = two_shards
-        client = ServiceClient(urls[0])
+        client = open_client(urls[0])
         handle = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
         assert handle.shard is None and handle.degraded is False
 
@@ -264,12 +264,12 @@ class TestShardedClient:
 
 
 class TestRouterServer:
-    def test_submit_status_result_through_router(self, two_shards):
+    def test_submit_status_result_through_router(self, two_shards, open_client):
         servers, urls = two_shards
         for server in servers:
             server.service.resume()
         with ShardRouterServer(urls) as router_server:
-            client = ServiceClient(router_server.url)
+            client = open_client(router_server.url)
             handle = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
             shard_index, _, _rest = handle.job_id.partition("-")
             assert shard_index in ("0", "1")
@@ -298,18 +298,18 @@ class TestRouterServer:
             assert answer["degraded"] is False
             assert answer["job_id"].split("-", 1)[0] == str(urls.index(answer["shard"]))
 
-    def test_cancel_through_router(self, two_shards):
+    def test_cancel_through_router(self, two_shards, open_client):
         servers, urls = two_shards  # services stay paused: jobs remain queued
         with ShardRouterServer(urls) as router_server:
-            client = ServiceClient(router_server.url)
+            client = open_client(router_server.url)
             handle = client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
             assert handle.cancel() is True
             assert handle.info()["state"] == "cancelled"
 
-    def test_stats_and_metrics_aggregate_across_shards(self, two_shards):
+    def test_stats_and_metrics_aggregate_across_shards(self, two_shards, open_client):
         servers, urls = two_shards
         with ShardRouterServer(urls) as router_server:
-            client = ServiceClient(router_server.url)
+            client = open_client(router_server.url)
             client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})
             stats = client.stats()
             assert stats["shard_count"] == 2
@@ -318,18 +318,18 @@ class TestRouterServer:
             assert "repro_service_submitted_total 1" in client.metrics()
             assert client.healthz()["status"] == "ok"
 
-    def test_unknown_and_malformed_routed_ids_404(self, two_shards):
+    def test_unknown_and_malformed_routed_ids_404(self, two_shards, open_client):
         _servers, urls = two_shards
         with ShardRouterServer(urls) as router_server:
-            client = ServiceClient(router_server.url)
+            client = open_client(router_server.url)
             for bogus in ("no-prefix", "9-out-of-range", "plainid"):
                 with pytest.raises(ServiceError, match="404"):
                     client.job(bogus)
 
-    def test_bad_submission_rejected_without_forwarding(self, two_shards):
+    def test_bad_submission_rejected_without_forwarding(self, two_shards, open_client):
         _servers, urls = two_shards
         with ShardRouterServer(urls) as router_server:
-            client = ServiceClient(router_server.url)
+            client = open_client(router_server.url)
             with pytest.raises(ServiceError, match="400"):
                 client._call("/jobs", {"machine": "reference"})  # no workloads
 
@@ -355,7 +355,7 @@ class TestRouterServer:
             assert answer["degraded"] is True
             assert answer["shard"] == urls[0]
 
-    def test_stale_connection_to_a_stopped_shard_is_shard_down(self, two_shards):
+    def test_stale_connection_to_a_stopped_shard_is_shard_down(self, two_shards, open_client):
         from repro.service.shard import _ShardDown
 
         servers, urls = two_shards
@@ -377,15 +377,15 @@ class TestRouterServer:
             assert exchanges["n"] == 2  # the stale connection, then one reconnect
             # and a submission the stopped shard owns fails over
             servers[0].service.resume()
-            client = ServiceClient(router_server.url, retries=0)
+            client = open_client(router_server.url, retries=0)
             handle = client.submit_document(
                 _document_owned_by(router_server.router, urls[1])
             )
             assert handle.degraded is True and handle.shard == urls[0]
             assert handle.wait(timeout=120.0).instructions > 0
 
-    def test_all_shards_down_is_503(self):
+    def test_all_shards_down_is_503(self, open_client):
         with ShardRouterServer([_dead_url(), _dead_url()]) as router_server:
-            client = ServiceClient(router_server.url, retries=0)
+            client = open_client(router_server.url, retries=0)
             with pytest.raises(ServiceError, match="503"):
                 client.submit("reference", {"benchmark": "tomcatv", "scale": SCALE})

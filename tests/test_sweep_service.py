@@ -7,7 +7,6 @@ import pytest
 
 from repro.service import (
     ResultStore,
-    ServiceClient,
     ServiceServer,
     ShardRouterServer,
     SimulationService,
@@ -43,16 +42,16 @@ def service_url(tmp_path_factory):
 
 
 class TestSweepViaService:
-    def test_cold_run_executes_and_reports_endpoint(self, service_url):
-        client = ServiceClient(service_url)
+    def test_cold_run_executes_and_reports_endpoint(self, service_url, open_client):
+        client = open_client(service_url)
         run = execute_sweep(compile_sweep(SPEC), client=client)
         assert run.via == service_url
         counts = run.counts()
         assert counts["points"] == 4 and counts["failed"] == 0
         assert counts.get("executed", 0) + counts.get("coalesced", 0) == 4
 
-    def test_warm_run_is_store_hits_with_identical_ledger(self, service_url):
-        client = ServiceClient(service_url)
+    def test_warm_run_is_store_hits_with_identical_ledger(self, service_url, open_client):
+        client = open_client(service_url)
         warm = execute_sweep(compile_sweep(SPEC), client=client)
         counts = warm.counts()
         # acceptance criterion: >= 90% of points answered by the store
@@ -63,7 +62,7 @@ class TestSweepViaService:
             e["result_sha256"] for e in ledger_entries(local)
         ]
 
-    def test_service_failures_isolated_per_point(self, service_url):
+    def test_service_failures_isolated_per_point(self, service_url, open_client):
         spec = SweepSpec(
             name="partial",
             request=RequestTemplate(mode="single", scale=0.05),
@@ -72,13 +71,13 @@ class TestSweepViaService:
                 SweepAxis(name="workload", values=("tomcatv",)),
             ),
         )
-        run = execute_sweep(compile_sweep(spec), client=ServiceClient(service_url))
+        run = execute_sweep(compile_sweep(spec), client=open_client(service_url))
         counts = run.counts()
         assert counts["failed"] == 1
         assert counts.get("executed", 0) + counts.get("store", 0) == 1
         assert "no-such-machine" in run.failures()[0].error
 
-    def test_sharded_client_isolates_unkeyable_points(self, service_url):
+    def test_sharded_client_isolates_unkeyable_points(self, service_url, open_client):
         # a shard router keys each document to route it and answers 400 for
         # a point that cannot be keyed; that point fails alone instead of
         # aborting the sweep
@@ -91,20 +90,20 @@ class TestSweepViaService:
             ),
         )
         with ShardRouterServer([service_url, "http://127.0.0.1:9"]) as router:
-            client = ServiceClient(router.url, timeout=2.0, retries=0)
+            client = open_client(router.url, timeout=2.0, retries=0)
             run = execute_sweep(compile_sweep(spec), client=client)
         assert run.counts()["failed"] == 1
         assert "HTTP 400" in run.failures()[0].error
         assert "no-such-machine" in run.failures()[0].error
 
-    def test_run_sweep_via_service_writes_manifest(self, service_url, tmp_path):
-        output = run_sweep(SPEC, client=ServiceClient(service_url), out_dir=tmp_path)
+    def test_run_sweep_via_service_writes_manifest(self, service_url, tmp_path, open_client):
+        output = run_sweep(SPEC, client=open_client(service_url), out_dir=tmp_path)
         assert output.failed == 0
         assert (tmp_path / "ledger.sha256").exists()
         assert output.run.via == service_url
 
-    def test_dead_service_fails_points_not_sweep(self):
-        client = ServiceClient("http://127.0.0.1:9", timeout=0.3, retries=0)
+    def test_dead_service_fails_points_not_sweep(self, open_client):
+        client = open_client("http://127.0.0.1:9", timeout=0.3, retries=0)
         run = execute_sweep(compile_sweep(SPEC), client=client)
         counts = run.counts()
         assert counts["failed"] == counts["points"] == 4
