@@ -537,6 +537,52 @@ def measure_service_overload(repeats: int) -> list[dict]:
     ]
 
 
+#: Entries a store holds before the store-put row times its puts.
+STORE_PUT_ENTRIES = 2_000
+#: Payload bytes of each store-put entry (about one service-cold result).
+STORE_PUT_PAYLOAD = 14_000
+#: Puts per timed repeat of the store-put row.
+STORE_PUT_OPS = 200
+
+
+def measure_store_put(repeats: int) -> list[dict]:
+    """Puts/sec into a :class:`~repro.service.ResultStore` that is already full.
+
+    Fills a temporary store with :data:`STORE_PUT_ENTRIES` entries of
+    :data:`STORE_PUT_PAYLOAD` bytes (outside the timed region), then times
+    :data:`STORE_PUT_OPS` puts of new keys under the default size bound —
+    the write a service-cold job makes once its store has grown.
+    ``instrs_per_sec`` records **puts** per second.
+    """
+    import itertools
+    import tempfile
+
+    from repro.service import ResultStore
+
+    payload = bytes(STORE_PUT_PAYLOAD)
+    keys = (("store-put", "single", (f"w{index}",), None, True) for index in itertools.count())
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(tmp)
+        for key in itertools.islice(keys, STORE_PUT_ENTRIES):
+            store.put_bytes(key, payload)
+
+        def puts() -> None:
+            for key in itertools.islice(keys, STORE_PUT_OPS):
+                store.put_bytes(key, payload)
+
+        seconds = _time_run(puts, repeats)
+    return [
+        {
+            "benchmark": "store_put",
+            "model": "result_store",
+            "workload": f"puts@{STORE_PUT_ENTRIES}x{STORE_PUT_PAYLOAD // 1000}KB",
+            "instructions": STORE_PUT_OPS,
+            "seconds": round(seconds, 6),
+            "instrs_per_sec": round(STORE_PUT_OPS / seconds, 1),
+        }
+    ]
+
+
 #: The 3-program group keyed by the request-keying rows (service job scale).
 REQUEST_KEY_GROUP = ("swm256", "tomcatv", "hydro2d")
 
@@ -782,6 +828,7 @@ def collect(repeats: int, *, dirty: bool = False) -> dict:
         + measure_scoreboard_hazard(repeats)
         + measure_service_roundtrip(repeats)
         + measure_service_overload(repeats)
+        + measure_store_put(repeats)
         + measure_request_key(repeats)
         + measure_obs_overhead(repeats)
         + measure_batch_scaling(repeats)
@@ -811,6 +858,7 @@ GATED_BENCHMARKS = (
     "scoreboard_hazard",
     "service_roundtrip",
     "service_overload",
+    "store_put",
     "request_key",
     "obs_overhead",
 )

@@ -28,18 +28,20 @@ a client must trust the server it points at.  :func:`request_from_document`
 is the one decoder, shared by the server, the router and the sweep compiler,
 so one document always means one content key.
 
-Decode is memoized.  :func:`workload_from_spec` keys each workload spec by
-its canonical JSON (``json.dumps(spec, sort_keys=True)``) in one bounded,
-thread-safe LRU memo of 32 entries, the bound of the expansion intern table
-(:mod:`repro.workloads.program`).  A repeated spec returns the program built
-for its first decode, already expanded, so its request key is a fingerprint
-memo probe instead of a build plus a structural intern lookup.  A spec that
-raises is not memoized; one that cannot be JSON-encoded is decoded without
-the memo.  **Decoded programs are shared read-only** between requests and
-threads: a caller must not ``add_loop`` to one (or change it otherwise).
-Every lazily filled field of a program is written by
-:meth:`~repro.workloads.program.Program.expanded` before the memo publishes
-it, so concurrent readers never write one.
+Decode is memoized in one bounded, thread-safe LRU memo of 32 entries, the
+bound of the expansion intern table (:mod:`repro.workloads.program`).
+:func:`workload_from_spec` keys a benchmark spec on ``(profile name, float
+scale)``, so a bare name, its two-letter alias and a ``{"benchmark",
+"scale"}`` object that all name one program share one entry; any other spec
+is keyed by its canonical JSON (``json.dumps(spec, sort_keys=True)``).  A
+repeated spec returns the program built for its first decode, already
+expanded, so its request key is a fingerprint memo probe instead of a build
+plus a structural intern lookup.  A spec that raises is not memoized; one
+that cannot be JSON-encoded is decoded without the memo.  **Decoded programs
+are shared read-only** between requests and threads: a caller must not
+``add_loop`` to one (or change it otherwise).  Every lazily filled field of
+a program is written by :meth:`~repro.workloads.program.Program.expanded`
+before the memo publishes it, so concurrent readers never write one.
 
 The same memo serves pool shipping (:mod:`repro.api.batch`): the parent
 looks up a benchmark program's ``{"benchmark", "scale"}`` spec here to decide
@@ -56,7 +58,15 @@ from collections import OrderedDict
 
 from repro.api.batch import SimulationRequest
 from repro.errors import ConfigurationError, WorkloadError
-from repro.workloads import LoopSpec, Program, WorkloadSpec, build_benchmark, build_workload
+from repro.workloads import (
+    DEFAULT_SCALE,
+    LoopSpec,
+    Program,
+    WorkloadSpec,
+    build_benchmark,
+    build_workload,
+    get_profile,
+)
 
 __all__ = ["parse_job_document", "request_from_document", "workload_from_spec"]
 
@@ -75,8 +85,9 @@ def _is_int(value) -> bool:
 _DECODE_MAX_ENTRIES = 32
 
 _decode_lock = threading.Lock()
-#: Canonical spec JSON -> the expanded program decoded from it, LRU order.
-_decoded: "OrderedDict[str, Program]" = OrderedDict()
+#: Memo key (see :func:`workload_from_spec`) -> the expanded program decoded
+#: from it, LRU order.
+_decoded: "OrderedDict[tuple[str, float] | str, Program]" = OrderedDict()
 
 
 def _reset_decode_lock_in_child() -> None:
@@ -92,19 +103,28 @@ os.register_at_fork(after_in_child=_reset_decode_lock_in_child)
 def workload_from_spec(spec) -> Program:
     """Materialize one workload from its JSON form (see module docstring).
 
-    Memoized on the spec's canonical JSON: the returned program may be the
-    one an earlier call returned, and is shared read-only.
+    Memoized on a benchmark spec's ``(profile name, scale)`` and on any other
+    spec's canonical JSON: the returned program may be the one an earlier
+    call returned, and is shared read-only.
     """
-    try:
-        key = json.dumps(spec, sort_keys=True)
-    except (TypeError, ValueError):
-        return _decode(spec)
+    benchmark = _benchmark_key(spec)
+    if benchmark is not None:
+        key = benchmark
+    else:
+        try:
+            key = json.dumps(spec, sort_keys=True)
+        except (TypeError, ValueError):
+            return _decode(spec)
     with _decode_lock:
         program = _decoded.get(key)
         if program is not None:
             _decoded.move_to_end(key)
             return program
-    program = _decode(spec)
+    if benchmark is not None:
+        name, scale = benchmark
+        program = build_benchmark(name, scale=scale)
+    else:
+        program = _decode(spec)
     program.expanded()
     with _decode_lock:
         # a thread that decoded the same spec meanwhile published first:
@@ -116,24 +136,33 @@ def workload_from_spec(spec) -> Program:
     return program
 
 
-def _decode(spec) -> Program:
-    """Build one workload from its JSON form, validating every field."""
+def _benchmark_key(spec) -> tuple[str, float] | None:
+    """``(profile name, scale)`` of a benchmark spec, or ``None`` for other forms.
+
+    Validates the spec's fields, raising :class:`~repro.errors.WorkloadError`
+    on a bad one (an unknown name included).
+    """
     if isinstance(spec, str):
-        return build_benchmark(spec)
+        return get_profile(spec).name, float(DEFAULT_SCALE)
+    if not isinstance(spec, dict) or "benchmark" not in spec:
+        return None
+    extra = set(spec) - {"benchmark", "scale"}
+    if extra:
+        raise WorkloadError(f"unknown benchmark spec field(s): {sorted(extra, key=str)}")
+    name, scale = spec["benchmark"], spec.get("scale", DEFAULT_SCALE)
+    if not isinstance(name, str):
+        raise WorkloadError(f"a benchmark name must be a string, got {name!r}")
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        raise WorkloadError(f"a benchmark scale must be a number, got {scale!r}")
+    return get_profile(name).name, float(scale)
+
+
+def _decode(spec) -> Program:
+    """Build one non-benchmark workload from its JSON form, validating every field."""
     if not isinstance(spec, dict):
         raise WorkloadError(
             f"a workload spec must be a string or object, got {type(spec).__name__}"
         )
-    if "benchmark" in spec:
-        extra = set(spec) - {"benchmark", "scale"}
-        if extra:
-            raise WorkloadError(f"unknown benchmark spec field(s): {sorted(extra)}")
-        name, scale = spec["benchmark"], spec.get("scale", 1.0)
-        if not isinstance(name, str):
-            raise WorkloadError(f"a benchmark name must be a string, got {name!r}")
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise WorkloadError(f"a benchmark scale must be a number, got {scale!r}")
-        return build_benchmark(name, scale=scale)
     if "workload" in spec:
         if not isinstance(spec["workload"], dict):
             raise WorkloadError("a custom workload spec must be an object")

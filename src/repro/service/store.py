@@ -31,10 +31,19 @@ Durability and safety properties:
   the writing process (two processes writing the same key can never clobber
   each other's half-written envelope), stale tmp files stranded by a crashed
   writer are swept at startup, and the size bound is enforced against the
-  *directory* contents (not just this process's index) under an advisory
-  file lock (``.store.lock``), so N sharing processes collectively respect
-  ``max_bytes`` instead of overshooting it N×; a missing victim file
-  (already evicted by a sibling) is tolerated everywhere.
+  *directory* contents (not just this process's index), so N sharing
+  processes collectively respect ``max_bytes`` instead of overshooting it N×;
+  a missing victim file (already evicted by a sibling) is tolerated
+  everywhere.  The directory's occupancy is a **byte ledger** kept in the
+  advisory lock file (``.store.lock``): an upper bound on the entry bytes in
+  the directory, summed over every process that shares it.  Each put adds
+  its envelope's size (less the size of the entry it replaces) under the
+  lock *before* moving the entry into place, so a crash between the two can
+  only over-count.  A put rescans the directory only when the ledger exceeds
+  ``max_bytes`` (or cannot be read); that rescan, the one at startup and the
+  one in :meth:`ResultStore.clear` rewrite the ledger with the bytes they
+  found.  Where ``fcntl`` is missing there is no lock and no ledger, and the
+  bound falls back to this process's own index total.
 
 The store exposes the same ``get_bytes(key)``/``put_bytes(key, payload)``
 surface as :class:`~repro.api.cache.RunCache`, so it is a drop-in ``cache=``
@@ -47,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import math
 import os
 import pickle
 import threading
@@ -86,7 +96,8 @@ MAX_QUARANTINE_FILES = 8
 #: old is garbage — but the margin keeps a live sibling's in-flight write safe.
 STALE_TMP_SECONDS = 300.0
 
-#: Advisory lock file guarding cross-process eviction in a shared directory.
+#: Advisory lock file guarding writes and eviction in a shared directory; it
+#: also holds the directory's byte ledger.
 LOCK_FILENAME = ".store.lock"
 
 #: Process-wide counter making concurrent tmp names unique within one process
@@ -104,6 +115,56 @@ def code_fingerprint() -> str:
     import repro
 
     return f"repro-{repro.__version__}"
+
+
+def _read_ledger(handle: int) -> int | None:
+    """The byte ledger recorded in the lock file, or ``None`` if unreadable."""
+    try:
+        recorded = int(os.pread(handle, 64, 0))
+    except (OSError, ValueError):
+        return None
+    return recorded if recorded >= 0 else None
+
+
+def _write_ledger(handle: int, total: int) -> None:
+    """Record ``total`` as the byte ledger (decimal ASCII).
+
+    A crash between the write and the truncate leaves trailing digits of the
+    old record behind a shorter new one: a larger number, so an over-count.
+    """
+    record = b"%d" % total
+    os.pwrite(handle, record, 0)
+    os.ftruncate(handle, len(record))
+
+
+def _reset_ledger(handle: int | None, total: int) -> None:
+    """Record ``total``, the entry bytes a rescan under the lock left on disk.
+
+    A no-op without a lock file.  A failed write is tolerated: the recorded
+    ledger then still bounds the directory from above (a rescan adds no
+    bytes), or is unreadable and makes the next put rescan.
+    """
+    if handle is not None:
+        with contextlib.suppress(OSError):
+            _write_ledger(handle, total)
+
+
+def _charge_ledger(handle: int, path: Path, size: int) -> float:
+    """Add an entry of ``size`` bytes that replaces ``path`` to the ledger.
+
+    Returns the new ledger, or infinity — over any bound, so the caller
+    rescans and rewrites it — when the recorded one is unreadable.  Runs under
+    the store's directory lock before the entry moves into place: a crash in
+    between leaves the ledger over-counting, never under.
+    """
+    recorded = _read_ledger(handle)
+    if recorded is None:
+        return math.inf
+    with contextlib.suppress(FileNotFoundError):
+        recorded -= os.stat(path).st_size
+    recorded += size
+    _write_ledger(handle, recorded)
+    return recorded
 
 
 def key_digest(key: tuple) -> str:
@@ -173,8 +234,12 @@ class ResultStore:
         #: a directory rescan can merge sibling-written entries (known only by
         #: mtime) with this process's precise use order on one scale.
         self._index: dict[str, tuple[int, float]] = {}
+        #: Running sum of the sizes in ``_index``.
+        self._total = 0
         self._recency = 0.0
-        self._scan()
+        with self._dir_lock() as ledger:
+            self._scan()
+            _reset_ledger(ledger, self._total)
 
     # ------------------------------------------------------------------ #
     def _scan(self) -> None:
@@ -184,8 +249,11 @@ class ResultStore:
         file is normally consumed by ``os.replace`` milliseconds after it is
         born, so one older than :data:`STALE_TMP_SECONDS` was stranded by a
         writer that died mid-:meth:`put_bytes` and nothing else will delete.
+        Excess quarantine files (the other unbounded-disk leak) are pruned
+        in the same walk.
         """
         entries = []
+        quarantined = []
         stale_before = time.time() - STALE_TMP_SECONDS
         for item in os.scandir(self.directory):
             # a sibling process may rename (tmp -> entry) or evict any file
@@ -199,11 +267,14 @@ class ResultStore:
                     entries.append(
                         (item.name[: -len(ENTRY_SUFFIX)], stat.st_size, stat.st_mtime)
                     )
+                elif item.name.endswith(QUARANTINE_SUFFIX):
+                    quarantined.append((item.stat().st_mtime, item.path))
                 elif item.name.endswith(TMP_SUFFIX) and item.stat().st_mtime < stale_before:
                     with contextlib.suppress(OSError):
                         os.unlink(item.path)
             except FileNotFoundError:
                 continue
+        self._prune_quarantine(quarantined)
         rebuilt: dict[str, tuple[int, float]] = {}
         for digest, size, mtime in entries:
             previous = self._index.get(digest)
@@ -213,6 +284,7 @@ class ResultStore:
             recency = mtime if previous is None else max(previous[1], mtime)
             rebuilt[digest] = (size, recency)
         self._index = rebuilt
+        self._total = sum(size for size, _recency in rebuilt.values())
         self._recency = max(
             self._recency, max((recency for _size, recency in rebuilt.values()), default=0.0)
         )
@@ -234,14 +306,22 @@ class ResultStore:
         # strictly increasing, pinned to wall time so it stays comparable
         # with the mtimes a rescan assigns to sibling-written entries
         self._recency = max(self._recency + 1e-4, time.time())
+        self._forget(digest)
         self._index[digest] = (size, self._recency)
+        self._total += size
         try:
             os.utime(self._path(digest))
         except OSError:  # pragma: no cover - entry raced away underneath us
             pass
 
+    def _forget(self, digest: str) -> None:
+        """Drop ``digest`` from the index (its file is left alone)."""
+        entry = self._index.pop(digest, None)
+        if entry is not None:
+            self._total -= entry[0]
+
     def _discard(self, digest: str, *, evicted: bool = False) -> None:
-        self._index.pop(digest, None)
+        self._forget(digest)
         try:
             self._path(digest).unlink()
         except OSError:
@@ -257,7 +337,7 @@ class ResultStore:
         original path is free for a clean rewrite of the same key.  Only the
         newest :data:`MAX_QUARANTINE_FILES` quarantined files are retained.
         """
-        self._index.pop(digest, None)
+        self._forget(digest)
         path = self._path(digest)
         try:
             os.replace(path, path.with_name(path.name + QUARANTINE_SUFFIX))
@@ -265,26 +345,25 @@ class ResultStore:
             with contextlib.suppress(OSError):
                 path.unlink()
         self._quarantined.inc()
-        self._prune_quarantine()
+        self._prune_quarantine(
+            [(stat.st_mtime, path) for path, stat in self._quarantine_files()]
+        )
 
-    def _quarantine_usage(self) -> tuple[int, int]:
-        """``(files, bytes)`` currently held in quarantine."""
-        files = 0
-        total = 0
+    def _quarantine_files(self) -> list[tuple[str, os.stat_result]]:
+        """``(path, stat)`` of every quarantined file in the directory."""
+        found = []
         with contextlib.suppress(OSError):
             for item in os.scandir(self.directory):
                 if item.is_file() and item.name.endswith(QUARANTINE_SUFFIX):
-                    files += 1
-                    total += item.stat().st_size
-        return files, total
+                    with contextlib.suppress(FileNotFoundError):
+                        found.append((item.path, item.stat()))
+        return found
 
-    def _prune_quarantine(self) -> None:
-        """Delete all but the newest :data:`MAX_QUARANTINE_FILES` quarantined files."""
-        stamped = []
-        with contextlib.suppress(OSError):
-            for item in os.scandir(self.directory):
-                if item.is_file() and item.name.endswith(QUARANTINE_SUFFIX):
-                    stamped.append((item.stat().st_mtime, item.path))
+    def _prune_quarantine(self, stamped: list[tuple[float, str]]) -> None:
+        """Delete all but the newest :data:`MAX_QUARANTINE_FILES` of ``stamped``.
+
+        ``stamped`` holds ``(mtime, path)`` of the quarantined files.
+        """
         if len(stamped) <= MAX_QUARANTINE_FILES:
             return
         stamped.sort()  # oldest first
@@ -296,21 +375,24 @@ class ResultStore:
     def _dir_lock(self):
         """Advisory cross-process lock on the store directory.
 
-        Taken around LRU eviction so sibling service processes sharing the
-        directory never evict concurrently.  Degrades to a no-op where
-        ``fcntl`` is unavailable or the lock file cannot be opened.
+        Taken around every move of an entry into place, every rescan and
+        every eviction, so sibling processes sharing the directory see one
+        consistent byte ledger and never evict concurrently.  Yields the lock
+        file's descriptor, which holds the ledger (:func:`_read_ledger`), or
+        ``None`` — no lock and no ledger — where ``fcntl`` is unavailable or
+        the lock file cannot be opened.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platform
-            yield
+            yield None
             return
         try:
             handle = os.open(self.directory / LOCK_FILENAME, os.O_CREAT | os.O_RDWR)
         except OSError:  # pragma: no cover - unwritable shared directory
-            yield
+            yield None
             return
         try:
             fcntl.flock(handle, fcntl.LOCK_EX)
-            yield
+            yield handle
         finally:
             with contextlib.suppress(OSError):
                 fcntl.flock(handle, fcntl.LOCK_UN)
@@ -321,37 +403,15 @@ class ResultStore:
 
         Callers enforcing the *shared-directory* bound must :meth:`_scan`
         first (under :meth:`_dir_lock`) so the index covers entries written
-        by sibling processes, not just this one.  Excess quarantine files are
-        pruned here too — they are the other unbounded-disk leak.
+        by sibling processes, not just this one.
         """
         if self.max_bytes is None:
             return
-        self._prune_quarantine()
-        while self.total_bytes() > self.max_bytes and len(self._index) > 1:
-            victim = min(
-                (digest for digest in self._index if digest != protect),
-                key=lambda digest: self._index[digest][1],
-                default=None,
-            )
-            if victim is None:
+        for victim in sorted(self._index, key=lambda digest: self._index[digest][1]):
+            if self._total <= self.max_bytes or len(self._index) <= 1:
                 break
-            self._discard(victim, evicted=True)
-
-    def _dir_bytes(self) -> int:
-        """Entry bytes actually on disk — the *collective* occupancy.
-
-        ``total_bytes()`` only covers entries this process has written or
-        read; in a shared directory the size bound must hold against what
-        every sibling wrote, so the over-bound trigger reads the directory.
-        """
-        total = 0
-        try:
-            for item in os.scandir(self.directory):
-                if item.is_file() and item.name.endswith(ENTRY_SUFFIX):
-                    total += item.stat().st_size
-        except OSError:  # pragma: no cover - unreadable directory
-            return self.total_bytes()
-        return total
+            if victim != protect:
+                self._discard(victim, evicted=True)
 
     # ------------------------------------------------------------------ #
     def get_bytes(self, key: tuple) -> bytes | None:
@@ -413,33 +473,42 @@ class ResultStore:
             tmp = self._tmp_path(digest)
             try:
                 tmp.write_bytes(envelope)
-                os.replace(tmp, path)
+                with self._dir_lock() as ledger:
+                    charged = (
+                        None if ledger is None else _charge_ledger(ledger, path, len(envelope))
+                    )
+                    os.replace(tmp, path)
+                    self._touch(digest, len(envelope))
+                    # without a ledger, the bound covers this process's entries
+                    occupancy = self._total if charged is None else charged
+                    if self.max_bytes is not None and occupancy > self.max_bytes:
+                        # only an over-bound ledger pays for a directory walk;
+                        # rescanning under the lock makes eviction see sibling
+                        # processes' entries, so the *collective* bound holds
+                        # (not N× of it)
+                        self._scan()
+                        self._evict_to_bound(protect=digest)
+                        _reset_ledger(ledger, self._total)
             finally:
                 # replace consumed the tmp file on success; anything left
                 # behind by a failed write must not strand on disk
                 with contextlib.suppress(OSError):
                     tmp.unlink()
-            self._touch(digest, len(envelope))
-            if self.max_bytes is not None and self._dir_bytes() > self.max_bytes:
-                # only the over-bound path pays for the cross-process lock;
-                # rescanning under it makes eviction see sibling processes'
-                # entries, so the *collective* bound holds (not N× of it)
-                with self._dir_lock():
-                    self._scan()
-                    self._evict_to_bound(protect=digest)
         self._put_seconds.observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
     def total_bytes(self) -> int:
         """Total size of every entry currently indexed."""
         with self._lock:
-            return sum(size for size, _recency in self._index.values())
+            return self._total
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
+        """Drop every entry in the directory and reset the counters."""
+        with self._lock, self._dir_lock() as ledger:
+            self._scan()
             for digest in list(self._index):
                 self._discard(digest)
+            _reset_ledger(ledger, self._total)
             for counter in (self._hits, self._misses, self._evictions, self._quarantined):
                 counter.reset()
 
@@ -463,7 +532,7 @@ class ResultStore:
     def stats(self) -> dict:
         """Counters and occupancy, as reported by the service ``/stats``."""
         with self._lock:
-            quarantine_files, quarantine_bytes = self._quarantine_usage()
+            quarantined = self._quarantine_files()
             return {
                 "entries": len(self._index),
                 "bytes": self.total_bytes(),
@@ -472,8 +541,8 @@ class ResultStore:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "quarantined": self.quarantined,
-                "quarantine_files": quarantine_files,
-                "quarantine_bytes": quarantine_bytes,
+                "quarantine_files": len(quarantined),
+                "quarantine_bytes": sum(stat.st_size for _path, stat in quarantined),
                 "fingerprint": self.fingerprint,
                 "directory": str(self.directory),
             }

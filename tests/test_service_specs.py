@@ -76,9 +76,24 @@ class TestDecodeMemo:
         assert hit.workloads[0] is miss.workloads[0]
         assert hit.cache_key() == miss.cache_key() == _fresh_key(name, scale)
 
+    def test_every_spelling_of_a_benchmark_shares_one_entry(self, builds):
+        spellings = [
+            "swm256",
+            "sw",
+            {"benchmark": "swm256", "scale": 1.0},
+            {"benchmark": "sw", "scale": 1},
+            {"benchmark": "swm256"},
+        ]
+        first = workload_from_spec(spellings[0])
+        assert all(workload_from_spec(spec) is first for spec in spellings)
+        assert list(specs._decoded) == [("swm256", 1.0)]
+        assert builds == ["swm256"]
+        assert first.build_spec == ("swm256", 1.0)
+
     @pytest.mark.parametrize(
         "spec",
         [
+            "no-such-benchmark",
             {"benchmark": "no-such-benchmark", "scale": SCALE},
             {"benchmark": "swm256", "scale": "large"},
             {"benchmark": "swm256", "scale": SCALE, "seed": 3},

@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.service import ResultStore, code_fingerprint, key_digest
 from repro.service.store import (
     ENTRY_SUFFIX,
+    LOCK_FILENAME,
     MAX_QUARANTINE_FILES,
     QUARANTINE_SUFFIX,
     STALE_TMP_SECONDS,
@@ -393,6 +394,107 @@ class TestSharedDirectoryBugfixes:
         assert a.total_bytes() <= bound and b.total_bytes() <= bound
 
 
+def _ledger(directory) -> int:
+    return int((Path(directory) / LOCK_FILENAME).read_bytes())
+
+
+@pytest.fixture
+def scandirs(monkeypatch):
+    """Counts the store module's directory listings."""
+    calls = []
+    real = os.scandir
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr("repro.service.store.os.scandir", counting)
+    return calls
+
+
+class TestByteLedger:
+    """The lock file's byte ledger stands in for a directory walk per put."""
+
+    def test_puts_under_the_bound_never_list_the_directory(self, tmp_path, scandirs):
+        store = ResultStore(tmp_path, max_bytes=1 << 30)
+        scandirs.clear()  # construction scans once
+        for index in range(200):
+            store.put_bytes(_fake_key(f"a{index:03d}"), b"x" * 1_000)
+        assert scandirs == []
+        assert _ledger(tmp_path) == _entry_bytes(tmp_path) == store.total_bytes()
+
+    def test_ledger_counts_every_sibling_and_rewrites_in_place(self, tmp_path):
+        a = ResultStore(tmp_path)
+        b = ResultStore(tmp_path)
+        a.put_bytes(_fake_key("one"), b"x" * 3_000)
+        b.put_bytes(_fake_key("two"), b"y" * 5_000)
+        assert _ledger(tmp_path) == _entry_bytes(tmp_path)
+        # rewriting a key charges only the difference in size
+        a.put_bytes(_fake_key("two"), b"z" * 1_000)
+        assert _ledger(tmp_path) == _entry_bytes(tmp_path)
+
+    def test_vanished_entries_cost_one_rescan_and_no_eviction(self, tmp_path, scandirs):
+        payload = b"x" * 4_000
+        store = ResultStore(tmp_path, max_bytes=1 << 30)
+        store.put_bytes(_fake_key("b00"), payload)
+        entry = _ledger(tmp_path)  # every key below has this envelope size
+        store.max_bytes = int(entry * 10.5)
+        for index in range(1, 10):
+            store.put_bytes(_fake_key(f"b{index:02d}"), payload)
+        # a sibling (or an operator) deletes half the entries behind the
+        # store's back: the ledger now over-counts by five entries
+        for path in sorted(tmp_path.glob("*" + ENTRY_SUFFIX))[:5]:
+            path.unlink()
+        scandirs.clear()
+        store.put_bytes(_fake_key("b10"), payload)  # ledger 11 entries > bound
+        assert len(scandirs) == 1
+        assert _ledger(tmp_path) == _entry_bytes(tmp_path) == 6 * entry
+        store.put_bytes(_fake_key("b11"), payload)  # back under: no walk
+        assert len(scandirs) == 1
+        assert _ledger(tmp_path) == _entry_bytes(tmp_path) == 7 * entry
+        assert store.evictions == 0 and len(store) == 7
+
+    def test_garbage_ledger_is_rescanned_once_and_rewritten(self, tmp_path, scandirs):
+        store = ResultStore(tmp_path)
+        store.put_bytes(_fake_key("g0"), b"x" * 2_000)
+        (tmp_path / LOCK_FILENAME).write_bytes(b"junk")
+        scandirs.clear()
+        store.put_bytes(_fake_key("g1"), b"x" * 2_000)
+        assert len(scandirs) == 1
+        assert _ledger(tmp_path) == _entry_bytes(tmp_path)
+        store.put_bytes(_fake_key("g2"), b"x" * 2_000)
+        assert len(scandirs) == 1
+
+    def test_a_failed_move_leaves_the_ledger_over_counting(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        store.put_bytes(_fake_key("c0"), b"x" * 2_000)
+
+        def crash(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("repro.service.store.os.replace", crash)
+        with pytest.raises(OSError):
+            store.put_bytes(_fake_key("c1"), b"x" * 2_000)
+        assert _ledger(tmp_path) > _entry_bytes(tmp_path)
+        assert _tmp_files(tmp_path) == []
+
+    def test_clear_zeroes_the_ledger(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put_bytes(_fake_key("z"), b"x" * 2_000)
+        store.clear()
+        assert _ledger(tmp_path) == 0 == store.total_bytes()
+
+    def test_without_fcntl_the_bound_covers_the_own_index(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.store.fcntl", None)
+        payload = b"x" * 4_000
+        store = ResultStore(tmp_path, max_bytes=10_000)
+        for index in range(4):
+            store.put_bytes(_fake_key(f"n{index}"), payload)
+        assert store.evictions == 2
+        assert store.total_bytes() <= 10_000
+        assert not (tmp_path / LOCK_FILENAME).exists()
+
+
 #: One writer process sharing a store directory with a sibling: writes the
 #: shared keys (same deterministic payload per key in both processes) plus a
 #: few of its own, read-verifying as it goes.  Any torn or foreign payload
@@ -419,6 +521,21 @@ for _round in range(25):
         blob = store.get_bytes(key)
         assert blob is None or blob == payload_for(key), "torn or foreign payload"
 print(store.stats()["quarantined"])
+"""
+
+
+#: One of several processes charging one store's ledger at once: the shared
+#: keys are rewritten by every process with a size that changes every round,
+#: so each such put both adds and subtracts under the lock.
+_LEDGER_WRITER_SCRIPT = """
+import sys
+from repro.service import ResultStore
+
+directory, who = sys.argv[1], sys.argv[2]
+store = ResultStore(directory, max_bytes=None)
+for turn in range(300):
+    store.put_bytes(("shared%d" % (turn % 5),), b"s" * (1000 + 37 * turn))
+    store.put_bytes(("own", who, turn), b"o" * 500)
 """
 
 
@@ -450,3 +567,22 @@ class TestTrueMultiProcessSharing:
         # collective bound: at most one entry of slack past max_bytes
         one_entry = len((b"config-shared0" + b".") * 4096) + 1024
         assert _entry_bytes(tmp_path) <= max_bytes + one_entry
+
+    def test_concurrent_writers_lose_no_ledger_update(self, tmp_path):
+        # more writer processes than the 2 cores the suite is sized on, all
+        # charging one ledger: a read-modify-write lost between two of them
+        # would leave the ledger below the bytes on disk
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _LEDGER_WRITER_SCRIPT, str(tmp_path), who],
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": "src"},
+                cwd=Path(__file__).resolve().parent.parent,
+            )
+            for who in ("a", "b", "c", "d")
+        ]
+        for proc in procs:
+            _out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        assert _ledger(tmp_path) == _entry_bytes(tmp_path)

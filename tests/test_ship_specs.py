@@ -102,6 +102,21 @@ class TestPayloadSize:
         assert loaded.cache_key() == request.cache_key()
 
 
+    def test_a_bare_name_ships_without_rebuilding_in_the_parent(self, monkeypatch):
+        request = request_from_document({"machine": "reference", "workloads": ["sw"]})
+        builds = []
+
+        def counting_build(name, scale=1.0):
+            builds.append(name)
+            return build_benchmark(name, scale=scale)
+
+        monkeypatch.setattr(specs, "build_benchmark", counting_build)
+        payload = _ship(request)
+        assert builds == []
+        assert not _ships_by_value(payload)
+        assert _load_payload(payload).workloads[0] is request.workloads[0]
+
+
 class TestChangedPrograms:
     @pytest.mark.parametrize(
         "change",
