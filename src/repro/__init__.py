@@ -87,7 +87,7 @@ from repro.sweep import (
 )
 from repro.workloads import build_benchmark, build_suite, build_workload
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "AssemblyError",

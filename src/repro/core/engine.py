@@ -477,15 +477,10 @@ class SimulationEngine:
     def _finalize(self, stop_reason: str) -> SimulationResult:
         stats = self.stats
         stats.cycles = self.cycle
-        # the machine is only quiet once the busses drain: a final vector
-        # store keeps streaming addresses/data after the processor retires it
+        # the machine is only quiet once its last datum is returned or sent:
+        # a final vector store keeps streaming after the processor retires it
         memory = self.memory
-        stats.completion_cycles = max(
-            self.cycle,
-            max(bus.free_at for bus in memory.address_buses),
-            memory.load_data_bus.free_at,
-            memory.store_data_bus.free_at,
-        )
+        stats.completion_cycles = max(self.cycle, memory.drained_at)
         stats.memory_port_busy_cycles = memory.address_port_busy_cycles
         stats.memory_ports = self.memory.num_ports
         units = self.vector_units

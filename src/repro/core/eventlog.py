@@ -12,9 +12,10 @@ The engine events that do depend on the run are recorded as plain integers:
 
 * one ``(start, end)`` pair per functional-unit reservation, appended to
   :attr:`FlatIntervalRecorder.pairs` by the dispatch paths;
-* the address, load-data and store-data busses keep a single running
-  busy-cycle total each (:class:`repro.memory.bus.Bus`), since a bus
-  serializes its reservations.
+* each address bus keeps a single running busy-cycle total
+  (:class:`repro.memory.bus.Bus`), since a bus serializes its
+  reservations, and the memory system keeps the cycle its last datum
+  drains (``MemorySystem.drained_at``).
 
 Per-job and per-thread counters are settled when each job closes, the
 run totals, busy intervals and the figure-4 state breakdown at

@@ -36,12 +36,12 @@ class SimulationResult:
 
     @property
     def completion_cycles(self) -> int:
-        """Cycle at which the machine goes fully quiet, bus drain included.
+        """Cycle at which the machine goes fully quiet, memory drain included.
 
         ``cycles`` stops when the decode unit retires the last instruction;
-        a trailing vector store still streams its elements on the address and
-        store-data busses afterwards.  This is the quantity the IDEAL model's
-        resource bounds apply to.
+        a trailing vector store still streams its elements out, and a load
+        may still be delivering, afterwards.  This is the quantity the IDEAL
+        model's resource bounds apply to.
         """
         return self.stats.completion_cycles
 

@@ -125,9 +125,10 @@ class SimulationStats:
     """Global statistics of one simulation run."""
 
     cycles: int = 0
-    #: Cycle at which the whole machine goes quiet: the decode clock plus the
-    #: drain of any bus traffic still in flight (a final vector store streams
-    #: its elements out after the processor retires it and never waits).
+    #: Cycle at which the whole machine goes quiet: the later of the decode
+    #: clock and one past the last datum any memory transaction returned or
+    #: sent (a final vector store streams its elements out after the
+    #: processor retires it and never waits; a load may still be delivering).
     #: Always ``>= cycles``; it is the quantity the IDEAL resource bounds of
     #: :mod:`repro.core.ideal` lower-bound.
     completion_cycles: int = 0

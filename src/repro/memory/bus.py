@@ -1,9 +1,11 @@
-"""Bus models: the single shared address bus and the two data busses.
+"""The address bus model.
 
 The modeled memory interface follows the Convex C-series description used by
 the paper (section 3.1): *"We have a single address bus shared by all types of
 memory transactions (scalar/vector and load/store), and physically separate
-data busses for sending and receiving data to/from main memory."*
+data busses for sending and receiving data to/from main memory."*  No
+transaction waits for a data bus, so only the address bus (one per port) is
+modeled; the memory system keeps just the data's drain cycle.
 
 Each bus is a simple serially-reusable resource: a transaction reserves a
 contiguous window of cycles, starting no earlier than :attr:`Bus.free_at`

@@ -3,7 +3,8 @@
 Timing rules (paper, section 3.1):
 
 * one address bus shared by every memory transaction, one address per cycle;
-* separate data busses for sending (stores) and receiving (loads);
+* separate data paths for sending (stores) and receiving (loads), which no
+  transaction waits for: only their drain is kept (``drained_at``);
 * a vector load (and gather) pays the configured *memory latency* once and
   then receives one datum per cycle;
 * a vector store pays no latency — the processor streams the data out and
@@ -52,9 +53,10 @@ class MemorySystem:
             raise ConfigurationError("the memory system needs at least one address port")
         self.latency = latency
         self.address_buses = [Bus(f"address-{index}") for index in range(num_ports)]
-        self.load_data_bus = Bus("load-data")
-        self.store_data_bus = Bus("store-data")
         self.bank_model = bank_model
+        #: One past the last datum any transaction returned or sent; no
+        #: address window ends later, since ``delivery >= elements``.
+        self.drained_at = 0
 
     @property
     def num_ports(self) -> int:
@@ -65,14 +67,14 @@ class MemorySystem:
     def schedule_columnar(
         self, kind_code: int, elements: int, stride: int, earliest: int
     ) -> tuple[int, int, int]:
-        """Schedule one memory transaction, reserving the busses it needs.
+        """Schedule one memory transaction, reserving an address bus.
 
         Takes the dense kind code (``Instruction.memory_code``), element
         count and stride, and the first cycle the processor could drive the
         first address.  Returns ``(start, first_element, completion)``: when
         the first address is driven, the first datum is available (loads) or
-        accepted (stores), and the last one is.  Each bus is reserved inline
-        from ``max(earliest, free_at)``, one cycle per item.
+        accepted (stores), and the last one is.  The address bus is reserved
+        inline from ``max(earliest, free_at)``, one cycle per element.
         """
         if self.bank_model is None:
             delivery = elements
@@ -87,9 +89,7 @@ class MemorySystem:
             bus = buses[0]
         else:
             bus = min(buses, key=lambda candidate: max(earliest, candidate._free_at))
-        # one address per element on the address bus; a data-bus reservation
-        # starts no earlier and lasts ``delivery >= 0`` cycles, so these
-        # checks cover it too
+        # one address per element on the address bus
         if elements < 0:
             raise SimulationError(f"bus {bus.name}: cannot reserve {elements} cycles")
         if earliest < 0:
@@ -103,22 +103,13 @@ class MemorySystem:
 
         if _IS_LOAD_BY_CODE[kind_code]:
             first_datum = start + self.latency + 1
-            completion = first_datum + delivery - 1
-            data_bus = self.load_data_bus
-            data_start = first_datum
         else:
             # Stores stream data out alongside the addresses and never wait
             # for the write acknowledgement.
             first_datum = start
-            completion = start + delivery - 1
-            data_bus = self.store_data_bus
-            data_start = start
-        # the data bus keeps the record only: the timing does not wait for it
-        if delivery:
-            if data_bus._free_at > data_start:
-                data_start = data_bus._free_at
-            data_bus._free_at = data_start + delivery
-            data_bus.busy_cycles += delivery
+        completion = first_datum + delivery - 1
+        if delivery and completion >= self.drained_at:
+            self.drained_at = completion + 1
         return start, first_datum, completion
 
     # ------------------------------------------------------------------ #

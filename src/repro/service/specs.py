@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from collections import OrderedDict
 
@@ -154,6 +155,8 @@ def _benchmark_key(spec) -> tuple[str, float] | None:
         raise WorkloadError(f"a benchmark name must be a string, got {name!r}")
     if isinstance(scale, bool) or not isinstance(scale, (int, float)):
         raise WorkloadError(f"a benchmark scale must be a number, got {scale!r}")
+    if not abs(scale) <= sys.float_info.max:  # NaN, infinite, or an int too large
+        raise WorkloadError("a benchmark scale must be a finite float")
     return get_profile(name).name, float(scale)
 
 

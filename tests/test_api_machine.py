@@ -61,11 +61,11 @@ def result_digest(result: SimulationResult) -> str:
 #: fixtures.  Pins which suppliers, instruction limits and stop rule each
 #: methodology hands the engine for every built-in model.
 PINNED_MAPPING = {
-    ("cray-style", "run"): "e861ccd9e25dc02a5435bc3276d07b65bbd26e4a8e719345aa9e3094367fffb3",
-    ("cray-style", "run-limit"): "7c9aff49ed53bc7661d101838a7a8789ddfd86ac1ba5dd4503800b6b75e06e86",
-    ("cray-style", "group"): "625734fed3e93a2722781fd5f4ef823330cf8ff5deaf0987c0e9e9b0b4e59c8c",
-    ("cray-style", "group-no-restart"): "60ec576b714c4d6c96c077291bf5b7d53c4b670cd7c1e3ce8636d3d2f850ae21",
-    ("cray-style", "queue"): "ef04479727db5b575bcb9d7e8ba5987de37f54d06b24f6ecba99bd9b5af8f624",
+    ("cray-style", "run"): "870963b41301f1b144b4715e372546e6280a226dcb0861f296cbc62b3096c8bf",
+    ("cray-style", "run-limit"): "bd4db06d2d2efed896f3828d7107d3051e48ef8e16358260a8bd85dc703786ca",
+    ("cray-style", "group"): "57366c03537cd6c90750d3b07207c5e0394f7d5b56991bff16e08ca217bce1a7",
+    ("cray-style", "group-no-restart"): "4cb0409ed8431ba83cdebca844823bc181267025027a31c4e438039795c7de73",
+    ("cray-style", "queue"): "4e093b8b4127b71ef7351d247a31d41ba822ba6585f570c2ad375bbf54cb05ba",
     ("dual-scalar", "run"): "4a02fea0ba32fe91bf6f2d30a44e17d737c7795969e9b5ce5ea972bee4d2a7d8",
     ("dual-scalar", "group"): "6b4ded2bf8070db28dc256854710c0bbcd4b33f93cb644edc7ea471e9279ebef",
     ("dual-scalar", "queue"): "599625487b0bdb5d9368356f050b87aa5539d10ee4d839c3cd0e157190b640e1",

@@ -106,7 +106,7 @@ class TestScalarTiming:
         model, context, _, memory, _ = make_model(latency=40)
         completion = model.execute(context, scalar_store(S(0), A(1), address=0x10), now=5)
         assert completion <= 5 + 2
-        assert memory.store_data_bus.busy_cycles == 1
+        assert memory.address_port_busy_cycles == 1
 
     def test_branch_has_no_memory_side_effects(self):
         model, context, _, memory, _ = make_model()
@@ -203,7 +203,7 @@ class TestVectorMemoryTiming:
         completion = model.execute(context, vstore(V(2), A(0), vl=64, address=0x200), now=1)
         # the store's addresses cannot be driven before the producer's elements exist
         assert completion >= producer_first + 64 - 1
-        assert memory.store_data_bus.busy_cycles == 64
+        assert memory.address_port_busy_cycles == 64
 
     def test_store_after_load_waits_for_the_full_load(self):
         model, context, _, _, _ = make_model(latency=30)

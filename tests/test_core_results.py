@@ -60,7 +60,7 @@ class TestSimulationResult:
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     def test_packaging_reads_the_package_version(self):
         """``pyproject.toml`` holds no second copy of the version to drift."""

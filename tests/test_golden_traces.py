@@ -8,10 +8,12 @@ same case through the optimized engine must reproduce every row
 byte-identically: same dispatch cycle, thread, pc, opcode, vector length,
 completion cycle and per-dispatch counters, in the same order.
 
-The seed oracle itself runs on ``MemorySystem`` (and through it ``Bus``) from
-``src/``, so it is replayed against the committed files too: an edit to those
-classes that moved the oracle and the engine together would pass the engine
-replay but fail the seed replay.
+The seed oracle keeps its own frozen memory timing (``SeedMemorySystem``,
+``SeedBus`` and ``SeedBankConflictModel`` in ``tests/seed_engine.py``), so it
+shares no timing code with ``src/``.  It is replayed against the committed
+files too: an edit to the oracle, or to what it still imports from ``src/``
+(instruction, request and statistics records, the thread schedulers and job
+suppliers), fails the seed replay even where the engine replay passes.
 """
 
 from __future__ import annotations

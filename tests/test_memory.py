@@ -182,17 +182,28 @@ class TestMemorySystem:
             MemorySystem(latency=-1)
 
     def test_transaction_counters(self):
-        """Each element moves once over the address bus and once over its data bus."""
+        """Each element moves once over the address bus; the drain is the last datum."""
         memory = MemorySystem(latency=5)
-        schedule(memory, AccessKind.VECTOR_LOAD, 8, earliest=0)
-        schedule(memory, AccessKind.VECTOR_STORE, 8, earliest=0)
-        schedule(memory, AccessKind.VECTOR_GATHER, 8, earliest=0)
-        schedule(memory, AccessKind.VECTOR_SCATTER, 8, earliest=0)
-        schedule(memory, AccessKind.SCALAR_LOAD, 1, earliest=0)
-        schedule(memory, AccessKind.SCALAR_STORE, 1, earliest=0)
+        completions = [
+            schedule(memory, kind, elements, earliest=0)[2]
+            for kind, elements in (
+                (AccessKind.VECTOR_LOAD, 8),
+                (AccessKind.VECTOR_STORE, 8),
+                (AccessKind.VECTOR_GATHER, 8),
+                (AccessKind.VECTOR_SCATTER, 8),
+                (AccessKind.SCALAR_LOAD, 1),
+                (AccessKind.SCALAR_STORE, 1),
+            )
+        ]
         assert memory.address_port_busy_cycles == 34
-        assert memory.load_data_bus.busy_cycles == 17
-        assert memory.store_data_bus.busy_cycles == 17
+        # the scalar load's datum (address at 32, latency 5) is the last in
+        assert completions == [13, 15, 29, 31, 38, 33]
+        assert memory.drained_at == 39
+
+    def test_drain_ignores_empty_transactions(self):
+        memory = MemorySystem(latency=5)
+        schedule(memory, AccessKind.VECTOR_LOAD, 0, earliest=40)
+        assert memory.drained_at == 0
 
     def test_port_occupancy_metric(self):
         memory = MemorySystem(latency=5)

@@ -8,7 +8,13 @@ machine, whatever its exact numbers:
   never makes a program finish sooner;
 * the figure-4 state vector partitions the run's cycles;
 * every dispatched instruction is counted once: the job records sum to their
-  thread's count, and the threads sum to the run's.
+  thread's count, and the threads sum to the run's;
+* the machine drains at its last datum: ``completion_cycles`` is the later of
+  the decode clock and one past the latest datum any memory transaction
+  returned or sent, and no address port is still busy after it, also where
+  several deliveries overlap (bank conflicts, several ports);
+* the memory-port occupancy and idle fraction lie in [0, 1], and a
+  single-port run takes at least the IDEAL machine's bound.
 
 Deterministic: fixed programs (scale 0.1) on a fixed grid, no randomness.
 Multi-context runs are checked for counts only; their cycles need not be
@@ -17,13 +23,20 @@ monotone in latency (queue order effects).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.engine import SimulationEngine
+from repro.core.ideal import IdealMachineModel
 from repro.core.suppliers import Job, JobQueueSupplier, SingleJobSupplier
+from repro.isa.builder import vload
+from repro.isa.registers import V
+from repro.memory.banks import BankConflictModel
+from repro.memory.request import AccessKind
+from repro.memory.system import _KIND_CODE, MemorySystem
 from repro.workloads.suite import BENCHMARK_ORDER, build_benchmark
 
 SCALE = 0.1
@@ -97,3 +110,112 @@ def test_queue_run_counts_every_dispatch_once(config):
         _program(name).dynamic_instruction_count for name in BENCHMARK_ORDER
     )
     assert sum(result.fu_state_vector()) == result.cycles
+
+
+# --------------------------------------------------------------------------- #
+# the drain: one past the last datum, wherever deliveries overlap
+# --------------------------------------------------------------------------- #
+#: One port, 8 banks each busy 4 cycles: a stride-8 load hits 1 bank and
+#: delivers a datum every 4 cycles, long after its addresses are sent.
+BANK_CONFLICTS = replace(
+    MachineConfig.reference(10),
+    name="bank-conflicts",
+    model_bank_conflicts=True,
+    num_memory_banks=8,
+    bank_busy_cycles=4,
+)
+#: Three ports: loads on different ports deliver at the same time.
+CRAY_STYLE = MachineConfig.cray_style(2, 50, num_memory_ports=3, issue_width=2)
+VECTOR_LOAD = _KIND_CODE[AccessKind.VECTOR_LOAD]
+
+
+def _recorded_run(config: MachineConfig, jobs):
+    """Run ``jobs`` as one queue on every context, recording each transaction.
+
+    Returns the result, the memory system and one ``(completion, is_load)``
+    pair per non-empty memory transaction.
+    """
+    queue = JobQueueSupplier(list(jobs))
+    engine = SimulationEngine(config, [queue] * config.num_contexts)
+    memory = engine.memory
+    schedule = memory.schedule_columnar
+    transactions = []
+
+    def recording(kind_code, elements, stride, earliest):
+        timing = schedule(kind_code, elements, stride, earliest)
+        if elements:
+            transactions.append((timing[2], tuple(AccessKind)[kind_code].is_load))
+        return timing
+
+    memory.schedule_columnar = recording
+    return engine.run(), memory, transactions
+
+
+def _load_tail(stride: int) -> Job:
+    """Two 32-element loads, still in flight at the end of the run.
+
+    Their registers sit in different register banks, so the second load does
+    not wait for the first one's write port and the two deliveries overlap.
+    """
+    return Job.from_instructions(
+        f"loads-stride-{stride}",
+        [vload(V(0), vl=32, stride=stride), vload(V(2), vl=32, address=4096, stride=stride)],
+    )
+
+
+def _assert_drains_at_last_datum(result, memory, transactions) -> None:
+    stats = result.stats
+    last_datum = max(completion for completion, _ in transactions)
+    assert stats.completion_cycles == max(stats.cycles, last_datum + 1)
+    assert all(bus.free_at <= stats.completion_cycles for bus in memory.address_buses)
+
+
+def _assert_port_metrics_in_range(result) -> None:
+    stats = result.stats
+    assert 0.0 <= result.memory_port_occupancy <= 1.0
+    assert 0.0 <= result.memory_port_idle_fraction <= 1.0
+    # unclamped: no port is busy for longer than the machine runs
+    assert stats.memory_port_busy_cycles <= stats.completion_cycles * stats.memory_ports
+
+
+class TestDrainIsLastDatum:
+    def test_overlapping_bank_conflicted_loads(self):
+        memory = MemorySystem(
+            latency=10, bank_model=BankConflictModel(num_banks=8, bank_busy_cycles=4)
+        )
+        timings = [memory.schedule_columnar(VECTOR_LOAD, 32, 8, 0) for _ in range(2)]
+        assert timings == [(0, 11, 138), (32, 43, 170)]
+        assert memory.drained_at == 171
+
+    def test_loads_on_three_ports(self):
+        memory = MemorySystem(latency=10, num_ports=3)
+        timings = [memory.schedule_columnar(VECTOR_LOAD, 32, 1, 0) for _ in range(2)]
+        assert timings == [(0, 11, 42), (0, 11, 42)]
+        assert memory.drained_at == 43
+
+    @pytest.mark.parametrize(
+        "config, stride",
+        [(BANK_CONFLICTS, 8), (CRAY_STYLE, 1)],
+        ids=["bank-conflicts", "cray-style"],
+    )
+    def test_run_ending_with_loads_in_flight(self, config, stride):
+        result, memory, transactions = _recorded_run(config, [_load_tail(stride)])
+        last_datum, is_load = max(transactions)
+        assert is_load and last_datum + 1 > result.cycles  # loads still in flight
+        _assert_drains_at_last_datum(result, memory, transactions)
+        _assert_port_metrics_in_range(result)
+
+    @pytest.mark.parametrize("config", [BANK_CONFLICTS, CRAY_STYLE], ids=lambda c: c.name)
+    def test_suite_queue_then_loads_in_flight(self, config):
+        jobs = [Job.from_program(_program(name)) for name in BENCHMARK_ORDER]
+        result, memory, transactions = _recorded_run(config, [*jobs, _load_tail(8)])
+        _assert_drains_at_last_datum(result, memory, transactions)
+        _assert_port_metrics_in_range(result)
+
+    def test_single_port_run_takes_at_least_the_ideal_bound(self):
+        for name in BENCHMARK_ORDER:
+            result, _memory, _transactions = _recorded_run(
+                BANK_CONFLICTS, [Job.from_program(_program(name))]
+            )
+            bound = IdealMachineModel().bound_for_programs([_program(name)])
+            assert result.completion_cycles >= bound, name

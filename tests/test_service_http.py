@@ -179,6 +179,11 @@ class TestEndpoints:
             {**TOMCATV_JOB, "restart_companions": "no"},
             {**TOMCATV_JOB, "tag": [1, 2]},
             {"machine": "reference", "workloads": [{"benchmark": ["tomcatv"]}]},
+            # the client's json writes these as NaN, Infinity and 400 digits
+            *(
+                {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "scale": scale}]}
+                for scale in (float("nan"), float("inf"), 10**400)
+            ),
         ],
     )
     def test_malformed_job_documents_400(self, client, router_client, document):

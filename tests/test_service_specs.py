@@ -8,6 +8,7 @@ program.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 
@@ -96,6 +97,12 @@ class TestDecodeMemo:
             "no-such-benchmark",
             {"benchmark": "no-such-benchmark", "scale": SCALE},
             {"benchmark": "swm256", "scale": "large"},
+            # non-finite or too large for a float (json parses NaN, Infinity
+            # and 1e400; an integer literal can have any length)
+            {"benchmark": "swm256", "scale": float("nan")},
+            {"benchmark": "swm256", "scale": float("inf")},
+            json.loads('{"benchmark": "swm256", "scale": 1e400}'),
+            {"benchmark": "swm256", "scale": 10**400},
             {"benchmark": "swm256", "scale": SCALE, "seed": 3},
             {"workload": {"name": "w", "loops": [{"kernel": "triad", "bogus": 1}]}},
             # mixed key types cannot be sorted: decoded without the memo
