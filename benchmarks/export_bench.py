@@ -303,7 +303,10 @@ def measure_scoreboard_hazard(repeats: int) -> list[dict]:
     Replays a fixed instruction mix (vector arithmetic, loads, stores,
     reductions, scalar ops spread over all four register banks) against one
     scoreboard, performing per dispatched instruction exactly what the
-    dispatch layer does: one ``earliest_dispatch`` probe, a ``chain_start``
+    dispatch layer does: one hazard probe (the run loops call it as
+    ``DispatchModel.register_hazard(scoreboard, instruction)``, the
+    scoreboard's ``earliest_dispatch``; here it is called with ``now``,
+    which equals the bound clamped to ``now``), a ``chain_start``
     for vector consumers, and one ``record_dispatch`` with the read ends,
     write times and chainability of the instruction's ``DispatchModel``
     path (scalar memory, vector arithmetic, vector memory).  A scalar-unit

@@ -40,8 +40,10 @@ class HardwareContext:
         self.instruction_limit = instruction_limit
         # Index cursor over the current job's flat instruction tuple
         # (:meth:`~repro.core.suppliers.Job.open_sequence`), and the cursor
-        # bound below which :meth:`consume` fetches ahead: the sequence's
-        # end, or sooner where the instruction limit falls inside the job.
+        # bound below which a dispatch fetches ahead: the sequence's end, or
+        # sooner where the instruction limit falls inside the job.  A pending
+        # head is ``_sequence[_cursor - 1]``; the single-decode loop walks
+        # the tuple itself and writes the cursor back.
         self._sequence: tuple[Instruction, ...] | None = None
         self._cursor = 0
         self._fetch_end = 0
@@ -152,13 +154,11 @@ class HardwareContext:
     def consume(self, instruction: Instruction) -> None:
         """Advance past the dispatched head instruction and fetch ahead.
 
-        Only the live ``instructions`` counter is bumped here — it feeds the
-        instruction-limit check and the least-service scheduler mid-run.  The
-        other dispatch counters are summed over the job's executed prefix
-        when it closes (:meth:`close_job`).  While the cursor is inside the
-        job and the limit is not reached, the next instruction becomes the
-        pending head at once; otherwise :meth:`head` does the job close,
-        supplier fetch or limit close at the next decode slot.
+        Bumps only the live ``instructions`` counter, which limit checks and
+        the least-service scheduler read mid-run (:meth:`close_job` sums the
+        other counters).  Inside the job and below the limit the next
+        instruction becomes the pending head at once; otherwise :meth:`head`
+        handles the boundary at the next decode slot.
         """
         self.head_hazard = None
         self.stats.instructions += 1

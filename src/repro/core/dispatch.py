@@ -5,10 +5,11 @@ This module answers the two questions the decode unit asks every cycle:
 1. *Could* the head instruction of a context be dispatched now — and if not,
    when is the earliest cycle at which it could?  The answer is
    ``max(hazard, unit free)``: the register-hazard bound
-   (:meth:`DispatchModel.register_hazard`, probed once per head and kept on
-   the context) and the free cycle of the FU1/FU2/LD unit
-   :class:`~repro.core.functional_units.VectorUnitPool` picks, read live
-   because other contexts' dispatches move it.  The engine's run loops
+   (:attr:`DispatchModel.register_hazard`, the scoreboard's
+   :meth:`~repro.core.scoreboard.ColumnarScoreboard.earliest_dispatch`,
+   probed once per head and kept on the context) and the free cycle of the
+   FU1/FU2/LD unit :class:`~repro.core.functional_units.VectorUnitPool`
+   picks, read live because other contexts' dispatches move it.  The engine's run loops
    combine the two.
 2. What happens when it *is* dispatched (:meth:`DispatchModel.execute`):
    which functional unit it occupies for how long, when the memory port is
@@ -22,8 +23,8 @@ This module answers the two questions the decode unit asks every cycle:
 A scalar-unit head with scalar operands only (``Instruction.scalar_unit_only``)
 has no unit term: :attr:`DispatchModel.issue_scalar`, the scoreboard's
 :meth:`~repro.core.scoreboard.ColumnarScoreboard.issue_scalar`, answers both
-questions in one call.  Units and busses are reserved inline, without helper
-calls.
+questions in one call.  ``execute`` reserves the units inline: its only
+calls are to the scoreboard and the memory system.
 
 Timing rules implemented (paper section 3 / 3.1):
 
@@ -73,29 +74,21 @@ class DispatchModel:
     # ------------------------------------------------------------------ #
     # question 1: when could this instruction issue?
     # ------------------------------------------------------------------ #
-    def register_hazard(self, context: HardwareContext, instruction: Instruction) -> int:
-        """The instruction's register-hazard bound on ``context``'s scoreboard.
-
-        This is the separate probe profiled as ``hazard_check``.  Only the
-        context's own dispatches move the bound, so the engine makes this
-        call at most once per head and keeps the result in
-        ``context.head_hazard``.
-        """
-        return context.scoreboard.earliest_dispatch(instruction, 0)
-
+    #: The two probes, called with the context's scoreboard first and taken
+    #: by the run loops once at setup (so profiled runs and trace recorders
+    #: can wrap them like :meth:`execute`).  ``register_hazard(scoreboard,
+    #: instruction)`` is the register-hazard bound (``hazard_check``), probed
+    #: at most once per head and kept in ``context.head_hazard``.
     #: ``issue_scalar(scoreboard, instruction, now, latencies)`` probes a
-    #: ``scalar_unit_only`` head on its context's scoreboard and dispatches
-    #: it if it issues at ``now``; it returns the head's hazard bound.  The
-    #: run loops take it from here once at setup, so profiled runs and trace
-    #: recorders can wrap it like :meth:`execute`.
+    #: ``scalar_unit_only`` head, dispatches it if it issues at ``now`` and
+    #: returns its hazard bound.
+    register_hazard = staticmethod(ColumnarScoreboard.earliest_dispatch)
     issue_scalar = staticmethod(ColumnarScoreboard.issue_scalar)
 
     # ------------------------------------------------------------------ #
     # question 2: what happens when it issues?
     # ------------------------------------------------------------------ #
-    def execute(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> int:
+    def execute(self, context: HardwareContext, instruction: Instruction, now: int) -> int:
         """Dispatch the instruction and return its completion cycle.
 
         This is the engine's general dispatch path: it reserves the
@@ -104,141 +97,110 @@ class DispatchModel:
         available.  Every instruction may take it; the run loops send
         ``scalar_unit_only`` heads through :attr:`issue_scalar` instead.
         """
-        if instruction.is_memory:
-            if instruction.is_vector_memory:
-                return self._dispatch_vector_memory(context, instruction, now)
-            return self._dispatch_scalar_memory(context, instruction, now)
+        scoreboard = context.scoreboard
+        config = self.config
         if instruction.is_vector_arithmetic:
-            return self._dispatch_vector_arithmetic(context, instruction, now)
+            vl = instruction.vl  # set on every vector opcode (``Instruction``)
+            # VectorUnitPool.arithmetic_unit_for, inline
+            units = self.vector_units
+            unit = units.fu2
+            if not instruction.fu2_only:
+                free = units.fu1._free_at
+                if free <= now or free <= unit._free_at:
+                    unit = units.fu1
+            if unit._free_at > now:
+                raise SimulationError(
+                    f"vector unit {unit.name} is busy until {unit._free_at}, "
+                    f"cannot dispatch at {now}"
+                )
+            try:
+                latency = self._vector_latencies[instruction.latency_class]
+            except KeyError:
+                latency = config.latencies.vector_latency(instruction.latency_class)
+            element_start = scoreboard.chain_start(instruction, now + config.vector_startup)
+            crossbars = config.read_crossbar_latency + config.write_crossbar_latency
+            first_result = element_start + crossbars + latency
+            completion = first_result + vl - 1
+            read_end = element_start + vl
+            # reserve the unit until the last element is read; the busy window
+            # recorded for the figure-4 breakdown lasts until the last result
+            if now < 0 or read_end < now:
+                raise SimulationError(f"unit {unit.name}: invalid reservation [{now}, {read_end})")
+            if read_end > unit._free_at:
+                unit._free_at = read_end
+            if completion > now:
+                unit.intervals.pairs.extend((now, completion))
+            elif completion < now:
+                raise SimulationError(
+                    f"unit {unit.name}: busy interval ends ({completion}) before it starts ({now})"
+                )
+            if instruction.dest_bank < 0:
+                # reductions deposit a scalar result once all elements are done
+                first_result = completion + 1
+            scoreboard.record_dispatch(
+                instruction, read_end, now + 1, first_result, completion + 1, True
+            )
+            return completion
+        if instruction.is_vector_memory:
+            vl = instruction.vl  # set on every vector opcode (``Instruction``)
+            units = self.vector_units
+            unit = units.only_load_store or units.memory_unit(now)
+            if unit._free_at > now:
+                raise SimulationError(
+                    f"LD unit is busy until {unit._free_at}, cannot dispatch at {now}"
+                )
+            address_earliest = now + 1 + config.vector_startup
+            if instruction.vector_src_keys:
+                # stores read their data register (and gathers their index
+                # vector) through the read crossbar; chaining from a functional
+                # unit is allowed, so the transfer starts at the producer's
+                # element rate.
+                address_earliest = (
+                    scoreboard.chain_start(instruction, address_earliest)
+                    + config.read_crossbar_latency
+                )
+            start, first_element, completion = self.memory.schedule_columnar(
+                instruction.memory_code, vl, instruction.stride or 1, address_earliest
+            )
+            streaming_end = start + vl
+            # the busy window recorded for the figure-4 breakdown lasts until
+            # the last datum has returned (loads) or one cycle past it (stores)
+            record_until = completion if instruction.is_load else completion + 1
+            # reserve the unit while it streams addresses
+            if now < 0 or streaming_end < now:
+                raise SimulationError(
+                    f"unit {unit.name}: invalid reservation [{now}, {streaming_end})"
+                )
+            if streaming_end > unit._free_at:
+                unit._free_at = streaming_end
+            if record_until > now:
+                unit.intervals.pairs.extend((now, record_until))
+            elif record_until < now:
+                raise SimulationError(
+                    f"unit {unit.name}: busy interval ends ({record_until}) "
+                    f"before it starts ({now})"
+                )
+            # vector loads/gathers are NOT chainable into functional units on
+            # the modeled machine: consumers wait for the full completion.
+            crossbar = config.write_crossbar_latency
+            scoreboard.record_dispatch(
+                instruction, streaming_end, now + 1, first_element + crossbar,
+                completion + crossbar + 1, False
+            )
+            return completion
+        if instruction.is_memory:
+            start, _first, completion = self.memory.schedule_columnar(
+                instruction.memory_code, 1, 1, now + 1
+            )
+            if instruction.dest_key >= 0:  # scalar load
+                completion += 1
+            scoreboard.record_dispatch(
+                instruction, start + 1, start + 1, completion, completion, True
+            )
+            return completion
         try:
             ready_at = now + self._scalar_latencies[instruction.latency_class]
         except KeyError:
-            ready_at = now + self.config.latencies.scalar_latency(instruction.latency_class)
-        context.scoreboard.record_dispatch(
-            instruction, now + 1, now + 1, ready_at, ready_at, True
-        )
+            ready_at = now + config.latencies.scalar_latency(instruction.latency_class)
+        scoreboard.record_dispatch(instruction, now + 1, now + 1, ready_at, ready_at, True)
         return ready_at
-
-    # ------------------------------------------------------------------ #
-    def _dispatch_scalar_memory(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> int:
-        start, _first, completion = self.memory.schedule_columnar(
-            instruction.memory_code, 1, 1, now + 1
-        )
-        if instruction.dest_key >= 0:  # scalar load
-            completion += 1
-        context.scoreboard.record_dispatch(
-            instruction, start + 1, start + 1, completion, completion, True
-        )
-        return completion
-
-    def _dispatch_vector_arithmetic(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> int:
-        vl = instruction.vl
-        if vl is None:
-            raise SimulationError(f"vector instruction without a vector length: {instruction}")
-        config = self.config
-        # VectorUnitPool.arithmetic_unit_for, inline
-        units = self.vector_units
-        unit = units.fu2
-        if not instruction.fu2_only:
-            free = units.fu1._free_at
-            if free <= now or free <= unit._free_at:
-                unit = units.fu1
-        if unit._free_at > now:
-            raise SimulationError(
-                f"vector unit {unit.name} is busy until {unit._free_at}, "
-                f"cannot dispatch at {now}"
-            )
-        try:
-            latency = self._vector_latencies[instruction.latency_class]
-        except KeyError:
-            latency = config.latencies.vector_latency(instruction.latency_class)
-        read_start = now + config.vector_startup
-        scoreboard = context.scoreboard
-        element_start = scoreboard.chain_start(instruction, read_start)
-        first_result = (
-            element_start
-            + config.read_crossbar_latency
-            + latency
-            + config.write_crossbar_latency
-        )
-        completion = first_result + vl - 1
-        read_end = element_start + vl
-        # reserve the unit until the last element is read; the busy window
-        # recorded for the figure-4 breakdown lasts until the last result
-        if now < 0 or read_end < now:
-            raise SimulationError(f"unit {unit.name}: invalid reservation [{now}, {read_end})")
-        if read_end > unit._free_at:
-            unit._free_at = read_end
-        if completion > now:
-            unit.intervals.pairs.extend((now, completion))
-        elif completion < now:
-            raise SimulationError(
-                f"unit {unit.name}: busy interval ends ({completion}) before it starts ({now})"
-            )
-        if instruction.dest_bank < 0:
-            # reductions deposit a scalar result once all elements are done
-            first_result = completion + 1
-        scoreboard.record_dispatch(
-            instruction, read_end, now + 1, first_result, completion + 1, True
-        )
-        return completion
-
-    def _dispatch_vector_memory(
-        self, context: HardwareContext, instruction: Instruction, now: int
-    ) -> int:
-        vl = instruction.vl
-        if vl is None:
-            raise SimulationError(f"vector instruction without a vector length: {instruction}")
-        config = self.config
-        units = self.vector_units.load_store_units
-        unit = units[0] if len(units) == 1 else self.vector_units.memory_unit(now)
-        if unit._free_at > now:
-            raise SimulationError(
-                f"LD unit is busy until {unit._free_at}, cannot dispatch at {now}"
-            )
-        address_earliest = now + 1 + config.vector_startup
-        scoreboard = context.scoreboard
-        if instruction.vector_src_keys:
-            # stores read their data register (and gathers their index vector)
-            # through the read crossbar; chaining from a functional unit is
-            # allowed, so the transfer starts at the producer's element rate.
-            address_earliest = (
-                scoreboard.chain_start(instruction, address_earliest)
-                + config.read_crossbar_latency
-            )
-        start, first_element, completion = self.memory.schedule_columnar(
-            instruction.memory_code, vl, instruction.stride or 1, address_earliest
-        )
-        streaming_end = start + vl
-        # the busy window recorded for the figure-4 breakdown lasts until the
-        # last datum has returned (loads) or one cycle past it (stores)
-        record_until = completion if instruction.is_load else completion + 1
-        # reserve the unit while it streams addresses
-        if now < 0 or streaming_end < now:
-            raise SimulationError(
-                f"unit {unit.name}: invalid reservation [{now}, {streaming_end})"
-            )
-        if streaming_end > unit._free_at:
-            unit._free_at = streaming_end
-        if record_until > now:
-            unit.intervals.pairs.extend((now, record_until))
-        elif record_until < now:
-            raise SimulationError(
-                f"unit {unit.name}: busy interval ends ({record_until}) before it starts ({now})"
-            )
-        # vector loads/gathers are NOT chainable into functional units on
-        # the modeled machine: consumers wait for the full completion.
-        write_crossbar = config.write_crossbar_latency
-        scoreboard.record_dispatch(
-            instruction,
-            streaming_end,
-            now + 1,
-            first_element + write_crossbar,
-            completion + write_crossbar + 1,
-            False,
-        )
-        return completion

@@ -15,6 +15,13 @@ The engine implements the decode behaviour of section 3:
   stays proportional to the instruction count rather than the cycle count
   (critical for a pure-Python cycle-level simulator).
 
+The single-decode loop keeps that rule literally: once the active thread's
+head issues, an inner loop dispatches its next heads with the job's cursor,
+fetch end and hazard bound in locals, and writes them back once the run ends
+(a blocked head, the fetch end or ``max_cycles``).  Only the active thread
+dispatches meanwhile, and ``finished`` changes only in ``head`` and ``_scan``,
+which it never calls.  Ready sets reach ``select`` in thread-id order.
+
 The Fujitsu-style *dual scalar* variant of section 9 (two complete scalar
 units sharing the vector facility, i.e. up to two instructions decoded per
 cycle but at most one of them vector) is implemented by a second loop,
@@ -142,9 +149,10 @@ class SimulationEngine:
         memory = self.memory
         # Instance-attribute wrappers shadow the class methods; every run
         # loop (and helper) resolves them through the instance, so all phase
-        # calls are timed.  They are removed again before returning so no
-        # wrapper outlives the run and the engine stays picklable.
+        # calls are timed (and scans counted).  They are removed again before
+        # returning so no wrapper outlives the run and the engine stays picklable.
         wrappers = {
+            (self, "_scan"): profile.count("scans", self._scan),
             (dispatch_model, "register_hazard"): profile.wrap(
                 "hazard_check", dispatch_model.register_hazard
             ),
@@ -161,10 +169,8 @@ class SimulationEngine:
             finalize_started = perf_counter()
             result = self._finalize(stop_reason)
             profile.add("finalize", perf_counter() - finalize_started)
-            profile.counts = {
-                "blocked_window_skips": self.blocked_window_skips,
-                "clamp_rescans": self.clamp_rescans,
-            }
+            profile.counts["blocked_window_skips"] = self.blocked_window_skips
+            profile.counts["clamp_rescans"] = self.clamp_rescans
         finally:
             for owner, name in wrappers:
                 owner.__dict__.pop(name, None)
@@ -175,93 +181,115 @@ class SimulationEngine:
     # single shared decode unit (reference and multithreaded machines)
     # ------------------------------------------------------------------ #
     def _run_single_decode(self, stop_after_context0: bool, max_cycles: int) -> str:
-        # The inner loop runs once per decode slot; every self-attribute it
-        # touches more than once per iteration is hoisted to a local.
+        # Every attribute the loops touch per decode slot or per dispatch is
+        # hoisted to a local, the decode clock included.
         context0 = self.contexts[0]
         dispatch_model = self.dispatch_model
         register_hazard = dispatch_model.register_hazard
         issue_scalar = dispatch_model.issue_scalar
-        latencies = self.config.latencies
         execute = dispatch_model.execute
+        latencies = self.config.latencies
         stats = self.stats
         select = self.scheduler.select
         units = self.vector_units
         fu1 = units.fu1
         fu2 = units.fu2
-        ld_units = units.load_store_units
-        ld = ld_units[0] if len(ld_units) == 1 else None
+        ld = units.only_load_store
+        cycle = self.cycle
         active: HardwareContext | None = None
-        while self.cycle < max_cycles:
-            # The groupings stop is tested at the top of every decode slot,
-            # in all three run loops, so it fires at consistent points even
-            # when no head can be fetched.
+        while cycle < max_cycles:
+            # The groupings stop is tested at the top of every decode slot
+            # where a context could have finished (``finished`` changes only
+            # in ``head`` and ``_scan``), in all three run loops.
             if stop_after_context0 and context0.finished:
+                self.cycle = cycle
                 return "stop-condition"
             if active is None or active.finished:
-                active = self._pick_initial(self.cycle, previous=active)
+                active = self._pick_initial(cycle, previous=active)
                 if active is None:
+                    self.cycle = cycle
                     return "completed"
-            cycle = self.cycle
-            head = active.pending
-            if head is None:
-                head = active.head(cycle)
-                if head is None:
-                    # this context ran out of work; pick another without losing a cycle
-                    active = None
-                    continue
-            issue = active.head_hazard
-            if head.scalar_unit_only:
-                # one call probes the head and, if it issues now, dispatches it
-                if issue is None or issue <= cycle:
-                    issue = issue_scalar(active.scoreboard, head, cycle, latencies)
-                    if issue <= cycle:
-                        active.consume(head)
-                        self.cycle = cycle + 1
-                        continue
-                    active.head_hazard = issue
-            else:
-                # Inlined _issue_cycle: the register-hazard bound is probed
-                # once per head, the unit term read live.
-                if issue is None:
-                    issue = active.head_hazard = register_hazard(active, head)
-                if head.is_vector_arithmetic:
-                    free = fu2._free_at
-                    if not head.fu2_only and fu1._free_at < free:
-                        free = fu1._free_at
-                    if free > issue:
-                        issue = free
-                elif head.is_vector_memory:
-                    free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
-                    if free > issue:
-                        issue = free
-                if issue <= cycle:
+            if active.pending is None and active.head(cycle) is None:
+                # this context ran out of work; pick another without losing a cycle
+                active = None
+                continue
+            # The active thread runs until it blocks: its heads are its
+            # sequence from the pending one on.  Cursor and clock advance
+            # together, so the run ends at the fetch end or at max_cycles.
+            sequence = active._sequence
+            scoreboard = active.scoreboard
+            hazard = active.head_hazard
+            first = active._cursor - 1
+            fetch_end = active._fetch_end
+            end = first + max_cycles - cycle
+            if end > fetch_end:
+                end = fetch_end
+            started = cycle
+            for index in range(first, end):
+                head = sequence[index]
+                if head.scalar_unit_only:
+                    # one call probes the head and, if it issues now, dispatches it
+                    if hazard is None or hazard <= cycle:
+                        hazard = issue_scalar(scoreboard, head, cycle, latencies)
+                    if hazard > cycle:
+                        break
+                else:
+                    # the register-hazard bound is probed once per head, the
+                    # unit term read live
+                    if hazard is None:
+                        hazard = register_hazard(scoreboard, head)
+                    issue = hazard
+                    if head.is_vector_arithmetic:
+                        free = fu2._free_at
+                        if not head.fu2_only and fu1._free_at < free:
+                            free = fu1._free_at
+                        if free > issue:
+                            issue = free
+                    elif head.is_vector_memory:
+                        free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
+                        if free > issue:
+                            issue = free
+                    if issue > cycle:
+                        break
                     execute(active, head, cycle)
-                    active.consume(head)
-                    self.cycle = cycle + 1
-                    continue
-            # the active thread blocks: the decode cycle is lost and the switch
-            # logic picks another non-blocked thread for the following cycle.
+                cycle += 1
+                hazard = None
+            else:
+                # no head blocked; at max_cycles the next one is fetched ahead
+                index = end
+                head = sequence[end] if end < fetch_end else None
+            thread = active.stats
+            thread.instructions += cycle - started
+            active.pending = head
+            active.head_hazard = hazard
+            if head is None:
+                active._cursor = end
+                continue
+            active._cursor = index + 1
+            if cycle == max_cycles:
+                continue
+            # the head blocks: the decode cycle is lost and the switch logic
+            # picks another non-blocked thread for the following cycle.
+            thread.lost_decode_cycles += 1
             stats.decode_lost_cycles += 1
-            active.stats.lost_decode_cycles += 1
             cycle += 1
-            self.cycle = cycle
             earliest, ready = self._scan(cycle)
             if earliest is None:
+                self.cycle = cycle
                 return "completed"
             if earliest > cycle:
                 # every context is blocked; nothing dispatches before
                 # ``earliest``, so the contexts issuing there are the ready
                 # set after the jump — unless the jump was clamped at
                 # max_cycles, where we rescan.
-                self._skip_blocked_window(earliest, max_cycles)
-                if self.cycle < earliest:
+                cycle = self._skip_blocked_window(cycle, earliest, max_cycles)
+                if cycle < earliest:
                     self.clamp_rescans += 1
-                    earliest, ready = self._scan(self.cycle)
-            if earliest == self.cycle:
-                if len(ready) == 1:
-                    active = ready[0]
-                else:
-                    active = select(ready, previous=active, cycle=earliest)
+                    earliest, ready = self._scan(cycle)
+            if earliest == cycle:
+                # a lone ready context is taken without asking the scheduler
+                active = ready[0] if len(ready) == 1 else select(ready, previous=active, cycle=cycle)
+        self.cycle = cycle
         return "max-cycles"
 
     # ------------------------------------------------------------------ #
@@ -317,10 +345,9 @@ class SimulationEngine:
                 continue
             if not any_head:
                 return "completed"
+            # nothing dispatched, so every head blocked and set ``blocked_until``
             stats.decode_lost_cycles += 1
-            self.cycle = cycle + 1
-            if blocked_until is not None:
-                self._skip_blocked_window(blocked_until, max_cycles)
+            self.cycle = self._skip_blocked_window(cycle + 1, blocked_until, max_cycles)
         return "max-cycles"
 
     # ------------------------------------------------------------------ #
@@ -376,10 +403,9 @@ class SimulationEngine:
             if dispatched:
                 self.cycle = cycle + 1
                 continue
+            # nothing dispatched, so every head blocked and set ``blocked_until``
             stats.decode_lost_cycles += 1
-            self.cycle = cycle + 1
-            if blocked_until is not None:
-                self._skip_blocked_window(blocked_until, max_cycles)
+            self.cycle = self._skip_blocked_window(cycle + 1, blocked_until, max_cycles)
         return "max-cycles"
 
     # ------------------------------------------------------------------ #
@@ -388,15 +414,14 @@ class SimulationEngine:
     def _issue_cycle(self, context: HardwareContext, head: Instruction, now: int) -> int:
         """Earliest cycle the pending ``head`` could issue: ``max(hazard, unit free)``.
 
-        The register-hazard bound is probed once per head through
-        ``dispatch_model.register_hazard`` (so profiled runs count it) and
-        kept on the context; the unit term is read live, as other contexts'
-        dispatches move it.  The result may lie before ``now``; callers only
-        compare it with ``now``.
+        The hazard bound is probed once per head and kept on the context; the
+        unit term is read live.  The result may lie before ``now``.
         """
         issue = context.head_hazard
         if issue is None:
-            issue = context.head_hazard = self.dispatch_model.register_hazard(context, head)
+            issue = context.head_hazard = self.dispatch_model.register_hazard(
+                context.scoreboard, head
+            )
         if head.is_vector_arithmetic:
             free = self.vector_units.arithmetic_unit_for(head, now)._free_at
         elif head.is_vector_memory:
@@ -405,19 +430,19 @@ class SimulationEngine:
             return issue
         return issue if issue > free else free
 
-    def _skip_blocked_window(self, target: int, max_cycles: int) -> None:
-        """Jump the decode clock forward over a window where nothing can issue.
+    def _skip_blocked_window(self, now: int, target: int, max_cycles: int) -> int:
+        """The decode clock after a jump from ``now`` to ``target``, clamped at ``max_cycles``.
 
-        ``target`` is the earliest cycle at which any context may unblock.
-        The jump is clamped to ``max_cycles`` and the skipped cycles are
-        accounted as decode-idle time.  Shared by all three run loops.
+        Nothing issues before ``target``, the earliest cycle any context may
+        unblock; the skipped cycles are decode-idle time.
         """
         if target > max_cycles:
             target = max_cycles
-        if target > self.cycle:
-            self.blocked_window_skips += 1
-            self.stats.decode_idle_cycles += target - self.cycle
-            self.cycle = target
+        if target <= now:
+            return now
+        self.blocked_window_skips += 1
+        self.stats.decode_idle_cycles += target - now
+        return target
 
     def _pick_initial(
         self, cycle: int, previous: HardwareContext | None
@@ -433,17 +458,15 @@ class SimulationEngine:
     def _scan(self, cycle: int) -> tuple[int | None, list[HardwareContext]]:
         """The earliest issue cycle over the contexts with work, and who issues then.
 
-        If that cycle is ``cycle`` the contexts are the ready set; otherwise
-        all are blocked until then and, as nothing dispatches inside the
-        window, they are the ready set after the jump.  ``(None, [])`` once no
-        context has work left.  Probes inline :meth:`_issue_cycle`.
+        The contexts, in thread-id order, are the ready set at ``cycle``, or
+        else the ready set after the jump (nothing dispatches before then).
+        ``(None, [])`` once no context has work left.  Probes inline
+        :meth:`_issue_cycle`.
         """
-        register_hazard = self.dispatch_model.register_hazard
         units = self.vector_units
         fu1 = units.fu1
         fu2 = units.fu2
-        ld_units = units.load_store_units
-        ld = ld_units[0] if len(ld_units) == 1 else None
+        ld = units.only_load_store
         earliest: int | None = None
         at_earliest: list[HardwareContext] = []
         for context in self.contexts:
@@ -454,7 +477,9 @@ class SimulationEngine:
                     continue
             time = context.head_hazard
             if time is None:
-                time = context.head_hazard = register_hazard(context, head)
+                time = context.head_hazard = self.dispatch_model.register_hazard(
+                    context.scoreboard, head
+                )
             if head.is_vector_arithmetic:
                 free = fu2._free_at
                 if not head.fu2_only and fu1._free_at < free:
@@ -486,10 +511,8 @@ class SimulationEngine:
         units = self.vector_units
         stats.fu1_intervals = units.fu1.intervals
         stats.fu2_intervals = units.fu2.intervals
-        if len(units.load_store_units) == 1:
-            stats.ld_intervals = units.load_store.intervals
-        else:
-            stats.ld_intervals = units.combined_load_store_intervals()
+        ld = units.only_load_store
+        stats.ld_intervals = units.combined_load_store_intervals() if ld is None else ld.intervals
         # close the jobs still running; each closed job has added its
         # executed prefix's counters to its thread, and the run totals are
         # sums over the threads

@@ -60,11 +60,8 @@ class VectorUnitPool:
             FunctionalUnit("LD" if index == 0 else f"LD{index}")
             for index in range(num_load_store_units)
         ]
-
-    @property
-    def load_store(self) -> FunctionalUnit:
-        """The first (and usually only) memory unit."""
-        return self.load_store_units[0]
+        #: The LD unit of a one-port machine, else ``None`` (see :meth:`memory_unit`).
+        self.only_load_store = self.load_store_units[0] if num_load_store_units == 1 else None
 
     def combined_load_store_intervals(self) -> FlatIntervalRecorder:
         """Busy intervals of the memory unit(s), merged for the figure-4 breakdown."""
@@ -96,7 +93,6 @@ class VectorUnitPool:
 
     def memory_unit(self, now: int) -> FunctionalUnit:
         """The memory unit that can accept a new instruction earliest."""
-        units = self.load_store_units
-        if len(units) == 1:
-            return units[0]
-        return min(units, key=lambda unit: max(now, unit._free_at))
+        if self.only_load_store is not None:
+            return self.only_load_store
+        return min(self.load_store_units, key=lambda unit: max(now, unit._free_at))

@@ -40,8 +40,10 @@ class ThreadScheduler:
     ) -> HardwareContext:
         """Choose one of the ``ready`` (non-blocked, unfinished) contexts.
 
-        ``ready`` is never empty; ``previous`` is the context the decode unit
-        looked at last (the one that just blocked or completed its program).
+        ``ready`` is never empty and is in thread-id order (the engine builds
+        it by one pass over its contexts); ``previous`` is the context the
+        decode unit looked at last (the one that just blocked or completed
+        its program).
         """
         raise NotImplementedError
 
@@ -58,7 +60,7 @@ class UnfairBlockingScheduler(ThreadScheduler):
         previous: HardwareContext | None,
         cycle: int,
     ) -> HardwareContext:
-        return min(ready, key=lambda context: context.thread_id)
+        return ready[0]
 
 
 class RoundRobinScheduler(ThreadScheduler):
@@ -73,14 +75,12 @@ class RoundRobinScheduler(ThreadScheduler):
         previous: HardwareContext | None,
         cycle: int,
     ) -> HardwareContext:
-        if previous is None:
-            return min(ready, key=lambda context: context.thread_id)
-        start = previous.thread_id + 1
-        modulus = _modulus(ready, previous)
-        return min(
-            ready,
-            key=lambda context: ((context.thread_id - start) % modulus, context.thread_id),
-        )
+        # the first ready thread after ``previous``, else wrap to the first
+        if previous is not None:
+            for context in ready:
+                if context.thread_id > previous.thread_id:
+                    return context
+        return ready[0]
 
 
 class LeastServiceScheduler(ThreadScheduler):
@@ -95,12 +95,8 @@ class LeastServiceScheduler(ThreadScheduler):
         previous: HardwareContext | None,
         cycle: int,
     ) -> HardwareContext:
-        return min(ready, key=lambda context: (context.stats.instructions, context.thread_id))
-
-
-def _modulus(ready: Sequence[HardwareContext], previous: HardwareContext) -> int:
-    """Rotation length: the rotation must pass ``previous`` before wrapping to 0."""
-    return max(max(context.thread_id for context in ready), previous.thread_id) + 1
+        # ``min`` keeps the first of equals: ties go to the lowest thread id
+        return min(ready, key=lambda context: context.stats.instructions)
 
 
 _SCHEDULERS: dict[str, type[ThreadScheduler]] = {

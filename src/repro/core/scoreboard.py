@@ -137,11 +137,11 @@ class ColumnarScoreboard:
     # ------------------------------------------------------------------ #
     # dispatch-time constraint computation
     # ------------------------------------------------------------------ #
-    def earliest_dispatch(self, instruction: Instruction, now: int) -> int:
+    def earliest_dispatch(self, instruction: Instruction, now: int = 0) -> int:
         """Earliest cycle at which register hazards allow dispatching.
 
-        Equals ``max(now, earliest_dispatch(instruction, 0))``, so the engine
-        probes each head once with ``now=0`` (``HardwareContext.head_hazard``).
+        Equals ``max(now, earliest_dispatch(instruction))``, so the engine
+        probes each head once, as ``DispatchModel.register_hazard``.
         """
         earliest = now
         ready_at = self._ready_at

@@ -1,13 +1,12 @@
 """Opt-in per-phase profiling of the simulator hot loop.
 
-The engine's run loops hoist their phase callables
-(``dispatch_model.register_hazard``; ``dispatch_model.issue_scalar``, the
-scoreboard's one-call probe and dispatch of a scalar-unit head;
-``dispatch_model.execute``; ``memory.schedule_columnar``) into locals **once
-at loop setup**, so the profiler works by *function selection*: when
-profiling is enabled, :meth:`SimulationEngine.run` installs timing wrappers
-as instance attributes before the loop binds its locals; when it is disabled
-nothing is installed and the loop runs the exact same bytecode it always did
+The engine's run loops hoist their phase callables (the dispatch model's
+``register_hazard``, ``issue_scalar`` and ``execute``, and
+``memory.schedule_columnar``) into locals **once at loop setup**, so the
+profiler works by *function selection*: a profiled
+:meth:`SimulationEngine.run` installs timing wrappers (and a call counter on
+the engine's ``_scan``) as instance attributes before the loop binds its
+locals; an unprofiled one installs nothing and runs the exact same bytecode
 — zero added work per iteration, byte-identical statistics.
 
 Enable with ``REPRO_PROFILE=1`` in the environment or per-call with
@@ -96,15 +95,28 @@ class PhaseProfile:
 
         return timed
 
+    def count(self, name: str, fn):
+        """A closure that counts every call to ``fn`` as ``counts[name]``."""
+        counts = self.counts
+        counts[name] = 0
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
     def wrap_issue(self, fn):
         """A closure that times ``issue_scalar(scoreboard, instruction, now, latencies)``.
 
         The call returns the head's hazard bound: a call whose bound is later
-        than ``now`` found the head blocked and is a ``hazard_check``, one
-        that dispatched the head is a ``dispatch``.
+        than ``now`` found the head blocked and is a ``hazard_check`` (and a
+        ``blocked_issue_probes`` count), one that dispatched it a ``dispatch``.
         """
         seconds = self.seconds
         calls = self.calls
+        counts = self.counts
+        counts["blocked_issue_probes"] = 0
 
         def timed(scoreboard, instruction, now, latencies):
             started = perf_counter()
@@ -113,6 +125,7 @@ class PhaseProfile:
                 bound = fn(scoreboard, instruction, now, latencies)
                 if bound > now:
                     charged = "hazard_check"
+                    counts["blocked_issue_probes"] += 1
                 return bound
             finally:
                 seconds[charged] += perf_counter() - started

@@ -100,6 +100,10 @@ STALE_TMP_SECONDS = 300.0
 #: also holds the directory's byte ledger.
 LOCK_FILENAME = ".store.lock"
 
+#: Eviction frees room down to this fraction of ``max_bytes``, so a full
+#: store walks its directory once per tenth of the bound written, not per put.
+EVICT_LOW_WATER = 0.9
+
 #: Process-wide counter making concurrent tmp names unique within one process
 #: (the pid in the name makes them unique across processes).
 _tmp_seq = itertools.count()
@@ -399,7 +403,7 @@ class ResultStore:
             os.close(handle)
 
     def _evict_to_bound(self, protect: str | None = None) -> None:
-        """Evict LRU entries until the indexed bytes fit ``max_bytes``.
+        """Evict LRU entries until the indexed bytes fit :data:`EVICT_LOW_WATER`.
 
         Callers enforcing the *shared-directory* bound must :meth:`_scan`
         first (under :meth:`_dir_lock`) so the index covers entries written
@@ -407,8 +411,9 @@ class ResultStore:
         """
         if self.max_bytes is None:
             return
+        low_water = self.max_bytes * EVICT_LOW_WATER
         for victim in sorted(self._index, key=lambda digest: self._index[digest][1]):
-            if self._total <= self.max_bytes or len(self._index) <= 1:
+            if self._total <= low_water or len(self._index) <= 1:
                 break
             if victim != protect:
                 self._discard(victim, evicted=True)

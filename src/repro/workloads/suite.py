@@ -27,6 +27,7 @@ from repro.workloads.program import Program
 __all__ = [
     "DEFAULT_SCALE",
     "INSTRUCTIONS_PER_MILLION",
+    "MAX_SCALE",
     "build_benchmark",
     "build_suite",
     "spec_for_profile",
@@ -38,6 +39,10 @@ INSTRUCTIONS_PER_MILLION = 40.0
 #: Default scale used by tests and the experiment harness.
 DEFAULT_SCALE = 1.0
 
+#: Largest scale a benchmark is built at, 100x the full preset's (about 1.6M
+#: dynamic instructions for trfd): no overflowing or billion-instruction builds.
+MAX_SCALE = 100.0
+
 #: Smallest number of vector instructions a scaled benchmark may have; keeps
 #: extremely scaled-down programs from degenerating into a single iteration.
 _MIN_VECTOR_INSTRUCTIONS = 40
@@ -46,8 +51,8 @@ _MIN_SCALAR_INSTRUCTIONS = 20
 
 def spec_for_profile(profile: BenchmarkProfile, scale: float = DEFAULT_SCALE) -> WorkloadSpec:
     """Convert a Table 3 profile into a concrete :class:`WorkloadSpec`."""
-    if scale <= 0:
-        raise WorkloadError(f"scale must be positive, got {scale}")
+    if not 0 < scale <= MAX_SCALE:
+        raise WorkloadError(f"scale must be in (0, {MAX_SCALE}], got {scale}")
     vector_instructions = max(
         _MIN_VECTOR_INSTRUCTIONS,
         round(profile.vector_minsns * INSTRUCTIONS_PER_MILLION * scale),

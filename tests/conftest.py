@@ -8,12 +8,19 @@ the whole suite stays fast while still exercising the full pipeline
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.api import Machine
 from repro.core import MachineConfig
 from repro.workloads import build_benchmark, build_suite
 from repro.workloads.kernels import get_kernel
 from repro.workloads.program import AddressSpace, Program, ScalarLoopNest, VectorLoopNest
+
+#: ``pytest --hypothesis-profile=deep`` gives every property ten times the
+#: examples of the default profile; properties that pin their own count
+#: scale it through ``settings.default.max_examples`` (CI's
+#: ``seed-equivalence-deep`` job).
+settings.register_profile("deep", max_examples=10 * settings.get_profile("default").max_examples)
 
 #: Scale used for the session-scoped miniature benchmark suite.
 TINY_SCALE = 0.05

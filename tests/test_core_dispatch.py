@@ -166,7 +166,7 @@ class TestVectorArithmeticTiming:
         model.execute(other, vmul(V(7), V(4), V(5), vl=128), now=171)
         # no register hazard: the issue bound is the picked unit's free cycle
         add, mul = vadd(V(2), V(0), V(1), vl=8), vmul(V(2), V(0), V(1), vl=8)
-        assert model.register_hazard(context, add) == 0
+        assert model.register_hazard(context.scoreboard, add) == 0
         assert pool.arithmetic_unit_for(add, now=0).free_at == 200
         assert pool.arithmetic_unit_for(mul, now=0).free_at == 300
 
@@ -194,7 +194,7 @@ class TestVectorMemoryTiming:
         assert load.memory_transactions == 77
         assert memory.address_port_busy_cycles == 77
         # the LD unit is free again once the addresses have been streamed
-        assert pool.load_store.free_at < completion
+        assert pool.only_load_store.free_at < completion
 
     def test_store_chains_from_functional_unit(self):
         model, context, _, memory, _ = make_model()
@@ -209,7 +209,8 @@ class TestVectorMemoryTiming:
         model, context, _, _, _ = make_model(latency=30)
         model.execute(context, vload(V(0), vl=32, address=0x100), now=0)
         load_ready = context.scoreboard.state(V(0)).ready_at
-        assert model.register_hazard(context, vstore(V(0), A(0), vl=32, address=0x200)) >= load_ready
+        store = vstore(V(0), A(0), vl=32, address=0x200)
+        assert model.register_hazard(context.scoreboard, store) >= load_ready
 
     def test_gather_pays_latency_like_a_load(self):
         model, context, _, _, _ = make_model(latency=60)
@@ -222,8 +223,8 @@ class TestVectorMemoryTiming:
         """A second independent load starts streaming right after the first."""
         model, context, _, memory, _ = make_model()
         model.execute(context, vload(V(0), vl=64, address=0x100), now=0)
-        free_after_first = model.vector_units.load_store.free_at
-        assert model.register_hazard(context, vload(V(2), vl=64, address=0x900)) == 0
+        free_after_first = model.vector_units.only_load_store.free_at
+        assert model.register_hazard(context.scoreboard, vload(V(2), vl=64, address=0x900)) == 0
         assert model.vector_units.memory_unit(now=0).free_at == free_after_first
 
     def test_memory_latency_zero_still_works(self):
@@ -252,7 +253,7 @@ class TestDispatchErrors:
         model, context, pool, _, _ = make_model()
         # streams addresses from cycle 2 until 100
         model.execute(make_context(1), vload(V(4), vl=98, address=0), now=0)
-        assert pool.load_store.free_at == 100
+        assert pool.only_load_store.free_at == 100
         with pytest.raises(SimulationError):
             model.execute(context, vload(V(0), vl=8, address=0), now=0)
 

@@ -42,9 +42,9 @@ class TestFunctionalUnit:
         pool = VectorUnitPool()
         dispatcher(pool, memory_latency=130)(vload(V(0), vl=128, address=0), 0)
         # the LD unit streams addresses over [2, 130) ...
-        assert pool.load_store.free_at == 130
+        assert pool.only_load_store.free_at == 130
         # ... and its busy window lasts until the last datum returns
-        assert pool.load_store.intervals.busy_cycles() == 260
+        assert pool.only_load_store.intervals.busy_cycles() == 260
 
     def test_invalid_reservation(self):
         pool = VectorUnitPool()
@@ -53,7 +53,7 @@ class TestFunctionalUnit:
             dispatch(vadd(V(2), V(0), V(1), vl=8), -1)
         with pytest.raises(SimulationError):
             dispatch(vload(V(0), vl=8, address=0), -1)
-        assert len(pool.fu1.intervals) == len(pool.load_store.intervals) == 0
+        assert len(pool.fu1.intervals) == len(pool.only_load_store.intervals) == 0
 
 
 class TestVectorUnitPool:
@@ -94,7 +94,7 @@ class TestVectorUnitPool:
         pool = VectorUnitPool()
         dispatcher(pool)(vload(V(0), vl=62, address=0), 0)  # streams over [2, 64)
         unit = pool.memory_unit(now=10)
-        assert unit is pool.load_store
+        assert unit is pool.only_load_store
         assert unit.free_at == 64
 
     def test_non_arithmetic_rejected(self):

@@ -46,6 +46,15 @@ from repro.workloads.kernels import kernel_names
 
 from tests.seed_engine import SeedEngine
 
+
+def examples(count: int) -> int:
+    """``count`` examples, scaled by the loaded Hypothesis profile.
+
+    1x under the default profile, 10x under ``--hypothesis-profile=deep``
+    (registered in ``tests/conftest.py``).
+    """
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
+
 # --------------------------------------------------------------------------- #
 # workload generation
 # --------------------------------------------------------------------------- #
@@ -177,7 +186,7 @@ def run_both(
 # model 1: the reference architecture
 # --------------------------------------------------------------------------- #
 class TestReferenceEquivalence:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     @given(spec=workload_strategy, latency=st.sampled_from([1, 25, 50, 100]))
     def test_single_context_runs_are_cycle_identical(self, spec, latency):
         job = Job.from_program(build_workload(spec))
@@ -185,7 +194,7 @@ class TestReferenceEquivalence:
         fast, seed = run_both(config, lambda: [SingleJobSupplier(job)])
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(spec=workload_strategy, limit=st.integers(min_value=5, max_value=150))
     def test_fractional_runs_with_instruction_limits(self, spec, limit):
         job = Job.from_program(build_workload(spec))
@@ -195,7 +204,7 @@ class TestReferenceEquivalence:
         )
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(
         spec=workload_strategy,
         num_banks=st.sampled_from([2, 16, 64]),
@@ -218,7 +227,7 @@ class TestReferenceEquivalence:
 # model 2: the multithreaded architecture
 # --------------------------------------------------------------------------- #
 class TestMultithreadedEquivalence:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     @given(
         num_contexts=st.sampled_from([2, 3, 4]),
         scheduler=st.sampled_from(["unfair", "round_robin", "least_service"]),
@@ -239,7 +248,7 @@ class TestMultithreadedEquivalence:
         )
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(
         num_contexts=st.sampled_from([2, 4]),
         latency=st.sampled_from([1, 50, 100]),
@@ -256,7 +265,7 @@ class TestMultithreadedEquivalence:
         fast, seed = run_both(config, make_suppliers)
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=examples(6), deadline=None)
     @given(spec=workload_strategy, crossbar=st.sampled_from([1, 3, 50]))
     def test_crossbar_sweep_is_cycle_identical(self, spec, crossbar):
         job = Job.from_program(build_workload(spec))
@@ -273,7 +282,7 @@ class TestMultithreadedEquivalence:
 # model 3: the dual-scalar (Fujitsu-style) machine
 # --------------------------------------------------------------------------- #
 class TestDualScalarEquivalence:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     @given(
         seed_vl=st.sampled_from([4, 32, 128]),
         latency=st.sampled_from([1, 50, 100]),
@@ -290,7 +299,7 @@ class TestDualScalarEquivalence:
         )
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=examples(6), deadline=None)
     @given(spec=workload_strategy)
     def test_dual_scalar_job_queue_is_cycle_identical(self, spec):
         job = Job.from_program(build_workload(spec))
@@ -308,7 +317,7 @@ class TestDualScalarEquivalence:
 # model 4: the Cray-style multi-issue / multi-port machine
 # --------------------------------------------------------------------------- #
 class TestCrayStyleEquivalence:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(
         num_contexts=st.sampled_from([2, 4]),
         issue_width=st.sampled_from([2, 3]),
@@ -330,7 +339,7 @@ class TestCrayStyleEquivalence:
         fast, seed = run_both(config, make_suppliers)
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(
         num_contexts=st.sampled_from([2, 3, 4]),
         issue_width=st.sampled_from([2, 3]),
@@ -425,7 +434,7 @@ def hazard_corner_instructions(draw):
 
 
 class TestHazardCornerEquivalence:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     @given(
         instructions=hazard_corner_instructions(),
         latency=st.sampled_from([1, 2, 50]),
@@ -446,7 +455,7 @@ class TestHazardCornerEquivalence:
         fast, seed = run_both(config, lambda: [SingleJobSupplier(job)])
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     @given(
         instructions=hazard_corner_instructions(),
         crossbar=st.sampled_from([1, 2, 3]),
@@ -475,7 +484,7 @@ class TestHazardCornerEquivalence:
         )
         assert_cycle_identical(fast, seed)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(instructions=hazard_corner_instructions())
     def test_dual_scalar_hazard_corners(self, instructions):
         job = Job.from_instructions("hazard-dual", instructions)
@@ -493,7 +502,7 @@ class TestHazardCornerEquivalence:
 # trace-driven replay: both decode paths feed identical streams
 # --------------------------------------------------------------------------- #
 class TestTraceReplayEquivalence:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(spec=workload_strategy)
     def test_trace_replay_matches_program_replay(self, spec):
         from repro.trace.dixie import trace_program
@@ -578,7 +587,7 @@ class TestExpansionInterningEquivalence:
         clear_expansion_intern()
 
     @given(spec=workload_strategy)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_interned_stream_matches_uninterned(self, spec):
         from repro.workloads.program import expansion_intern_info
 
@@ -650,7 +659,7 @@ CUT_MACHINES = {
 
 
 class TestMaxCyclesCutEquivalence:
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=examples(30), deadline=None, derandomize=True)
     @given(
         machine=st.sampled_from(sorted(CUT_MACHINES)),
         grouped=st.booleans(),

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from repro.api import Machine
-from repro.core import Job, MachineConfig, SimulationEngine, SingleJobSupplier
+from repro.core import Job, JobQueueSupplier, MachineConfig, SimulationEngine, SingleJobSupplier
 from repro.obs import (
     PROFILE_ENV_VAR,
     PROFILE_PHASES,
@@ -111,9 +111,9 @@ class TestEngineProfiling:
             model.register_hazard, model.execute, model.issue_scalar
         )
 
-        def probe(context, head):
+        def probe(scoreboard, head):
             calls["register_hazard"] += 1
-            return register_hazard(context, head)
+            return register_hazard(scoreboard, head)
 
         def dispatch(context, head, now):
             calls["execute"] += 1
@@ -136,9 +136,42 @@ class TestEngineProfiling:
             == calls["register_hazard"] + calls["blocked"]
         )
         assert profile["phases"]["finalize"]["calls"] == 1
-        assert set(profile["counts"]) == {"blocked_window_skips", "clamp_rescans"}
+        assert set(profile["counts"]) == {
+            "blocked_window_skips",
+            "clamp_rescans",
+            "scans",
+            "blocked_issue_probes",
+        }
         assert profile["counts"]["blocked_window_skips"] > 0
         assert profile["counts"]["clamp_rescans"] == 0
+        assert profile["counts"]["blocked_issue_probes"] == calls["blocked"]
+
+    @pytest.mark.parametrize(
+        "max_cycles,expected",
+        [
+            # the whole queue: no jump is clamped
+            (None, {"scans": 711, "blocked_issue_probes": 316,
+                    "blocked_window_skips": 459, "clamp_rescans": 0}),
+            # cut inside a blocked window: one clamped jump and its rescan
+            (5_000, {"scans": 73, "blocked_issue_probes": 8,
+                     "blocked_window_skips": 63, "clamp_rescans": 1}),
+        ],
+    )
+    def test_loop_counts_of_a_fixed_queue_run(self, max_cycles, expected):
+        # Three contexts share one queue of six programs.  The counts are
+        # properties of the decode schedule, not of how the loop is coded:
+        # the same for a loop that goes back to the top after each dispatch
+        # and for one that lets the active thread run until it blocks.
+        queue = JobQueueSupplier(
+            [
+                Job.from_program(build_benchmark(name, scale=SCALE))
+                for name in ("swm256", "hydro2d", "tomcatv", "dyfesm", "trfd", "flo52")
+            ]
+        )
+        engine = SimulationEngine(MachineConfig.multithreaded(3, 50), [queue] * 3)
+        with force_profiling(True):
+            result = engine.run() if max_cycles is None else engine.run(max_cycles=max_cycles)
+        assert result.phase_profile["counts"] == expected
 
     def test_env_var_profiles_plain_run(self, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV_VAR, "1")
@@ -168,6 +201,7 @@ class TestEngineProfiling:
         # run; none may survive into the next (unprofiled) run
         for name in ("register_hazard", "issue_scalar", "execute"):
             assert name not in vars(engine.dispatch_model)
+        assert "_scan" not in vars(engine)
         assert "schedule_columnar" not in vars(engine.memory)
         pickle.dumps(engine)
         unprofiled = Machine.named("reference").run(_workload())

@@ -14,11 +14,13 @@ machine, whatever its exact numbers:
   returned or sent, and no address port is still busy after it, also where
   several deliveries overlap (bank conflicts, several ports);
 * the memory-port occupancy and idle fraction lie in [0, 1], and a
-  single-port run takes at least the IDEAL machine's bound.
+  single-port run takes at least the IDEAL machine's bound;
+* a longer vector start-up never makes a program finish sooner, on one
+  context or with the program on each of three.
 
 Deterministic: fixed programs (scale 0.1) on a fixed grid, no randomness.
-Multi-context runs are checked for counts only; their cycles need not be
-monotone in latency (queue order effects).
+Multi-context queue runs are checked for counts only; their cycles need not
+be monotone in latency (queue order effects).
 """
 
 from __future__ import annotations
@@ -110,6 +112,27 @@ def test_queue_run_counts_every_dispatch_once(config):
         _program(name).dynamic_instruction_count for name in BENCHMARK_ORDER
     )
     assert sum(result.fu_state_vector()) == result.cycles
+
+
+# --------------------------------------------------------------------------- #
+# vector start-up: a slower start never finishes sooner
+# --------------------------------------------------------------------------- #
+VECTOR_STARTUPS = (0, 1, 2, 4, 8)
+
+
+@pytest.mark.parametrize("contexts", [1, 3])
+@pytest.mark.parametrize("name", BENCHMARK_ORDER)
+def test_cycles_nondecreasing_in_vector_startup(name, contexts):
+    # on three contexts every context runs its own copy of the program
+    base = MachineConfig.reference(50) if contexts == 1 else MachineConfig.multithreaded(3, 50)
+    ends = []
+    for startup in VECTOR_STARTUPS:
+        suppliers = [SingleJobSupplier(Job.from_program(_program(name))) for _ in range(contexts)]
+        result = SimulationEngine(replace(base, vector_startup=startup), suppliers).run()
+        ends.append((result.cycles, result.completion_cycles))
+    for field in (0, 1):
+        column = [end[field] for end in ends]
+        assert column == sorted(column), ends
 
 
 # --------------------------------------------------------------------------- #

@@ -179,10 +179,11 @@ class TestEndpoints:
             {**TOMCATV_JOB, "restart_companions": "no"},
             {**TOMCATV_JOB, "tag": [1, 2]},
             {"machine": "reference", "workloads": [{"benchmark": ["tomcatv"]}]},
-            # the client's json writes these as NaN, Infinity and 400 digits
+            # the client's json writes these as NaN, Infinity and 400 digits;
+            # 1e308 and 1e6 are finite but past the build ceiling
             *(
                 {"machine": "reference", "workloads": [{"benchmark": "tomcatv", "scale": scale}]}
-                for scale in (float("nan"), float("inf"), 10**400)
+                for scale in (float("nan"), float("inf"), 10**400, 1e308, 1e6)
             ),
         ],
     )

@@ -103,6 +103,10 @@ class TestDecodeMemo:
             {"benchmark": "swm256", "scale": float("inf")},
             json.loads('{"benchmark": "swm256", "scale": 1e400}'),
             {"benchmark": "swm256", "scale": 10**400},
+            # finite, but past the build ceiling: an overflowing instruction
+            # count, and a program of billions of instructions
+            {"benchmark": "swm256", "scale": 1e308},
+            {"benchmark": "swm256", "scale": 1e6},
             {"benchmark": "swm256", "scale": SCALE, "seed": 3},
             {"workload": {"name": "w", "loops": [{"kernel": "triad", "bogus": 1}]}},
             # mixed key types cannot be sorted: decoded without the memo

@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.service import ResultStore, code_fingerprint, key_digest
 from repro.service.store import (
     ENTRY_SUFFIX,
+    EVICT_LOW_WATER,
     LOCK_FILENAME,
     MAX_QUARANTINE_FILES,
     QUARANTINE_SUFFIX,
@@ -453,6 +454,29 @@ class TestByteLedger:
         assert len(scandirs) == 1
         assert _ledger(tmp_path) == _entry_bytes(tmp_path) == 7 * entry
         assert store.evictions == 0 and len(store) == 7
+
+    def test_a_full_store_rescans_once_per_low_water_gap(self, tmp_path, scandirs):
+        payload = b"x" * 1_000
+        store = ResultStore(tmp_path, max_bytes=1 << 30)
+        store.put_bytes(_fake_key("f000"), payload)
+        entry = _ledger(tmp_path)  # every key below has this envelope size
+        store.max_bytes = 200 * entry
+        for index in range(1, 200):
+            store.put_bytes(_fake_key(f"f{index:03d}"), payload)
+        assert store.evictions == 0 and _ledger(tmp_path) == store.max_bytes
+        scandirs.clear()
+        for index in range(200, 300):
+            store.put_bytes(_fake_key(f"f{index:03d}"), payload)
+            assert _ledger(tmp_path) == _entry_bytes(tmp_path) <= store.max_bytes
+        # Evicting only to the bound would walk the directory on each of the
+        # 100 puts.  A walk evicts down to the low-water mark instead (the
+        # overflowing entry and the 20-entry gap below the bound), so the 20
+        # puts that follow fit without one.
+        gap = round(200 * (1 - EVICT_LOW_WATER))
+        assert gap == 20
+        assert len(scandirs) == 5  # puts 1, 22, 43, 64 and 85
+        assert store.evictions == 5 * (gap + 1)
+        assert _fake_key("f299") in store and _fake_key("f000") not in store
 
     def test_garbage_ledger_is_rescanned_once_and_rewritten(self, tmp_path, scandirs):
         store = ResultStore(tmp_path)
