@@ -3,8 +3,9 @@
 The reproduction note flags raw dynamic-instructions-per-second through the
 cycle-level engine as the main practical constraint of this pure-Python model,
 so the perf trajectory is tracked explicitly: this script runs the throughput
-suite (single-run reference and multithreaded models on the paper's benchmark
-analogues, plus the batch-scaling sweep of ``run_batch``) and writes
+suite (single runs of the reference, multithreaded, dual-scalar and
+cray-style models on the paper's benchmark analogues, plus the batch-scaling
+sweep of ``run_batch``) and writes
 ``BENCH_throughput.json`` with the numbers and the git revision they were
 measured at.
 
@@ -54,6 +55,9 @@ SINGLE_RUN_WORKLOADS = ("hydro2d", "swm256", "tomcatv")
 SINGLE_RUN_SCALE = 0.3
 #: Workload scale of the multithreaded group row.
 GROUP_SCALE = 0.2
+#: Programs and scale of the wide-decode rows: every context drains one queue.
+QUEUE_WORKLOADS = ("hydro2d", "swm256", "tomcatv", "flo52")
+QUEUE_SCALE = 1.0
 #: Workload scale of the batch-scaling rows (matches test_batch_scaling).
 BATCH_SCALE = 0.1
 BATCH_LATENCIES = (1, 50)
@@ -189,6 +193,21 @@ def measure_single_runs(repeats: int) -> list[dict]:
             "instrs_per_sec": round(dispatched / seconds, 1),
         }
     )
+    # the dual-scalar (section 9) and multi-issue (section 10) machines
+    programs = [build_benchmark(name, scale=QUEUE_SCALE) for name in QUEUE_WORKLOADS]
+    for config in (MachineConfig.dual_scalar_fujitsu(50), MachineConfig.cray_style(4, 50)):
+        dispatched = Machine.from_config(config).run_queue(programs).instructions
+        seconds = _time_run(lambda: Machine.from_config(config).run_queue(programs), repeats)
+        entries.append(
+            {
+                "benchmark": "single_run_throughput",
+                "model": config.name,
+                "workload": "+".join(QUEUE_WORKLOADS),
+                "instructions": dispatched,
+                "seconds": round(seconds, 6),
+                "instrs_per_sec": round(dispatched / seconds, 1),
+            }
+        )
     return entries
 
 

@@ -85,7 +85,7 @@ class Machine:
         factory = resolve_model(name).factory
         try:
             produced = factory(**options)
-        except (TypeError, ValueError) as error:  # a bad keyword or option value
+        except (TypeError, ValueError, ConfigurationError) as error:  # a bad keyword or option
             raise ConfigurationError(
                 f"bad options {sorted(options)} for model {name!r}: {error}"
             ) from None

@@ -11,7 +11,7 @@ plain dataclass field, so experiments can sweep any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ConfigurationError
 from repro.isa.registers import MAX_VECTOR_LENGTH, NUM_VECTOR_REGISTERS
@@ -118,6 +118,11 @@ class MachineConfig:
     allow_chaining: bool = True
 
     def __post_init__(self) -> None:
+        # a float would reach ``range`` (or round silently), a bool pass as 0 or 1
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.num_contexts <= MAX_CONTEXTS:
             raise ConfigurationError(
                 f"num_contexts must be between 1 and {MAX_CONTEXTS}, got {self.num_contexts}"
@@ -223,3 +228,7 @@ class MachineConfig:
     def with_scheduler(self, scheduler: str) -> "MachineConfig":
         """A copy using a different thread-scheduling policy."""
         return replace(self, scheduler=scheduler)
+
+
+#: The fields ``MachineConfig.__post_init__`` requires to be ints (not bools).
+_INTEGER_FIELDS = tuple(spec.name for spec in fields(MachineConfig) if spec.type == "int")

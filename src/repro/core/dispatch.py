@@ -101,7 +101,8 @@ class DispatchModel:
         config = self.config
         if instruction.is_vector_arithmetic:
             vl = instruction.vl  # set on every vector opcode (``Instruction``)
-            # VectorUnitPool.arithmetic_unit_for, inline
+            # multiply, divide and sqrt run on FU2 only; any other op takes
+            # FU1 if it is free now or frees no later than FU2
             units = self.vector_units
             unit = units.fu2
             if not instruction.fu2_only:

@@ -22,14 +22,19 @@ fetch end and hazard bound in locals, and writes them back once the run ends
 dispatches meanwhile, and ``finished`` changes only in ``head`` and ``_scan``,
 which it never calls.  Ready sets reach ``select`` in thread-id order.
 
-The Fujitsu-style *dual scalar* variant of section 9 (two complete scalar
-units sharing the vector facility, i.e. up to two instructions decoded per
-cycle but at most one of them vector) is implemented by a second loop,
-selected through ``MachineConfig.dual_scalar``; the multi-issue decode unit
-of section 10 by a third, selected through ``MachineConfig.issue_width``.
+The machines that decode more than one head per cycle share a second loop.
+The Fujitsu-style *dual scalar* machine of section 9
+(``MachineConfig.dual_scalar``: two complete scalar units sharing the vector
+facility) decodes a head from each context, at most one of them vector, in
+thread-id order.  The multi-issue decode unit of section 10
+(``MachineConfig.issue_width`` above 1) dispatches up to ``issue_width``
+heads, asking the scheduler again after each.  Each cycle probes every head
+once; a vector dispatch makes the loop re-read only the unit terms of the
+heads still ready, since a context's register hazard is its own and unit
+free cycles only grow within a cycle.
 
 An engine is built for one run.  ``run(stop_after_context0=True)`` is the
-groupings stop rule of section 4.1: every loop ends the run at the top of
+groupings stop rule of section 4.1: both loops end the run at the top of
 the decode slot after the program on context 0 completes (its context is
 ``finished``: in a groupings run it executes exactly one job).
 """
@@ -48,7 +53,6 @@ from repro.core.scheduler import ThreadScheduler, create_scheduler
 from repro.core.statistics import SimulationStats
 from repro.core.suppliers import JobSupplier
 from repro.errors import SimulationError
-from repro.isa.instruction import Instruction
 from repro.memory.banks import BankConflictModel
 from repro.memory.system import MemorySystem
 from repro.obs.profiling import PhaseProfile, profiling_enabled
@@ -125,16 +129,16 @@ class SimulationEngine:
         ``stop_after_context0`` is the groupings stop rule (section 4.1): the
         run ends once the program on context 0 completes.
 
-        When profiling is enabled (:func:`repro.obs.profiling.profiling_enabled`)
+        The single-decode loop runs the reference and multithreaded machines,
+        the wide-decode loop the dual-scalar and multi-issue ones.  When
+        profiling is enabled (:func:`repro.obs.profiling.profiling_enabled`)
         timing wrappers are installed on the phase callables *before* the run
         loop hoists them into locals — function selection at loop setup time,
         so the unprofiled path executes the exact same bytecode it always did
         with zero added per-iteration work.
         """
-        if self.config.dual_scalar:
-            loop = self._run_dual_scalar
-        elif self.config.issue_width > 1:
-            loop = self._run_multi_issue
+        if self.config.dual_scalar or self.config.issue_width > 1:
+            loop = self._run_wide_decode
         else:
             loop = self._run_single_decode
         if not profiling_enabled():
@@ -200,7 +204,7 @@ class SimulationEngine:
         while cycle < max_cycles:
             # The groupings stop is tested at the top of every decode slot
             # where a context could have finished (``finished`` changes only
-            # in ``head`` and ``_scan``), in all three run loops.
+            # in ``head`` and ``_scan``), in both run loops.
             if stop_after_context0 and context0.finished:
                 self.cycle = cycle
                 return "stop-condition"
@@ -293,143 +297,120 @@ class SimulationEngine:
         return "max-cycles"
 
     # ------------------------------------------------------------------ #
-    # dual scalar unit machine (Fujitsu VP2000 style, section 9)
+    # wide decode: the dual-scalar machine (section 9) and the multi-issue
+    # decode unit (section 10)
     # ------------------------------------------------------------------ #
-    def _run_dual_scalar(self, stop_after_context0: bool, max_cycles: int) -> str:
-        contexts = self.contexts
-        context0 = contexts[0]
-        issue_cycle = self._issue_cycle
-        issue_scalar = self.dispatch_model.issue_scalar
-        latencies = self.config.latencies
-        execute = self.dispatch_model.execute
-        stats = self.stats
-        while self.cycle < max_cycles:
-            if stop_after_context0 and context0.finished:
-                return "stop-condition"
-            cycle = self.cycle
-            any_head = False
-            vector_issued = False
-            dispatched = 0
-            blocked_until: int | None = None
-            for context in contexts:
-                head = context.head(cycle)
-                if head is None:
-                    continue
-                any_head = True
-                if head.scalar_unit_only:
-                    # each context has its own scalar unit: the head issues
-                    # once its register hazards allow
-                    earliest = context.head_hazard
-                    if earliest is None or earliest <= cycle:
-                        earliest = issue_scalar(context.scoreboard, head, cycle, latencies)
-                        if earliest <= cycle:
-                            context.consume(head)
-                            dispatched += 1
-                            continue
-                        context.head_hazard = earliest
-                else:
-                    earliest = issue_cycle(context, head, cycle)
-                    uses_vector_facility = head.is_vector_arithmetic or head.is_vector_memory
-                    if earliest <= cycle and not (uses_vector_facility and vector_issued):
-                        execute(context, head, cycle)
-                        context.consume(head)
-                        dispatched += 1
-                        if uses_vector_facility:
-                            vector_issued = True
-                        continue
-                context.stats.lost_decode_cycles += 1
-                if blocked_until is None or earliest < blocked_until:
-                    blocked_until = earliest
-            if dispatched:
-                self.cycle = cycle + 1
-                continue
-            if not any_head:
-                return "completed"
-            # nothing dispatched, so every head blocked and set ``blocked_until``
-            stats.decode_lost_cycles += 1
-            self.cycle = self._skip_blocked_window(cycle + 1, blocked_until, max_cycles)
-        return "max-cycles"
+    def _run_wide_decode(self, stop_after_context0: bool, max_cycles: int) -> str:
+        """Decode unit that dispatches up to ``width`` heads per cycle, one per context.
 
-    # ------------------------------------------------------------------ #
-    # simultaneous issue from several threads (future-work decode unit)
-    # ------------------------------------------------------------------ #
-    def _run_multi_issue(self, stop_after_context0: bool, max_cycles: int) -> str:
-        """Decode unit able to dispatch ``issue_width`` instructions per cycle.
-
-        Each hardware context still issues at most one instruction per cycle
-        and in order; the decode unit examines the ready contexts in scheduler
-        priority order and dispatches from up to ``issue_width`` of them.
+        The dual-scalar machine decodes one head per context (``width`` is
+        ``num_contexts``) but at most one of them vector-facility per cycle,
+        taking ready contexts in thread-id order; the multi-issue decode unit
+        takes ``issue_width`` of them, asking the scheduler again after each
+        dispatch.  A head that is blocked, by its hazards, a unit or the
+        vector slot, counts a lost cycle for its context; a ready head left
+        without a slot does not.
         """
-        width = self.config.issue_width
+        config = self.config
+        dual_scalar = config.dual_scalar
+        width = config.num_contexts if dual_scalar else config.issue_width
+        select = None if dual_scalar else self.scheduler.select
         contexts = self.contexts
         context0 = contexts[0]
-        issue_cycle = self._issue_cycle
-        execute = self.dispatch_model.execute
+        dispatch_model = self.dispatch_model
+        register_hazard = dispatch_model.register_hazard
+        issue_scalar = dispatch_model.issue_scalar
+        execute = dispatch_model.execute
+        latencies = config.latencies
         stats = self.stats
-        select = self.scheduler.select
-        while self.cycle < max_cycles:
+        units = self.vector_units
+        fu1 = units.fu1
+        fu2 = units.fu2
+        ld = units.only_load_store
+        cycle = self.cycle
+        while cycle < max_cycles:
             if stop_after_context0 and context0.finished:
+                self.cycle = cycle
                 return "stop-condition"
-            cycle = self.cycle
-            remaining: list[tuple[HardwareContext, Instruction]] = []
-            for context in contexts:
-                head = context.head(cycle)
-                if head is not None:
-                    remaining.append((context, head))
-            if not remaining:
-                return "completed"
-            dispatched = 0
-            while dispatched < width and remaining:
-                ready = [
-                    context
-                    for context, head in remaining
-                    if issue_cycle(context, head, cycle) <= cycle
-                ]
-                if not ready:
-                    break
-                chosen = select(ready, previous=None, cycle=cycle)
-                head = chosen.head(cycle)
-                execute(chosen, head, cycle)
-                chosen.consume(head)
-                dispatched += 1
-                remaining = [(c, h) for c, h in remaining if c is not chosen]
+            # one probe pass, in thread-id order, as in ``_scan``
+            ready: list[HardwareContext] = []
+            any_head = False
             blocked_until: int | None = None
-            for context, head in remaining:
-                earliest = issue_cycle(context, head, cycle)
-                if earliest > cycle:
-                    context.stats.lost_decode_cycles += 1
-                    if blocked_until is None or earliest < blocked_until:
-                        blocked_until = earliest
-            if dispatched:
-                self.cycle = cycle + 1
+            for context in contexts:
+                head = context.pending
+                if head is None:
+                    head = context.head(cycle)
+                    if head is None:
+                        continue
+                any_head = True
+                issue = context.head_hazard
+                if issue is None:
+                    issue = context.head_hazard = register_hazard(context.scoreboard, head)
+                if head.is_vector_arithmetic:
+                    free = fu2._free_at
+                    if not head.fu2_only and fu1._free_at < free:
+                        free = fu1._free_at
+                    if free > issue:
+                        issue = free
+                elif head.is_vector_memory:
+                    free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
+                    if free > issue:
+                        issue = free
+                if issue <= cycle:
+                    ready.append(context)
+                    continue
+                context.stats.lost_decode_cycles += 1
+                if blocked_until is None or issue < blocked_until:
+                    blocked_until = issue
+            if not ready:
+                if not any_head:
+                    self.cycle = cycle
+                    return "completed"
+                stats.decode_lost_cycles += 1
+                cycle = self._skip_blocked_window(cycle + 1, blocked_until, max_cycles)
                 continue
-            # nothing dispatched, so every head blocked and set ``blocked_until``
-            stats.decode_lost_cycles += 1
-            self.cycle = self._skip_blocked_window(cycle + 1, blocked_until, max_cycles)
+            slots = width
+            while ready and slots:
+                if select is None or len(ready) == 1:
+                    chosen = ready[0]
+                else:
+                    chosen = select(ready, previous=None, cycle=cycle)
+                head = chosen.pending
+                if head.scalar_unit_only:
+                    issue_scalar(chosen.scoreboard, head, cycle, latencies)
+                else:
+                    execute(chosen, head, cycle)
+                chosen.consume(head)
+                ready.remove(chosen)
+                slots -= 1
+                if ready and (head.is_vector_arithmetic or head.is_vector_memory):
+                    # Only a vector dispatch moves a unit's free cycle or takes
+                    # the dual-scalar vector slot, and each context's register
+                    # hazard is its own: re-probe the ready heads' unit terms.
+                    still_ready = []
+                    for context in ready:
+                        other = context.pending
+                        if other.is_vector_arithmetic:
+                            free = fu2._free_at
+                            if not other.fu2_only and fu1._free_at < free:
+                                free = fu1._free_at
+                        elif other.is_vector_memory:
+                            free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
+                        else:
+                            still_ready.append(context)
+                            continue
+                        if dual_scalar or free > cycle:
+                            context.stats.lost_decode_cycles += 1
+                        else:
+                            still_ready.append(context)
+                    ready = still_ready
+            cycle += 1
+        self.cycle = cycle
         return "max-cycles"
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _issue_cycle(self, context: HardwareContext, head: Instruction, now: int) -> int:
-        """Earliest cycle the pending ``head`` could issue: ``max(hazard, unit free)``.
-
-        The hazard bound is probed once per head and kept on the context; the
-        unit term is read live.  The result may lie before ``now``.
-        """
-        issue = context.head_hazard
-        if issue is None:
-            issue = context.head_hazard = self.dispatch_model.register_hazard(
-                context.scoreboard, head
-            )
-        if head.is_vector_arithmetic:
-            free = self.vector_units.arithmetic_unit_for(head, now)._free_at
-        elif head.is_vector_memory:
-            free = self.vector_units.memory_unit(now)._free_at
-        else:
-            return issue
-        return issue if issue > free else free
-
     def _skip_blocked_window(self, now: int, target: int, max_cycles: int) -> int:
         """The decode clock after a jump from ``now`` to ``target``, clamped at ``max_cycles``.
 
@@ -460,8 +441,8 @@ class SimulationEngine:
 
         The contexts, in thread-id order, are the ready set at ``cycle``, or
         else the ready set after the jump (nothing dispatches before then).
-        ``(None, [])`` once no context has work left.  Probes inline
-        :meth:`_issue_cycle`.
+        ``(None, [])`` once no context has work left.  A head's issue cycle
+        is ``max(hazard, unit free)``, read as in the run loops.
         """
         units = self.vector_units
         fu1 = units.fu1

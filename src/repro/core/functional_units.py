@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.core.eventlog import FlatIntervalRecorder
 from repro.errors import SimulationError
-from repro.isa.instruction import Instruction
 
 __all__ = ["FunctionalUnit", "VectorUnitPool"]
 
@@ -69,27 +68,6 @@ class VectorUnitPool:
         for unit in self.load_store_units:
             combined.extend_pairs(unit.intervals)
         return combined
-
-    # ------------------------------------------------------------------ #
-    def arithmetic_unit_for(self, instruction: Instruction, now: int) -> FunctionalUnit:
-        """The arithmetic unit that can accept the instruction earliest.
-
-        Multiply, divide and square root may only execute on FU2; every other
-        vector instruction prefers whichever unit frees up first (free cycles
-        clamped to ``now``), breaking ties towards FU1 so FU2 stays available
-        for the restricted opcodes.
-        """
-        if not instruction.is_vector_arithmetic:
-            raise SimulationError(
-                f"instruction {instruction} is not a vector arithmetic operation"
-            )
-        fu2 = self.fu2
-        if instruction.fu2_only:
-            return fu2
-        # FU1 wins iff max(now, fu1 free) <= max(now, fu2 free)
-        fu1 = self.fu1
-        free = fu1._free_at
-        return fu1 if free <= now or free <= fu2._free_at else fu2
 
     def memory_unit(self, now: int) -> FunctionalUnit:
         """The memory unit that can accept a new instruction earliest."""

@@ -63,6 +63,28 @@ class TestMachineConfig:
             MachineConfig(num_contexts=5)
         MachineConfig(num_contexts=4)  # must not raise
 
+    @pytest.mark.parametrize(
+        "field", ["num_contexts", "memory_latency", "num_memory_ports", "issue_width",
+                  "vector_startup", "bank_busy_cycles"],
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_integer_fields_must_be_ints(self, field, value):
+        # 2.5 used to run as ``issue_width`` 3 or fail later in ``range``,
+        # and True passed as 1
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            MachineConfig(**{field: value})
+
+    def test_named_models_reject_non_integer_options(self):
+        from repro.api import Machine
+
+        for model, options in (
+            ("cray-style", {"issue_width": 2.5}),
+            ("dual-scalar", {"memory_latency": 50.5}),
+            ("reference", {"memory_latency": False}),
+        ):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                Machine.named(model, **options)
+
     def test_dual_scalar_requires_two_contexts(self):
         with pytest.raises(ConfigurationError):
             MachineConfig(num_contexts=3, dual_scalar=True)

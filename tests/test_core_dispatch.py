@@ -9,7 +9,7 @@ from repro.core.context import HardwareContext
 from repro.core.dispatch import DispatchModel
 from repro.core.functional_units import VectorUnitPool
 from repro.core.suppliers import Job, SingleJobSupplier
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa.builder import (
     branch,
     nop,
@@ -167,8 +167,15 @@ class TestVectorArithmeticTiming:
         # no register hazard: the issue bound is the picked unit's free cycle
         add, mul = vadd(V(2), V(0), V(1), vl=8), vmul(V(2), V(0), V(1), vl=8)
         assert model.register_hazard(context.scoreboard, add) == 0
-        assert pool.arithmetic_unit_for(add, now=0).free_at == 200
-        assert pool.arithmetic_unit_for(mul, now=0).free_at == 300
+        with pytest.raises(SimulationError, match="FU1 is busy until 200"):
+            model.execute(context, add, now=199)
+        with pytest.raises(SimulationError, match="FU2 is busy until 300"):
+            model.execute(context, mul, now=299)
+        # the add takes FU1 at 200 (FU2 is busier); the mul must wait for FU2
+        model.execute(context, add, now=200)
+        assert pool.fu1.intervals.intervals[-1][0] == 200
+        model.execute(context, mul, now=300)
+        assert pool.fu2.intervals.intervals[-1][0] == 300
 
     def test_reduction_result_not_available_until_completion(self):
         model, context, _, _, _ = make_model()

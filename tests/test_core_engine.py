@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core.suppliers import (
     SingleJobSupplier,
 )
 from repro.errors import SimulationError
-from repro.isa.builder import nop, scalar_op, vadd, vload, vstore
+from repro.isa.builder import nop, scalar_op, vadd, vload, vmul, vstore
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import A, S, V
 from repro.obs.profiling import force_profiling
@@ -214,6 +215,57 @@ class TestDualScalarEngine:
             MachineConfig.reference(50), [SingleJobSupplier(job)]
         ).run()
         assert result.cycles > single.cycles
+
+
+def first_cycle(config, heads):
+    """Per-thread ``(instructions, lost_decode_cycles)`` after decode cycle 0.
+
+    Each context runs a one-instruction job; nothing is scheduled before
+    cycle 0, so every head is ready then unless another head takes its unit
+    or the vector slot.
+    """
+    suppliers = [
+        SingleJobSupplier(Job.from_instructions(f"t{index}", [head]))
+        for index, head in enumerate(heads)
+    ]
+    stats = SimulationEngine(config, suppliers).run(max_cycles=1).stats
+    assert stats.decode_lost_cycles == 0  # something dispatched in cycle 0
+    return [(thread.instructions, thread.lost_decode_cycles) for thread in stats.threads]
+
+
+class TestWideDecodeLostCycles:
+    """Which heads a wide-decode cycle charges a lost cycle (sections 9 and 10)."""
+
+    def test_dual_scalar_vector_head_losing_the_vector_slot_is_lost(self):
+        # FU2 is free for the second add, but only one vector-facility
+        # instruction is decoded per cycle
+        heads = [vadd(V(2), V(0), V(1), vl=8), vadd(V(2), V(0), V(1), vl=8)]
+        assert first_cycle(MachineConfig.dual_scalar_fujitsu(50), heads) == [(1, 0), (0, 1)]
+        # the multi-issue decode unit has no vector slot: both adds go
+        config = MachineConfig.cray_style(2, 50, issue_width=2)
+        assert first_cycle(config, heads) == [(1, 0), (1, 0)]
+
+    def test_multi_issue_ready_head_without_a_slot_is_not_lost(self):
+        heads = [scalar_op(Opcode.ADD_S, S(1), S(2), S(3)) for _ in range(3)]
+        config = MachineConfig.cray_style(3, 50, issue_width=2)
+        assert first_cycle(config, heads) == [(1, 0), (1, 0), (0, 0)]
+
+    def test_multi_issue_head_a_dispatch_blocks_is_lost(self):
+        # the first multiply takes FU2, the only unit the other two may use
+        heads = [vmul(V(2), V(0), V(1), vl=8) for _ in range(3)]
+        config = MachineConfig.cray_style(3, 50, issue_width=2)
+        assert first_cycle(config, heads) == [(1, 0), (0, 1), (0, 1)]
+
+    def test_dual_scalar_ignores_the_scheduler(self, tiny_suite):
+        # least service would hand the vector slot to the thread that has
+        # dispatched less; the dual-scalar machine takes thread-id order
+        def stats(config):
+            queue = JobQueueSupplier([Job.from_program(program) for program in tiny_suite.values()])
+            return pickle.dumps(SimulationEngine(config, [queue, queue]).run().stats)
+
+        config = MachineConfig.dual_scalar_fujitsu(50)
+        assert config.scheduler == "unfair"
+        assert stats(config.with_scheduler("least_service")) == stats(config)
 
 
 class TestEngineLifetime:

@@ -56,39 +56,46 @@ class TestFunctionalUnit:
         assert len(pool.fu1.intervals) == len(pool.only_load_store.intervals) == 0
 
 
+def reserved(pool, dispatch, instruction, now):
+    """The arithmetic unit ``execute`` reserves for ``instruction`` at ``now``."""
+    before = {unit.name: len(unit.intervals) for unit in (pool.fu1, pool.fu2)}
+    dispatch(instruction, now)
+    (unit,) = [unit for unit in (pool.fu1, pool.fu2) if len(unit.intervals) > before[unit.name]]
+    return unit
+
+
 class TestVectorUnitPool:
     def test_mul_div_sqrt_route_to_fu2_only(self):
         """FU1 executes everything except multiplication, division and sqrt (section 3)."""
-        pool = VectorUnitPool()
         for instruction in (
             vmul(V(2), V(0), V(1), vl=8),
             vdiv(V(2), V(0), V(1), vl=8),
             vsqrt(V(2), V(0), vl=8),
         ):
-            assert pool.arithmetic_unit_for(instruction, now=0) is pool.fu2
+            pool = VectorUnitPool()
+            assert reserved(pool, dispatcher(pool), instruction, 0) is pool.fu2
 
     def test_general_ops_prefer_free_unit(self):
         pool = VectorUnitPool()
         dispatch = dispatcher(pool)
         add = vadd(V(2), V(0), V(1), vl=8)
-        assert pool.arithmetic_unit_for(add, now=0) is pool.fu1  # tie broken towards FU1
-        dispatch(vadd(V(2), V(0), V(1), vl=99), 0)  # FU1 busy until 1 + 99
-        assert pool.arithmetic_unit_for(add, now=0) is pool.fu2
-        dispatch(vadd(V(3), V(0), V(1), vl=128), 71)  # FU2 busy until 72 + 128
-        assert pool.fu2.free_at == 200
-        third = pool.arithmetic_unit_for(add, now=0)
-        assert third is pool.fu1
-        assert third.free_at == 100
-        # free cycles are clamped to ``now``: both units free by 250 tie
-        assert pool.arithmetic_unit_for(add, now=250) is pool.fu1
+        assert reserved(pool, dispatch, add, 0) is pool.fu1  # tie broken towards FU1
+        dispatch(vadd(V(2), V(0), V(1), vl=90), 9)  # FU1 busy until 10 + 90
+        assert reserved(pool, dispatch, add, 9) is pool.fu2  # FU2 freed at 9
+        assert (pool.fu1.free_at, pool.fu2.free_at) == (100, 18)
+        # free cycles are clamped to ``now``: both units free by 250 tie,
+        # so a free FU1 is taken although FU2 freed first
+        assert reserved(pool, dispatch, add, 250) is pool.fu1
 
     def test_fu2_only_waits_even_if_fu1_free(self):
         pool = VectorUnitPool()
-        dispatcher(pool)(vmul(V(2), V(0), V(1), vl=128), 21)  # FU2 busy until 22 + 128
+        dispatch = dispatcher(pool)
+        dispatch(vmul(V(2), V(0), V(1), vl=128), 21)  # FU2 busy until 22 + 128
         mul = vmul(V(2), V(0), V(1), vl=8)
-        unit = pool.arithmetic_unit_for(mul, now=0)
-        assert unit is pool.fu2
-        assert unit.free_at == 150
+        assert pool.fu1.free_at == 0
+        with pytest.raises(SimulationError, match="FU2 is busy until 150"):
+            dispatch(mul, 149)
+        assert reserved(pool, dispatch, mul, 150) is pool.fu2
 
     def test_memory_unit(self):
         pool = VectorUnitPool()
@@ -96,8 +103,3 @@ class TestVectorUnitPool:
         unit = pool.memory_unit(now=10)
         assert unit is pool.only_load_store
         assert unit.free_at == 64
-
-    def test_non_arithmetic_rejected(self):
-        pool = VectorUnitPool()
-        with pytest.raises(SimulationError):
-            pool.arithmetic_unit_for(vload(V(0), vl=8, address=0), now=0)

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import SimulationEngine
 from tests.golden_corpus import (
     CASES,
     GOLDEN_DIR,
     TRACE_FIELDS,
+    instrument_fast_engine,
     load_golden,
     run_fast_case,
     run_seed_case,
@@ -70,3 +72,39 @@ class TestGoldenTraceCorpus:
     def test_seed_oracle_reproduces_golden_trace(self, case):
         document = load_golden(case)
         _assert_rows_identical(case, document["rows"], run_seed_case(case))
+
+
+class TestWideDecodeIdentity:
+    """Section 3's decode identity, in the form it takes on wide decode.
+
+    Each decode cycle of a dual-scalar or multi-issue run dispatches at
+    least once, is lost (nothing dispatches, the decode unit waits a cycle)
+    or is skipped as idle, so ``cycles`` is the number of distinct dispatch
+    cycles plus ``decode_lost_cycles`` plus ``decode_idle_cycles``.
+    ``decode_busy_cycles`` counts instructions, and is not a term here.
+    """
+
+    @pytest.mark.parametrize(
+        "case,cycles,dispatch_cycles,lost,idle",
+        [
+            ("dual_scalar_groupings", 2677, 146, 75, 2456),
+            ("dual_scalar_queue_lat1", 2866, 128, 68, 2670),
+            ("cray2_issue2_ports3", 2196, 133, 36, 2027),
+            ("cray4_issue2_port1", 6538, 276, 137, 6125),
+        ],
+    )
+    def test_cycles_are_dispatch_lost_and_idle_cycles(
+        self, case, cycles, dispatch_cycles, lost, idle
+    ):
+        make_config, make_suppliers, stop_after_context0 = CASES[case]
+        engine = SimulationEngine(make_config(), make_suppliers())
+        rows = instrument_fast_engine(engine)
+        stats = engine.run(stop_after_context0=stop_after_context0).stats
+        observed = (
+            stats.cycles,
+            len({row[0] for row in rows}),
+            stats.decode_lost_cycles,
+            stats.decode_idle_cycles,
+        )
+        assert observed == (cycles, dispatch_cycles, lost, idle)
+        assert cycles == dispatch_cycles + lost + idle

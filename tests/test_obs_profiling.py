@@ -178,11 +178,21 @@ class TestEngineProfiling:
         result = Machine.named("reference").run(_workload())
         assert result.phase_profile is not None
 
-    def test_profiling_leaves_stats_byte_identical(self, monkeypatch):
+    @pytest.mark.parametrize("model", ["reference", "dual-scalar", "cray-style"])
+    def test_profiling_leaves_stats_byte_identical(self, monkeypatch, model):
+        # a queue keeps every context of the wide-decode machines busy
         monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
-        plain = Machine.named("reference").run(_workload())
-        profiled = Machine.named("reference").run(_workload(), profile=True)
-        rerun = Machine.named("reference").run(_workload())
+        workloads = [_workload(), build_benchmark("swm256", scale=SCALE), _workload()]
+        machine = Machine.named(model)
+        plain = machine.run_queue(workloads)
+        with force_profiling(True):
+            profiled = machine.run_queue(workloads)
+        rerun = machine.run_queue(workloads)
+        assert profiled.phase_profile is not None
+        assert profiled.phase_profile["phases"]["dispatch"]["calls"] == plain.instructions
+        if model != "reference":
+            # the wide-decode loop hands ``issue_scalar`` ready heads only
+            assert profiled.phase_profile["counts"]["blocked_issue_probes"] == 0
         assert pickle.dumps(plain.stats) == pickle.dumps(profiled.stats)
         assert pickle.dumps(plain.stats) == pickle.dumps(rerun.stats)
         assert plain.cycles == profiled.cycles

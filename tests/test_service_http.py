@@ -175,6 +175,13 @@ class TestEndpoints:
             {"machine": "reference", "workloads": [{"workload": "str"}]},
             {**TOMCATV_JOB, "options": {"bogus": 1}},
             {**TOMCATV_JOB, "options": {"memory_latency": "x"}},
+            # integer machine options must be JSON integers, not floats or booleans
+            {**TOMCATV_JOB, "options": {"memory_latency": 50.5}},
+            {**TOMCATV_JOB, "options": {"memory_latency": True}},
+            {"machine": "cray-style", "workloads": ["tomcatv"], "options": {"issue_width": 2.5}},
+            {"machine": "cray-style", "workloads": ["tomcatv"], "options": {"num_memory_ports": 2.5}},
+            {"machine": "multithreaded", "workloads": ["tomcatv"], "options": {"num_contexts": 2.5}},
+            {"machine": "cray-style", "workloads": ["tomcatv"], "options": {"num_contexts": True}},
             {**TOMCATV_JOB, "instruction_limit": "5"},
             {**TOMCATV_JOB, "restart_companions": "no"},
             {**TOMCATV_JOB, "tag": [1, 2]},
