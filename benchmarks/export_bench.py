@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import subprocess
 import sys
 import time
@@ -55,7 +54,7 @@ SINGLE_RUN_WORKLOADS = ("hydro2d", "swm256", "tomcatv")
 SINGLE_RUN_SCALE = 0.3
 #: Workload scale of the multithreaded group row.
 GROUP_SCALE = 0.2
-#: Programs and scale of the wide-decode rows: every context drains one queue.
+#: Programs and scale of the queue rows: every context drains one queue.
 QUEUE_WORKLOADS = ("hydro2d", "swm256", "tomcatv", "flo52")
 QUEUE_SCALE = 1.0
 #: Workload scale of the batch-scaling rows (matches test_batch_scaling).
@@ -193,9 +192,14 @@ def measure_single_runs(repeats: int) -> list[dict]:
             "instrs_per_sec": round(dispatched / seconds, 1),
         }
     )
-    # the dual-scalar (section 9) and multi-issue (section 10) machines
+    # the dual-scalar (section 9) and multi-issue (section 10) machines, and
+    # a single-decode queue run whose lost cycles switch threads often
     programs = [build_benchmark(name, scale=QUEUE_SCALE) for name in QUEUE_WORKLOADS]
-    for config in (MachineConfig.dual_scalar_fujitsu(50), MachineConfig.cray_style(4, 50)):
+    for config in (
+        MachineConfig.dual_scalar_fujitsu(50),
+        MachineConfig.cray_style(4, 50),
+        MachineConfig.multithreaded(3, 50),
+    ):
         dispatched = Machine.from_config(config).run_queue(programs).instructions
         seconds = _time_run(lambda: Machine.from_config(config).run_queue(programs), repeats)
         entries.append(

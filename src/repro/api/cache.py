@@ -24,10 +24,11 @@ import pickle
 import threading
 import weakref
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from repro.core.config import MachineConfig
 from repro.core.suppliers import Job, as_job
+from repro.isa.instruction import Instruction
 from repro.trace.records import TraceSet
 from repro.workloads.program import Program
 
@@ -54,11 +55,35 @@ def fingerprint_config(config: MachineConfig) -> str:
     return hashlib.sha256(pickle.dumps(config)).hexdigest()
 
 
+def _instruction_texts(instructions: Iterable[Instruction]) -> Iterator[str]:
+    """Each instruction's dataclass ``repr``, built from two parts.
+
+    The ``opcode``, ``dest`` and ``srcs`` part is memoized per stream by the
+    identity of the three objects, which the clones of one template share;
+    the memo holds them, so no id is reused while it lives.  The five
+    dynamic fields are formatted per instruction.
+    """
+    prefixes: dict[tuple[int, int, int], tuple] = {}
+    for instruction in instructions:
+        opcode = instruction.opcode
+        dest = instruction.dest
+        srcs = instruction.srcs
+        key = (id(opcode), id(dest), id(srcs))
+        entry = prefixes.get(key)
+        if entry is None:
+            prefix = f"Instruction(opcode={opcode!r}, dest={dest!r}, srcs={srcs!r}, vl="
+            prefixes[key] = entry = (prefix, opcode, dest, srcs)
+        yield (
+            f"{entry[0]}{instruction.vl!r}, stride={instruction.stride!r}, "
+            f"address={instruction.address!r}, imm={instruction.imm!r}, pc={instruction.pc!r})"
+        )
+
+
 def _hash_stream(job: Job) -> str:
     digest = hashlib.sha256()
     digest.update(job.name.encode())
-    for instruction in job.open_stream():
-        digest.update(repr(instruction).encode())
+    for text in _instruction_texts(job.open_stream()):
+        digest.update(text.encode())
     return digest.hexdigest()
 
 

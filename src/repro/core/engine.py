@@ -17,10 +17,21 @@ The engine implements the decode behaviour of section 3:
 
 The single-decode loop keeps that rule literally: once the active thread's
 head issues, an inner loop dispatches its next heads with the job's cursor,
-fetch end and hazard bound in locals, and writes them back once the run ends
-(a blocked head, the fetch end or ``max_cycles``).  Only the active thread
-dispatches meanwhile, and ``finished`` changes only in ``head`` and ``_scan``,
-which it never calls.  Ready sets reach ``select`` in thread-id order.
+fetch end and hazard bound in locals.  A blocked head loses its decode cycle
+inside that loop: the switch probe reads the other contexts' heads as
+``_scan`` does, takes the blocked head's issue cycle from the probe that
+found it blocked, and jumps over a window in which every context is blocked.
+When the switch picks the active thread again, its run resumes at the
+blocked head with its state still in locals; the state is written back when
+the run ends (the fetch end, ``max_cycles`` or a switch to another thread)
+and before the scheduler chooses among several ready contexts, so it sees
+each context as it stands.  Only the active thread dispatches meanwhile.
+``finished`` changes only in ``head``, which the loop calls for the active
+thread once its run reaches the fetch end, and in ``_scan``.  After the
+first scan every unfinished context other than the active one holds a
+pending head, so the switch probe skips the contexts without one (they are
+finished) and never fetches, and context 0 cannot finish while another
+thread's run resumes.  Ready sets reach ``select`` in thread-id order.
 
 The machines that decode more than one head per cycle share a second loop.
 The Fujitsu-style *dual scalar* machine of section 9
@@ -111,7 +122,11 @@ class SimulationEngine:
         self.stats = SimulationStats(threads=[context.stats for context in self.contexts])
         self.cycle = 0
         #: Loop counters, kept off :attr:`stats` (whose pickled bytes are
-        #: pinned) and exported as ``phase_profile["counts"]``.
+        #: pinned) and exported as ``phase_profile["counts"]``: the context
+        #: probes (one per lost cycle of the single-decode loop and per
+        #: ``_scan``), the jumps over blocked windows and the rescans after a
+        #: jump clamped at ``max_cycles``.
+        self.scans = 0
         self.blocked_window_skips = 0
         self.clamp_rescans = 0
 
@@ -153,10 +168,9 @@ class SimulationEngine:
         memory = self.memory
         # Instance-attribute wrappers shadow the class methods; every run
         # loop (and helper) resolves them through the instance, so all phase
-        # calls are timed (and scans counted).  They are removed again before
-        # returning so no wrapper outlives the run and the engine stays picklable.
+        # calls are timed.  They are removed again before returning so no
+        # wrapper outlives the run and the engine stays picklable.
         wrappers = {
-            (self, "_scan"): profile.count("scans", self._scan),
             (dispatch_model, "register_hazard"): profile.wrap(
                 "hazard_check", dispatch_model.register_hazard
             ),
@@ -173,6 +187,7 @@ class SimulationEngine:
             finalize_started = perf_counter()
             result = self._finalize(stop_reason)
             profile.add("finalize", perf_counter() - finalize_started)
+            profile.counts["scans"] = self.scans
             profile.counts["blocked_window_skips"] = self.blocked_window_skips
             profile.counts["clamp_rescans"] = self.clamp_rescans
         finally:
@@ -186,33 +201,34 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def _run_single_decode(self, stop_after_context0: bool, max_cycles: int) -> str:
         # Every attribute the loops touch per decode slot or per dispatch is
-        # hoisted to a local, the decode clock included.
-        context0 = self.contexts[0]
+        # hoisted to a local, the decode clock and the loop counters included.
+        contexts = self.contexts
+        context0 = contexts[0]
         dispatch_model = self.dispatch_model
         register_hazard = dispatch_model.register_hazard
         issue_scalar = dispatch_model.issue_scalar
         execute = dispatch_model.execute
         latencies = self.config.latencies
-        stats = self.stats
         select = self.scheduler.select
         units = self.vector_units
         fu1 = units.fu1
         fu2 = units.fu2
         ld = units.only_load_store
         cycle = self.cycle
+        skips = idle = 0
+        stop_reason = "max-cycles"
         active: HardwareContext | None = None
         while cycle < max_cycles:
             # The groupings stop is tested at the top of every decode slot
-            # where a context could have finished (``finished`` changes only
-            # in ``head`` and ``_scan``), in both run loops.
+            # where a context could have finished, in both run loops.
             if stop_after_context0 and context0.finished:
-                self.cycle = cycle
-                return "stop-condition"
+                stop_reason = "stop-condition"
+                break
             if active is None or active.finished:
                 active = self._pick_initial(cycle, previous=active)
                 if active is None:
-                    self.cycle = cycle
-                    return "completed"
+                    stop_reason = "completed"
+                    break
             if active.pending is None and active.head(cycle) is None:
                 # this context ran out of work; pick another without losing a cycle
                 active = None
@@ -222,79 +238,133 @@ class SimulationEngine:
             # together, so the run ends at the fetch end or at max_cycles.
             sequence = active._sequence
             scoreboard = active.scoreboard
-            hazard = active.head_hazard
-            first = active._cursor - 1
-            fetch_end = active._fetch_end
-            end = first + max_cycles - cycle
-            if end > fetch_end:
-                end = fetch_end
-            started = cycle
-            for index in range(first, end):
-                head = sequence[index]
-                if head.scalar_unit_only:
-                    # one call probes the head and, if it issues now, dispatches it
-                    if hazard is None or hazard <= cycle:
-                        hazard = issue_scalar(scoreboard, head, cycle, latencies)
-                    if hazard > cycle:
-                        break
-                else:
-                    # the register-hazard bound is probed once per head, the
-                    # unit term read live
-                    if hazard is None:
-                        hazard = register_hazard(scoreboard, head)
-                    issue = hazard
-                    if head.is_vector_arithmetic:
-                        free = fu2._free_at
-                        if not head.fu2_only and fu1._free_at < free:
-                            free = fu1._free_at
-                        if free > issue:
-                            issue = free
-                    elif head.is_vector_memory:
-                        free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
-                        if free > issue:
-                            issue = free
-                    if issue > cycle:
-                        break
-                    execute(active, head, cycle)
-                cycle += 1
-                hazard = None
-            else:
-                # no head blocked; at max_cycles the next one is fetched ahead
-                index = end
-                head = sequence[end] if end < fetch_end else None
             thread = active.stats
-            thread.instructions += cycle - started
+            hazard = active.head_hazard
+            first = index = active._cursor - 1
+            fetch_end = active._fetch_end
+            while True:
+                end = index + max_cycles - cycle
+                if end > fetch_end:
+                    end = fetch_end
+                for index in range(index, end):
+                    head = sequence[index]
+                    if head.scalar_unit_only:
+                        # one call probes the head and, if it issues now, dispatches it
+                        if hazard is None or hazard <= cycle:
+                            hazard = issue_scalar(scoreboard, head, cycle, latencies)
+                        if hazard > cycle:
+                            issue = hazard
+                            break
+                    else:
+                        # the register-hazard bound is probed once per head, the
+                        # unit term read live
+                        if hazard is None:
+                            hazard = register_hazard(scoreboard, head)
+                        issue = hazard
+                        if head.is_vector_arithmetic:
+                            free = fu2._free_at
+                            if not head.fu2_only and fu1._free_at < free:
+                                free = fu1._free_at
+                            if free > issue:
+                                issue = free
+                        elif head.is_vector_memory:
+                            free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
+                            if free > issue:
+                                issue = free
+                        if issue > cycle:
+                            break
+                        execute(active, head, cycle)
+                    cycle += 1
+                    hazard = None
+                else:
+                    # no head blocked; at max_cycles the next one is fetched ahead
+                    index = end
+                    ready = None
+                    break
+                # The head blocks: the decode cycle is lost and the switch
+                # logic picks another non-blocked thread for the following
+                # cycle.  The probe is ``_scan``'s, except that the blocked
+                # head's issue cycle is the one just read and a context
+                # without a pending head has finished.
+                thread.lost_decode_cycles += 1
+                cycle += 1
+                earliest = issue
+                ready = []
+                for context in contexts:
+                    if context is active:
+                        time = issue
+                    else:
+                        other = context.pending
+                        if other is None:
+                            continue
+                        time = context.head_hazard
+                        if time is None:
+                            time = context.head_hazard = register_hazard(context.scoreboard, other)
+                        if other.is_vector_arithmetic:
+                            free = fu2._free_at
+                            if not other.fu2_only and fu1._free_at < free:
+                                free = fu1._free_at
+                            if free > time:
+                                time = free
+                        elif other.is_vector_memory:
+                            free = ld._free_at if ld is not None else units.memory_unit(cycle)._free_at
+                            if free > time:
+                                time = free
+                        if time < cycle:
+                            time = cycle
+                    if time < earliest:
+                        earliest = time
+                        ready = [context]
+                    elif time == earliest:
+                        ready.append(context)
+                if earliest > cycle:
+                    # every context is blocked; nothing dispatches before
+                    # ``earliest``, so the decode unit idles until then and
+                    # the contexts issuing there are the ready set.
+                    target = earliest if earliest < max_cycles else max_cycles
+                    if target > cycle:
+                        skips += 1
+                        idle += target - cycle
+                        cycle = target
+                    if cycle < earliest:
+                        break
+                if len(ready) == 1:
+                    # a lone ready context is taken without asking the scheduler
+                    chosen = ready[0]
+                else:
+                    # the scheduler sees the blocked context as it stands
+                    thread.instructions += index - first
+                    first = index
+                    active.pending = head
+                    active.head_hazard = hazard
+                    active._cursor = index + 1
+                    chosen = select(ready, previous=active, cycle=cycle)
+                if chosen is not active:
+                    break
+                # the active thread is chosen again: its run resumes at the
+                # blocked head, its state still in locals
+            thread.instructions += index - first
+            head = sequence[index] if index < fetch_end else None
             active.pending = head
             active.head_hazard = hazard
-            if head is None:
-                active._cursor = end
+            active._cursor = index + 1 if head is not None else index
+            if ready is None:
                 continue
-            active._cursor = index + 1
-            if cycle == max_cycles:
-                continue
-            # the head blocks: the decode cycle is lost and the switch logic
-            # picks another non-blocked thread for the following cycle.
-            thread.lost_decode_cycles += 1
-            stats.decode_lost_cycles += 1
-            cycle += 1
-            earliest, ready = self._scan(cycle)
-            if earliest is None:
-                self.cycle = cycle
-                return "completed"
-            if earliest > cycle:
-                # every context is blocked; nothing dispatches before
-                # ``earliest``, so the contexts issuing there are the ready
-                # set after the jump — unless the jump was clamped at
-                # max_cycles, where we rescan.
-                cycle = self._skip_blocked_window(cycle, earliest, max_cycles)
-                if cycle < earliest:
-                    self.clamp_rescans += 1
-                    earliest, ready = self._scan(cycle)
-            if earliest == cycle:
-                # a lone ready context is taken without asking the scheduler
-                active = ready[0] if len(ready) == 1 else select(ready, previous=active, cycle=cycle)
+            if cycle < earliest:
+                # the jump was clamped at max_cycles: rescan there; the run ends
+                self.clamp_rescans += 1
+                self._scan(cycle)
+            else:
+                active = chosen
+        # each lost decode cycle ran one switch probe
+        stats = self.stats
+        lost = sum(thread.lost_decode_cycles for thread in stats.threads)
+        stats.decode_lost_cycles = lost
+        stats.decode_idle_cycles += idle
+        self.scans += lost
+        self.blocked_window_skips += skips
         self.cycle = cycle
-        return "max-cycles"
+        return stop_reason
 
     # ------------------------------------------------------------------ #
     # wide decode: the dual-scalar machine (section 9) and the multi-issue
@@ -367,7 +437,14 @@ class SimulationEngine:
                     self.cycle = cycle
                     return "completed"
                 stats.decode_lost_cycles += 1
-                cycle = self._skip_blocked_window(cycle + 1, blocked_until, max_cycles)
+                cycle += 1
+                # nothing issues before ``blocked_until``: skip there as idle
+                if blocked_until > max_cycles:
+                    blocked_until = max_cycles
+                if blocked_until > cycle:
+                    self.blocked_window_skips += 1
+                    stats.decode_idle_cycles += blocked_until - cycle
+                    cycle = blocked_until
                 continue
             slots = width
             while ready and slots:
@@ -411,20 +488,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _skip_blocked_window(self, now: int, target: int, max_cycles: int) -> int:
-        """The decode clock after a jump from ``now`` to ``target``, clamped at ``max_cycles``.
-
-        Nothing issues before ``target``, the earliest cycle any context may
-        unblock; the skipped cycles are decode-idle time.
-        """
-        if target > max_cycles:
-            target = max_cycles
-        if target <= now:
-            return now
-        self.blocked_window_skips += 1
-        self.stats.decode_idle_cycles += target - now
-        return target
-
     def _pick_initial(
         self, cycle: int, previous: HardwareContext | None
     ) -> HardwareContext | None:
@@ -444,6 +507,7 @@ class SimulationEngine:
         ``(None, [])`` once no context has work left.  A head's issue cycle
         is ``max(hazard, unit free)``, read as in the run loops.
         """
+        self.scans += 1
         units = self.vector_units
         fu1 = units.fu1
         fu2 = units.fu2

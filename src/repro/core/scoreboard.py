@@ -69,7 +69,8 @@ class _ColumnarRegisterView:
 
     @property
     def write_busy_until(self) -> int:
-        return self._board._write_busy[self._key]
+        # a register is write-busy until its pending write completes
+        return self._board._ready_at[self._key]
 
     @property
     def read_busy_until(self) -> int:
@@ -88,8 +89,9 @@ class ColumnarScoreboard:
     """Columnar hazard tables: flat int lists indexed by ``Register.key``.
 
     Every per-register quantity is stored in a dense column (``ready_at`` /
-    ``first_element_at`` / ``chainable`` / ``write_busy_until`` /
-    ``read_busy_until``) and the bank ports as flat slot arrays:
+    ``first_element_at`` / ``chainable`` / ``read_busy_until``; a register
+    is write-busy until it is ready, so ``write_busy_until`` reads
+    ``ready_at``) and the bank ports as flat slot arrays:
 
     * ``_bank_read_slots`` keeps, per bank, the ``READ_PORTS_PER_BANK``
       largest read-end times sorted ascending.  With in-order dispatch and a
@@ -111,7 +113,6 @@ class ColumnarScoreboard:
         "_ready_at",
         "_first_at",
         "_chainable",
-        "_write_busy",
         "_read_busy",
         "_bank_read_slots",
         "_bank_write_end",
@@ -124,7 +125,6 @@ class ColumnarScoreboard:
         self._ready_at = [0] * keys
         self._first_at = [0] * keys
         self._chainable = [1] * keys
-        self._write_busy = [0] * keys
         self._read_busy = [0] * keys
         self._bank_read_slots = [0] * (NUM_VECTOR_BANKS * READ_PORTS_PER_BANK)
         self._bank_write_end = [0] * NUM_VECTOR_BANKS
@@ -159,7 +159,7 @@ class ColumnarScoreboard:
                         earliest = ready
         dest_key = instruction.dest_key
         if dest_key >= 0:
-            busy_until = self._write_busy[dest_key]
+            busy_until = ready_at[dest_key]
             read_busy = self._read_busy[dest_key]
             if read_busy > busy_until:
                 busy_until = read_busy
@@ -245,7 +245,6 @@ class ColumnarScoreboard:
             self._first_at[key] = first_element_at
             self._ready_at[key] = ready_at
             self._chainable[key] = 1 if (chainable and self._allow_chaining) else 0
-            self._write_busy[key] = ready_at
             bank = instruction.dest_bank
             if bank >= 0 and model_bank_ports:
                 write_ends = self._bank_write_end
@@ -268,7 +267,6 @@ class ColumnarScoreboard:
         """
         ready_at = self._ready_at
         read_busy = self._read_busy
-        write_busy = self._write_busy
         sources = instruction.scalar_src_keys
         dest = instruction.dest_key
         hazard = 0
@@ -276,8 +274,8 @@ class ColumnarScoreboard:
             if ready_at[key] > hazard:
                 hazard = ready_at[key]
         if dest >= 0:
-            if write_busy[dest] > hazard:
-                hazard = write_busy[dest]
+            if ready_at[dest] > hazard:
+                hazard = ready_at[dest]
             if read_busy[dest] > hazard:
                 hazard = read_busy[dest]
         if hazard > now:
@@ -294,7 +292,6 @@ class ColumnarScoreboard:
             self._first_at[dest] = completion
             ready_at[dest] = completion
             self._chainable[dest] = 1 if self._allow_chaining else 0
-            write_busy[dest] = completion
         return hazard
 
     # -- pickling: __slots__ classes need an explicit state protocol ------- #

@@ -4,10 +4,12 @@ The engine's run loops hoist their phase callables (the dispatch model's
 ``register_hazard``, ``issue_scalar`` and ``execute``, and
 ``memory.schedule_columnar``) into locals **once at loop setup**, so the
 profiler works by *function selection*: a profiled
-:meth:`SimulationEngine.run` installs timing wrappers (and a call counter on
-the engine's ``_scan``) as instance attributes before the loop binds its
-locals; an unprofiled one installs nothing and runs the exact same bytecode
-— zero added work per iteration, byte-identical statistics.
+:meth:`SimulationEngine.run` installs timing wrappers as instance attributes
+before the loop binds its locals; an unprofiled one installs nothing and
+runs the exact same bytecode — zero added work per iteration, byte-identical
+statistics.  The engine's loop counters (``scans``, ``blocked_window_skips``,
+``clamp_rescans``) are kept by the engine itself and only reported here;
+``blocked_issue_probes`` is counted by the ``issue_scalar`` wrapper.
 
 Enable with ``REPRO_PROFILE=1`` in the environment or per-call with
 ``Machine.run(profile=True)``.  The environment is read in the process that
@@ -94,17 +96,6 @@ class PhaseProfile:
                 calls[phase] += 1
 
         return timed
-
-    def count(self, name: str, fn):
-        """A closure that counts every call to ``fn`` as ``counts[name]``."""
-        counts = self.counts
-        counts[name] = 0
-
-        def counted(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return counted
 
     def wrap_issue(self, fn):
         """A closure that times ``issue_scalar(scoreboard, instruction, now, latencies)``.

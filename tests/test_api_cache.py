@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.api import SimulationRequest, fingerprint_workload
+from repro.api.cache import _instruction_texts
 from repro.core import Job
 from repro.workloads import BENCHMARK_ORDER, build_benchmark
 from repro.workloads.program import (
@@ -62,6 +63,20 @@ class TestMemoizedDigest:
         frozen = Job.from_instructions(program.name, program.instructions())
         assert fingerprint_workload(frozen) == expected
         assert _fingerprint_counts() == (1, 1)
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_built_text_is_the_dataclass_repr(self, name):
+        # the digest hashes each instruction's repr, built without dataclass
+        # machinery from a memoized opcode/dest/srcs prefix
+        instructions = list(build_benchmark(name).instructions())
+        assert list(_instruction_texts(instructions)) == [
+            repr(instruction) for instruction in instructions
+        ]
+
+    def test_pinned_fingerprint(self):
+        assert fingerprint_workload(build_benchmark("swm256", scale=SCALE)) == (
+            "f94683ba72ee71950d18e6bbe4d3713eb6cf06ceffacd9875d8ed065da9bc0b5"
+        )
 
     def test_rebuilt_program_is_a_memo_hit(self):
         first = fingerprint_workload(build_benchmark("swm256", scale=SCALE))

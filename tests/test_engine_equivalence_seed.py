@@ -649,6 +649,92 @@ class TestMaxCyclesInsideBlockedWindow:
 
 
 # --------------------------------------------------------------------------- #
+# a max_cycles limit inside a stall after which the same thread runs on
+# --------------------------------------------------------------------------- #
+class TestMaxCyclesInsideARepickedStall:
+    """Cuts at every cycle of runs whose stalls pick the stalled thread again.
+
+    On one context every lost decode cycle picks the active thread again;
+    on two, both threads wait on their loads and the first to unblock is
+    the one that stalled first.  The run resumes at the blocked head after
+    the idle jump, so a cut inside or right after a stall must end it where
+    the seed oracle ends it.
+    """
+
+    PROGRAM = [
+        vload(V(0), vl=32, address=0x100),
+        vadd(V(1), V(0), V(0), vl=32),
+        scalar_op(Opcode.ADD_S, S(0), S(1), S(2)),
+        scalar_op(Opcode.MUL_S, S(3), S(0), S(0)),
+        vmul(V(2), V(1), V(1), vl=32),
+        scalar_op(Opcode.ADD_S, S(4), S(3), S(3)),
+    ]
+
+    @pytest.mark.parametrize(
+        "config",
+        [MachineConfig.reference(100), MachineConfig.multithreaded(2, 100)],
+        ids=lambda config: config.name,
+    )
+    def test_every_cut_matches_the_seed_oracle(self, config):
+        def make_suppliers() -> list[JobSupplier]:
+            return [
+                SingleJobSupplier(Job.from_instructions("p", self.PROGRAM))
+                for _ in range(config.num_contexts)
+            ]
+
+        engine = SimulationEngine(config, make_suppliers())
+        full = engine.run()
+        assert full.stats.decode_lost_cycles > config.num_contexts
+        for max_cycles in range(1, full.cycles + 2):
+            fast, seed = run_both(config, make_suppliers, max_cycles=max_cycles)
+            assert fast.cycles == min(max_cycles, full.cycles), max_cycles
+            assert_cycle_identical(fast, seed)
+
+
+class TestGroupingsStopAfterRepickedStalls:
+    """A groupings run whose companion keeps stalling while context 0 waits.
+
+    Context 1 restarts a scalar chain that blocks on every head.  While
+    context 0 waits on its load, each of those lost cycles picks context 1
+    again, so its run resumes at the blocked head.  The run must stop where
+    the seed oracle stops it, after context 0's program completes, and a
+    cut anywhere before that must end it where the oracle does.
+    """
+
+    def test_stop_and_every_cut_match_the_seed_oracle(self):
+        config = MachineConfig.multithreaded(2, 100)
+        first = [
+            vload(V(0), vl=64, address=0x100),
+            vadd(V(1), V(0), V(0), vl=64),
+            vmul(V(2), V(1), V(1), vl=64),
+        ]
+        companion = [
+            scalar_op(Opcode.ADD_S, S(0), S(1), S(1)),
+            scalar_op(Opcode.MUL_S, S(2), S(0), S(0)),
+            scalar_op(Opcode.MUL_S, S(3), S(2), S(2)),
+            scalar_op(Opcode.ADD_S, S(4), S(3), S(3)),
+        ]
+
+        def make_suppliers() -> list[JobSupplier]:
+            return [
+                SingleJobSupplier(Job.from_instructions("first", first)),
+                RepeatingSupplier(Job.from_instructions("companion", companion)),
+            ]
+
+        fast, seed = run_both(config, make_suppliers, stop_after_context0=True)
+        assert fast.stop_reason == "stop-condition"
+        waiting, stalling = fast.stats.threads
+        assert stalling.lost_decode_cycles > 10 * waiting.lost_decode_cycles
+        assert_cycle_identical(fast, seed)
+        for max_cycles in range(1, fast.cycles + 1):
+            cut, seed = run_both(
+                config, make_suppliers, stop_after_context0=True, max_cycles=max_cycles
+            )
+            assert cut.cycles == max_cycles
+            assert_cycle_identical(cut, seed)
+
+
+# --------------------------------------------------------------------------- #
 # a max_cycles limit anywhere inside the run
 # --------------------------------------------------------------------------- #
 CUT_MACHINES = {

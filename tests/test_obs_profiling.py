@@ -8,7 +8,14 @@ import pickle
 import pytest
 
 from repro.api import Machine
-from repro.core import Job, JobQueueSupplier, MachineConfig, SimulationEngine, SingleJobSupplier
+from repro.core import (
+    Job,
+    JobQueueSupplier,
+    MachineConfig,
+    RepeatingSupplier,
+    SimulationEngine,
+    SingleJobSupplier,
+)
 from repro.obs import (
     PROFILE_ENV_VAR,
     PROFILE_PHASES,
@@ -171,6 +178,31 @@ class TestEngineProfiling:
         engine = SimulationEngine(MachineConfig.multithreaded(3, 50), [queue] * 3)
         with force_profiling(True):
             result = engine.run() if max_cycles is None else engine.run(max_cycles=max_cycles)
+        assert result.phase_profile["counts"] == expected
+
+    @pytest.mark.parametrize(
+        "grouped,expected",
+        [
+            # one context: every lost cycle picks the active thread again
+            (False, {"scans": 80, "blocked_issue_probes": 53,
+                     "blocked_window_skips": 57, "clamp_rescans": 0}),
+            # two contexts, stopped when the program on context 0 completes
+            (True, {"scans": 222, "blocked_issue_probes": 11,
+                    "blocked_window_skips": 214, "clamp_rescans": 0}),
+        ],
+        ids=["reference", "groupings"],
+    )
+    def test_loop_counts_of_a_fixed_single_and_groupings_run(self, grouped, expected):
+        def job(name):
+            return Job.from_program(build_benchmark(name, scale=SCALE))
+
+        if grouped:
+            suppliers = [SingleJobSupplier(job("swm256")), RepeatingSupplier(job("hydro2d"))]
+            engine = SimulationEngine(MachineConfig.multithreaded(2, 50), suppliers)
+        else:
+            engine = SimulationEngine(MachineConfig.reference(50), [SingleJobSupplier(job("tomcatv"))])
+        with force_profiling(True):
+            result = engine.run(stop_after_context0=grouped)
         assert result.phase_profile["counts"] == expected
 
     def test_env_var_profiles_plain_run(self, monkeypatch):
